@@ -362,8 +362,9 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
         raise ValueError("prices must be >= 0")
     crit = critical_prices_global(params, space, allow_large=allow_large)
 
-    # affine pieces per winning policy, computed once each
-    pieces: dict[tuple, tuple[float, float]] = {}
+    # affine pieces and per-level critical prices per winning policy,
+    # computed once each: none of them depends on the price
+    pieces: dict[tuple, tuple[float, float, tuple[float, ...]]] = {}
     rows = []
     prev_regime = None
     for r in grid:
@@ -372,8 +373,10 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
         d = res.best_policy
         if d not in pieces:
             sol = stationary_closed_form(params, d)
-            pieces[d] = profit_components(sol, affine_decomposition(at_r, d))
-        completions, cost = pieces[d]
+            crits = perturbation_factors(params, d).crit_prices
+            pieces[d] = (*profit_components(sol, affine_decomposition(at_r, d)),
+                         tuple(float(x) for x in crits))
+        completions, cost, crits = pieces[d]
         affine = r * completions - cost
         tol = 1e-9 * max(1.0, abs(res.best_eta))
         if completions < -1e-15 or abs(affine - res.best_eta) > tol:
@@ -381,7 +384,6 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
                 f"price sweep: eta at R={r:.6g} deviates from the affine "
                 f"form ({res.best_eta!r} vs {affine!r})"
             )
-        crits = perturbation_factors(at_r, d).crit_prices
         if not math.isnan(crit.r_high) and r >= crit.r_high:
             regime = "high"
         elif not math.isnan(crit.r_low) and r <= crit.r_low:
@@ -393,8 +395,7 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
             boundary = "R_H" if "high" in (regime, prev_regime) else "R_L"
             crossing = f"crosses {boundary}"
         prev_regime = regime
-        rows.append((r, d, res.best_eta, tuple(float(x) for x in crits),
-                     regime, crossing))
+        rows.append((r, d, res.best_eta, crits, regime, crossing))
     return rows, crit
 
 

@@ -136,12 +136,31 @@ def _policy_block(m: int, space: str, start: int, stop: int) -> np.ndarray:
     return block
 
 
-def profits_block(params: ModelParams, block: np.ndarray) -> np.ndarray:
-    """Average profit for each policy row of block, vectorized.
+@dataclass(frozen=True)
+class _BlockChain:
+    """Stationary weights and reward pieces of each policy row of a block.
 
-    Same closed form as policy_profit: stationary weights by cumulative
-    birth/death ratios, reward with raw-coordinate energy and clamped
-    service rates.
+    The states (i, 0) are shared by every row: xi_low are their
+    unnormalized weights, jobs_low = i, and cost_low their cost rates; their
+    completion rate is i*mu1. The levels (n, j) get one row per policy:
+    xi_top, the service rates nu (which are also the completion rates) and
+    cost_top. A state's profit rate is price * completion rate - cost.
+    """
+
+    xi_low: np.ndarray
+    jobs_low: np.ndarray
+    cost_low: np.ndarray
+    xi_top: np.ndarray
+    nu: np.ndarray
+    cost_top: np.ndarray
+
+
+def _block_chain(params: ModelParams, block: np.ndarray) -> _BlockChain:
+    """Closed-form chain of each policy row of block, vectorized.
+
+    Same closed form as stationary_closed_form and affine_decomposition:
+    weights by cumulative birth/death ratios, raw-coordinate energy and
+    clamped service rates.
     """
     block = np.asarray(block, dtype=np.int64)
     if block.ndim != 2 or block.shape[1] != params.m:
@@ -162,17 +181,26 @@ def profits_block(params: ModelParams, block: np.ndarray) -> np.ndarray:
     xi_top = xi_low[n] * np.cumprod(lam / nu, axis=1)
 
     base_energy = (n * params.p1_work + m * params.p2_sleep) * params.c_energy
-    f_low = params.price * i_arr * mu1 - (base_energy + i_arr * params.c_hold_g1)
-
     energy = (n * params.p1_work + block * params.p2_work
               + (m - block) * params.p2_sleep) * params.c_energy
     hold = n * params.c_hold_g1 + j_arr * params.c_hold_g2
     cost = energy + hold + n * mu1 * params.c_transfer
     cost[:, m - 1] += lam * params.c_loss
-    f_top = params.price * nu - cost
+    return _BlockChain(xi_low=xi_low, jobs_low=i_arr,
+                      cost_low=base_energy + i_arr * params.c_hold_g1,
+                      xi_top=xi_top, nu=nu, cost_top=cost)
 
-    total = xi_low.sum() + xi_top.sum(axis=1)
-    return (xi_low @ f_low + (xi_top * f_top).sum(axis=1)) / total
+
+def profits_block(params: ModelParams, block: np.ndarray) -> np.ndarray:
+    """Average profit for each policy row of block, vectorized.
+
+    Same closed form as policy_profit, through _block_chain.
+    """
+    chain = _block_chain(params, block)
+    f_low = params.price * chain.jobs_low * params.mu1 - chain.cost_low
+    f_top = params.price * chain.nu - chain.cost_top
+    total = chain.xi_low.sum() + chain.xi_top.sum(axis=1)
+    return (chain.xi_low @ f_low + (chain.xi_top * f_top).sum(axis=1)) / total
 
 
 def evaluate_policies(params: ModelParams, policies) -> np.ndarray:

@@ -11,26 +11,46 @@ valid when both coordinate values lie in {0..j} (above j the service rate
 saturates while the energy draw keeps rising, and the closed form no
 longer matches the general difference equation).
 
-G(n,j) + c is affine in the price R, so its root (the per-state critical
-price) comes from two Poisson solves, at R = 0 and R = 1. Maximizing and
-minimizing the roots over a policy space gives the global prices R_H and
-R_L that delimit the all-awake and all-asleep optimal regimes.
+On this birth-death chain the RG-factorization of the Poisson equation
+collapses to a scalar recursion. With D_K = g_K - g_{K+1} over the states
+K = 0..N (N = n + m) and nu_K the death rate of state K, balance at each
+state gives
+
+    D_{N-1} = (eta - f_N) / nu_N,
+    D_{K-1} = (lambda * D_K + eta - f_K) / nu_K,
+
+run down to K = n + 1, and G(n,j) = D_{n+j-1}. Every divisor is at least
+n*mu1 > 0, and no stationary probability is divided by. The recursion runs
+for a whole block of policies at once, without a Poisson solve.
+
+f = R*a - b, so G and G + c are affine in the price R: the per-state
+critical price (the root of G + c) and its R-slope come from the same
+recursion. Maximizing and minimizing the roots over a policy space gives
+the global prices R_H and R_L that delimit the all-awake and all-asleep
+optimal regimes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import build_generator, stationary_closed_form
-from .errors import ConsistencyError, DegeneratePriceError, GateError
-from .model import ModelParams, Policy, check_policy, enumerate_policies
+from .errors import ConsistencyError, DegeneratePriceError, GateError, NumericalError
+from .model import (
+    ModelParams,
+    Policy,
+    check_policy,
+    enumerate_policies,
+    policy_space_size,
+)
+from .optimize import BLOCK_SIZE, _block_chain, _policy_block
 from .potential import solve_poisson
 from .reward import build_reward
 
 #: Full-space critical-price enumeration is gated tighter than plain
-#: optimization: every policy costs two Poisson solves.
+#: optimization.
 CRITICAL_PRICE_MAX_M = 6
 
 #: Below this magnitude a G+c value or an R-slope is treated as degenerate.
@@ -88,93 +108,135 @@ class SignConservationReport:
     value_d_prime: float
 
 
+def _wake_cost(params: ModelParams) -> float:
+    """k = (P2W - P2S) C1 / mu2, so that c = R - k."""
+    return (params.p2_work - params.p2_sleep) * params.c_energy / params.mu2
+
+
 def price_constant(params: ModelParams) -> float:
     """c = R - (P2W - P2S) C1 / mu2."""
-    return params.price - (params.p2_work - params.p2_sleep) * params.c_energy / params.mu2
+    return params.price - _wake_cost(params)
 
 
-def realization_factors(params: ModelParams, d: Policy,
-                        method: str = "rg") -> np.ndarray:
+def _factor_lines(params: ModelParams, block: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """G(n,j) = price * slope + intercept for each policy row of block.
+
+    Returns (intercept, slope), each of shape (rows, m), from the scalar
+    recursion of the module docstring run on the two affine parts of
+    eta - f = R (A - a) + (b - B), where A = pi . a and B = pi . b. Neither
+    part depends on the price. A non-finite factor (the stationary weights
+    overflow under heavy load) raises NumericalError.
+    """
+    lam, mu1 = params.lambda_, params.mu1
+    # Overflow and NaN are caught by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        chain = _block_chain(params, block)
+        total = chain.xi_low.sum() + chain.xi_top.sum(axis=1)
+        completion_rate = (chain.xi_low @ (chain.jobs_low * mu1)
+                           + (chain.xi_top * chain.nu).sum(axis=1)) / total
+        cost_rate = (chain.xi_low @ chain.cost_low
+                     + (chain.xi_top * chain.cost_top).sum(axis=1)) / total
+        # source[0] is the R-coefficient of eta - f at the levels,
+        # source[1] the price-free part.
+        source = np.stack([completion_rate[:, None] - chain.nu,
+                           chain.cost_top - cost_rate[:, None]])
+        lines = np.empty_like(source)
+        below = np.zeros(source.shape[:2])
+        for j in range(params.m - 1, -1, -1):
+            below = (lam * below + source[:, :, j]) / chain.nu[:, j]
+            lines[:, :, j] = below
+    if not np.all(np.isfinite(lines)):
+        raise NumericalError(
+            "realization factors are not finite; the stationary weights "
+            "overflow at this load"
+        )
+    return lines[1], lines[0]
+
+
+def _price_roots(params: ModelParams, intercept: np.ndarray,
+                 slope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-level roots of G + c in the price, and the R-slope of G + c.
+
+    G + c = R * (1 + slope) + (intercept - k); roots are NaN where the
+    R-slope is below DEGENERATE_EPS in magnitude.
+    """
+    r_slope = 1.0 + slope
+    degenerate = np.abs(r_slope) < DEGENERATE_EPS
+    roots = (_wake_cost(params) - intercept) / np.where(degenerate, 1.0, r_slope)
+    return np.where(degenerate, np.nan, roots), r_slope
+
+
+def _policy_lines(params: ModelParams, d: Policy) -> tuple[np.ndarray, np.ndarray]:
+    d = check_policy(d, params.m)
+    intercept, slope = _factor_lines(params, np.array([d], dtype=np.int64))
+    return intercept[0], slope[0]
+
+
+def realization_factors(params: ModelParams, d: Policy) -> np.ndarray:
     """G(n,j) = g(n,j-1) - g(n,j) for j = 1..m (anchor-free)."""
-    sol = solve_poisson(params, d, method=method)
-    n = params.n
-    return sol.g[n:n + params.m] - sol.g[n + 1:n + params.m + 1]
+    intercept, slope = _policy_lines(params, d)
+    return params.price * slope + intercept
 
 
-def perturbation_factors(params: ModelParams, d: Policy,
-                         method: str = "rg") -> SensitivityReport:
+def perturbation_factors(params: ModelParams, d: Policy) -> SensitivityReport:
     """Realization factors, critical prices, and signs for one policy."""
-    check_policy(d, params.m)
-    prf = realization_factors(params, d, method=method)
+    intercept, slope = _policy_lines(params, d)
+    prf = params.price * slope + intercept
     c = price_constant(params)
-
-    g0 = realization_factors(dc_replace(params, price=0.0), d, method=method)
-    g1 = realization_factors(dc_replace(params, price=1.0), d, method=method)
-    slope = 1.0 + (g1 - g0)
-    k = (params.p2_work - params.p2_sleep) * params.c_energy / params.mu2
-    crit = np.where(np.abs(slope) < DEGENERATE_EPS, np.nan, (k - g0) / slope)
-
+    crit, _ = _price_roots(params, intercept, slope)
     return SensitivityReport(prf=prf, c=c, crit_prices=crit,
                              signs=np.sign(prf + c))
 
 
-def critical_price_state(params: ModelParams, d: Policy, j: int,
-                         method: str = "rg") -> float:
+def critical_price_state(params: ModelParams, d: Policy, j: int) -> float:
     """The price at which G(n,j) + c crosses zero under policy d.
 
-    Solves the Poisson equation at R = 0 and R = 1; G + c is affine in R,
-    so the root is (k - G|_{R=0}) / (1 + G|_{R=1} - G|_{R=0}) with
+    G + c is affine in R, so the root is (k - G|_{R=0}) / (1 + dG/dR) with
     k = (P2W - P2S) C1 / mu2.
     """
     check_policy(d, params.m)
     if not 1 <= j <= params.m:
         raise ValueError(f"j={j} outside 1..{params.m}")
-    g0 = realization_factors(dc_replace(params, price=0.0), d, method=method)[j - 1]
-    g1 = realization_factors(dc_replace(params, price=1.0), d, method=method)[j - 1]
-    slope = 1.0 + (g1 - g0)
-    k = (params.p2_work - params.p2_sleep) * params.c_energy / params.mu2
-    if abs(slope) < DEGENERATE_EPS:
-        sign = np.sign(g0 - k)
+    intercept, slope = _policy_lines(params, d)
+    roots, r_slope = _price_roots(params, intercept, slope)
+    if np.isnan(roots[j - 1]):
+        sign = np.sign(intercept[j - 1] - _wake_cost(params))
         raise DegeneratePriceError(
-            f"G(n,{j})+c has no price crossing (R-slope {slope:.3e}); "
+            f"G(n,{j})+c has no price crossing (R-slope {r_slope[j - 1]:.3e}); "
             f"its sign is {sign:+.0f} at every price"
         )
-    return float((k - g0) / slope)
+    return float(roots[j - 1])
 
 
 def critical_prices_global(params: ModelParams, space: str = "full",
-                           allow_large: bool = False,
-                           method: str = "rg") -> CriticalPrices:
+                           allow_large: bool = False) -> CriticalPrices:
     """R_H and R_L over a policy space.
 
     R_H = max{0, roots of G+c over all policies and levels}; R_L is the
-    minimum root. Degenerate (no-crossing) levels are skipped. The full
-    space is gated at m <= 6 because each policy costs two Poisson solves.
+    minimum root. Degenerate (no-crossing) levels are skipped. Policies are
+    unranked in blocks of BLOCK_SIZE, as optimize does. The full space is
+    gated at m <= CRITICAL_PRICE_MAX_M.
     """
     if space == "full" and params.m > CRITICAL_PRICE_MAX_M and not allow_large:
         raise GateError(
             f"full critical-price enumeration gated at m <= {CRITICAL_PRICE_MAX_M} "
             f"(got m={params.m}); pass allow_large=True to override"
         )
-    k = (params.p2_work - params.p2_sleep) * params.c_energy / params.mu2
-    params0 = dc_replace(params, price=0.0)
-    params1 = dc_replace(params, price=1.0)
+    enumerate_policies(params.m, space, allow_large=allow_large)  # gate check
+    total = policy_space_size(params.m, space)
 
     r_high = 0.0
     r_low = np.inf
-    seen_root = False
-    for d in enumerate_policies(params.m, space, allow_large=allow_large):
-        g0 = realization_factors(params0, d, method=method)
-        g1 = realization_factors(params1, d, method=method)
-        slope = 1.0 + (g1 - g0)
-        for jj in range(params.m):
-            if abs(slope[jj]) < DEGENERATE_EPS:
-                continue
-            root = (k - g0[jj]) / slope[jj]
-            seen_root = True
-            r_high = max(r_high, root)
-            r_low = min(r_low, root)
-    if not seen_root:
+    for start in range(0, total, BLOCK_SIZE):
+        block = _policy_block(params.m, space, start,
+                              min(start + BLOCK_SIZE, total))
+        roots, _ = _price_roots(params, *_factor_lines(params, block))
+        roots = roots[~np.isnan(roots)]
+        if roots.size:
+            r_high = max(r_high, float(roots.max()))
+            r_low = min(r_low, float(roots.min()))
+    if r_low == np.inf:  # every level degenerate
         r_low = np.nan
     return CriticalPrices(r_high=float(r_high), r_low=float(r_low),
                           search_space=space, exact=(space == "full"))

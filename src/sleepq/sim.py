@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from . import _simkernel
 from ._simkernel import DONE, REFILL
@@ -338,7 +338,9 @@ def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
     else:
         samples = records[:, 3]
     spread = float(np.std(samples, ddof=1))
-    quantile = float(stats.t.ppf(0.975, samples.shape[0] - 1))
+    # stdtrit is the Student-t quantile that scipy.stats.t.ppf computes,
+    # without importing all of scipy.stats.
+    quantile = float(stdtrit(samples.shape[0] - 1, 0.975))
     ci_half_width = quantile * spread / np.sqrt(samples.shape[0])
 
     counts_out = EventCounts(

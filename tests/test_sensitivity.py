@@ -9,6 +9,7 @@ from sleepq import (
     ConsistencyError,
     DegeneratePriceError,
     GateError,
+    NumericalError,
     critical_price_state,
     critical_prices_global,
     performance_difference,
@@ -20,7 +21,16 @@ from sleepq import (
     single_coordinate_difference,
     solve_poisson,
 )
-from conftest import draw_change_pair, draw_instance, micro_params, sleepy_params
+from sleepq.model import enumerate_policies
+from sleepq.potential import SOLVE_METHODS
+from conftest import (
+    draw_change_pair,
+    draw_instance,
+    draw_params,
+    micro_params,
+    random_policy,
+    sleepy_params,
+)
 
 
 def test_micro_sensitivity_values(micro):
@@ -159,3 +169,98 @@ def test_extremal_root_bounds_the_per_policy_roots(micro):
     crit = critical_prices_global(micro)
     rep = perturbation_factors(micro, (1,))
     assert crit.r_low <= rep.crit_prices[0] <= max(crit.r_high, 0.0)
+
+
+def _poisson_factors(params, d, method="rg"):
+    """G(n,j) as differences of a solved potential vector."""
+    sol = solve_poisson(params, d, method=method)
+    n, m = params.n, params.m
+    return sol.g[n:n + m] - sol.g[n + 1:n + m + 1]
+
+
+def _wide_light_instance(rng):
+    """A chain with m in 60..200 at light load."""
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(60, 201))
+    params = dataclasses.replace(
+        draw_params(rng, n_min=n, n_max=n, m_min=m, m_max=m),
+        lambda_=float(10.0 ** rng.uniform(-1.0, 0.0)),
+        mu1=float(10.0 ** rng.uniform(0.0, 1.0)),
+        mu2=float(10.0 ** rng.uniform(0.0, 1.0)),
+    )
+    return params, random_policy(rng, m)
+
+
+def test_closed_form_factors_match_all_poisson_routes():
+    rng = np.random.default_rng(36)
+    corpus = [draw_instance(rng, n_max=12, m_max=12) for _ in range(25)]
+    corpus += [_wide_light_instance(rng) for _ in range(3)]
+    for params, d in corpus:
+        for price in (0.0, 1.0):
+            at = dataclasses.replace(params, price=price)
+            prf = realization_factors(at, d)
+            for method in SOLVE_METHODS:
+                direct = _poisson_factors(at, d, method)
+                assert np.all(np.abs(prf - direct)
+                              <= 1e-10 * np.maximum(1.0, np.abs(prf))), method
+
+
+def test_heavy_load_factors_raise_instead_of_nan():
+    # lambda / (n mu1) = 100 per level: the stationary weights of the
+    # all-asleep policy overflow long before level 200.
+    params = micro_params(lambda_=10.0, mu1=0.1, mu2=0.1, n=1, m=200)
+    d = (0,) * 200
+    with pytest.raises(NumericalError, match="not finite"):
+        realization_factors(params, d)
+    with pytest.raises(NumericalError, match="not finite"):
+        perturbation_factors(params, d)
+    with pytest.raises(NumericalError, match="not finite"):
+        critical_prices_global(params, "threshold")
+
+
+def _per_policy_critical_prices(params, space):
+    """R_H and R_L by two Poisson solves per policy, with the R-slope of
+    each extremal root."""
+    k = ((params.p2_work - params.p2_sleep) * params.c_energy) / params.mu2
+    at0 = dataclasses.replace(params, price=0.0)
+    at1 = dataclasses.replace(params, price=1.0)
+    high, low = (0.0, 1.0), (np.inf, np.nan)
+    for d in enumerate_policies(params.m, space):
+        g0 = _poisson_factors(at0, d)
+        slope = 1.0 + (_poisson_factors(at1, d) - g0)
+        for jj in range(params.m):
+            if abs(slope[jj]) < 1e-12:
+                continue
+            root = (k - g0[jj]) / slope[jj]
+            if root > high[0]:
+                high = (root, slope[jj])
+            if root < low[0]:
+                low = (root, slope[jj])
+    return high, low
+
+
+@pytest.mark.parametrize("space, m_max", [("full", 4), ("bang_bang", 7)])
+def test_critical_prices_global_matches_per_policy_poisson(space, m_max):
+    rng = np.random.default_rng(37)
+    instances = [micro_params(m=m_max), sleepy_params(m=m_max)]
+    instances += [draw_params(rng, n_max=4, m_min=1, m_max=m_max)
+                  for _ in range(4)]
+    for params in instances:
+        crit = critical_prices_global(params, space)
+        for got, (want, slope) in zip((crit.r_high, crit.r_low),
+                                      _per_policy_critical_prices(params, space)):
+            # Near-degenerate slopes make the raw root ill-conditioned;
+            # the slope-scaled gap is what both routes determine.
+            gap = abs(got - want) * min(1.0, abs(slope))
+            assert gap <= 1e-10 * max(1.0, abs(want)), (params, got, want)
+
+
+@pytest.mark.parametrize("space, m", [("full", 4), ("reduced", 5),
+                                      ("bang_bang", 6), ("threshold", 6)])
+def test_critical_prices_do_not_depend_on_block_size(space, m, monkeypatch):
+    import sleepq.sensitivity as sens_mod
+
+    params = sleepy_params(m=m)
+    whole = critical_prices_global(params, space)
+    monkeypatch.setattr(sens_mod, "BLOCK_SIZE", 3)
+    assert critical_prices_global(params, space) == whole

@@ -2,10 +2,16 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
+import sleepq
 from sleepq import _simkernel
 from sleepq import (
     ConfigError,
@@ -228,3 +234,21 @@ def test_policy_changes_the_law(micro):
     pi0 = stationary_closed_form(micro, (0,)).pi
     assert 0.5 * np.abs(asleep.pi_hat - pi0).sum() < 0.02
     assert asleep.pi_hat[-1] > awake.pi_hat[-1]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import; the package needs one
+    # Student-t quantile, which scipy.special provides.
+    src = str(Path(sleepq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, sleepq, sleepq.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_stdtrit_equals_the_t_quantile():
+    stats = pytest.importorskip("scipy.stats")
+    df = np.arange(1, 2001)
+    assert np.array_equal(stdtrit(df, 0.975), stats.t.ppf(0.975, df))
