@@ -1,8 +1,12 @@
 """Inner event loop of the simulator, written to be numba-compilable.
 
-The same function body runs pure-Python (fallback and trace capture) and
-JIT-compiled; it uses only scalars, math.log, indexing and len() so both
-paths execute the identical IEEE operation sequence.
+One function body, _kernel, runs pure-Python (fallback and trace capture)
+and JIT-compiled; it uses only scalars, math.log, indexing and len() so
+both paths execute the identical IEEE operation sequence. Trace capture is
+a hook in that body: a list passed as trace receives one record per event.
+Every append is guarded by `trace is not None` on the argument itself, a
+branch numba prunes at compile time when trace is None, so the compiled
+kernel carries no trace code; trace capture runs interpreted only.
 
 The compiled path receives numpy arrays. The interpreted path receives
 Python lists for the uniform buffer, the rate vectors and the dwell,
@@ -37,7 +41,8 @@ COUNT_EVENTS = 4
 
 
 def _kernel(k, t, buf, cursor, remaining, time_limit, lam, n, top,
-            g1_rate, g2_rate, energy_rate, hold_rate, dwell, acc, counts):
+            g1_rate, g2_rate, energy_rate, hold_rate, dwell, acc, counts,
+            trace=None):
     """Advance the chain until the event budget or time limit is hit.
 
     k: current state index; t: current absolute time; buf/cursor: uniform
@@ -46,6 +51,11 @@ def _kernel(k, t, buf, cursor, remaining, time_limit, lam, n, top,
     mode). Rates are per-state sequences; top == n + m is the loss state.
     Accumulates dwell times, acc[0] energy and acc[1] holding integrals,
     and the counter slots. Returns (k, t, cursor, status).
+
+    trace, when a list, receives one (time, state_before, event,
+    state_after) record per completed event, with event one of 'arrival',
+    'loss', 'g1', 'transfer', 'g2'. Each append sits under a test of the
+    argument itself, which numba prunes at compile time when trace is None.
     """
     while remaining > 0 and t < time_limit:
         if cursor + 2 > len(buf):
@@ -68,67 +78,25 @@ def _kernel(k, t, buf, cursor, remaining, time_limit, lam, n, top,
         if x < lam:
             if k < top:
                 k += 1
+                if trace is not None:
+                    trace.append((t, k - 1, "arrival", k))
             else:
                 counts[COUNT_LOSS] += 1
+                if trace is not None:
+                    trace.append((t, k, "loss", k))
         elif x < lam + g1_rate[k]:
             counts[COUNT_G1] += 1
             if k > n:
                 counts[COUNT_TRANSFER] += 1
+                if trace is not None:
+                    trace.append((t, k, "transfer", k - 1))
+            elif trace is not None:
+                trace.append((t, k, "g1", k - 1))
             k -= 1
         else:
             counts[COUNT_G2] += 1
-            k -= 1
-        counts[COUNT_EVENTS] += 1
-        remaining -= 1
-    return k, t, cursor, DONE
-
-
-def _kernel_trace(k, t, buf, cursor, remaining, time_limit, lam, n, top,
-                  g1_rate, g2_rate, energy_rate, hold_rate, dwell, acc,
-                  counts, trace):
-    """_kernel with an event log appended to trace.
-
-    Each record is (time, state_before, event, state_after) with event one
-    of 'arrival', 'loss', 'g1', 'transfer', 'g2'. Arithmetic matches
-    _kernel operation for operation.
-    """
-    while remaining > 0 and t < time_limit:
-        if cursor + 2 > len(buf):
-            return k, t, cursor, REFILL
-        total = lam + g1_rate[k] + g2_rate[k]
-        dt = -math.log(1.0 - buf[cursor]) / total
-        if t + dt > time_limit:
-            span = time_limit - t
-            dwell[k] += span
-            acc[0] += energy_rate[k] * span
-            acc[1] += hold_rate[k] * span
-            cursor += 1
-            return k, time_limit, cursor, DONE
-        dwell[k] += dt
-        acc[0] += energy_rate[k] * dt
-        acc[1] += hold_rate[k] * dt
-        t += dt
-        x = buf[cursor + 1] * total
-        cursor += 2
-        before = k
-        if x < lam:
-            if k < top:
-                k += 1
-                trace.append((t, before, "arrival", k))
-            else:
-                counts[COUNT_LOSS] += 1
-                trace.append((t, before, "loss", k))
-        elif x < lam + g1_rate[k]:
-            counts[COUNT_G1] += 1
-            if k > n:
-                counts[COUNT_TRANSFER] += 1
-                trace.append((t, before, "transfer", k - 1))
-            else:
-                trace.append((t, before, "g1", k - 1))
-            k -= 1
-        else:
-            counts[COUNT_G2] += 1
-            trace.append((t, before, "g2", k - 1))
+            if trace is not None:
+                trace.append((t, k, "g2", k - 1))
             k -= 1
         counts[COUNT_EVENTS] += 1
         remaining -= 1

@@ -545,8 +545,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"sleepq: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    report = validate(params)
     if args.command == "validate":
-        report = validate(params)
         for line in report.errors:
             print(f"error: {line}")
         for line in report.warnings:
@@ -555,6 +555,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_CONFIG
         print("ok")
         return EXIT_OK
+    if report.errors:
+        print(f"sleepq: config error: {'; '.join(report.errors)}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     if args.command == "price-sweep" and args.steps > 1 and args.r_to is None:
         print("sleepq: error: --to is required when --steps > 1",

@@ -231,11 +231,13 @@ def optimize(params: ModelParams, space: str = "full",
     """Exact argmax of the average profit over a policy space.
 
     Ties in eta resolve to the lexicographically smallest policy. top_k
-    requests a ranking of the best policies. threads > 1 evaluates blocks
-    concurrently; the reduction is order-independent, so results are
-    identical either way.
+    (at least 1) requests a ranking of the best policies. threads > 1
+    evaluates blocks concurrently; the reduction is order-independent, so
+    results are identical either way.
     """
     require_valid(params)
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     enumerate_policies(params.m, space, allow_large=allow_large)  # gate check
     total = policy_space_size(params.m, space)
 
@@ -315,8 +317,8 @@ def optimal_extreme_prices(params: ModelParams, regime: str,
     regime "high" requires price >= R_H and yields the all-awake ladder
     (1,...,m); regime "low" requires price <= R_L and yields all-asleep.
     crit may carry precomputed critical prices; otherwise they are
-    computed over the full space (gated at m <= 6). The closed-form eta is
-    cross-checked against generic evaluation to 1e-10.
+    computed over the full space (gated at m <= 8, as optimize is). The
+    closed-form eta is cross-checked against generic evaluation to 1e-10.
     """
     require_valid(params)
     if regime not in ("high", "low"):

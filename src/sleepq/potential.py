@@ -38,25 +38,6 @@ SOLVE_METHODS = ("rg", "dense", "explicit")
 
 
 @dataclass(frozen=True)
-class ReducedSystem:
-    """The invertible core of the Poisson equation.
-
-    b_reduced is the generator without its first row and column (size
-    (n+m) x (n+m)), h is f - eta*e without its first entry, and e1_term is
-    mu1 (-b_reduced)^{-1} e_1, which equals the all-ones vector.
-    """
-
-    b_reduced: np.ndarray
-    h: np.ndarray
-    e1_term: np.ndarray
-
-    def __post_init__(self):
-        self.b_reduced.setflags(write=False)
-        self.h.setflags(write=False)
-        self.e1_term.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class RGFactors:
     """Scalar U, R, G measures of the UL factorization of the reduced matrix.
 
@@ -179,20 +160,6 @@ def invert_reduced(factors: RGFactors) -> np.ndarray:
             prod_g *= factors.g[c + 1]
             lower[i, c] = prod_g
     return lower @ np.diag(1.0 / (-factors.u)) @ upper
-
-
-def build_reduced_system(gen: Generator, f: np.ndarray, eta: float) -> ReducedSystem:
-    """Assemble the reduced matrix, h, and the dense-solved e1 term."""
-    b_reduced = reduced_matrix(gen)
-    h = np.asarray(f[1:] - eta, dtype=float)
-    mu1 = gen.matrix[1, 0]
-    e1 = np.zeros(b_reduced.shape[0])
-    e1[0] = mu1
-    try:
-        e1_term = np.linalg.solve(-b_reduced, e1)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"reduced system is singular: {exc}") from exc
-    return ReducedSystem(b_reduced, h, e1_term)
 
 
 def _refine(neg_b, apply_inverse, x, rhs, iters=2):

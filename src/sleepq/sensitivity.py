@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import build_generator, stationary_closed_form
-from .errors import ConsistencyError, DegeneratePriceError, GateError, NumericalError
+from .errors import ConsistencyError, DegeneratePriceError, NumericalError
 from .model import (
     ModelParams,
     Policy,
@@ -48,10 +48,6 @@ from .model import (
 from .optimize import BLOCK_SIZE, _block_chain, _policy_block
 from .potential import solve_poisson
 from .reward import build_reward
-
-#: Full-space critical-price enumeration is gated tighter than plain
-#: optimization.
-CRITICAL_PRICE_MAX_M = 6
 
 #: Below this magnitude a G+c value or an R-slope is treated as degenerate.
 DEGENERATE_EPS = 1e-12
@@ -215,14 +211,9 @@ def critical_prices_global(params: ModelParams, space: str = "full",
 
     R_H = max{0, roots of G+c over all policies and levels}; R_L is the
     minimum root. Degenerate (no-crossing) levels are skipped. Policies are
-    unranked in blocks of BLOCK_SIZE, as optimize does. The full space is
-    gated at m <= CRITICAL_PRICE_MAX_M.
+    unranked in blocks of BLOCK_SIZE, as optimize does, and each space is
+    gated at the same size as enumerate_policies gates it for optimize.
     """
-    if space == "full" and params.m > CRITICAL_PRICE_MAX_M and not allow_large:
-        raise GateError(
-            f"full critical-price enumeration gated at m <= {CRITICAL_PRICE_MAX_M} "
-            f"(got m={params.m}); pass allow_large=True to override"
-        )
     enumerate_policies(params.m, space, allow_large=allow_large)  # gate check
     total = policy_space_size(params.m, space)
 

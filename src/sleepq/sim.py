@@ -195,14 +195,9 @@ def _run_segment(kernel, stream, state, events, time_limit, rates, dwell,
         dwell, acc, counts = dwell.tolist(), acc.tolist(), counts.tolist()
     while True:
         done_before = counts[_simkernel.COUNT_EVENTS]
-        if trace is None:
-            k, t, stream.cursor, status = kernel(
-                k, t, stream.buf, stream.cursor, remaining, time_limit,
-                lam, n, top, g1, g2, energy, hold, dwell, acc, counts)
-        else:
-            k, t, stream.cursor, status = _simkernel._kernel_trace(
-                k, t, stream.buf, stream.cursor, remaining, time_limit,
-                lam, n, top, g1, g2, energy, hold, dwell, acc, counts, trace)
+        k, t, stream.cursor, status = kernel(
+            k, t, stream.buf, stream.cursor, remaining, time_limit,
+            lam, n, top, g1, g2, energy, hold, dwell, acc, counts, trace)
         remaining -= int(counts[_simkernel.COUNT_EVENTS] - done_before)
         if status == DONE:
             break
@@ -255,6 +250,8 @@ def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
     reps = cfg.replications
     nbatch = cfg.batch_count
 
+    # (event budget, stop time) of the warmup and then of each batch. A
+    # zero budget, or a stop time of 0.0, runs no event and draws nothing.
     if event_mode:
         warmup_events = int(warmup)
         post_events = int(cfg.horizon) - warmup_events
@@ -265,6 +262,11 @@ def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
                 f"{post_events} post-warmup events cannot fill "
                 f"{nbatch} batches"
             )
+        limits = [(events, np.inf) for events in [warmup_events, *batch_events]]
+    else:
+        limits = [(_NO_EVENT_LIMIT, warmup + (cfg.horizon - warmup) * i / nbatch)
+                  for i in range(nbatch + 1)]
+    warmup_limit, *batch_limits = limits
 
     rep_etas = np.empty(reps)
     records = np.empty((reps * nbatch, 4))
@@ -277,38 +279,19 @@ def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
     r_price = params.price
     for rep in range(reps):
         stream = _Stream(cfg.seed, rep, as_list=interpreted)
-        state = (0, 0.0)
-        scratch_dwell = np.zeros(size)
-        scratch_acc = np.zeros(2)
-        scratch_counts = np.zeros(5, dtype=np.int64)
-
-        if event_mode:
-            if warmup_events:
-                state = _run_segment(kernel, stream, state, warmup_events,
-                                     np.inf, rates, scratch_dwell,
-                                     scratch_acc, scratch_counts, trace_log)
-        else:
-            if warmup > 0:
-                state = _run_segment(kernel, stream, state, _NO_EVENT_LIMIT,
-                                     warmup, rates, scratch_dwell,
-                                     scratch_acc, scratch_counts, trace_log)
+        state = _run_segment(kernel, stream, (0, 0.0), *warmup_limit, rates,
+                             np.zeros(size), np.zeros(2),
+                             np.zeros(5, dtype=np.int64), trace_log)
 
         rep_num = 0.0
         rep_time = 0.0
-        for b in range(nbatch):
+        for b, (events, stop) in enumerate(batch_limits):
             dwell = np.zeros(size)
             acc = np.zeros(2)
             counts = np.zeros(5, dtype=np.int64)
             t_start = state[1]
-            if event_mode:
-                state = _run_segment(kernel, stream, state, batch_events[b],
-                                     np.inf, rates, dwell, acc, counts,
-                                     trace_log)
-            else:
-                boundary = warmup + (cfg.horizon - warmup) * (b + 1) / nbatch
-                state = _run_segment(kernel, stream, state, _NO_EVENT_LIMIT,
-                                     boundary, rates, dwell, acc, counts,
-                                     trace_log)
+            state = _run_segment(kernel, stream, state, events, stop, rates,
+                                 dwell, acc, counts, trace_log)
             batch_time = state[1] - t_start
             completions = counts[_simkernel.COUNT_G1] + counts[_simkernel.COUNT_G2]
             numerator = (r_price * completions - acc[0] - acc[1]

@@ -45,6 +45,24 @@ def test_validate_reports_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [
+    ["stationary", "--policy", "1"],
+    ["reward", "--policy", "1"],
+    ["potentials", "--policy", "1"],
+    ["sensitivity", "--policy", "1"],
+    ["critical-prices"],
+    ["price-sweep", "--from", "1"],
+    ["optimize"],
+])
+def test_invalid_model_is_config_error(tmp_path, capsys, command):
+    # Without the check, mu1=0 printed NaN with exit 0 or blamed overflow.
+    path = write_model(tmp_path, mu1=0.0)
+    assert main([command[0], "--model", path, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert "config error: mu1 must be > 0" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_model_file(tmp_path, capsys):
     assert main(["stationary", "--model", str(tmp_path / "nope.cfg"),
                  "--policy", "1"]) == 2
@@ -152,6 +170,11 @@ def test_optimize_table(model_file, capsys):
     assert "best policy: 1" in out
 
 
+def test_negative_top_k_is_usage_error(model_file, capsys):
+    assert main(["optimize", "--model", model_file, "--top-k", "-1"]) == 1
+    assert "top_k must be >= 1" in capsys.readouterr().err
+
+
 def test_full_space_gate_exits_3(tmp_path, capsys):
     path = write_model(tmp_path, m=9)
     assert main(["optimize", "--model", path, "--space", "full"]) == 3
@@ -159,7 +182,7 @@ def test_full_space_gate_exits_3(tmp_path, capsys):
 
 
 def test_critical_price_gate_exits_3(tmp_path, capsys):
-    path = write_model(tmp_path, m=7)
+    path = write_model(tmp_path, m=9)
     assert main(["critical-prices", "--model", path]) == 3
 
 

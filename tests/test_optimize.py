@@ -38,6 +38,12 @@ def test_micro_ranking(micro):
     assert etas == sorted(etas, reverse=True)
 
 
+@pytest.mark.parametrize("top_k", [0, -1])
+def test_top_k_below_one_is_rejected(micro, top_k):
+    with pytest.raises(ValueError, match="top_k"):
+        optimize(micro, "full", top_k=top_k)
+
+
 def test_zero_price_micro_still_wakes_the_server(micro):
     """c_loss=5 makes the full state so costly that waking the group-2
     server pays for itself even without revenue."""

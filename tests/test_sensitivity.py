@@ -158,7 +158,7 @@ def test_critical_prices_sleepy_regime(sleepy):
 
 
 def test_critical_prices_gate():
-    params = micro_params(m=7)
+    params = micro_params(m=9)
     with pytest.raises(GateError, match="allow_large"):
         critical_prices_global(params)
     crit = critical_prices_global(params, "threshold")

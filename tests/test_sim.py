@@ -151,6 +151,37 @@ def test_trace_matches_tallies(micro):
             assert after == before + 1
 
 
+@pytest.mark.parametrize("cfg", [
+    SimConfig(horizon=6000, warmup=500, seed=11, batch_count=4),
+    SimConfig(horizon=300.0, warmup=30.0, replications=2, seed=12,
+              batch_count=3, unit="time"),
+], ids=["events", "time"])
+def test_tracing_changes_nothing(cfg):
+    params = micro_params(lambda_=2.0, n=2, m=3)
+    plain = simulate(params, (0, 1, 3), cfg, method="python")
+    traced = simulate(params, (0, 1, 3), cfg, method="python", trace=True)
+    assert plain.trace is None
+    assert traced.eta_hat == plain.eta_hat
+    assert traced.ci_half_width == plain.ci_half_width
+    assert traced.counts == plain.counts
+    assert traced.energy_integral == plain.energy_integral
+    assert traced.holding_integral == plain.holding_integral
+    for field in ("pi_hat", "replication_etas", "batch_records", "batch_pi"):
+        assert getattr(traced, field).tobytes() == getattr(plain, field).tobytes()
+    # One contiguous path per replication, warmup included.
+    log = traced.trace
+    if cfg.unit == "events":
+        assert len(log) == cfg.horizon
+    starts = 0
+    for prev, cur in zip(log, log[1:]):
+        if cur[0] < prev[0]:  # the next replication restarts the clock
+            assert cur[1] == 0
+            starts += 1
+            continue
+        assert cur[1] == prev[3]
+    assert starts == cfg.replications - 1
+
+
 def test_time_unit_horizon(micro):
     cfg = SimConfig(horizon=2000.0, warmup=200.0, replications=1, seed=3,
                     batch_count=5, unit="time")
