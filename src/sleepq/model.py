@@ -188,9 +188,10 @@ def check_policy(d: Policy, m: int) -> Policy:
     """Validate length and entry range of a policy; return it as an int tuple."""
     entries = []
     for j, value in enumerate(d, start=1):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"policy entry for level {j} must be an integer")
-        value = int(value)
+        if type(value) is not int:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"policy entry for level {j} must be an integer")
+            value = int(value)
         if not 0 <= value <= m:
             raise ValueError(
                 f"policy entry {value} for level {j} is outside 0..{m}"

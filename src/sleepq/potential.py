@@ -7,9 +7,11 @@ matrix, h the reduced f - eta*e, and g(0,0) anchored to a free constant,
     phi = (-scriptB)^{-1} h + anchor * mu1 (-scriptB)^{-1} e_1.
 
 Three independent routes produce the two inverse applications: a dense
-linear solve (oracle), a UL-type factorization of the reduced matrix into
-scalar U/R/G measures with a product-form inverse, and the fully expanded
-scalar sums that the factorization yields state by state. All three must
+linear solve (oracle); a UL-type factorization of the reduced matrix into
+scalar U/R/G measures, applied in O(n+m) by one backward R sweep, a
+division by -U and one forward G sweep; and the explicit form, which builds
+the running R and G products as two triangles and multiplies through them.
+Every route ends with the same iterative refinement, and all three must
 agree to solver tolerance.
 
 Because (-scriptB) e = mu1 e_1, the vector mu1 (-scriptB)^{-1} e_1 is
@@ -108,26 +110,27 @@ def rg_factorize(gen: Generator) -> RGFactors:
     """
     reduced = gen.matrix[1:, 1:]
     k = reduced.shape[0]
-    diag = np.diagonal(reduced).copy()
-    sup = np.diagonal(reduced, offset=1).copy()
+    sup = reduced.diagonal(1)
     # Death rate of each reduced state; entry 0 exits toward the anchor.
-    sub = np.empty(k)
-    sub[0] = gen.matrix[1, 0]
-    sub[1:] = np.diagonal(reduced, offset=-1)
+    sub = np.concatenate(([gen.matrix[1, 0]], reduced.diagonal(-1)))
 
-    u = np.empty(k)
-    u[k - 1] = diag[k - 1]
+    # The recursion runs on Python floats (the same IEEE operations as on
+    # numpy scalars, without boxing one per step). Each U starts as its
+    # diagonal entry, and the last one stays so.
+    u_f, sup_f, sub_f = reduced.diagonal().tolist(), sup.tolist(), sub.tolist()
     for i in range(k - 2, -1, -1):
-        if u[i + 1] >= 0:
+        if u_f[i + 1] >= 0:
             raise NumericalError(f"factorization failed: U_{i + 2} >= 0")
-        u[i] = diag[i] + sup[i] * sub[i + 1] / (-u[i + 1])
-    if np.any(u >= 0):
+        u_f[i] += sup_f[i] * sub_f[i + 1] / (-u_f[i + 1])
+    u = np.array(u_f)
+    if (u >= 0).any():
         raise NumericalError("factorization failed: nonnegative U measure")
 
     r = sup / (-u[1:])
     g = sub / (-u)
 
-    span = np.max(np.abs(u)) / np.min(np.abs(u))
+    abs_u = np.abs(u)
+    span = abs_u.max() / abs_u.min()
     if span > CONDITION_SPAN_LIMIT:
         warnings.warn(
             f"U measures span {span:.2e}; factorization products may lose "
@@ -138,6 +141,25 @@ def rg_factorize(gen: Generator) -> RGFactors:
     return RGFactors(u, r, g)
 
 
+def _triangles(factors: RGFactors) -> tuple[np.ndarray, np.ndarray]:
+    """(I - R_U)^{-1} and (I - G_L)^{-1} as dense triangles.
+
+    Entry (i, c) of the upper triangle is r_i r_{i+1} ... r_{c-1} and of the
+    lower triangle g_i g_{i-1} ... g_{c+1}. Each is one cumprod along the
+    rows, with the entries outside the running product set to 1, so every
+    product is formed in the same order as a loop that extends it one
+    factor at a time.
+    """
+    idx = np.arange(factors.u.shape[0])
+    later = idx[None, :] > idx[:, None]
+    earlier = later.T
+    # Column c carries the factor that extends a running product to c.
+    upper = np.where(later, np.concatenate(([1.0], factors.r)), 1.0).cumprod(axis=1)
+    lower = np.where(earlier, np.concatenate((factors.g[1:], [1.0])),
+                     1.0)[:, ::-1].cumprod(axis=1)[:, ::-1]
+    return np.where(earlier, 0.0, upper), np.where(later, 0.0, lower)
+
+
 def invert_reduced(factors: RGFactors) -> np.ndarray:
     """Dense inverse of (-reduced matrix) from the factor products.
 
@@ -145,43 +167,46 @@ def invert_reduced(factors: RGFactors) -> np.ndarray:
     lower triangular with running G products, and the inverse is their
     product around the diagonal 1/(-U). Entrywise positive.
     """
-    k = factors.u.shape[0]
-    upper = np.zeros((k, k))
-    lower = np.zeros((k, k))
-    for i in range(k):
-        upper[i, i] = 1.0
-        lower[i, i] = 1.0
-        prod_r = 1.0
-        for c in range(i + 1, k):
-            prod_r *= factors.r[c - 1]
-            upper[i, c] = prod_r
-        prod_g = 1.0
-        for c in range(i - 1, -1, -1):
-            prod_g *= factors.g[c + 1]
-            lower[i, c] = prod_g
-    return lower @ np.diag(1.0 / (-factors.u)) @ upper
+    upper, lower = _triangles(factors)
+    return (lower / (-factors.u)) @ upper
 
 
-def _refine(neg_b, apply_inverse, x, rhs, iters=2):
-    """Iterative refinement of neg_b @ x = rhs in place.
+def _bands(neg_b):
+    """Sub, main and super diagonal of the tridiagonal neg_b, as long doubles."""
+    return tuple(neg_b.diagonal(offset).astype(np.longdouble)
+                 for offset in (-1, 0, 1))
+
+
+def _band_product(sub, diag, sup, x):
+    """Tridiagonal matrix times x, each row summed in sub, diag, super order."""
+    y = diag * x
+    y[1:] = sub * x[:-1] + y[1:]
+    y[:-1] += sup * x[1:]
+    return y
+
+
+def _refine(bands, apply_inverse, x, rhs, iters=2):
+    """Iterative refinement of neg_b @ x = rhs, neg_b given by its bands.
 
     The residual is evaluated in extended precision so corrections are not
     limited by cancellation in the residual itself; the correction reuses
     whatever inverse application produced x.
     """
-    neg_b_ld = neg_b.astype(np.longdouble)
     rhs_ld = rhs.astype(np.longdouble)
+
+    def residual(v):
+        return rhs_ld - _band_product(*bands, v.astype(np.longdouble))
+
     best = x
-    best_res = float(np.max(np.abs(rhs_ld - neg_b_ld @ best.astype(np.longdouble))))
+    best_r = residual(best)
+    best_res = float(np.abs(best_r).max())
     for _ in range(iters):
-        r = np.asarray(rhs_ld - neg_b_ld @ best.astype(np.longdouble),
-                       dtype=float)
-        candidate = best + apply_inverse(r)
-        res = float(np.max(np.abs(
-            rhs_ld - neg_b_ld @ candidate.astype(np.longdouble))))
+        candidate = best + apply_inverse(best_r.astype(float))
+        r = residual(candidate)
+        res = float(np.abs(r).max())
         if res >= best_res:
             break
-        best, best_res = candidate, res
+        best, best_r, best_res = candidate, r, res
     return best
 
 
@@ -200,59 +225,66 @@ def _solve_dense(gen, h):
     def apply_inverse(r):
         return np.linalg.solve(neg_b, r)
 
-    phi_h = _refine(neg_b, apply_inverse, solved[:, 0], rhs[:, 0])
-    e1_term = _refine(neg_b, apply_inverse, solved[:, 1], rhs[:, 1])
+    bands = _bands(neg_b)
+    phi_h = _refine(bands, apply_inverse, solved[:, 0], rhs[:, 0])
+    e1_term = _refine(bands, apply_inverse, solved[:, 1], rhs[:, 1])
     return phi_h, e1_term, None
 
 
+def _e1(gen, k):
+    """mu1 e_1, the right-hand side of the e1 term."""
+    e1 = np.zeros(k)
+    e1[0] = gen.matrix[1, 0]
+    return e1
+
+
 def _solve_rg(gen, h):
+    """Apply the factors by two scalar sweeps; no inverse is formed.
+
+    (-scriptB)^{-1} = (I - G_L)^{-1} (-U_D)^{-1} (I - R_U)^{-1}, so one
+    backward sweep y_i = h_i + r_i y_{i+1}, a division by -u_i and one
+    forward sweep x_i = y_i / (-u_i) + g_i x_{i-1} apply it in O(k).
+    """
     factors = rg_factorize(gen)
-    inv = invert_reduced(factors)
-    neg_b = -gen.matrix[1:, 1:]
-    mu1 = gen.matrix[1, 0]
-    e1 = np.zeros(h.shape[0])
-    e1[0] = mu1
+    neg_u, r, g = (-factors.u).tolist(), factors.r.tolist(), factors.g.tolist()
+    k = len(neg_u)
 
-    def apply_inverse(r):
-        return inv @ r
+    def apply_inverse(rhs):
+        x = rhs.tolist()
+        for i in range(k - 2, -1, -1):
+            x[i] += r[i] * x[i + 1]
+        x[0] /= neg_u[0]
+        for i in range(1, k):
+            x[i] = x[i] / neg_u[i] + g[i] * x[i - 1]
+        return np.array(x)
 
-    phi_h = _refine(neg_b, apply_inverse, inv @ h, h)
-    e1_term = _refine(neg_b, apply_inverse, mu1 * inv[:, 0], e1)
+    bands = _bands(-gen.matrix[1:, 1:])
+    e1 = _e1(gen, k)
+    phi_h = _refine(bands, apply_inverse, apply_inverse(h), h)
+    e1_term = _refine(bands, apply_inverse, apply_inverse(e1), e1)
     return phi_h, e1_term, factors
 
 
 def _solve_explicit(gen, h):
-    """State-by-state expansion of the factorized inverse.
+    """The factorized inverse with its running products spelled out.
 
-    For each reduced state the inner bracket accumulates h weighted by the
-    running R products toward higher states; the outer sum carries those
-    brackets down with running G products. The e1 term is the vector of
-    partial G products. This is the fully spelled-out form of what
-    invert_reduced does in matrix shape, kept as an independent route.
+    The upper triangle holds the running R products toward higher states,
+    which weight h into one bracket per state; the lower triangle holds the
+    running G products that carry those brackets down. The e1 term is the
+    vector of partial G products. This is the matrix form of the sums the
+    factorization yields state by state, kept as an independent route.
     """
     factors = rg_factorize(gen)
-    u, r, g = factors.u, factors.r, factors.g
-    k = u.shape[0]
+    upper, lower = _triangles(factors)
+    neg_u = -factors.u
 
-    bracket = np.empty(k)
-    for i in range(k):
-        acc = h[i]
-        prod_r = 1.0
-        for t in range(i + 1, k):
-            prod_r *= r[t - 1]
-            acc += prod_r * h[t]
-        bracket[i] = acc / (-u[i])
+    def apply_inverse(rhs):
+        return lower @ ((upper @ rhs) / neg_u)
 
-    phi_h = np.empty(k)
-    for i in range(k):
-        acc = bracket[i]
-        prod_g = 1.0
-        for t in range(i - 1, -1, -1):
-            prod_g *= g[t + 1]
-            acc += prod_g * bracket[t]
-        phi_h[i] = acc
-
-    e1_term = np.cumprod(g)
+    bands = _bands(-gen.matrix[1:, 1:])
+    phi_h = _refine(bands, apply_inverse, apply_inverse(h), h)
+    e1_term = _refine(bands, apply_inverse, np.cumprod(factors.g),
+                      _e1(gen, neg_u.shape[0]))
     return phi_h, e1_term, factors
 
 

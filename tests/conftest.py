@@ -1,5 +1,7 @@
 """Shared instances and guarded random draws for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,19 @@ def draw_instance(rng, n_max=20, m_max=20, **kwargs):
         d = random_policy(rng, params.m)
         if well_conditioned(params, d):
             return params, d
+
+
+def wide_light_instance(rng):
+    """(params, policy) of a chain with m in 60..200 at light load."""
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(60, 201))
+    params = dataclasses.replace(
+        draw_params(rng, n_min=n, n_max=n, m_min=m, m_max=m),
+        lambda_=float(10.0 ** rng.uniform(-1.0, 0.0)),
+        mu1=float(10.0 ** rng.uniform(0.0, 1.0)),
+        mu2=float(10.0 ** rng.uniform(0.0, 1.0)),
+    )
+    return params, random_policy(rng, m)
 
 
 def draw_change_pair(rng, m: int):

@@ -96,6 +96,14 @@ def test_validate_warns_on_advisory_conditions():
 
 def test_check_policy_accepts_numpy_integers():
     assert check_policy(np.array([0, 2, 1]), 3) == (0, 2, 1)
+    out = check_policy((np.int64(1), 2, np.int32(0)), 3)
+    assert out == (1, 2, 0) and all(type(v) is int for v in out)
+
+
+@pytest.mark.parametrize("entry", [True, np.True_, 0.5, np.float64(1.0)])
+def test_check_policy_rejects_non_integer_entries(entry):
+    with pytest.raises(ValueError, match="integer"):
+        check_policy((0, entry), 2)
 
 
 def test_check_policy_rejects_bad_entries():

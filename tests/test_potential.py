@@ -5,6 +5,7 @@ import pytest
 
 from sleepq import (
     ConsistencyError,
+    ModelParams,
     build_generator,
     build_reward,
     invert_reduced,
@@ -17,8 +18,8 @@ from sleepq import (
     solve_poisson,
     stationary_closed_form,
 )
-from sleepq.potential import SOLVE_METHODS, reduced_matrix
-from conftest import draw_instance, micro_params
+from sleepq.potential import SOLVE_METHODS, _band_product, _triangles, reduced_matrix
+from conftest import draw_instance, micro_params, wide_light_instance
 
 
 def test_micro_anchored_potentials(micro):
@@ -37,6 +38,24 @@ def test_micro_rg_factors(micro):
     assert np.allclose(inv, [[1.0, 0.5], [1.0, 1.0]], atol=1e-15)
 
 
+def test_rg_factors_equal_scalar_recursion():
+    """The recursion on Python floats matches it on numpy scalars bit for bit."""
+    rng = np.random.default_rng(20)
+    for _ in range(30):
+        params, d = draw_instance(rng)
+        gen = build_generator(params, d)
+        factors = rg_factorize(gen)
+        reduced = reduced_matrix(gen)
+        diag, sup = np.diagonal(reduced), np.diagonal(reduced, 1)
+        sub = np.concatenate(([gen.matrix[1, 0]], np.diagonal(reduced, -1)))
+        u = diag.copy()
+        for i in range(u.shape[0] - 2, -1, -1):
+            u[i] = diag[i] + sup[i] * sub[i + 1] / (-u[i + 1])
+        assert factors.u.tobytes() == u.tobytes()
+        assert factors.r.tobytes() == (sup / (-u[1:])).tobytes()
+        assert factors.g.tobytes() == (sub / (-u)).tobytes()
+
+
 def test_reduced_inverse_matches_dense():
     rng = np.random.default_rng(21)
     for _ in range(15):
@@ -50,12 +69,73 @@ def test_reduced_inverse_matches_dense():
 
 def test_all_methods_agree():
     rng = np.random.default_rng(22)
-    for _ in range(10):
-        params, d = draw_instance(rng, n_max=10, m_max=10)
+    corpus = [draw_instance(rng, n_max=10, m_max=10) for _ in range(10)]
+    corpus += [wide_light_instance(rng) for _ in range(6)]
+    for params, d in corpus:
         sols = [solve_poisson(params, d, method=m) for m in SOLVE_METHODS]
         for sol in sols[1:]:
             scale = max(1.0, float(np.max(np.abs(sols[0].g))))
             assert np.max(np.abs(sol.g - sols[0].g)) < 1e-9 * scale
+
+
+def test_ill_conditioned_draw_all_routes_agree():
+    # Heavy load at level 0 (lambda / mu1 near 19): unrefined explicit sums
+    # land 2.1e-7 off the dense route.
+    params = ModelParams(
+        lambda_=2.8227607347805206, mu1=0.14548190299074543,
+        mu2=8.468585996116964, n=13, m=5, p1_work=2.868482870848687,
+        p2_work=2.40314709899907, p2_sleep=0.21776026988113956,
+        c_energy=2.4071269728656093, c_hold_g1=3.51073146190204,
+        c_hold_g2=2.1251463008798464, c_transfer=2.7608752531174003,
+        c_loss=2.4064403138790667, price=18.290432849301425)
+    d = (0, 5, 0, 4, 2)
+    dense = solve_poisson(params, d, method="dense").g
+    scale = max(1.0, float(np.max(np.abs(dense))))
+    for method in ("rg", "explicit"):
+        g = solve_poisson(params, d, method=method).g
+        assert np.max(np.abs(g - dense)) <= 1e-9 * scale, method
+
+
+def _triangles_by_loops(factors):
+    """Running R and G products extended one factor at a time."""
+    k = factors.u.shape[0]
+    upper = np.zeros((k, k))
+    lower = np.zeros((k, k))
+    for i in range(k):
+        upper[i, i] = 1.0
+        lower[i, i] = 1.0
+        prod_r = 1.0
+        for c in range(i + 1, k):
+            prod_r *= factors.r[c - 1]
+            upper[i, c] = prod_r
+        prod_g = 1.0
+        for c in range(i - 1, -1, -1):
+            prod_g *= factors.g[c + 1]
+            lower[i, c] = prod_g
+    return upper, lower
+
+
+def test_triangles_equal_running_product_loops():
+    rng = np.random.default_rng(26)
+    for _ in range(50):
+        params, d = draw_instance(rng)
+        factors = rg_factorize(build_generator(params, d))
+        for got, want in zip(_triangles(factors), _triangles_by_loops(factors)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_band_product_equals_extended_matmul():
+    rng = np.random.default_rng(27)
+    for _ in range(50):
+        params, d = draw_instance(rng)
+        neg_b = -reduced_matrix(build_generator(params, d)).astype(np.longdouble)
+        x = rng.standard_normal(neg_b.shape[0]).astype(np.longdouble)
+        bands = (np.diagonal(neg_b, offset) for offset in (-1, 0, 1))
+        got, want = _band_product(*bands, x), neg_b @ x
+        # Equal values and signs: the padding bytes of an x87 long double
+        # are not part of its value, so tobytes() is no test here.
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_residual_is_small_on_random_instances():

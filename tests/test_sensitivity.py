@@ -28,8 +28,8 @@ from conftest import (
     draw_instance,
     draw_params,
     micro_params,
-    random_policy,
     sleepy_params,
+    wide_light_instance,
 )
 
 
@@ -178,23 +178,10 @@ def _poisson_factors(params, d, method="rg"):
     return sol.g[n:n + m] - sol.g[n + 1:n + m + 1]
 
 
-def _wide_light_instance(rng):
-    """A chain with m in 60..200 at light load."""
-    n = int(rng.integers(1, 5))
-    m = int(rng.integers(60, 201))
-    params = dataclasses.replace(
-        draw_params(rng, n_min=n, n_max=n, m_min=m, m_max=m),
-        lambda_=float(10.0 ** rng.uniform(-1.0, 0.0)),
-        mu1=float(10.0 ** rng.uniform(0.0, 1.0)),
-        mu2=float(10.0 ** rng.uniform(0.0, 1.0)),
-    )
-    return params, random_policy(rng, m)
-
-
 def test_closed_form_factors_match_all_poisson_routes():
     rng = np.random.default_rng(36)
     corpus = [draw_instance(rng, n_max=12, m_max=12) for _ in range(25)]
-    corpus += [_wide_light_instance(rng) for _ in range(3)]
+    corpus += [wide_light_instance(rng) for _ in range(3)]
     for params, d in corpus:
         for price in (0.0, 1.0):
             at = dataclasses.replace(params, price=price)
