@@ -3,8 +3,12 @@
 Every policy's average profit has a closed form (stationary weights are
 products of birth/death ratios), so optimization over the supported policy
 spaces is exact enumeration with a deterministic lexicographic tie-break.
-Policies are unranked from indices in vectorized blocks; nothing is ever
-materialized policy-by-policy in Python except the threshold family.
+The full, reduced and bang-bang spaces are products of per-level value
+sets, so the search walks their lexicographic enumeration tree one level
+at a time: policies that share their first j coordinates share the
+partial weight product and profit sums of those levels, and only the
+winning ranks are unranked back into policies. The threshold family is
+evaluated as one block.
 
 The module also houses the structural results that make enumeration mostly
 unnecessary: closed-form optima at extreme prices, the threshold-policy
@@ -16,6 +20,7 @@ below it when the price clears the critical values).
 from __future__ import annotations
 
 import heapq
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -105,34 +110,38 @@ class MonotonicityReport:
         self.etas.setflags(write=False)
 
 
-def _space_radices(m: int, space: str) -> list[int]:
+def _level_values(m: int, space: str) -> list[np.ndarray]:
+    """The values each coordinate of a product space takes, ascending.
+
+    full allows {0..m} at every level, reduced {0..j} at level j, bang_bang
+    {0, j}. A policy's rank is its digits in these radices with the last
+    coordinate least significant, so rank order is lexicographic order.
+    """
     if space == "full":
-        return [m + 1] * m
+        return [np.arange(m + 1, dtype=np.int64)] * m
     if space == "reduced":
-        return [j + 1 for j in range(1, m + 1)]
+        return [np.arange(j + 1, dtype=np.int64) for j in range(1, m + 1)]
     if space == "bang_bang":
-        return [2] * m
-    raise ValueError(f"space {space!r} has no radix form")
+        return [np.array([0, j], dtype=np.int64) for j in range(1, m + 1)]
+    raise ValueError(f"space {space!r} is not a product space")
 
 
 def _policy_block(m: int, space: str, start: int, stop: int) -> np.ndarray:
-    """Policies with ranks [start, stop) as an integer array, in lex order.
+    """Policies with ranks [start, stop) as an integer array.
 
-    Rank digits are mixed-radix with the last coordinate least significant,
-    matching the order enumerate_policies yields.
+    Product spaces unrank mixed-radix digits through _level_values, in the
+    order enumerate_policies yields; thresholds come by rising theta.
     """
     if space == "threshold":
         block = np.array([threshold_policy(m, t) for t in range(1, m + 2)],
                          dtype=np.int64)
         return block[start:stop]
-    radices = _space_radices(m, space)
+    levels = _level_values(m, space)
     idx = np.arange(start, stop, dtype=np.int64)
     block = np.empty((idx.shape[0], m), dtype=np.int64)
     for k in range(m - 1, -1, -1):
-        block[:, k] = idx % radices[k]
-        idx //= radices[k]
-    if space == "bang_bang":
-        block *= np.arange(1, m + 1, dtype=np.int64)
+        block[:, k] = levels[k][idx % levels[k].size]
+        idx //= levels[k].size
     return block
 
 
@@ -191,16 +200,28 @@ def _block_chain(params: ModelParams, block: np.ndarray) -> _BlockChain:
                       xi_top=xi_top, nu=nu, cost_top=cost)
 
 
+def _profit_rates(params: ModelParams, chain: _BlockChain,
+                  ) -> tuple[float, float, np.ndarray]:
+    """(low_profit, low_weight, f_top) of a block chain.
+
+    low_profit = xi_low . f_low and low_weight = sum(xi_low) are shared by
+    every row; f_top is the profit rate of each level. A row's average
+    profit is (low_profit + sum xi_top f_top) / (low_weight + sum xi_top).
+    """
+    f_low = params.price * chain.jobs_low * params.mu1 - chain.cost_low
+    return (chain.xi_low @ f_low, chain.xi_low.sum(),
+            params.price * chain.nu - chain.cost_top)
+
+
 def profits_block(params: ModelParams, block: np.ndarray) -> np.ndarray:
     """Average profit for each policy row of block, vectorized.
 
     Same closed form as policy_profit, through _block_chain.
     """
     chain = _block_chain(params, block)
-    f_low = params.price * chain.jobs_low * params.mu1 - chain.cost_low
-    f_top = params.price * chain.nu - chain.cost_top
-    total = chain.xi_low.sum() + chain.xi_top.sum(axis=1)
-    return (chain.xi_low @ f_low + (chain.xi_top * f_top).sum(axis=1)) / total
+    low_profit, low_weight, f_top = _profit_rates(params, chain)
+    return ((low_profit + (chain.xi_top * f_top).sum(axis=1))
+            / (low_weight + chain.xi_top.sum(axis=1)))
 
 
 def evaluate_policies(params: ModelParams, policies) -> np.ndarray:
@@ -212,17 +233,129 @@ def evaluate_policies(params: ModelParams, policies) -> np.ndarray:
     return profits_block(params, block)
 
 
-def _chunk_summary(block, etas, top_k):
-    best = float(np.max(etas))
-    ties = np.flatnonzero(etas == best)
-    best_policy = min(tuple(int(v) for v in block[t]) for t in ties)
-    ranking = None
-    if top_k:
-        count = min(top_k, etas.shape[0])
-        part = np.argpartition(-etas, count - 1)[:count]
-        ranking = [(-float(etas[t]), tuple(int(v) for v in block[t]))
-                   for t in part]
-    return best, best_policy, ranking
+def _chunk_summary(etas, ranks, policy_of, k):
+    """The k best (-eta, policy) pairs of a chunk of rows.
+
+    ranks(rows) gives the lexicographic rank of each row index and
+    policy_of(rank) the policy; only the winners are unranked. Rows are
+    ordered by eta descending, then rank ascending, so merging summaries
+    with heapq.nsmallest ranks by eta descending, then policy ascending,
+    however the rows were split into chunks.
+    """
+    low, cut = etas.min(), etas.max()
+    if not (np.isfinite(low) and np.isfinite(cut)):  # NaN reaches both
+        raise NumericalError(
+            "profits are not finite; the stationary weights overflow at "
+            "this load"
+        )
+    count = min(k, etas.size)
+    if count > 1:
+        cut = np.partition(etas, etas.size - count)[etas.size - count]
+    top = np.flatnonzero(etas >= cut)
+    rank = ranks(top)
+    order = np.lexsort((rank, -etas[top]))[:count]
+    return [(-float(etas[top[t]]), tuple(int(v) for v in policy_of(rank[t])))
+            for t in order]
+
+
+def _product_candidates(params: ModelParams, space: str, k: int,
+                        threads: int | None) -> list[tuple[float, Policy]]:
+    """The _chunk_summary of every chunk of a product space, concatenated.
+
+    Policies that share their first j coordinates share the first j factors
+    of the weight product P (cumulative lambda/nu) and the first j terms of
+    S = sum xi f and W = sum xi, with xi = xi_low[n] P. So the enumeration
+    tree is grown one level at a time: each level multiplies every prefix's
+    P by its values' lambda/nu and adds their terms. These are the
+    operations of profits_block in its order, except that numpy sums rows
+    longer than 7 pairwise, so from m = 8 on the last bits can differ. A
+    level's values form the leading axis, so every operation runs along the
+    contiguous prefix axis. The levels above a split are built once and put
+    in rank order; each chunk grows a run of split-level prefixes into at
+    most BLOCK_SIZE leaves, which are consecutive ranks.
+    """
+    m = params.m
+    levels = _level_values(m, space)
+    # Row v holds each level's v-th value (0 past the end), so the chain's
+    # nu and cost_top are the rates of every (value, level) pair; its
+    # xi_top is not used.
+    table = np.zeros((max(v.size for v in levels), m), dtype=np.int64)
+    for j, values in enumerate(levels):
+        table[:values.size, j] = values
+    chain = _block_chain(params, table)
+    low_profit, low_weight, f_top = _profit_rates(params, chain)
+    xi_n = chain.xi_low[params.n]
+    steps = [(params.lambda_ / chain.nu[:v.size, j], f_top[:v.size, j])
+             for j, v in enumerate(levels)]
+
+    def grow(state, j, out):
+        """Level j's (P, S, W) from level j-1's, written into out's rows."""
+        prod, profit, weight = state
+        ratio, f = steps[j]
+        shape = (ratio.size, prod.size)
+        new_prod, term, xi = (row[:ratio.size * prod.size].reshape(shape)
+                              for row in out)
+        np.multiply.outer(ratio, prod, out=new_prod)
+        np.multiply(new_prod, xi_n, out=xi)
+        np.multiply(xi, f[:, None], out=term)
+        term += profit
+        xi += weight
+        return new_prod.ravel(), term.ravel(), xi.ravel()
+
+    split, leaves = m, 1
+    while split > 1 and leaves * levels[split - 1].size <= BLOCK_SIZE:
+        split -= 1
+        leaves *= levels[split].size
+    prefix = (np.ones(1), np.zeros(1), np.zeros(1))
+    for j in range(split):
+        prefix = grow(prefix, j, np.empty((3, prefix[0].size * levels[j].size)))
+    shape = [levels[j].size for j in reversed(range(split))]
+    prefix = [a.reshape(shape).transpose().ravel() for a in prefix]
+    per = BLOCK_SIZE // leaves
+
+    def run(starts):
+        # Fresh chunk-sized arrays cost page faults in every chunk, so a
+        # worker grows its chunks in two reused buffer sets, one per level
+        # parity, and forms eta in the set the last level left free.
+        work = np.empty((2, 3, per * leaves))
+        candidates = []
+        # The caller's np.errstate does not reach pool threads.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in starts:
+                state = tuple(a[lo:lo + per] for a in prefix)
+                width = state[0].size
+                for j in range(split, m):
+                    state = grow(state, j, work[j % 2])
+                size = state[0].size
+                etas, total = work[m % 2, 0, :size], work[m % 2, 1, :size]
+                np.add(state[1], low_profit, out=etas)
+                np.add(state[2], low_weight, out=total)
+                etas /= total
+
+                def ranks(rows):
+                    # Row digits, least significant first: the prefix, then
+                    # levels split..m-1 with falling rank place values.
+                    rank = (lo + rows % width) * leaves
+                    rows = rows // width
+                    place = leaves
+                    for j in range(split, m):
+                        place //= levels[j].size
+                        rank += rows % levels[j].size * place
+                        rows //= levels[j].size
+                    return rank
+
+                candidates += _chunk_summary(
+                    etas, ranks,
+                    lambda r: _policy_block(m, space, r, r + 1)[0], k)
+        return candidates
+
+    starts = range(0, prefix[0].size, per)
+    workers = min(threads or 1, len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(run, (starts[t::workers] for t in range(workers)))
+            return list(itertools.chain.from_iterable(parts))
+    return run(starts)
 
 
 def optimize(params: ModelParams, space: str = "full",
@@ -231,43 +364,38 @@ def optimize(params: ModelParams, space: str = "full",
     """Exact argmax of the average profit over a policy space.
 
     Ties in eta resolve to the lexicographically smallest policy. top_k
-    (at least 1) requests a ranking of the best policies. threads > 1
-    evaluates blocks concurrently; the reduction is order-independent, so
-    results are identical either way.
+    (at least 1) requests a ranking of the best policies by eta descending,
+    ties by policy ascending, so ranking[0] is always best_policy. The full,
+    reduced and bang-bang spaces are evaluated down their enumeration tree
+    in chunks of at most BLOCK_SIZE policies; threads > 1 evaluates chunks
+    concurrently. No result depends on the chunking or the threads. A
+    non-finite profit (the stationary weights overflow under heavy load)
+    raises NumericalError.
     """
     require_valid(params)
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     enumerate_policies(params.m, space, allow_large=allow_large)  # gate check
     total = policy_space_size(params.m, space)
+    k = top_k or 1
 
-    starts = range(0, total, BLOCK_SIZE)
+    # Overflow and NaN are caught by _chunk_summary's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if space == "threshold":
+            # Falling theta is lexicographic order.
+            block = _policy_block(params.m, space, 0, total)[::-1]
+            candidates = _chunk_summary(profits_block(params, block),
+                                        lambda rows: rows, block.__getitem__, k)
+        else:
+            candidates = _product_candidates(params, space, k, threads)
+    merged = heapq.nsmallest(k, candidates)
 
-    def work(start):
-        block = _policy_block(params.m, space, start, min(start + BLOCK_SIZE, total))
-        return _chunk_summary(block, profits_block(params, block), top_k)
-
-    if threads and threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            summaries = list(pool.map(work, starts))
-    else:
-        summaries = map(work, starts)
-
-    best_eta = -np.inf
-    best_policy = None
-    merged: list[tuple[float, Policy]] = []
-    for eta, policy, ranking in summaries:
-        if eta > best_eta or (eta == best_eta and policy < best_policy):
-            best_eta, best_policy = eta, policy
-        if top_k:
-            merged = heapq.nsmallest(top_k, merged + ranking)
-
-    result_ranking = None
+    ranking = None
     if top_k:
-        result_ranking = [(policy, -neg) for neg, policy in merged]
+        ranking = [(policy, -neg) for neg, policy in merged]
     return OptimizationResult(
-        best_policy=best_policy, best_eta=best_eta, space=space,
-        evaluations=total, ranking=result_ranking,
+        best_policy=merged[0][1], best_eta=-merged[0][0], space=space,
+        evaluations=total, ranking=ranking,
     )
 
 

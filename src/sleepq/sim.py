@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import _simkernel
 from ._simkernel import DONE, REFILL
@@ -322,7 +321,10 @@ def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
         samples = records[:, 3]
     spread = float(np.std(samples, ddof=1))
     # stdtrit is the Student-t quantile that scipy.stats.t.ppf computes,
-    # without importing all of scipy.stats.
+    # without importing all of scipy.stats. scipy.special alone is most of
+    # the package's import time, so only a simulation pays for it.
+    from scipy.special import stdtrit
+
     quantile = float(stdtrit(samples.shape[0] - 1, 0.975))
     ci_half_width = quantile * spread / np.sqrt(samples.shape[0])
 

@@ -218,6 +218,13 @@ def test_monotonicity_violation_exits_4(model_file, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_overflowing_optimize_exits_4(tmp_path, capsys):
+    # The stationary weights overflow, so every profit is NaN.
+    path = write_model(tmp_path, n=1000, lambda_=1000.0, mu1=1.0, m=3)
+    assert main(["optimize", "--model", path]) == 4
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_simulate_with_trace(model_file, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert main(["simulate", "--model", model_file, "--policy", "1",

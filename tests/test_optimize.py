@@ -1,12 +1,14 @@
 """Policy search, threshold structure, and the extreme-price closed forms."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
 from sleepq import (
     GateError,
+    NumericalError,
     RegimeError,
     critical_prices_global,
     enumerate_policies,
@@ -14,6 +16,7 @@ from sleepq import (
     optimal_extreme_prices,
     optimize,
     policy_profit,
+    policy_space_size,
     profits_block,
     stationary_closed_form,
     threshold_policy,
@@ -21,7 +24,11 @@ from sleepq import (
     threshold_stationary,
     verify_monotonicity,
 )
+from sleepq.optimize import _policy_block
 from conftest import draw_instance, micro_params, sleepy_params
+
+# The package exports the optimize function under the module's name.
+OPT = importlib.import_module("sleepq.optimize")
 
 
 def test_micro_optimum(micro):
@@ -96,6 +103,100 @@ def test_threads_do_not_change_the_answer():
     assert serial.best_policy == threaded.best_policy
     assert serial.best_eta == threaded.best_eta
     assert serial.ranking == threaded.ranking
+
+
+@pytest.mark.parametrize("space", ["full", "reduced", "bang_bang", "threshold"])
+def test_policy_block_unranks_in_enumeration_order(space):
+    for m in range(1, 5):
+        total = policy_space_size(m, space)
+        block = _policy_block(m, space, 0, total)
+        assert [tuple(int(v) for v in row) for row in block] == \
+            list(enumerate_policies(m, space))
+
+
+def _block_etas(params, space):
+    """profits_block over a whole space, unranked in BLOCK_SIZE pieces."""
+    total = policy_space_size(params.m, space)
+    return np.concatenate([
+        profits_block(params, _policy_block(params.m, space, start,
+                                            min(start + OPT.BLOCK_SIZE, total)))
+        for start in range(0, total, OPT.BLOCK_SIZE)])
+
+
+@pytest.mark.parametrize("space, m_min, m_max", [
+    ("full", 1, 5), ("reduced", 5, 8), ("bang_bang", 4, 12)])
+def test_tree_search_matches_block_evaluation(space, m_min, m_max):
+    # Up to m=7 the tree repeats profits_block's operations in its order;
+    # beyond, numpy sums rows pairwise and the last bits may differ.
+    rng = np.random.default_rng(47)
+    for _ in range(6):
+        params, _ = draw_instance(rng, n_max=6, m_min=m_min, m_max=m_max)
+        etas = _block_etas(params, space)
+        best = int(np.argmax(etas))
+        res = optimize(params, space)
+        want = tuple(int(v) for v in _policy_block(params.m, space, best, best + 1)[0])
+        assert res.best_policy == want
+        if params.m <= 7:
+            assert res.best_eta == etas[best]
+        else:
+            assert abs(res.best_eta - etas[best]) <= 1e-15 * max(1.0, abs(etas[best]))
+        assert res.evaluations == etas.size == policy_space_size(params.m, space)
+
+
+@pytest.mark.parametrize("space, m", [
+    ("full", 4), ("reduced", 5), ("bang_bang", 7), ("threshold", 6)])
+def test_chunking_and_threads_change_nothing(space, m, monkeypatch):
+    # c_energy=0 makes every value above its level tie with the level.
+    params = micro_params(n=2, m=m, c_energy=0.0, lambda_=1.7)
+    whole = optimize(params, space, top_k=12)
+    assert optimize(params, space, top_k=12, threads=2) == whole
+    for size in (1, 7, 50):
+        monkeypatch.setattr(OPT, "BLOCK_SIZE", size)
+        assert optimize(params, space, top_k=12) == whole
+        assert optimize(params, space, top_k=12, threads=2) == whole
+        assert optimize(params, space) == dataclasses.replace(whole, ranking=None)
+
+
+def test_ranking_breaks_ties_by_policy(monkeypatch):
+    # Without an energy price a value above its level changes nothing, so
+    # tie groups span the ranking; each top_k below cuts through one.
+    params = micro_params(n=2, m=4, c_energy=0.0, lambda_=1.7)
+    policies = list(enumerate_policies(params.m, "full"))
+    expected = sorted(zip(policies, evaluate_policies(params, policies).tolist()),
+                      key=lambda pair: (-pair[1], pair[0]))
+    cuts = [i for i in range(1, len(expected))
+            if expected[i - 1][1] == expected[i][1]][:3]
+    assert len(cuts) == 3
+    for size in (OPT.BLOCK_SIZE, 1, 7, 50):
+        monkeypatch.setattr(OPT, "BLOCK_SIZE", size)
+        for top_k in cuts:
+            res = optimize(params, "full", top_k=top_k)
+            assert res.ranking == expected[:top_k]
+            assert res.ranking[0] == (res.best_policy, res.best_eta)
+
+
+@pytest.mark.parametrize("space", ["full", "reduced", "bang_bang", "threshold"])
+def test_all_tied_ranking_is_lexicographic(space, monkeypatch):
+    # Zero prices and costs: every policy earns exactly zero.
+    params = micro_params(m=4, p1_work=1.0, p2_work=2.0, p2_sleep=1.0,
+                          price=0.0, c_energy=0.0, c_hold_g1=0.0,
+                          c_hold_g2=0.0, c_transfer=0.0, c_loss=0.0)
+    expected = [(d, 0.0) for d in sorted(enumerate_policies(4, space))[:3]]
+    for size in (OPT.BLOCK_SIZE, 1, 7):
+        monkeypatch.setattr(OPT, "BLOCK_SIZE", size)
+        res = optimize(params, space, top_k=3)
+        assert res.ranking == expected
+        assert res.best_policy == expected[0][0]
+
+
+@pytest.mark.parametrize("space", ["full", "reduced", "bang_bang", "threshold"])
+def test_overflowing_profits_raise_numerical_error(space):
+    # (1000/1)^i / i! overflows long before i = n = 1000.
+    params = micro_params(n=1000, lambda_=1000.0, mu1=1.0, m=3)
+    with np.errstate(all="ignore"):
+        assert np.isnan(policy_profit(params, (0, 0, 0)))
+    with pytest.raises(NumericalError, match="not finite"):
+        optimize(params, space)
 
 
 def test_space_gate_and_override():

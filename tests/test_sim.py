@@ -269,15 +269,16 @@ def test_policy_changes_the_law(micro):
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes most of a second to import; the package needs one
-    # Student-t quantile, which scipy.special provides. The Poisson routes
-    # need nothing from scipy.linalg either.
+    # Student-t quantile, which scipy.special provides, and only simulate
+    # imports that. The Poisson routes need nothing from scipy.linalg.
     src = str(Path(sleepq.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, sleepq, sleepq.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)")
+            "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules, "
+            "'scipy.special' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 def test_stdtrit_equals_the_t_quantile():
