@@ -5,6 +5,14 @@ states: births at rate lambda everywhere below the top state, deaths at rate
 i*mu1 from (i, 0) and at rate nu(d_{n,j}) = n*mu1 + min(d_{n,j}, j)*mu2 from
 (n, j). The stationary vector has a product form that the closed-form solver
 builds by recursive ratios; a dense linear solve is kept as an oracle.
+
+The closed form has two shapes. A single policy is one scalar pass over
+its states (_state_rates), which the generator, the stationary law and
+the reward read. A block of policies is vectorized (_block_chain), for
+the searches and the realization factors. The two are kept apart: a 1-row
+block is slower than the scalar pass, and its weights, formed as
+cumulative products of lambda/nu, differ from the scalar ratios in the
+last bit.
 """
 
 from __future__ import annotations
@@ -50,36 +58,49 @@ class ChainSolution:
         self.xi.setflags(write=False)
 
 
-def service_rate(params: ModelParams, d: Policy, j: int) -> float:
-    """Total departure rate nu(d_{n,j}) out of state (n, j), j in 1..m.
+def _state_rates(params: ModelParams, d: Policy) -> tuple[list[float], list[float]]:
+    """Death rate and cost rate of every state, as Python floats.
 
-    Group 1 contributes n*mu1; Group 2 contributes min(d_{n,j}, j)*mu2
-    because only as many awake servers as jobs can serve.
+    The death rate of a state is also its completion rate: i*mu1 at (i, 0),
+    and nu(d_{n,j}) at (n, j), where Group 1 contributes n*mu1 and Group 2
+    min(d_{n,j}, j)*mu2 because only as many awake servers as jobs can
+    serve. The energy part of the cost uses the raw entry d_{n,j}: a server
+    awake beyond the number of jobs burns power without serving. This is
+    the one per-policy pass of the closed form; the generator, the
+    stationary law and the reward read their rates from it.
     """
-    if not 1 <= j <= params.m:
-        raise ValueError(f"level j must be in 1..{params.m}, got {j}")
-    return params.n * params.mu1 + min(d[j - 1], j) * params.mu2
+    d = check_policy(d, params.m)
+    n, m = params.n, params.m
+    mu1, mu2 = params.mu1, params.mu2
+    p2_work, p2_sleep = params.p2_work, params.p2_sleep
+    c_energy, c_hold_g2 = params.c_energy, params.c_hold_g2
+    # Products that stand alone in the level cost: hoisting them out of the
+    # loop keeps every rounding.
+    group1_rate, group1_power = n * mu1, n * params.p1_work
+    group1_hold, transfer = n * params.c_hold_g1, n * mu1 * params.c_transfer
+    base_energy = (group1_power + m * p2_sleep) * c_energy
+    death = [i * mu1 for i in range(n + 1)]
+    cost = [base_energy + i * params.c_hold_g1 for i in range(n + 1)]
+    for j, dj in enumerate(d, start=1):
+        death.append(group1_rate + min(dj, j) * mu2)
+        cost.append((group1_power + dj * p2_work + (m - dj) * p2_sleep) * c_energy
+                    + group1_hold + j * c_hold_g2 + transfer)
+    if m:
+        # Lost arrivals only happen at the full state.
+        cost[-1] += params.lambda_ * params.c_loss
+    return death, cost
 
 
 def build_generator(params: ModelParams, d: Policy) -> Generator:
     """Assemble the (n+m+1) x (n+m+1) transition-rate matrix."""
-    d = check_policy(d, params.m)
-    n, m = params.n, params.m
-    lam, mu1 = params.lambda_, params.mu1
-    size = n + m + 1
+    death, _ = _state_rates(params, d)
+    size = len(death)
     matrix = np.zeros((size, size))
-
-    for i in range(n + 1):
-        if i > 0:
-            matrix[i, i - 1] = i * mu1
-        matrix[i, i + 1] = lam
-    for j in range(1, m + 1):
-        k = n + j
-        matrix[k, k - 1] = service_rate(params, d, j)
-        if j < m:
-            matrix[k, k + 1] = lam
-    # The top state has no birth: arrivals there are lost, not queued.
-    np.fill_diagonal(matrix, 0.0)
+    flat = matrix.ravel()
+    flat[size::size + 1] = death[1:]  # the subdiagonal
+    # Births on the superdiagonal. The top state has none: arrivals there
+    # are lost, not queued.
+    flat[1::size + 1] = params.lambda_
     np.fill_diagonal(matrix, -matrix.sum(axis=1))
     return Generator(matrix, state_space(params))
 
@@ -90,19 +111,94 @@ def stationary_closed_form(params: ModelParams, d: Policy) -> ChainSolution:
     The balance equations telescope: xi(i,0) = lambda^i / (i! mu1^i) and
     xi(n,j) = xi(n,0) * lambda^j / prod_{i<=j} nu(d_{n,i}). Weights are
     accumulated as ratios xi_k = xi_{k-1} * birth/death, never through the
-    factorial form, which overflows long before desk scale runs out.
+    factorial form, which overflows long before desk scale runs out. If the
+    weights still overflow (heavy load at large n or m), the normalizer is
+    not finite and NumericalError is raised.
     """
-    d = check_policy(d, params.m)
-    n, m = params.n, params.m
-    lam, mu1 = params.lambda_, params.mu1
-    xi = np.empty(n + m + 1)
-    xi[0] = 1.0
-    for i in range(1, n + 1):
-        xi[i] = xi[i - 1] * lam / (i * mu1)
-    for j in range(1, m + 1):
-        xi[n + j] = xi[n + j - 1] * lam / service_rate(params, d, j)
+    death, _ = _state_rates(params, d)
+    lam = params.lambda_
+    weight = 1.0
+    xi = [weight]
+    for rate in death[1:]:
+        # In this order, not weight * (lam / rate): the Poisson solvers'
+        # residual gate refuses draws by the last bit of pi.
+        weight = weight * lam / rate
+        xi.append(weight)
+    xi = np.array(xi)
     b = float(xi.sum())
+    if not np.isfinite(b):
+        raise NumericalError(
+            "stationary weights are not finite; they overflow at this load"
+        )
     return ChainSolution(xi / b, xi, b)
+
+
+@dataclass(frozen=True)
+class _BlockChain:
+    """Stationary weights and reward pieces of each policy row of a block.
+
+    The states (i, 0) are shared by every row: xi_low are their
+    unnormalized weights, jobs_low = i, and cost_low their cost rates; their
+    completion rate is i*mu1. The levels (n, j) get one row per policy:
+    xi_top, the service rates nu (which are also the completion rates) and
+    cost_top. A state's profit rate is price * completion rate - cost.
+    """
+
+    xi_low: np.ndarray
+    jobs_low: np.ndarray
+    cost_low: np.ndarray
+    xi_top: np.ndarray
+    nu: np.ndarray
+    cost_top: np.ndarray
+
+
+def _block_chain(params: ModelParams, block: np.ndarray) -> _BlockChain:
+    """Closed-form chain of each policy row of block, vectorized.
+
+    Same closed form as stationary_closed_form and affine_decomposition:
+    weights by cumulative birth/death ratios, raw-coordinate energy and
+    clamped service rates.
+    """
+    block = np.asarray(block, dtype=np.int64)
+    if block.ndim != 2 or block.shape[1] != params.m:
+        raise ValueError(f"expected (batch, {params.m}) policy array")
+    if block.size and (block.min() < 0 or block.max() > params.m):
+        raise ValueError(f"policy entries must lie in 0..{params.m}")
+    n, m = params.n, params.m
+    lam, mu1, mu2 = params.lambda_, params.mu1, params.mu2
+
+    i_arr = np.arange(n + 1, dtype=np.float64)
+    ratios_low = np.ones(n + 1)
+    ratios_low[1:] = lam / (np.arange(1, n + 1) * mu1)
+    xi_low = np.cumprod(ratios_low)
+
+    j_arr = np.arange(1, m + 1, dtype=np.float64)
+    clamped = np.minimum(block, np.arange(1, m + 1, dtype=np.int64))
+    nu = n * mu1 + clamped * mu2
+    xi_top = xi_low[n] * np.cumprod(lam / nu, axis=1)
+
+    base_energy = (n * params.p1_work + m * params.p2_sleep) * params.c_energy
+    energy = (n * params.p1_work + block * params.p2_work
+              + (m - block) * params.p2_sleep) * params.c_energy
+    hold = n * params.c_hold_g1 + j_arr * params.c_hold_g2
+    cost = energy + hold + n * mu1 * params.c_transfer
+    cost[:, m - 1] += lam * params.c_loss
+    return _BlockChain(xi_low=xi_low, jobs_low=i_arr,
+                      cost_low=base_energy + i_arr * params.c_hold_g1,
+                      xi_top=xi_top, nu=nu, cost_top=cost)
+
+
+def _profit_rates(params: ModelParams, chain: _BlockChain,
+                  ) -> tuple[float, float, np.ndarray]:
+    """(low_profit, low_weight, f_top) of a block chain.
+
+    low_profit = xi_low . f_low and low_weight = sum(xi_low) are shared by
+    every row; f_top is the profit rate of each level. A row's average
+    profit is (low_profit + sum xi_top f_top) / (low_weight + sum xi_top).
+    """
+    f_low = params.price * chain.jobs_low * params.mu1 - chain.cost_low
+    return (chain.xi_low @ f_low, chain.xi_low.sum(),
+            params.price * chain.nu - chain.cost_top)
 
 
 def stationary_numeric(gen: Generator, replace_equation: int = -1) -> ChainSolution:

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .errors import ConfigError, GateError
 
@@ -25,6 +28,9 @@ POLICY_SPACES = ("full", "reduced", "bang_bang", "threshold")
 FULL_SPACE_MAX_M = 8
 # (m+1)! passes 40 million just above this.
 REDUCED_SPACE_MAX_M = 10
+
+#: Policies evaluated per vectorized block.
+BLOCK_SIZE = 65536
 
 _INT_FIELDS = ("n", "m")
 
@@ -202,18 +208,6 @@ def check_policy(d: Policy, m: int) -> Policy:
     return tuple(entries)
 
 
-def canonicalize_policy(params: ModelParams, d: Policy) -> Policy:
-    """Clamp each entry to its level: values >= j act exactly like j.
-
-    At state (n, j) at most j Group-2 jobs exist, so waking more than j
-    servers leaves the transition rates unchanged (the extra servers idle).
-    The clamped policy generates the identical chain; only the energy bill
-    of the reward distinguishes the originals. Idempotent.
-    """
-    d = check_policy(d, params.m)
-    return tuple(min(v, j) for j, v in enumerate(d, start=1))
-
-
 def threshold_policy(m: int, theta: int) -> Policy:
     """Sleep everything below level theta, match jobs at and above it.
 
@@ -223,6 +217,49 @@ def threshold_policy(m: int, theta: int) -> Policy:
     if not 1 <= theta <= m + 1:
         raise ValueError(f"theta must be in 1..{m + 1}, got {theta}")
     return tuple(0 for _ in range(1, theta)) + tuple(range(theta, m + 1))
+
+
+def _level_values(m: int, space: str) -> list[np.ndarray]:
+    """The values each coordinate of a product space takes, ascending.
+
+    full allows {0..m} at every level, reduced {0..j} at level j, bang_bang
+    {0, j}. A policy's rank is its digits in these radices with the last
+    coordinate least significant, so rank order is lexicographic order.
+    """
+    if space == "full":
+        return [np.arange(m + 1, dtype=np.int64)] * m
+    if space == "reduced":
+        return [np.arange(j + 1, dtype=np.int64) for j in range(1, m + 1)]
+    if space == "bang_bang":
+        return [np.array([0, j], dtype=np.int64) for j in range(1, m + 1)]
+    raise ValueError(f"space {space!r} is not a product space")
+
+
+def policy_space_size(m, space="full") -> int:
+    """Number of policies in a space: the product of its level sizes."""
+    if space == "threshold":
+        return m + 1
+    if space not in POLICY_SPACES:
+        raise ValueError(f"unknown policy space {space!r}")
+    return math.prod(values.size for values in _level_values(m, space))
+
+
+def _gated_size(m: int, space: str, allow_large: bool) -> int:
+    """Size of a policy space, refusing the ones too large to enumerate.
+
+    The full space refuses m > 8 and the reduced space m > 10 unless
+    allow_large is set; bang_bang and threshold are never refused.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    size = policy_space_size(m, space)
+    limit = {"full": FULL_SPACE_MAX_M, "reduced": REDUCED_SPACE_MAX_M}.get(space)
+    if limit is not None and m > limit and not allow_large:
+        raise GateError(
+            f"{space} policy space has {size} members for m={m}; "
+            "pass allow_large to enumerate anyway"
+        )
+    return size
 
 
 def enumerate_policies(m, space="full", allow_large=False):
@@ -238,42 +275,29 @@ def enumerate_policies(m, space="full", allow_large=False):
     rely on for deterministic tie-breaking. The full space refuses m > 8 and
     the reduced space m > 10 unless allow_large is set.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if space == "full":
-        if m > FULL_SPACE_MAX_M and not allow_large:
-            raise GateError(
-                f"full policy space has {(m + 1) ** m} members for m={m}; "
-                "pass allow_large to enumerate anyway"
-            )
-        return itertools.product(range(m + 1), repeat=m)
-    if space == "reduced":
-        if m > REDUCED_SPACE_MAX_M and not allow_large:
-            raise GateError(
-                f"reduced policy space is (m+1)! for m={m}; "
-                "pass allow_large to enumerate anyway"
-            )
-        return itertools.product(*(range(j + 1) for j in range(1, m + 1)))
-    if space == "bang_bang":
-        return itertools.product(*((0, j) for j in range(1, m + 1)))
+    _gated_size(m, space, allow_large)
     if space == "threshold":
         return (threshold_policy(m, theta) for theta in range(1, m + 2))
-    raise ValueError(f"unknown policy space {space!r}")
+    return itertools.product(*(values.tolist() for values in _level_values(m, space)))
 
 
-def policy_space_size(m, space="full") -> int:
-    if space == "full":
-        return (m + 1) ** m
-    if space == "reduced":
-        size = 1
-        for j in range(2, m + 2):
-            size *= j
-        return size
-    if space == "bang_bang":
-        return 2 ** m
+def _policy_block(m: int, space: str, start: int, stop: int) -> np.ndarray:
+    """Policies with ranks [start, stop) as an integer array.
+
+    Product spaces unrank mixed-radix digits through _level_values, in the
+    order enumerate_policies yields; thresholds come by rising theta.
+    """
     if space == "threshold":
-        return m + 1
-    raise ValueError(f"unknown policy space {space!r}")
+        block = np.array([threshold_policy(m, t) for t in range(1, m + 2)],
+                         dtype=np.int64)
+        return block[start:stop]
+    levels = _level_values(m, space)
+    idx = np.arange(start, stop, dtype=np.int64)
+    block = np.empty((idx.shape[0], m), dtype=np.int64)
+    for k in range(m - 1, -1, -1):
+        block[:, k] = levels[k][idx % levels[k].size]
+        idx //= levels[k].size
+    return block
 
 
 def parse_policy(text: str, m: int) -> Policy:

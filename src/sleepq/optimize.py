@@ -26,21 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSolution, stationary_closed_form
+from .chain import _block_chain, _profit_rates, stationary_closed_form
 from .errors import NumericalError, RegimeError
 from .model import (
+    BLOCK_SIZE,
     ModelParams,
     Policy,
+    _gated_size,
+    _level_values,
+    _policy_block,
     check_policy,
-    enumerate_policies,
-    policy_space_size,
     require_valid,
     threshold_policy,
 )
 from .reward import policy_profit
-
-#: Policies evaluated per vectorized block.
-BLOCK_SIZE = 65536
+from .sensitivity import critical_prices_global, price_constant, realization_factors
 
 
 @dataclass(frozen=True)
@@ -110,109 +110,6 @@ class MonotonicityReport:
         self.etas.setflags(write=False)
 
 
-def _level_values(m: int, space: str) -> list[np.ndarray]:
-    """The values each coordinate of a product space takes, ascending.
-
-    full allows {0..m} at every level, reduced {0..j} at level j, bang_bang
-    {0, j}. A policy's rank is its digits in these radices with the last
-    coordinate least significant, so rank order is lexicographic order.
-    """
-    if space == "full":
-        return [np.arange(m + 1, dtype=np.int64)] * m
-    if space == "reduced":
-        return [np.arange(j + 1, dtype=np.int64) for j in range(1, m + 1)]
-    if space == "bang_bang":
-        return [np.array([0, j], dtype=np.int64) for j in range(1, m + 1)]
-    raise ValueError(f"space {space!r} is not a product space")
-
-
-def _policy_block(m: int, space: str, start: int, stop: int) -> np.ndarray:
-    """Policies with ranks [start, stop) as an integer array.
-
-    Product spaces unrank mixed-radix digits through _level_values, in the
-    order enumerate_policies yields; thresholds come by rising theta.
-    """
-    if space == "threshold":
-        block = np.array([threshold_policy(m, t) for t in range(1, m + 2)],
-                         dtype=np.int64)
-        return block[start:stop]
-    levels = _level_values(m, space)
-    idx = np.arange(start, stop, dtype=np.int64)
-    block = np.empty((idx.shape[0], m), dtype=np.int64)
-    for k in range(m - 1, -1, -1):
-        block[:, k] = levels[k][idx % levels[k].size]
-        idx //= levels[k].size
-    return block
-
-
-@dataclass(frozen=True)
-class _BlockChain:
-    """Stationary weights and reward pieces of each policy row of a block.
-
-    The states (i, 0) are shared by every row: xi_low are their
-    unnormalized weights, jobs_low = i, and cost_low their cost rates; their
-    completion rate is i*mu1. The levels (n, j) get one row per policy:
-    xi_top, the service rates nu (which are also the completion rates) and
-    cost_top. A state's profit rate is price * completion rate - cost.
-    """
-
-    xi_low: np.ndarray
-    jobs_low: np.ndarray
-    cost_low: np.ndarray
-    xi_top: np.ndarray
-    nu: np.ndarray
-    cost_top: np.ndarray
-
-
-def _block_chain(params: ModelParams, block: np.ndarray) -> _BlockChain:
-    """Closed-form chain of each policy row of block, vectorized.
-
-    Same closed form as stationary_closed_form and affine_decomposition:
-    weights by cumulative birth/death ratios, raw-coordinate energy and
-    clamped service rates.
-    """
-    block = np.asarray(block, dtype=np.int64)
-    if block.ndim != 2 or block.shape[1] != params.m:
-        raise ValueError(f"expected (batch, {params.m}) policy array")
-    if block.size and (block.min() < 0 or block.max() > params.m):
-        raise ValueError(f"policy entries must lie in 0..{params.m}")
-    n, m = params.n, params.m
-    lam, mu1, mu2 = params.lambda_, params.mu1, params.mu2
-
-    i_arr = np.arange(n + 1, dtype=np.float64)
-    ratios_low = np.ones(n + 1)
-    ratios_low[1:] = lam / (np.arange(1, n + 1) * mu1)
-    xi_low = np.cumprod(ratios_low)
-
-    j_arr = np.arange(1, m + 1, dtype=np.float64)
-    clamped = np.minimum(block, np.arange(1, m + 1, dtype=np.int64))
-    nu = n * mu1 + clamped * mu2
-    xi_top = xi_low[n] * np.cumprod(lam / nu, axis=1)
-
-    base_energy = (n * params.p1_work + m * params.p2_sleep) * params.c_energy
-    energy = (n * params.p1_work + block * params.p2_work
-              + (m - block) * params.p2_sleep) * params.c_energy
-    hold = n * params.c_hold_g1 + j_arr * params.c_hold_g2
-    cost = energy + hold + n * mu1 * params.c_transfer
-    cost[:, m - 1] += lam * params.c_loss
-    return _BlockChain(xi_low=xi_low, jobs_low=i_arr,
-                      cost_low=base_energy + i_arr * params.c_hold_g1,
-                      xi_top=xi_top, nu=nu, cost_top=cost)
-
-
-def _profit_rates(params: ModelParams, chain: _BlockChain,
-                  ) -> tuple[float, float, np.ndarray]:
-    """(low_profit, low_weight, f_top) of a block chain.
-
-    low_profit = xi_low . f_low and low_weight = sum(xi_low) are shared by
-    every row; f_top is the profit rate of each level. A row's average
-    profit is (low_profit + sum xi_top f_top) / (low_weight + sum xi_top).
-    """
-    f_low = params.price * chain.jobs_low * params.mu1 - chain.cost_low
-    return (chain.xi_low @ f_low, chain.xi_low.sum(),
-            params.price * chain.nu - chain.cost_top)
-
-
 def profits_block(params: ModelParams, block: np.ndarray) -> np.ndarray:
     """Average profit for each policy row of block, vectorized.
 
@@ -222,15 +119,6 @@ def profits_block(params: ModelParams, block: np.ndarray) -> np.ndarray:
     low_profit, low_weight, f_top = _profit_rates(params, chain)
     return ((low_profit + (chain.xi_top * f_top).sum(axis=1))
             / (low_weight + chain.xi_top.sum(axis=1)))
-
-
-def evaluate_policies(params: ModelParams, policies) -> np.ndarray:
-    """Average profit for an explicit iterable of policies."""
-    block = np.array([check_policy(d, params.m) for d in policies],
-                     dtype=np.int64)
-    if block.size == 0:
-        return np.empty(0)
-    return profits_block(params, block)
 
 
 def _chunk_summary(etas, ranks, policy_of, k):
@@ -375,8 +263,7 @@ def optimize(params: ModelParams, space: str = "full",
     require_valid(params)
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    enumerate_policies(params.m, space, allow_large=allow_large)  # gate check
-    total = policy_space_size(params.m, space)
+    total = _gated_size(params.m, space, allow_large)
     k = top_k or 1
 
     # Overflow and NaN are caught by _chunk_summary's finiteness check.
@@ -452,8 +339,6 @@ def optimal_extreme_prices(params: ModelParams, regime: str,
     if regime not in ("high", "low"):
         raise ValueError(f"regime must be 'high' or 'low', got {regime!r}")
     if crit is None:
-        from .sensitivity import critical_prices_global
-
         crit = critical_prices_global(params, "full", allow_large=allow_large)
     if regime == "high":
         if not params.price >= crit.r_high:
@@ -477,35 +362,6 @@ def optimal_extreme_prices(params: ModelParams, regime: str,
     return d_star, eta
 
 
-def threshold_stationary(params: ModelParams, theta: int) -> ChainSolution:
-    """Stationary law of the threshold policy d_theta, two-segment form.
-
-    Below the threshold the top levels are a geometric run in
-    lam/(n*mu1); from theta upward each level multiplies in
-    lam/(n*mu1 + i*mu2). Written with explicit powers as an independent
-    route to the generic ratio recursion.
-    """
-    if not 1 <= theta <= params.m + 1:
-        raise ValueError(f"theta must be in 1..{params.m + 1}, got {theta}")
-    n, m = params.n, params.m
-    lam, mu1, mu2 = params.lambda_, params.mu1, params.mu2
-
-    xi = np.empty(n + m + 1)
-    i_arr = np.arange(n + 1)
-    factorials = np.cumprod(np.concatenate([[1.0], np.arange(1, n + 1)]))
-    xi[:n + 1] = (lam / mu1) ** i_arr / factorials
-
-    geo = lam / (n * mu1)
-    for j in range(1, m + 1):
-        if j < theta:
-            xi[n + j] = xi[n] * geo ** j
-        else:
-            awake = np.prod(lam / (n * mu1 + np.arange(theta, j + 1) * mu2))
-            xi[n + j] = xi[n] * geo ** (theta - 1) * awake
-    b = float(xi.sum())
-    return ChainSolution(pi=xi / b, xi=xi, b=b)
-
-
 def threshold_scan(params: ModelParams) -> ThresholdResult:
     """Profit of every threshold policy and the sign conditions at theta*.
 
@@ -514,8 +370,6 @@ def threshold_scan(params: ModelParams) -> ThresholdResult:
     theta* and theta*+1 terms need their level to exist (<= m).
     """
     require_valid(params)
-    from .sensitivity import price_constant, realization_factors
-
     m = params.m
     block = _policy_block(m, "threshold", 0, m + 1)
     etas = profits_block(params, block)

@@ -376,9 +376,3 @@ def normalize_fundamental(solution: PotentialSolution,
     out = reanchor(solution, anchor)
     return dc_replace(out, normalization="fundamental")
 
-
-def potential_for_price(params: ModelParams, d: Policy, price: float,
-                        method: str = "rg", anchor: float = 1.0) -> PotentialSolution:
-    """Solve the Poisson equation with the service price overridden."""
-    return solve_poisson(dc_replace(params, price=price), d,
-                         anchor=anchor, method=method)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSolution
-from .model import ModelParams, Policy, check_policy
+from .chain import ChainSolution, _state_rates, stationary_closed_form
+from .model import ModelParams, Policy
 
 
 @dataclass(frozen=True)
@@ -37,31 +37,8 @@ class AffineReward:
 
 
 def affine_decomposition(params: ModelParams, d: Policy) -> AffineReward:
-    d = check_policy(d, params.m)
-    n, m = params.n, params.m
-    mu1, mu2 = params.mu1, params.mu2
-    size = n + m + 1
-
-    a = np.empty(size)
-    b = np.empty(size)
-    base_energy = (n * params.p1_work + m * params.p2_sleep) * params.c_energy
-    for i in range(n + 1):
-        a[i] = i * mu1
-        b[i] = base_energy + i * params.c_hold_g1
-    for j in range(1, m + 1):
-        dj = d[j - 1]
-        a[n + j] = n * mu1 + min(dj, j) * mu2
-        b[n + j] = (
-            (n * params.p1_work + dj * params.p2_work
-             + (m - dj) * params.p2_sleep) * params.c_energy
-            + n * params.c_hold_g1
-            + j * params.c_hold_g2
-            + n * mu1 * params.c_transfer
-        )
-        if j == m:
-            # Lost arrivals only happen at the full state.
-            b[n + j] += params.lambda_ * params.c_loss
-    return AffineReward(a, b)
+    a, b = _state_rates(params, d)
+    return AffineReward(np.array(a), np.array(b))
 
 
 def build_reward(params: ModelParams, d: Policy) -> np.ndarray:
@@ -97,6 +74,4 @@ def profit_components(solution: ChainSolution, aff: AffineReward) -> tuple[float
 
 def policy_profit(params: ModelParams, d: Policy) -> float:
     """eta of a policy via the closed-form stationary distribution."""
-    from .chain import stationary_closed_form
-
     return average_profit(stationary_closed_form(params, d), build_reward(params, d))

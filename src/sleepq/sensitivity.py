@@ -36,16 +36,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import build_generator, stationary_closed_form
+from .chain import _block_chain, build_generator, stationary_closed_form
 from .errors import ConsistencyError, DegeneratePriceError, NumericalError
 from .model import (
+    BLOCK_SIZE,
     ModelParams,
     Policy,
+    _gated_size,
+    _policy_block,
     check_policy,
-    enumerate_policies,
-    policy_space_size,
 )
-from .optimize import BLOCK_SIZE, _block_chain, _policy_block
 from .potential import solve_poisson
 from .reward import build_reward
 
@@ -211,11 +211,10 @@ def critical_prices_global(params: ModelParams, space: str = "full",
 
     R_H = max{0, roots of G+c over all policies and levels}; R_L is the
     minimum root. Degenerate (no-crossing) levels are skipped. Policies are
-    unranked in blocks of BLOCK_SIZE, as optimize does, and each space is
-    gated at the same size as enumerate_policies gates it for optimize.
+    unranked in blocks of BLOCK_SIZE, and each space is gated at the same
+    size as optimize gates it.
     """
-    enumerate_policies(params.m, space, allow_large=allow_large)  # gate check
-    total = policy_space_size(params.m, space)
+    total = _gated_size(params.m, space, allow_large)
 
     r_high = 0.0
     r_low = np.inf

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sleepq import (
+    NumericalError,
+    affine_decomposition,
     build_generator,
-    canonicalize_policy,
-    service_rate,
+    policy_profit,
     state_space,
     stationary_closed_form,
     stationary_numeric,
 )
+from sleepq.chain import _block_chain
 from conftest import draw_instance, micro_params, random_policy
 
 
@@ -49,9 +51,9 @@ def test_micro_generator_rates(micro):
 def test_service_rate_clamps_at_level(micro):
     params = micro_params(n=2, m=3, mu1=0.5, mu2=2.0)
     # min(d_j, j) servers work: asking for 3 at level 1 behaves like 1
-    assert service_rate(params, (3, 0, 2), 1) == 2 * 0.5 + 1 * 2.0
-    assert service_rate(params, (3, 0, 2), 2) == 2 * 0.5
-    assert service_rate(params, (3, 0, 2), 3) == 2 * 0.5 + 2 * 2.0
+    deaths = np.diagonal(build_generator(params, (3, 0, 2)).matrix, -1)
+    assert deaths[params.n:].tolist() == [2 * 0.5 + 1 * 2.0, 2 * 0.5,
+                                          2 * 0.5 + 2 * 2.0]
 
 
 def test_micro_stationary_values(micro):
@@ -77,10 +79,45 @@ def test_stationary_invariant_under_canonicalization():
     rng = np.random.default_rng(8)
     for _ in range(10):
         params, d = draw_instance(rng, n_max=6, m_max=6)
-        canon = canonicalize_policy(params, d)
+        # values >= j act exactly like j at level j
+        canon = tuple(min(v, j) for j, v in enumerate(d, start=1))
         a = stationary_closed_form(params, d)
         b = stationary_closed_form(params, canon)
         assert np.array_equal(a.pi, b.pi)
+
+
+def test_closed_form_operation_order():
+    # The Poisson gate refuses draws by pi's last bit, so the scalar pass
+    # must keep xi_k = xi_{k-1} * lambda / a_k, not lambda/a_k first or a
+    # cumulative product.
+    rng = np.random.default_rng(10)
+    for _ in range(40):
+        params, d = draw_instance(rng)
+        sol = stationary_closed_form(params, d)
+        aff = affine_decomposition(params, d)
+        for k in range(1, len(sol.xi)):
+            assert sol.xi[k] == sol.xi[k - 1] * params.lambda_ / aff.a[k]
+        deaths = np.diagonal(build_generator(params, d).matrix, -1)
+        assert deaths.tobytes() == aff.a[1:].tobytes()
+        # The block form shares the rates bit for bit; its cumulative
+        # products drift from the scalar ratios by about one rounding per
+        # state, which passes 1e-15 on about 7% of these draws.
+        block = _block_chain(params, np.array([d]))
+        top = slice(params.n + 1, None)
+        assert block.nu[0].tobytes() == aff.a[top].tobytes()
+        tol = (params.n + params.m) * np.finfo(float).eps
+        assert np.allclose(block.xi_top[0], sol.xi[top], rtol=tol, atol=0.0)
+
+
+def test_heavy_load_weights_raise_instead_of_nan():
+    # lambda / (n mu1) = 5 per level: the all-asleep weights overflow
+    # near level 440, and their normalizer with them.
+    params = micro_params(n=2, m=500, lambda_=10.0, mu1=1.0, mu2=0.5)
+    d = (0,) * params.m
+    with pytest.raises(NumericalError, match="not finite"):
+        stationary_closed_form(params, d)
+    with pytest.raises(NumericalError, match="not finite"):
+        policy_profit(params, d)
 
 
 def test_detailed_balance_on_birth_death_cuts():

@@ -225,6 +225,15 @@ def test_overflowing_optimize_exits_4(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_heavy_load_stationary_exits_4(tmp_path, capsys):
+    # The all-asleep weights overflow near level 440 of 500; the law used
+    # to come back with NaN entries and exit 0.
+    path = write_model(tmp_path, n=2, m=500, lambda_=10.0, mu1=1.0, mu2=0.5)
+    policy = ",".join(["0"] * 500)
+    assert main(["stationary", "--model", path, "--policy", policy]) == 4
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_simulate_with_trace(model_file, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert main(["simulate", "--model", model_file, "--policy", "1",

@@ -11,7 +11,6 @@ from sleepq import (
     FULL_SPACE_MAX_M,
     GateError,
     ModelParams,
-    canonicalize_policy,
     check_policy,
     enumerate_policies,
     format_policy,
@@ -113,13 +112,6 @@ def test_check_policy_rejects_bad_entries():
         check_policy((0, 3), 2)
     with pytest.raises(ValueError, match="entries"):
         check_policy((0,), 2)
-
-
-def test_canonicalize_clamps_to_level(micro):
-    params = micro_params(m=3)
-    assert canonicalize_policy(params, (3, 1, 2)) == (1, 1, 2)
-    # idempotent
-    assert canonicalize_policy(params, (1, 1, 2)) == (1, 1, 2)
 
 
 def test_threshold_policy_shape():

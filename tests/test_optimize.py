@@ -12,19 +12,16 @@ from sleepq import (
     RegimeError,
     critical_prices_global,
     enumerate_policies,
-    evaluate_policies,
     optimal_extreme_prices,
     optimize,
     policy_profit,
     policy_space_size,
     profits_block,
-    stationary_closed_form,
     threshold_policy,
     threshold_scan,
-    threshold_stationary,
     verify_monotonicity,
 )
-from sleepq.optimize import _policy_block
+from sleepq.model import _policy_block
 from conftest import draw_instance, micro_params, sleepy_params
 
 # The package exports the optimize function under the module's name.
@@ -70,7 +67,7 @@ def test_block_evaluator_matches_scalar_path():
     for _ in range(6):
         params, _ = draw_instance(rng, n_max=6, m_max=4)
         policies = list(enumerate_policies(params.m, "full"))
-        bulk = evaluate_policies(params, policies)
+        bulk = profits_block(params, np.array(policies))
         scalar = np.array([policy_profit(params, d) for d in policies])
         scale = max(1.0, float(np.max(np.abs(scalar))))
         assert np.max(np.abs(bulk - scalar)) < 1e-11 * scale
@@ -82,7 +79,7 @@ def test_optimize_agrees_with_brute_force():
         params, _ = draw_instance(rng, n_max=6, m_max=4)
         res = optimize(params, "full")
         policies = list(enumerate_policies(params.m, "full"))
-        etas = evaluate_policies(params, policies)
+        etas = profits_block(params, np.array(policies))
         best = int(np.argmax(etas))
         assert res.best_eta == pytest.approx(float(etas[best]), abs=1e-12)
 
@@ -162,7 +159,7 @@ def test_ranking_breaks_ties_by_policy(monkeypatch):
     # tie groups span the ranking; each top_k below cuts through one.
     params = micro_params(n=2, m=4, c_energy=0.0, lambda_=1.7)
     policies = list(enumerate_policies(params.m, "full"))
-    expected = sorted(zip(policies, evaluate_policies(params, policies).tolist()),
+    expected = sorted(zip(policies, profits_block(params, np.array(policies)).tolist()),
                       key=lambda pair: (-pair[1], pair[0]))
     cuts = [i for i in range(1, len(expected))
             if expected[i - 1][1] == expected[i][1]][:3]
@@ -193,8 +190,8 @@ def test_all_tied_ranking_is_lexicographic(space, monkeypatch):
 def test_overflowing_profits_raise_numerical_error(space):
     # (1000/1)^i / i! overflows long before i = n = 1000.
     params = micro_params(n=1000, lambda_=1000.0, mu1=1.0, m=3)
-    with np.errstate(all="ignore"):
-        assert np.isnan(policy_profit(params, (0, 0, 0)))
+    with pytest.raises(NumericalError, match="not finite"):
+        policy_profit(params, (0, 0, 0))
     with pytest.raises(NumericalError, match="not finite"):
         optimize(params, space)
 
@@ -214,16 +211,6 @@ def test_bang_bang_subset_of_full():
         full = optimize(params, "full")
         bang = optimize(params, "bang_bang")
         assert bang.best_eta <= full.best_eta + 1e-12
-
-
-def test_threshold_stationary_matches_generic(micro):
-    params = micro_params(n=3, m=4, lambda_=2.0, mu1=0.7, mu2=1.3)
-    for theta in range(1, params.m + 2):
-        fast = threshold_stationary(params, theta)
-        generic = stationary_closed_form(params, threshold_policy(params.m, theta))
-        assert np.max(np.abs(fast.pi - generic.pi)) < 1e-12
-    with pytest.raises(ValueError):
-        threshold_stationary(params, 0)
 
 
 def test_threshold_scan_micro(micro):

@@ -11,15 +11,13 @@ from sleepq import (
     invert_reduced,
     normalize_fundamental,
     poisson_residual,
-    policy_profit,
-    potential_for_price,
     reanchor,
     rg_factorize,
     solve_poisson,
     stationary_closed_form,
 )
 from sleepq.potential import SOLVE_METHODS, _band_product, _triangles, reduced_matrix
-from conftest import draw_instance, micro_params, wide_light_instance
+from conftest import draw_instance, wide_light_instance
 
 
 def test_micro_anchored_potentials(micro):
@@ -196,14 +194,6 @@ def test_unknown_method_and_normalization(micro):
         solve_poisson(micro, (1,), method="cholesky")
     with pytest.raises(ValueError):
         solve_poisson(micro, (1,), normalization="mean-zero")
-
-
-def test_potential_for_price(micro):
-    sol = potential_for_price(micro, (1,), 0.0)
-    direct = solve_poisson(micro_params(price=0.0), (1,))
-    assert np.allclose(sol.g, direct.g, atol=1e-12)
-    assert sol.eta == pytest.approx(policy_profit(micro_params(price=0.0), (1,)),
-                                    abs=1e-12)
 
 
 def test_poisson_defining_equation(micro):
