@@ -7,12 +7,13 @@ i*mu1 from (i, 0) and at rate nu(d_{n,j}) = n*mu1 + min(d_{n,j}, j)*mu2 from
 builds by recursive ratios; a dense linear solve is kept as an oracle.
 
 The closed form has two shapes. A single policy is one scalar pass over
-its states (_state_rates), which the generator, the stationary law and
-the reward read. A block of policies is vectorized (_block_chain), for
-the searches and the realization factors. The two are kept apart: a 1-row
-block is slower than the scalar pass, and its weights, formed as
-cumulative products of lambda/nu, differ from the scalar ratios in the
-last bit.
+its states (_state_rates), from whose rates _generator and _stationary
+build the generator and the stationary law, so a caller that needs
+several of them runs the pass once. A block of policies is vectorized
+(_block_chain), for the searches and the realization factors. The two are
+kept apart: a 1-row block is slower than the scalar pass, and its weights,
+formed as cumulative products of lambda/nu, differ from the scalar ratios
+in the last bit.
 """
 
 from __future__ import annotations
@@ -21,20 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
-from .model import ModelParams, Policy, StateSpace, check_policy, state_space
+from .errors import ConfigError, NumericalError
+from .model import ModelParams, Policy, check_policy
 
 
 @dataclass(frozen=True)
 class Generator:
-    """Dense transition-rate matrix plus its state indexing.
+    """Dense transition-rate matrix of the chain.
 
     Rows sum to zero, off-diagonals are nonnegative, and the matrix is
     tridiagonal in the birth-death ordering of the state space.
     """
 
     matrix: np.ndarray
-    space: StateSpace
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -58,6 +58,18 @@ class ChainSolution:
         self.xi.setflags(write=False)
 
 
+def _check_rates(params: ModelParams) -> None:
+    """Refuse the rates and counts the weights multiply and divide by.
+
+    Unless they are all positive a weight divides by zero or turns
+    negative. A full validate costs more than the pass it guards.
+    """
+    for name, value in (("lambda", params.lambda_), ("mu1", params.mu1),
+                        ("mu2", params.mu2), ("n", params.n)):
+        if not value > 0:
+            raise ConfigError(f"{name} must be > 0, got {value!r}")
+
+
 def _state_rates(params: ModelParams, d: Policy) -> tuple[list[float], list[float]]:
     """Death rate and cost rate of every state, as Python floats.
 
@@ -69,6 +81,7 @@ def _state_rates(params: ModelParams, d: Policy) -> tuple[list[float], list[floa
     the one per-policy pass of the closed form; the generator, the
     stationary law and the reward read their rates from it.
     """
+    _check_rates(params)
     d = check_policy(d, params.m)
     n, m = params.n, params.m
     mu1, mu2 = params.mu1, params.mu2
@@ -94,6 +107,11 @@ def _state_rates(params: ModelParams, d: Policy) -> tuple[list[float], list[floa
 def build_generator(params: ModelParams, d: Policy) -> Generator:
     """Assemble the (n+m+1) x (n+m+1) transition-rate matrix."""
     death, _ = _state_rates(params, d)
+    return _generator(params, death)
+
+
+def _generator(params: ModelParams, death: list[float]) -> Generator:
+    """The transition-rate matrix with the death rates of _state_rates."""
     size = len(death)
     matrix = np.zeros((size, size))
     flat = matrix.ravel()
@@ -102,7 +120,7 @@ def build_generator(params: ModelParams, d: Policy) -> Generator:
     # are lost, not queued.
     flat[1::size + 1] = params.lambda_
     np.fill_diagonal(matrix, -matrix.sum(axis=1))
-    return Generator(matrix, state_space(params))
+    return Generator(matrix)
 
 
 def stationary_closed_form(params: ModelParams, d: Policy) -> ChainSolution:
@@ -116,6 +134,11 @@ def stationary_closed_form(params: ModelParams, d: Policy) -> ChainSolution:
     not finite and NumericalError is raised.
     """
     death, _ = _state_rates(params, d)
+    return _stationary(params, death)
+
+
+def _stationary(params: ModelParams, death: list[float]) -> ChainSolution:
+    """The product-form law with the death rates of _state_rates."""
     lam = params.lambda_
     weight = 1.0
     xi = [weight]
@@ -159,6 +182,7 @@ def _block_chain(params: ModelParams, block: np.ndarray) -> _BlockChain:
     weights by cumulative birth/death ratios, raw-coordinate energy and
     clamped service rates.
     """
+    _check_rates(params)
     block = np.asarray(block, dtype=np.int64)
     if block.ndim != 2 or block.shape[1] != params.m:
         raise ValueError(f"expected (batch, {params.m}) policy array")

@@ -292,8 +292,7 @@ def _cmd_simulate(params: ModelParams, args) -> CommandOutput:
     cfg = SimConfig(horizon=args.horizon, warmup=args.warmup,
                     replications=args.replications, seed=args.seed,
                     batch_count=args.batch_count, unit=args.unit)
-    res = simulate(params, d, cfg, trace=args.trace_out is not None,
-                   method=args.sim_method)
+    res = simulate(params, d, cfg, trace=args.trace_out is not None)
     states = state_space(params).states
     header = ("replication", "batch", "time", "eta") + tuple(
         f"pi_{i}_{j}" for i, j in states
@@ -519,8 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit", choices=("events", "time"), default="events")
     p.add_argument("--trace-out", metavar="PATH", default=None,
                    help="write the event log as CSV to this path")
-    p.add_argument("--sim-method", choices=("auto", "jit", "python"),
-                   default="auto")
 
     p = add("price-sweep", "Re-optimize along a price grid.")
     p.add_argument("--from", dest="r_from", type=float, required=True,

@@ -19,6 +19,7 @@ below it when the price clears the critical values).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from concurrent.futures import ThreadPoolExecutor
@@ -376,9 +377,12 @@ def threshold_scan(params: ModelParams) -> ThresholdResult:
     theta_star = 1 + int(np.argmax(etas))
     c = price_constant(params)
 
+    @functools.cache
+    def factors(theta: int) -> np.ndarray:
+        return realization_factors(params, threshold_policy(m, theta))
+
     def value(theta: int, level: int) -> float:
-        prf = realization_factors(params, threshold_policy(m, theta))
-        return float(prf[level - 1] + c)
+        return float(factors(theta)[level - 1] + c)
 
     t_prev = value(theta_star - 1, theta_star - 1) if theta_star > 1 else np.nan
     t_here = value(theta_star, theta_star) if theta_star <= m else np.nan

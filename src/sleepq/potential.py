@@ -11,8 +11,11 @@ linear solve (oracle); a UL-type factorization of the reduced matrix into
 scalar U/R/G measures, applied in O(n+m) by one backward R sweep, a
 division by -U and one forward G sweep; and the explicit form, which builds
 the running R and G products as two triangles and multiplies through them.
-Every route ends with the same iterative refinement, and all three must
-agree to solver tolerance.
+A route only factorizes: it returns its inverse application and its two
+starting solves. solve_poisson owns the rest, once for every route: one
+scalar pass of the closed form for the generator, pi and f, the two
+right-hand sides, the extended-precision refinement of both solves and the
+residual gate. All three routes must agree to solver tolerance.
 
 Because (-scriptB) e = mu1 e_1, the vector mu1 (-scriptB)^{-1} e_1 is
 exactly the all-ones vector: changing the anchor shifts every potential by
@@ -28,10 +31,10 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .chain import ChainSolution, Generator, build_generator, stationary_closed_form
+from .chain import ChainSolution, Generator, _generator, _state_rates, _stationary
 from .errors import ConsistencyError, NumericalError
 from .model import ModelParams, Policy
-from .reward import average_profit, build_reward
+from .reward import _reward, average_profit
 
 #: Warn when the spread of the U measures makes products untrustworthy.
 CONDITION_SPAN_LIMIT = 1e12
@@ -76,7 +79,6 @@ class PotentialSolution:
     method: str
     phi_h: np.ndarray
     e1_term: np.ndarray
-    factors: RGFactors | None = None
 
     def __post_init__(self):
         self.g.setflags(write=False)
@@ -171,12 +173,6 @@ def invert_reduced(factors: RGFactors) -> np.ndarray:
     return (lower / (-factors.u)) @ upper
 
 
-def _bands(neg_b):
-    """Sub, main and super diagonal of the tridiagonal neg_b, as long doubles."""
-    return tuple(neg_b.diagonal(offset).astype(np.longdouble)
-                 for offset in (-1, 0, 1))
-
-
 def _band_product(sub, diag, sup, x):
     """Tridiagonal matrix times x, each row summed in sub, diag, super order."""
     y = diag * x
@@ -210,35 +206,20 @@ def _refine(bands, apply_inverse, x, rhs, iters=2):
     return best
 
 
-def _solve_dense(gen, h):
-    b_reduced = gen.matrix[1:, 1:]
-    neg_b = -b_reduced
-    mu1 = gen.matrix[1, 0]
-    rhs = np.zeros((h.shape[0], 2))
-    rhs[:, 0] = h
-    rhs[0, 1] = mu1
+def _solve_dense(gen, h, e1):
+    neg_b = -gen.matrix[1:, 1:]
     try:
-        solved = np.linalg.solve(neg_b, rhs)
+        solved = np.linalg.solve(neg_b, np.column_stack((h, e1)))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"reduced system is singular: {exc}") from exc
 
     def apply_inverse(r):
         return np.linalg.solve(neg_b, r)
 
-    bands = _bands(neg_b)
-    phi_h = _refine(bands, apply_inverse, solved[:, 0], rhs[:, 0])
-    e1_term = _refine(bands, apply_inverse, solved[:, 1], rhs[:, 1])
-    return phi_h, e1_term, None
+    return apply_inverse, solved[:, 0], solved[:, 1]
 
 
-def _e1(gen, k):
-    """mu1 e_1, the right-hand side of the e1 term."""
-    e1 = np.zeros(k)
-    e1[0] = gen.matrix[1, 0]
-    return e1
-
-
-def _solve_rg(gen, h):
+def _solve_rg(gen, h, e1):
     """Apply the factors by two scalar sweeps; no inverse is formed.
 
     (-scriptB)^{-1} = (I - G_L)^{-1} (-U_D)^{-1} (I - R_U)^{-1}, so one
@@ -258,14 +239,10 @@ def _solve_rg(gen, h):
             x[i] = x[i] / neg_u[i] + g[i] * x[i - 1]
         return np.array(x)
 
-    bands = _bands(-gen.matrix[1:, 1:])
-    e1 = _e1(gen, k)
-    phi_h = _refine(bands, apply_inverse, apply_inverse(h), h)
-    e1_term = _refine(bands, apply_inverse, apply_inverse(e1), e1)
-    return phi_h, e1_term, factors
+    return apply_inverse, apply_inverse(h), apply_inverse(e1)
 
 
-def _solve_explicit(gen, h):
+def _solve_explicit(gen, h, e1):
     """The factorized inverse with its running products spelled out.
 
     The upper triangle holds the running R products toward higher states,
@@ -281,11 +258,7 @@ def _solve_explicit(gen, h):
     def apply_inverse(rhs):
         return lower @ ((upper @ rhs) / neg_u)
 
-    bands = _bands(-gen.matrix[1:, 1:])
-    phi_h = _refine(bands, apply_inverse, apply_inverse(h), h)
-    e1_term = _refine(bands, apply_inverse, np.cumprod(factors.g),
-                      _e1(gen, neg_u.shape[0]))
-    return phi_h, e1_term, factors
+    return apply_inverse, apply_inverse(h), np.cumprod(factors.g)
 
 
 _SOLVERS = {"dense": _solve_dense, "rg": _solve_rg, "explicit": _solve_explicit}
@@ -312,9 +285,10 @@ def solve_poisson(
     if normalization not in ("anchored", "fundamental"):
         raise ValueError(f"unknown normalization {normalization!r}")
 
-    gen = build_generator(params, d)
-    pi = stationary_closed_form(params, d)
-    f = build_reward(params, d)
+    death, cost = _state_rates(params, d)
+    gen = _generator(params, death)
+    pi = _stationary(params, death)
+    f = _reward(params, death, cost)
     eta_computed = average_profit(pi, f)
     if eta is not None:
         if abs(eta - eta_computed) > 1e-12 * max(1.0, abs(eta_computed)):
@@ -325,17 +299,15 @@ def solve_poisson(
     eta = eta_computed
 
     h = f[1:] - eta
-    phi_h, e1_term, factors = _SOLVERS[method](gen, h)
+    e1 = np.zeros(h.shape[0])
+    e1[0] = death[1]  # mu1, the rate back into the anchor state
+    apply_inverse, phi_h, e1_term = _SOLVERS[method](gen, h, e1)
+    reduced = gen.matrix[1:, 1:]
+    bands = tuple(-reduced.diagonal(offset).astype(np.longdouble)
+                  for offset in (-1, 0, 1))
+    phi_h = _refine(bands, apply_inverse, phi_h, h)
+    e1_term = _refine(bands, apply_inverse, e1_term, e1)
 
-    solution = _assemble(gen, f, eta, anchor, "anchored", method,
-                         phi_h, e1_term, factors)
-    if normalization == "fundamental":
-        solution = normalize_fundamental(solution, pi)
-    return solution
-
-
-def _assemble(gen, f, eta, anchor, normalization, method,
-              phi_h, e1_term, factors):
     g = np.empty(gen.matrix.shape[0])
     g[0] = anchor
     g[1:] = phi_h + anchor * e1_term
@@ -345,11 +317,13 @@ def _assemble(gen, f, eta, anchor, normalization, method,
         raise NumericalError(
             f"Poisson residual {residual:.3e} exceeds tolerance"
         )
-    return PotentialSolution(
-        g=g, eta=eta, normalization=normalization, anchor=anchor,
+    solution = PotentialSolution(
+        g=g, eta=eta, normalization="anchored", anchor=anchor,
         residual=residual, method=method, phi_h=phi_h, e1_term=e1_term,
-        factors=factors,
     )
+    if normalization == "fundamental":
+        solution = normalize_fundamental(solution, pi)
+    return solution
 
 
 def reanchor(solution: PotentialSolution, anchor: float) -> PotentialSolution:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSolution, _state_rates, stationary_closed_form
+from .chain import ChainSolution, _state_rates, _stationary
 from .model import ModelParams, Policy
 
 
@@ -47,8 +47,12 @@ def build_reward(params: ModelParams, d: Policy) -> np.ndarray:
     Computed through the affine decomposition so that recombining at the
     model price reproduces f bit for bit.
     """
-    aff = affine_decomposition(params, d)
-    f = params.price * aff.a - aff.b
+    return _reward(params, *_state_rates(params, d))
+
+
+def _reward(params: ModelParams, a: list[float], b: list[float]) -> np.ndarray:
+    """f = price * a - b from the rates of _state_rates."""
+    f = params.price * np.array(a) - np.array(b)
     f.setflags(write=False)
     return f
 
@@ -74,4 +78,5 @@ def profit_components(solution: ChainSolution, aff: AffineReward) -> tuple[float
 
 def policy_profit(params: ModelParams, d: Policy) -> float:
     """eta of a policy via the closed-form stationary distribution."""
-    return average_profit(stationary_closed_form(params, d), build_reward(params, d))
+    a, b = _state_rates(params, d)
+    return average_profit(_stationary(params, a), _reward(params, a, b))

@@ -209,31 +209,20 @@ def _run_segment(kernel, stream, state, events, time_limit, rates, dwell,
 
 
 def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
-             trace: bool = False, method: str = "auto") -> SimResult:
+             trace: bool = False) -> SimResult:
     """Simulate the cluster under policy d and estimate eta and pi.
 
-    method "auto" uses the JIT kernel when available, "jit" insists on it,
-    and "python" forces the interpreted kernel (required for trace
-    capture); all produce bit-identical results. The trace, when
-    requested, lists (time, state_before, event, state_after) tuples
-    across the whole run including warmup.
-
-    Argument conflicts are checked before kernel availability, so trace=True
-    with method "jit" raises the same ConfigError with or without numba.
+    The JIT kernel runs when numba is installed and no trace is requested;
+    otherwise the interpreted kernel runs. Both produce bit-identical
+    results. The trace, when requested, lists (time, state_before, event,
+    state_after) tuples across the whole run including warmup.
     """
     require_valid(params)
     check_policy(d, params.m)
     _validate_config(cfg)
-    if method not in ("auto", "jit", "python"):
-        raise ValueError(f"unknown method {method!r}")
 
-    if trace and method == "jit":
-        raise ConfigError("trace capture needs method 'python' or 'auto'")
     kernel = _simkernel.kernel_jit
-    if method == "jit" and kernel is None:
-        raise ConfigError("the compiled kernel is unavailable; "
-                          "numba is not installed")
-    interpreted = method == "python" or trace or kernel is None
+    interpreted = trace or kernel is None
     if interpreted:
         kernel = _simkernel.kernel_python
     trace_log: list | None = [] if trace else None

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sleepq import (
+    ConfigError,
     NumericalError,
     affine_decomposition,
     build_generator,
+    critical_prices_global,
+    perturbation_factors,
     policy_profit,
+    solve_poisson,
     state_space,
     stationary_closed_form,
     stationary_numeric,
@@ -118,6 +122,24 @@ def test_heavy_load_weights_raise_instead_of_nan():
         stationary_closed_form(params, d)
     with pytest.raises(NumericalError, match="not finite"):
         policy_profit(params, d)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda p: stationary_closed_form(p, (1,)),
+    lambda p: policy_profit(p, (1,)),
+    lambda p: solve_poisson(p, (1,)),
+    lambda p: perturbation_factors(p, (1,)),
+    lambda p: critical_prices_global(p),
+], ids=["stationary", "profit", "poisson", "factors", "critical_prices"])
+@pytest.mark.parametrize("overrides, field", [
+    (dict(mu1=0.0), "mu1"),
+    (dict(lambda_=-1.0), "lambda"),
+], ids=["mu1_zero", "lambda_negative"])
+def test_rates_validate_rejects_raise_config_error(entry, overrides, field):
+    # Such a model divides by a zero death rate or gives negative weights;
+    # the closed form refuses it as optimize and simulate do.
+    with pytest.raises(ConfigError, match=field):
+        entry(micro_params(**overrides))
 
 
 def test_detailed_balance_on_birth_death_cuts():

@@ -17,6 +17,7 @@ from sleepq import (
     policy_profit,
     policy_space_size,
     profits_block,
+    realization_factors,
     threshold_policy,
     threshold_scan,
     verify_monotonicity,
@@ -223,6 +224,19 @@ def test_threshold_scan_micro(micro):
     assert here == pytest.approx(6.28, abs=1e-12)
     assert np.isnan(nxt)           # theta*+1 exceeds m
     assert res.necessary_condition_proof_form > 0
+
+
+def test_threshold_scan_factors_each_policy_once(monkeypatch):
+    seen = []
+
+    def counted(params, d):
+        seen.append(d)
+        return realization_factors(params, d)
+
+    monkeypatch.setattr(OPT, "realization_factors", counted)
+    # theta* = 1 < m, so the theta*+1 policy serves two sign terms.
+    assert threshold_scan(micro_params(n=2, m=5)).theta_star == 1
+    assert sorted(seen) == [threshold_policy(5, 2), threshold_policy(5, 1)]
 
 
 def test_threshold_scan_equals_threshold_optimize():

@@ -1,8 +1,12 @@
 """Poisson-equation solves, RG factorization, and normalizations."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import sleepq
 from sleepq import (
     ConsistencyError,
     ModelParams,
@@ -10,14 +14,16 @@ from sleepq import (
     build_reward,
     invert_reduced,
     normalize_fundamental,
+    policy_profit,
     poisson_residual,
     reanchor,
     rg_factorize,
     solve_poisson,
     stationary_closed_form,
 )
+from sleepq.chain import _state_rates
 from sleepq.potential import SOLVE_METHODS, _band_product, _triangles, reduced_matrix
-from conftest import draw_instance, wide_light_instance
+from conftest import draw_instance, micro_params, wide_light_instance
 
 
 def test_micro_anchored_potentials(micro):
@@ -74,6 +80,27 @@ def test_all_methods_agree():
         for sol in sols[1:]:
             scale = max(1.0, float(np.max(np.abs(sols[0].g))))
             assert np.max(np.abs(sol.g - sols[0].g)) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("call", [
+    *(lambda p, d, m=m: solve_poisson(p, d, method=m) for m in SOLVE_METHODS),
+    policy_profit,
+], ids=[*SOLVE_METHODS, "policy_profit"])
+def test_one_scalar_pass_per_call(call, monkeypatch):
+    # The generator, pi and f of one call all come from one pass.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _state_rates(*args)
+
+    for info in pkgutil.iter_modules(sleepq.__path__):
+        module = importlib.import_module(f"sleepq.{info.name}")
+        if getattr(module, "_state_rates", None) is _state_rates:
+            monkeypatch.setattr(module, "_state_rates", counted)
+    params = micro_params(n=2, m=3)
+    call(params, (0, 2, 3))
+    assert len(calls) == 1
 
 
 def test_ill_conditioned_draw_all_routes_agree():

@@ -29,17 +29,17 @@ CFG = SimConfig(horizon=40000, warmup=4000, replications=1, seed=7,
                 batch_count=8)
 
 
-def test_python_and_jit_paths_agree_bitwise(micro):
+def test_python_and_jit_paths_agree_bitwise(micro, monkeypatch):
     pytest.importorskip("numba")
-    py = simulate(micro, (1,), CFG, method="python")
-    jit = simulate(micro, (1,), CFG, method="auto")
+    jit = simulate(micro, (1,), CFG)
+    # Without the compiled kernel, simulate falls back to the interpreted one.
+    monkeypatch.setattr(_simkernel, "kernel_jit", None)
+    py = simulate(micro, (1,), CFG)
     assert py.eta_hat == jit.eta_hat
     assert np.array_equal(py.pi_hat, jit.pi_hat)
     assert np.array_equal(py.batch_records, jit.batch_records)
     assert py.counts == jit.counts
     assert py.total_time == jit.total_time
-    forced = simulate(micro, (1,), CFG, method="jit")
-    assert forced.eta_hat == py.eta_hat
 
 
 @pytest.mark.parametrize("remaining, time_limit, size, status", [
@@ -82,13 +82,6 @@ def test_kernel_on_lists_matches_kernel_on_arrays(remaining, time_limit,
     assert all(arrays[3] > 0)  # every event branch was taken
 
 
-def test_method_validation(micro):
-    with pytest.raises(ValueError, match="unknown method"):
-        simulate(micro, (1,), CFG, method="fortran")
-    with pytest.raises(ConfigError, match="trace"):
-        simulate(micro, (1,), CFG, method="jit", trace=True)
-
-
 def test_identical_seeds_are_bit_identical(micro):
     a = simulate(micro, (1,), CFG)
     b = simulate(micro, (1,), CFG)
@@ -128,7 +121,7 @@ def test_event_counts_are_consistent(micro):
 
 def test_trace_matches_tallies(micro):
     cfg = dataclasses.replace(CFG, horizon=4000, warmup=500)
-    res = simulate(micro, (1,), cfg, method="python", trace=True)
+    res = simulate(micro, (1,), cfg, trace=True)
     assert len(res.trace) == cfg.horizon
     post = res.trace[int(cfg.warmup):]
     by_kind = {kind: 0 for kind in ("arrival", "g1", "g2", "transfer", "loss")}
@@ -158,8 +151,8 @@ def test_trace_matches_tallies(micro):
 ], ids=["events", "time"])
 def test_tracing_changes_nothing(cfg):
     params = micro_params(lambda_=2.0, n=2, m=3)
-    plain = simulate(params, (0, 1, 3), cfg, method="python")
-    traced = simulate(params, (0, 1, 3), cfg, method="python", trace=True)
+    plain = simulate(params, (0, 1, 3), cfg)
+    traced = simulate(params, (0, 1, 3), cfg, trace=True)
     assert plain.trace is None
     assert traced.eta_hat == plain.eta_hat
     assert traced.ci_half_width == plain.ci_half_width
@@ -252,9 +245,9 @@ def test_warmup_fraction_equals_absolute(micro):
 def test_buffer_size_does_not_change_the_stream(micro, monkeypatch):
     import sleepq.sim as sim_mod
 
-    base = simulate(micro, (1,), CFG, method="python")
+    base = simulate(micro, (1,), CFG)
     monkeypatch.setattr(sim_mod, "BUFFER_SIZE", 97)
-    small = simulate(micro, (1,), CFG, method="python")
+    small = simulate(micro, (1,), CFG)
     assert base.eta_hat == small.eta_hat
     assert np.array_equal(base.batch_records, small.batch_records)
 
