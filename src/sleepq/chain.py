@@ -204,8 +204,9 @@ def _block_chain(params: ModelParams, block: np.ndarray) -> _BlockChain:
     base_energy = (n * params.p1_work + m * params.p2_sleep) * params.c_energy
     energy = (n * params.p1_work + block * params.p2_work
               + (m - block) * params.p2_sleep) * params.c_energy
-    hold = n * params.c_hold_g1 + j_arr * params.c_hold_g2
-    cost = energy + hold + n * mu1 * params.c_transfer
+    # Summed in the scalar pass's order, so cost_top equals its cost rates.
+    cost = (energy + n * params.c_hold_g1 + j_arr * params.c_hold_g2
+            + n * mu1 * params.c_transfer)
     cost[:, m - 1] += lam * params.c_loss
     return _BlockChain(xi_low=xi_low, jobs_low=i_arr,
                       cost_low=base_energy + i_arr * params.c_hold_g1,

@@ -38,7 +38,7 @@ from .model import (
     validate,
 )
 from .optimize import optimize, threshold_scan, verify_monotonicity
-from .potential import solve_poisson
+from .potential import SOLVE_METHODS, solve_poisson
 from .reward import affine_decomposition, average_profit, build_reward, profit_components
 from .sensitivity import critical_prices_global, perturbation_factors
 from .sim import SimConfig, simulate
@@ -373,7 +373,7 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
         if d not in pieces:
             sol = stationary_closed_form(params, d)
             crits = perturbation_factors(params, d).crit_prices
-            pieces[d] = (*profit_components(sol, affine_decomposition(at_r, d)),
+            pieces[d] = (*profit_components(sol, affine_decomposition(params, d)),
                          tuple(float(x) for x in crits))
         completions, cost, crits = pieces[d]
         affine = r * completions - cost
@@ -476,8 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="anchored")
     p.add_argument("--anchor", type=float, default=1.0,
                    help="value pinned at the empty state (anchored mode)")
-    p.add_argument("--method", choices=("rg", "dense", "explicit"),
-                   default="rg")
+    p.add_argument("--method", choices=SOLVE_METHODS, default="rg")
 
     p = add("sensitivity", "Perturbation factors and critical prices.")
     p.add_argument("--policy", metavar="D")

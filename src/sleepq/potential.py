@@ -9,13 +9,17 @@ matrix, h the reduced f - eta*e, and g(0,0) anchored to a free constant,
 Three independent routes produce the two inverse applications: a dense
 linear solve (oracle); a UL-type factorization of the reduced matrix into
 scalar U/R/G measures, applied in O(n+m) by one backward R sweep, a
-division by -U and one forward G sweep; and the explicit form, which builds
-the running R and G products as two triangles and multiplies through them.
-A route only factorizes: it returns its inverse application and its two
-starting solves. solve_poisson owns the rest, once for every route: one
-scalar pass of the closed form for the generator, pi and f, the two
-right-hand sides, the extended-precision refinement of both solves and the
-residual gate. All three routes must agree to solver tolerance.
+division by -U and one forward sweep; and the explicit form, which builds
+the running R products and the unit lower triangle as two dense triangles
+and multiplies through them. On this birth-death chain the factorization is
+closed form: the rows of the generator sum to zero, so by induction from
+the top state U_k = -nu_k (the death rate of reduced state k),
+R_k = lambda / nu_{k+1} and G_k = 1 (see rg_factorize). A route only
+factorizes: it returns its inverse application and its two starting solves.
+solve_poisson owns the rest, once for every route: one scalar pass of the
+closed form for the generator, pi and f, the two right-hand sides, the
+extended-precision refinement of both solves and the residual gate. All
+three routes must agree to solver tolerance.
 
 Because (-scriptB) e = mu1 e_1, the vector mu1 (-scriptB)^{-1} e_1 is
 exactly the all-ones vector: changing the anchor shifts every potential by
@@ -44,22 +48,22 @@ SOLVE_METHODS = ("rg", "dense", "explicit")
 
 @dataclass(frozen=True)
 class RGFactors:
-    """Scalar U, R, G measures of the UL factorization of the reduced matrix.
+    """Scalar U and R measures of the UL factorization of the reduced matrix.
 
-    u[k] < 0 is the k-th diagonal factor, r[k] > 0 couples level k to k+1,
-    and g[k] > 0 couples level k+1 to k (indices 0-based over the n+m
-    reduced states). Reassembling (I - R_U) U_D (I - G_L) recovers the
-    reduced matrix.
+    u[k] = -nu_k < 0 is the k-th diagonal factor, minus the death rate of
+    reduced state k, and r[k] = lambda / nu_{k+1} > 0 couples level k to
+    k+1 (indices 0-based over the n+m reduced states). The G measures that
+    couple level k+1 to k are all exactly 1, so no field holds them.
+    Reassembling (I - R_U) U_D (I - G_L) with G_L the unit subdiagonal
+    recovers the reduced matrix.
     """
 
     u: np.ndarray
     r: np.ndarray
-    g: np.ndarray
 
     def __post_init__(self):
         self.u.setflags(write=False)
         self.r.setflags(write=False)
-        self.g.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -97,42 +101,30 @@ def poisson_residual(gen: Generator, g: np.ndarray, eta: float,
 
 
 def rg_factorize(gen: Generator) -> RGFactors:
-    """UL-type factorization of the reduced matrix by backward recursion.
+    """UL-type factorization of the reduced matrix, read off its bands.
 
-    With diag/sub/super the three bands of the reduced matrix, the last U
-    equals the last diagonal entry and
+    The U, R, G measures of the reduced matrix satisfy the backward
+    recursion
 
         U_k = diag_k + super_k * (-U_{k+1})^{-1} * sub_{k+1},
         R_k = super_k * (-U_{k+1})^{-1},
         G_k = (-U_k)^{-1} * sub_k,
 
-    where sub_1 is the death rate mu1 back into the dropped state. Every U
-    must come out strictly negative; anything else means the generator is
-    malformed.
+    from U_last = diag_last, where sub_k = nu_k is the death rate of state
+    k (sub_0 = mu1 leads into the dropped state). Every row of the generator
+    sums to zero, so diag_k = -(lambda + nu_k) below the top state and
+    -nu_last at it. Hence U_last = -nu_last, and if U_{k+1} = -nu_{k+1} then
+    U_k = -(lambda + nu_k) + lambda = -nu_k: by induction U = -nu,
+    R_k = lambda / nu_{k+1} and G = 1. A death rate that is not strictly
+    positive means the generator is malformed.
     """
-    reduced = gen.matrix[1:, 1:]
-    k = reduced.shape[0]
-    sup = reduced.diagonal(1)
-    # Death rate of each reduced state; entry 0 exits toward the anchor.
-    sub = np.concatenate(([gen.matrix[1, 0]], reduced.diagonal(-1)))
+    death = gen.matrix.diagonal(-1)
+    if not (death > 0).all():
+        raise NumericalError("factorization failed: nonpositive death rate")
+    u = -death
+    r = gen.matrix.diagonal(1)[1:] / death[1:]
 
-    # The recursion runs on Python floats (the same IEEE operations as on
-    # numpy scalars, without boxing one per step). Each U starts as its
-    # diagonal entry, and the last one stays so.
-    u_f, sup_f, sub_f = reduced.diagonal().tolist(), sup.tolist(), sub.tolist()
-    for i in range(k - 2, -1, -1):
-        if u_f[i + 1] >= 0:
-            raise NumericalError(f"factorization failed: U_{i + 2} >= 0")
-        u_f[i] += sup_f[i] * sub_f[i + 1] / (-u_f[i + 1])
-    u = np.array(u_f)
-    if (u >= 0).any():
-        raise NumericalError("factorization failed: nonnegative U measure")
-
-    r = sup / (-u[1:])
-    g = sub / (-u)
-
-    abs_u = np.abs(u)
-    span = abs_u.max() / abs_u.min()
+    span = death.max() / death.min()
     if span > CONDITION_SPAN_LIMIT:
         warnings.warn(
             f"U measures span {span:.2e}; factorization products may lose "
@@ -140,34 +132,32 @@ def rg_factorize(gen: Generator) -> RGFactors:
             RuntimeWarning,
             stacklevel=2,
         )
-    return RGFactors(u, r, g)
+    return RGFactors(u, r)
 
 
 def _triangles(factors: RGFactors) -> tuple[np.ndarray, np.ndarray]:
     """(I - R_U)^{-1} and (I - G_L)^{-1} as dense triangles.
 
-    Entry (i, c) of the upper triangle is r_i r_{i+1} ... r_{c-1} and of the
-    lower triangle g_i g_{i-1} ... g_{c+1}. Each is one cumprod along the
-    rows, with the entries outside the running product set to 1, so every
-    product is formed in the same order as a loop that extends it one
-    factor at a time.
+    Entry (i, c) of the upper triangle is r_i r_{i+1} ... r_{c-1}: one
+    cumprod along the rows, with the entries outside the running product
+    set to 1, so every product is formed in the same order as a loop that
+    extends it one factor at a time. G = 1, so the lower triangle is all
+    ones on and below the diagonal.
     """
-    idx = np.arange(factors.u.shape[0])
+    k = factors.u.shape[0]
+    idx = np.arange(k)
     later = idx[None, :] > idx[:, None]
-    earlier = later.T
     # Column c carries the factor that extends a running product to c.
     upper = np.where(later, np.concatenate(([1.0], factors.r)), 1.0).cumprod(axis=1)
-    lower = np.where(earlier, np.concatenate((factors.g[1:], [1.0])),
-                     1.0)[:, ::-1].cumprod(axis=1)[:, ::-1]
-    return np.where(earlier, 0.0, upper), np.where(later, 0.0, lower)
+    return np.where(later.T, 0.0, upper), np.tri(k)
 
 
 def invert_reduced(factors: RGFactors) -> np.ndarray:
     """Dense inverse of (-reduced matrix) from the factor products.
 
     (I - R_U)^{-1} is upper triangular with running R products, (I - G_L)^{-1}
-    lower triangular with running G products, and the inverse is their
-    product around the diagonal 1/(-U). Entrywise positive.
+    the unit lower triangle, and the inverse is their product around the
+    diagonal 1/(-U). Entrywise positive.
     """
     upper, lower = _triangles(factors)
     return (lower / (-factors.u)) @ upper
@@ -223,20 +213,20 @@ def _solve_rg(gen, h, e1):
     """Apply the factors by two scalar sweeps; no inverse is formed.
 
     (-scriptB)^{-1} = (I - G_L)^{-1} (-U_D)^{-1} (I - R_U)^{-1}, so one
-    backward sweep y_i = h_i + r_i y_{i+1}, a division by -u_i and one
-    forward sweep x_i = y_i / (-u_i) + g_i x_{i-1} apply it in O(k).
+    backward sweep y_i = h_i + r_i y_{i+1}, a division by -u_i = nu_i and
+    one forward sweep x_i = y_i / nu_i + x_{i-1} (G = 1) apply it in O(k).
     """
     factors = rg_factorize(gen)
-    neg_u, r, g = (-factors.u).tolist(), factors.r.tolist(), factors.g.tolist()
-    k = len(neg_u)
+    nu, r = (-factors.u).tolist(), factors.r.tolist()
+    k = len(nu)
 
     def apply_inverse(rhs):
         x = rhs.tolist()
         for i in range(k - 2, -1, -1):
             x[i] += r[i] * x[i + 1]
-        x[0] /= neg_u[0]
+        x[0] /= nu[0]
         for i in range(1, k):
-            x[i] = x[i] / neg_u[i] + g[i] * x[i - 1]
+            x[i] = x[i] / nu[i] + x[i - 1]
         return np.array(x)
 
     return apply_inverse, apply_inverse(h), apply_inverse(e1)
@@ -246,10 +236,10 @@ def _solve_explicit(gen, h, e1):
     """The factorized inverse with its running products spelled out.
 
     The upper triangle holds the running R products toward higher states,
-    which weight h into one bracket per state; the lower triangle holds the
-    running G products that carry those brackets down. The e1 term is the
-    vector of partial G products. This is the matrix form of the sums the
-    factorization yields state by state, kept as an independent route.
+    which weight h into one bracket per state; the unit lower triangle sums
+    those brackets down. The e1 term is the vector of partial G products,
+    all ones. This is the matrix form of the sums the factorization yields
+    state by state, kept as an independent route.
     """
     factors = rg_factorize(gen)
     upper, lower = _triangles(factors)
@@ -258,7 +248,7 @@ def _solve_explicit(gen, h, e1):
     def apply_inverse(rhs):
         return lower @ ((upper @ rhs) / neg_u)
 
-    return apply_inverse, apply_inverse(h), np.cumprod(factors.g)
+    return apply_inverse, apply_inverse(h), np.ones(neg_u.shape[0])
 
 
 _SOLVERS = {"dense": _solve_dense, "rg": _solve_rg, "explicit": _solve_explicit}

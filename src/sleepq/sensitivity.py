@@ -36,7 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _block_chain, build_generator, stationary_closed_form
+from .chain import (
+    _block_chain,
+    _generator,
+    _state_rates,
+    _stationary,
+    stationary_closed_form,
+)
 from .errors import ConsistencyError, DegeneratePriceError, NumericalError
 from .model import (
     BLOCK_SIZE,
@@ -47,7 +53,7 @@ from .model import (
     check_policy,
 )
 from .potential import solve_poisson
-from .reward import build_reward
+from .reward import _reward
 
 #: Below this magnitude a G+c value or an R-slope is treated as degenerate.
 DEGENERATE_EPS = 1e-12
@@ -237,16 +243,17 @@ def performance_difference(params: ModelParams, d: Policy,
     """eta' - eta via the general difference equation.
 
     Returns pi'[(B' - B) g + (f' - f)] with g the potential of d; the
-    anchor drops out because (B' - B) has zero row sums.
+    anchor drops out because (B' - B) has zero row sums. B, f and pi' come
+    from one scalar pass per policy.
     """
-    check_policy(d, params.m)
-    check_policy(d_prime, params.m)
+    death, cost = _state_rates(params, d)
+    death_p, cost_p = _state_rates(params, d_prime)
     sol = solve_poisson(params, d)
-    b = build_generator(params, d).matrix
-    b_prime = build_generator(params, d_prime).matrix
-    f = build_reward(params, d)
-    f_prime = build_reward(params, d_prime)
-    pi_prime = stationary_closed_form(params, d_prime).pi
+    b = _generator(params, death).matrix
+    b_prime = _generator(params, death_p).matrix
+    f = _reward(params, death, cost)
+    f_prime = _reward(params, death_p, cost_p)
+    pi_prime = _stationary(params, death_p).pi
     return float(pi_prime @ ((b_prime - b) @ sol.g + (f_prime - f)))
 
 

@@ -9,11 +9,14 @@ import pytest
 import sleepq
 from sleepq import (
     ConsistencyError,
+    Generator,
     ModelParams,
+    NumericalError,
     build_generator,
     build_reward,
     invert_reduced,
     normalize_fundamental,
+    performance_difference,
     policy_profit,
     poisson_residual,
     reanchor,
@@ -37,27 +40,31 @@ def test_micro_rg_factors(micro):
     factors = rg_factorize(build_generator(micro, (1,)))
     assert np.allclose(factors.u, [-1.0, -2.0], atol=1e-15)
     assert np.allclose(factors.r, [0.5], atol=1e-15)
-    assert np.allclose(factors.g, [1.0, 1.0], atol=1e-15)
     inv = invert_reduced(factors)
     assert np.allclose(inv, [[1.0, 0.5], [1.0, 1.0]], atol=1e-15)
 
 
 def test_rg_factors_equal_scalar_recursion():
-    """The recursion on Python floats matches it on numpy scalars bit for bit."""
+    """U = -nu and R = lambda/nu bit for bit, and G = 1 rebuilds the matrix."""
     rng = np.random.default_rng(20)
     for _ in range(30):
         params, d = draw_instance(rng)
         gen = build_generator(params, d)
         factors = rg_factorize(gen)
+        death = np.array(_state_rates(params, d)[0][1:])
+        assert factors.u.tobytes() == (-death).tobytes()
+        assert factors.r.tobytes() == (params.lambda_ / death[1:]).tobytes()
         reduced = reduced_matrix(gen)
-        diag, sup = np.diagonal(reduced), np.diagonal(reduced, 1)
-        sub = np.concatenate(([gen.matrix[1, 0]], np.diagonal(reduced, -1)))
-        u = diag.copy()
-        for i in range(u.shape[0] - 2, -1, -1):
-            u[i] = diag[i] + sup[i] * sub[i + 1] / (-u[i + 1])
-        assert factors.u.tobytes() == u.tobytes()
-        assert factors.r.tobytes() == (sup / (-u[1:])).tobytes()
-        assert factors.g.tobytes() == (sub / (-u)).tobytes()
+        eye = np.eye(reduced.shape[0])
+        rebuilt = ((eye - np.diag(factors.r, 1)) @ np.diag(factors.u)
+                   @ (eye - np.eye(reduced.shape[0], k=-1)))
+        ulp = np.spacing(np.abs(np.diagonal(reduced)))
+        assert (np.abs(rebuilt - reduced) <= ulp[:, None]).all()
+    matrix = gen.matrix.copy()
+    matrix[2, 1] = 0.0
+    matrix[2, 2] -= matrix[2].sum()
+    with pytest.raises(NumericalError, match="nonpositive death rate"):
+        rg_factorize(Generator(matrix))
 
 
 def test_reduced_inverse_matches_dense():
@@ -82,12 +89,8 @@ def test_all_methods_agree():
             assert np.max(np.abs(sol.g - sols[0].g)) < 1e-9 * scale
 
 
-@pytest.mark.parametrize("call", [
-    *(lambda p, d, m=m: solve_poisson(p, d, method=m) for m in SOLVE_METHODS),
-    policy_profit,
-], ids=[*SOLVE_METHODS, "policy_profit"])
-def test_one_scalar_pass_per_call(call, monkeypatch):
-    # The generator, pi and f of one call all come from one pass.
+def _count_scalar_passes(monkeypatch):
+    """Record every _state_rates call, through each module's binding."""
     calls = []
 
     def counted(*args):
@@ -98,9 +101,27 @@ def test_one_scalar_pass_per_call(call, monkeypatch):
         module = importlib.import_module(f"sleepq.{info.name}")
         if getattr(module, "_state_rates", None) is _state_rates:
             monkeypatch.setattr(module, "_state_rates", counted)
+    return calls
+
+
+@pytest.mark.parametrize("call", [
+    *(lambda p, d, m=m: solve_poisson(p, d, method=m) for m in SOLVE_METHODS),
+    policy_profit,
+], ids=[*SOLVE_METHODS, "policy_profit"])
+def test_one_scalar_pass_per_call(call, monkeypatch):
+    # The generator, pi and f of one call all come from one pass.
+    calls = _count_scalar_passes(monkeypatch)
     params = micro_params(n=2, m=3)
     call(params, (0, 2, 3))
     assert len(calls) == 1
+
+
+def test_performance_difference_one_pass_per_policy(monkeypatch):
+    # One pass inside solve_poisson, then one each for B, f of d and B', f',
+    # pi' of d'.
+    calls = _count_scalar_passes(monkeypatch)
+    performance_difference(micro_params(n=2, m=3), (0, 2, 3), (1, 0, 3))
+    assert len(calls) == 3
 
 
 def test_ill_conditioned_draw_all_routes_agree():
@@ -121,22 +142,37 @@ def test_ill_conditioned_draw_all_routes_agree():
         assert np.max(np.abs(g - dense)) <= 1e-9 * scale, method
 
 
+def test_route_dependent_draw_all_routes_solve():
+    # The backward U recursion left rg's residual at 5.3e-8 here, above the
+    # 4.7e-8 gate that dense (1.5e-8) and explicit (1.5e-8) passed.
+    params = ModelParams(
+        lambda_=2.1112296776464423, mu1=0.12711000649782636,
+        mu2=0.12303401872659368, n=17, m=4, p1_work=0.3796506761349768,
+        p2_work=3.10710193726471, p2_sleep=1.8008509704539049,
+        c_energy=0.21728955298830566, c_hold_g1=2.1846966572282107,
+        c_hold_g2=4.974418232282948, c_transfer=1.515331658910815,
+        c_loss=4.9276987563106465, price=11.949837243370034)
+    d = (2, 3, 3, 1)
+    sols = {method: solve_poisson(params, d, method=method)
+            for method in SOLVE_METHODS}
+    scale = max(1.0, float(np.max(np.abs(sols["dense"].g))))
+    for method, sol in sols.items():
+        assert np.max(np.abs(sol.g - sols["dense"].g)) <= 1e-9 * scale, method
+
+
 def _triangles_by_loops(factors):
-    """Running R and G products extended one factor at a time."""
+    """Running R products extended one factor at a time; unit lower triangle."""
     k = factors.u.shape[0]
     upper = np.zeros((k, k))
     lower = np.zeros((k, k))
     for i in range(k):
         upper[i, i] = 1.0
-        lower[i, i] = 1.0
         prod_r = 1.0
         for c in range(i + 1, k):
             prod_r *= factors.r[c - 1]
             upper[i, c] = prod_r
-        prod_g = 1.0
-        for c in range(i - 1, -1, -1):
-            prod_g *= factors.g[c + 1]
-            lower[i, c] = prod_g
+        for c in range(i + 1):
+            lower[i, c] = 1.0
     return upper, lower
 
 
