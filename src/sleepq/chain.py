@@ -10,10 +10,15 @@ The closed form has two shapes. A single policy is one scalar pass over
 its states (_state_rates), from whose rates _generator and _stationary
 build the generator and the stationary law, so a caller that needs
 several of them runs the pass once. A block of policies is vectorized
-(_block_chain), for the searches and the realization factors. The two are
-kept apart: a 1-row block is slower than the scalar pass, and its weights,
-formed as cumulative products of lambda/nu, differ from the scalar ratios
-in the last bit.
+(_block_chain), for the searches. The two are kept apart: a 1-row block is
+slower than the scalar pass, and its weights, formed as cumulative products
+of lambda/nu, differ from the scalar ratios in the last bit. The
+realization factors of sensitivity take both shapes too, one policy from
+the scalar pass and a search's block from _block_chain, so they differ in
+the last bits as well. The backward recursion amplifies that gap with the
+load, to a few 1e-13 relative on desk-scale draws, and a per-policy
+critical price can fall as far outside the R_H and R_L that the block
+shape finds over a space that contains the policy.
 """
 
 from __future__ import annotations

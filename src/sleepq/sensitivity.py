@@ -20,8 +20,11 @@ state gives
     D_{K-1} = (lambda * D_K + eta - f_K) / nu_K,
 
 run down to K = n + 1, and G(n,j) = D_{n+j-1}. Every divisor is at least
-n*mu1 > 0, and no stationary probability is divided by. The recursion runs
-for a whole block of policies at once, without a Poisson solve.
+n*mu1 > 0, no stationary probability is divided by, and no Poisson
+equation is solved. The recursion has the two shapes of the closed form in
+chain: for one policy it runs on Python floats over the rates of the scalar
+pass (_policy_lines), and for the searches over a whole block of policies
+at once (_factor_lines).
 
 f = R*a - b, so G and G + c are affine in the price R: the per-state
 critical price (the root of G + c) and its R-slope come from the same
@@ -120,6 +123,14 @@ def price_constant(params: ModelParams) -> float:
     return params.price - _wake_cost(params)
 
 
+def _require_finite(lines: np.ndarray) -> None:
+    if not np.all(np.isfinite(lines)):
+        raise NumericalError(
+            "realization factors are not finite; the stationary weights "
+            "overflow at this load"
+        )
+
+
 def _factor_lines(params: ModelParams, block: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """G(n,j) = price * slope + intercept for each policy row of block.
@@ -128,7 +139,8 @@ def _factor_lines(params: ModelParams, block: np.ndarray,
     recursion of the module docstring run on the two affine parts of
     eta - f = R (A - a) + (b - B), where A = pi . a and B = pi . b. Neither
     part depends on the price. A non-finite factor (the stationary weights
-    overflow under heavy load) raises NumericalError.
+    overflow under heavy load) raises NumericalError. This is the block
+    shape; _policy_lines is the same recursion for one policy.
     """
     lam, mu1 = params.lambda_, params.mu1
     # Overflow and NaN are caught by the finiteness check below.
@@ -148,11 +160,7 @@ def _factor_lines(params: ModelParams, block: np.ndarray,
         for j in range(params.m - 1, -1, -1):
             below = (lam * below + source[:, :, j]) / chain.nu[:, j]
             lines[:, :, j] = below
-    if not np.all(np.isfinite(lines)):
-        raise NumericalError(
-            "realization factors are not finite; the stationary weights "
-            "overflow at this load"
-        )
+    _require_finite(lines)
     return lines[1], lines[0]
 
 
@@ -170,9 +178,25 @@ def _price_roots(params: ModelParams, intercept: np.ndarray,
 
 
 def _policy_lines(params: ModelParams, d: Policy) -> tuple[np.ndarray, np.ndarray]:
-    d = check_policy(d, params.m)
-    intercept, slope = _factor_lines(params, np.array([d], dtype=np.int64))
-    return intercept[0], slope[0]
+    """(intercept, slope) of G(n,j) for one policy, each of shape (m,).
+
+    The recursion of _factor_lines on one policy, run on Python floats over
+    one scalar pass: a 1-row block is slower.
+    """
+    death, cost = _state_rates(params, d)
+    pi = _stationary(params, death).pi
+    completion_rate, cost_rate = float(pi @ death), float(pi @ cost)
+    lam, top, m = params.lambda_, params.n + 1, params.m
+    intercept, slope = [0.0] * m, [0.0] * m
+    below_i = below_s = 0.0
+    for j in range(m - 1, -1, -1):
+        rate = death[top + j]
+        below_i = (lam * below_i + (cost[top + j] - cost_rate)) / rate
+        below_s = (lam * below_s + (completion_rate - rate)) / rate
+        intercept[j], slope[j] = below_i, below_s
+    lines = np.array([intercept, slope])
+    _require_finite(lines)
+    return lines[0], lines[1]
 
 
 def realization_factors(params: ModelParams, d: Policy) -> np.ndarray:
@@ -197,7 +221,6 @@ def critical_price_state(params: ModelParams, d: Policy, j: int) -> float:
     G + c is affine in R, so the root is (k - G|_{R=0}) / (1 + dG/dR) with
     k = (P2W - P2S) C1 / mu2.
     """
-    check_policy(d, params.m)
     if not 1 <= j <= params.m:
         raise ValueError(f"j={j} outside 1..{params.m}")
     intercept, slope = _policy_lines(params, d)

@@ -17,14 +17,16 @@ from sleepq import (
     invert_reduced,
     normalize_fundamental,
     performance_difference,
+    perturbation_factors,
     policy_profit,
     poisson_residual,
+    realization_factors,
     reanchor,
     rg_factorize,
     solve_poisson,
     stationary_closed_form,
 )
-from sleepq.chain import _state_rates
+from sleepq.chain import _block_chain, _state_rates
 from sleepq.potential import SOLVE_METHODS, _band_product, _triangles, reduced_matrix
 from conftest import draw_instance, micro_params, wide_light_instance
 
@@ -89,37 +91,43 @@ def test_all_methods_agree():
             assert np.max(np.abs(sol.g - sols[0].g)) < 1e-9 * scale
 
 
-def _count_scalar_passes(monkeypatch):
-    """Record every _state_rates call, through each module's binding."""
+def _count_calls(monkeypatch, func):
+    """Record every call of func, through each module's binding."""
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return _state_rates(*args)
+        return func(*args)
 
     for info in pkgutil.iter_modules(sleepq.__path__):
         module = importlib.import_module(f"sleepq.{info.name}")
-        if getattr(module, "_state_rates", None) is _state_rates:
-            monkeypatch.setattr(module, "_state_rates", counted)
+        if getattr(module, func.__name__, None) is func:
+            monkeypatch.setattr(module, func.__name__, counted)
     return calls
 
 
 @pytest.mark.parametrize("call", [
     *(lambda p, d, m=m: solve_poisson(p, d, method=m) for m in SOLVE_METHODS),
     policy_profit,
-], ids=[*SOLVE_METHODS, "policy_profit"])
+    realization_factors,
+    perturbation_factors,
+], ids=[*SOLVE_METHODS, "policy_profit", "realization_factors",
+        "perturbation_factors"])
 def test_one_scalar_pass_per_call(call, monkeypatch):
-    # The generator, pi and f of one call all come from one pass.
-    calls = _count_scalar_passes(monkeypatch)
+    # The generator, pi and f (or the factor recursion) of one call all come
+    # from one pass, never from a 1-row block.
+    calls = _count_calls(monkeypatch, _state_rates)
+    block_calls = _count_calls(monkeypatch, _block_chain)
     params = micro_params(n=2, m=3)
     call(params, (0, 2, 3))
     assert len(calls) == 1
+    assert not block_calls
 
 
 def test_performance_difference_one_pass_per_policy(monkeypatch):
     # One pass inside solve_poisson, then one each for B, f of d and B', f',
     # pi' of d'.
-    calls = _count_scalar_passes(monkeypatch)
+    calls = _count_calls(monkeypatch, _state_rates)
     performance_difference(micro_params(n=2, m=3), (0, 2, 3), (1, 0, 3))
     assert len(calls) == 3
 

@@ -23,11 +23,13 @@ from sleepq import (
 )
 from sleepq.model import enumerate_policies
 from sleepq.potential import SOLVE_METHODS
+from sleepq.sensitivity import _factor_lines, _policy_lines
 from conftest import (
     draw_change_pair,
     draw_instance,
     draw_params,
     micro_params,
+    random_policy,
     sleepy_params,
     wide_light_instance,
 )
@@ -203,6 +205,59 @@ def test_heavy_load_factors_raise_instead_of_nan():
         perturbation_factors(params, d)
     with pytest.raises(NumericalError, match="not finite"):
         critical_prices_global(params, "threshold")
+
+
+def test_policy_lines_match_block_lines():
+    # One policy's lines come from the scalar pass, a search's from a block
+    # of policies. The two round pi differently; the gap grows down the
+    # levels with the load, to 2.3e-13 relative at most on this corpus.
+    rng = np.random.default_rng(38)
+    corpus = [draw_instance(rng, n_max=12, m_max=12) for _ in range(200)]
+    corpus += [wide_light_instance(rng) for _ in range(10)]
+    for params, d in corpus:
+        block = _factor_lines(params, np.array([d]))
+        for got, want in zip(_policy_lines(params, d), block):
+            assert np.all(np.abs(got - want[0])
+                          <= 1e-12 * np.maximum(1.0, np.abs(got))), (params, d)
+
+
+def _refuses(lines, params, d):
+    try:
+        lines(params, d)
+    except NumericalError:
+        return True
+    return False
+
+
+def test_policy_and_block_lines_refuse_the_same_draws():
+    rng = np.random.default_rng(101)
+    corpus = []
+    for _ in range(200):
+        params = draw_params(rng, n_max=30, m_max=30)
+        corpus.append((params, random_policy(rng, params.m)))
+    # None of those draws overflows; the all-asleep chain above does.
+    corpus.append((micro_params(lambda_=10.0, mu1=0.1, mu2=0.1, n=1, m=200),
+                   (0,) * 200))
+    for params, d in corpus:
+        block = _refuses(lambda p, x: _factor_lines(p, np.array([x])), params, d)
+        assert _refuses(_policy_lines, params, d) == block, (params, d)
+    assert block
+
+
+def test_per_policy_roots_lie_within_global_prices():
+    # R_H and R_L come from the block shape, each policy's roots from the
+    # scalar one; they differ in the last bits, by at most 3.2e-13 relative
+    # on this corpus, so the bound holds to 1e-11 relative.
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        params = draw_params(rng, n_max=6, m_max=4)
+        crit = critical_prices_global(params, "full")
+        low, high = crit.r_low, max(crit.r_high, 0.0)
+        for d in enumerate_policies(params.m, "full"):
+            roots = perturbation_factors(params, d).crit_prices
+            roots = roots[~np.isnan(roots)]
+            tol = 1e-11 * np.maximum(1.0, np.abs(roots))
+            assert np.all((roots >= low - tol) & (roots <= high + tol)), (params, d)
 
 
 def _per_policy_critical_prices(params, space):
