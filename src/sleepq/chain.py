@@ -218,17 +218,22 @@ def _block_chain(params: ModelParams, block: np.ndarray) -> _BlockChain:
                       xi_top=xi_top, nu=nu, cost_top=cost)
 
 
-def _profit_rates(params: ModelParams, chain: _BlockChain,
-                  ) -> tuple[float, float, np.ndarray]:
-    """(low_profit, low_weight, f_top) of a block chain.
+def _profit_rates(params: ModelParams, chain: _BlockChain, prices: np.ndarray,
+                  ) -> tuple[np.ndarray, float, np.ndarray]:
+    """(low_profit, low_weight, f_top) of a block chain at each price.
 
-    low_profit = xi_low . f_low and low_weight = sum(xi_low) are shared by
-    every row; f_top is the profit rate of each level. A row's average
-    profit is (low_profit + sum xi_top f_top) / (low_weight + sum xi_top).
+    low_profit[p] = xi_low . f_low at prices[p] and low_weight = sum(xi_low)
+    are shared by every row; f_top[p] is the profit rate of each level at
+    prices[p]. A row's average profit there is
+    (low_profit[p] + sum xi_top f_top[p]) / (low_weight + sum xi_top).
+    Each price gets the numbers of a one-price call bit for bit: the same
+    elementwise operations, and one dot product of its own.
     """
-    f_low = params.price * chain.jobs_low * params.mu1 - chain.cost_low
-    return (chain.xi_low @ f_low, chain.xi_low.sum(),
-            params.price * chain.nu - chain.cost_top)
+    low_profit = np.array([
+        chain.xi_low @ (price * chain.jobs_low * params.mu1 - chain.cost_low)
+        for price in prices])
+    return (low_profit, chain.xi_low.sum(),
+            prices[:, None, None] * chain.nu - chain.cost_top)
 
 
 def stationary_numeric(gen: Generator, replace_equation: int = -1) -> ChainSolution:

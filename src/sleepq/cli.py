@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
 from .chain import stationary_closed_form
-from .errors import ConfigError, ConsistencyError, GateError, NumericalError
+from .errors import ConfigError, GateError, NumericalError
 from .model import (
     POLICY_SPACES,
     ModelParams,
@@ -37,7 +36,13 @@ from .model import (
     state_space,
     validate,
 )
-from .optimize import optimize, threshold_scan, verify_monotonicity
+from .optimize import (
+    _price_grid,
+    optimize,
+    price_sweep,
+    threshold_scan,
+    verify_monotonicity,
+)
 from .potential import SOLVE_METHODS, solve_poisson
 from .reward import affine_decomposition, average_profit, build_reward, profit_components
 from .sensitivity import critical_prices_global, perturbation_factors
@@ -342,68 +347,14 @@ def _write_trace(path: str, params: ModelParams, trace, states) -> None:
             writer.writerow((_fmt(float(t)), bi, bj, event, ai, aj))
 
 
-def price_sweep(params: ModelParams, r_grid: Sequence[float],
-                space: str = "full", allow_large: bool = False,
-                threads: int | None = None):
-    """Re-optimize along a price grid and annotate regime boundaries.
-
-    Returns (rows, crit) where each row is (R, best policy, eta,
-    per-level critical prices of that policy, regime label, crossing
-    note) and crit carries the R_H / R_L thresholds of the space. As a
-    sanity check, eta is reconciled against the affine form
-    R * completion_rate - cost_rate of the winning policy on every grid
-    point; a mismatch raises ConsistencyError.
-    """
-    grid = [float(r) for r in r_grid]
-    if not grid:
-        raise ValueError("price grid must be nonempty")
-    if any(r < 0 for r in grid):
-        raise ValueError("prices must be >= 0")
-    crit = critical_prices_global(params, space, allow_large=allow_large)
-
-    # affine pieces and per-level critical prices per winning policy,
-    # computed once each: none of them depends on the price
-    pieces: dict[tuple, tuple[float, float, tuple[float, ...]]] = {}
-    rows = []
-    prev_regime = None
-    for r in grid:
-        at_r = replace(params, price=r)
-        res = optimize(at_r, space, allow_large=allow_large, threads=threads)
-        d = res.best_policy
-        if d not in pieces:
-            sol = stationary_closed_form(params, d)
-            crits = perturbation_factors(params, d).crit_prices
-            pieces[d] = (*profit_components(sol, affine_decomposition(params, d)),
-                         tuple(float(x) for x in crits))
-        completions, cost, crits = pieces[d]
-        affine = r * completions - cost
-        tol = 1e-9 * max(1.0, abs(res.best_eta))
-        if completions < -1e-15 or abs(affine - res.best_eta) > tol:
-            raise ConsistencyError(
-                f"price sweep: eta at R={r:.6g} deviates from the affine "
-                f"form ({res.best_eta!r} vs {affine!r})"
-            )
-        if not math.isnan(crit.r_high) and r >= crit.r_high:
-            regime = "high"
-        elif not math.isnan(crit.r_low) and r <= crit.r_low:
-            regime = "low"
-        else:
-            regime = "mid"
-        crossing = ""
-        if prev_regime is not None and regime != prev_regime:
-            boundary = "R_H" if "high" in (regime, prev_regime) else "R_L"
-            crossing = f"crosses {boundary}"
-        prev_regime = regime
-        rows.append((r, d, res.best_eta, crits, regime, crossing))
-    return rows, crit
-
-
 def _cmd_price_sweep(params: ModelParams, args) -> CommandOutput:
     if args.steps < 1:
         raise ValueError("--steps must be >= 1")
     if args.steps == 1:
         grid = [args.r_from]
     else:
+        # linspace would turn an infinite end into NaN prices, with a warning.
+        _price_grid((args.r_from, args.r_to))
         grid = list(np.linspace(args.r_from, args.r_to, args.steps))
     rows, crit = price_sweep(params, grid, args.space,
                              allow_large=args.allow_large,

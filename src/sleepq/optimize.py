@@ -10,6 +10,11 @@ partial weight product and profit sums of those levels, and only the
 winning ranks are unranked back into policies. The threshold family is
 evaluated as one block.
 
+The price is an axis of that walk. Only the profit sums depend on it, so
+price_sweep searches a whole grid of prices in one walk, and optimize is
+the walk at one price; each price's eta is bit for bit what optimize
+returns at that price alone.
+
 The module also houses the structural results that make enumeration mostly
 unnecessary: closed-form optima at extreme prices, the threshold-policy
 scan with its optimality sign conditions, and per-coordinate monotonicity
@@ -21,14 +26,15 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .chain import _block_chain, _profit_rates, stationary_closed_form
-from .errors import NumericalError, RegimeError
+from .errors import ConfigError, ConsistencyError, NumericalError, RegimeError
 from .model import (
     BLOCK_SIZE,
     ModelParams,
@@ -40,8 +46,13 @@ from .model import (
     require_valid,
     threshold_policy,
 )
-from .reward import policy_profit
-from .sensitivity import critical_prices_global, price_constant, realization_factors
+from .reward import affine_decomposition, policy_profit, profit_components
+from .sensitivity import (
+    critical_prices_global,
+    perturbation_factors,
+    price_constant,
+    realization_factors,
+)
 
 
 @dataclass(frozen=True)
@@ -116,52 +127,79 @@ def profits_block(params: ModelParams, block: np.ndarray) -> np.ndarray:
 
     Same closed form as policy_profit, through _block_chain.
     """
+    prices = np.array([params.price], dtype=np.float64)
+    return _block_profits(params, block, prices)[0]
+
+
+def _block_profits(params: ModelParams, block: np.ndarray,
+                   prices: np.ndarray) -> np.ndarray:
+    """profits_block at each price: one row of profits per price.
+
+    Each row is bit for bit profits_block at its price, since each price
+    runs the same elementwise operations and row sums.
+    """
     chain = _block_chain(params, block)
-    low_profit, low_weight, f_top = _profit_rates(params, chain)
-    return ((low_profit + (chain.xi_top * f_top).sum(axis=1))
+    low_profit, low_weight, f_top = _profit_rates(params, chain, prices)
+    return ((low_profit[:, None] + (chain.xi_top * f_top).sum(axis=2))
             / (low_weight + chain.xi_top.sum(axis=1)))
 
 
-def _chunk_summary(etas, ranks, policy_of, k):
-    """The k best (-eta, policy) pairs of a chunk of rows.
+def _chunk_summary(etas, ranks, k):
+    """The k best (-eta, rank) pairs of a chunk of rows, at each price.
 
-    ranks(rows) gives the lexicographic rank of each row index and
-    policy_of(rank) the policy; only the winners are unranked. Rows are
-    ordered by eta descending, then rank ascending, so merging summaries
-    with heapq.nsmallest ranks by eta descending, then policy ascending,
-    however the rows were split into chunks.
+    etas holds one row of profits per price, and ranks(rows) gives the
+    lexicographic rank of each column index. Rank order is policy order,
+    so ordering by eta descending, then rank ascending, and merging
+    summaries with heapq.nsmallest ranks by eta descending, then policy
+    ascending, however the rows were split into chunks; only the winners
+    need unranking.
     """
-    low, cut = etas.min(), etas.max()
-    if not (np.isfinite(low) and np.isfinite(cut)):  # NaN reaches both
+    cut = etas.max(axis=1, keepdims=True)
+    if not (np.isfinite(etas.min()) and np.isfinite(cut).all()):  # NaN reaches both
         raise NumericalError(
             "profits are not finite; the stationary weights overflow at "
             "this load"
         )
-    count = min(k, etas.size)
+    size = etas.shape[1]
+    count = min(k, size)
     if count > 1:
-        cut = np.partition(etas, etas.size - count)[etas.size - count]
-    top = np.flatnonzero(etas >= cut)
-    rank = ranks(top)
-    order = np.lexsort((rank, -etas[top]))[:count]
-    return [(-float(etas[top[t]]), tuple(int(v) for v in policy_of(rank[t])))
-            for t in order]
+        cut = np.partition(etas, size - count, axis=1)[:, size - count, None]
+    price, top = np.divmod(np.flatnonzero(etas >= cut), size)
+    rank, eta = ranks(top), etas[price, top]
+    order = np.lexsort((rank, -eta, price))
+    # Each price has at least count rows at or above its cut.
+    starts = np.searchsorted(price[order], np.arange(etas.shape[0]))
+    return [[(-float(eta[t]), int(rank[t])) for t in order[start:start + count]]
+            for start in starts]
 
 
 def _product_candidates(params: ModelParams, space: str, k: int,
-                        threads: int | None) -> list[tuple[float, Policy]]:
-    """The _chunk_summary of every chunk of a product space, concatenated.
+                        threads: int | None, prices: np.ndarray,
+                        ) -> list[list[tuple[float, int]]]:
+    """The best (-eta, rank) pairs of a product space, one list per price.
+
+    Each list holds every worker's k best, merged from the _chunk_summary
+    of its chunks, so heapq.nsmallest(k, list) ranks the space at that
+    price.
 
     Policies that share their first j coordinates share the first j factors
     of the weight product P (cumulative lambda/nu) and the first j terms of
     S = sum xi f and W = sum xi, with xi = xi_low[n] P. So the enumeration
     tree is grown one level at a time: each level multiplies every prefix's
-    P by its values' lambda/nu and adds their terms. These are the
-    operations of profits_block in its order, except that numpy sums rows
-    longer than 7 pairwise, so from m = 8 on the last bits can differ. A
-    level's values form the leading axis, so every operation runs along the
-    contiguous prefix axis. The levels above a split are built once and put
-    in rank order; each chunk grows a run of split-level prefixes into at
-    most BLOCK_SIZE leaves, which are consecutive ranks.
+    P by its values' lambda/nu and adds their terms. Only S depends on the
+    price, through f = R nu - cost, so one walk grows P and W once and S as
+    a (prices, rows) array. These are the operations of profits_block in
+    its order, except that numpy sums rows longer than 7 pairwise, so from
+    m = 8 on the last bits can differ. A level's values form the leading
+    axis of its rows, so every operation runs along the contiguous prefix
+    axis. The levels above a split are built once and put in rank order;
+    each chunk grows a run of split-level prefixes into leaves, which are
+    consecutive ranks. No array holds more than BLOCK_SIZE rows x prices
+    unless one price's prefixes alone do: the split deepens as prices are
+    added, and the prices are walked in batches small enough for their
+    prefixes to fit. Every leaf's numbers come from the same elementwise
+    operations wherever the tree is split, so no result depends on the
+    chunks, the batches or the other prices.
     """
     m = params.m
     levels = _level_values(m, space)
@@ -172,79 +210,151 @@ def _product_candidates(params: ModelParams, space: str, k: int,
     for j, values in enumerate(levels):
         table[:values.size, j] = values
     chain = _block_chain(params, table)
-    low_profit, low_weight, f_top = _profit_rates(params, chain)
+    low_profit, low_weight, f_top = _profit_rates(params, chain, prices)
     xi_n = chain.xi_low[params.n]
-    steps = [(params.lambda_ / chain.nu[:v.size, j], f_top[:v.size, j])
-             for j, v in enumerate(levels)]
+    ratios = [params.lambda_ / chain.nu[:v.size, j] for j, v in enumerate(levels)]
 
-    def grow(state, j, out):
-        """Level j's (P, S, W) from level j-1's, written into out's rows."""
-        prod, profit, weight = state
-        ratio, f = steps[j]
-        shape = (ratio.size, prod.size)
-        new_prod, term, xi = (row[:ratio.size * prod.size].reshape(shape)
-                              for row in out)
-        np.multiply.outer(ratio, prod, out=new_prod)
-        np.multiply(new_prod, xi_n, out=xi)
-        np.multiply(xi, f[:, None], out=term)
-        term += profit
-        xi += weight
-        return new_prod.ravel(), term.ravel(), xi.ravel()
+    def split_for(q):
+        """(split, leaves) for q prices: the first chunk level, and the
+        leaves under each of its prefixes, at most BLOCK_SIZE // q."""
+        cap = max(1, BLOCK_SIZE // q)
+        split, leaves = m, 1
+        while split > 1 and leaves * levels[split - 1].size <= cap:
+            split -= 1
+            leaves *= levels[split].size
+        return split, leaves
 
-    split, leaves = m, 1
-    while split > 1 and leaves * levels[split - 1].size <= BLOCK_SIZE:
-        split -= 1
-        leaves *= levels[split].size
-    prefix = (np.ones(1), np.zeros(1), np.zeros(1))
-    for j in range(split):
-        prefix = grow(prefix, j, np.empty((3, prefix[0].size * levels[j].size)))
-    shape = [levels[j].size for j in reversed(range(split))]
-    prefix = [a.reshape(shape).transpose().ravel() for a in prefix]
-    per = BLOCK_SIZE // leaves
+    def walk(f_top, low_profit):
+        """Each price's candidates from one walk over the prices of f_top."""
+        q = low_profit.size
+        split, leaves = split_for(q)
 
-    def run(starts):
-        # Fresh chunk-sized arrays cost page faults in every chunk, so a
-        # worker grows its chunks in two reused buffer sets, one per level
-        # parity, and forms eta in the set the last level left free.
-        work = np.empty((2, 3, per * leaves))
-        candidates = []
-        # The caller's np.errstate does not reach pool threads.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in starts:
-                state = tuple(a[lo:lo + per] for a in prefix)
-                width = state[0].size
-                for j in range(split, m):
-                    state = grow(state, j, work[j % 2])
-                size = state[0].size
-                etas, total = work[m % 2, 0, :size], work[m % 2, 1, :size]
-                np.add(state[1], low_profit, out=etas)
-                np.add(state[2], low_weight, out=total)
-                etas /= total
+        def grow(state, j, out):
+            """Level j's (P, S, W) from level j-1's, written into out."""
+            prod, profit, weight = state
+            ratio, f = ratios[j], f_top[:, :ratios[j].size, j]
+            shape = (ratio.size, prod.size)
+            size = ratio.size * prod.size
+            new_prod = out[0][:size].reshape(shape)
+            xi = out[1][:size].reshape(shape)
+            term = out[2][:q * size].reshape((q,) + shape)
+            np.multiply.outer(ratio, prod, out=new_prod)
+            np.multiply(new_prod, xi_n, out=xi)
+            np.multiply(xi, f[:, :, None], out=term)
+            term += profit[:, None, :]
+            xi += weight
+            return new_prod.ravel(), term.reshape(q, size), xi.ravel()
 
-                def ranks(rows):
-                    # Row digits, least significant first: the prefix, then
-                    # levels split..m-1 with falling rank place values.
-                    rank = (lo + rows % width) * leaves
-                    rows = rows // width
-                    place = leaves
+        def buffers(flat, rows):
+            """Out arrays for rows rows of (P, W, S), carved from flat."""
+            return flat[:rows], flat[rows:2 * rows], flat[2 * rows:]
+
+        prefix = (np.ones(1), np.zeros((q, 1)), np.zeros(1))
+        for j in range(split):
+            size = prefix[0].size * levels[j].size
+            prefix = grow(prefix, j, buffers(np.empty((q + 2) * size), size))
+        shape = [levels[j].size for j in reversed(range(split))]
+        prod, profit, weight = prefix
+        prefix = (prod.reshape(shape).transpose().ravel(),
+                  profit.reshape([q] + shape)
+                  .transpose(0, *range(split, 0, -1)).reshape(q, -1),
+                  weight.reshape(shape).transpose().ravel())
+        per = max(1, BLOCK_SIZE // q) // leaves
+
+        def run(starts):
+            # Fresh chunk-sized arrays cost page faults in every chunk, so
+            # a worker grows its chunks in two reused buffer sets, one per
+            # level parity, and forms eta in the set the last level left
+            # free. One allocation holds both: freeing several smaller ones
+            # let the allocator return their pages after every call.
+            work = [buffers(flat, per * leaves)
+                    for flat in np.empty((2, (q + 2) * per * leaves))]
+            found = [[] for _ in range(q)]
+            # The caller's np.errstate does not reach pool threads.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for lo in starts:
+                    state = (prefix[0][lo:lo + per], prefix[1][:, lo:lo + per],
+                             prefix[2][lo:lo + per])
+                    width = state[0].size
                     for j in range(split, m):
-                        place //= levels[j].size
-                        rank += rows % levels[j].size * place
-                        rows //= levels[j].size
-                    return rank
+                        state = grow(state, j, work[j % 2])
+                    size = state[0].size
+                    total, _, etas = work[m % 2]
+                    total, etas = total[:size], etas[:q * size].reshape(q, size)
+                    np.add(state[1], low_profit[:, None], out=etas)
+                    np.add(state[2], low_weight, out=total)
+                    etas /= total
 
-                candidates += _chunk_summary(
-                    etas, ranks,
-                    lambda r: _policy_block(m, space, r, r + 1)[0], k)
-        return candidates
+                    def ranks(rows):
+                        # Row digits, least significant first: the prefix,
+                        # then levels split..m-1 with falling place values.
+                        rank = (lo + rows % width) * leaves
+                        rows = rows // width
+                        place = leaves
+                        for j in range(split, m):
+                            place //= levels[j].size
+                            rank += rows % levels[j].size * place
+                            rows //= levels[j].size
+                        return rank
 
-    starts = range(0, prefix[0].size, per)
-    workers = min(threads or 1, len(starts))
-    if workers > 1:
+                    for p, best in enumerate(_chunk_summary(etas, ranks, k)):
+                        found[p] = heapq.nsmallest(k, found[p] + best)
+            return found
+
+        starts = range(0, prefix[0].size, per)
+        workers = min(threads or 1, len(starts))
+        if workers == 1:
+            return run(starts)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(run, (starts[t::workers] for t in range(workers)))
-            return list(itertools.chain.from_iterable(parts))
-    return run(starts)
+            parts = list(pool.map(run, (starts[t::workers]
+                                        for t in range(workers))))
+        return [[c for part in parts for c in part[p]] for p in range(q)]
+
+    # The largest batch of prices whose prefix sums fit in BLOCK_SIZE
+    # values; a batch's split deepens, and its prefixes multiply, with it.
+    space_size = math.prod(v.size for v in levels)
+    batch, most = 1, prices.size
+    while batch < most:
+        mid = (batch + most + 1) // 2
+        if mid * (space_size // split_for(mid)[1]) <= BLOCK_SIZE:
+            batch = mid
+        else:
+            most = mid - 1
+    candidates = []
+    for first in range(0, prices.size, batch):
+        at = slice(first, first + batch)
+        candidates += walk(f_top[at], low_profit[at])
+    return candidates
+
+
+def _rankings(params: ModelParams, space: str, k: int, threads: int | None,
+              prices) -> list[list[tuple[float, Policy]]]:
+    """The k best (-eta, policy) pairs of a space at each price, best first.
+
+    The threshold family is one block at every price; the product spaces
+    are one walk of _product_candidates over all the prices. Overflow and
+    NaN are caught by _chunk_summary's finiteness check.
+    """
+    m = params.m
+    prices = np.asarray(prices, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if space == "threshold":
+            # Falling theta is lexicographic order.
+            block = _policy_block(m, space, 0, m + 1)[::-1]
+            candidates = _chunk_summary(_block_profits(params, block, prices),
+                                        lambda rows: rows, k)
+            policy_of = block.__getitem__
+        else:
+            candidates = _product_candidates(params, space, k, threads, prices)
+
+            def policy_of(rank):
+                return _policy_block(m, space, rank, rank + 1)[0]
+
+    best = [heapq.nsmallest(k, found) for found in candidates]
+    # Neighbouring prices mostly share their winners: unrank each once.
+    policies = {rank: tuple(int(v) for v in policy_of(rank))
+                for rank in {rank for found in best for _, rank in found}}
+    return [[(neg, policies[rank]) for neg, rank in found] for found in best]
 
 
 def optimize(params: ModelParams, space: str = "full",
@@ -265,18 +375,7 @@ def optimize(params: ModelParams, space: str = "full",
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     total = _gated_size(params.m, space, allow_large)
-    k = top_k or 1
-
-    # Overflow and NaN are caught by _chunk_summary's finiteness check.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if space == "threshold":
-            # Falling theta is lexicographic order.
-            block = _policy_block(params.m, space, 0, total)[::-1]
-            candidates = _chunk_summary(profits_block(params, block),
-                                        lambda rows: rows, block.__getitem__, k)
-        else:
-            candidates = _product_candidates(params, space, k, threads)
-    merged = heapq.nsmallest(k, candidates)
+    merged, = _rankings(params, space, top_k or 1, threads, [params.price])
 
     ranking = None
     if top_k:
@@ -285,6 +384,80 @@ def optimize(params: ModelParams, space: str = "full",
         best_policy=merged[0][1], best_eta=-merged[0][0], space=space,
         evaluations=total, ranking=ranking,
     )
+
+
+def _price_grid(r_grid) -> list[float]:
+    """The prices of r_grid as floats, refused as validate refuses a price.
+
+    An empty grid or a negative price raises ValueError, a non-finite price
+    ConfigError.
+    """
+    grid = [float(r) for r in r_grid]
+    if not grid:
+        raise ValueError("price grid must be nonempty")
+    if not all(math.isfinite(r) for r in grid):
+        raise ConfigError("price must be finite")
+    if any(r < 0 for r in grid):
+        raise ValueError("prices must be >= 0")
+    return grid
+
+
+def price_sweep(params: ModelParams, r_grid: Sequence[float],
+                space: str = "full", allow_large: bool = False,
+                threads: int | None = None):
+    """The optimal policy at every price of a grid, with regime labels.
+
+    Returns (rows, crit) where each row is (R, best policy, eta,
+    per-level critical prices of that policy, regime label, crossing
+    note) and crit carries the R_H / R_L thresholds of the space. The grid
+    is checked once, before anything is computed, and the whole grid is
+    searched in one walk down the enumeration tree (a few walks where a
+    large space and a long grid would not fit in memory at once): each
+    row's policy and eta equal those of optimize at its price, bit for bit.
+    As a sanity check, eta is reconciled against the affine form
+    R * completion_rate - cost_rate of the winning policy on every grid
+    point; a mismatch raises ConsistencyError.
+    """
+    grid = _price_grid(r_grid)
+    # Every grid price is one validate accepts, so one check covers them.
+    require_valid(replace(params, price=grid[0]))
+    # critical_prices_global gates the space as optimize does.
+    crit = critical_prices_global(params, space, allow_large=allow_large)
+    bests = _rankings(params, space, 1, threads, grid)
+
+    # affine pieces and per-level critical prices per winning policy,
+    # computed once each: none of them depends on the price
+    pieces: dict[tuple, tuple[float, float, tuple[float, ...]]] = {}
+    rows = []
+    prev_regime = None
+    for r, [(neg_eta, d)] in zip(grid, bests):
+        eta = -neg_eta
+        if d not in pieces:
+            sol = stationary_closed_form(params, d)
+            crits = perturbation_factors(params, d).crit_prices
+            pieces[d] = (*profit_components(sol, affine_decomposition(params, d)),
+                         tuple(float(x) for x in crits))
+        completions, cost, crits = pieces[d]
+        affine = r * completions - cost
+        tol = 1e-9 * max(1.0, abs(eta))
+        if completions < -1e-15 or abs(affine - eta) > tol:
+            raise ConsistencyError(
+                f"price sweep: eta at R={r:.6g} deviates from the affine "
+                f"form ({eta!r} vs {affine!r})"
+            )
+        if not math.isnan(crit.r_high) and r >= crit.r_high:
+            regime = "high"
+        elif not math.isnan(crit.r_low) and r <= crit.r_low:
+            regime = "low"
+        else:
+            regime = "mid"
+        crossing = ""
+        if prev_regime is not None and regime != prev_regime:
+            boundary = "R_H" if "high" in (regime, prev_regime) else "R_L"
+            crossing = f"crosses {boundary}"
+        prev_regime = regime
+        rows.append((r, d, eta, crits, regime, crossing))
+    return rows, crit
 
 
 def _extreme_closed_form(params: ModelParams, regime: str) -> tuple[Policy, float]:

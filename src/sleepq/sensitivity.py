@@ -146,11 +146,14 @@ def _factor_lines(params: ModelParams, block: np.ndarray,
     # Overflow and NaN are caught by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
         chain = _block_chain(params, block)
-        total = chain.xi_low.sum() + chain.xi_top.sum(axis=1)
-        completion_rate = (chain.xi_low @ (chain.jobs_low * mu1)
-                           + (chain.xi_top * chain.nu).sum(axis=1)) / total
-        cost_rate = (chain.xi_low @ chain.cost_low
-                     + (chain.xi_top * chain.cost_top).sum(axis=1)) / total
+        total = (chain.xi_low.sum() + chain.xi_top.sum(axis=1))[:, None]
+        # Normalized first, as _policy_lines does: near the overflow edge
+        # xi * nu overflows where pi * nu does not.
+        pi_low, pi_top = chain.xi_low / total, chain.xi_top / total
+        completion_rate = (pi_low @ (chain.jobs_low * mu1)
+                           + (pi_top * chain.nu).sum(axis=1))
+        cost_rate = (pi_low @ chain.cost_low
+                     + (pi_top * chain.cost_top).sum(axis=1))
         # source[0] is the R-coefficient of eta - f at the levels,
         # source[1] the price-free part.
         source = np.stack([completion_rate[:, None] - chain.nu,

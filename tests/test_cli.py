@@ -1,5 +1,8 @@
 """Command-line interface: exit codes, table output, and CSV files."""
 
+import warnings
+from pathlib import Path
+
 import pytest
 
 from sleepq import params_digest, params_to_text, stationary_closed_form
@@ -276,6 +279,42 @@ def test_price_sweep_needs_to_with_steps(model_file, capsys):
     assert main(["price-sweep", "--model", model_file, "--from", "0",
                  "--steps", "5"]) == 1
     assert "--to is required" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("golden, params, argv", [
+    ("price_sweep_sleepy_reduced.csv", sleepy_params(),
+     ["--from", "0", "--to", "130", "--steps", "6", "--space", "reduced"]),
+    ("price_sweep_micro.csv", micro_params(),
+     ["--from", "0", "--to", "12", "--steps", "25"]),
+    ("price_sweep_sleepy_m4.csv", sleepy_params(m=4),
+     ["--from", "0", "--to", "130", "--steps", "25"]),
+])
+def test_price_sweep_csv_bytes_are_pinned(tmp_path, golden, params, argv):
+    # The golden files hold what the per-point search wrote, one optimize
+    # call per grid price; only the package version may differ.
+    model, out = tmp_path / "model.cfg", tmp_path / "sweep.csv"
+    model.write_text(params_to_text(params))
+    assert main(["price-sweep", "--model", str(model), "--output", str(out),
+                 *argv]) == 0
+
+    def pinned(text):
+        return [line for line in text.splitlines(keepends=True)
+                if not line.startswith("# version=")]
+
+    assert pinned(out.read_text()) == pinned((GOLDEN / golden).read_text())
+
+
+@pytest.mark.parametrize("argv", [["--from", "inf"],
+                                  ["--from", "nan"],
+                                  ["--from", "0", "--to", "inf", "--steps", "3"]])
+def test_price_sweep_refuses_non_finite_prices(model_file, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["price-sweep", "--model", model_file, *argv]) == 2
+    assert "price must be finite" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

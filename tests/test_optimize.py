@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sleepq import (
+    ConfigError,
     GateError,
     NumericalError,
     RegimeError,
@@ -23,7 +24,7 @@ from sleepq import (
     verify_monotonicity,
 )
 from sleepq.model import _policy_block
-from conftest import draw_instance, micro_params, sleepy_params
+from conftest import draw_instance, draw_params, micro_params, sleepy_params
 
 # The package exports the optimize function under the module's name.
 OPT = importlib.import_module("sleepq.optimize")
@@ -309,3 +310,42 @@ def test_affine_tail_slope_matches_direct_sweep():
     if len(slopes):
         assert np.allclose(slopes, rep.slope_expected,
                            atol=1e-10 * max(1.0, abs(rep.slope_expected)))
+
+
+@pytest.mark.parametrize("space, m_max", [
+    ("full", 4), ("reduced", 5), ("bang_bang", 7), ("threshold", 9)])
+def test_price_sweep_equals_per_point_optimize(space, m_max, monkeypatch):
+    # One walk over the grid must give each price the optimize answer bit
+    # for bit, whatever the chunks, the price batches and the threads.
+    rng = np.random.default_rng(53)
+    corpus = [draw_params(rng, n_max=6, m_max=m_max) for _ in range(4)]
+    corpus.append(micro_params(n=2, m=m_max, c_energy=0.0, lambda_=1.7))  # ties
+    for params in corpus:
+        grid = [float(r) for r in np.linspace(0.0, rng.uniform(5.0, 60.0), 25)]
+        want = [optimize(dataclasses.replace(params, price=r), space)
+                for r in grid]
+        with monkeypatch.context() as patch:
+            # At most 50 values an array: chunks of 2 to 50 policies, and
+            # the 25 prices in batches of 1 to 25.
+            patch.setattr(OPT, "BLOCK_SIZE", 50)
+            for threads in (1, 2):
+                rows, _ = OPT.price_sweep(params, grid, space, threads=threads)
+                for (r, d, eta, *_), res in zip(rows, want):
+                    assert (d, eta) == (res.best_policy, res.best_eta), (params, r)
+        if params.m <= 4:
+            # An oracle that shares no code with the walk.
+            policies = list(enumerate_policies(params.m, space))
+            for (r, d, eta, *_) in rows[::4]:
+                at_r = dataclasses.replace(params, price=r)
+                best = max(policy_profit(at_r, p) for p in policies)
+                assert abs(eta - best) <= 1e-12 * max(1.0, abs(best)), (params, r)
+
+
+def test_price_sweep_refuses_non_finite_prices_before_searching(monkeypatch):
+    calls = []
+    monkeypatch.setattr(OPT, "critical_prices_global",
+                        lambda *args, **kwargs: calls.append(args))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="price must be finite"):
+            OPT.price_sweep(micro_params(m=2), [0.0, 1.0, bad])
+    assert calls == []

@@ -210,7 +210,7 @@ def test_heavy_load_factors_raise_instead_of_nan():
 def test_policy_lines_match_block_lines():
     # One policy's lines come from the scalar pass, a search's from a block
     # of policies. The two round pi differently; the gap grows down the
-    # levels with the load, to 2.3e-13 relative at most on this corpus.
+    # levels with the load, to 4.9e-13 relative at most on this corpus.
     rng = np.random.default_rng(38)
     corpus = [draw_instance(rng, n_max=12, m_max=12) for _ in range(200)]
     corpus += [wide_light_instance(rng) for _ in range(10)]
@@ -244,9 +244,25 @@ def test_policy_and_block_lines_refuse_the_same_draws():
     assert block
 
 
+def test_both_shapes_refuse_the_same_draws_at_the_overflow_edge():
+    # Weights near the float maximum: xi * nu overflows where pi * nu does
+    # not, so the block shape must normalize before weighting the rates.
+    rng = np.random.default_rng(102)
+    refused = 0
+    for _ in range(2000):
+        mu2 = float(10.0 ** rng.uniform(-3.0, -1.0))
+        m = int(rng.integers(100, 200))
+        params = micro_params(lambda_=10.0, mu1=0.1, mu2=mu2, n=1, m=m)
+        d = random_policy(rng, m)
+        block = _refuses(lambda p, x: _factor_lines(p, np.array([x])), params, d)
+        assert _refuses(_policy_lines, params, d) == block, (params, d)
+        refused += block
+    assert 0 < refused < 2000
+
+
 def test_per_policy_roots_lie_within_global_prices():
     # R_H and R_L come from the block shape, each policy's roots from the
-    # scalar one; they differ in the last bits, by at most 3.2e-13 relative
+    # scalar one; they differ in the last bits, by at most 2.2e-14 relative
     # on this corpus, so the bound holds to 1e-11 relative.
     rng = np.random.default_rng(7)
     for _ in range(60):
