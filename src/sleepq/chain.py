@@ -153,7 +153,9 @@ def _stationary(params: ModelParams, death: list[float]) -> ChainSolution:
         weight = weight * lam / rate
         xi.append(weight)
     xi = np.array(xi)
-    b = float(xi.sum())
+    # Finite weights can still sum past the largest double: refused below.
+    with np.errstate(over="ignore"):
+        b = float(xi.sum())
     if not np.isfinite(b):
         raise NumericalError(
             "stationary weights are not finite; they overflow at this load"
@@ -236,21 +238,21 @@ def _profit_rates(params: ModelParams, chain: _BlockChain, prices: np.ndarray,
             prices[:, None, None] * chain.nu - chain.cost_top)
 
 
-def stationary_numeric(gen: Generator, replace_equation: int = -1) -> ChainSolution:
+def stationary_numeric(gen: Generator) -> ChainSolution:
     """Solve pi B = 0, pi e = 1 by dense linear algebra (the oracle path).
 
-    One balance equation (by default the last) is replaced by the
-    normalization row; for an irreducible generator the result does not
-    depend on which one. Entries whose true value sits far below machine
-    precision come back as roundoff-scale negatives; those are clamped to
-    zero. A genuinely negative entry raises NumericalError, as does a
-    singular system; both indicate a malformed generator.
+    The last balance equation is replaced by the normalization row; for an
+    irreducible generator the result does not depend on which one. Entries
+    whose true value sits far below machine precision come back as
+    roundoff-scale negatives; those are clamped to zero. A genuinely
+    negative entry raises NumericalError, as does a singular system; both
+    indicate a malformed generator.
     """
     size = gen.matrix.shape[0]
     system = gen.matrix.T.copy()
     rhs = np.zeros(size)
-    system[replace_equation, :] = 1.0
-    rhs[replace_equation] = 1.0
+    system[-1, :] = 1.0
+    rhs[-1] = 1.0
     try:
         pi = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:

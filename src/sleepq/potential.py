@@ -6,26 +6,26 @@ matrix, h the reduced f - eta*e, and g(0,0) anchored to a free constant,
 
     phi = (-scriptB)^{-1} h + anchor * mu1 (-scriptB)^{-1} e_1.
 
-Three independent routes produce the two inverse applications: a dense
-linear solve (oracle); a UL-type factorization of the reduced matrix into
-scalar U/R/G measures, applied in O(n+m) by one backward R sweep, a
-division by -U and one forward sweep; and the explicit form, which builds
-the running R products and the unit lower triangle as two dense triangles
-and multiplies through them. On this birth-death chain the factorization is
-closed form: the rows of the generator sum to zero, so by induction from
+The rows of the generator sum to zero, so (-scriptB) e = mu1 e_1 and the
+anchor term is exactly the all-ones vector: potentials are fixed only up to
+an additive constant, and phi = phi_h + anchor with phi_h = (-scriptB)^{-1} h.
+One right-hand side is solved per call.
+
+Three independent routes produce that inverse application: the dense
+inverse of the reduced matrix, formed once and applied by matmul (oracle);
+a UL-type factorization of the reduced matrix into scalar U/R/G measures,
+applied in O(n+m) by one backward R sweep, a division by -U and one forward
+sweep; and the explicit form, which builds the running R products and the
+unit lower triangle as two dense triangles and multiplies through them. On
+this birth-death chain the factorization is closed form: by induction from
 the top state U_k = -nu_k (the death rate of reduced state k),
 R_k = lambda / nu_{k+1} and G_k = 1 (see rg_factorize). A route only
-factorizes: it returns its inverse application and its two starting solves.
-solve_poisson owns the rest, once for every route: one scalar pass of the
-closed form for the generator, pi and f, the two right-hand sides, the
-extended-precision refinement of both solves and the residual gate. All
-three routes must agree to solver tolerance.
-
-Because (-scriptB) e = mu1 e_1, the vector mu1 (-scriptB)^{-1} e_1 is
-exactly the all-ones vector: changing the anchor shifts every potential by
-the same constant, so potential differences are anchor-free. The
-"fundamental" normalization instead picks the anchor that makes pi . g =
-eta.
+factorizes: it returns its inverse application. solve_poisson owns the
+rest, once for every route: one scalar pass of the closed form for the
+generator, pi and f, the starting solve, its extended-precision refinement
+and the residual gate. All three routes must agree to solver tolerance.
+Potential differences are anchor-free; the "fundamental" normalization
+picks the anchor that makes pi . g = eta.
 """
 
 from __future__ import annotations
@@ -70,9 +70,10 @@ class RGFactors:
 class PotentialSolution:
     """A solved potential vector with its provenance.
 
-    g covers the full state space (entry 0 is the anchor state). phi_h and
-    e1_term retain the two inverse applications so the anchor can be moved
-    without re-solving. residual is the max-norm defect of B g = eta*e - f.
+    g covers the full state space (entry 0 is the anchor state), and
+    g[1:] = phi_h + anchor. phi_h, the refined (-scriptB)^{-1} h, is kept so
+    the anchor can be moved without re-solving. residual is the max-norm
+    defect of B g = eta*e - f.
     """
 
     g: np.ndarray
@@ -82,12 +83,10 @@ class PotentialSolution:
     residual: float
     method: str
     phi_h: np.ndarray
-    e1_term: np.ndarray
 
     def __post_init__(self):
         self.g.setflags(write=False)
         self.phi_h.setflags(write=False)
-        self.e1_term.setflags(write=False)
 
 
 def reduced_matrix(gen: Generator) -> np.ndarray:
@@ -171,12 +170,13 @@ def _band_product(sub, diag, sup, x):
     return y
 
 
-def _refine(bands, apply_inverse, x, rhs, iters=2):
+def _refine(bands, apply_inverse, x, rhs):
     """Iterative refinement of neg_b @ x = rhs, neg_b given by its bands.
 
     The residual is evaluated in extended precision so corrections are not
     limited by cancellation in the residual itself; the correction reuses
-    whatever inverse application produced x.
+    whatever inverse application produced x. At most two corrections are
+    made, and one that does not lower the residual ends the refinement.
     """
     rhs_ld = rhs.astype(np.longdouble)
 
@@ -186,7 +186,7 @@ def _refine(bands, apply_inverse, x, rhs, iters=2):
     best = x
     best_r = residual(best)
     best_res = float(np.abs(best_r).max())
-    for _ in range(iters):
+    for _ in range(2):
         candidate = best + apply_inverse(best_r.astype(float))
         r = residual(candidate)
         res = float(np.abs(r).max())
@@ -196,20 +196,20 @@ def _refine(bands, apply_inverse, x, rhs, iters=2):
     return best
 
 
-def _solve_dense(gen, h, e1):
-    neg_b = -gen.matrix[1:, 1:]
+def _solve_dense(gen):
+    """The inverse of the reduced matrix, formed once, applied by matmul."""
     try:
-        solved = np.linalg.solve(neg_b, np.column_stack((h, e1)))
+        inverse = np.linalg.inv(-gen.matrix[1:, 1:])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"reduced system is singular: {exc}") from exc
 
-    def apply_inverse(r):
-        return np.linalg.solve(neg_b, r)
+    def apply_inverse(rhs):
+        return inverse @ rhs
 
-    return apply_inverse, solved[:, 0], solved[:, 1]
+    return apply_inverse
 
 
-def _solve_rg(gen, h, e1):
+def _solve_rg(gen):
     """Apply the factors by two scalar sweeps; no inverse is formed.
 
     (-scriptB)^{-1} = (I - G_L)^{-1} (-U_D)^{-1} (I - R_U)^{-1}, so one
@@ -229,17 +229,16 @@ def _solve_rg(gen, h, e1):
             x[i] = x[i] / nu[i] + x[i - 1]
         return np.array(x)
 
-    return apply_inverse, apply_inverse(h), apply_inverse(e1)
+    return apply_inverse
 
 
-def _solve_explicit(gen, h, e1):
+def _solve_explicit(gen):
     """The factorized inverse with its running products spelled out.
 
     The upper triangle holds the running R products toward higher states,
     which weight h into one bracket per state; the unit lower triangle sums
-    those brackets down. The e1 term is the vector of partial G products,
-    all ones. This is the matrix form of the sums the factorization yields
-    state by state, kept as an independent route.
+    those brackets down. This is the matrix form of the sums the
+    factorization yields state by state, kept as an independent route.
     """
     factors = rg_factorize(gen)
     upper, lower = _triangles(factors)
@@ -248,7 +247,7 @@ def _solve_explicit(gen, h, e1):
     def apply_inverse(rhs):
         return lower @ ((upper @ rhs) / neg_u)
 
-    return apply_inverse, apply_inverse(h), np.ones(neg_u.shape[0])
+    return apply_inverse
 
 
 _SOLVERS = {"dense": _solve_dense, "rg": _solve_rg, "explicit": _solve_explicit}
@@ -289,18 +288,13 @@ def solve_poisson(
     eta = eta_computed
 
     h = f[1:] - eta
-    e1 = np.zeros(h.shape[0])
-    e1[0] = death[1]  # mu1, the rate back into the anchor state
-    apply_inverse, phi_h, e1_term = _SOLVERS[method](gen, h, e1)
+    apply_inverse = _SOLVERS[method](gen)
     reduced = gen.matrix[1:, 1:]
     bands = tuple(-reduced.diagonal(offset).astype(np.longdouble)
                   for offset in (-1, 0, 1))
-    phi_h = _refine(bands, apply_inverse, phi_h, h)
-    e1_term = _refine(bands, apply_inverse, e1_term, e1)
+    phi_h = _refine(bands, apply_inverse, apply_inverse(h), h)
 
-    g = np.empty(gen.matrix.shape[0])
-    g[0] = anchor
-    g[1:] = phi_h + anchor * e1_term
+    g = _anchored(phi_h, anchor)
     residual = poisson_residual(gen, g, eta, f)
     scale = max(1.0, abs(eta), float(np.max(np.abs(f))))
     if residual > 1e-9 * scale:
@@ -309,34 +303,35 @@ def solve_poisson(
         )
     solution = PotentialSolution(
         g=g, eta=eta, normalization="anchored", anchor=anchor,
-        residual=residual, method=method, phi_h=phi_h, e1_term=e1_term,
+        residual=residual, method=method, phi_h=phi_h,
     )
     if normalization == "fundamental":
         solution = normalize_fundamental(solution, pi)
     return solution
 
 
-def reanchor(solution: PotentialSolution, anchor: float) -> PotentialSolution:
-    """Move the anchor without re-solving; differences of g are unchanged."""
-    g = np.empty_like(solution.g)
+def _anchored(phi_h: np.ndarray, anchor: float) -> np.ndarray:
+    """g with g(0,0) = anchor: the all-ones anchor term adds it everywhere."""
+    g = np.empty(phi_h.shape[0] + 1)
     g[0] = anchor
-    g[1:] = solution.phi_h + anchor * solution.e1_term
-    return dc_replace(solution, g=g, anchor=anchor, normalization="anchored")
+    g[1:] = phi_h + anchor
+    return g
+
+
+def reanchor(solution: PotentialSolution, anchor: float) -> PotentialSolution:
+    """Move the anchor without re-solving; bit-equal to solving with it."""
+    return dc_replace(solution, g=_anchored(solution.phi_h, anchor),
+                      anchor=anchor, normalization="anchored")
 
 
 def normalize_fundamental(solution: PotentialSolution,
                           pi: ChainSolution) -> PotentialSolution:
     """Re-anchor so that pi . g = eta.
 
-    The anchor is (eta - varpi . phi_h) / (pi(0,0) + varpi . e1_term) with
-    varpi the stationary probabilities of the reduced states; since the
-    e1 term is the all-ones vector the denominator is exactly 1, so this
-    always exists. Idempotent.
+    pi . g = anchor * (pi . e) + varpi . phi_h with varpi the stationary
+    probabilities of the reduced states, and pi . e = 1, so the anchor is
+    eta - varpi . phi_h. Idempotent, as re-anchoring keeps phi_h.
     """
-    varpi = pi.pi[1:]
-    numerator = solution.eta - float(varpi @ solution.phi_h)
-    denominator = float(pi.pi[0] + varpi @ solution.e1_term)
-    anchor = numerator / denominator
+    anchor = solution.eta - float(pi.pi[1:] @ solution.phi_h)
     out = reanchor(solution, anchor)
     return dc_replace(out, normalization="fundamental")
-

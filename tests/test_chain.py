@@ -1,5 +1,7 @@
 """Generator structure and the closed-form stationary distribution."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +125,16 @@ def test_heavy_load_weights_raise_instead_of_nan():
         stationary_closed_form(params, d)
     with pytest.raises(NumericalError, match="not finite"):
         policy_profit(params, d)
+
+
+def test_overflowing_normalizer_raises_without_a_warning():
+    # Weights 2^0 ... 2^1023 are all finite, but their sum is not.
+    params = micro_params(n=1, m=1022, lambda_=2.0, mu1=1.0)
+    d = (0,) * params.m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not finite"):
+            stationary_closed_form(params, d)
 
 
 @pytest.mark.parametrize("entry", [

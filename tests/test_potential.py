@@ -168,6 +168,25 @@ def test_route_dependent_draw_all_routes_solve():
         assert np.max(np.abs(sol.g - sols["dense"].g)) <= 1e-9 * scale, method
 
 
+def test_benchmark_outlier_draw_all_routes_agree():
+    # Task desk-125 of the analyze benchmark at seed 60007. While each route
+    # also solved and refined the anchor term as a second right-hand side,
+    # dense landed 1.55e-9 relative off rg and explicit, which agreed.
+    params = ModelParams(
+        lambda_=7.617641811502663, mu1=0.18135689174837416,
+        mu2=8.028414544115572, n=6, m=6, p1_work=2.7127270117898306,
+        p2_work=2.4614600634669843, p2_sleep=1.0046667323639586,
+        c_energy=2.301298246788115, c_hold_g1=1.8830027064756472,
+        c_hold_g2=4.442863810848856, c_transfer=4.816846754370252,
+        c_loss=3.347504799996032, price=2.874722685652076)
+    d = (1, 3, 1, 5, 2, 1)
+    sols = {method: solve_poisson(params, d, method=method)
+            for method in SOLVE_METHODS}
+    scale = max(1.0, float(np.max(np.abs(sols["dense"].g))))
+    for method, sol in sols.items():
+        assert np.max(np.abs(sol.g - sols["dense"].g)) <= 1e-9 * scale, method
+
+
 def _triangles_by_loops(factors):
     """Running R products extended one factor at a time; unit lower triangle."""
     k = factors.u.shape[0]
@@ -220,12 +239,31 @@ def test_residual_is_small_on_random_instances():
 
 
 def test_unit_inverse_identity():
-    """mu1 times the first inverse column sums to one in every row."""
+    """mu1 times the first inverse column is one in every row."""
     rng = np.random.default_rng(24)
     for _ in range(15):
         params, d = draw_instance(rng)
-        sol = solve_poisson(params, d)
-        assert np.max(np.abs(sol.e1_term - 1.0)) < 1e-10
+        neg_b = -reduced_matrix(build_generator(params, d))
+        e_1 = np.zeros(neg_b.shape[0])
+        e_1[0] = 1.0
+        column = np.linalg.solve(neg_b, params.mu1 * e_1)
+        assert np.max(np.abs(column - 1.0)) < 1e-10
+
+
+def test_reanchor_equals_solving_with_the_anchor():
+    """The anchor term is the all-ones vector, so moving it re-solves nothing."""
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        params, d = draw_instance(rng)
+        pi = stationary_closed_form(params, d).pi
+        for method in SOLVE_METHODS:
+            base = solve_poisson(params, d, anchor=0.0, method=method)
+            direct = solve_poisson(params, d, anchor=2.5, method=method)
+            assert reanchor(base, 2.5).g.tobytes() == direct.g.tobytes()
+            g = solve_poisson(params, d, normalization="fundamental",
+                              method=method).g
+            scale = max(1.0, float(np.max(np.abs(g))))
+            assert abs(float(pi @ g) - base.eta) <= 1e-12 * scale
 
 
 def test_anchor_shift_only_translates():
