@@ -16,6 +16,15 @@ arithmetic, while a list hands back the stored float or int. Float64
 addition and multiplication give the same bits on Python floats as on
 numpy float64, so both forms produce identical results.
 
+Per event the body does only what the event needs. The caller passes
+per-state tables of the total event rate and of the selection boundary
+between the two completion kinds (sim._rates), so no rate is summed in
+the loop. The energy and holding integrals and the branch counters are
+held in locals and written back to the accumulators on the kernel's one
+exit, whether it ends on the budget, the time limit, a clipped dwell or
+a refill. The loop runs to a cursor fixed on entry, and the event count
+is read off the cursor at that exit instead of being counted per event.
+
 Uniform consumption contract: exactly two uniforms per completed event
 (one for the dwell, one for the event selection), and one uniform for a
 dwell clipped by a time limit. The kernel never wraps around a buffer: if
@@ -41,7 +50,7 @@ COUNT_EVENTS = 4
 
 
 def _kernel(k, t, buf, cursor, remaining, time_limit, lam, n, top,
-            g1_rate, g2_rate, energy_rate, hold_rate, dwell, acc, counts,
+            total_rate, split_rate, energy_rate, hold_rate, dwell, acc, counts,
             trace=None):
     """Advance the chain until the event budget or time limit is hit.
 
@@ -49,29 +58,46 @@ def _kernel(k, t, buf, cursor, remaining, time_limit, lam, n, top,
     buffer and read position; remaining: events still allowed (int64, may
     be huge in time mode); time_limit: absolute stop time (inf in event
     mode). Rates are per-state sequences; top == n + m is the loss state.
-    Accumulates dwell times, acc[0] energy and acc[1] holding integrals,
-    and the counter slots. Returns (k, t, cursor, status).
+    total_rate[k] = (lam + g1) + g2 is the state's total event rate and
+    split_rate[k] = lam + g1 the selection boundary between a group-1 and
+    a group-2 completion. Accumulates dwell times, acc[0] energy and acc[1]
+    holding integrals, and the counter slots. Returns (k, t, cursor,
+    status): REFILL when fewer than two uniforms are left before the budget
+    or the time limit is reached, DONE otherwise.
+
+    The integrals and counters take the same additions in the same order
+    in locals as they would in place, so the bits match. The loop stops at
+    the end of the last whole pair that both the buffer and the budget
+    allow; remaining itself is never doubled, because in time mode it is
+    near half the int64 range and the compiled product would overflow.
 
     trace, when a list, receives one (time, state_before, event,
     state_after) record per completed event, with event one of 'arrival',
     'loss', 'g1', 'transfer', 'g2'. Each append sits under a test of the
     argument itself, which numba prunes at compile time when trace is None.
     """
-    while remaining > 0 and t < time_limit:
-        if cursor + 2 > len(buf):
-            return k, t, cursor, REFILL
-        total = lam + g1_rate[k] + g2_rate[k]
+    energy = acc[0]
+    hold = acc[1]
+    n_g1 = counts[COUNT_G1]
+    n_g2 = counts[COUNT_G2]
+    n_transfer = counts[COUNT_TRANSFER]
+    n_loss = counts[COUNT_LOSS]
+    start = cursor
+    stop = cursor + 2 * min(remaining, (len(buf) - cursor) // 2)
+    while cursor < stop and t < time_limit:
+        total = total_rate[k]
         dt = -math.log(1.0 - buf[cursor]) / total
         if t + dt > time_limit:
             span = time_limit - t
             dwell[k] += span
-            acc[0] += energy_rate[k] * span
-            acc[1] += hold_rate[k] * span
+            energy += energy_rate[k] * span
+            hold += hold_rate[k] * span
+            t = time_limit
             cursor += 1
-            return k, time_limit, cursor, DONE
+            break
         dwell[k] += dt
-        acc[0] += energy_rate[k] * dt
-        acc[1] += hold_rate[k] * dt
+        energy += energy_rate[k] * dt
+        hold += hold_rate[k] * dt
         t += dt
         x = buf[cursor + 1] * total
         cursor += 2
@@ -81,25 +107,33 @@ def _kernel(k, t, buf, cursor, remaining, time_limit, lam, n, top,
                 if trace is not None:
                     trace.append((t, k - 1, "arrival", k))
             else:
-                counts[COUNT_LOSS] += 1
+                n_loss += 1
                 if trace is not None:
                     trace.append((t, k, "loss", k))
-        elif x < lam + g1_rate[k]:
-            counts[COUNT_G1] += 1
+        elif x < split_rate[k]:
+            n_g1 += 1
             if k > n:
-                counts[COUNT_TRANSFER] += 1
+                n_transfer += 1
                 if trace is not None:
                     trace.append((t, k, "transfer", k - 1))
             elif trace is not None:
                 trace.append((t, k, "g1", k - 1))
             k -= 1
         else:
-            counts[COUNT_G2] += 1
+            n_g2 += 1
             if trace is not None:
                 trace.append((t, k, "g2", k - 1))
             k -= 1
-        counts[COUNT_EVENTS] += 1
-        remaining -= 1
+    acc[0] = energy
+    acc[1] = hold
+    counts[COUNT_G1] = n_g1
+    counts[COUNT_G2] = n_g2
+    counts[COUNT_TRANSFER] = n_transfer
+    counts[COUNT_LOSS] = n_loss
+    events = (cursor - start) // 2
+    counts[COUNT_EVENTS] += events
+    if t < time_limit and events < remaining:
+        return k, t, cursor, REFILL
     return k, t, cursor, DONE
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -394,7 +395,13 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Building it costs most of a quick command's time, and parse_args keeps
+    no state between calls, so every call of main shares one parser.
+    """
     parser = _Parser(
         prog="sleepq",
         description="Exact analysis and optimization of a two-group "

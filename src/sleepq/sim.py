@@ -16,6 +16,7 @@ estimates when there are several.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,10 @@ class SimResult:
 
 
 def _validate_config(cfg: SimConfig) -> None:
+    for name in ("replications", "seed", "batch_count"):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if cfg.unit not in ("events", "time"):
         raise ConfigError(f"unit must be 'events' or 'time', got {cfg.unit!r}")
     if not np.isfinite(cfg.horizon) or cfg.horizon <= 0:
@@ -131,6 +136,16 @@ def _validate_config(cfg: SimConfig) -> None:
 
 
 def _rates(params: ModelParams, d: Policy):
+    """Per-state rate tables of the simulator kernel.
+
+    Returns (total, split, energy, hold): total = (lambda + g1) + g2 is the
+    total event rate of each state and split = lambda + g1 the boundary
+    between a group-1 and a group-2 completion in the selection draw, where
+    g1 and g2 are the group-1 and group-2 service rates. They are the sums
+    the kernel would otherwise form on every event, in the same order, so
+    the kernel sees the same bits. energy and hold are the energy and
+    holding cost rates.
+    """
     n, m = params.n, params.m
     size = n + m + 1
     g1 = np.zeros(size)
@@ -149,7 +164,8 @@ def _rates(params: ModelParams, d: Policy):
         energy[k] = (n * params.p1_work + d[j - 1] * params.p2_work
                      + (m - d[j - 1]) * params.p2_sleep) * params.c_energy
         hold[k] = n * params.c_hold_g1 + j * params.c_hold_g2
-    return g1, g2, energy, hold
+    split = params.lambda_ + g1
+    return split + g2, split, energy, hold
 
 
 class _Stream:
@@ -186,7 +202,7 @@ def _run_segment(kernel, stream, state, events, time_limit, rates, dwell,
     stream runs the kernel on list copies of them, written back at the end.
     """
     k, t = state
-    g1, g2, energy, hold, lam, n, top = rates
+    total, split, energy, hold, lam, n, top = rates
     remaining = int(events)
     targets = None
     if isinstance(stream.buf, list):
@@ -196,7 +212,7 @@ def _run_segment(kernel, stream, state, events, time_limit, rates, dwell,
         done_before = counts[_simkernel.COUNT_EVENTS]
         k, t, stream.cursor, status = kernel(
             k, t, stream.buf, stream.cursor, remaining, time_limit,
-            lam, n, top, g1, g2, energy, hold, dwell, acc, counts, trace)
+            lam, n, top, total, split, energy, hold, dwell, acc, counts, trace)
         remaining -= int(counts[_simkernel.COUNT_EVENTS] - done_before)
         if status == DONE:
             break

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from sleepq import params_digest, params_to_text, stationary_closed_form
-from sleepq.cli import main
+from sleepq.cli import build_parser, main
 from conftest import micro_params, sleepy_params
 
 
@@ -284,6 +284,45 @@ def test_price_sweep_needs_to_with_steps(model_file, capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def pinned(text):
+    """CSV lines that must not change between versions of the package."""
+    return [line for line in text.splitlines(keepends=True)
+            if not line.startswith("# version=")]
+
+
+# 45 states, so a time-mode batch ends on a clipped dwell and each
+# replication outruns the uniform buffer.
+WIDE_TIME_MODEL = micro_params(lambda_=8.0, n=4, m=40)
+WIDE_TIME_POLICY = ",".join(str(j // 2) for j in range(1, 41))
+
+
+@pytest.mark.parametrize("golden, params, argv, traced", [
+    ("simulate_micro_events.csv", micro_params(),
+     ["--policy", "1", "--horizon", "20000", "--seed", "4",
+      "--batch-count", "8"], False),
+    ("simulate_wide_time.csv", WIDE_TIME_MODEL,
+     ["--policy", WIDE_TIME_POLICY, "--horizon", "1500", "--warmup", "150",
+      "--unit", "time", "--replications", "3", "--batch-count", "5",
+      "--seed", "9"], False),
+    ("simulate_micro_traced.csv", micro_params(),
+     ["--policy", "1", "--horizon", "1000", "--warmup", "100", "--seed", "11",
+      "--batch-count", "4"], True),
+])
+def test_simulate_csv_bytes_are_pinned(tmp_path, golden, params, argv, traced):
+    # The golden files hold what the simulator wrote before its kernel was
+    # last rewritten: a seeded run must reproduce them bit for bit.
+    model, out = tmp_path / "model.cfg", tmp_path / "sim.csv"
+    trace = tmp_path / "trace.csv"
+    model.write_text(params_to_text(params))
+    extra = ["--trace-out", str(trace)] if traced else []
+    assert main(["simulate", "--model", str(model), "--output", str(out),
+                 *argv, *extra]) == 0
+    assert pinned(out.read_text()) == pinned((GOLDEN / golden).read_text())
+    if traced:
+        want = (GOLDEN / golden.replace(".csv", "_trace.csv")).read_text()
+        assert pinned(trace.read_text()) == pinned(want)
+
+
 @pytest.mark.parametrize("golden, params, argv", [
     ("price_sweep_sleepy_reduced.csv", sleepy_params(),
      ["--from", "0", "--to", "130", "--steps", "6", "--space", "reduced"]),
@@ -299,11 +338,6 @@ def test_price_sweep_csv_bytes_are_pinned(tmp_path, golden, params, argv):
     model.write_text(params_to_text(params))
     assert main(["price-sweep", "--model", str(model), "--output", str(out),
                  *argv]) == 0
-
-    def pinned(text):
-        return [line for line in text.splitlines(keepends=True)
-                if not line.startswith("# version=")]
-
     assert pinned(out.read_text()) == pinned((GOLDEN / golden).read_text())
 
 
@@ -315,6 +349,37 @@ def test_price_sweep_refuses_non_finite_prices(model_file, capsys, argv):
         warnings.simplefilter("error")
         assert main(["price-sweep", "--model", model_file, *argv]) == 2
     assert "price must be finite" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(model_file, tmp_path, capsys):
+    # The parser is built once per process; a call after others, a usage
+    # error among them, must print and write what a fresh parser gives.
+    calls = [
+        (["validate", "--model", model_file], 0),
+        (["stationary", "--model", model_file, "--policy", "1"], 0),
+        (["simulate", "--model", model_file, "--policy", "1",
+          "--horizon", "3000", "--seed", "4"], 0),
+        (["stationary", "--model", model_file, "--bogus"], 1),
+        (["stationary", "--model", model_file, "--policy", "1"], 0),
+    ]
+
+    def run(argv, code, fresh):
+        if fresh:
+            build_parser.cache_clear()
+        out = tmp_path / "out.csv"
+        out.unlink(missing_ok=True)
+        try:
+            got = main([*argv, "--output", str(out)])
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        streams = capsys.readouterr()
+        return streams.out, streams.err, out.read_bytes() if out.exists() else None
+
+    shared = [run(argv, code, fresh=False) for argv, code in calls]
+    fresh = [run(argv, code, fresh=True) for argv, code in calls]
+    assert shared == fresh
+    assert shared[2][2] is not None and b"# command=simulate" in shared[2][2]
 
 
 def test_version_flag(capsys):

@@ -29,23 +29,43 @@ CFG = SimConfig(horizon=40000, warmup=4000, replications=1, seed=7,
                 batch_count=8)
 
 
-def test_python_and_jit_paths_agree_bitwise(micro, monkeypatch):
+def test_python_and_jit_paths_agree_bitwise(monkeypatch):
     pytest.importorskip("numba")
-    jit = simulate(micro, (1,), CFG)
-    # Without the compiled kernel, simulate falls back to the interpreted one.
-    monkeypatch.setattr(_simkernel, "kernel_jit", None)
-    py = simulate(micro, (1,), CFG)
-    assert py.eta_hat == jit.eta_hat
-    assert np.array_equal(py.pi_hat, jit.pi_hat)
-    assert np.array_equal(py.batch_records, jit.batch_records)
-    assert py.counts == jit.counts
-    assert py.total_time == jit.total_time
+    cases = [
+        (micro_params(), (1,), CFG),
+        # 45 states in time mode: each batch ends on a clipped dwell and
+        # each replication outruns the uniform buffer, so every kernel exit
+        # runs compiled.
+        (micro_params(lambda_=8.0, n=4, m=40),
+         tuple(j // 2 for j in range(1, 41)),
+         SimConfig(horizon=1500.0, warmup=150.0, replications=3, seed=9,
+                   batch_count=5, unit="time")),
+    ]
+    for params, d, cfg in cases:
+        jit = simulate(params, d, cfg)
+        # Without the compiled kernel, simulate falls back to the
+        # interpreted one.
+        with monkeypatch.context() as patch:
+            patch.setattr(_simkernel, "kernel_jit", None)
+            py = simulate(params, d, cfg)
+        assert py.eta_hat == jit.eta_hat
+        assert np.array_equal(py.pi_hat, jit.pi_hat)
+        assert np.array_equal(py.batch_records, jit.batch_records)
+        assert np.array_equal(py.batch_pi, jit.batch_pi)
+        assert np.array_equal(py.replication_etas, jit.replication_etas)
+        assert py.counts == jit.counts
+        assert py.total_time == jit.total_time
+        assert py.energy_integral == jit.energy_integral
+        assert py.holding_integral == jit.holding_integral
 
 
 @pytest.mark.parametrize("remaining, time_limit, size, status", [
     (500, math.inf, 4000, _simkernel.DONE),        # event budget spent
     (10**9, 60.0, 4000, _simkernel.DONE),          # clipped final dwell
     (10**9, math.inf, 4001, _simkernel.REFILL),    # one uniform left over
+    (2000, math.inf, 4000, _simkernel.DONE),       # budget spent on the last pair
+    (2001, math.inf, 4000, _simkernel.REFILL),     # budget one past the buffer
+    (10**9, None, 4000, _simkernel.DONE),          # time reached on the last pair
 ])
 def test_kernel_on_lists_matches_kernel_on_arrays(remaining, time_limit,
                                                   size, status):
@@ -56,7 +76,7 @@ def test_kernel_on_lists_matches_kernel_on_arrays(remaining, time_limit,
     rates = _rates(params, (0, 1, 3))
     buf = np.random.default_rng(5).random(size)
 
-    def run(as_list):
+    def run(as_list, time_limit):
         form = (lambda a: a.tolist()) if as_list else (lambda a: a.copy())
         dwell = form(np.zeros(top + 1))
         acc = form(np.zeros(2))
@@ -66,19 +86,27 @@ def test_kernel_on_lists_matches_kernel_on_arrays(remaining, time_limit,
             params.n, top, *(form(v) for v in rates), dwell, acc, counts)
         return state, np.asarray(dwell), np.asarray(acc), np.asarray(counts)
 
-    arrays, lists = run(as_list=False), run(as_list=True)
+    last_pair = time_limit is None
+    if last_pair:
+        # The clock at the end of the buffer's last whole pair, so the time
+        # limit and the end of the buffer are reached by the same event.
+        time_limit = run(as_list=True, time_limit=math.inf)[0][1]
+    arrays = run(as_list=False, time_limit=time_limit)
+    lists = run(as_list=True, time_limit=time_limit)
     _, t, cursor, got = arrays[0]
     assert got == status
     assert arrays[0] == lists[0]
     for a, b in zip(arrays[1:], lists[1:]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     events = int(arrays[3][_simkernel.COUNT_EVENTS])
-    if remaining == 500:
+    if status == _simkernel.REFILL:
+        assert events < remaining and cursor == 2 * events == size - size % 2
+    elif time_limit == math.inf:
         assert events == remaining and cursor == 2 * events
-    elif time_limit < math.inf:
-        assert t == time_limit and cursor == 2 * events + 1
+    elif last_pair:
+        assert t == time_limit and cursor == size == 2 * events
     else:
-        assert cursor == size - 1 == 2 * events
+        assert t == time_limit and cursor == 2 * events + 1
     assert all(arrays[3] > 0)  # every event branch was taken
 
 
@@ -232,6 +260,19 @@ def test_config_validation(micro):
         simulate(micro, (1,), SimConfig(horizon=1000, unit="days"))
     with pytest.raises(ConfigError, match="whole number"):
         simulate(micro, (1,), SimConfig(horizon=1000.5))
+
+
+@pytest.mark.parametrize("field", ["seed", "replications", "batch_count"])
+def test_non_integer_config_fields_are_config_errors(micro, field):
+    for bad in (1.5, 2.0, "3", True):
+        cfg = dataclasses.replace(SimConfig(horizon=100), **{field: bad})
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            simulate(micro, (1,), cfg)
+    good = dataclasses.replace(SimConfig(horizon=100), **{field: np.int64(3)})
+    a = simulate(micro, (1,), good)
+    b = simulate(micro, (1,), dataclasses.replace(good, **{field: 3}))
+    assert a.eta_hat == b.eta_hat
+    assert a.batch_records.tobytes() == b.batch_records.tobytes()
 
 
 def test_warmup_fraction_equals_absolute(micro):
