@@ -16,6 +16,7 @@ estimates when there are several.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import _simkernel
 from ._simkernel import DONE, REFILL
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .model import ModelParams, Policy, check_policy, require_valid, state_space
 
 #: Uniforms drawn per refill; results do not depend on this value. Kept
@@ -32,6 +33,20 @@ BUFFER_SIZE = 1 << 14
 
 #: Stand-in event budget when a segment is limited by time only.
 _NO_EVENT_LIMIT = np.iinfo(np.int64).max // 2
+
+#: P(|T| > t) at the two-sided 95 % Student-t quantile t: twice 1 - 0.975
+#: as that difference rounds.
+_T_TWO_TAIL = 2.0 * (1.0 - 0.975)
+
+#: The normal quantile z(0.975), correctly rounded.
+_Z975 = 1.9599639845400538
+
+#: From this many degrees of freedom on, the first term the Cornish-Fisher
+#: expansion leaves out (order df**-5) is below half an ulp of the quantile.
+_CORNISH_FISHER_MIN_DF = 1500
+
+#: Bits after the binary point of the fixed-point CDF sums.
+_FIX_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -224,6 +239,73 @@ def _run_segment(kernel, stream, state, events, time_limit, rates, dwell,
     return k, t
 
 
+def _cornish_fisher_975(df: int) -> float:
+    """The 0.975 Student-t quantile to order df**-4 (A&S 26.7.5)."""
+    z = _Z975
+    z2 = z * z
+    g1 = (z2 + 1) * z / 4
+    g2 = ((5 * z2 + 16) * z2 + 3) * z / 96
+    g3 = (((3 * z2 + 19) * z2 + 17) * z2 - 15) * z / 384
+    g4 = ((((79 * z2 + 776) * z2 + 1482) * z2 - 1920) * z2 - 945) * z / 92160
+    return z + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
+
+
+def _t_two_tail(t: float, df: int) -> float:
+    """P(|T| > t) for T Student-t with integer df >= 1 and t > 0.
+
+    With theta = atan(t / sqrt(df)), s = sin(theta) and c = cos(theta),
+    P(|T| <= t) is s * sum_k a_k c**(2k) for even df (A&S 26.7.4) and
+    (2/pi) * (theta + s*c * sum_k a_k c**(2k)) for odd df (A&S 26.7.3), where
+    k < df // 2, a_0 = 1 and a_k = a_(k-1) * (2k-1)/(2k) or (2k)/(2k+1);
+    for df = 1 the odd sum is empty. The sums run in fixed point from
+    u = s**2 alone, so c**2 = 1 - u is exact, and the complement, 20 times
+    smaller than P(|T| <= t) at the 0.975 quantile, keeps float precision.
+    """
+    t2 = t * t
+    one = 1 << _FIX_BITS
+    sin2 = int(math.ldexp(t2 / (df + t2), _FIX_BITS))
+    cos2 = one - sin2
+    odd = df % 2
+    term = total = one if df > 1 else 0
+    for k in range(1, df // 2):
+        term = (term * cos2 >> _FIX_BITS) * (2 * k - 1 + odd) // (2 * k + odd)
+        total += term
+    if not odd:
+        inside = math.isqrt(sin2 << _FIX_BITS) * total >> _FIX_BITS
+        return math.ldexp(float(one - inside), -_FIX_BITS)
+    sin_cos_sum = math.isqrt(sin2 * cos2) * total >> _FIX_BITS
+    # pi/2 - theta, taken directly so that no digits cancel.
+    phi = math.atan2(math.sqrt(df), t)
+    return (phi - math.ldexp(float(sin_cos_sum), -_FIX_BITS)) * (2 / math.pi)
+
+
+def _t_quantile_975(df: int) -> float:
+    """The two-sided 95 % Student-t quantile for integer df >= 1.
+
+    Safeguarded Newton on P(|T| > t) = 2 * (1 - 0.975), started from the
+    Cornish-Fisher expansion, which stands alone from
+    _CORNISH_FISHER_MIN_DF on. The tail is convex for t > 0, so a Newton
+    step from below the root stays below it and one from above lands below
+    it, or at worst on z(0.975), which is below every t quantile: the
+    iterates rise monotonically from the first step on.
+    """
+    t = _cornish_fisher_975(df)
+    if df >= _CORNISH_FISHER_MIN_DF:
+        return t
+    log_scale = (math.lgamma((df + 1) / 2) - math.lgamma(df / 2)
+                 - 0.5 * math.log(df * math.pi))
+    # At most 5 steps are needed for df < _CORNISH_FISHER_MIN_DF; the cap
+    # turns a fault in the tail into an error instead of an endless loop.
+    for _ in range(50):
+        density = math.exp(log_scale - (df + 1) / 2 * math.log1p(t * t / df))
+        step = (_t_two_tail(t, df) - _T_TWO_TAIL) / (2 * density)
+        t = max(t + step, _Z975)
+        # Newton's error after a step is of order step**2 / t.
+        if abs(step) <= 2.0 ** -30 * t:
+            return t
+    raise NumericalError(f"the t quantile for df={df} did not converge")
+
+
 def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
              trace: bool = False) -> SimResult:
     """Simulate the cluster under policy d and estimate eta and pi.
@@ -268,8 +350,14 @@ def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
             )
         limits = [(events, np.inf) for events in [warmup_events, *batch_events]]
     else:
-        limits = [(_NO_EVENT_LIMIT, warmup + (cfg.horizon - warmup) * i / nbatch)
-                  for i in range(nbatch + 1)]
+        stops = [warmup + (cfg.horizon - warmup) * i / nbatch
+                 for i in range(nbatch + 1)]
+        if any(later <= earlier for earlier, later in zip(stops, stops[1:])):
+            raise ConfigError(
+                f"post-warmup time {cfg.horizon!r} - {warmup!r} is too short "
+                f"for {nbatch} batches of positive length"
+            )
+        limits = [(_NO_EVENT_LIMIT, stop) for stop in stops]
     warmup_limit, *batch_limits = limits
 
     rep_etas = np.empty(reps)
@@ -325,12 +413,11 @@ def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
     else:
         samples = records[:, 3]
     spread = float(np.std(samples, ddof=1))
-    # stdtrit is the Student-t quantile that scipy.stats.t.ppf computes,
-    # without importing all of scipy.stats. scipy.special alone is most of
-    # the package's import time, so only a simulation pays for it.
-    from scipy.special import stdtrit
-
-    quantile = float(stdtrit(samples.shape[0] - 1, 0.975))
+    # The Student-t quantile comes from Newton on the exact integer-df
+    # CDF (A&S 26.7.3, 26.7.4) from a Cornish-Fisher start (A&S 26.7.5),
+    # in pure Python: importing a special-function library for this one
+    # number would cost more than the rest of a short simulation.
+    quantile = _t_quantile_975(samples.shape[0] - 1)
     ci_half_width = quantile * spread / np.sqrt(samples.shape[0])
 
     counts_out = EventCounts(

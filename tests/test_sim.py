@@ -5,11 +5,11 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import stdtrit
 
 import sleepq
 from sleepq import _simkernel
@@ -17,11 +17,12 @@ from sleepq import (
     ConfigError,
     SimConfig,
     empirical_distribution,
+    params_to_text,
     policy_profit,
     simulate,
     stationary_closed_form,
 )
-from sleepq.sim import _rates
+from sleepq.sim import _rates, _t_quantile_975
 from conftest import micro_params
 
 
@@ -247,6 +248,7 @@ def test_empirical_distribution_is_normalized(micro):
     assert np.array_equal(dist, res.pi_hat)
 
 
+@pytest.mark.filterwarnings("error")
 def test_config_validation(micro):
     with pytest.raises(ConfigError, match="horizon"):
         simulate(micro, (1,), SimConfig(horizon=0))
@@ -260,6 +262,11 @@ def test_config_validation(micro):
         simulate(micro, (1,), SimConfig(horizon=1000, unit="days"))
     with pytest.raises(ConfigError, match="whole number"):
         simulate(micro, (1,), SimConfig(horizon=1000.5))
+    # The stop times 1 + (2**-52 * i / 2) round to 1, 1, 1 + 2**-52: the
+    # first batch would span no time and divide 0 by 0.
+    with pytest.raises(ConfigError, match="positive length"):
+        simulate(micro, (1,), SimConfig(horizon=1.0000000000000002, warmup=1.0,
+                                        unit="time", batch_count=2))
 
 
 @pytest.mark.parametrize("field", ["seed", "replications", "batch_count"])
@@ -301,21 +308,39 @@ def test_policy_changes_the_law(micro):
     assert asleep.pi_hat[-1] > awake.pi_hat[-1]
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a second to import; the package needs one
-    # Student-t quantile, which scipy.special provides, and only simulate
-    # imports that. The Poisson routes need nothing from scipy.linalg.
+def test_runtime_path_needs_no_scipy(tmp_path):
+    # scipy is a test-only dependency: with every scipy import refused, the
+    # package imports, simulates in both units and runs the simulate command.
+    model = tmp_path / "model.cfg"
+    model.write_text(params_to_text(micro_params()))
+    out = tmp_path / "sim.csv"
+    code = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None
+        import sleepq, sleepq.cli
+        from sleepq import SimConfig, params_from_file, simulate
+        params = params_from_file({str(model)!r})
+        for cfg in (SimConfig(horizon=5000, seed=3),
+                    SimConfig(horizon=500.0, unit="time", replications=3)):
+            assert simulate(params, (1,), cfg).ci_half_width > 0
+        status = sleepq.cli.main(["simulate", "--model", {str(model)!r},
+                                  "--policy", "1", "--horizon", "3000",
+                                  "--output", {str(out)!r}])
+        assert status == 0, status
+    """)
     src = str(Path(sleepq.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, sleepq, sleepq.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules, "
-            "'scipy.special' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["False", "False", "False"]
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "# command=simulate" in out.read_text()
 
 
-def test_stdtrit_equals_the_t_quantile():
-    stats = pytest.importorskip("scipy.stats")
-    df = np.arange(1, 2001)
-    assert np.array_equal(stdtrit(df, 0.975), stats.t.ppf(0.975, df))
+def test_t_quantile_matches_stdtrit():
+    stdtrit = pytest.importorskip("scipy.special").stdtrit
+    for dfs, bound in ((range(1, 2001), 1e-14),
+                       ((10**4, 10**5, 10**6, 10**7), 1e-13)):
+        for df in dfs:
+            want = float(stdtrit(df, 0.975))
+            got = _t_quantile_975(df)
+            assert abs(got - want) <= bound * want, (df, got, want)
