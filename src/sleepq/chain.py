@@ -6,19 +6,11 @@ i*mu1 from (i, 0) and at rate nu(d_{n,j}) = n*mu1 + min(d_{n,j}, j)*mu2 from
 (n, j). The stationary vector has a product form that the closed-form solver
 builds by recursive ratios; a dense linear solve is kept as an oracle.
 
-The closed form has two shapes. A single policy is one scalar pass over
-its states (_state_rates), from whose rates _generator and _stationary
-build the generator and the stationary law, so a caller that needs
-several of them runs the pass once. A block of policies is vectorized
-(_block_chain), for the searches. The two are kept apart: a 1-row block is
-slower than the scalar pass, and its weights, formed as cumulative products
-of lambda/nu, differ from the scalar ratios in the last bit. The
-realization factors of sensitivity take both shapes too, one policy from
-the scalar pass and a search's block from _block_chain, so they differ in
-the last bits as well. The backward recursion amplifies that gap with the
-load, to a few 1e-13 relative on desk-scale draws, and a per-policy
-critical price can fall as far outside the R_H and R_L that the block
-shape finds over a space that contains the policy.
+A single policy's rates come from one scalar pass over its states
+(_state_rates), from which _generator and _stationary build the generator
+and the stationary law, so a caller that needs several of them runs the
+pass once. The searches read the same rates for a whole block of policies
+(_block_chain).
 """
 
 from __future__ import annotations
@@ -165,29 +157,26 @@ def _stationary(params: ModelParams, death: list[float]) -> ChainSolution:
 
 @dataclass(frozen=True)
 class _BlockChain:
-    """Stationary weights and reward pieces of each policy row of a block.
+    """Rates of each policy row of a block.
 
-    The states (i, 0) are shared by every row: xi_low are their
-    unnormalized weights, jobs_low = i, and cost_low their cost rates; their
-    completion rate is i*mu1. The levels (n, j) get one row per policy:
-    xi_top, the service rates nu (which are also the completion rates) and
-    cost_top. A state's profit rate is price * completion rate - cost.
+    The states (i, 0) are shared by every row: jobs_low = i, their
+    completion rate is i*mu1, and cost_low are their cost rates. The levels
+    (n, j) get one row per policy: the service rates nu (which are also the
+    completion rates) and cost_top. A state's profit rate is price *
+    completion rate - cost.
     """
 
-    xi_low: np.ndarray
     jobs_low: np.ndarray
     cost_low: np.ndarray
-    xi_top: np.ndarray
     nu: np.ndarray
     cost_top: np.ndarray
 
 
 def _block_chain(params: ModelParams, block: np.ndarray) -> _BlockChain:
-    """Closed-form chain of each policy row of block, vectorized.
+    """The rates of _state_rates for each policy row of block, vectorized.
 
-    Same closed form as stationary_closed_form and affine_decomposition:
-    weights by cumulative birth/death ratios, raw-coordinate energy and
-    clamped service rates.
+    Raw-coordinate energy and clamped service rates, each bit for bit the
+    rate of the scalar pass.
     """
     _check_rates(params)
     block = np.asarray(block, dtype=np.int64)
@@ -199,14 +188,9 @@ def _block_chain(params: ModelParams, block: np.ndarray) -> _BlockChain:
     lam, mu1, mu2 = params.lambda_, params.mu1, params.mu2
 
     i_arr = np.arange(n + 1, dtype=np.float64)
-    ratios_low = np.ones(n + 1)
-    ratios_low[1:] = lam / (np.arange(1, n + 1) * mu1)
-    xi_low = np.cumprod(ratios_low)
-
     j_arr = np.arange(1, m + 1, dtype=np.float64)
     clamped = np.minimum(block, np.arange(1, m + 1, dtype=np.int64))
     nu = n * mu1 + clamped * mu2
-    xi_top = xi_low[n] * np.cumprod(lam / nu, axis=1)
 
     base_energy = (n * params.p1_work + m * params.p2_sleep) * params.c_energy
     energy = (n * params.p1_work + block * params.p2_work
@@ -215,26 +199,31 @@ def _block_chain(params: ModelParams, block: np.ndarray) -> _BlockChain:
     cost = (energy + n * params.c_hold_g1 + j_arr * params.c_hold_g2
             + n * mu1 * params.c_transfer)
     cost[:, m - 1] += lam * params.c_loss
-    return _BlockChain(xi_low=xi_low, jobs_low=i_arr,
+    return _BlockChain(jobs_low=i_arr,
                       cost_low=base_energy + i_arr * params.c_hold_g1,
-                      xi_top=xi_top, nu=nu, cost_top=cost)
+                      nu=nu, cost_top=cost)
 
 
 def _profit_rates(params: ModelParams, chain: _BlockChain, prices: np.ndarray,
-                  ) -> tuple[np.ndarray, float, np.ndarray]:
-    """(low_profit, low_weight, f_top) of a block chain at each price.
+                  ) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """(low_profit, low_weight, xi_n, f_top) of a block chain at each price.
 
-    low_profit[p] = xi_low . f_low at prices[p] and low_weight = sum(xi_low)
-    are shared by every row; f_top[p] is the profit rate of each level at
-    prices[p]. A row's average profit there is
-    (low_profit[p] + sum xi_top f_top[p]) / (low_weight + sum xi_top).
+    The weights of the states (i, 0) are cumulative products of
+    lambda/(i mu1), shared by every row: low_profit[p] = xi_low . f_low at
+    prices[p], low_weight = sum(xi_low) and xi_n = xi_low[n]. f_top[p] is
+    the profit rate of each level at prices[p]. A row's level weights are
+    xi_top = xi_n * cumprod(lambda/nu), and its average profit at prices[p]
+    is (low_profit[p] + sum xi_top f_top[p]) / (low_weight + sum xi_top).
     Each price gets the numbers of a one-price call bit for bit: the same
     elementwise operations, and one dot product of its own.
     """
+    ratios_low = np.ones(params.n + 1)
+    ratios_low[1:] = params.lambda_ / (np.arange(1, params.n + 1) * params.mu1)
+    xi_low = np.cumprod(ratios_low)
     low_profit = np.array([
-        chain.xi_low @ (price * chain.jobs_low * params.mu1 - chain.cost_low)
+        xi_low @ (price * chain.jobs_low * params.mu1 - chain.cost_low)
         for price in prices])
-    return (low_profit, chain.xi_low.sum(),
+    return (low_profit, xi_low.sum(), xi_low[params.n],
             prices[:, None, None] * chain.nu - chain.cost_top)
 
 

@@ -75,6 +75,11 @@ class OptimizationResult:
 class ThresholdResult:
     """Scan of the threshold family d_theta, theta = 1..m+1.
 
+    theta_star is the minimal maximizer of eta_by_theta, so on an exact tie
+    it names the most awake policy; optimize(space="threshold") breaks the
+    same tie the other way, to the lexicographically smallest policy, which
+    is the maximal theta.
+
     necessary_condition holds the sign triple at theta*: (value at
     (n,theta*-1) under d_{theta*-1}, at (n,theta*) under d_{theta*}, at
     (n,theta*+1) under d_{theta*+1}), each of the form G+c, with NaN for
@@ -122,26 +127,19 @@ class MonotonicityReport:
         self.etas.setflags(write=False)
 
 
-def profits_block(params: ModelParams, block: np.ndarray) -> np.ndarray:
-    """Average profit for each policy row of block, vectorized.
-
-    Same closed form as policy_profit, through _block_chain.
-    """
-    prices = np.array([params.price], dtype=np.float64)
-    return _block_profits(params, block, prices)[0]
-
-
 def _block_profits(params: ModelParams, block: np.ndarray,
                    prices: np.ndarray) -> np.ndarray:
-    """profits_block at each price: one row of profits per price.
+    """Average profit of each policy row of block: one row per price.
 
-    Each row is bit for bit profits_block at its price, since each price
-    runs the same elementwise operations and row sums.
+    Same closed form as policy_profit, with the levels summed in the order
+    of the enumeration tree of _product_candidates, so a row's profit is
+    bit for bit what the tree gives its policy.
     """
     chain = _block_chain(params, block)
-    low_profit, low_weight, f_top = _profit_rates(params, chain, prices)
-    return ((low_profit[:, None] + (chain.xi_top * f_top).sum(axis=2))
-            / (low_weight + chain.xi_top.sum(axis=1)))
+    low_profit, low_weight, xi_n, f_top = _profit_rates(params, chain, prices)
+    xi_top = xi_n * np.cumprod(params.lambda_ / chain.nu, axis=1)
+    return ((low_profit[:, None] + np.cumsum(xi_top * f_top, axis=2)[..., -1])
+            / (low_weight + np.cumsum(xi_top, axis=1)[:, -1]))
 
 
 def _chunk_summary(etas, ranks, k):
@@ -188,9 +186,9 @@ def _product_candidates(params: ModelParams, space: str, k: int,
     tree is grown one level at a time: each level multiplies every prefix's
     P by its values' lambda/nu and adds their terms. Only S depends on the
     price, through f = R nu - cost, so one walk grows P and W once and S as
-    a (prices, rows) array. These are the operations of profits_block in
-    its order, except that numpy sums rows longer than 7 pairwise, so from
-    m = 8 on the last bits can differ. A level's values form the leading
+    a (prices, rows) array. _block_profits runs these operations in this
+    order, so a policy gets the same profit from both at every m. A
+    level's values form the leading
     axis of its rows, so every operation runs along the contiguous prefix
     axis. The levels above a split are built once and put in rank order;
     each chunk grows a run of split-level prefixes into leaves, which are
@@ -204,14 +202,12 @@ def _product_candidates(params: ModelParams, space: str, k: int,
     m = params.m
     levels = _level_values(m, space)
     # Row v holds each level's v-th value (0 past the end), so the chain's
-    # nu and cost_top are the rates of every (value, level) pair; its
-    # xi_top is not used.
+    # nu and cost_top are the rates of every (value, level) pair.
     table = np.zeros((max(v.size for v in levels), m), dtype=np.int64)
     for j, values in enumerate(levels):
         table[:values.size, j] = values
     chain = _block_chain(params, table)
-    low_profit, low_weight, f_top = _profit_rates(params, chain, prices)
-    xi_n = chain.xi_low[params.n]
+    low_profit, low_weight, xi_n, f_top = _profit_rates(params, chain, prices)
     ratios = [params.lambda_ / chain.nu[:v.size, j] for j, v in enumerate(levels)]
 
     def split_for(q):
@@ -362,14 +358,16 @@ def optimize(params: ModelParams, space: str = "full",
              threads: int | None = None) -> OptimizationResult:
     """Exact argmax of the average profit over a policy space.
 
-    Ties in eta resolve to the lexicographically smallest policy. top_k
-    (at least 1) requests a ranking of the best policies by eta descending,
-    ties by policy ascending, so ranking[0] is always best_policy. The full,
-    reduced and bang-bang spaces are evaluated down their enumeration tree
-    in chunks of at most BLOCK_SIZE policies; threads > 1 evaluates chunks
-    concurrently. No result depends on the chunking or the threads. A
-    non-finite profit (the stationary weights overflow under heavy load)
-    raises NumericalError.
+    Ties in eta resolve to the lexicographically smallest policy; in the
+    threshold space that is the maximal theta, while threshold_scan
+    reports the minimal one. top_k (at least 1) requests a ranking of the
+    best policies by eta descending, ties by policy ascending, so
+    ranking[0] is always best_policy. The full, reduced and bang-bang
+    spaces are evaluated down their enumeration tree in chunks of at most
+    BLOCK_SIZE policies; threads > 1 evaluates chunks concurrently. No
+    result depends on the chunking or the threads. A non-finite profit
+    (the stationary weights overflow under heavy load) raises
+    NumericalError.
     """
     require_valid(params)
     if top_k is not None and top_k < 1:
@@ -539,14 +537,17 @@ def optimal_extreme_prices(params: ModelParams, regime: str,
 def threshold_scan(params: ModelParams) -> ThresholdResult:
     """Profit of every threshold policy and the sign conditions at theta*.
 
-    theta* is the minimal maximizer. The sign triple is evaluated with
-    boundary terms skipped (NaN): the theta*-1 term needs theta* > 1, the
-    theta* and theta*+1 terms need their level to exist (<= m).
+    theta* is the minimal maximizer (optimize over the threshold space
+    returns the maximal one, its lexicographically smallest policy). Each
+    eta is bit for bit the eta optimize gives that policy in any space that
+    contains it. The sign triple is evaluated with boundary terms skipped
+    (NaN): the theta*-1 term needs theta* > 1, the theta* and theta*+1
+    terms need their level to exist (<= m).
     """
     require_valid(params)
     m = params.m
     block = _policy_block(m, "threshold", 0, m + 1)
-    etas = profits_block(params, block)
+    etas = _block_profits(params, block, np.array([params.price]))[0]
     theta_star = 1 + int(np.argmax(etas))
     c = price_constant(params)
 
@@ -589,7 +590,7 @@ def verify_monotonicity(params: ModelParams, d: Policy, j: int,
 
     block = np.tile(np.asarray(d, dtype=np.int64), (m + 1, 1))
     block[:, j - 1] = np.arange(m + 1)
-    etas = profits_block(params, block)
+    etas = _block_profits(params, block, np.array([params.price]))[0]
 
     pi = stationary_closed_form(params, tuple(int(v) for v in block[j]))
     slope = -(pi.pi[params.n + j] * (params.p2_work - params.p2_sleep)

@@ -21,10 +21,9 @@ state gives
 
 run down to K = n + 1, and G(n,j) = D_{n+j-1}. Every divisor is at least
 n*mu1 > 0, no stationary probability is divided by, and no Poisson
-equation is solved. The recursion has the two shapes of the closed form in
-chain: for one policy it runs on Python floats over the rates of the scalar
-pass (_policy_lines), and for the searches over a whole block of policies
-at once (_factor_lines).
+equation is solved. One body (_lines) runs the recursion for one policy and
+for a whole block of policies at once, so a policy's factors are bit for
+bit its row of any block.
 
 f = R*a - b, so G and G + c are affine in the price R: the per-state
 critical price (the root of G + c) and its R-slope come from the same
@@ -123,48 +122,12 @@ def price_constant(params: ModelParams) -> float:
     return params.price - _wake_cost(params)
 
 
-def _require_finite(lines: np.ndarray) -> None:
-    if not np.all(np.isfinite(lines)):
+def _require_finite(values) -> None:
+    if not np.isfinite(values).all():
         raise NumericalError(
             "realization factors are not finite; the stationary weights "
             "overflow at this load"
         )
-
-
-def _factor_lines(params: ModelParams, block: np.ndarray,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """G(n,j) = price * slope + intercept for each policy row of block.
-
-    Returns (intercept, slope), each of shape (rows, m), from the scalar
-    recursion of the module docstring run on the two affine parts of
-    eta - f = R (A - a) + (b - B), where A = pi . a and B = pi . b. Neither
-    part depends on the price. A non-finite factor (the stationary weights
-    overflow under heavy load) raises NumericalError. This is the block
-    shape; _policy_lines is the same recursion for one policy.
-    """
-    lam, mu1 = params.lambda_, params.mu1
-    # Overflow and NaN are caught by the finiteness check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        chain = _block_chain(params, block)
-        total = (chain.xi_low.sum() + chain.xi_top.sum(axis=1))[:, None]
-        # Normalized first, as _policy_lines does: near the overflow edge
-        # xi * nu overflows where pi * nu does not.
-        pi_low, pi_top = chain.xi_low / total, chain.xi_top / total
-        completion_rate = (pi_low @ (chain.jobs_low * mu1)
-                           + (pi_top * chain.nu).sum(axis=1))
-        cost_rate = (pi_low @ chain.cost_low
-                     + (pi_top * chain.cost_top).sum(axis=1))
-        # source[0] is the R-coefficient of eta - f at the levels,
-        # source[1] the price-free part.
-        source = np.stack([completion_rate[:, None] - chain.nu,
-                           chain.cost_top - cost_rate[:, None]])
-        lines = np.empty_like(source)
-        below = np.zeros(source.shape[:2])
-        for j in range(params.m - 1, -1, -1):
-            below = (lam * below + source[:, :, j]) / chain.nu[:, j]
-            lines[:, :, j] = below
-    _require_finite(lines)
-    return lines[1], lines[0]
 
 
 def _price_roots(params: ModelParams, intercept: np.ndarray,
@@ -180,26 +143,69 @@ def _price_roots(params: ModelParams, intercept: np.ndarray,
     return np.where(degenerate, np.nan, roots), r_slope
 
 
+def _lines(params: ModelParams, death: list, cost: list,
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """(intercept, slope) of G(n,j) = price * slope + intercept, j = 1..m.
+
+    death and cost are the per-state rates of _state_rates. Each level
+    entry is a float for one policy, or a column array for a block with
+    one entry per policy row; every operation is elementwise, so a row gets
+    the bits of its policy alone. The weights are formed as _stationary
+    forms them, x * lambda / nu, and normalized before they weight the
+    rates, and every sum runs state by state. The recursion of the module
+    docstring then runs on the two affine parts of eta - f = R (A - a) +
+    (b - B), where A = pi . a and B = pi . b. A normalizer or a line that
+    is not finite (the weights overflow under heavy load) raises
+    NumericalError. The lines have shape (m,) for one policy and (m, rows)
+    for a block.
+    """
+    lam = params.lambda_
+    weights = [1.0]
+    total = 1.0
+    for rate in death[1:]:
+        weights.append(weights[-1] * lam / rate)
+        total = total + weights[-1]
+    _require_finite(total)
+    completion_rate = cost_rate = 0.0
+    for weight, rate, state_cost in zip(weights, death, cost):
+        share = weight / total
+        completion_rate = completion_rate + share * rate
+        cost_rate = cost_rate + share * state_cost
+    intercept, slope = [], []
+    below_i = below_s = 0.0
+    for j in range(len(death) - 1, params.n, -1):
+        rate = death[j]
+        below_i = (lam * below_i + (cost[j] - cost_rate)) / rate
+        below_s = (lam * below_s + (completion_rate - rate)) / rate
+        intercept.append(below_i)
+        slope.append(below_s)
+    lines = np.array([intercept[::-1], slope[::-1]])
+    _require_finite(lines)
+    return lines[0], lines[1]
+
+
+def _factor_lines(params: ModelParams, block: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(intercept, slope) of G(n,j) for each policy row of block.
+
+    Each of shape (rows, m): _lines on the rates of _block_chain, one
+    column array per level.
+    """
+    chain = _block_chain(params, block)
+    death = (chain.jobs_low * params.mu1).tolist() + list(chain.nu.T.copy())
+    cost = chain.cost_low.tolist() + list(chain.cost_top.T.copy())
+    # Overflow and NaN in the columns are caught by _lines' finiteness checks.
+    with np.errstate(over="ignore", invalid="ignore"):
+        intercept, slope = _lines(params, death, cost)
+    return intercept.T, slope.T
+
+
 def _policy_lines(params: ModelParams, d: Policy) -> tuple[np.ndarray, np.ndarray]:
     """(intercept, slope) of G(n,j) for one policy, each of shape (m,).
 
-    The recursion of _factor_lines on one policy, run on Python floats over
-    one scalar pass: a 1-row block is slower.
+    _lines on the Python floats of one scalar pass: a 1-row block is slower.
     """
-    death, cost = _state_rates(params, d)
-    pi = _stationary(params, death).pi
-    completion_rate, cost_rate = float(pi @ death), float(pi @ cost)
-    lam, top, m = params.lambda_, params.n + 1, params.m
-    intercept, slope = [0.0] * m, [0.0] * m
-    below_i = below_s = 0.0
-    for j in range(m - 1, -1, -1):
-        rate = death[top + j]
-        below_i = (lam * below_i + (cost[top + j] - cost_rate)) / rate
-        below_s = (lam * below_s + (completion_rate - rate)) / rate
-        intercept[j], slope[j] = below_i, below_s
-    lines = np.array([intercept, slope])
-    _require_finite(lines)
-    return lines[0], lines[1]
+    return _lines(params, *_state_rates(params, d))
 
 
 def realization_factors(params: ModelParams, d: Policy) -> np.ndarray:

@@ -17,7 +17,6 @@ from sleepq import (
     optimize,
     policy_profit,
     policy_space_size,
-    profits_block,
     realization_factors,
     threshold_policy,
     threshold_scan,
@@ -64,12 +63,17 @@ def test_zero_price_sleepy_instance_sleeps(sleepy):
     assert threshold_scan(sleepy).theta_star == sleepy.m + 1
 
 
+def _profits(params, block):
+    """The block evaluator's profit of each policy of block."""
+    return OPT._block_profits(params, np.array(block), np.array([params.price]))[0]
+
+
 def test_block_evaluator_matches_scalar_path():
     rng = np.random.default_rng(41)
     for _ in range(6):
         params, _ = draw_instance(rng, n_max=6, m_max=4)
         policies = list(enumerate_policies(params.m, "full"))
-        bulk = profits_block(params, np.array(policies))
+        bulk = _profits(params, policies)
         scalar = np.array([policy_profit(params, d) for d in policies])
         scale = max(1.0, float(np.max(np.abs(scalar))))
         assert np.max(np.abs(bulk - scalar)) < 1e-11 * scale
@@ -81,7 +85,7 @@ def test_optimize_agrees_with_brute_force():
         params, _ = draw_instance(rng, n_max=6, m_max=4)
         res = optimize(params, "full")
         policies = list(enumerate_policies(params.m, "full"))
-        etas = profits_block(params, np.array(policies))
+        etas = np.array([policy_profit(params, d) for d in policies])
         best = int(np.argmax(etas))
         assert res.best_eta == pytest.approx(float(etas[best]), abs=1e-12)
 
@@ -114,19 +118,18 @@ def test_policy_block_unranks_in_enumeration_order(space):
 
 
 def _block_etas(params, space):
-    """profits_block over a whole space, unranked in BLOCK_SIZE pieces."""
+    """_block_profits over a whole space, unranked in BLOCK_SIZE pieces."""
     total = policy_space_size(params.m, space)
     return np.concatenate([
-        profits_block(params, _policy_block(params.m, space, start,
-                                            min(start + OPT.BLOCK_SIZE, total)))
+        _profits(params, _policy_block(params.m, space, start,
+                                       min(start + OPT.BLOCK_SIZE, total)))
         for start in range(0, total, OPT.BLOCK_SIZE)])
 
 
 @pytest.mark.parametrize("space, m_min, m_max", [
     ("full", 1, 5), ("reduced", 5, 8), ("bang_bang", 4, 12)])
 def test_tree_search_matches_block_evaluation(space, m_min, m_max):
-    # Up to m=7 the tree repeats profits_block's operations in its order;
-    # beyond, numpy sums rows pairwise and the last bits may differ.
+    # The block evaluator repeats the tree's operations in its order.
     rng = np.random.default_rng(47)
     for _ in range(6):
         params, _ = draw_instance(rng, n_max=6, m_min=m_min, m_max=m_max)
@@ -135,10 +138,7 @@ def test_tree_search_matches_block_evaluation(space, m_min, m_max):
         res = optimize(params, space)
         want = tuple(int(v) for v in _policy_block(params.m, space, best, best + 1)[0])
         assert res.best_policy == want
-        if params.m <= 7:
-            assert res.best_eta == etas[best]
-        else:
-            assert abs(res.best_eta - etas[best]) <= 1e-15 * max(1.0, abs(etas[best]))
+        assert res.best_eta == etas[best]
         assert res.evaluations == etas.size == policy_space_size(params.m, space)
 
 
@@ -161,7 +161,7 @@ def test_ranking_breaks_ties_by_policy(monkeypatch):
     # tie groups span the ranking; each top_k below cuts through one.
     params = micro_params(n=2, m=4, c_energy=0.0, lambda_=1.7)
     policies = list(enumerate_policies(params.m, "full"))
-    expected = sorted(zip(policies, profits_block(params, np.array(policies)).tolist()),
+    expected = sorted(zip(policies, _profits(params, policies).tolist()),
                       key=lambda pair: (-pair[1], pair[0]))
     cuts = [i for i in range(1, len(expected))
             if expected[i - 1][1] == expected[i][1]][:3]
@@ -246,9 +246,42 @@ def test_threshold_scan_equals_threshold_optimize():
         params, _ = draw_instance(rng, n_max=6, m_max=8)
         scan = threshold_scan(params)
         res = optimize(params, "threshold")
-        best_eta = scan.eta_by_theta[scan.theta_star - 1]
-        assert best_eta == pytest.approx(res.best_eta, abs=1e-12)
+        assert scan.eta_by_theta[scan.theta_star - 1] == res.best_eta
         assert res.best_policy == threshold_policy(params.m, scan.theta_star)
+
+
+def test_threshold_ties_break_both_ways():
+    # Zero price and costs: every threshold policy earns exactly zero.
+    # threshold_scan reports the minimal maximizer, optimize the
+    # lexicographically smallest policy, which is the maximal theta.
+    params = micro_params(m=3, price=0.0, c_energy=0.0, c_hold_g1=0.0,
+                          c_hold_g2=0.0, c_transfer=0.0, c_loss=0.0)
+    scan = threshold_scan(params)
+    assert scan.eta_by_theta.tolist() == [0.0] * 4
+    assert scan.theta_star == 1 and threshold_policy(3, 1) == (1, 2, 3)
+    res = optimize(params, "threshold")
+    assert res.best_policy == (0, 0, 0) == threshold_policy(3, 4)
+
+
+def test_threshold_family_lies_inside_bang_bang_exactly():
+    # Every threshold policy is bang-bang, and both spaces give it the
+    # enumeration tree's eta, so containment holds without a tolerance.
+    # Ranking a whole space unranks its 2^m policies one by one, so only
+    # the first three draws with m <= 12 are ranked.
+    rng = np.random.default_rng(13)
+    ranked = 0
+    for _ in range(200):
+        params, _ = draw_instance(rng, n_max=8, m_min=8, m_max=14)
+        m = params.m
+        bang = optimize(params, "bang_bang")
+        assert bang.best_eta >= optimize(params, "threshold").best_eta, params
+        if m <= 12 and ranked < 3:
+            ranked += 1
+            etas = dict(optimize(params, "bang_bang", top_k=2 ** m).ranking)
+            scan = threshold_scan(params)
+            for theta in range(1, m + 2):
+                assert (etas[threshold_policy(m, theta)]
+                        == scan.eta_by_theta[theta - 1]), (params, theta)
 
 
 def test_extreme_high_regime_micro(micro):
@@ -292,11 +325,6 @@ def test_monotonicity_decreasing_in_sleep_regime(sleepy):
         assert rep.ok and rep.strictly_decreasing
         assert rep.expected_direction == "decreasing"
         assert rep.argmax_value == 0
-
-
-def test_profits_block_rejects_out_of_range(micro):
-    with pytest.raises(ValueError):
-        profits_block(micro, np.array([[2]]))
 
 
 def test_affine_tail_slope_matches_direct_sweep():
