@@ -1,15 +1,17 @@
-"""Generator matrix and stationary distribution of the policy-driven chain.
+"""Generator and stationary distribution of the policy-driven chain.
 
 Under a policy the job count follows a birth-death process on the n + m + 1
 states: births at rate lambda everywhere below the top state, deaths at rate
 i*mu1 from (i, 0) and at rate nu(d_{n,j}) = n*mu1 + min(d_{n,j}, j)*mu2 from
-(n, j). The stationary vector has a product form that the closed-form solver
-builds by recursive ratios; a dense linear solve is kept as an oracle.
+(n, j). So the generator is tridiagonal and is held as its three bands; only
+the dense oracles form the k x k matrix. The stationary vector has a product
+form that the closed-form solver builds by recursive ratios; a dense linear
+solve is kept as an oracle.
 
 A single policy's rates come from one scalar pass over its states
-(_state_rates), from which _generator and _stationary build the generator
-and the stationary law, so a caller that needs several of them runs the
-pass once. The searches read the same rates for a whole block of policies
+(_state_rates), from which _generator and _stationary build the bands and
+the stationary law, so a caller that needs several of them runs the pass
+once. The searches read the same rates for a whole block of policies
 (_block_chain).
 """
 
@@ -25,16 +27,31 @@ from .model import ModelParams, Policy, check_policy
 
 @dataclass(frozen=True)
 class Generator:
-    """Dense transition-rate matrix of the chain.
+    """The tridiagonal transition-rate matrix, held as its three bands.
 
-    Rows sum to zero, off-diagonals are nonnegative, and the matrix is
-    tridiagonal in the birth-death ordering of the state space.
+    sub[k] is the death rate of state k+1 and sup[k] = lambda the birth
+    rate of state k (the top state has none: arrivals there are lost);
+    diag = -(births + deaths), so rows sum to zero. matrix is the dense
+    array, for the dense oracles.
     """
 
-    matrix: np.ndarray
+    sub: np.ndarray
+    diag: np.ndarray
+    sup: np.ndarray
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        for band in (self.sub, self.diag, self.sup):
+            band.setflags(write=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        size = self.diag.shape[0]
+        matrix = np.zeros((size, size))
+        flat = matrix.ravel()
+        flat[size::size + 1] = self.sub
+        flat[::size + 1] = self.diag
+        flat[1::size + 1] = self.sup
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -102,22 +119,17 @@ def _state_rates(params: ModelParams, d: Policy) -> tuple[list[float], list[floa
 
 
 def build_generator(params: ModelParams, d: Policy) -> Generator:
-    """Assemble the (n+m+1) x (n+m+1) transition-rate matrix."""
+    """The (n+m+1) x (n+m+1) transition-rate matrix, as its bands."""
     death, _ = _state_rates(params, d)
     return _generator(params, death)
 
 
 def _generator(params: ModelParams, death: list[float]) -> Generator:
-    """The transition-rate matrix with the death rates of _state_rates."""
-    size = len(death)
-    matrix = np.zeros((size, size))
-    flat = matrix.ravel()
-    flat[size::size + 1] = death[1:]  # the subdiagonal
-    # Births on the superdiagonal. The top state has none: arrivals there
-    # are lost, not queued.
-    flat[1::size + 1] = params.lambda_
-    np.fill_diagonal(matrix, -matrix.sum(axis=1))
-    return Generator(matrix)
+    """The generator's bands with the death rates of _state_rates."""
+    sub = np.array(death[1:])
+    sup = np.full(sub.shape[0], params.lambda_)
+    # Each state's births plus deaths, one rounding, as a row sum gives it.
+    return Generator(sub, -(np.append(sup, 0.0) + np.append(0.0, sub)), sup)
 
 
 def stationary_closed_form(params: ModelParams, d: Policy) -> ChainSolution:
@@ -237,9 +249,8 @@ def stationary_numeric(gen: Generator) -> ChainSolution:
     negative entry raises NumericalError, as does a singular system; both
     indicate a malformed generator.
     """
-    size = gen.matrix.shape[0]
-    system = gen.matrix.T.copy()
-    rhs = np.zeros(size)
+    system = gen.matrix.T
+    rhs = np.zeros(system.shape[0])
     system[-1, :] = 1.0
     rhs[-1] = 1.0
     try:

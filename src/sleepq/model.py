@@ -281,18 +281,19 @@ def enumerate_policies(m, space="full", allow_large=False):
     return itertools.product(*(values.tolist() for values in _level_values(m, space)))
 
 
-def _policy_block(m: int, space: str, start: int, stop: int) -> np.ndarray:
-    """Policies with ranks [start, stop) as an integer array.
+def _policy_block(m: int, space: str, ranks: np.ndarray) -> np.ndarray:
+    """The policies of an array of ranks, one integer row each.
 
     Product spaces unrank mixed-radix digits through _level_values, in the
-    order enumerate_policies yields; thresholds come by rising theta.
+    order enumerate_policies yields, all ranks in one pass; thresholds
+    come by rising theta.
     """
     if space == "threshold":
         block = np.array([threshold_policy(m, t) for t in range(1, m + 2)],
                          dtype=np.int64)
-        return block[start:stop]
+        return block[ranks]
     levels = _level_values(m, space)
-    idx = np.arange(start, stop, dtype=np.int64)
+    idx = np.array(ranks, dtype=np.int64)
     block = np.empty((idx.shape[0], m), dtype=np.int64)
     for k in range(m - 1, -1, -1):
         block[:, k] = levels[k][idx % levels[k].size]

@@ -133,13 +133,26 @@ def _block_profits(params: ModelParams, block: np.ndarray,
 
     Same closed form as policy_profit, with the levels summed in the order
     of the enumeration tree of _product_candidates, so a row's profit is
-    bit for bit what the tree gives its policy.
+    bit for bit what the tree gives its policy. A profit that is not
+    finite raises NumericalError, as in _chunk_summary.
     """
     chain = _block_chain(params, block)
-    low_profit, low_weight, xi_n, f_top = _profit_rates(params, chain, prices)
-    xi_top = xi_n * np.cumprod(params.lambda_ / chain.nu, axis=1)
-    return ((low_profit[:, None] + np.cumsum(xi_top * f_top, axis=2)[..., -1])
-            / (low_weight + np.cumsum(xi_top, axis=1)[:, -1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        low_profit, low_weight, xi_n, f_top = _profit_rates(params, chain, prices)
+        xi_top = xi_n * np.cumprod(params.lambda_ / chain.nu, axis=1)
+        etas = ((low_profit[:, None] + np.cumsum(xi_top * f_top, axis=2)[..., -1])
+                / (low_weight + np.cumsum(xi_top, axis=1)[:, -1]))
+    _require_finite(etas)
+    return etas
+
+
+def _require_finite(*profits) -> None:
+    """Refuse profits that overflowed or came out NaN."""
+    if not all(np.isfinite(p).all() for p in profits):
+        raise NumericalError(
+            "profits are not finite; the stationary weights overflow at "
+            "this load"
+        )
 
 
 def _chunk_summary(etas, ranks, k):
@@ -153,11 +166,7 @@ def _chunk_summary(etas, ranks, k):
     need unranking.
     """
     cut = etas.max(axis=1, keepdims=True)
-    if not (np.isfinite(etas.min()) and np.isfinite(cut).all()):  # NaN reaches both
-        raise NumericalError(
-            "profits are not finite; the stationary weights overflow at "
-            "this load"
-        )
+    _require_finite(etas.min(), cut)  # NaN reaches both
     size = etas.shape[1]
     count = min(k, size)
     if count > 1:
@@ -329,27 +338,26 @@ def _rankings(params: ModelParams, space: str, k: int, threads: int | None,
 
     The threshold family is one block at every price; the product spaces
     are one walk of _product_candidates over all the prices. Overflow and
-    NaN are caught by _chunk_summary's finiteness check.
+    NaN are refused by _block_profits and _chunk_summary.
     """
     m = params.m
     prices = np.asarray(prices, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if space == "threshold":
-            # Falling theta is lexicographic order.
-            block = _policy_block(m, space, 0, m + 1)[::-1]
-            candidates = _chunk_summary(_block_profits(params, block, prices),
-                                        lambda rows: rows, k)
-            policy_of = block.__getitem__
-        else:
+    if space == "threshold":
+        # Falling theta is lexicographic order.
+        block = _policy_block(m, space, np.arange(m, -1, -1))
+        candidates = _chunk_summary(_block_profits(params, block, prices),
+                                    lambda rows: rows, k)
+        policy_of = block.__getitem__
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
             candidates = _product_candidates(params, space, k, threads, prices)
-
-            def policy_of(rank):
-                return _policy_block(m, space, rank, rank + 1)[0]
+        policy_of = functools.partial(_policy_block, m, space)
 
     best = [heapq.nsmallest(k, found) for found in candidates]
-    # Neighbouring prices mostly share their winners: unrank each once.
-    policies = {rank: tuple(int(v) for v in policy_of(rank))
-                for rank in {rank for found in best for _, rank in found}}
+    # Neighbouring prices mostly share their winners: unrank each once,
+    # all of them in one pass.
+    ranks = sorted({rank for found in best for _, rank in found})
+    policies = dict(zip(ranks, map(tuple, policy_of(np.array(ranks)).tolist())))
     return [[(neg, policies[rank]) for neg, rank in found] for found in best]
 
 
@@ -546,7 +554,7 @@ def threshold_scan(params: ModelParams) -> ThresholdResult:
     """
     require_valid(params)
     m = params.m
-    block = _policy_block(m, "threshold", 0, m + 1)
+    block = _policy_block(m, "threshold", np.arange(m + 1))
     etas = _block_profits(params, block, np.array([params.price]))[0]
     theta_star = 1 + int(np.argmax(etas))
     c = price_constant(params)

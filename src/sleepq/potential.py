@@ -22,8 +22,12 @@ the top state U_k = -nu_k (the death rate of reduced state k),
 R_k = lambda / nu_{k+1} and G_k = 1 (see rg_factorize). A route only
 factorizes: it returns its inverse application. solve_poisson owns the
 rest, once for every route: one scalar pass of the closed form for the
-generator, pi and f, the starting solve, its extended-precision refinement
-and the residual gate. All three routes must agree to solver tolerance.
+generator's bands, pi and f, the starting solve, its extended-precision
+refinement and the residual gate. The refinement and the gate multiply by
+the generator through the one tridiagonal product, _band_product, so the
+rg route is O(n+m) in time and memory; only the dense and explicit routes
+form k x k arrays, their own inverse and triangles. All three routes must
+agree to solver tolerance.
 Potential differences are anchor-free; the "fundamental" normalization
 picks the anchor that makes pi . g = eta.
 """
@@ -96,7 +100,8 @@ def reduced_matrix(gen: Generator) -> np.ndarray:
 def poisson_residual(gen: Generator, g: np.ndarray, eta: float,
                      f: np.ndarray) -> float:
     """Max-norm of B g - (eta*e - f)."""
-    return float(np.max(np.abs(gen.matrix @ g - (eta - f))))
+    return float(np.max(np.abs(_band_product(gen.sub, gen.diag, gen.sup, g)
+                               - (eta - f))))
 
 
 def rg_factorize(gen: Generator) -> RGFactors:
@@ -117,11 +122,11 @@ def rg_factorize(gen: Generator) -> RGFactors:
     R_k = lambda / nu_{k+1} and G = 1. A death rate that is not strictly
     positive means the generator is malformed.
     """
-    death = gen.matrix.diagonal(-1)
+    death = gen.sub
     if not (death > 0).all():
         raise NumericalError("factorization failed: nonpositive death rate")
     u = -death
-    r = gen.matrix.diagonal(1)[1:] / death[1:]
+    r = gen.sup[1:] / death[1:]
 
     span = death.max() / death.min()
     if span > CONDITION_SPAN_LIMIT:
@@ -289,9 +294,8 @@ def solve_poisson(
 
     h = f[1:] - eta
     apply_inverse = _SOLVERS[method](gen)
-    reduced = gen.matrix[1:, 1:]
-    bands = tuple(-reduced.diagonal(offset).astype(np.longdouble)
-                  for offset in (-1, 0, 1))
+    bands = tuple(-band[1:].astype(np.longdouble)
+                  for band in (gen.sub, gen.diag, gen.sup))
     phi_h = _refine(bands, apply_inverse, apply_inverse(h), h)
 
     g = _anchored(phi_h, anchor)

@@ -54,7 +54,7 @@ from .model import (
     _policy_block,
     check_policy,
 )
-from .potential import solve_poisson
+from .potential import _band_product, solve_poisson
 from .reward import _reward
 
 #: Below this magnitude a G+c value or an R-slope is treated as degenerate.
@@ -257,8 +257,8 @@ def critical_prices_global(params: ModelParams, space: str = "full",
     r_high = 0.0
     r_low = np.inf
     for start in range(0, total, BLOCK_SIZE):
-        block = _policy_block(params.m, space, start,
-                              min(start + BLOCK_SIZE, total))
+        block = _policy_block(params.m, space,
+                              np.arange(start, min(start + BLOCK_SIZE, total)))
         roots, _ = _price_roots(params, *_factor_lines(params, block))
         roots = roots[~np.isnan(roots)]
         if roots.size:
@@ -281,12 +281,12 @@ def performance_difference(params: ModelParams, d: Policy,
     death, cost = _state_rates(params, d)
     death_p, cost_p = _state_rates(params, d_prime)
     sol = solve_poisson(params, d)
-    b = _generator(params, death).matrix
-    b_prime = _generator(params, death_p).matrix
+    b, b_prime = _generator(params, death), _generator(params, death_p)
+    change = (b_prime.sub - b.sub, b_prime.diag - b.diag, b_prime.sup - b.sup)
     f = _reward(params, death, cost)
     f_prime = _reward(params, death_p, cost_p)
     pi_prime = _stationary(params, death_p).pi
-    return float(pi_prime @ ((b_prime - b) @ sol.g + (f_prime - f)))
+    return float(pi_prime @ (_band_product(*change, sol.g) + (f_prime - f)))
 
 
 def _single_change_level(params: ModelParams, d: Policy, d_prime: Policy,

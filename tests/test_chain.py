@@ -19,8 +19,14 @@ from sleepq import (
     stationary_closed_form,
     stationary_numeric,
 )
-from sleepq.chain import _block_chain
-from conftest import draw_instance, micro_params, random_policy
+from sleepq.chain import _block_chain, _state_rates
+from conftest import (
+    draw_instance,
+    draw_params,
+    micro_params,
+    random_policy,
+    wide_light_instance,
+)
 
 
 def test_generator_is_a_proper_rate_matrix(micro):
@@ -52,6 +58,24 @@ def test_micro_generator_rates(micro):
         [0.0, 2.0, -2.0],
     ])
     assert np.array_equal(gen.matrix, expected)
+
+
+def test_dense_matrix_equals_entrywise_assembly():
+    """The bands' dense matrix, byte for byte, is the generator filled in
+    as zeros, the sub- and superdiagonal, then minus each row's sum."""
+    rng = np.random.default_rng(29)
+    corpus = [draw_params(rng, n_max=30, m_max=30) for _ in range(180)]
+    corpus = [(params, random_policy(rng, params.m)) for params in corpus]
+    corpus += [wide_light_instance(rng) for _ in range(20)]
+    for params, d in corpus:
+        death, _ = _state_rates(params, d)
+        size = len(death)
+        want = np.zeros((size, size))
+        for k in range(1, size):
+            want[k, k - 1] = death[k]
+            want[k - 1, k] = params.lambda_
+        np.fill_diagonal(want, -want.sum(axis=1))
+        assert build_generator(params, d).matrix.tobytes() == want.tobytes()
 
 
 def test_service_rate_clamps_at_level(micro):

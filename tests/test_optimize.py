@@ -112,7 +112,7 @@ def test_threads_do_not_change_the_answer():
 def test_policy_block_unranks_in_enumeration_order(space):
     for m in range(1, 5):
         total = policy_space_size(m, space)
-        block = _policy_block(m, space, 0, total)
+        block = _policy_block(m, space, np.arange(total))
         assert [tuple(int(v) for v in row) for row in block] == \
             list(enumerate_policies(m, space))
 
@@ -121,8 +121,8 @@ def _block_etas(params, space):
     """_block_profits over a whole space, unranked in BLOCK_SIZE pieces."""
     total = policy_space_size(params.m, space)
     return np.concatenate([
-        _profits(params, _policy_block(params.m, space, start,
-                                       min(start + OPT.BLOCK_SIZE, total)))
+        _profits(params, _policy_block(
+            params.m, space, np.arange(start, min(start + OPT.BLOCK_SIZE, total))))
         for start in range(0, total, OPT.BLOCK_SIZE)])
 
 
@@ -136,7 +136,7 @@ def test_tree_search_matches_block_evaluation(space, m_min, m_max):
         etas = _block_etas(params, space)
         best = int(np.argmax(etas))
         res = optimize(params, space)
-        want = tuple(int(v) for v in _policy_block(params.m, space, best, best + 1)[0])
+        want = tuple(int(v) for v in _policy_block(params.m, space, [best])[0])
         assert res.best_policy == want
         assert res.best_eta == etas[best]
         assert res.evaluations == etas.size == policy_space_size(params.m, space)
@@ -196,6 +196,31 @@ def test_overflowing_profits_raise_numerical_error(space):
         policy_profit(params, (0, 0, 0))
     with pytest.raises(NumericalError, match="not finite"):
         optimize(params, space)
+
+
+@pytest.mark.filterwarnings("error")
+def test_threshold_sweeps_refuse_overflow():
+    # Both sweeps evaluate a block of policies, and refuse it as optimize
+    # does, before numpy warns about the overflow.
+    params = micro_params(n=1000, lambda_=1000.0, mu1=1.0, m=3)
+    with pytest.raises(NumericalError, match="profits are not finite"):
+        threshold_scan(params)
+    with pytest.raises(NumericalError, match="profits are not finite"):
+        verify_monotonicity(params, (0, 0, 0), 2)
+
+
+def test_whole_space_ranking_unranks_every_policy_once():
+    rng = np.random.default_rng(48)
+    params, _ = draw_instance(rng, n_max=6, m_min=8, m_max=8)
+    ranking = optimize(params, "bang_bang", top_k=2 ** 8).ranking
+    policies = [d for d, _ in ranking]
+    assert sorted(policies) == list(enumerate_policies(8, "bang_bang"))
+    keys = [(-eta, d) for d, eta in ranking]
+    assert keys == sorted(keys)
+    etas = [eta for _, eta in ranking]
+    assert etas == _profits(params, policies).tolist()
+    for k in (1, 2, 17, 255):
+        assert optimize(params, "bang_bang", top_k=k).ranking == ranking[:k]
 
 
 def test_space_gate_and_override():
@@ -266,8 +291,7 @@ def test_threshold_ties_break_both_ways():
 def test_threshold_family_lies_inside_bang_bang_exactly():
     # Every threshold policy is bang-bang, and both spaces give it the
     # enumeration tree's eta, so containment holds without a tolerance.
-    # Ranking a whole space unranks its 2^m policies one by one, so only
-    # the first three draws with m <= 12 are ranked.
+    # Only the first three draws with m <= 12 rank their whole space.
     rng = np.random.default_rng(13)
     ranked = 0
     for _ in range(200):
