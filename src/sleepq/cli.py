@@ -406,6 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sleepq",
         description="Exact analysis and optimization of a two-group "
                     "server cluster with sleep-mode servers.",
+        # @FILE reads arguments one per line, for policies longer than
+        # the 128 KiB one argument may take on Linux.
+        fromfile_prefix_chars="@",
     )
     parser.add_argument("--version", action="version",
                         version=f"sleepq {__version__}")

@@ -235,20 +235,30 @@ def _product_candidates(params: ModelParams, space: str, k: int,
         split, leaves = split_for(q)
 
         def grow(state, j, out):
-            """Level j's (P, S, W) from level j-1's, written into out."""
+            """Level j's (P, S, W) from level j-1's, written into out.
+
+            The leaf level m-1 gets no P: its out has no P slot, and its
+            xi is formed in W's slot by the same two roundings.
+            """
             prod, profit, weight = state
             ratio, f = ratios[j], f_top[:, :ratios[j].size, j]
             shape = (ratio.size, prod.size)
             size = ratio.size * prod.size
-            new_prod = out[0][:size].reshape(shape)
             xi = out[1][:size].reshape(shape)
             term = out[2][:q * size].reshape((q,) + shape)
-            np.multiply.outer(ratio, prod, out=new_prod)
-            np.multiply(new_prod, xi_n, out=xi)
+            if out[0] is None:
+                new_prod = None
+                np.multiply.outer(ratio, prod, out=xi)
+                xi *= xi_n
+            else:
+                new_prod = out[0][:size].reshape(shape)
+                np.multiply.outer(ratio, prod, out=new_prod)
+                np.multiply(new_prod, xi_n, out=xi)
+                new_prod = new_prod.ravel()
             np.multiply(xi, f[:, :, None], out=term)
             term += profit[:, None, :]
             xi += weight
-            return new_prod.ravel(), term.reshape(q, size), xi.ravel()
+            return new_prod, term.reshape(q, size), xi.ravel()
 
         def buffers(flat, rows):
             """Out arrays for rows rows of (P, W, S), carved from flat."""
@@ -265,15 +275,22 @@ def _product_candidates(params: ModelParams, space: str, k: int,
                   .transpose(0, *range(split, 0, -1)).reshape(q, -1),
                   weight.reshape(shape).transpose().ravel())
         per = max(1, BLOCK_SIZE // q) // leaves
+        rows = per * leaves
+        small = rows // levels[m - 1].size
 
         def run(starts):
             # Fresh chunk-sized arrays cost page faults in every chunk, so
             # a worker grows its chunks in two reused buffer sets, one per
-            # level parity, and forms eta in the set the last level left
-            # free. One allocation holds both: freeing several smaller ones
-            # let the allocator return their pages after every call.
-            work = [buffers(flat, per * leaves)
-                    for flat in np.empty((2, (q + 2) * per * leaves))]
+            # level parity. The leaf set holds level m-1, which needs no P,
+            # and forms eta in place; the levels below m-1 hold at most
+            # small rows each, so a worker holds (q + 1) rows + (q + 3)
+            # small floats. One allocation holds both sets: freeing several
+            # smaller ones let the allocator return their pages after
+            # every call.
+            flat = np.empty((q + 1) * rows + (q + 3) * small)
+            leaf = (flat[:small], flat[small:small + rows],
+                    flat[small + rows:small + (q + 1) * rows])
+            work = (leaf, buffers(flat[small + (q + 1) * rows:], small))
             found = [[] for _ in range(q)]
             # The caller's np.errstate does not reach pool threads.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -281,11 +298,15 @@ def _product_candidates(params: ModelParams, space: str, k: int,
                     state = (prefix[0][lo:lo + per], prefix[1][:, lo:lo + per],
                              prefix[2][lo:lo + per])
                     width = state[0].size
-                    for j in range(split, m):
-                        state = grow(state, j, work[j % 2])
-                    size = state[0].size
-                    total, _, etas = work[m % 2]
-                    total, etas = total[:size], etas[:q * size].reshape(q, size)
+                    for j in range(split, m - 1):
+                        state = grow(state, j, work[(m - 1 - j) % 2])
+                    if split < m:
+                        state = grow(state, m - 1, (None,) + leaf[1:])
+                    # Once a level is grown, the state lies in the leaf
+                    # set and these write over it; when none is, it is a
+                    # slice of the shared prefix, which they leave alone.
+                    size = state[2].size
+                    total, etas = leaf[1][:size], leaf[2][:q * size].reshape(q, size)
                     np.add(state[1], low_profit[:, None], out=etas)
                     np.add(state[2], low_weight, out=total)
                     etas /= total
@@ -310,9 +331,12 @@ def _product_candidates(params: ModelParams, space: str, k: int,
         workers = min(threads or 1, len(starts))
         if workers == 1:
             return run(starts)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, (starts[t::workers]
-                                        for t in range(workers))))
+        # The calling thread runs share 0 while a pool runs the others;
+        # the parts stay in share order.
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            others = pool.map(run, (starts[t::workers]
+                                    for t in range(1, workers)))
+            parts = [run(starts[::workers]), *others]
         return [[c for part in parts for c in part[p]] for p in range(q)]
 
     # The largest batch of prices whose prefix sums fit in BLOCK_SIZE
@@ -330,6 +354,15 @@ def _product_candidates(params: ModelParams, space: str, k: int,
         at = slice(first, first + batch)
         candidates += walk(f_top[at], low_profit[at])
     return candidates
+
+
+def _check_threads(threads) -> None:
+    """Refuse a thread count that is neither None nor a positive integer."""
+    if threads is not None and (isinstance(threads, bool)
+                                or not isinstance(threads, (int, np.integer))
+                                or threads < 1):
+        raise ValueError(
+            f"threads must be None or a positive integer, got {threads!r}")
 
 
 def _rankings(params: ModelParams, space: str, k: int, threads: int | None,
@@ -372,14 +405,16 @@ def optimize(params: ModelParams, space: str = "full",
     best policies by eta descending, ties by policy ascending, so
     ranking[0] is always best_policy. The full, reduced and bang-bang
     spaces are evaluated down their enumeration tree in chunks of at most
-    BLOCK_SIZE policies; threads > 1 evaluates chunks concurrently. No
-    result depends on the chunking or the threads. A non-finite profit
-    (the stationary weights overflow under heavy load) raises
-    NumericalError.
+    BLOCK_SIZE policies; threads > 1 evaluates chunks concurrently, the
+    calling thread being one of the workers, and threads other than None
+    or a positive integer raise ValueError. No result depends on the
+    chunking or the threads. A non-finite profit (the stationary weights
+    overflow under heavy load) raises NumericalError.
     """
     require_valid(params)
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
+    _check_threads(threads)
     total = _gated_size(params.m, space, allow_large)
     merged, = _rankings(params, space, top_k or 1, threads, [params.price])
 
@@ -419,11 +454,13 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
     is checked once, before anything is computed, and the whole grid is
     searched in one walk down the enumeration tree (a few walks where a
     large space and a long grid would not fit in memory at once): each
-    row's policy and eta equal those of optimize at its price, bit for bit.
+    row's policy and eta equal those of optimize at its price, bit for bit,
+    whatever the threads, which are checked as optimize checks them.
     As a sanity check, eta is reconciled against the affine form
     R * completion_rate - cost_rate of the winning policy on every grid
     point; a mismatch raises ConsistencyError.
     """
+    _check_threads(threads)
     grid = _price_grid(r_grid)
     # Every grid price is one validate accepts, so one check covers them.
     require_valid(replace(params, price=grid[0]))

@@ -269,10 +269,10 @@ def solve_poisson(
     """Solve B g = eta*e - f for the potential vector g.
 
     eta, if supplied, must match the recomputed average profit to 1e-12
-    relative; the Poisson equation is only consistent for the true eta.
-    normalization "anchored" fixes g(0,0) = anchor; "fundamental" picks the
-    anchor with pi . g = eta. method selects the solver route ("rg",
-    "dense", or "explicit").
+    relative (a NaN or infinite eta never does); the Poisson equation is
+    only consistent for the true eta. normalization "anchored" fixes
+    g(0,0) = anchor; "fundamental" picks the anchor with pi . g = eta.
+    method selects the solver route ("rg", "dense", or "explicit").
     """
     if method not in _SOLVERS:
         raise ValueError(f"unknown method {method!r}")
@@ -285,7 +285,8 @@ def solve_poisson(
     f = _reward(params, death, cost)
     eta_computed = average_profit(pi, f)
     if eta is not None:
-        if abs(eta - eta_computed) > 1e-12 * max(1.0, abs(eta_computed)):
+        # Written so that a NaN eta fails it too.
+        if not abs(eta - eta_computed) <= 1e-12 * max(1.0, abs(eta_computed)):
             raise ConsistencyError(
                 f"supplied eta={eta!r} disagrees with recomputed "
                 f"eta={eta_computed!r}"

@@ -178,6 +178,33 @@ def test_negative_top_k_is_usage_error(model_file, capsys):
     assert "top_k must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["optimize", "price-sweep"])
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_bad_threads_is_usage_error(model_file, capsys, command, threads):
+    argv = [command, "--model", model_file, "--threads", threads]
+    if command == "price-sweep":
+        argv += ["--from", "1"]
+    assert main(argv) == 1
+    assert "threads must be None or a positive integer" in capsys.readouterr().err
+
+
+def test_policy_from_an_args_file(tmp_path, capsys):
+    # A 30 000-level ladder is longer than the 128 KiB that Linux lets one
+    # argument take, so it can only reach the parser through @FILE.
+    path = write_model(tmp_path, lambda_=2.0, n=2, m=30_000)
+    ladder = ",".join(str(j) for j in range(1, 30_001))
+    assert len(ladder) > 128 * 1024
+    args = tmp_path / "ladder.args"
+    args.write_text(f"--policy\n{ladder}\n")
+    out_csv = tmp_path / "wide.csv"
+    assert main(["potentials", "--model", path, f"@{args}", "--method", "rg",
+                 "--output", str(out_csv)]) == 0
+    capsys.readouterr()
+    lines = out_csv.read_text().splitlines()
+    rows = [line for line in lines if not line.startswith("#")][1:]
+    assert len(rows) == 30_003
+
+
 def test_full_space_gate_exits_3(tmp_path, capsys):
     path = write_model(tmp_path, m=9)
     assert main(["optimize", "--model", path, "--space", "full"]) == 3

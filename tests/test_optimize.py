@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,46 @@ def test_threads_do_not_change_the_answer():
     assert serial.best_policy == threaded.best_policy
     assert serial.best_eta == threaded.best_eta
     assert serial.ranking == threaded.ranking
+
+
+@pytest.mark.parametrize("threads", [0, -1, 2.5, True, "2"])
+def test_threads_must_be_none_or_a_positive_integer(micro, threads):
+    with pytest.raises(ValueError, match="threads"):
+        optimize(micro, "full", threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        OPT.price_sweep(micro, [1.0, 2.0], threads=threads)
+
+
+def test_the_caller_is_one_of_the_workers(monkeypatch):
+    # Full m=6 is 7^6 = 117 649 policies, two chunks of BLOCK_SIZE rows.
+    params = micro_params(n=2, m=6, c_energy=0.0, lambda_=1.7)
+    serial = optimize(params, "full", top_k=12, threads=1)
+    pools = []
+
+    class Recording(OPT.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(OPT, "ThreadPoolExecutor", Recording)
+    assert optimize(params, "full", top_k=12, threads=2) == serial
+    assert pools == [1]
+    assert optimize(params, "full", top_k=12, threads=1) == serial
+    assert pools == [1]
+
+
+def test_walk_holds_one_leaf_sized_buffer_set():
+    # Two full parity sets of (q + 2) * BLOCK_SIZE floats peak at 3.1 MB
+    # here; a leaf set without P and a set for the levels below the leaves
+    # stay under 2 MB.
+    params = micro_params(n=2, m=7)
+    tracemalloc.start()
+    try:
+        optimize(params, "full")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("space", ["full", "reduced", "bang_bang", "threshold"])

@@ -315,6 +315,14 @@ def test_eta_consistency_gate(micro):
         solve_poisson(micro, (1,), eta=3.9)
 
 
+@pytest.mark.parametrize("eta", [float("nan"), float("inf"), float("-inf")])
+def test_eta_consistency_gate_refuses_non_finite_eta(micro, eta):
+    # NaN compares False with everything, so a gate written as
+    # "differs by more than tol" would let it through.
+    with pytest.raises(ConsistencyError):
+        solve_poisson(micro, (1,), eta=eta)
+
+
 def test_unknown_method_and_normalization(micro):
     with pytest.raises(ValueError):
         solve_poisson(micro, (1,), method="cholesky")
