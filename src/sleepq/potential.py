@@ -14,19 +14,21 @@ One right-hand side is solved per call.
 Three independent routes produce that inverse application: the dense
 inverse of the reduced matrix, formed once and applied by matmul (oracle);
 a UL-type factorization of the reduced matrix into scalar U/R/G measures,
-applied in O(n+m) by one backward R sweep, a division by -U and one forward
-sweep; and the explicit form, which builds the running R products and the
-unit lower triangle as two dense triangles and multiplies through them. On
-this birth-death chain the factorization is closed form: by induction from
-the top state U_k = -nu_k (the death rate of reduced state k),
-R_k = lambda / nu_{k+1} and G_k = 1 (see rg_factorize). A route only
+applied in O(n+m) by one backward R sweep, a division by -U and a running
+sum; and the explicit form, which builds the running R products as one
+dense triangle, applies it by a matvec and sums the result down. On this
+birth-death chain the factorization is closed form: by induction from the
+top state U_k = -nu_k (the death rate of reduced state k),
+R_k = lambda / nu_{k+1} and G_k = 1 (see rg_factorize). With G = 1 the
+unit lower factor (I - G_L)^{-1} is a cumulative sum, so no route forms
+it as a matrix. A route only
 factorizes: it returns its inverse application. solve_poisson owns the
 rest, once for every route: one scalar pass of the closed form for the
 generator's bands, pi and f, the starting solve, its extended-precision
 refinement and the residual gate. The refinement and the gate multiply by
 the generator through the one tridiagonal product, _band_product, so the
 rg route is O(n+m) in time and memory; only the dense and explicit routes
-form k x k arrays, their own inverse and triangles. All three routes must
+form k x k arrays, the inverse and the one triangle. All three routes must
 agree to solver tolerance.
 Potential differences are anchor-free; the "fundamental" normalization
 picks the anchor that makes pi . g = eta.
@@ -139,32 +141,39 @@ def rg_factorize(gen: Generator) -> RGFactors:
     return RGFactors(u, r)
 
 
-def _triangles(factors: RGFactors) -> tuple[np.ndarray, np.ndarray]:
-    """(I - R_U)^{-1} and (I - G_L)^{-1} as dense triangles.
+def _triangles(factors: RGFactors) -> np.ndarray:
+    """(I - R_U)^{-1} as a dense upper triangle, built in one float array.
 
-    Entry (i, c) of the upper triangle is r_i r_{i+1} ... r_{c-1}: one
-    cumprod along the rows, with the entries outside the running product
-    set to 1, so every product is formed in the same order as a loop that
-    extends it one factor at a time. G = 1, so the lower triangle is all
-    ones on and below the diagonal.
+    Entry (i, c) is r_i r_{i+1} ... r_{c-1}: one in-place cumprod along the
+    rows of the tiled factor row [1, r_0, ...], with the entries outside
+    each running product set to 1, so every product is formed in the same
+    order as a loop that extends it one factor at a time. The strict lower
+    part is then zeroed. G = 1, so (I - G_L)^{-1} is the unit lower
+    triangle, which its users apply as a cumulative sum instead.
     """
     k = factors.u.shape[0]
+    upper = np.tile(np.concatenate(([1.0], factors.r)), (k, 1))
     idx = np.arange(k)
-    later = idx[None, :] > idx[:, None]
     # Column c carries the factor that extends a running product to c.
-    upper = np.where(later, np.concatenate(([1.0], factors.r)), 1.0).cumprod(axis=1)
-    return np.where(later.T, 0.0, upper), np.tri(k)
+    outside = idx[None, :] <= idx[:, None]
+    upper[outside] = 1.0
+    np.cumprod(upper, axis=1, out=upper)
+    np.fill_diagonal(outside, False)
+    upper[outside] = 0.0
+    return upper
 
 
 def invert_reduced(factors: RGFactors) -> np.ndarray:
     """Dense inverse of (-reduced matrix) from the factor products.
 
-    (I - R_U)^{-1} is upper triangular with running R products, (I - G_L)^{-1}
-    the unit lower triangle, and the inverse is their product around the
-    diagonal 1/(-U). Entrywise positive.
+    The inverse is (I - G_L)^{-1} (-U_D)^{-1} (I - R_U)^{-1}: the upper
+    triangle of running R products, its rows divided by -U = nu, summed
+    down the rows by the unit lower triangle, that is, a cumulative sum
+    along axis 0. Entrywise positive.
     """
-    upper, lower = _triangles(factors)
-    return (lower / (-factors.u)) @ upper
+    upper = _triangles(factors)
+    upper /= (-factors.u)[:, None]
+    return np.cumsum(upper, axis=0, out=upper)
 
 
 def _band_product(sub, diag, sup, x):
@@ -215,24 +224,23 @@ def _solve_dense(gen):
 
 
 def _solve_rg(gen):
-    """Apply the factors by two scalar sweeps; no inverse is formed.
+    """Apply the factors by a scalar sweep and a running sum; no inverse is
+    formed.
 
     (-scriptB)^{-1} = (I - G_L)^{-1} (-U_D)^{-1} (I - R_U)^{-1}, so one
-    backward sweep y_i = h_i + r_i y_{i+1}, a division by -u_i = nu_i and
-    one forward sweep x_i = y_i / nu_i + x_{i-1} (G = 1) apply it in O(k).
+    backward sweep y_i = h_i + r_i y_{i+1}, a division by -u_i = nu_i and,
+    because G = 1, a cumulative sum x_i = x_{i-1} + y_i / nu_i apply it in
+    O(k).
     """
     factors = rg_factorize(gen)
-    nu, r = (-factors.u).tolist(), factors.r.tolist()
-    k = len(nu)
+    nu, r = -factors.u, factors.r.tolist()
+    k = nu.shape[0]
 
     def apply_inverse(rhs):
-        x = rhs.tolist()
+        y = rhs.tolist()
         for i in range(k - 2, -1, -1):
-            x[i] += r[i] * x[i + 1]
-        x[0] /= nu[0]
-        for i in range(1, k):
-            x[i] = x[i] / nu[i] + x[i - 1]
-        return np.array(x)
+            y[i] += r[i] * y[i + 1]
+        return np.cumsum(np.array(y) / nu)
 
     return apply_inverse
 
@@ -240,17 +248,18 @@ def _solve_rg(gen):
 def _solve_explicit(gen):
     """The factorized inverse with its running products spelled out.
 
-    The upper triangle holds the running R products toward higher states,
-    which weight h into one bracket per state; the unit lower triangle sums
-    those brackets down. This is the matrix form of the sums the
-    factorization yields state by state, kept as an independent route.
+    The dense upper triangle holds the running R products toward higher
+    states and weights h into one bracket per state by a matvec; the
+    brackets, divided by nu, are summed down by a running sum (G = 1). This
+    is the matrix form of the sums the factorization yields state by
+    state, kept as an independent route.
     """
     factors = rg_factorize(gen)
-    upper, lower = _triangles(factors)
-    neg_u = -factors.u
+    upper = _triangles(factors)
+    nu = -factors.u
 
     def apply_inverse(rhs):
-        return lower @ ((upper @ rhs) / neg_u)
+        return np.cumsum((upper @ rhs) / nu)
 
     return apply_inverse
 

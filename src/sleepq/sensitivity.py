@@ -14,16 +14,27 @@ longer matches the general difference equation).
 On this birth-death chain the RG-factorization of the Poisson equation
 collapses to a scalar recursion. With D_K = g_K - g_{K+1} over the states
 K = 0..N (N = n + m) and nu_K the death rate of state K, balance at each
-state gives
+state gives it from either end of the chain: the tail recursion
 
     D_{N-1} = (eta - f_N) / nu_N,
     D_{K-1} = (lambda * D_K + eta - f_K) / nu_K,
 
-run down to K = n + 1, and G(n,j) = D_{n+j-1}. Every divisor is at least
-n*mu1 > 0, no stationary probability is divided by, and no Poisson
-equation is solved. One body (_lines) runs the recursion for one policy and
-for a whole block of policies at once, so a policy's factors are bit for
-bit its row of any block.
+and the head recursion
+
+    D_{-1} = 0,
+    D_K = (nu_K * D_{K-1} - (eta - f_K)) / lambda,
+
+and G(n,j) = D_{n+j-1}. They are the two forms of the cut identity
+lambda pi_K D_K = -sum_{i<=K} pi_i (eta - f_i) = sum_{i>K} pi_i (eta - f_i),
+and each multiplies an error by a ratio of stationary probabilities on its
+way, which stays below 1 only while it runs toward the mass. So each cut
+K takes the side with less mass: the head recursion while the head mass
+sum_{i<=K} pi_i is at most 1/2, the tail recursion above the median.
+Under heavy load pi rises over most levels, and the tail recursion alone
+would lose a digit per level there. No stationary probability is divided
+by, and no Poisson equation is solved. One body (_lines) runs the
+recursions for one policy and for a whole block of policies at once, so a
+policy's factors are bit for bit its row of any block.
 
 f = R*a - b, so G and G + c are affine in the price R: the per-state
 critical price (the root of G + c) and its R-slope come from the same
@@ -152,34 +163,62 @@ def _lines(params: ModelParams, death: list, cost: list,
     one entry per policy row; every operation is elementwise, so a row gets
     the bits of its policy alone. The weights are formed as _stationary
     forms them, x * lambda / nu, and normalized before they weight the
-    rates, and every sum runs state by state. The recursion of the module
-    docstring then runs on the two affine parts of eta - f = R (A - a) +
-    (b - B), where A = pi . a and B = pi . b. A normalizer or a line that
-    is not finite (the weights overflow under heavy load) raises
-    NumericalError. The lines have shape (m,) for one policy and (m, rows)
-    for a block.
+    rates, and every sum runs state by state. The recursions of the module
+    docstring then run on the two affine parts of eta - f = R (A - a) +
+    (b - B), where A = pi . a and B = pi . b: the head recursion at the
+    cuts whose head mass (the running sum of the weights) is at most half
+    the total, the tail recursion at the others. Each runs only over its
+    own cuts, the head from state 0 up and the tail from the top state
+    down; a block runs each over the cuts where any row takes it and
+    selects per row where both run. A normalizer or a line that is not
+    finite (the weights overflow under heavy load) raises NumericalError.
+    The lines have shape (m,) for one policy and (m, rows) for a block.
     """
     lam = params.lambda_
     weights = [1.0]
-    total = 1.0
+    heads = [1.0]
     for rate in death[1:]:
         weights.append(weights[-1] * lam / rate)
-        total = total + weights[-1]
+        heads.append(heads[-1] + weights[-1])
+    total = heads[-1]
     _require_finite(total)
     completion_rate = cost_rate = 0.0
     for weight, rate, state_cost in zip(weights, death, cost):
         share = weight / total
         completion_rate = completion_rate + share * rate
         cost_rate = cost_rate + share * state_cost
-    intercept, slope = [], []
+    n, top = params.n, len(death) - 1
+    # The number of cuts K that take the head side, per row; the head mass
+    # only grows with K, so they are the first ones. Below cut n no line
+    # is kept, so the count starts there.
+    half = 0.5 * total
+    head_cuts = n + sum(mass <= half for mass in heads[n:-1])
+    # One policy's count is a Python int: its path makes no numpy call.
+    if isinstance(head_cuts, int):
+        first = last = head_cuts
+    else:
+        first, last = int(head_cuts.min()), int(head_cuts.max())
+    intercept, slope = [None] * (top - n), [None] * (top - n)
     below_i = below_s = 0.0
-    for j in range(len(death) - 1, params.n, -1):
+    for j in range(top, first, -1):
         rate = death[j]
         below_i = (lam * below_i + (cost[j] - cost_rate)) / rate
         below_s = (lam * below_s + (completion_rate - rate)) / rate
-        intercept.append(below_i)
-        slope.append(below_s)
-    lines = np.array([intercept[::-1], slope[::-1]])
+        intercept[j - 1 - n], slope[j - 1 - n] = below_i, below_s
+    above_i = above_s = 0.0
+    for j in range(last if last > n else 0):
+        rate = death[j]
+        above_i = (rate * above_i - (cost[j] - cost_rate)) / lam
+        above_s = (rate * above_s - (completion_rate - rate)) / lam
+        if j < n:
+            continue
+        if j < first:
+            intercept[j - n], slope[j - n] = above_i, above_s
+        else:
+            head = j < head_cuts
+            intercept[j - n] = np.where(head, above_i, intercept[j - n])
+            slope[j - n] = np.where(head, above_s, slope[j - n])
+    lines = np.array([intercept, slope])
     _require_finite(lines)
     return lines[0], lines[1]
 

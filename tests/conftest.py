@@ -119,6 +119,20 @@ def wide_light_instance(rng):
     return params, random_policy(rng, m)
 
 
+def heavy_instance(rng):
+    """(params, policy) with lambda / mu1 in 3..30 and m in 10..60.
+
+    Enough load that pi rises over most levels, where the backward
+    recursion for the realization factors loses digits; the weights stay
+    far from overflow.
+    """
+    params = draw_params(rng, n_max=10, m_min=10, m_max=60)
+    params = dataclasses.replace(
+        params,
+        lambda_=params.mu1 * float(10.0 ** rng.uniform(np.log10(3.0), np.log10(30.0))))
+    return params, random_policy(rng, params.m)
+
+
 def draw_change_pair(rng, m: int):
     """Two policies differing in one coordinate, in closed-form range.
 

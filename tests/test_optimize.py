@@ -100,13 +100,28 @@ def test_tie_break_is_lexicographic():
     assert res.best_policy == (0, 0)
 
 
-def test_threads_do_not_change_the_answer():
+def _record_pools(monkeypatch):
+    """The max_workers of every ThreadPoolExecutor optimize builds."""
+    pools = []
+
+    class Recording(OPT.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(OPT, "ThreadPoolExecutor", Recording)
+    return pools
+
+
+def test_threads_do_not_change_the_answer(monkeypatch):
+    # 625 policies in chunks of at most 50 rows: enough chunks for four
+    # workers, so three pool threads run beside the caller.
     params = micro_params(n=2, m=4)
-    serial = optimize(params, "full", top_k=3)
-    threaded = optimize(params, "full", top_k=3, threads=4)
-    assert serial.best_policy == threaded.best_policy
-    assert serial.best_eta == threaded.best_eta
-    assert serial.ranking == threaded.ranking
+    monkeypatch.setattr(OPT, "BLOCK_SIZE", 50)
+    serial = optimize(params, "full", top_k=3, threads=1)
+    pools = _record_pools(monkeypatch)
+    assert optimize(params, "full", top_k=3, threads=4) == serial
+    assert pools == [3]
 
 
 @pytest.mark.parametrize("threads", [0, -1, 2.5, True, "2"])
@@ -121,14 +136,7 @@ def test_the_caller_is_one_of_the_workers(monkeypatch):
     # Full m=6 is 7^6 = 117 649 policies, two chunks of BLOCK_SIZE rows.
     params = micro_params(n=2, m=6, c_energy=0.0, lambda_=1.7)
     serial = optimize(params, "full", top_k=12, threads=1)
-    pools = []
-
-    class Recording(OPT.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(OPT, "ThreadPoolExecutor", Recording)
+    pools = _record_pools(monkeypatch)
     assert optimize(params, "full", top_k=12, threads=2) == serial
     assert pools == [1]
     assert optimize(params, "full", top_k=12, threads=1) == serial

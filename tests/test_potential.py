@@ -189,19 +189,16 @@ def test_benchmark_outlier_draw_all_routes_agree():
 
 
 def _triangles_by_loops(factors):
-    """Running R products extended one factor at a time; unit lower triangle."""
+    """Running R products extended one factor at a time."""
     k = factors.u.shape[0]
     upper = np.zeros((k, k))
-    lower = np.zeros((k, k))
     for i in range(k):
         upper[i, i] = 1.0
         prod_r = 1.0
         for c in range(i + 1, k):
             prod_r *= factors.r[c - 1]
             upper[i, c] = prod_r
-        for c in range(i + 1):
-            lower[i, c] = 1.0
-    return upper, lower
+    return upper
 
 
 def test_triangles_equal_running_product_loops():
@@ -209,8 +206,7 @@ def test_triangles_equal_running_product_loops():
     for _ in range(50):
         params, d = draw_instance(rng)
         factors = rg_factorize(build_generator(params, d))
-        for got, want in zip(_triangles(factors), _triangles_by_loops(factors)):
-            assert got.tobytes() == want.tobytes()
+        assert _triangles(factors).tobytes() == _triangles_by_loops(factors).tobytes()
 
 
 def test_band_product_equals_extended_matmul():
@@ -241,6 +237,21 @@ def test_rg_solve_forms_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_explicit_solve_holds_one_dense_triangle():
+    """The explicit route forms the running R products as its one k x k
+    float array, 32 MB at 2 003 states, and sums down instead of forming
+    the unit lower triangle."""
+    m = 2000
+    params = micro_params(n=2, lambda_=2.0, m=m)
+    tracemalloc.start()
+    try:
+        solve_poisson(params, tuple(range(1, m + 1)), method="explicit")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_residual_is_small_on_random_instances():

@@ -9,6 +9,7 @@ from sleepq import (
     ConsistencyError,
     DegeneratePriceError,
     GateError,
+    ModelParams,
     NumericalError,
     critical_price_state,
     critical_prices_global,
@@ -28,11 +29,34 @@ from conftest import (
     draw_change_pair,
     draw_instance,
     draw_params,
+    heavy_instance,
     micro_params,
     random_policy,
     sleepy_params,
     wide_light_instance,
 )
+from exact import exact
+
+# The 634th draw_params(n_max=30, m_max=30) + random_policy pair of
+# default_rng(101): lambda / mu1 near 29.8, so pi rises over nearly every
+# level. The backward recursion alone gave G(n,1) = 8.21 and
+# G(n,2) = -0.188 here, against exact values of 10.68 and 0.0433.
+DRAW_634 = (
+    ModelParams(lambda_=7.9605243119148055, mu1=0.2673240890733199,
+                mu2=0.21149820517921092, n=2, m=25,
+                p1_work=3.5972774233932796, p2_work=2.8132543801957848,
+                p2_sleep=0.8214301024120567, c_energy=2.5555463963816067,
+                c_hold_g1=0.76954528373741, c_hold_g2=1.37441055924223,
+                c_transfer=2.211176541354247, c_loss=1.960907458229903,
+                price=8.686762635399896),
+    (17, 21, 13, 25, 19, 17, 12, 18, 17, 18, 15, 20, 0, 18, 8, 14, 24, 4,
+     20, 2, 21, 6, 3, 13, 11),
+)
+
+
+def _heavy_corpus():
+    rng = np.random.default_rng(2026)
+    return [heavy_instance(rng) for _ in range(100)]
 
 
 def test_micro_sensitivity_values(micro):
@@ -194,6 +218,28 @@ def test_closed_form_factors_match_all_poisson_routes():
                               <= 1e-10 * np.maximum(1.0, np.abs(prf))), method
 
 
+def test_heavy_load_draw_factors_match_exact_values():
+    params, d = DRAW_634
+    want = np.array([float(x) for x in exact(params, d).prf])
+    got = realization_factors(params, d)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), got - want
+
+
+def test_heavy_load_factors_match_exact_values_and_signs():
+    # A forward-error bound against exact rational values: the residual
+    # and the agreement of the Poisson routes cannot show an error that
+    # every route shares.
+    for params, d in _heavy_corpus():
+        ref = exact(params, d)
+        want = np.array([float(x) for x in ref.prf])
+        got = realization_factors(params, d)
+        floor = 1e-12 * np.abs(want).max()
+        assert np.all(np.abs(got - want)
+                      <= 1e-9 * np.maximum(np.abs(want), floor)), (params, d)
+        signs = [(x + ref.c > 0) - (x + ref.c < 0) for x in ref.prf]
+        assert np.array_equal(np.sign(got + price_constant(params)), signs), (params, d)
+
+
 def test_heavy_load_factors_raise_instead_of_nan():
     # lambda / (n mu1) = 100 per level: the stationary weights of the
     # all-asleep policy overflow long before level 200.
@@ -209,14 +255,18 @@ def test_heavy_load_factors_raise_instead_of_nan():
 
 def test_policy_lines_match_block_lines():
     # One policy's lines come from the scalar pass, a search's from a block
-    # of policies; one body runs both, so they agree bit for bit.
+    # of policies; one body runs both, so they agree bit for bit. The rows
+    # of one block pass the median of pi at different levels, so the block
+    # runs both recursions there and selects per row.
     rng = np.random.default_rng(38)
     corpus = [draw_instance(rng, n_max=12, m_max=12) for _ in range(200)]
     corpus += [wide_light_instance(rng) for _ in range(10)]
-    for params, d in corpus:
-        block = _factor_lines(params, np.array([d]))
-        for got, want in zip(_policy_lines(params, d), block):
-            assert got.tobytes() == want[0].tobytes(), (params, d)
+    for params, d in corpus + _heavy_corpus():
+        rows = [d, (0,) * params.m, tuple(range(1, params.m + 1))]
+        block = _factor_lines(params, np.array(rows))
+        for k, row in enumerate(rows):
+            for got, want in zip(_policy_lines(params, row), block):
+                assert got.tobytes() == want[k].tobytes(), (params, row)
 
 
 def _refuses(lines, params, d):
