@@ -8,11 +8,11 @@ the dense oracles form the k x k matrix. The stationary vector has a product
 form that the closed-form solver builds by recursive ratios; a dense linear
 solve is kept as an oracle.
 
-A single policy's rates come from one scalar pass over its states
-(_state_rates), from which _generator and _stationary build the bands and
-the stationary law, so a caller that needs several of them runs the pass
-once. The searches read the same rates for a whole block of policies
-(_block_chain).
+One body (_rates) forms the death and cost rates: level by level in
+Python floats for one policy (_state_rates), from which _generator and
+_stationary build the bands and the stationary law, so a caller that needs
+several of them runs the pass once; and on every level of a whole block of
+policies at once for the searches (_block_rates).
 """
 
 from __future__ import annotations
@@ -84,19 +84,20 @@ def _check_rates(params: ModelParams) -> None:
             raise ConfigError(f"{name} must be > 0, got {value!r}")
 
 
-def _state_rates(params: ModelParams, d: Policy) -> tuple[list[float], list[float]]:
-    """Death rate and cost rate of every state, as Python floats.
+def _rates(params: ModelParams, levels, minimum) -> tuple[list, list]:
+    """Death and cost rates of the states (i, 0), then of each item of levels.
 
     The death rate of a state is also its completion rate: i*mu1 at (i, 0),
     and nu(d_{n,j}) at (n, j), where Group 1 contributes n*mu1 and Group 2
     min(d_{n,j}, j)*mu2 because only as many awake servers as jobs can
     serve. The energy part of the cost uses the raw entry d_{n,j}: a server
-    awake beyond the number of jobs burns power without serving. This is
-    the one per-policy pass of the closed form; the generator, the
-    stationary law and the reward read their rates from it.
+    awake beyond the number of jobs burns power without serving. levels
+    yields pairs (j, d_{n,j}) and minimum clamps them: one pair of Python
+    ints per level of one policy with min, or one pair of arrays holding
+    every level of a block with np.minimum, so a block's rates are bit for
+    bit those of each of its policies. Arrivals are lost only at the top
+    state: the caller adds their cost there.
     """
-    _check_rates(params)
-    d = check_policy(d, params.m)
     n, m = params.n, params.m
     mu1, mu2 = params.mu1, params.mu2
     p2_work, p2_sleep = params.p2_work, params.p2_sleep
@@ -108,13 +109,45 @@ def _state_rates(params: ModelParams, d: Policy) -> tuple[list[float], list[floa
     base_energy = (group1_power + m * p2_sleep) * c_energy
     death = [i * mu1 for i in range(n + 1)]
     cost = [base_energy + i * params.c_hold_g1 for i in range(n + 1)]
-    for j, dj in enumerate(d, start=1):
-        death.append(group1_rate + min(dj, j) * mu2)
+    for j, dj in levels:
+        death.append(group1_rate + minimum(dj, j) * mu2)
         cost.append((group1_power + dj * p2_work + (m - dj) * p2_sleep) * c_energy
                     + group1_hold + j * c_hold_g2 + transfer)
-    if m:
-        # Lost arrivals only happen at the full state.
+    return death, cost
+
+
+def _state_rates(params: ModelParams, d: Policy) -> tuple[list[float], list[float]]:
+    """Death rate and cost rate of every state, as Python floats.
+
+    This is the one per-policy pass of the closed form; the generator, the
+    stationary law and the reward read their rates from it.
+    """
+    _check_rates(params)
+    d = check_policy(d, params.m)
+    death, cost = _rates(params, enumerate(d, start=1), min)
+    if d:
         cost[-1] += params.lambda_ * params.c_loss
+    return death, cost
+
+
+def _block_rates(params: ModelParams, block: np.ndarray) -> tuple[list, list]:
+    """The rates of _state_rates for every policy row of block.
+
+    Each list holds the Python floats of the states (i, 0), shared by every
+    row, then one level-major (m, rows) array: row j - 1 holds the rate of
+    level j under each policy row.
+    """
+    _check_rates(params)
+    block = np.asarray(block, dtype=np.int64)
+    if block.ndim != 2 or block.shape[1] != params.m:
+        raise ValueError(f"expected (batch, {params.m}) policy array")
+    if block.size and (block.min() < 0 or block.max() > params.m):
+        raise ValueError(f"policy entries must lie in 0..{params.m}")
+    # Whole numbers as floats: each product rounds once, as with ints.
+    levels = np.arange(1.0, params.m + 1)[:, None]
+    entries = block.T.astype(np.float64, order="C")
+    death, cost = _rates(params, [(levels, entries)], np.minimum)
+    cost[-1][-1] += params.lambda_ * params.c_loss
     return death, cost
 
 
@@ -146,17 +179,25 @@ def stationary_closed_form(params: ModelParams, d: Policy) -> ChainSolution:
     return _stationary(params, death)
 
 
-def _stationary(params: ModelParams, death: list[float]) -> ChainSolution:
-    """The product-form law with the death rates of _state_rates."""
-    lam = params.lambda_
+def _weights(lam: float, death: list) -> list:
+    """Unnormalized stationary weights: xi_0 = 1, xi_k = xi_{k-1} * lam / nu_k.
+
+    nu_k = death[k] is a float for one policy, or an array with one entry
+    per policy row for a block; every step is elementwise.
+    """
     weight = 1.0
-    xi = [weight]
+    weights = [weight]
     for rate in death[1:]:
         # In this order, not weight * (lam / rate): the Poisson solvers'
         # residual gate refuses draws by the last bit of pi.
         weight = weight * lam / rate
-        xi.append(weight)
-    xi = np.array(xi)
+        weights.append(weight)
+    return weights
+
+
+def _stationary(params: ModelParams, death: list[float]) -> ChainSolution:
+    """The product-form law with the death rates of _state_rates."""
+    xi = np.array(_weights(params.lambda_, death))
     # Finite weights can still sum past the largest double: refused below.
     with np.errstate(over="ignore"):
         b = float(xi.sum())
@@ -167,76 +208,30 @@ def _stationary(params: ModelParams, death: list[float]) -> ChainSolution:
     return ChainSolution(xi / b, xi, b)
 
 
-@dataclass(frozen=True)
-class _BlockChain:
-    """Rates of each policy row of a block.
+def _profit_rates(params: ModelParams, death: list, cost: list,
+                  prices: np.ndarray):
+    """(low_profit, low_weight, xi_n, nu, f_top) of block rates at each price.
 
-    The states (i, 0) are shared by every row: jobs_low = i, their
-    completion rate is i*mu1, and cost_low are their cost rates. The levels
-    (n, j) get one row per policy: the service rates nu (which are also the
-    completion rates) and cost_top. A state's profit rate is price *
-    completion rate - cost.
+    death and cost are the rates of _block_rates. The weights of the states
+    (i, 0) are cumulative products of lambda/(i mu1), shared by every row:
+    low_profit[p] = xi_low . f_low at prices[p], low_weight = sum(xi_low)
+    and xi_n = xi_low[n]. nu is the level-major (m, rows) array of service
+    rates and f_top[p] the (m, rows) profit rates at prices[p]. A row's
+    level weights are xi_top = xi_n * cumprod(lambda/nu) down the levels,
+    and its average profit at prices[p] is (low_profit[p] + sum xi_top
+    f_top[p]) / (low_weight + sum xi_top). Each price gets the numbers of a
+    one-price call bit for bit: the same elementwise operations, and one
+    dot product of its own.
     """
-
-    jobs_low: np.ndarray
-    cost_low: np.ndarray
-    nu: np.ndarray
-    cost_top: np.ndarray
-
-
-def _block_chain(params: ModelParams, block: np.ndarray) -> _BlockChain:
-    """The rates of _state_rates for each policy row of block, vectorized.
-
-    Raw-coordinate energy and clamped service rates, each bit for bit the
-    rate of the scalar pass.
-    """
-    _check_rates(params)
-    block = np.asarray(block, dtype=np.int64)
-    if block.ndim != 2 or block.shape[1] != params.m:
-        raise ValueError(f"expected (batch, {params.m}) policy array")
-    if block.size and (block.min() < 0 or block.max() > params.m):
-        raise ValueError(f"policy entries must lie in 0..{params.m}")
-    n, m = params.n, params.m
-    lam, mu1, mu2 = params.lambda_, params.mu1, params.mu2
-
-    i_arr = np.arange(n + 1, dtype=np.float64)
-    j_arr = np.arange(1, m + 1, dtype=np.float64)
-    clamped = np.minimum(block, np.arange(1, m + 1, dtype=np.int64))
-    nu = n * mu1 + clamped * mu2
-
-    base_energy = (n * params.p1_work + m * params.p2_sleep) * params.c_energy
-    energy = (n * params.p1_work + block * params.p2_work
-              + (m - block) * params.p2_sleep) * params.c_energy
-    # Summed in the scalar pass's order, so cost_top equals its cost rates.
-    cost = (energy + n * params.c_hold_g1 + j_arr * params.c_hold_g2
-            + n * mu1 * params.c_transfer)
-    cost[:, m - 1] += lam * params.c_loss
-    return _BlockChain(jobs_low=i_arr,
-                      cost_low=base_energy + i_arr * params.c_hold_g1,
-                      nu=nu, cost_top=cost)
-
-
-def _profit_rates(params: ModelParams, chain: _BlockChain, prices: np.ndarray,
-                  ) -> tuple[np.ndarray, float, float, np.ndarray]:
-    """(low_profit, low_weight, xi_n, f_top) of a block chain at each price.
-
-    The weights of the states (i, 0) are cumulative products of
-    lambda/(i mu1), shared by every row: low_profit[p] = xi_low . f_low at
-    prices[p], low_weight = sum(xi_low) and xi_n = xi_low[n]. f_top[p] is
-    the profit rate of each level at prices[p]. A row's level weights are
-    xi_top = xi_n * cumprod(lambda/nu), and its average profit at prices[p]
-    is (low_profit[p] + sum xi_top f_top[p]) / (low_weight + sum xi_top).
-    Each price gets the numbers of a one-price call bit for bit: the same
-    elementwise operations, and one dot product of its own.
-    """
+    nu, cost_low, cost_top = death[-1], np.array(cost[:-1]), cost[-1]
+    jobs_low = np.arange(params.n + 1, dtype=np.float64)
     ratios_low = np.ones(params.n + 1)
-    ratios_low[1:] = params.lambda_ / (np.arange(1, params.n + 1) * params.mu1)
+    ratios_low[1:] = params.lambda_ / (jobs_low[1:] * params.mu1)
     xi_low = np.cumprod(ratios_low)
-    low_profit = np.array([
-        xi_low @ (price * chain.jobs_low * params.mu1 - chain.cost_low)
-        for price in prices])
-    return (low_profit, xi_low.sum(), xi_low[params.n],
-            prices[:, None, None] * chain.nu - chain.cost_top)
+    low_profit = np.array([xi_low @ (price * jobs_low * params.mu1 - cost_low)
+                           for price in prices])
+    return (low_profit, xi_low.sum(), xi_low[params.n], nu,
+            prices[:, None, None] * nu - cost_top)
 
 
 def stationary_numeric(gen: Generator) -> ChainSolution:

@@ -208,6 +208,13 @@ def check_policy(d: Policy, m: int) -> Policy:
     return tuple(entries)
 
 
+def _check_count(value, rule: str, most: float = math.inf) -> None:
+    """ValueError(rule) unless value is an integer, not a bool, in 1..most."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 1 <= value <= most):
+        raise ValueError(f"{rule}, got {value!r}")
+
+
 def threshold_policy(m: int, theta: int) -> Policy:
     """Sleep everything below level theta, match jobs at and above it.
 

@@ -33,12 +33,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import _block_chain, _profit_rates, stationary_closed_form
+from .chain import _block_rates, _profit_rates, stationary_closed_form
 from .errors import ConfigError, ConsistencyError, NumericalError, RegimeError
 from .model import (
     BLOCK_SIZE,
     ModelParams,
     Policy,
+    _check_count,
     _gated_size,
     _level_values,
     _policy_block,
@@ -131,17 +132,18 @@ def _block_profits(params: ModelParams, block: np.ndarray,
                    prices: np.ndarray) -> np.ndarray:
     """Average profit of each policy row of block: one row per price.
 
-    Same closed form as policy_profit, with the levels summed in the order
-    of the enumeration tree of _product_candidates, so a row's profit is
-    bit for bit what the tree gives its policy. A profit that is not
-    finite raises NumericalError, as in _chunk_summary.
+    Same closed form as policy_profit on the level-major rates of
+    _profit_rates, with the weights and terms cumulated down the level
+    axis in the order of the enumeration tree of _product_candidates, so a
+    row's profit is bit for bit what the tree gives its policy. A profit
+    that is not finite raises NumericalError, as in _chunk_summary.
     """
-    chain = _block_chain(params, block)
     with np.errstate(over="ignore", invalid="ignore"):
-        low_profit, low_weight, xi_n, f_top = _profit_rates(params, chain, prices)
-        xi_top = xi_n * np.cumprod(params.lambda_ / chain.nu, axis=1)
-        etas = ((low_profit[:, None] + np.cumsum(xi_top * f_top, axis=2)[..., -1])
-                / (low_weight + np.cumsum(xi_top, axis=1)[:, -1]))
+        low_profit, low_weight, xi_n, nu, f_top = _profit_rates(
+            params, *_block_rates(params, block), prices)
+        xi_top = xi_n * np.cumprod(params.lambda_ / nu, axis=0)
+        etas = ((low_profit[:, None] + np.cumsum(xi_top * f_top, axis=1)[:, -1])
+                / (low_weight + np.cumsum(xi_top, axis=0)[-1]))
     _require_finite(etas)
     return etas
 
@@ -195,29 +197,30 @@ def _product_candidates(params: ModelParams, space: str, k: int,
     tree is grown one level at a time: each level multiplies every prefix's
     P by its values' lambda/nu and adds their terms. Only S depends on the
     price, through f = R nu - cost, so one walk grows P and W once and S as
-    a (prices, rows) array. _block_profits runs these operations in this
-    order, so a policy gets the same profit from both at every m. A
-    level's values form the leading
-    axis of its rows, so every operation runs along the contiguous prefix
-    axis. The levels above a split are built once and put in rank order;
-    each chunk grows a run of split-level prefixes into leaves, which are
-    consecutive ranks. No array holds more than BLOCK_SIZE rows x prices
-    unless one price's prefixes alone do: the split deepens as prices are
-    added, and the prices are walked in batches small enough for their
-    prefixes to fit. Every leaf's numbers come from the same elementwise
-    operations wherever the tree is split, so no result depends on the
-    chunks, the batches or the other prices.
+    a (prices, rows) array. The rates are those of a block whose row v
+    holds each level's v-th value, so level j's values lead row j - 1 of
+    the level-major nu and f_top. _block_profits runs these operations in
+    this order, so a policy gets the same profit from both at every m. A
+    level's values form the leading axis of its rows, so every operation
+    runs along the contiguous prefix axis. The levels above a split are
+    built once and put in rank order; each chunk grows a run of
+    split-level prefixes into leaves, which are consecutive ranks. No
+    array holds more than BLOCK_SIZE rows x prices unless one price's
+    prefixes alone do: the split deepens as prices are added, and the
+    prices are walked in batches small enough for their prefixes to fit.
+    Every leaf's numbers come from the same elementwise operations wherever
+    the tree is split, so no result depends on the chunks, the batches or
+    the other prices.
     """
     m = params.m
     levels = _level_values(m, space)
-    # Row v holds each level's v-th value (0 past the end), so the chain's
-    # nu and cost_top are the rates of every (value, level) pair.
+    # Row v holds each level's v-th value (0 past the end).
     table = np.zeros((max(v.size for v in levels), m), dtype=np.int64)
     for j, values in enumerate(levels):
         table[:values.size, j] = values
-    chain = _block_chain(params, table)
-    low_profit, low_weight, xi_n, f_top = _profit_rates(params, chain, prices)
-    ratios = [params.lambda_ / chain.nu[:v.size, j] for j, v in enumerate(levels)]
+    low_profit, low_weight, xi_n, nu, f_top = _profit_rates(
+        params, *_block_rates(params, table), prices)
+    ratios = [params.lambda_ / nu[j, :v.size] for j, v in enumerate(levels)]
 
     def split_for(q):
         """(split, leaves) for q prices: the first chunk level, and the
@@ -241,7 +244,7 @@ def _product_candidates(params: ModelParams, space: str, k: int,
             xi is formed in W's slot by the same two roundings.
             """
             prod, profit, weight = state
-            ratio, f = ratios[j], f_top[:, :ratios[j].size, j]
+            ratio, f = ratios[j], f_top[:, j, :ratios[j].size]
             shape = (ratio.size, prod.size)
             size = ratio.size * prod.size
             xi = out[1][:size].reshape(shape)
@@ -356,15 +359,6 @@ def _product_candidates(params: ModelParams, space: str, k: int,
     return candidates
 
 
-def _check_threads(threads) -> None:
-    """Refuse a thread count that is neither None nor a positive integer."""
-    if threads is not None and (isinstance(threads, bool)
-                                or not isinstance(threads, (int, np.integer))
-                                or threads < 1):
-        raise ValueError(
-            f"threads must be None or a positive integer, got {threads!r}")
-
-
 def _rankings(params: ModelParams, space: str, k: int, threads: int | None,
               prices) -> list[list[tuple[float, Policy]]]:
     """The k best (-eta, policy) pairs of a space at each price, best first.
@@ -401,20 +395,22 @@ def optimize(params: ModelParams, space: str = "full",
 
     Ties in eta resolve to the lexicographically smallest policy; in the
     threshold space that is the maximal theta, while threshold_scan
-    reports the minimal one. top_k (at least 1) requests a ranking of the
-    best policies by eta descending, ties by policy ascending, so
-    ranking[0] is always best_policy. The full, reduced and bang-bang
-    spaces are evaluated down their enumeration tree in chunks of at most
-    BLOCK_SIZE policies; threads > 1 evaluates chunks concurrently, the
-    calling thread being one of the workers, and threads other than None
-    or a positive integer raise ValueError. No result depends on the
-    chunking or the threads. A non-finite profit (the stationary weights
-    overflow under heavy load) raises NumericalError.
+    reports the minimal one. top_k (an integer, at least 1) requests a
+    ranking of the best policies by eta descending, ties by policy
+    ascending, so ranking[0] is always best_policy; any other top_k but
+    None raises ValueError. The full, reduced and bang-bang spaces are
+    evaluated down their enumeration tree in chunks of at most BLOCK_SIZE
+    policies; threads > 1 evaluates chunks concurrently, the calling thread
+    being one of the workers, and threads other than None or a positive
+    integer raise ValueError. No result depends on the chunking or the
+    threads. A non-finite profit (the stationary weights overflow under
+    heavy load) raises NumericalError.
     """
     require_valid(params)
-    if top_k is not None and top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
-    _check_threads(threads)
+    if top_k is not None:
+        _check_count(top_k, "top_k must be >= 1 and an integer")
+    if threads is not None:
+        _check_count(threads, "threads must be None or a positive integer")
     total = _gated_size(params.m, space, allow_large)
     merged, = _rankings(params, space, top_k or 1, threads, [params.price])
 
@@ -460,7 +456,8 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
     R * completion_rate - cost_rate of the winning policy on every grid
     point; a mismatch raises ConsistencyError.
     """
-    _check_threads(threads)
+    if threads is not None:
+        _check_count(threads, "threads must be None or a positive integer")
     grid = _price_grid(r_grid)
     # Every grid price is one validate accepts, so one check covers them.
     require_valid(replace(params, price=grid[0]))
@@ -625,12 +622,12 @@ def verify_monotonicity(params: ModelParams, d: Policy, j: int,
     -pi(n,j)(P2W-P2S)C1 (the stationary law no longer depends on the
     coordinate there). Below, it must be strictly increasing when the
     price is at least r_high and strictly decreasing when at most r_low,
-    with strictness margin 1e-12 * max(1, |eta|).
+    with strictness margin 1e-12 * max(1, |eta|). A j that is not an
+    integer in 1..m raises ValueError.
     """
     require_valid(params)
     check_policy(d, params.m)
-    if not 1 <= j <= params.m:
-        raise ValueError(f"j={j} outside 1..{params.m}")
+    _check_count(j, f"j must be an integer in 1..{params.m}", params.m)
     m = params.m
 
     block = np.tile(np.asarray(d, dtype=np.int64), (m + 1, 1))

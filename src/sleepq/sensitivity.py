@@ -45,15 +45,17 @@ optimal regimes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import (
-    _block_chain,
+    _block_rates,
     _generator,
     _state_rates,
     _stationary,
+    _weights,
     stationary_closed_form,
 )
 from .errors import ConsistencyError, DegeneratePriceError, NumericalError
@@ -61,6 +63,7 @@ from .model import (
     BLOCK_SIZE,
     ModelParams,
     Policy,
+    _check_count,
     _gated_size,
     _policy_block,
     check_policy,
@@ -159,10 +162,10 @@ def _lines(params: ModelParams, death: list, cost: list,
     """(intercept, slope) of G(n,j) = price * slope + intercept, j = 1..m.
 
     death and cost are the per-state rates of _state_rates. Each level
-    entry is a float for one policy, or a column array for a block with
+    entry is a float for one policy, or a level's array for a block with
     one entry per policy row; every operation is elementwise, so a row gets
-    the bits of its policy alone. The weights are formed as _stationary
-    forms them, x * lambda / nu, and normalized before they weight the
+    the bits of its policy alone. The weights come from _weights, as
+    _stationary's do, and are normalized before they weight the
     rates, and every sum runs state by state. The recursions of the module
     docstring then run on the two affine parts of eta - f = R (A - a) +
     (b - B), where A = pi . a and B = pi . b: the head recursion at the
@@ -175,11 +178,8 @@ def _lines(params: ModelParams, death: list, cost: list,
     The lines have shape (m,) for one policy and (m, rows) for a block.
     """
     lam = params.lambda_
-    weights = [1.0]
-    heads = [1.0]
-    for rate in death[1:]:
-        weights.append(weights[-1] * lam / rate)
-        heads.append(heads[-1] + weights[-1])
+    weights = _weights(lam, death)
+    heads = list(itertools.accumulate(weights))
     total = heads[-1]
     _require_finite(total)
     completion_rate = cost_rate = 0.0
@@ -227,15 +227,13 @@ def _factor_lines(params: ModelParams, block: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(intercept, slope) of G(n,j) for each policy row of block.
 
-    Each of shape (rows, m): _lines on the rates of _block_chain, one
-    column array per level.
+    Each of shape (rows, m): _lines on the rates of _block_rates, whose
+    level-major arrays give it one row per level with an entry per policy.
     """
-    chain = _block_chain(params, block)
-    death = (chain.jobs_low * params.mu1).tolist() + list(chain.nu.T.copy())
-    cost = chain.cost_low.tolist() + list(chain.cost_top.T.copy())
-    # Overflow and NaN in the columns are caught by _lines' finiteness checks.
+    (*death, nu), (*cost, cost_top) = _block_rates(params, block)
+    # Overflow and NaN in the rows are caught by _lines' finiteness checks.
     with np.errstate(over="ignore", invalid="ignore"):
-        intercept, slope = _lines(params, death, cost)
+        intercept, slope = _lines(params, [*death, *nu], [*cost, *cost_top])
     return intercept.T, slope.T
 
 
@@ -267,10 +265,10 @@ def critical_price_state(params: ModelParams, d: Policy, j: int) -> float:
     """The price at which G(n,j) + c crosses zero under policy d.
 
     G + c is affine in R, so the root is (k - G|_{R=0}) / (1 + dG/dR) with
-    k = (P2W - P2S) C1 / mu2.
+    k = (P2W - P2S) C1 / mu2. A j that is not an integer in 1..m raises
+    ValueError.
     """
-    if not 1 <= j <= params.m:
-        raise ValueError(f"j={j} outside 1..{params.m}")
+    _check_count(j, f"j must be an integer in 1..{params.m}", params.m)
     intercept, slope = _policy_lines(params, d)
     roots, r_slope = _price_roots(params, intercept, slope)
     if np.isnan(roots[j - 1]):
@@ -371,8 +369,10 @@ def sign_conservation_check(params: ModelParams, d: Policy, d_prime: Policy,
 
     Both sides are computed independently; disagreement beyond 1e-9
     relative raises. Near-zero G+c values make the left side untestable
-    and are reported as degenerate instead.
+    and are reported as degenerate instead. A j that is not an integer in
+    1..m raises ValueError.
     """
+    _check_count(j, f"j must be an integer in 1..{params.m}", params.m)
     _single_change_level(params, d, d_prime, j)
     c = price_constant(params)
     value_d = float(realization_factors(params, d)[j - 1] + c)

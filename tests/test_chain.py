@@ -14,12 +14,13 @@ from sleepq import (
     critical_prices_global,
     perturbation_factors,
     policy_profit,
+    realization_factors,
     solve_poisson,
     state_space,
     stationary_closed_form,
     stationary_numeric,
 )
-from sleepq.chain import _block_chain, _state_rates
+from sleepq.chain import _block_rates, _state_rates
 from conftest import (
     draw_instance,
     draw_params,
@@ -121,6 +122,7 @@ def test_closed_form_operation_order():
     # must keep xi_k = xi_{k-1} * lambda / a_k, not lambda/a_k first or a
     # cumulative product.
     rng = np.random.default_rng(10)
+    block_rng = np.random.default_rng(11)
     for _ in range(40):
         params, d = draw_instance(rng)
         sol = stationary_closed_form(params, d)
@@ -129,11 +131,30 @@ def test_closed_form_operation_order():
             assert sol.xi[k] == sol.xi[k - 1] * params.lambda_ / aff.a[k]
         deaths = np.diagonal(build_generator(params, d).matrix, -1)
         assert deaths.tobytes() == aff.a[1:].tobytes()
-        # The block form shares the rates and costs bit for bit.
-        block = _block_chain(params, np.array([d]))
-        top = slice(params.n + 1, None)
-        assert block.nu[0].tobytes() == aff.a[top].tobytes()
-        assert block.cost_top[0].tobytes() == aff.b[top].tobytes()
+        # A block's level rates are level-major, one column per policy row;
+        # each row's rates and costs are its policy's, bit for bit.
+        rows = list(dict.fromkeys(
+            [d] + [random_policy(block_rng, params.m) for _ in range(5)]))
+        block = _block_rates(params, np.array(rows))
+        for k, row in enumerate(rows):
+            for (*low, levels), want in zip(block, _state_rates(params, row)):
+                got = np.array(low + list(levels[:, k]))
+                assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_a_numpy_policy_is_one_policy():
+    # A 1-D array is one policy, as its tuple is; a 2-D array is refused by
+    # the per-policy calls, never read as a block of policies.
+    params = micro_params(n=2, m=3)
+    d = (0, 2, 3)
+    calls = [policy_profit, realization_factors,
+             lambda p, x: stationary_closed_form(p, x).pi,
+             lambda p, x: solve_poisson(p, x).g]
+    for call in calls:
+        got, want = call(params, np.array(d)), call(params, d)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        with pytest.raises(ValueError):
+            call(params, np.array([d, d]))
 
 
 def test_heavy_load_weights_raise_instead_of_nan():

@@ -50,6 +50,27 @@ def test_top_k_below_one_is_rejected(micro, top_k):
         optimize(micro, "full", top_k=top_k)
 
 
+@pytest.mark.parametrize("top_k", [2.5, 1.0, "2", True])
+def test_top_k_that_is_not_an_integer_is_rejected(micro, top_k):
+    with pytest.raises(ValueError, match="top_k"):
+        optimize(micro, "full", top_k=top_k)
+
+
+@pytest.mark.parametrize("j", [0, 4, 1.0, 2.0, "2", True])
+def test_monotonicity_level_must_be_an_integer_in_range(j):
+    params = micro_params(n=1, m=3)
+    with pytest.raises(ValueError, match="j must be an integer in 1..3"):
+        verify_monotonicity(params, (0, 2, 3), j)
+
+
+def test_numpy_integer_counts_are_accepted(micro):
+    ranked = optimize(micro, "full", top_k=np.int64(2))
+    assert ranked == optimize(micro, "full", top_k=2)
+    params = micro_params(n=1, m=3)
+    sweep = verify_monotonicity(params, (0, 2, 3), np.int64(2)).etas
+    assert np.array_equal(sweep, verify_monotonicity(params, (0, 2, 3), 2).etas)
+
+
 def test_zero_price_micro_still_wakes_the_server(micro):
     """c_loss=5 makes the full state so costly that waking the group-2
     server pays for itself even without revenue."""

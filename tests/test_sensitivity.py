@@ -253,6 +253,15 @@ def test_heavy_load_factors_raise_instead_of_nan():
         critical_prices_global(params, "threshold")
 
 
+@pytest.mark.parametrize("j", [0, 4, 1.0, "2", True])
+def test_level_must_be_an_integer_in_range(j):
+    params = micro_params(n=1, m=3)
+    with pytest.raises(ValueError, match="j must be an integer in 1..3"):
+        critical_price_state(params, (0, 2, 3), j)
+    with pytest.raises(ValueError, match="j must be an integer in 1..3"):
+        sign_conservation_check(params, (0, 2, 3), (0, 2, 3), j)
+
+
 def test_policy_lines_match_block_lines():
     # One policy's lines come from the scalar pass, a search's from a block
     # of policies; one body runs both, so they agree bit for bit. The rows
