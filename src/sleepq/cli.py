@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large", action="store_true",
                    help="override the search-space size gate")
 
-    p = add("optimize", "Best policy by exhaustive profit evaluation.")
+    p = add("optimize", "Best policy of a policy space, by exact search.")
     p.add_argument("--space", choices=POLICY_SPACES, default="full")
     p.add_argument("--top-k", type=int, default=None, metavar="K",
                    help="also report the K best policies")

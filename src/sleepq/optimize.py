@@ -1,25 +1,30 @@
-"""Policy search by exact enumeration, plus structural checks.
+"""Policy search over the policy spaces, plus structural checks.
 
 Every policy's average profit has a closed form (stationary weights are
-products of birth/death ratios), so optimization over the supported policy
-spaces is exact enumeration with a deterministic lexicographic tie-break.
-The full, reduced and bang-bang spaces are products of per-level value
-sets, so the search walks their lexicographic enumeration tree one level
-at a time: policies that share their first j coordinates share the
-partial weight product and profit sums of those levels, and only the
-winning ranks are unranked back into policies. The threshold family is
-evaluated as one block.
+products of birth/death ratios), eta = N/D with N and D sums over the
+levels of the same running products of lambda/nu. The full, reduced and
+bang-bang spaces are products of per-level value sets, so their best
+policy is found by Dinkelbach's ratio iteration over a backward dynamic
+program on the levels (_near_best), which costs a sum over the levels of
+their value counts, not the size of the space. It returns what exact
+enumeration with a lexicographic tie-break returns, bit for bit: the
+policies that may tie the float maximum are regrown from the root in the
+enumeration tree's order and operations.
 
+The enumeration tree is still walked where that set of near ties is
+large, for rankings (top_k) and for price_sweep: policies that share their
+first j coordinates share the partial weight product and profit sums of
+those levels, and only the winning ranks are unranked back into policies.
 The price is an axis of that walk. Only the profit sums depend on it, so
-price_sweep searches a whole grid of prices in one walk, and optimize is
-the walk at one price; each price's eta is bit for bit what optimize
-returns at that price alone.
+price_sweep searches a whole grid of prices in one walk; each price's eta
+is bit for bit what optimize returns at that price alone. The threshold
+family is evaluated as one block.
 
-The module also houses the structural results that make enumeration mostly
-unnecessary: closed-form optima at extreme prices, the threshold-policy
-scan with its optimality sign conditions, and per-coordinate monotonicity
-checks (profit is affine in a coordinate above its level and monotone
-below it when the price clears the critical values).
+The module also houses the structural results: closed-form optima at
+extreme prices, the threshold-policy scan with its optimality sign
+conditions, and per-coordinate monotonicity checks (profit is affine in a
+coordinate above its level and monotone below it when the price clears the
+critical values).
 """
 
 from __future__ import annotations
@@ -58,11 +63,12 @@ from .sensitivity import (
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of an enumeration run.
+    """Outcome of a policy search.
 
     best_policy is the lexicographically smallest maximizer; evaluations
-    counts enumerated policies; ranking (optional) lists the top policies
-    as (policy, eta) pairs, best first.
+    is the size of the space searched, however many policies the search
+    formed; ranking (optional) lists the top policies as (policy, eta)
+    pairs, best first.
     """
 
     best_policy: Policy
@@ -182,6 +188,26 @@ def _chunk_summary(etas, ranks, k):
             for start in starts]
 
 
+def _level_tables(params: ModelParams, space: str, prices: np.ndarray):
+    """(levels, low_profit, low_weight, xi_n, ratios, f_top) of a product space.
+
+    levels are the value sets of _level_values. The rates are those of a
+    block whose row v holds each level's v-th value, so level j's values
+    lead row j - 1 of the level-major f_top of _profit_rates, and ratios[j]
+    holds lambda/nu of level j's values.
+    """
+    m = params.m
+    levels = _level_values(m, space)
+    # Row v holds each level's v-th value (0 past the end).
+    table = np.zeros((max(v.size for v in levels), m), dtype=np.int64)
+    for j, values in enumerate(levels):
+        table[:values.size, j] = values
+    low_profit, low_weight, xi_n, nu, f_top = _profit_rates(
+        params, *_block_rates(params, table), prices)
+    ratios = [params.lambda_ / nu[j, :v.size] for j, v in enumerate(levels)]
+    return levels, low_profit, low_weight, xi_n, ratios, f_top
+
+
 def _product_candidates(params: ModelParams, space: str, k: int,
                         threads: int | None, prices: np.ndarray,
                         ) -> list[list[tuple[float, int]]]:
@@ -197,10 +223,9 @@ def _product_candidates(params: ModelParams, space: str, k: int,
     tree is grown one level at a time: each level multiplies every prefix's
     P by its values' lambda/nu and adds their terms. Only S depends on the
     price, through f = R nu - cost, so one walk grows P and W once and S as
-    a (prices, rows) array. The rates are those of a block whose row v
-    holds each level's v-th value, so level j's values lead row j - 1 of
-    the level-major nu and f_top. _block_profits runs these operations in
-    this order, so a policy gets the same profit from both at every m. A
+    a (prices, rows) array, on the rates of _level_tables. _block_profits
+    and _near_best run these operations in this order, so a policy gets
+    the same profit from all three at every m. A
     level's values form the leading axis of its rows, so every operation
     runs along the contiguous prefix axis. The levels above a split are
     built once and put in rank order; each chunk grows a run of
@@ -213,14 +238,8 @@ def _product_candidates(params: ModelParams, space: str, k: int,
     the other prices.
     """
     m = params.m
-    levels = _level_values(m, space)
-    # Row v holds each level's v-th value (0 past the end).
-    table = np.zeros((max(v.size for v in levels), m), dtype=np.int64)
-    for j, values in enumerate(levels):
-        table[:values.size, j] = values
-    low_profit, low_weight, xi_n, nu, f_top = _profit_rates(
-        params, *_block_rates(params, table), prices)
-    ratios = [params.lambda_ / nu[j, :v.size] for j, v in enumerate(levels)]
+    levels, low_profit, low_weight, xi_n, ratios, f_top = _level_tables(
+        params, space, prices)
 
     def split_for(q):
         """(split, leaves) for q prices: the first chunk level, and the
@@ -388,6 +407,116 @@ def _rankings(params: ModelParams, space: str, k: int, threads: int | None,
     return [[(neg, policies[rank]) for neg, rank in found] for found in best]
 
 
+# The most prefixes _near_best grows at one level; a larger set of near
+# ties is ranked by the walk.
+_TIE_CAP = 256
+
+
+def _near_best(params: ModelParams, space: str,
+               ) -> list[tuple[Policy, float]] | None:
+    """The policies of a product space that may tie its float maximum.
+
+    Returns (policy, eta) pairs in policy order, each eta bit for bit the
+    walk's, among them every policy whose eta is the walk's maximum; or
+    None where the walk must rank the space itself.
+
+    eta = N/D, where N = low_profit + sum xi f and D = low_weight + sum xi
+    over the levels, and xi = xi_n P with P the running product of the
+    levels' lambda/nu. For a fixed eta the largest N - eta D over a
+    product space is a backward pass over the levels: V_m = 0 and V_j =
+    max_a r_j(a) (f_j(a) - eta + V_{j+1}), with r = lambda/nu. Dinkelbach's
+    ratio iteration (Management Science 13(7), 1967) starts from the most
+    awake policy, whose weights are the smallest, sets eta to the profit of
+    the pass's argmax and stops once eta no longer rises; it finds the
+    maximum to within rounding. The walk's answer is the lexicographically
+    smallest policy among those whose float eta is largest, so the tree is
+    grown again from the root, in policy order, keeping the prefixes whose
+    best completion can still reach lo = eta - 2 delta, where delta bounds
+    the rounding of one eta. Each policy's P, xi, S = sum xi f, W = sum xi
+    and eta = (S + low_profit) / (W + low_weight) are formed by the
+    operations of the walk's grow, in its order, on the same floats.
+
+    None is returned where the weights and profit rates are too large to
+    rule out an overflow anywhere in the space, so that the walk refuses
+    exactly the spaces it refuses, and where more than _TIE_CAP prefixes
+    near the maximum share a level.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels, low_profit, low_weight, xi_n, ratios, f_top = _level_tables(
+            params, space, np.array([params.price]))
+        scale = float(np.abs(f_top).max())
+    low_profit, low_weight, xi_n = float(low_profit[0]), float(low_weight), float(xi_n)
+    ratios = [r.tolist() for r in ratios]
+    rates = [f_top[0, j, :len(r)].tolist() for j, r in enumerate(ratios)]
+    m = params.m
+
+    # Rounding is monotone, so the all-asleep prefix has the largest float
+    # P at every level. Times the largest profit rate it bounds every sum,
+    # P and V below; NaN fails the test.
+    prod = peak = 1.0
+    for ratio in ratios:
+        prod = max(ratio) * prod
+        peak = max(peak, prod)
+    scale += abs(low_profit) / low_weight
+    reach = low_weight + max(1.0, xi_n) * m * (1.0 + peak)
+    if not reach * scale < 2.0 ** 1000:
+        return None
+
+    def backward(eta):
+        """V_0..V_m at eta, and each level's first maximizing value index."""
+        values, choice = [0.0] * (m + 1), [0] * m
+        for j in range(m - 1, -1, -1):
+            shift = values[j + 1] - eta
+            gains = [r * (f + shift) for r, f in zip(ratios[j], rates[j])]
+            values[j] = max(gains)
+            choice[j] = gains.index(values[j])
+        return values, choice
+
+    def profit(choice):
+        """eta of the policy of value indices choice, in the walk's order."""
+        prod, total, weight = 1.0, 0.0, 0.0
+        for j, a in enumerate(choice):
+            prod = ratios[j][a] * prod
+            xi = prod * xi_n
+            total = xi * rates[j][a] + total
+            weight = xi + weight
+        return (total + low_profit) / (weight + low_weight)
+
+    eta = profit([len(ratio) - 1 for ratio in ratios])
+    while True:
+        rising = profit(backward(eta)[1])
+        if not rising > eta:
+            break
+        eta = rising
+
+    delta = 4 * (m + params.n + 4) * 2.0 ** -53 * (scale + abs(eta))
+    lo = eta - 2 * delta
+    values, _ = backward(lo)
+    base = low_profit - lo * low_weight
+    frontier = [((), 1.0, 0.0, 0.0)]
+    for j in range(m):
+        grown = []
+        for prefix, prod, total, weight in frontier:
+            for a, (r, f) in enumerate(zip(ratios[j], rates[j])):
+                new_prod = r * prod
+                xi = new_prod * xi_n
+                new_total = xi * f + total
+                new_weight = xi + weight
+                if base + (new_total - lo * new_weight) + xi * values[j + 1] >= 0:
+                    grown.append((prefix + (a,), new_prod, new_total, new_weight))
+            if len(grown) > _TIE_CAP:
+                return None
+        frontier = grown
+    near = [(tuple(int(levels[j][a]) for j, a in enumerate(prefix)),
+             (total + low_profit) / (weight + low_weight))
+            for prefix, _, total, weight in frontier]
+    # The pass's own maximizer must be among them; if rounding lost it,
+    # the walk answers.
+    if not near or max(e for _, e in near) < eta:
+        return None
+    return near
+
+
 def optimize(params: ModelParams, space: str = "full",
              allow_large: bool = False, top_k: int | None = None,
              threads: int | None = None) -> OptimizationResult:
@@ -398,13 +527,16 @@ def optimize(params: ModelParams, space: str = "full",
     reports the minimal one. top_k (an integer, at least 1) requests a
     ranking of the best policies by eta descending, ties by policy
     ascending, so ranking[0] is always best_policy; any other top_k but
-    None raises ValueError. The full, reduced and bang-bang spaces are
-    evaluated down their enumeration tree in chunks of at most BLOCK_SIZE
-    policies; threads > 1 evaluates chunks concurrently, the calling thread
-    being one of the workers, and threads other than None or a positive
-    integer raise ValueError. No result depends on the chunking or the
-    threads. A non-finite profit (the stationary weights overflow under
-    heavy load) raises NumericalError.
+    None raises ValueError. Without top_k the full, reduced and bang-bang
+    spaces are searched by the level DP of _near_best; with it, or where
+    more than a few policies tie the maximum in float, their enumeration
+    tree is walked in chunks of at most BLOCK_SIZE policies, and threads
+    > 1 evaluates chunks concurrently, the calling thread being one of
+    the workers. threads other than None or a positive integer raise
+    ValueError. No result depends on the path, the chunking or the
+    threads, and evaluations is the size of the space. A non-finite profit
+    of any policy (the stationary weights overflow under heavy load)
+    raises NumericalError.
     """
     require_valid(params)
     if top_k is not None:
@@ -412,6 +544,12 @@ def optimize(params: ModelParams, space: str = "full",
     if threads is not None:
         _check_count(threads, "threads must be None or a positive integer")
     total = _gated_size(params.m, space, allow_large)
+    if top_k is None and space != "threshold":
+        near = _near_best(params, space)
+        if near is not None:
+            best_eta = max(eta for _, eta in near)
+            best_policy = next(d for d, eta in near if eta == best_eta)
+            return OptimizationResult(best_policy, best_eta, space, total)
     merged, = _rankings(params, space, top_k or 1, threads, [params.price])
 
     ranking = None

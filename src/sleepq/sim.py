@@ -160,6 +160,11 @@ def _rates(params: ModelParams, d: Policy):
     the kernel would otherwise form on every event, in the same order, so
     the kernel sees the same bits. energy and hold are the energy and
     holding cost rates.
+
+    These are the simulator's own copy of the model's rates, formed apart
+    from chain._rates on purpose: acceptance criterion 12 checks the
+    analytic law against the simulator, so the simulator must not share
+    the rate code it is checking.
     """
     n, m = params.n, params.m
     size = n + m + 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from sleepq import (
     ConfigError,
     GateError,
+    ModelParams,
     NumericalError,
     RegimeError,
     critical_prices_global,
@@ -18,13 +20,20 @@ from sleepq import (
     optimize,
     policy_profit,
     policy_space_size,
+    price_constant,
     realization_factors,
     threshold_policy,
     threshold_scan,
     verify_monotonicity,
 )
 from sleepq.model import _policy_block
-from conftest import draw_instance, draw_params, micro_params, sleepy_params
+from conftest import (
+    draw_instance,
+    draw_params,
+    heavy_instance,
+    micro_params,
+    sleepy_params,
+)
 
 # The package exports the optimize function under the module's name.
 OPT = importlib.import_module("sleepq.optimize")
@@ -277,6 +286,139 @@ def test_threshold_sweeps_refuse_overflow():
         threshold_scan(params)
     with pytest.raises(NumericalError, match="profits are not finite"):
         verify_monotonicity(params, (0, 0, 0), 2)
+
+
+def _walk_best(params, space):
+    """(best_policy, best_eta) of the enumeration walk alone."""
+    [(neg, policy)], = OPT._rankings(params, space, 1, None, [params.price])
+    return policy, -neg
+
+
+# Every one of its 10! policies has the same float eta: the deep levels'
+# stationary mass lies below the last bit of eta.
+WHOLE_SPACE_TIE = ModelParams(
+    lambda_=0.13187228015187863, mu1=7.642437067556558,
+    mu2=0.3533301140116197, n=8, m=9, p1_work=2.8739346481714785,
+    p2_work=2.7470869667715547, p2_sleep=0.5868502544961551,
+    c_energy=3.0735348212643276, c_hold_g1=3.26373760579358,
+    c_hold_g2=4.684488981090898, c_transfer=0.37240070973975636,
+    c_loss=2.3204713460404514, price=4.311429783033443)
+
+
+@pytest.mark.parametrize("space, m_max", [
+    ("full", 6), ("reduced", 8), ("bang_bang", 12)])
+def test_level_search_returns_the_walks_answer(space, m_max):
+    # The level DP must give the walk's (policy, eta) bit for bit, ties
+    # included, and leave few draws to the walk.
+    rng = np.random.default_rng(2027)
+    corpus = [draw_params(rng, n_max=8, m_max=m_max) for _ in range(40)]
+    corpus.append(micro_params(n=2, m=4, c_energy=0.0, lambda_=1.7))
+    searched = 0
+    for params in corpus:
+        res = optimize(params, space)
+        assert (res.best_policy, res.best_eta) == _walk_best(params, space), params
+        assert res.evaluations == policy_space_size(params.m, space)
+        searched += OPT._near_best(params, space) is not None
+    assert searched >= 0.8 * len(corpus)
+
+
+def _traced_peak(search):
+    """search's result and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        result = search()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_whole_space_tie_is_ranked_by_the_walk():
+    assert OPT._near_best(WHOLE_SPACE_TIE, "reduced") is None
+    res, peak = _traced_peak(lambda: optimize(WHOLE_SPACE_TIE, "reduced"))
+    walk, walk_peak = _traced_peak(lambda: _walk_best(WHOLE_SPACE_TIE, "reduced"))
+    assert (res.best_policy, res.best_eta) == walk
+    # The level DP given up adds no array of the size of the walk's.
+    assert peak < walk_peak + 2**17
+
+
+@pytest.mark.parametrize("space", ["full", "reduced", "bang_bang"])
+def test_near_ties_hold_every_float_maximizer(space, monkeypatch):
+    # Without the cap, the kept subtree must hold every policy whose eta
+    # is the space's float maximum, each with its block eta bit for bit:
+    # this checks the rounding bound of the recovery directly.
+    monkeypatch.setattr(OPT, "_TIE_CAP", 10**6)
+    rng = np.random.default_rng(2028)
+    corpus = [draw_params(rng, n_max=8, m_max=6) for _ in range(15)]
+    corpus.append(micro_params(n=2, m=4, c_energy=0.0, lambda_=1.7))
+    for params in corpus:
+        etas = _block_etas(params, space)
+        policies = [tuple(row) for row in _policy_block(
+            params.m, space, np.arange(etas.size)).tolist()]
+        near = OPT._near_best(params, space)
+        assert [d for d, _ in near] == sorted(d for d, _ in near)
+        kept = dict(near)
+        for rank in np.flatnonzero(etas == etas.max()):
+            assert kept[policies[rank]] == etas[rank], (params, policies[rank])
+        for d, eta in near:
+            assert eta == etas[policies.index(d)]
+
+
+def test_sensitivity_policy_iteration_reaches_the_bang_bang_optimum():
+    # The paper's step: wake level j where G(n,j) + c > 0 and put it to
+    # sleep where G(n,j) + c < 0. Its fixed point is a bang-bang optimum.
+    rng = np.random.default_rng(2031)
+    for _ in range(40):
+        params = draw_params(rng, n_max=8, m_max=12)
+        m, c = params.m, price_constant(params)
+        d = (0,) * m
+        for _ in range(m + 1):
+            g = realization_factors(params, d) + c
+            step = tuple(j if g[j - 1] > 0 else 0 if g[j - 1] < 0 else d[j - 1]
+                         for j in range(1, m + 1))
+            if step == d:
+                break
+            d = step
+        else:
+            pytest.fail(f"no fixed point after {m + 1} steps: {params}")
+        best = optimize(params, "bang_bang").best_eta
+        assert abs(policy_profit(params, d) - best) <= 1e-12 * max(1.0, abs(best))
+
+
+def _search_outcome(search):
+    try:
+        return search()
+    except NumericalError as exc:
+        assert "not finite" in str(exc)
+        return "refused"
+
+
+@pytest.mark.filterwarnings("error")
+def test_level_search_refuses_where_the_walk_refuses():
+    # Heavy desk draws, m cut so the walk stays cheap, and sweeps of
+    # lambda across the overflow of the stationary weights, on both sides
+    # of the bound past which the walk answers. The profit sums overflow
+    # to -inf at a price of 0, to +inf at 10, and before the weights do
+    # at 1e12.
+    rng = np.random.default_rng(2026)
+    cases = []
+    for _ in range(100):
+        params, _ = heavy_instance(rng)
+        cases += [(dataclasses.replace(params, m=min(params.m, cut)), space)
+                  for space, cut in (("full", 6), ("reduced", 8), ("bang_bang", 12))]
+    for space, m in (("full", 4), ("reduced", 5), ("bang_bang", 10)):
+        for price, e in itertools.product(
+                (0.0, 10.0, 1e12), np.linspace(290 / (m + 1), 312 / (m + 1), 23)):
+            cases.append((micro_params(m=m, lambda_=float(10.0 ** e),
+                                       c_loss=0.0, price=price), space))
+    refused = 0
+    for params, space in cases:
+        res = _search_outcome(lambda: optimize(params, space))
+        walk = _search_outcome(lambda: _walk_best(params, space))
+        if res != "refused":
+            res = (res.best_policy, res.best_eta)
+        assert res == walk, (params, space)
+        refused += walk == "refused"
+    assert 0 < refused < len(cases)
 
 
 def test_whole_space_ranking_unranks_every_policy_once():
