@@ -431,10 +431,36 @@ def _near_best(params: ModelParams, space: str,
     maximum to within rounding. The walk's answer is the lexicographically
     smallest policy among those whose float eta is largest, so the tree is
     grown again from the root, in policy order, keeping the prefixes whose
-    best completion can still reach lo = eta - 2 delta, where delta bounds
-    the rounding of one eta. Each policy's P, xi, S = sum xi f, W = sum xi
-    and eta = (S + low_profit) / (W + low_weight) are formed by the
+    best completion can still reach lo = eta - 2 delta: those whose
+    base + (S - lo W) + xi V_{j+1}(lo) is at least 0, with base =
+    low_profit - lo low_weight. Each policy's P, xi, S = sum xi f, W =
+    sum xi and eta = (S + low_profit) / (W + low_weight) are formed by the
     operations of the walk's grow, in its order, on the same floats.
+
+    Why 2 delta keeps every float maximizer. Let u = 2**-53, F = max|f|
+    and K = F + |low_profit| / low_weight. Both paths start from the same
+    floats (ratios, rates, xi_n, low_profit, low_weight), so only the
+    roundings after them count; each multiplies a term by some 1 + e with
+    |e| <= u. With no overflow (the reach test) and no subnormal result:
+    - A leaf's eta. Level j's term (1-based) goes through j roundings of
+      P, one of xi, one of xi f and at most m - j + 1 of the sums; then
+      come the addition of low_profit and the division. All of D's terms
+      are positive, so its error is relative. A leaf's float eta is thus
+      within about (m + 5) u (F + |eta|) of its exact value.
+    - The prefix test. Rounding is monotone and every ratio and xi is
+      positive, so the float V_{j+1} is at least the float Horner sum
+      along any one completion, in particular a policy L's own. Each term
+      of that sum and of the prefix part goes through at most 3m + 6
+      roundings, so for a prefix of L the float test is at least
+      D_L (eta_L - lo - (3m + 6) u (K + |lo|)), with D_L and eta_L L's
+      exact denominator and profit.
+    If L's float eta is the float maximum, it is at least eta (the profit
+    of one policy, formed the same way), so eta_L - lo >= 2 delta -
+    (m + 5) u (F + |eta|). delta = 4 (m + 4) u (K + |eta|) leaves about
+    twice the (4m + 11) u (K + |eta|) that the two bounds need together,
+    so no prefix of L is dropped. The states (i, 0) enter only through
+    K: low_profit and low_weight are the same floats on both paths, so n
+    does not enter delta.
 
     None is returned where the weights and profit rates are too large to
     rule out an overflow anywhere in the space, so that the walk refuses
@@ -489,7 +515,7 @@ def _near_best(params: ModelParams, space: str,
             break
         eta = rising
 
-    delta = 4 * (m + params.n + 4) * 2.0 ** -53 * (scale + abs(eta))
+    delta = 4 * (m + 4) * 2.0 ** -53 * (scale + abs(eta))
     lo = eta - 2 * delta
     values, _ = backward(lo)
     base = low_profit - lo * low_weight

@@ -99,6 +99,22 @@ def _profits(params, block):
     return OPT._block_profits(params, np.array(block), np.array([params.price]))[0]
 
 
+def _walk_best(params, space, threads=None):
+    """(best_policy, best_eta) of the enumeration walk alone."""
+    [(neg, policy)], = OPT._rankings(params, space, 1, threads, [params.price])
+    return policy, -neg
+
+
+def _traced_peak(search):
+    """search's result and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        result = search()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_block_evaluator_matches_scalar_path():
     rng = np.random.default_rng(41)
     for _ in range(6):
@@ -119,6 +135,7 @@ def test_optimize_agrees_with_brute_force():
         etas = np.array([policy_profit(params, d) for d in policies])
         best = int(np.argmax(etas))
         assert res.best_eta == pytest.approx(float(etas[best]), abs=1e-12)
+        assert _walk_best(params, "full")[1] == res.best_eta
 
 
 def test_tie_break_is_lexicographic():
@@ -128,6 +145,7 @@ def test_tie_break_is_lexicographic():
     res = optimize(params, "full")
     assert res.best_eta == 0.0
     assert res.best_policy == (0, 0)
+    assert _walk_best(params, "full") == ((0, 0), 0.0)
 
 
 def _record_pools(monkeypatch):
@@ -178,13 +196,12 @@ def test_walk_holds_one_leaf_sized_buffer_set():
     # here; a leaf set without P and a set for the levels below the leaves
     # stay under 2 MB.
     params = micro_params(n=2, m=7)
-    tracemalloc.start()
-    try:
-        optimize(params, "full")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    walk, peak = _traced_peak(lambda: _walk_best(params, "full"))
     assert peak < 2 * 2**20
+    # The level DP holds a few lists of m value counts.
+    res, dp_peak = _traced_peak(lambda: optimize(params, "full"))
+    assert (res.best_policy, res.best_eta) == walk
+    assert dp_peak < 2**17
 
 
 @pytest.mark.parametrize("space", ["full", "reduced", "bang_bang", "threshold"])
@@ -216,6 +233,7 @@ def test_tree_search_matches_block_evaluation(space, m_min, m_max):
         best = int(np.argmax(etas))
         res = optimize(params, space)
         want = tuple(int(v) for v in _policy_block(params.m, space, [best])[0])
+        assert _walk_best(params, space) == (want, etas[best])
         assert res.best_policy == want
         assert res.best_eta == etas[best]
         assert res.evaluations == etas.size == policy_space_size(params.m, space)
@@ -227,12 +245,18 @@ def test_chunking_and_threads_change_nothing(space, m, monkeypatch):
     # c_energy=0 makes every value above its level tie with the level.
     params = micro_params(n=2, m=m, c_energy=0.0, lambda_=1.7)
     whole = optimize(params, space, top_k=12)
+    best = (whole.best_policy, whole.best_eta)
     assert optimize(params, space, top_k=12, threads=2) == whole
+    assert _walk_best(params, space, threads=2) == best
     for size in (1, 7, 50):
         monkeypatch.setattr(OPT, "BLOCK_SIZE", size)
         assert optimize(params, space, top_k=12) == whole
         assert optimize(params, space, top_k=12, threads=2) == whole
         assert optimize(params, space) == dataclasses.replace(whole, ranking=None)
+        # optimize without top_k takes the level DP; the k=1 walk is the
+        # one it falls back to.
+        assert _walk_best(params, space) == best
+        assert _walk_best(params, space, threads=2) == best
 
 
 def test_ranking_breaks_ties_by_policy(monkeypatch):
@@ -288,12 +312,6 @@ def test_threshold_sweeps_refuse_overflow():
         verify_monotonicity(params, (0, 0, 0), 2)
 
 
-def _walk_best(params, space):
-    """(best_policy, best_eta) of the enumeration walk alone."""
-    [(neg, policy)], = OPT._rankings(params, space, 1, None, [params.price])
-    return policy, -neg
-
-
 # Every one of its 10! policies has the same float eta: the deep levels'
 # stationary mass lies below the last bit of eta.
 WHOLE_SPACE_TIE = ModelParams(
@@ -320,16 +338,6 @@ def test_level_search_returns_the_walks_answer(space, m_max):
         assert res.evaluations == policy_space_size(params.m, space)
         searched += OPT._near_best(params, space) is not None
     assert searched >= 0.8 * len(corpus)
-
-
-def _traced_peak(search):
-    """search's result and the peak of its traced allocations, in bytes."""
-    tracemalloc.start()
-    try:
-        result = search()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_a_whole_space_tie_is_ranked_by_the_walk():
@@ -419,6 +427,25 @@ def test_level_search_refuses_where_the_walk_refuses():
         assert res == walk, (params, space)
         refused += walk == "refused"
     assert 0 < refused < len(cases)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("space, m", [("full", 5), ("reduced", 7), ("bang_bang", 10)])
+def test_an_overflowing_sleep_branch_is_refused(space, m):
+    # Group 2 serves 1e61 jobs per unit time awake, so every awake level
+    # has lambda/nu at most 0.1 and the awake policies' profits are
+    # finite; asleep, lambda/nu = 1e60, and the weights of the policies
+    # that sleep at all of levels 1 to 5 overflow. The level DP would prune those
+    # prefixes and answer; the overflow test hands the space to the walk,
+    # which refuses it.
+    params = micro_params(lambda_=1e60, mu2=1e61, m=m)
+    awake = tuple(range(1, m + 1))
+    assert np.isfinite(_profits(params, [awake])).all()
+    for search in (lambda: optimize(params, space),
+                   lambda: _walk_best(params, space)):
+        with pytest.raises(NumericalError, match="not finite"):
+            search()
+    assert OPT._near_best(params, space) is None
 
 
 def test_whole_space_ranking_unranks_every_policy_once():
