@@ -218,7 +218,7 @@ def _cmd_critical_prices(params: ModelParams, args) -> CommandOutput:
 
 def _cmd_optimize(params: ModelParams, args) -> CommandOutput:
     res = optimize(params, args.space, allow_large=args.allow_large,
-                   top_k=args.top_k, threads=args.threads)
+                   top_k=args.top_k)
     ranking = res.ranking or ((res.best_policy, res.best_eta),)
     rows = tuple(
         (rank, format_policy(policy), eta)
@@ -358,8 +358,7 @@ def _cmd_price_sweep(params: ModelParams, args) -> CommandOutput:
         _price_grid((args.r_from, args.r_to))
         grid = list(np.linspace(args.r_from, args.r_to, args.steps))
     rows, crit = price_sweep(params, grid, args.space,
-                             allow_large=args.allow_large,
-                             threads=args.threads)
+                             allow_large=args.allow_large)
     m = params.m
     header = ("R", "policy", "eta") + tuple(
         f"critical_price_{j}" for j in range(1, m + 1)
@@ -452,8 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int, default=None, metavar="K",
                    help="also report the K best policies")
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for block evaluation")
 
     add("threshold", "Profit across all threshold policies.")
 
@@ -487,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=1)
     p.add_argument("--space", choices=POLICY_SPACES, default="full")
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
 
     return parser
 

@@ -17,8 +17,9 @@ first j coordinates share the partial weight product and profit sums of
 those levels, and only the winning ranks are unranked back into policies.
 The price is an axis of that walk. Only the profit sums depend on it, so
 price_sweep searches a whole grid of prices in one walk; each price's eta
-is bit for bit what optimize returns at that price alone. The threshold
-family is evaluated as one block.
+is bit for bit what optimize returns at that price alone. The walk grows
+its chunks one after another on the calling thread. The threshold family
+is evaluated as one block.
 
 The module also houses the structural results: closed-form optima at
 extreme prices, the threshold-policy scan with its optimality sign
@@ -32,7 +33,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -209,13 +209,12 @@ def _level_tables(params: ModelParams, space: str, prices: np.ndarray):
 
 
 def _product_candidates(params: ModelParams, space: str, k: int,
-                        threads: int | None, prices: np.ndarray,
-                        ) -> list[list[tuple[float, int]]]:
+                        prices: np.ndarray) -> list[list[tuple[float, int]]]:
     """The best (-eta, rank) pairs of a product space, one list per price.
 
-    Each list holds every worker's k best, merged from the _chunk_summary
-    of its chunks, so heapq.nsmallest(k, list) ranks the space at that
-    price.
+    Each list holds the space's k best at that price, best first: the
+    _chunk_summary of every chunk, merged by heapq.nsmallest as the chunks
+    are grown, one after another on the calling thread.
 
     Policies that share their first j coordinates share the first j factors
     of the weight product P (cumulative lambda/nu) and the first j terms of
@@ -225,17 +224,16 @@ def _product_candidates(params: ModelParams, space: str, k: int,
     price, through f = R nu - cost, so one walk grows P and W once and S as
     a (prices, rows) array, on the rates of _level_tables. _block_profits
     and _near_best run these operations in this order, so a policy gets
-    the same profit from all three at every m. A
-    level's values form the leading axis of its rows, so every operation
-    runs along the contiguous prefix axis. The levels above a split are
-    built once and put in rank order; each chunk grows a run of
-    split-level prefixes into leaves, which are consecutive ranks. No
-    array holds more than BLOCK_SIZE rows x prices unless one price's
-    prefixes alone do: the split deepens as prices are added, and the
-    prices are walked in batches small enough for their prefixes to fit.
-    Every leaf's numbers come from the same elementwise operations wherever
-    the tree is split, so no result depends on the chunks, the batches or
-    the other prices.
+    the same profit from all three at every m. A level's values form the
+    leading axis of its rows, so every operation runs along the contiguous
+    prefix axis. The levels above a split are built once and put in rank
+    order; each chunk grows a run of split-level prefixes into leaves,
+    which are consecutive ranks. No array holds more than BLOCK_SIZE rows
+    x prices unless one price's prefixes alone do: the split deepens as
+    prices are added, and the prices are walked in batches small enough
+    for their prefixes to fit. Every leaf's numbers come from the same
+    elementwise operations wherever the tree is split, so no result
+    depends on the chunks, the batches or the other prices.
     """
     m = params.m
     levels, low_profit, low_weight, xi_n, ratios, f_top = _level_tables(
@@ -300,66 +298,50 @@ def _product_candidates(params: ModelParams, space: str, k: int,
         rows = per * leaves
         small = rows // levels[m - 1].size
 
-        def run(starts):
-            # Fresh chunk-sized arrays cost page faults in every chunk, so
-            # a worker grows its chunks in two reused buffer sets, one per
-            # level parity. The leaf set holds level m-1, which needs no P,
-            # and forms eta in place; the levels below m-1 hold at most
-            # small rows each, so a worker holds (q + 1) rows + (q + 3)
-            # small floats. One allocation holds both sets: freeing several
-            # smaller ones let the allocator return their pages after
-            # every call.
-            flat = np.empty((q + 1) * rows + (q + 3) * small)
-            leaf = (flat[:small], flat[small:small + rows],
-                    flat[small + rows:small + (q + 1) * rows])
-            work = (leaf, buffers(flat[small + (q + 1) * rows:], small))
-            found = [[] for _ in range(q)]
-            # The caller's np.errstate does not reach pool threads.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for lo in starts:
-                    state = (prefix[0][lo:lo + per], prefix[1][:, lo:lo + per],
-                             prefix[2][lo:lo + per])
-                    width = state[0].size
-                    for j in range(split, m - 1):
-                        state = grow(state, j, work[(m - 1 - j) % 2])
-                    if split < m:
-                        state = grow(state, m - 1, (None,) + leaf[1:])
-                    # Once a level is grown, the state lies in the leaf
-                    # set and these write over it; when none is, it is a
-                    # slice of the shared prefix, which they leave alone.
-                    size = state[2].size
-                    total, etas = leaf[1][:size], leaf[2][:q * size].reshape(q, size)
-                    np.add(state[1], low_profit[:, None], out=etas)
-                    np.add(state[2], low_weight, out=total)
-                    etas /= total
+        # Fresh chunk-sized arrays cost page faults in every chunk, so the
+        # chunks are grown in two reused buffer sets, one per level parity.
+        # The leaf set holds level m-1, which needs no P, and forms eta in
+        # place; the levels below m-1 hold at most small rows each, so the
+        # walk holds (q + 1) rows + (q + 3) small floats. One allocation
+        # holds both sets: freeing several smaller ones let the allocator
+        # return their pages after every call.
+        flat = np.empty((q + 1) * rows + (q + 3) * small)
+        leaf = (flat[:small], flat[small:small + rows],
+                flat[small + rows:small + (q + 1) * rows])
+        work = (leaf, buffers(flat[small + (q + 1) * rows:], small))
+        found = [[] for _ in range(q)]
+        for lo in range(0, prefix[0].size, per):
+            state = (prefix[0][lo:lo + per], prefix[1][:, lo:lo + per],
+                     prefix[2][lo:lo + per])
+            width = state[0].size
+            for j in range(split, m - 1):
+                state = grow(state, j, work[(m - 1 - j) % 2])
+            if split < m:
+                state = grow(state, m - 1, (None,) + leaf[1:])
+            # Once a level is grown, the state lies in the leaf set and
+            # these write over it; when none is, it is a slice of the
+            # shared prefix, which they leave alone.
+            size = state[2].size
+            total, etas = leaf[1][:size], leaf[2][:q * size].reshape(q, size)
+            np.add(state[1], low_profit[:, None], out=etas)
+            np.add(state[2], low_weight, out=total)
+            etas /= total
 
-                    def ranks(rows):
-                        # Row digits, least significant first: the prefix,
-                        # then levels split..m-1 with falling place values.
-                        rank = (lo + rows % width) * leaves
-                        rows = rows // width
-                        place = leaves
-                        for j in range(split, m):
-                            place //= levels[j].size
-                            rank += rows % levels[j].size * place
-                            rows //= levels[j].size
-                        return rank
+            def ranks(rows):
+                # Row digits, least significant first: the prefix, then
+                # levels split..m-1 with falling place values.
+                rank = (lo + rows % width) * leaves
+                rows = rows // width
+                place = leaves
+                for j in range(split, m):
+                    place //= levels[j].size
+                    rank += rows % levels[j].size * place
+                    rows //= levels[j].size
+                return rank
 
-                    for p, best in enumerate(_chunk_summary(etas, ranks, k)):
-                        found[p] = heapq.nsmallest(k, found[p] + best)
-            return found
-
-        starts = range(0, prefix[0].size, per)
-        workers = min(threads or 1, len(starts))
-        if workers == 1:
-            return run(starts)
-        # The calling thread runs share 0 while a pool runs the others;
-        # the parts stay in share order.
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            others = pool.map(run, (starts[t::workers]
-                                    for t in range(1, workers)))
-            parts = [run(starts[::workers]), *others]
-        return [[c for part in parts for c in part[p]] for p in range(q)]
+            for p, best in enumerate(_chunk_summary(etas, ranks, k)):
+                found[p] = heapq.nsmallest(k, found[p] + best)
+        return found
 
     # The largest batch of prices whose prefix sums fit in BLOCK_SIZE
     # values; a batch's split deepens, and its prefixes multiply, with it.
@@ -378,7 +360,7 @@ def _product_candidates(params: ModelParams, space: str, k: int,
     return candidates
 
 
-def _rankings(params: ModelParams, space: str, k: int, threads: int | None,
+def _rankings(params: ModelParams, space: str, k: int,
               prices) -> list[list[tuple[float, Policy]]]:
     """The k best (-eta, policy) pairs of a space at each price, best first.
 
@@ -396,15 +378,15 @@ def _rankings(params: ModelParams, space: str, k: int, threads: int | None,
         policy_of = block.__getitem__
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            candidates = _product_candidates(params, space, k, threads, prices)
+            candidates = _product_candidates(params, space, k, prices)
         policy_of = functools.partial(_policy_block, m, space)
 
-    best = [heapq.nsmallest(k, found) for found in candidates]
     # Neighbouring prices mostly share their winners: unrank each once,
     # all of them in one pass.
-    ranks = sorted({rank for found in best for _, rank in found})
+    ranks = sorted({rank for found in candidates for _, rank in found})
     policies = dict(zip(ranks, map(tuple, policy_of(np.array(ranks)).tolist())))
-    return [[(neg, policies[rank]) for neg, rank in found] for found in best]
+    return [[(neg, policies[rank]) for neg, rank in found]
+            for found in candidates]
 
 
 # The most prefixes _near_best grows at one level; a larger set of near
@@ -556,13 +538,16 @@ def optimize(params: ModelParams, space: str = "full",
     None raises ValueError. Without top_k the full, reduced and bang-bang
     spaces are searched by the level DP of _near_best; with it, or where
     more than a few policies tie the maximum in float, their enumeration
-    tree is walked in chunks of at most BLOCK_SIZE policies, and threads
-    > 1 evaluates chunks concurrently, the calling thread being one of
-    the workers. threads other than None or a positive integer raise
-    ValueError. No result depends on the path, the chunking or the
-    threads, and evaluations is the size of the space. A non-finite profit
-    of any policy (the stationary weights overflow under heavy load)
-    raises NumericalError.
+    tree is walked on the calling thread in chunks of at most BLOCK_SIZE
+    policies. No result depends on the path or the chunking, and
+    evaluations is the size of the space. A non-finite profit of any
+    policy (the stationary weights overflow under heavy load) raises
+    NumericalError.
+
+    threads selects nothing: every search runs on the calling thread. It
+    is kept, and still refused with ValueError unless it is None or a
+    positive integer, only because the repository's benchmark workloads
+    pass threads=1 and threads=2.
     """
     require_valid(params)
     if top_k is not None:
@@ -576,7 +561,7 @@ def optimize(params: ModelParams, space: str = "full",
             best_eta = max(eta for _, eta in near)
             best_policy = next(d for d, eta in near if eta == best_eta)
             return OptimizationResult(best_policy, best_eta, space, total)
-    merged, = _rankings(params, space, top_k or 1, threads, [params.price])
+    merged, = _rankings(params, space, top_k or 1, [params.price])
 
     ranking = None
     if top_k:
@@ -604,8 +589,7 @@ def _price_grid(r_grid) -> list[float]:
 
 
 def price_sweep(params: ModelParams, r_grid: Sequence[float],
-                space: str = "full", allow_large: bool = False,
-                threads: int | None = None):
+                space: str = "full", allow_large: bool = False):
     """The optimal policy at every price of a grid, with regime labels.
 
     Returns (rows, crit) where each row is (R, best policy, eta,
@@ -614,20 +598,17 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
     is checked once, before anything is computed, and the whole grid is
     searched in one walk down the enumeration tree (a few walks where a
     large space and a long grid would not fit in memory at once): each
-    row's policy and eta equal those of optimize at its price, bit for bit,
-    whatever the threads, which are checked as optimize checks them.
+    row's policy and eta equal those of optimize at its price, bit for bit.
     As a sanity check, eta is reconciled against the affine form
     R * completion_rate - cost_rate of the winning policy on every grid
     point; a mismatch raises ConsistencyError.
     """
-    if threads is not None:
-        _check_count(threads, "threads must be None or a positive integer")
     grid = _price_grid(r_grid)
     # Every grid price is one validate accepts, so one check covers them.
     require_valid(replace(params, price=grid[0]))
     # critical_prices_global gates the space as optimize does.
     crit = critical_prices_global(params, space, allow_large=allow_large)
-    bests = _rankings(params, space, 1, threads, grid)
+    bests = _rankings(params, space, 1, grid)
 
     # affine pieces and per-level critical prices per winning policy,
     # computed once each: none of them depends on the price

@@ -280,8 +280,9 @@ def solve_poisson(
     eta, if supplied, must match the recomputed average profit to 1e-12
     relative (a NaN or infinite eta never does); the Poisson equation is
     only consistent for the true eta. normalization "anchored" fixes
-    g(0,0) = anchor; "fundamental" picks the anchor with pi . g = eta.
-    method selects the solver route ("rg", "dense", or "explicit").
+    g(0,0) = anchor; "fundamental" picks the anchor with pi . g = eta. A
+    NaN or infinite anchor raises ValueError. method selects the solver
+    route ("rg", "dense", or "explicit").
     """
     if method not in _SOLVERS:
         raise ValueError(f"unknown method {method!r}")
@@ -311,7 +312,8 @@ def solve_poisson(
     g = _anchored(phi_h, anchor)
     residual = poisson_residual(gen, g, eta, f)
     scale = max(1.0, abs(eta), float(np.max(np.abs(f))))
-    if residual > 1e-9 * scale:
+    # Written so that a NaN residual fails it too.
+    if not residual <= 1e-9 * scale:
         raise NumericalError(
             f"Poisson residual {residual:.3e} exceeds tolerance"
         )
@@ -325,7 +327,12 @@ def solve_poisson(
 
 
 def _anchored(phi_h: np.ndarray, anchor: float) -> np.ndarray:
-    """g with g(0,0) = anchor: the all-ones anchor term adds it everywhere."""
+    """g with g(0,0) = anchor: the all-ones anchor term adds it everywhere.
+
+    A NaN or infinite anchor raises ValueError: it would reach every entry.
+    """
+    if not np.isfinite(anchor):
+        raise ValueError(f"anchor must be finite, got {anchor!r}")
     g = np.empty(phi_h.shape[0] + 1)
     g[0] = anchor
     g[1:] = phi_h + anchor
@@ -333,7 +340,10 @@ def _anchored(phi_h: np.ndarray, anchor: float) -> np.ndarray:
 
 
 def reanchor(solution: PotentialSolution, anchor: float) -> PotentialSolution:
-    """Move the anchor without re-solving; bit-equal to solving with it."""
+    """Move the anchor without re-solving; bit-equal to solving with it.
+
+    A NaN or infinite anchor raises ValueError, as in solve_poisson.
+    """
     return dc_replace(solution, g=_anchored(solution.phi_h, anchor),
                       anchor=anchor, normalization="anchored")
 

@@ -124,6 +124,10 @@ def _validate_config(cfg: SimConfig) -> None:
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+    for name in ("horizon", "warmup"):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
     if cfg.unit not in ("events", "time"):
         raise ConfigError(f"unit must be 'events' or 'time', got {cfg.unit!r}")
     if not np.isfinite(cfg.horizon) or cfg.horizon <= 0:

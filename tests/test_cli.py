@@ -181,11 +181,24 @@ def test_negative_top_k_is_usage_error(model_file, capsys):
 @pytest.mark.parametrize("command", ["optimize", "price-sweep"])
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_bad_threads_is_usage_error(model_file, capsys, command, threads):
+    # Every search runs on the calling thread: neither command has the flag.
     argv = [command, "--model", model_file, "--threads", threads]
     if command == "price-sweep":
         argv += ["--from", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("anchor", ["nan", "inf"])
+def test_non_finite_anchor_is_usage_error(model_file, capsys, anchor):
+    argv = ["potentials", "--model", model_file, "--policy", "1",
+            "--anchor", anchor]
     assert main(argv) == 1
-    assert "threads must be None or a positive integer" in capsys.readouterr().err
+    streams = capsys.readouterr()
+    assert "anchor must be finite" in streams.err
+    assert streams.out == ""
 
 
 def test_policy_from_an_args_file(tmp_path, capsys):

@@ -99,9 +99,9 @@ def _profits(params, block):
     return OPT._block_profits(params, np.array(block), np.array([params.price]))[0]
 
 
-def _walk_best(params, space, threads=None):
+def _walk_best(params, space):
     """(best_policy, best_eta) of the enumeration walk alone."""
-    [(neg, policy)], = OPT._rankings(params, space, 1, threads, [params.price])
+    [(neg, policy)], = OPT._rankings(params, space, 1, [params.price])
     return policy, -neg
 
 
@@ -148,47 +148,10 @@ def test_tie_break_is_lexicographic():
     assert _walk_best(params, "full") == ((0, 0), 0.0)
 
 
-def _record_pools(monkeypatch):
-    """The max_workers of every ThreadPoolExecutor optimize builds."""
-    pools = []
-
-    class Recording(OPT.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(OPT, "ThreadPoolExecutor", Recording)
-    return pools
-
-
-def test_threads_do_not_change_the_answer(monkeypatch):
-    # 625 policies in chunks of at most 50 rows: enough chunks for four
-    # workers, so three pool threads run beside the caller.
-    params = micro_params(n=2, m=4)
-    monkeypatch.setattr(OPT, "BLOCK_SIZE", 50)
-    serial = optimize(params, "full", top_k=3, threads=1)
-    pools = _record_pools(monkeypatch)
-    assert optimize(params, "full", top_k=3, threads=4) == serial
-    assert pools == [3]
-
-
 @pytest.mark.parametrize("threads", [0, -1, 2.5, True, "2"])
 def test_threads_must_be_none_or_a_positive_integer(micro, threads):
     with pytest.raises(ValueError, match="threads"):
         optimize(micro, "full", threads=threads)
-    with pytest.raises(ValueError, match="threads"):
-        OPT.price_sweep(micro, [1.0, 2.0], threads=threads)
-
-
-def test_the_caller_is_one_of_the_workers(monkeypatch):
-    # Full m=6 is 7^6 = 117 649 policies, two chunks of BLOCK_SIZE rows.
-    params = micro_params(n=2, m=6, c_energy=0.0, lambda_=1.7)
-    serial = optimize(params, "full", top_k=12, threads=1)
-    pools = _record_pools(monkeypatch)
-    assert optimize(params, "full", top_k=12, threads=2) == serial
-    assert pools == [1]
-    assert optimize(params, "full", top_k=12, threads=1) == serial
-    assert pools == [1]
 
 
 def test_walk_holds_one_leaf_sized_buffer_set():
@@ -241,22 +204,18 @@ def test_tree_search_matches_block_evaluation(space, m_min, m_max):
 
 @pytest.mark.parametrize("space, m", [
     ("full", 4), ("reduced", 5), ("bang_bang", 7), ("threshold", 6)])
-def test_chunking_and_threads_change_nothing(space, m, monkeypatch):
+def test_chunking_changes_nothing(space, m, monkeypatch):
     # c_energy=0 makes every value above its level tie with the level.
     params = micro_params(n=2, m=m, c_energy=0.0, lambda_=1.7)
     whole = optimize(params, space, top_k=12)
     best = (whole.best_policy, whole.best_eta)
-    assert optimize(params, space, top_k=12, threads=2) == whole
-    assert _walk_best(params, space, threads=2) == best
     for size in (1, 7, 50):
         monkeypatch.setattr(OPT, "BLOCK_SIZE", size)
         assert optimize(params, space, top_k=12) == whole
-        assert optimize(params, space, top_k=12, threads=2) == whole
         assert optimize(params, space) == dataclasses.replace(whole, ranking=None)
         # optimize without top_k takes the level DP; the k=1 walk is the
         # one it falls back to.
         assert _walk_best(params, space) == best
-        assert _walk_best(params, space, threads=2) == best
 
 
 def test_ranking_breaks_ties_by_policy(monkeypatch):
@@ -448,6 +407,29 @@ def test_an_overflowing_sleep_branch_is_refused(space, m):
     assert OPT._near_best(params, space) is None
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("space, m", [("full", 4), ("reduced", 5), ("bang_bang", 7)])
+def test_many_chunks_refuse_an_overflow_without_a_warning(space, m, monkeypatch):
+    # Chunks of at most 7 rows: every chunk of the walk must run under the
+    # np.errstate of _rankings. lambda is raised until the weights of the
+    # first n + m levels pass 1e320.
+    monkeypatch.setattr(OPT, "BLOCK_SIZE", 7)
+    rng = np.random.default_rng(2026)
+    grid = [float(r) for r in np.linspace(0.0, 10.0, 5)]
+    for _ in range(4):
+        params, _ = heavy_instance(rng)
+        params = dataclasses.replace(
+            params, m=m, lambda_=params.mu1 * 10.0 ** (320 / (params.n + m)))
+        with pytest.raises(NumericalError, match="profits are not finite"):
+            optimize(params, space, top_k=3)
+        # price_sweep refuses in its critical prices, before its walk, so
+        # the walk over the grid is run on its own too.
+        with pytest.raises(NumericalError, match="not finite"):
+            OPT.price_sweep(params, grid, space)
+        with pytest.raises(NumericalError, match="profits are not finite"):
+            OPT._rankings(params, space, 1, grid)
+
+
 def test_whole_space_ranking_unranks_every_policy_once():
     rng = np.random.default_rng(48)
     params, _ = draw_instance(rng, n_max=6, m_min=8, m_max=8)
@@ -607,7 +589,7 @@ def test_affine_tail_slope_matches_direct_sweep():
     ("full", 4), ("reduced", 5), ("bang_bang", 7), ("threshold", 9)])
 def test_price_sweep_equals_per_point_optimize(space, m_max, monkeypatch):
     # One walk over the grid must give each price the optimize answer bit
-    # for bit, whatever the chunks, the price batches and the threads.
+    # for bit, whatever the chunks and the price batches.
     rng = np.random.default_rng(53)
     corpus = [draw_params(rng, n_max=6, m_max=m_max) for _ in range(4)]
     corpus.append(micro_params(n=2, m=m_max, c_energy=0.0, lambda_=1.7))  # ties
@@ -619,10 +601,9 @@ def test_price_sweep_equals_per_point_optimize(space, m_max, monkeypatch):
             # At most 50 values an array: chunks of 2 to 50 policies, and
             # the 25 prices in batches of 1 to 25.
             patch.setattr(OPT, "BLOCK_SIZE", 50)
-            for threads in (1, 2):
-                rows, _ = OPT.price_sweep(params, grid, space, threads=threads)
-                for (r, d, eta, *_), res in zip(rows, want):
-                    assert (d, eta) == (res.best_policy, res.best_eta), (params, r)
+            rows, _ = OPT.price_sweep(params, grid, space)
+            for (r, d, eta, *_), res in zip(rows, want):
+                assert (d, eta) == (res.best_policy, res.best_eta), (params, r)
         if params.m <= 4:
             # An oracle that shares no code with the walk.
             policies = list(enumerate_policies(params.m, space))

@@ -305,6 +305,19 @@ def test_anchor_shift_only_translates():
     assert np.allclose(np.diff(shifted.g), np.diff(base.g), atol=1e-9)
 
 
+@pytest.mark.parametrize("method", SOLVE_METHODS)
+@pytest.mark.parametrize("anchor", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_anchor_is_refused(method, anchor):
+    # Such an anchor reaches every potential and makes the residual NaN,
+    # which a gate written as "residual exceeds tol" lets through.
+    params = micro_params(m=2)
+    with pytest.raises(ValueError, match="anchor must be finite"):
+        solve_poisson(params, (1, 2), anchor=anchor, method=method)
+    base = solve_poisson(params, (1, 2), method=method)
+    with pytest.raises(ValueError, match="anchor must be finite"):
+        reanchor(base, anchor)
+
+
 def test_fundamental_normalization(micro):
     sol = solve_poisson(micro, (1,), normalization="fundamental")
     assert np.allclose(sol.g, [-0.6, 5.76, 8.98], atol=1e-12)

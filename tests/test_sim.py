@@ -282,6 +282,15 @@ def test_non_integer_config_fields_are_config_errors(micro, field):
     assert a.batch_records.tobytes() == b.batch_records.tobytes()
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("horizon", "100"), ("horizon", None), ("horizon", True),
+    ("warmup", "0.1"), ("warmup", None), ("warmup", False)])
+def test_non_numeric_horizon_and_warmup_are_config_errors(micro, field, bad):
+    cfg = dataclasses.replace(SimConfig(horizon=100), **{field: bad})
+    with pytest.raises(ConfigError, match=f"{field} must be a number"):
+        simulate(micro, (1,), cfg)
+
+
 def test_warmup_fraction_equals_absolute(micro):
     frac = simulate(micro, (1,), SimConfig(horizon=20000, warmup=0.1, seed=5))
     absolute = simulate(micro, (1,), SimConfig(horizon=20000, warmup=2000,
