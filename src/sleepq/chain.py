@@ -9,10 +9,23 @@ form that the closed-form solver builds by recursive ratios; a dense linear
 solve is kept as an oracle.
 
 One body (_rates) forms the death and cost rates: level by level in
-Python floats for one policy (_state_rates), from which _generator and
-_stationary build the bands and the stationary law, so a caller that needs
-several of them runs the pass once; and on every level of a whole block of
-policies at once for the searches (_block_rates).
+Python floats for one policy (_state_rates), and on every level of a whole
+block of policies at once for the searches (_block_rates).
+
+One policy's pass is kept in a PolicyRecord, in a memo of the MEMO_SIZE
+most recent records, so the per-policy calls of every layer share one pass
+per policy: the record holds the checked policy and its rates, and builds
+the generator and the stationary law on first use (_generator,
+_stationary); reward adds f and eta to it, and sensitivity the lines of
+the realization factors. The key is the identity of the params object
+with the policy as check_policy returns it, never params ==: params
+whose prices are 0.0 and -0.0 compare equal but give f entries of
+different sign. The record holds params, so the identity is not reused
+while it lives. The rates and the policy are checked on every call; a
+build that raises keeps nothing, so a refusal is raised again on every
+call. The memo is one tuple, replaced whole on each insert, so a reader
+never sees a half-made one and no lock is taken: threads that miss the
+same policy at once each make a record, with equal values.
 """
 
 from __future__ import annotations
@@ -119,8 +132,9 @@ def _rates(params: ModelParams, levels, minimum) -> tuple[list, list]:
 def _state_rates(params: ModelParams, d: Policy) -> tuple[list[float], list[float]]:
     """Death rate and cost rate of every state, as Python floats.
 
-    This is the one per-policy pass of the closed form; the generator, the
-    stationary law and the reward read their rates from it.
+    This is the one per-policy pass of the closed form; _policy_record
+    keeps it, and the generator, the stationary law and the reward read
+    their rates from the record.
     """
     _check_rates(params)
     d = check_policy(d, params.m)
@@ -128,6 +142,51 @@ def _state_rates(params: ModelParams, d: Policy) -> tuple[list[float], list[floa
     if d:
         cost[-1] += params.lambda_ * params.c_loss
     return death, cost
+
+
+#: Policy records the memo keeps, most recent first. A policy and the one
+#: it is compared with need two.
+MEMO_SIZE = 4
+
+_memo: tuple = ()
+
+
+class PolicyRecord:
+    """One policy's rates, and the values built from them on first use.
+
+    params is the params object itself, policy the tuple check_policy
+    returns, and death and cost the rates of _state_rates as tuples.
+    """
+
+    __slots__ = ("params", "policy", "death", "cost", "_values")
+
+    def __init__(self, params: ModelParams, policy: tuple, death: tuple,
+                 cost: tuple):
+        self.params, self.policy = params, policy
+        self.death, self.cost = death, cost
+        self._values = {}
+
+    def value(self, build):
+        """build(self), built on the first call and kept; one that raises
+        keeps nothing."""
+        value = self._values.get(build)
+        if value is None:
+            value = self._values[build] = build(self)
+        return value
+
+
+def _policy_record(params: ModelParams, d: Policy) -> PolicyRecord:
+    """The record of policy d under params: the memo's, or one new pass."""
+    global _memo
+    _check_rates(params)
+    policy = check_policy(d, params.m)
+    for record in _memo:
+        if record.params is params and record.policy == policy:
+            return record
+    death, cost = _state_rates(params, policy)
+    record = PolicyRecord(params, policy, tuple(death), tuple(cost))
+    _memo = (record, *_memo[:MEMO_SIZE - 1])
+    return record
 
 
 def _block_rates(params: ModelParams, block: np.ndarray) -> tuple[list, list]:
@@ -153,14 +212,13 @@ def _block_rates(params: ModelParams, block: np.ndarray) -> tuple[list, list]:
 
 def build_generator(params: ModelParams, d: Policy) -> Generator:
     """The (n+m+1) x (n+m+1) transition-rate matrix, as its bands."""
-    death, _ = _state_rates(params, d)
-    return _generator(params, death)
+    return _policy_record(params, d).value(_generator)
 
 
-def _generator(params: ModelParams, death: list[float]) -> Generator:
-    """The generator's bands with the death rates of _state_rates."""
-    sub = np.array(death[1:])
-    sup = np.full(sub.shape[0], params.lambda_)
+def _generator(record: PolicyRecord) -> Generator:
+    """The generator's bands with the death rates of a policy record."""
+    sub = np.array(record.death[1:])
+    sup = np.full(sub.shape[0], record.params.lambda_)
     # Each state's births plus deaths, one rounding, as a row sum gives it.
     return Generator(sub, -(np.append(sup, 0.0) + np.append(0.0, sub)), sup)
 
@@ -175,8 +233,7 @@ def stationary_closed_form(params: ModelParams, d: Policy) -> ChainSolution:
     weights still overflow (heavy load at large n or m), the normalizer is
     not finite and NumericalError is raised.
     """
-    death, _ = _state_rates(params, d)
-    return _stationary(params, death)
+    return _policy_record(params, d).value(_stationary)
 
 
 def _weights(lam: float, death: list) -> list:
@@ -195,9 +252,9 @@ def _weights(lam: float, death: list) -> list:
     return weights
 
 
-def _stationary(params: ModelParams, death: list[float]) -> ChainSolution:
-    """The product-form law with the death rates of _state_rates."""
-    xi = np.array(_weights(params.lambda_, death))
+def _stationary(record: PolicyRecord) -> ChainSolution:
+    """The product-form law with the death rates of a policy record."""
+    xi = np.array(_weights(record.params.lambda_, record.death))
     # Finite weights can still sum past the largest double: refused below.
     with np.errstate(over="ignore"):
         b = float(xi.sum())

@@ -23,9 +23,11 @@ R_k = lambda / nu_{k+1} and G_k = 1 (see rg_factorize). With G = 1 the
 unit lower factor (I - G_L)^{-1} is a cumulative sum, so no route forms
 it as a matrix. A route only
 factorizes: it returns its inverse application. solve_poisson owns the
-rest, once for every route: one scalar pass of the closed form for the
-generator's bands, pi and f, the starting solve, its extended-precision
-refinement and the residual gate. The refinement and the gate multiply by
+rest, once for every route: the generator's bands, pi, f and eta of the
+policy record (one scalar pass of the closed form, shared through the
+chain module's memo with the other per-policy calls), and, on every call,
+the starting solve, its extended-precision refinement and the residual
+gate. The refinement and the gate multiply by
 the generator through the one tridiagonal product, _band_product, so the
 rg route is O(n+m) in time and memory; only the dense and explicit routes
 form k x k arrays, the inverse and the one triangle. All three routes must
@@ -41,10 +43,10 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .chain import ChainSolution, Generator, _generator, _state_rates, _stationary
+from .chain import ChainSolution, Generator, _generator, _policy_record, _stationary
 from .errors import ConsistencyError, NumericalError
 from .model import ModelParams, Policy
-from .reward import _reward, average_profit
+from .reward import _eta, _reward
 
 #: Warn when the spread of the U measures makes products untrustworthy.
 CONDITION_SPAN_LIMIT = 1e12
@@ -289,11 +291,11 @@ def solve_poisson(
     if normalization not in ("anchored", "fundamental"):
         raise ValueError(f"unknown normalization {normalization!r}")
 
-    death, cost = _state_rates(params, d)
-    gen = _generator(params, death)
-    pi = _stationary(params, death)
-    f = _reward(params, death, cost)
-    eta_computed = average_profit(pi, f)
+    record = _policy_record(params, d)
+    gen = record.value(_generator)
+    pi = record.value(_stationary)
+    f = record.value(_reward)
+    eta_computed = record.value(_eta)
     if eta is not None:
         # Written so that a NaN eta fails it too.
         if not abs(eta - eta_computed) <= 1e-12 * max(1.0, abs(eta_computed)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSolution, _state_rates, _stationary
+from .chain import ChainSolution, PolicyRecord, _policy_record, _stationary
 from .model import ModelParams, Policy
 
 
@@ -37,8 +37,8 @@ class AffineReward:
 
 
 def affine_decomposition(params: ModelParams, d: Policy) -> AffineReward:
-    a, b = _state_rates(params, d)
-    return AffineReward(np.array(a), np.array(b))
+    record = _policy_record(params, d)
+    return AffineReward(np.array(record.death), np.array(record.cost))
 
 
 def build_reward(params: ModelParams, d: Policy) -> np.ndarray:
@@ -47,14 +47,19 @@ def build_reward(params: ModelParams, d: Policy) -> np.ndarray:
     Computed through the affine decomposition so that recombining at the
     model price reproduces f bit for bit.
     """
-    return _reward(params, *_state_rates(params, d))
+    return _policy_record(params, d).value(_reward)
 
 
-def _reward(params: ModelParams, a: list[float], b: list[float]) -> np.ndarray:
-    """f = price * a - b from the rates of _state_rates."""
-    f = params.price * np.array(a) - np.array(b)
+def _reward(record: PolicyRecord) -> np.ndarray:
+    """f = price * a - b from the rates of a policy record."""
+    f = record.params.price * np.array(record.death) - np.array(record.cost)
     f.setflags(write=False)
     return f
+
+
+def _eta(record: PolicyRecord) -> float:
+    """eta of a policy record, from its stationary law and its f."""
+    return average_profit(record.value(_stationary), record.value(_reward))
 
 
 def average_profit(solution: ChainSolution, f: np.ndarray) -> float:
@@ -78,5 +83,4 @@ def profit_components(solution: ChainSolution, aff: AffineReward) -> tuple[float
 
 def policy_profit(params: ModelParams, d: Policy) -> float:
     """eta of a policy via the closed-form stationary distribution."""
-    a, b = _state_rates(params, d)
-    return average_profit(_stationary(params, a), _reward(params, a, b))
+    return _policy_record(params, d).value(_eta)

@@ -51,9 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (
+    PolicyRecord,
     _block_rates,
     _generator,
-    _state_rates,
+    _policy_record,
     _stationary,
     _weights,
     stationary_closed_form,
@@ -240,9 +241,18 @@ def _factor_lines(params: ModelParams, block: np.ndarray,
 def _policy_lines(params: ModelParams, d: Policy) -> tuple[np.ndarray, np.ndarray]:
     """(intercept, slope) of G(n,j) for one policy, each of shape (m,).
 
-    _lines on the Python floats of one scalar pass: a 1-row block is slower.
+    _lines on the Python floats of the policy record: a 1-row block is
+    slower.
     """
-    return _lines(params, *_state_rates(params, d))
+    return _policy_record(params, d).value(_record_lines)
+
+
+def _record_lines(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
+    """_lines of a policy record, read-only, as the record shares them."""
+    lines = _lines(record.params, record.death, record.cost)
+    for line in lines:
+        line.setflags(write=False)
+    return lines
 
 
 def realization_factors(params: ModelParams, d: Policy) -> np.ndarray:
@@ -312,17 +322,16 @@ def performance_difference(params: ModelParams, d: Policy,
     """eta' - eta via the general difference equation.
 
     Returns pi'[(B' - B) g + (f' - f)] with g the potential of d; the
-    anchor drops out because (B' - B) has zero row sums. B, f and pi' come
-    from one scalar pass per policy.
+    anchor drops out because (B' - B) has zero row sums. g, B, f and pi'
+    come from the policy records, one scalar pass per policy.
     """
-    death, cost = _state_rates(params, d)
-    death_p, cost_p = _state_rates(params, d_prime)
+    record, record_p = _policy_record(params, d), _policy_record(params, d_prime)
     sol = solve_poisson(params, d)
-    b, b_prime = _generator(params, death), _generator(params, death_p)
+    b, b_prime = record.value(_generator), record_p.value(_generator)
     change = (b_prime.sub - b.sub, b_prime.diag - b.diag, b_prime.sup - b.sup)
-    f = _reward(params, death, cost)
-    f_prime = _reward(params, death_p, cost_p)
-    pi_prime = _stationary(params, death_p).pi
+    f = record.value(_reward)
+    f_prime = record_p.value(_reward)
+    pi_prime = record_p.value(_stationary).pi
     return float(pi_prime @ (_band_product(*change, sol.g) + (f_prime - f)))
 
 

@@ -1,5 +1,8 @@
 """Generator structure and the closed-form stationary distribution."""
 
+import dataclasses
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -20,7 +23,8 @@ from sleepq import (
     stationary_closed_form,
     stationary_numeric,
 )
-from sleepq.chain import _block_rates, _state_rates
+from sleepq import build_reward, chain
+from sleepq.chain import MEMO_SIZE, _block_rates, _state_rates
 from conftest import (
     draw_instance,
     draw_params,
@@ -233,3 +237,89 @@ def test_policy_only_affects_group2_levels(micro):
     # unnormalized weights below the group-2 levels never depend on d
     assert np.array_equal(a.xi[:params.n + 1], b.xi[:params.n + 1])
     assert not np.array_equal(a.xi, b.xi)
+
+
+def test_memo_keys_params_by_identity():
+    # The two params compare and hash equal, but f(0,0) = price * 0 - 0
+    # keeps the sign of the price: a memo keyed by == would hand the
+    # second call the first one's f.
+    pos = micro_params(c_energy=0.0, price=0.0)
+    neg = micro_params(c_energy=0.0, price=-0.0)
+    assert pos == neg and hash(pos) == hash(neg)
+    for first, second in ((pos, neg), (neg, pos)):
+        got = build_reward(first, (1,))[0], build_reward(second, (1,))[0]
+        assert [np.signbit(v) for v in got] == [first is neg, second is neg]
+
+
+def test_memo_holds_at_most_its_bound():
+    rng = np.random.default_rng(30)
+    params = micro_params(n=2, m=3)
+    held = set()
+    for _ in range(3 * MEMO_SIZE):
+        policy_profit(params, random_policy(rng, params.m))
+        stationary_closed_form(micro_params(n=2, m=3), (0, 2, 3))
+        held.add(len(chain._memo))
+        assert len(chain._memo) <= MEMO_SIZE
+    assert MEMO_SIZE in held
+
+
+def test_refusals_are_raised_on_every_call():
+    # The rates of this policy are kept, but its weights overflow: every
+    # call refuses again, and none warns.
+    params = micro_params(n=1000, lambda_=1000.0, mu1=1.0, m=3)
+    d = (1, 2, 3)
+    calls = [stationary_closed_form, policy_profit, solve_poisson,
+             realization_factors, perturbation_factors]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            for call in calls:
+                with pytest.raises(NumericalError, match="not finite"):
+                    call(params, d)
+    assert build_generator(params, d).sub.shape == (1003,)
+
+
+def test_malformed_policy_is_refused_beside_a_record():
+    params = micro_params(n=2, m=3)
+    stationary_closed_form(params, (0, 2, 3))
+    for bad in [(0, 2), (0, 2, 3, 1), (0, 2, 4), (0, -1, 3), (0, 2.5, 3),
+                (0, True, 3)]:
+        for call in (stationary_closed_form, build_reward, solve_poisson):
+            with pytest.raises(ValueError):
+                call(params, bad)
+
+
+def test_memo_is_safe_across_threads():
+    # More threads than cores insert and read records at once, with a
+    # short switch interval; each call still gets its own policy's bits.
+    rng = np.random.default_rng(32)
+    params = micro_params(n=2, m=3)
+    policies = list(dict.fromkeys(random_policy(rng, 3) for _ in range(40)))
+    want = {d: (stationary_closed_form(dataclasses.replace(params), d).pi.tobytes(),
+                build_reward(dataclasses.replace(params), d).tobytes())
+            for d in policies}
+    wrong = []
+
+    def work(seed):
+        order = np.random.default_rng(seed).permutation(len(policies))
+        for _ in range(20):
+            for k in order:
+                d = policies[k]
+                got = (stationary_closed_form(params, d).pi.tobytes(),
+                       build_reward(params, d).tobytes())
+                if got != want[d]:
+                    wrong.append(d)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    assert len(chain._memo) <= MEMO_SIZE

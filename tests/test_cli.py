@@ -268,6 +268,21 @@ def test_overflowing_optimize_exits_4(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_overflowing_price_sweep_walk_exits_4(tmp_path, capsys):
+    # Every policy's weights sum to about e^700, so the realization factors,
+    # which normalize them first, and the critical prices are finite. The
+    # sweep's own walk multiplies the weights by profit rates near 1e7 at
+    # R = 1e4 and must refuse, not warn.
+    path = write_model(tmp_path, n=1000, lambda_=700.0, m=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["critical-prices", "--model", path]) == 0
+        capsys.readouterr()
+        assert main(["price-sweep", "--model", path, "--from", "0", "--to",
+                     "10000", "--steps", "3", "--space", "bang_bang"]) == 4
+    assert "profits are not finite" in capsys.readouterr().err
+
+
 def test_heavy_load_stationary_exits_4(tmp_path, capsys):
     # The all-asleep weights overflow near level 440 of 500; the law used
     # to come back with NaN entries and exit 0.

@@ -1,5 +1,6 @@
 """Poisson-equation solves, RG factorization, and normalizations."""
 
+import dataclasses
 import importlib
 import pkgutil
 import tracemalloc
@@ -11,6 +12,8 @@ import sleepq
 from sleepq import (
     ConsistencyError,
     Generator,
+    affine_decomposition,
+    critical_price_state,
     ModelParams,
     NumericalError,
     build_generator,
@@ -24,12 +27,20 @@ from sleepq import (
     realization_factors,
     reanchor,
     rg_factorize,
+    sign_conservation_check,
+    single_coordinate_difference,
     solve_poisson,
     stationary_closed_form,
 )
 from sleepq.chain import _block_rates, _state_rates
 from sleepq.potential import SOLVE_METHODS, _band_product, _triangles, reduced_matrix
-from conftest import draw_instance, micro_params, wide_light_instance
+from conftest import (
+    draw_change_pair,
+    draw_instance,
+    heavy_instance,
+    micro_params,
+    wide_light_instance,
+)
 
 
 def test_micro_anchored_potentials(micro):
@@ -126,11 +137,82 @@ def test_one_scalar_pass_per_call(call, monkeypatch):
 
 
 def test_performance_difference_one_pass_per_policy(monkeypatch):
-    # One pass inside solve_poisson, then one each for B, f of d and B', f',
-    # pi' of d'.
+    # One pass for g, B, f of d, shared with its Poisson solve through the
+    # memo, and one for B', f', pi' of d'.
     calls = _count_calls(monkeypatch, _state_rates)
     performance_difference(micro_params(n=2, m=3), (0, 2, 3), (1, 0, 3))
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+def test_analyze_sequence_runs_one_pass_per_policy(monkeypatch):
+    # The benchmark's per-policy sequence: every call after the first reads
+    # the memo's record of d, and d' gets one pass of its own.
+    calls = _count_calls(monkeypatch, _state_rates)
+    params, d, d_prime = micro_params(n=2, m=3), (0, 2, 3), (0, 1, 3)
+    stationary_closed_form(params, d)
+    build_generator(params, d)
+    policy_profit(params, d)
+    for method in SOLVE_METHODS:
+        solve_poisson(params, d, method=method)
+    perturbation_factors(params, d)
+    single_coordinate_difference(params, d, d_prime)
+    policy_profit(params, d_prime)
+    assert [policy for _, policy in calls] == [d, d_prime]
+
+
+def _bits(result):
+    """A result's bytes: arrays by their buffers, numbers by repr."""
+    if dataclasses.is_dataclass(result):
+        return [_bits(getattr(result, field.name))
+                for field in dataclasses.fields(result)]
+    if isinstance(result, np.ndarray):
+        return (result.dtype.str, result.shape, result.tobytes())
+    return repr(result)
+
+
+_PER_POLICY_CALLS = {
+    "stationary": lambda p, d, dp, j: stationary_closed_form(p, d),
+    "generator": lambda p, d, dp, j: build_generator(p, d),
+    "affine": lambda p, d, dp, j: affine_decomposition(p, d),
+    "reward": lambda p, d, dp, j: build_reward(p, d),
+    "profit": lambda p, d, dp, j: policy_profit(p, d),
+    **{method: lambda p, d, dp, j, m=method: solve_poisson(p, d, method=m)
+       for method in SOLVE_METHODS},
+    "fundamental": lambda p, d, dp, j: solve_poisson(
+        p, d, normalization="fundamental"),
+    "factors": lambda p, d, dp, j: realization_factors(p, d),
+    "report": lambda p, d, dp, j: perturbation_factors(p, d),
+    "critical": lambda p, d, dp, j: critical_price_state(p, d, j),
+    "single": lambda p, d, dp, j: single_coordinate_difference(p, d, dp),
+    "difference": lambda p, d, dp, j: performance_difference(p, d, dp),
+    "signs": lambda p, d, dp, j: sign_conservation_check(p, d, dp, j),
+    "profit_prime": lambda p, d, dp, j: policy_profit(p, dp),
+}
+
+
+def _outcome(call, *args):
+    try:
+        return _bits(call(*args))
+    except sleepq.SleepqError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_memo_hit_equals_miss():
+    # Each call on params whose records are warm returns the bytes of the
+    # same call on a fresh copy, which misses. Refusals included.
+    rng = np.random.default_rng(31)
+    corpus = [draw_instance(rng, n_max=8, m_max=8)[0] for _ in range(8)]
+    corpus += [wide_light_instance(rng)[0] for _ in range(2)]
+    corpus += [heavy_instance(rng)[0] for _ in range(2)]
+    corpus.append(micro_params(n=1000, m=3, lambda_=1000.0))
+    for params in corpus:
+        d, d_prime, j = draw_change_pair(rng, params.m)
+        for call in _PER_POLICY_CALLS.values():
+            _outcome(call, params, d, d_prime, j)
+        for name, call in _PER_POLICY_CALLS.items():
+            warm = _outcome(call, params, d, d_prime, j)
+            cold = _outcome(call, dataclasses.replace(params), d, d_prime, j)
+            assert warm == cold, (name, params)
 
 
 def test_ill_conditioned_draw_all_routes_agree():
