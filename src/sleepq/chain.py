@@ -129,15 +129,13 @@ def _rates(params: ModelParams, levels, minimum) -> tuple[list, list]:
     return death, cost
 
 
-def _state_rates(params: ModelParams, d: Policy) -> tuple[list[float], list[float]]:
+def _state_rates(params: ModelParams, d: tuple) -> tuple[list[float], list[float]]:
     """Death rate and cost rate of every state, as Python floats.
 
-    This is the one per-policy pass of the closed form; _policy_record
-    keeps it, and the generator, the stationary law and the reward read
-    their rates from the record.
+    The one per-policy pass of the closed form, on rates and a policy that
+    _policy_record has checked; the record keeps it, and the generator, the
+    stationary law and the reward read their rates from the record.
     """
-    _check_rates(params)
-    d = check_policy(d, params.m)
     death, cost = _rates(params, enumerate(d, start=1), min)
     if d:
         cost[-1] += params.lambda_ * params.c_loss
@@ -258,11 +256,16 @@ def _stationary(record: PolicyRecord) -> ChainSolution:
     # Finite weights can still sum past the largest double: refused below.
     with np.errstate(over="ignore"):
         b = float(xi.sum())
-    if not np.isfinite(b):
-        raise NumericalError(
-            "stationary weights are not finite; they overflow at this load"
-        )
+    _require_finite(b, "stationary weights")
     return ChainSolution(xi / b, xi, b)
+
+
+def _require_finite(values, what: str) -> None:
+    """The one refusal of a heavy load, where the product-form weights
+    overflow: values that came out infinite or NaN under np.errstate."""
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{what} are not finite; the stationary weights "
+                             "overflow at this load")
 
 
 def _profit_rates(params: ModelParams, death: list, cost: list,

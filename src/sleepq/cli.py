@@ -55,13 +55,6 @@ EXIT_CONFIG = 2
 EXIT_GATE = 3
 EXIT_NUMERICAL = 4
 
-COMMANDS = (
-    "validate", "stationary", "reward", "potentials", "sensitivity",
-    "critical-prices", "optimize", "threshold", "monotonicity", "simulate",
-    "price-sweep",
-)
-
-
 @dataclass(frozen=True)
 class CommandOutput:
     """Rows destined for stdout and, when requested, a CSV file."""

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import _block_rates, _profit_rates, stationary_closed_form
+from .chain import _block_rates, _profit_rates, _require_finite, stationary_closed_form
 from .errors import ConfigError, ConsistencyError, NumericalError, RegimeError
 from .model import (
     BLOCK_SIZE,
@@ -150,17 +150,8 @@ def _block_profits(params: ModelParams, block: np.ndarray,
         xi_top = xi_n * np.cumprod(params.lambda_ / nu, axis=0)
         etas = ((low_profit[:, None] + np.cumsum(xi_top * f_top, axis=1)[:, -1])
                 / (low_weight + np.cumsum(xi_top, axis=0)[-1]))
-    _require_finite(etas)
+    _require_finite(etas, "profits")
     return etas
-
-
-def _require_finite(*profits) -> None:
-    """Refuse profits that overflowed or came out NaN."""
-    if not all(np.isfinite(p).all() for p in profits):
-        raise NumericalError(
-            "profits are not finite; the stationary weights overflow at "
-            "this load"
-        )
 
 
 def _chunk_summary(etas, ranks, k):
@@ -174,7 +165,7 @@ def _chunk_summary(etas, ranks, k):
     need unranking.
     """
     cut = etas.max(axis=1, keepdims=True)
-    _require_finite(etas.min(), cut)  # NaN reaches both
+    _require_finite((etas.min(), cut.max()), "profits")  # NaN reaches both
     size = etas.shape[1]
     count = min(k, size)
     if count > 1:
@@ -604,10 +595,10 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
     point; a mismatch raises ConsistencyError.
     """
     grid = _price_grid(r_grid)
-    # Every grid price is one validate accepts, so one check covers them.
-    require_valid(replace(params, price=grid[0]))
-    # critical_prices_global gates the space as optimize does.
-    crit = critical_prices_global(params, space, allow_large=allow_large)
+    # One validate covers every grid price; critical_prices_global makes it
+    # and gates the space as optimize does. Its roots do not depend on R.
+    crit = critical_prices_global(replace(params, price=grid[0]), space,
+                                  allow_large=allow_large)
     bests = _rankings(params, space, 1, grid)
 
     # affine pieces and per-level critical prices per winning policy,
@@ -657,8 +648,6 @@ def _extreme_closed_form(params: ModelParams, regime: str) -> tuple[Policy, floa
     lam, mu1, mu2 = params.lambda_, params.mu1, params.mu2
     r = params.price
 
-    xi_low = np.cumprod(np.concatenate(
-        [[1.0], lam / (np.arange(1, n + 1) * mu1)]))
     base_energy = (n * params.p1_work + m * params.p2_sleep) * params.c_energy
     i_arr = np.arange(n + 1)
     f_low = r * i_arr * mu1 - (base_energy + i_arr * params.c_hold_g1)
@@ -673,13 +662,19 @@ def _extreme_closed_form(params: ModelParams, regime: str) -> tuple[Policy, floa
         d_star = (0,) * m
         nu = np.full(m, n * mu1, dtype=np.float64)
         energy = np.full(m, base_energy)
-    xi_top = xi_low[n] * np.cumprod(lam / nu)
     cost = (energy + n * params.c_hold_g1 + j_arr * params.c_hold_g2
             + n * mu1 * params.c_transfer)
     cost[m - 1] += lam * params.c_loss
     f_top = r * nu - cost
 
-    eta = (xi_low @ f_low + xi_top @ f_top) / (xi_low.sum() + xi_top.sum())
+    # Normalized first: weights times f can overflow where pi does not.
+    with np.errstate(over="ignore"):
+        xi_low = np.cumprod(np.concatenate(
+            [[1.0], lam / (np.arange(1, n + 1) * mu1)]))
+        xi_top = xi_low[n] * np.cumprod(lam / nu)
+        total = xi_low.sum() + xi_top.sum()
+    _require_finite(total, "stationary weights")
+    eta = (xi_low / total) @ f_low + (xi_top / total) @ f_top
     return d_star, float(eta)
 
 
@@ -738,12 +733,10 @@ def threshold_scan(params: ModelParams) -> ThresholdResult:
     theta_star = 1 + int(np.argmax(etas))
     c = price_constant(params)
 
-    @functools.cache
-    def factors(theta: int) -> np.ndarray:
-        return realization_factors(params, threshold_policy(m, theta))
-
     def value(theta: int, level: int) -> float:
-        return float(factors(theta)[level - 1] + c)
+        # The chain module's memo keeps the factors of all three policies.
+        prf = realization_factors(params, threshold_policy(m, theta))
+        return float(prf[level - 1] + c)
 
     t_prev = value(theta_star - 1, theta_star - 1) if theta_star > 1 else np.nan
     t_here = value(theta_star, theta_star) if theta_star <= m else np.nan

@@ -43,7 +43,8 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .chain import ChainSolution, Generator, _generator, _policy_record, _stationary
+from .chain import (ChainSolution, Generator, _generator, _policy_record,
+                    _require_finite, _stationary)
 from .errors import ConsistencyError, NumericalError
 from .model import ModelParams, Policy
 from .reward import _eta, _reward
@@ -284,7 +285,8 @@ def solve_poisson(
     only consistent for the true eta. normalization "anchored" fixes
     g(0,0) = anchor; "fundamental" picks the anchor with pi . g = eta. A
     NaN or infinite anchor raises ValueError. method selects the solver
-    route ("rg", "dense", or "explicit").
+    route ("rg", "dense", or "explicit"). Potentials that are not finite
+    (heavy load) raise NumericalError before the residual gate.
     """
     if method not in _SOLVERS:
         raise ValueError(f"unknown method {method!r}")
@@ -309,10 +311,12 @@ def solve_poisson(
     apply_inverse = _SOLVERS[method](gen)
     bands = tuple(-band[1:].astype(np.longdouble)
                   for band in (gen.sub, gen.diag, gen.sup))
-    phi_h = _refine(bands, apply_inverse, apply_inverse(h), h)
-
-    g = _anchored(phi_h, anchor)
-    residual = poisson_residual(gen, g, eta, f)
+    # The routes' running products of lambda/nu can overflow where pi does not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_h = _refine(bands, apply_inverse, apply_inverse(h), h)
+        _require_finite(phi_h, "potentials")
+        g = _anchored(phi_h, anchor)
+        residual = poisson_residual(gen, g, eta, f)
     scale = max(1.0, abs(eta), float(np.max(np.abs(f))))
     # Written so that a NaN residual fails it too.
     if not residual <= 1e-9 * scale:

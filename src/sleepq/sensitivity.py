@@ -55,11 +55,12 @@ from .chain import (
     _block_rates,
     _generator,
     _policy_record,
+    _require_finite,
     _stationary,
     _weights,
     stationary_closed_form,
 )
-from .errors import ConsistencyError, DegeneratePriceError, NumericalError
+from .errors import ConsistencyError, DegeneratePriceError
 from .model import (
     BLOCK_SIZE,
     ModelParams,
@@ -68,6 +69,7 @@ from .model import (
     _gated_size,
     _policy_block,
     check_policy,
+    require_valid,
 )
 from .potential import _band_product, solve_poisson
 from .reward import _reward
@@ -137,14 +139,6 @@ def price_constant(params: ModelParams) -> float:
     return params.price - _wake_cost(params)
 
 
-def _require_finite(values) -> None:
-    if not np.isfinite(values).all():
-        raise NumericalError(
-            "realization factors are not finite; the stationary weights "
-            "overflow at this load"
-        )
-
-
 def _price_roots(params: ModelParams, intercept: np.ndarray,
                  slope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-level roots of G + c in the price, and the R-slope of G + c.
@@ -182,7 +176,7 @@ def _lines(params: ModelParams, death: list, cost: list,
     weights = _weights(lam, death)
     heads = list(itertools.accumulate(weights))
     total = heads[-1]
-    _require_finite(total)
+    _require_finite(total, "realization factors")
     completion_rate = cost_rate = 0.0
     for weight, rate, state_cost in zip(weights, death, cost):
         share = weight / total
@@ -220,7 +214,7 @@ def _lines(params: ModelParams, death: list, cost: list,
             intercept[j - n] = np.where(head, above_i, intercept[j - n])
             slope[j - n] = np.where(head, above_s, slope[j - n])
     lines = np.array([intercept, slope])
-    _require_finite(lines)
+    _require_finite(lines, "realization factors")
     return lines[0], lines[1]
 
 
@@ -296,9 +290,10 @@ def critical_prices_global(params: ModelParams, space: str = "full",
 
     R_H = max{0, roots of G+c over all policies and levels}; R_L is the
     minimum root. Degenerate (no-crossing) levels are skipped. Policies are
-    unranked in blocks of BLOCK_SIZE, and each space is gated at the same
-    size as optimize gates it.
+    unranked in blocks of BLOCK_SIZE. params are validated, and each space
+    gated, as optimize validates and gates them.
     """
+    require_valid(params)
     total = _gated_size(params.m, space, allow_large)
 
     r_high = 0.0

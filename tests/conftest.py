@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sleepq import ModelParams, stationary_closed_form
-from sleepq.chain import build_generator
+from sleepq.chain import _state_rates, _weights, build_generator
 from sleepq.potential import reduced_matrix
 
 MASS_LIMIT = 1e4       # sum of unnormalized stationary weights
@@ -147,3 +147,30 @@ def draw_change_pair(rng, m: int):
     d_prime = list(d)
     d_prime[j - 1] = int(b)
     return tuple(d), tuple(d_prime), j
+
+
+def overflowed(params: ModelParams, d: tuple) -> ModelParams:
+    """params with lambda doubled until a stationary weight of d passes 1e300."""
+    while max(_weights(params.lambda_, _state_rates(params, d)[0])) <= 1e300:
+        params = dataclasses.replace(params, lambda_=2 * params.lambda_)
+    return params
+
+
+def overflowed_corpus():
+    """16 (params, policy) pairs whose stationary weights pass 1e300.
+
+    From default_rng(2201): 10 draw_params(n_max=6, m_max=6) draws, each
+    with a random policy, then 6 heavy_instance draws cut to m = 8 (the
+    policy's first 8 entries, clipped to 8); each has lambda doubled by
+    overflowed.
+    """
+    rng = np.random.default_rng(2201)
+    corpus = []
+    for _ in range(10):
+        params = draw_params(rng, n_max=6, m_max=6)
+        corpus.append((params, random_policy(rng, params.m)))
+    for _ in range(6):
+        params, d = heavy_instance(rng)
+        corpus.append((dataclasses.replace(params, m=8),
+                       tuple(min(v, 8) for v in d[:8])))
+    return [(overflowed(params, d), d) for params, d in corpus]

@@ -283,6 +283,30 @@ def test_overflowing_price_sweep_walk_exits_4(tmp_path, capsys):
     assert "profits are not finite" in capsys.readouterr().err
 
 
+def test_overflowing_potentials_exit_4_on_every_route(tmp_path, capsys):
+    # The first heavy_instance of default_rng(2201), cut to m = 12, with
+    # lambda doubled until a weight passes 1e300 (conftest.overflowed):
+    # pi is finite, but the routes' running products of lambda/nu are not.
+    # rg and explicit refuse their potentials, dense its singular matrix.
+    path = write_model(
+        tmp_path, lambda_=6039199695790318.0, mu1=2.7601829794950614,
+        mu2=2.488858686555652, n=9, m=12, p1_work=3.607185974602384,
+        p2_work=2.8614193801790764, p2_sleep=0.3556675212446409,
+        c_energy=4.080952659893521, c_hold_g1=4.445961869462037,
+        c_hold_g2=2.4264435715983996, c_transfer=1.6521605558644077,
+        c_loss=4.0184035186240346, price=6.510268670452531)
+    policy = "12,12,12,12,12,12,11,12,12,12,12,12"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["stationary", "--model", path, "--policy", policy]) == 0
+        for method in ("rg", "dense", "explicit"):
+            capsys.readouterr()
+            assert main(["potentials", "--model", path, "--policy", policy,
+                         "--method", method]) == 4
+            err = capsys.readouterr().err
+            assert method == "dense" or "not finite" in err
+
+
 def test_heavy_load_stationary_exits_4(tmp_path, capsys):
     # The all-asleep weights overflow near level 440 of 500; the law used
     # to come back with NaN entries and exit 0.

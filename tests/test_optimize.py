@@ -474,13 +474,16 @@ def test_threshold_scan_micro(micro):
 
 
 def test_threshold_scan_factors_each_policy_once(monkeypatch):
+    # The chain module's memo keeps each policy's lines for the next call.
     seen = []
+    sensitivity = importlib.import_module("sleepq.sensitivity")
+    record_lines = sensitivity._record_lines
 
-    def counted(params, d):
-        seen.append(d)
-        return realization_factors(params, d)
+    def counted(record):
+        seen.append(record.policy)
+        return record_lines(record)
 
-    monkeypatch.setattr(OPT, "realization_factors", counted)
+    monkeypatch.setattr(sensitivity, "_record_lines", counted)
     # theta* = 1 < m, so the theta*+1 policy serves two sign terms.
     assert threshold_scan(micro_params(n=2, m=5)).theta_star == 1
     assert sorted(seen) == [threshold_policy(5, 2), threshold_policy(5, 1)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sleepq import (
+    ConfigError,
     ConsistencyError,
     DegeneratePriceError,
     GateError,
@@ -251,6 +252,16 @@ def test_heavy_load_factors_raise_instead_of_nan():
         perturbation_factors(params, d)
     with pytest.raises(NumericalError, match="not finite"):
         critical_prices_global(params, "threshold")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c_energy", float("nan")), ("c_loss", float("inf")), ("p2_sleep", 1.5)])
+def test_critical_prices_validate_params(field, value):
+    # A NaN cost was blamed on overflow, and a sleeping server that draws
+    # more than a working one got prices.
+    params = dataclasses.replace(micro_params(n=1, m=3), **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        critical_prices_global(params)
 
 
 @pytest.mark.parametrize("j", [0, 4, 1.0, "2", True])
