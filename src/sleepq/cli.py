@@ -45,7 +45,7 @@ from .optimize import (
     verify_monotonicity,
 )
 from .potential import SOLVE_METHODS, solve_poisson
-from .reward import affine_decomposition, average_profit, build_reward, profit_components
+from .reward import affine_decomposition, build_reward, policy_profit, profit_components
 from .sensitivity import critical_prices_global, perturbation_factors
 from .sim import SimConfig, simulate
 
@@ -96,14 +96,17 @@ def _print_table(out: CommandOutput, stream) -> None:
         stream.write(line.rstrip() + "\n")
 
 
+def _provenance(params: ModelParams, command: str, meta=()) -> str:
+    """The "# key=value" lines that open every CSV file."""
+    return "".join(f"# {line}\n" for line in (
+        f"model={params_digest(params)}", f"command={command}",
+        f"version={__version__}", *meta))
+
+
 def _write_csv(path: str, params: ModelParams, command: str,
                out: CommandOutput) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fp:
-        fp.write(f"# model={params_digest(params)}\n")
-        fp.write(f"# command={command}\n")
-        fp.write(f"# version={__version__}\n")
-        for line in out.meta:
-            fp.write(f"# {line}\n")
+        fp.write(_provenance(params, command, out.meta))
         writer = csv.writer(fp)
         writer.writerow(out.header)
         for row in out.rows:
@@ -116,18 +119,19 @@ def _policy_arg(params: ModelParams, args) -> tuple:
     return parse_policy(args.policy, params.m)
 
 
+def _state_rows(params: ModelParams, *columns) -> tuple:
+    """One (i, j, column[k]...) row per state k, the values as floats."""
+    return tuple((i, j, *(float(column[k]) for column in columns))
+                 for k, (i, j) in enumerate(state_space(params).states))
+
+
 def _cmd_stationary(params: ModelParams, args) -> CommandOutput:
     d = _policy_arg(params, args)
     sol = stationary_closed_form(params, d)
-    states = state_space(params).states
-    rows = tuple(
-        (i, j, float(sol.xi[k]), float(sol.pi[k]))
-        for k, (i, j) in enumerate(states)
-    )
     loss = float(sol.pi[-1])
     return CommandOutput(
         header=("i", "j", "xi", "pi"),
-        rows=rows,
+        rows=_state_rows(params, sol.xi, sol.pi),
         meta=(f"policy={format_policy(d)}", f"loss_probability={_fmt(loss)}"),
         summary=(f"policy: {format_policy(d)}",
                  f"loss probability: {_fmt(loss)}"),
@@ -137,20 +141,13 @@ def _cmd_stationary(params: ModelParams, args) -> CommandOutput:
 def _cmd_reward(params: ModelParams, args) -> CommandOutput:
     d = _policy_arg(params, args)
     aff = affine_decomposition(params, d)
-    f = build_reward(params, d)
-    sol = stationary_closed_form(params, d)
-    eta = average_profit(sol, f)
-    completions, cost = profit_components(sol, aff)
-    states = state_space(params).states
-    rows = tuple(
-        (i, j, float(aff.a[k]), float(aff.b[k]), float(f[k]))
-        for k, (i, j) in enumerate(states)
-    )
+    eta = policy_profit(params, d)
+    completions, cost = profit_components(stationary_closed_form(params, d), aff)
     meta = (f"policy={format_policy(d)}", f"eta={_fmt(eta)}",
             f"completion_rate={_fmt(completions)}", f"cost_rate={_fmt(cost)}")
     return CommandOutput(
         header=("i", "j", "a", "b", "f"),
-        rows=rows,
+        rows=_state_rows(params, aff.a, aff.b, build_reward(params, d)),
         meta=meta,
         summary=(f"policy: {format_policy(d)}",
                  f"eta: {_fmt(eta)}",
@@ -163,14 +160,12 @@ def _cmd_potentials(params: ModelParams, args) -> CommandOutput:
     d = _policy_arg(params, args)
     sol = solve_poisson(params, d, normalization=args.normalization,
                         anchor=args.anchor, method=args.method)
-    states = state_space(params).states
-    rows = tuple((i, j, float(sol.g[k])) for k, (i, j) in enumerate(states))
     meta = (f"policy={format_policy(d)}", f"eta={_fmt(sol.eta)}",
             f"normalization={sol.normalization}", f"anchor={_fmt(sol.anchor)}",
             f"method={sol.method}", f"residual={_fmt(sol.residual)}")
     return CommandOutput(
         header=("i", "j", "g"),
-        rows=rows,
+        rows=_state_rows(params, sol.g),
         meta=meta,
         summary=(f"policy: {format_policy(d)}",
                  f"eta: {_fmt(sol.eta)}",
@@ -329,9 +324,7 @@ def _cmd_simulate(params: ModelParams, args) -> CommandOutput:
 
 def _write_trace(path: str, params: ModelParams, trace, states) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fp:
-        fp.write(f"# model={params_digest(params)}\n")
-        fp.write("# command=simulate-trace\n")
-        fp.write(f"# version={__version__}\n")
+        fp.write(_provenance(params, "simulate-trace"))
         writer = csv.writer(fp)
         writer.writerow(("time", "i_before", "j_before", "event",
                          "i_after", "j_after"))
@@ -482,36 +475,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    args = build_parser().parse_args(argv)
     try:
         params = params_from_file(args.model)
-    except ConfigError as exc:
-        print(f"sleepq: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    report = validate(params)
-    if args.command == "validate":
-        for line in report.errors:
-            print(f"error: {line}")
-        for line in report.warnings:
-            print(f"warning: {line}")
+        report = validate(params)
+        if args.command == "validate":
+            for line in report.errors:
+                print(f"error: {line}")
+            for line in report.warnings:
+                print(f"warning: {line}")
+            if report.errors:
+                return EXIT_CONFIG
+            print("ok")
+            return EXIT_OK
         if report.errors:
-            return EXIT_CONFIG
-        print("ok")
-        return EXIT_OK
-    if report.errors:
-        print(f"sleepq: config error: {'; '.join(report.errors)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.command == "price-sweep" and args.steps > 1 and args.r_to is None:
-        print("sleepq: error: --to is required when --steps > 1",
-              file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
+            raise ConfigError("; ".join(report.errors))
+        if args.command == "price-sweep" and args.steps > 1 and args.r_to is None:
+            raise ValueError("--to is required when --steps > 1")
         out = _HANDLERS[args.command](params, args)
         if args.output is not None:
             _write_csv(args.output, params, args.command, out)

@@ -79,10 +79,10 @@ class ModelParams:
     price: float
 
 
-# Keys as they appear in config files, in canonical order.
-CONFIG_KEYS = tuple(
-    "lambda" if f.name == "lambda_" else f.name for f in fields(ModelParams)
-)
+# Config-file key of each ModelParams field, in canonical order.
+_FIELD_OF_KEY = {("lambda" if f.name == "lambda_" else f.name): f.name
+                 for f in fields(ModelParams)}
+CONFIG_KEYS = tuple(_FIELD_OF_KEY)
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def check_policy(d: Policy, m: int) -> Policy:
     entries = []
     for j, value in enumerate(d, start=1):
         if type(value) is not int:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_integer(value):
                 raise ValueError(f"policy entry for level {j} must be an integer")
             value = int(value)
         if not 0 <= value <= m:
@@ -208,10 +208,14 @@ def check_policy(d: Policy, m: int) -> Policy:
     return tuple(entries)
 
 
+def _is_integer(value) -> bool:
+    """True for an Integral that is not a bool (numpy integers count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_count(value, rule: str, most: float = math.inf) -> None:
     """ValueError(rule) unless value is an integer, not a bool, in 1..most."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or not 1 <= value <= most):
+    if not _is_integer(value) or not 1 <= value <= most:
         raise ValueError(f"{rule}, got {value!r}")
 
 
@@ -353,7 +357,7 @@ def parse_params(text: str, source: str = "<config>") -> ModelParams:
 
     kwargs = {}
     for key, value in seen.items():
-        field = "lambda_" if key == "lambda" else key
+        field = _FIELD_OF_KEY[key]
         try:
             kwargs[field] = int(value) if field in _INT_FIELDS else float(value)
         except ValueError as exc:
@@ -374,11 +378,8 @@ def params_from_file(path) -> ModelParams:
 
 def params_to_text(params: ModelParams) -> str:
     """Canonical config serialization (round-trips through parse_params)."""
-    lines = []
-    for key in CONFIG_KEYS:
-        field = "lambda_" if key == "lambda" else key
-        lines.append(f"{key}={getattr(params, field)!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={getattr(params, field)!r}\n"
+                   for key, field in _FIELD_OF_KEY.items())
 
 
 def params_digest(params: ModelParams) -> str:

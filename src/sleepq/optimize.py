@@ -53,12 +53,7 @@ from .model import (
     threshold_policy,
 )
 from .reward import affine_decomposition, policy_profit, profit_components
-from .sensitivity import (
-    critical_prices_global,
-    perturbation_factors,
-    price_constant,
-    realization_factors,
-)
+from .sensitivity import _factor_plus_c, critical_prices_global, perturbation_factors
 
 
 @dataclass(frozen=True)
@@ -731,12 +726,10 @@ def threshold_scan(params: ModelParams) -> ThresholdResult:
     block = _policy_block(m, "threshold", np.arange(m + 1))
     etas = _block_profits(params, block, np.array([params.price]))[0]
     theta_star = 1 + int(np.argmax(etas))
-    c = price_constant(params)
 
     def value(theta: int, level: int) -> float:
         # The chain module's memo keeps the factors of all three policies.
-        prf = realization_factors(params, threshold_policy(m, theta))
-        return float(prf[level - 1] + c)
+        return float(_factor_plus_c(params, threshold_policy(m, theta), level))
 
     t_prev = value(theta_star - 1, theta_star - 1) if theta_star > 1 else np.nan
     t_here = value(theta_star, theta_star) if theta_star <= m else np.nan

@@ -38,7 +38,6 @@ picks the anchor that makes pi . g = eta.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -48,11 +47,6 @@ from .chain import (ChainSolution, Generator, _generator, _policy_record,
 from .errors import ConsistencyError, NumericalError
 from .model import ModelParams, Policy
 from .reward import _eta, _reward
-
-#: Warn when the spread of the U measures makes products untrustworthy.
-CONDITION_SPAN_LIMIT = 1e12
-
-SOLVE_METHODS = ("rg", "dense", "explicit")
 
 
 @dataclass(frozen=True)
@@ -130,18 +124,7 @@ def rg_factorize(gen: Generator) -> RGFactors:
     death = gen.sub
     if not (death > 0).all():
         raise NumericalError("factorization failed: nonpositive death rate")
-    u = -death
-    r = gen.sup[1:] / death[1:]
-
-    span = death.max() / death.min()
-    if span > CONDITION_SPAN_LIMIT:
-        warnings.warn(
-            f"U measures span {span:.2e}; factorization products may lose "
-            "precision",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return RGFactors(u, r)
+    return RGFactors(-death, gen.sup[1:] / death[1:])
 
 
 def _triangles(factors: RGFactors) -> np.ndarray:
@@ -267,7 +250,8 @@ def _solve_explicit(gen):
     return apply_inverse
 
 
-_SOLVERS = {"dense": _solve_dense, "rg": _solve_rg, "explicit": _solve_explicit}
+_SOLVERS = {"rg": _solve_rg, "dense": _solve_dense, "explicit": _solve_explicit}
+SOLVE_METHODS = tuple(_SOLVERS)
 
 
 def solve_poisson(
@@ -286,7 +270,9 @@ def solve_poisson(
     g(0,0) = anchor; "fundamental" picks the anchor with pi . g = eta. A
     NaN or infinite anchor raises ValueError. method selects the solver
     route ("rg", "dense", or "explicit"). Potentials that are not finite
-    (heavy load) raise NumericalError before the residual gate.
+    (heavy load) raise NumericalError before the residual gate; a residual
+    the gate refuses raises NumericalError naming the span of the death
+    rates, the U measures of the factorization.
     """
     if method not in _SOLVERS:
         raise ValueError(f"unknown method {method!r}")
@@ -318,10 +304,13 @@ def solve_poisson(
         g = _anchored(phi_h, anchor)
         residual = poisson_residual(gen, g, eta, f)
     scale = max(1.0, abs(eta), float(np.max(np.abs(f))))
-    # Written so that a NaN residual fails it too.
+    # Written so that a NaN residual fails it too. The death rates are the
+    # factorization's U measures: their span says how far products of them
+    # can lose precision.
     if not residual <= 1e-9 * scale:
         raise NumericalError(
-            f"Poisson residual {residual:.3e} exceeds tolerance"
+            f"Poisson residual {residual:.3e} exceeds tolerance; the death "
+            f"rates span {gen.sub.max() / gen.sub.min():.2e}"
         )
     solution = PotentialSolution(
         g=g, eta=eta, normalization="anchored", anchor=anchor,

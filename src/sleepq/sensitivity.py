@@ -255,6 +255,11 @@ def realization_factors(params: ModelParams, d: Policy) -> np.ndarray:
     return params.price * slope + intercept
 
 
+def _factor_plus_c(params: ModelParams, d: Policy, j: int) -> np.float64:
+    """G(n,j) + c of policy d at the instance's price."""
+    return realization_factors(params, d)[j - 1] + price_constant(params)
+
+
 def perturbation_factors(params: ModelParams, d: Policy) -> SensitivityReport:
     """Realization factors, critical prices, and signs for one policy."""
     intercept, slope = _policy_lines(params, d)
@@ -360,11 +365,10 @@ def single_coordinate_difference(params: ModelParams, d: Policy,
     coordinate values must lie in {0..j}.
     """
     j = _single_change_level(params, d, d_prime)
-    prf = realization_factors(params, d)
-    c = price_constant(params)
+    value = _factor_plus_c(params, d, j)
     pi_prime = stationary_closed_form(params, d_prime).pi
     return float(params.mu2 * pi_prime[params.n + j]
-                 * (d_prime[j - 1] - d[j - 1]) * (prf[j - 1] + c))
+                 * (d_prime[j - 1] - d[j - 1]) * value)
 
 
 def sign_conservation_check(params: ModelParams, d: Policy, d_prime: Policy,
@@ -378,9 +382,8 @@ def sign_conservation_check(params: ModelParams, d: Policy, d_prime: Policy,
     """
     _check_count(j, f"j must be an integer in 1..{params.m}", params.m)
     _single_change_level(params, d, d_prime, j)
-    c = price_constant(params)
-    value_d = float(realization_factors(params, d)[j - 1] + c)
-    value_dp = float(realization_factors(params, d_prime)[j - 1] + c)
+    value_d = float(_factor_plus_c(params, d, j))
+    value_dp = float(_factor_plus_c(params, d_prime, j))
     idx = params.n + j
     pi_ratio = float(stationary_closed_form(params, d).pi[idx]
                      / stationary_closed_form(params, d_prime).pi[idx])

@@ -25,7 +25,8 @@ import numpy as np
 from . import _simkernel
 from ._simkernel import DONE, REFILL
 from .errors import ConfigError, NumericalError
-from .model import ModelParams, Policy, check_policy, require_valid, state_space
+from .model import (ModelParams, Policy, _is_integer, check_policy, require_valid,
+                    state_space)
 
 #: Uniforms drawn per refill; results do not depend on this value. Kept
 #: small because the interpreted kernel holds them as Python floats.
@@ -122,7 +123,7 @@ class SimResult:
 def _validate_config(cfg: SimConfig) -> None:
     for name in ("replications", "seed", "batch_count"):
         value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not _is_integer(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     for name in ("horizon", "warmup"):
         value = getattr(cfg, name)
@@ -246,6 +247,19 @@ def _run_segment(kernel, stream, state, events, time_limit, rates, dwell,
         for target, values in zip(targets, (dwell, acc, counts)):
             target[:] = values
     return k, t
+
+
+def _net_revenue(params: ModelParams, counts: np.ndarray, acc: np.ndarray):
+    """R*completions - energy - holding - C3*transfers - C4*losses.
+
+    counts are the kernel's int64 event tallies and acc its (energy,
+    holding) integrals. A count is exact as a double below 2**53, so the
+    products round as they would from Python ints.
+    """
+    completions = counts[_simkernel.COUNT_G1] + counts[_simkernel.COUNT_G2]
+    return (params.price * completions - acc[0] - acc[1]
+            - params.c_transfer * counts[_simkernel.COUNT_TRANSFER]
+            - params.c_loss * counts[_simkernel.COUNT_LOSS])
 
 
 def _cornish_fisher_975(df: int) -> float:
@@ -377,7 +391,6 @@ def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
     total_counts = np.zeros(5, dtype=np.int64)
     total_time = 0.0
 
-    r_price = params.price
     for rep in range(reps):
         stream = _Stream(cfg.seed, rep, as_list=interpreted)
         state = _run_segment(kernel, stream, (0, 0.0), *warmup_limit, rates,
@@ -394,10 +407,7 @@ def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
             state = _run_segment(kernel, stream, state, events, stop, rates,
                                  dwell, acc, counts, trace_log)
             batch_time = state[1] - t_start
-            completions = counts[_simkernel.COUNT_G1] + counts[_simkernel.COUNT_G2]
-            numerator = (r_price * completions - acc[0] - acc[1]
-                         - params.c_transfer * counts[_simkernel.COUNT_TRANSFER]
-                         - params.c_loss * counts[_simkernel.COUNT_LOSS])
+            numerator = _net_revenue(params, counts, acc)
             row = rep * nbatch + b
             records[row] = (rep, b, batch_time, numerator / batch_time)
             batch_pi[row] = dwell / dwell.sum()
@@ -411,12 +421,7 @@ def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
 
     # Recompute from the recorded totals so the reported decomposition
     # reproduces eta_hat bit for bit.
-    completions_total = int(total_counts[_simkernel.COUNT_G1]
-                            + total_counts[_simkernel.COUNT_G2])
-    eta_hat = (r_price * completions_total - total_acc[0] - total_acc[1]
-               - params.c_transfer * int(total_counts[_simkernel.COUNT_TRANSFER])
-               - params.c_loss * int(total_counts[_simkernel.COUNT_LOSS])
-               ) / total_time
+    eta_hat = _net_revenue(params, total_counts, total_acc) / total_time
     if reps > 1:
         samples = rep_etas
     else:

@@ -8,7 +8,8 @@ form and the cut identity
     lambda * pi_K * Delta_K = sum_{i<=K} pi_i (eta - f_i),
 
 with Delta_K = g_{K+1} - g_K and f = R*a - b, a the completion rates and b
-the cost rates of the states.
+the cost rates of the states. The potentials are anchored as solve_poisson
+anchors them by default: g_0 = 1 and g_{K+1} = g_K + Delta_K.
 """
 
 from dataclasses import dataclass
@@ -19,12 +20,14 @@ from sleepq.chain import _state_rates
 
 @dataclass(frozen=True)
 class Exact:
-    """pi, eta, Delta_K, G(n,j) = -Delta_{n+j-1} (j = 1..m), A = pi.a,
-    B = pi.b and c = R - (P2W - P2S) C1 / mu2, all as Fractions."""
+    """pi, eta, Delta_K, the potentials g with g_0 = 1, G(n,j) =
+    -Delta_{n+j-1} (j = 1..m), A = pi.a, B = pi.b and
+    c = R - (P2W - P2S) C1 / mu2, all as Fractions."""
 
     pi: list
     eta: Fraction
     delta: list
+    g: list
     prf: list
     a: Fraction
     b: Fraction
@@ -48,5 +51,8 @@ def exact(params, d) -> Exact:
         delta.append(head / (lam * p))
     wake_cost = ((Fraction(params.p2_work) - Fraction(params.p2_sleep))
                  * Fraction(params.c_energy) / Fraction(params.mu2))
-    return Exact(pi=pi, eta=eta, delta=delta,
+    g = [Fraction(1)]
+    for step in delta:
+        g.append(g[-1] + step)
+    return Exact(pi=pi, eta=eta, delta=delta, g=g,
                  prf=[-x for x in delta[params.n:]], a=a, b=b, c=price - wake_cost)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from sleepq import (
     ConfigError,
+    Generator,
     NumericalError,
     affine_decomposition,
     build_generator,
@@ -159,6 +160,14 @@ def test_a_numpy_policy_is_one_policy():
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         with pytest.raises(ValueError):
             call(params, np.array([d, d]))
+
+
+def test_numeric_oracle_refuses_a_singular_generator():
+    # No rate at all: every balance equation is 0 = 0, so the system with
+    # the normalization row is singular.
+    zero = Generator(np.zeros(2), np.zeros(3), np.zeros(2))
+    with pytest.raises(NumericalError, match="stationary solve failed"):
+        stationary_numeric(zero)
 
 
 def test_heavy_load_weights_raise_instead_of_nan():

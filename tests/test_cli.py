@@ -307,6 +307,20 @@ def test_overflowing_potentials_exit_4_on_every_route(tmp_path, capsys):
             assert method == "dense" or "not finite" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_wide_span_potentials_exit_4_on_every_route(tmp_path, capsys):
+    # The death rates run from mu1 = 1e-12 to 2: the routes' products lose
+    # so much that each residual fails the gate, and the refusal names the
+    # span. rg and explicit used to warn about it first and exit 1 under
+    # warnings as errors.
+    path = write_model(tmp_path, mu1=1e-12, mu2=1.0, n=1, m=2)
+    for method in ("rg", "dense", "explicit"):
+        assert main(["potentials", "--model", path, "--policy", "1,2",
+                     "--method", method]) == 4
+        err = capsys.readouterr().err
+        assert "exceeds tolerance; the death rates span 2.00e+12" in err, method
+
+
 def test_heavy_load_stationary_exits_4(tmp_path, capsys):
     # The all-asleep weights overflow near level 440 of 500; the law used
     # to come back with NaN entries and exit 0.
@@ -358,6 +372,17 @@ def test_price_sweep_needs_to_with_steps(model_file, capsys):
     assert main(["price-sweep", "--model", model_file, "--from", "0",
                  "--steps", "5"]) == 1
     assert "--to is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["monotonicity", "--policy", "1"], "--j is required"),
+    (["simulate", "--policy", "1"], "--horizon is required"),
+    (["price-sweep", "--from", "0", "--steps", "0"], "--steps must be >= 1"),
+])
+def test_missing_or_bad_command_value_is_usage_error(model_file, capsys, argv,
+                                                     message):
+    assert main([argv[0], "--model", model_file, *argv[1:]]) == 1
+    assert message in capsys.readouterr().err
 
 
 GOLDEN = Path(__file__).parent / "golden"

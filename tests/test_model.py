@@ -23,6 +23,7 @@ from sleepq import (
     state_space,
     threshold_policy,
     validate,
+    ValidationReport,
 )
 from conftest import micro_params
 
@@ -51,6 +52,12 @@ def test_parse_params_rejects_duplicate_and_missing():
         parse_params(text + "price=3\n")
     with pytest.raises(ConfigError, match="missing"):
         parse_params("lambda=1.0\n")
+
+
+def test_parse_params_rejects_empty_value(micro):
+    text = params_to_text(micro).replace("price=10.0", "price=  ")
+    with pytest.raises(ConfigError, match=r":14: empty value for 'price'"):
+        parse_params(text)
 
 
 def test_parse_params_rejects_non_numeric(micro):
@@ -85,6 +92,28 @@ def test_validate_errors():
     assert "lambda" in joined
     assert "p2_sleep" in joined
     assert "c_loss" in joined
+
+
+@pytest.mark.parametrize("overrides, error", [
+    (dict(n=2.0), "n must be an integer"),
+    (dict(m=True), "m must be an integer"),
+    (dict(mu1="1"), "mu1 must be a number"),
+    (dict(price=False), "price must be a number"),
+    (dict(c_loss=float("inf")), "c_loss must be finite"),
+    (dict(mu2=float("nan")), "mu2 must be finite"),
+    (dict(lambda_=0.0), "lambda must be > 0"),
+    (dict(mu1=-1.0), "mu1 must be > 0"),
+    (dict(mu2=0.0), "mu2 must be > 0"),
+    (dict(n=0), "n must be >= 1"),
+    (dict(m=0), "m must be >= 1"),
+    (dict(p2_sleep=0.0), "p2_sleep must be > 0"),
+    (dict(p2_sleep=1.0), "p2_sleep must be < p2_work"),
+    *((dict([(name, -1.0)]), f"{name} must be >= 0")
+      for name in ("c_energy", "c_hold_g1", "c_hold_g2", "c_transfer",
+                   "c_loss", "price")),
+])
+def test_validate_names_each_field(overrides, error):
+    assert validate(micro_params(**overrides)) == ValidationReport((error,), ())
 
 
 def test_validate_warns_on_advisory_conditions():
@@ -139,6 +168,13 @@ def test_enumerate_other_spaces():
     assert len(reduced) == policy_space_size(3, "reduced")
 
 
+def test_unknown_space_and_empty_level_set_are_refused():
+    with pytest.raises(ValueError, match="unknown policy space 'bogus'"):
+        policy_space_size(3, "bogus")
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        enumerate_policies(0)
+
+
 def test_space_size_gate():
     with pytest.raises(GateError, match="allow_large"):
         list(enumerate_policies(FULL_SPACE_MAX_M + 1, "full"))
@@ -158,6 +194,9 @@ def test_state_space_layout():
     assert ss.size == 5
     assert ss.states == ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2))
     assert ss.index(2, 1) == 3
+    for i, j in ((1, 1), (3, 0), (2, 3), (-1, 0)):
+        with pytest.raises(ValueError, match=rf"\({i}, {j}\) is not a state"):
+            ss.index(i, j)
     assert ss.index(1, 0) == 1
 
 

@@ -541,6 +541,15 @@ def test_extreme_high_regime_micro(micro):
         optimal_extreme_prices(micro, "low", crit=crit)
 
 
+def test_extreme_prices_compute_their_own_critical_prices():
+    # Without crit, the full-space critical prices are computed first.
+    d_star, eta = optimal_extreme_prices(micro_params(price=100.0), "high")
+    assert d_star == (1,)
+    assert eta == pytest.approx(75.86, abs=1e-10)
+    with pytest.raises(RegimeError, match="R_H"):
+        optimal_extreme_prices(sleepy_params(), "high")
+
+
 def test_extreme_low_regime_sleepy(sleepy):
     crit = critical_prices_global(sleepy)
     d_star, eta = optimal_extreme_prices(sleepy, "low", crit=crit)
@@ -614,6 +623,15 @@ def test_price_sweep_equals_per_point_optimize(space, m_max, monkeypatch):
                 at_r = dataclasses.replace(params, price=r)
                 best = max(policy_profit(at_r, p) for p in policies)
                 assert abs(eta - best) <= 1e-12 * max(1.0, abs(best)), (params, r)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([], "price grid must be nonempty"),
+    ([1.0, -0.5], "prices must be >= 0"),
+])
+def test_price_sweep_refuses_an_empty_grid_and_negative_prices(grid, message):
+    with pytest.raises(ValueError, match=message):
+        OPT.price_sweep(micro_params(m=2), grid)
 
 
 def test_price_sweep_refuses_non_finite_prices_before_searching(monkeypatch):

@@ -42,6 +42,12 @@ def test_micro_profit(micro):
     assert policy_profit(micro, (0,)) == pytest.approx(53 / 30, abs=1e-12)
 
 
+def test_average_profit_refuses_mismatched_shapes(micro):
+    sol = stationary_closed_form(micro, (1,))
+    with pytest.raises(ValueError, match=r"pi has \(3,\), f has \(2,\)"):
+        average_profit(sol, np.zeros(2))
+
+
 def test_profit_components_reconstruct_eta():
     rng = np.random.default_rng(12)
     for _ in range(10):

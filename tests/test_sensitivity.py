@@ -157,6 +157,23 @@ def test_sign_conservation_micro(micro):
     assert rep.ratio == pytest.approx(rep.pi_ratio, rel=1e-12)
 
 
+def test_sign_conservation_at_the_critical_price_is_degenerate(sleepy):
+    # At the root of G(n,1) + c the ratio of two near-zero values says
+    # nothing, so it is reported instead of tested.
+    r = critical_price_state(sleepy, (0, 0), 1)
+    at_root = dataclasses.replace(sleepy, price=r)
+    rep = sign_conservation_check(at_root, (0, 0), (1, 0), 1)
+    assert rep.degenerate
+    assert np.isnan(rep.ratio) and np.isnan(rep.rel_error)
+    assert abs(rep.value_d) < 1e-12 and abs(rep.value_d_prime) < 1e-12
+    assert rep.pi_ratio == pytest.approx(1.7339449541284404, rel=1e-12)
+
+
+def test_sign_conservation_refuses_a_change_at_another_level():
+    with pytest.raises(ValueError, match="differ at level 2, not 1"):
+        sign_conservation_check(micro_params(m=2), (0, 1), (0, 2), 1)
+
+
 def test_sign_conservation_random_pairs():
     rng = np.random.default_rng(35)
     degenerate = 0

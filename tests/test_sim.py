@@ -269,6 +269,19 @@ def test_config_validation(micro):
                                         unit="time", batch_count=2))
 
 
+@pytest.mark.parametrize("cfg, message", [
+    (SimConfig(horizon=1000, warmup=-0.1), "warmup must be nonnegative, got -0.1"),
+    (SimConfig(horizon=1000, batch_count=0, replications=2),
+     "batch_count must be >= 1"),
+    (SimConfig(horizon=1000, seed=-1), "seed must be a nonnegative integer"),
+    (SimConfig(horizon=30, warmup=0.5, batch_count=20),
+     "15 post-warmup events cannot fill 20 batches"),
+])
+def test_config_values_out_of_range_are_refused(micro, cfg, message):
+    with pytest.raises(ConfigError, match=message):
+        simulate(micro, (1,), cfg)
+
+
 @pytest.mark.parametrize("field", ["seed", "replications", "batch_count"])
 def test_non_integer_config_fields_are_config_errors(micro, field):
     for bad in (1.5, 2.0, "3", True):
