@@ -21,7 +21,10 @@ the realization factors. The key is the identity of the params object
 with the policy as check_policy returns it, never params ==: params
 whose prices are 0.0 and -0.0 compare equal but give f entries of
 different sign. The record holds params, so the identity is not reused
-while it lives. The rates and the policy are checked on every call; a
+while it lives. The policy is checked on every call, and params, by
+validate's rules bar the price's sign, whenever no record holds it: so
+each params object is validated once while it has a record, and an
+invalid one, which never gets a record, is refused on every call. A
 build that raises keeps nothing, so a refusal is raised again on every
 call. The memo is one tuple, replaced whole on each insert, so a reader
 never sees a half-made one and no lock is taken: threads that miss the
@@ -35,11 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import ModelParams, Policy, check_policy
+from .model import ModelParams, Policy, ReadOnlyRecord, _model_errors, check_policy
 
 
 @dataclass(frozen=True)
-class Generator:
+class Generator(ReadOnlyRecord):
     """The tridiagonal transition-rate matrix, held as its three bands.
 
     sub[k] is the death rate of state k+1 and sup[k] = lambda the birth
@@ -51,10 +54,6 @@ class Generator:
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
-
-    def __post_init__(self):
-        for band in (self.sub, self.diag, self.sup):
-            band.setflags(write=False)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -68,7 +67,7 @@ class Generator:
 
 
 @dataclass(frozen=True)
-class ChainSolution:
+class ChainSolution(ReadOnlyRecord):
     """Stationary distribution pi with its unnormalized weights xi.
 
     pi = xi / b where xi(0,0) = 1 and b is the normalizing constant. All
@@ -79,22 +78,6 @@ class ChainSolution:
     pi: np.ndarray
     xi: np.ndarray
     b: float
-
-    def __post_init__(self):
-        self.pi.setflags(write=False)
-        self.xi.setflags(write=False)
-
-
-def _check_rates(params: ModelParams) -> None:
-    """Refuse the rates and counts the weights multiply and divide by.
-
-    Unless they are all positive a weight divides by zero or turns
-    negative. A full validate costs more than the pass it guards.
-    """
-    for name, value in (("lambda", params.lambda_), ("mu1", params.mu1),
-                        ("mu2", params.mu2), ("n", params.n)):
-        if not value > 0:
-            raise ConfigError(f"{name} must be > 0, got {value!r}")
 
 
 def _rates(params: ModelParams, levels, minimum) -> tuple[list, list]:
@@ -137,8 +120,7 @@ def _state_rates(params: ModelParams, d: tuple) -> tuple[list[float], list[float
     stationary law and the reward read their rates from the record.
     """
     death, cost = _rates(params, enumerate(d, start=1), min)
-    if d:
-        cost[-1] += params.lambda_ * params.c_loss
+    cost[-1] += params.lambda_ * params.c_loss
     return death, cost
 
 
@@ -174,11 +156,19 @@ class PolicyRecord:
 
 
 def _policy_record(params: ModelParams, d: Policy) -> PolicyRecord:
-    """The record of policy d under params: the memo's, or one new pass."""
+    """The record of policy d under params: the memo's, or one new pass.
+
+    params is validated when no record holds it: a record is made only for
+    a valid model, so an invalid one is refused on every call.
+    """
     global _memo
-    _check_rates(params)
+    memo = _memo
+    if not any(record.params is params for record in memo):
+        errors = _model_errors(params)
+        if errors:
+            raise ConfigError("; ".join(errors))
     policy = check_policy(d, params.m)
-    for record in _memo:
+    for record in memo:
         if record.params is params and record.policy == policy:
             return record
     death, cost = _state_rates(params, policy)
@@ -192,14 +182,10 @@ def _block_rates(params: ModelParams, block: np.ndarray) -> tuple[list, list]:
 
     Each list holds the Python floats of the states (i, 0), shared by every
     row, then one level-major (m, rows) array: row j - 1 holds the rate of
-    level j under each policy row.
+    level j under each policy row. block is a (rows, m) integer array of
+    policies in range, under params that passed require_valid: every
+    caller validates first and builds its block from checked policies.
     """
-    _check_rates(params)
-    block = np.asarray(block, dtype=np.int64)
-    if block.ndim != 2 or block.shape[1] != params.m:
-        raise ValueError(f"expected (batch, {params.m}) policy array")
-    if block.size and (block.min() < 0 or block.max() > params.m):
-        raise ValueError(f"policy entries must lie in 0..{params.m}")
     # Whole numbers as floats: each product rounds once, as with ints.
     levels = np.arange(1.0, params.m + 1)[:, None]
     entries = block.T.astype(np.float64, order="C")

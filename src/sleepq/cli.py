@@ -20,7 +20,7 @@ import csv
 import functools
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .model import (
     params_digest,
     params_from_file,
     parse_policy,
+    require_valid,
     state_space,
     validate,
 )
@@ -104,12 +105,14 @@ def _provenance(params: ModelParams, command: str, meta=()) -> str:
 
 
 def _write_csv(path: str, params: ModelParams, command: str,
-               out: CommandOutput) -> None:
+               header: Sequence[str], rows: Iterable[tuple],
+               meta: Sequence[str] = ()) -> None:
+    """Write rows under the provenance lines and header, row by row."""
     with open(path, "w", encoding="utf-8", newline="") as fp:
-        fp.write(_provenance(params, command, out.meta))
+        fp.write(_provenance(params, command, meta))
         writer = csv.writer(fp)
-        writer.writerow(out.header)
-        for row in out.rows:
+        writer.writerow(header)
+        for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
 
@@ -297,7 +300,10 @@ def _cmd_simulate(params: ModelParams, args) -> CommandOutput:
         for k, (rep, batch, btime, beta) in enumerate(res.batch_records)
     )
     if args.trace_out is not None:
-        _write_trace(args.trace_out, params, res.trace, states)
+        _write_csv(args.trace_out, params, "simulate-trace",
+                   ("time", "i_before", "j_before", "event", "i_after", "j_after"),
+                   ((float(t), *states[before], event, *states[after])
+                    for t, before, event, after in res.trace))
     counts = res.counts
     meta = (f"policy={format_policy(d)}", f"seed={cfg.seed}",
             f"horizon={_fmt(cfg.horizon)}", f"warmup={_fmt(cfg.warmup)}",
@@ -320,18 +326,6 @@ def _cmd_simulate(params: ModelParams, args) -> CommandOutput:
                  f"losses {counts.losses})",
                  f"pi_hat: {pi_line}"),
     )
-
-
-def _write_trace(path: str, params: ModelParams, trace, states) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        fp.write(_provenance(params, "simulate-trace"))
-        writer = csv.writer(fp)
-        writer.writerow(("time", "i_before", "j_before", "event",
-                         "i_after", "j_after"))
-        for t, before, event, after in trace:
-            bi, bj = states[before]
-            ai, aj = states[after]
-            writer.writerow((_fmt(float(t)), bi, bj, event, ai, aj))
 
 
 def _cmd_price_sweep(params: ModelParams, args) -> CommandOutput:
@@ -478,8 +472,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         params = params_from_file(args.model)
-        report = validate(params)
         if args.command == "validate":
+            report = validate(params)
             for line in report.errors:
                 print(f"error: {line}")
             for line in report.warnings:
@@ -488,13 +482,13 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return EXIT_CONFIG
             print("ok")
             return EXIT_OK
-        if report.errors:
-            raise ConfigError("; ".join(report.errors))
+        require_valid(params)
         if args.command == "price-sweep" and args.steps > 1 and args.r_to is None:
             raise ValueError("--to is required when --steps > 1")
         out = _HANDLERS[args.command](params, args)
         if args.output is not None:
-            _write_csv(args.output, params, args.command, out)
+            _write_csv(args.output, params, args.command, out.header, out.rows,
+                       out.meta)
     except ConfigError as exc:
         print(f"sleepq: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

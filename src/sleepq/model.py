@@ -97,6 +97,17 @@ class ValidationReport:
         return not self.errors
 
 
+class ReadOnlyRecord:
+    """Base of the frozen result records: every numpy array a record holds
+    is set read-only when it is made, because records are shared (the
+    policy memo hands one record's arrays to every layer)."""
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
 def validate(params: ModelParams) -> ValidationReport:
     """Check the model invariants without raising.
 
@@ -105,9 +116,24 @@ def validate(params: ModelParams) -> ValidationReport:
     Group-2 job to a freed Group-1 server is economically sensible. The
     chain and every formula stay well defined without them.
     """
-    errors = []
+    errors = _model_errors(params, price_sign=True)
     warnings = []
+    if not errors:
+        if params.mu1 < params.mu2:
+            warnings.append("fast condition violated: mu1 < mu2")
+        if params.c_hold_g1 > params.c_hold_g2:
+            warnings.append("cheap condition violated: c_hold_g1 > c_hold_g2")
+    return ValidationReport(tuple(errors), tuple(warnings))
 
+
+def _model_errors(params: ModelParams, price_sign: bool = False) -> list[str]:
+    """The hard errors of validate, the one statement of a valid model.
+
+    The price's sign counts only with price_sign: the profit is affine in
+    the price, and a per-policy call at a negative critical price is a
+    valid one. Type errors come alone, as the other rules compare numbers.
+    """
+    errors = []
     for f in fields(ModelParams):
         value = getattr(params, f.name)
         if f.name in _INT_FIELDS:
@@ -115,10 +141,10 @@ def validate(params: ModelParams) -> ValidationReport:
                 errors.append(f"{f.name} must be an integer")
         elif not isinstance(value, (int, float)) or isinstance(value, bool):
             errors.append(f"{f.name} must be a number")
-        elif value != value or value in (float("inf"), float("-inf")):
+        elif value != value or value in (math.inf, -math.inf):
             errors.append(f"{f.name} must be finite")
     if errors:
-        return ValidationReport(tuple(errors), ())
+        return errors
 
     if params.lambda_ <= 0:
         errors.append("lambda must be > 0")
@@ -134,18 +160,13 @@ def validate(params: ModelParams) -> ValidationReport:
         errors.append("p2_sleep must be > 0")
     elif params.p2_sleep >= params.p2_work:
         errors.append("p2_sleep must be < p2_work")
-    for name in ("c_energy", "c_hold_g1", "c_hold_g2", "c_transfer", "c_loss",
-                 "price"):
+    signed = ["c_energy", "c_hold_g1", "c_hold_g2", "c_transfer", "c_loss"]
+    if price_sign:
+        signed.append("price")
+    for name in signed:
         if getattr(params, name) < 0:
             errors.append(f"{name} must be >= 0")
-
-    if not errors:
-        if params.mu1 < params.mu2:
-            warnings.append("fast condition violated: mu1 < mu2")
-        if params.c_hold_g1 > params.c_hold_g2:
-            warnings.append("cheap condition violated: c_hold_g1 > c_hold_g2")
-
-    return ValidationReport(tuple(errors), tuple(warnings))
+    return errors
 
 
 def require_valid(params: ModelParams) -> ModelParams:

@@ -44,6 +44,7 @@ from .model import (
     BLOCK_SIZE,
     ModelParams,
     Policy,
+    ReadOnlyRecord,
     _check_count,
     _gated_size,
     _level_values,
@@ -74,7 +75,7 @@ class OptimizationResult:
 
 
 @dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(ReadOnlyRecord):
     """Scan of the threshold family d_theta, theta = 1..m+1.
 
     theta_star is the minimal maximizer of eta_by_theta, so on an exact tie
@@ -97,12 +98,9 @@ class ThresholdResult:
     necessary_condition: tuple[float, float, float]
     necessary_condition_proof_form: float
 
-    def __post_init__(self):
-        self.eta_by_theta.setflags(write=False)
-
 
 @dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(ReadOnlyRecord):
     """Profit sweep over one policy coordinate.
 
     etas[v] is the profit with coordinate j set to v (0..m). On {j..m} the
@@ -123,10 +121,6 @@ class MonotonicityReport:
     expected_direction: str | None
     argmax_value: int
     ok: bool
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-        self.etas.setflags(write=False)
 
 
 def _block_profits(params: ModelParams, block: np.ndarray,

@@ -45,12 +45,12 @@ import numpy as np
 from .chain import (ChainSolution, Generator, _generator, _policy_record,
                     _require_finite, _stationary)
 from .errors import ConsistencyError, NumericalError
-from .model import ModelParams, Policy
+from .model import ModelParams, Policy, ReadOnlyRecord
 from .reward import _eta, _reward
 
 
 @dataclass(frozen=True)
-class RGFactors:
+class RGFactors(ReadOnlyRecord):
     """Scalar U and R measures of the UL factorization of the reduced matrix.
 
     u[k] = -nu_k < 0 is the k-th diagonal factor, minus the death rate of
@@ -64,13 +64,9 @@ class RGFactors:
     u: np.ndarray
     r: np.ndarray
 
-    def __post_init__(self):
-        self.u.setflags(write=False)
-        self.r.setflags(write=False)
-
 
 @dataclass(frozen=True)
-class PotentialSolution:
+class PotentialSolution(ReadOnlyRecord):
     """A solved potential vector with its provenance.
 
     g covers the full state space (entry 0 is the anchor state), and
@@ -86,10 +82,6 @@ class PotentialSolution:
     residual: float
     method: str
     phi_h: np.ndarray
-
-    def __post_init__(self):
-        self.g.setflags(write=False)
-        self.phi_h.setflags(write=False)
 
 
 def reduced_matrix(gen: Generator) -> np.ndarray:

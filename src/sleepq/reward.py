@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSolution, PolicyRecord, _policy_record, _stationary
-from .model import ModelParams, Policy
+from .model import ModelParams, Policy, ReadOnlyRecord
 
 
 @dataclass(frozen=True)
-class AffineReward:
+class AffineReward(ReadOnlyRecord):
     """Coefficients of f = price * a - b.
 
     a holds the revenue rates (the completion rate of each state) and b the
@@ -30,10 +30,6 @@ class AffineReward:
 
     a: np.ndarray
     b: np.ndarray
-
-    def __post_init__(self):
-        self.a.setflags(write=False)
-        self.b.setflags(write=False)
 
 
 def affine_decomposition(params: ModelParams, d: Policy) -> AffineReward:

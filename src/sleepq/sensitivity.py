@@ -65,6 +65,7 @@ from .model import (
     BLOCK_SIZE,
     ModelParams,
     Policy,
+    ReadOnlyRecord,
     _check_count,
     _gated_size,
     _policy_block,
@@ -79,7 +80,7 @@ DEGENERATE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class SensitivityReport:
+class SensitivityReport(ReadOnlyRecord):
     """Realization factors and critical prices of one policy.
 
     prf[j-1] = G(n,j); crit_prices[j-1] is the root of G(n,j)+c in R (NaN
@@ -91,11 +92,6 @@ class SensitivityReport:
     c: float
     crit_prices: np.ndarray
     signs: np.ndarray
-
-    def __post_init__(self):
-        self.prf.setflags(write=False)
-        self.crit_prices.setflags(write=False)
-        self.signs.setflags(write=False)
 
 
 @dataclass(frozen=True)

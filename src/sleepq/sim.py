@@ -25,8 +25,8 @@ import numpy as np
 from . import _simkernel
 from ._simkernel import DONE, REFILL
 from .errors import ConfigError, NumericalError
-from .model import (ModelParams, Policy, _is_integer, check_policy, require_valid,
-                    state_space)
+from .model import (ModelParams, Policy, ReadOnlyRecord, _is_integer, check_policy,
+                    require_valid, state_space)
 
 #: Uniforms drawn per refill; results do not depend on this value. Kept
 #: small because the interpreted kernel holds them as Python floats.
@@ -91,7 +91,7 @@ class EventCounts:
 
 
 @dataclass(frozen=True)
-class SimResult:
+class SimResult(ReadOnlyRecord):
     """Estimates from the post-warmup portion of all replications.
 
     eta_hat = (R*completions - energy_integral - holding_integral
@@ -112,12 +112,6 @@ class SimResult:
     batch_records: np.ndarray
     batch_pi: np.ndarray
     trace: list | None = None
-
-    def __post_init__(self):
-        self.pi_hat.setflags(write=False)
-        self.replication_etas.setflags(write=False)
-        self.batch_records.setflags(write=False)
-        self.batch_pi.setflags(write=False)
 
 
 def _validate_config(cfg: SimConfig) -> None:

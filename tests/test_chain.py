@@ -1,6 +1,7 @@
 """Generator structure and the closed-form stationary distribution."""
 
 import dataclasses
+import re
 import sys
 import threading
 import warnings
@@ -16,6 +17,7 @@ from sleepq import (
     affine_decomposition,
     build_generator,
     critical_prices_global,
+    optimize,
     perturbation_factors,
     policy_profit,
     realization_factors,
@@ -193,20 +195,74 @@ def test_overflowing_normalizer_raises_without_a_warning():
 
 @pytest.mark.parametrize("entry", [
     lambda p: stationary_closed_form(p, (1,)),
+    lambda p: build_generator(p, (1,)),
+    lambda p: build_reward(p, (1,)),
+    lambda p: affine_decomposition(p, (1,)),
     lambda p: policy_profit(p, (1,)),
     lambda p: solve_poisson(p, (1,)),
     lambda p: perturbation_factors(p, (1,)),
     lambda p: critical_prices_global(p),
-], ids=["stationary", "profit", "poisson", "factors", "critical_prices"])
-@pytest.mark.parametrize("overrides, field", [
-    (dict(mu1=0.0), "mu1"),
-    (dict(lambda_=-1.0), "lambda"),
-], ids=["mu1_zero", "lambda_negative"])
-def test_rates_validate_rejects_raise_config_error(entry, overrides, field):
-    # Such a model divides by a zero death rate or gives negative weights;
-    # the closed form refuses it as optimize and simulate do.
-    with pytest.raises(ConfigError, match=field):
+], ids=["stationary", "generator", "reward", "affine", "profit", "poisson",
+        "factors", "critical_prices"])
+@pytest.mark.parametrize("overrides, message", [
+    (dict(mu1=0.0), "mu1 must be > 0"),
+    (dict(lambda_=-1.0), "lambda must be > 0"),
+    (dict(m=0), "m must be >= 1"),
+    (dict(n=1.5), "n must be an integer"),
+    (dict(c_loss=float("nan")), "c_loss must be finite"),
+    (dict(p2_sleep=2.0), "p2_sleep must be < p2_work"),
+    (dict(c_energy=-1.0), "c_energy must be >= 0"),
+], ids=["mu1_zero", "lambda_negative", "m_zero", "n_fractional", "c_loss_nan",
+        "p2_sleep_above_p2_work", "c_energy_negative"])
+def test_rates_validate_rejects_raise_config_error(entry, overrides, message):
+    # Every entry point holds the model to validate's rules: a zero death
+    # rate divides by zero, m = 0 drops the full state's loss cost, and a
+    # NaN cost is no overflow. Each is refused, as optimize and simulate do.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         entry(micro_params(**overrides))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: policy_profit(p, (1,)),
+    lambda p: solve_poisson(p, (1,)).g,
+    lambda p: perturbation_factors(p, (1,)).prf,
+], ids=["profit", "poisson", "factors"])
+def test_per_policy_calls_answer_at_a_negative_critical_price(call):
+    # The profit is affine in the price, and the README model's R_L is
+    # negative: a per-policy call there answers, a search refuses.
+    params = micro_params()
+    r_low = critical_prices_global(params).r_low
+    assert r_low == pytest.approx(-5.7)
+    at_root = dataclasses.replace(params, price=r_low)
+    assert np.all(np.isfinite(call(at_root)))
+    with pytest.raises(ConfigError, match="^price must be >= 0$"):
+        optimize(at_root)
+
+
+def test_each_params_object_is_validated_once(monkeypatch):
+    calls = []
+
+    def counted(params):
+        calls.append(id(params))
+        return model_errors(params)
+
+    model_errors = chain._model_errors
+    monkeypatch.setattr(chain, "_model_errors", counted)
+    params = micro_params(n=2, m=3)
+    policy_profit(params, (0, 2, 3))
+    solve_poisson(params, (1, 1, 1))
+    build_reward(params, (0, 2, 3))
+    assert calls == [id(params)]
+    fresh = dataclasses.replace(params)
+    stationary_closed_form(fresh, (0, 2, 3))
+    assert calls == [id(params), id(fresh)]
+    bad = dataclasses.replace(params, m=0)
+    memo = chain._memo
+    for _ in range(3):
+        with pytest.raises(ConfigError, match="^m must be >= 1$"):
+            policy_profit(bad, ())
+    assert calls == [id(params), id(fresh)] + [id(bad)] * 3
+    assert chain._memo is memo
 
 
 def test_detailed_balance_on_birth_death_cuts():

@@ -11,6 +11,10 @@ from sleepq import (
     FULL_SPACE_MAX_M,
     GateError,
     ModelParams,
+    SimConfig,
+    affine_decomposition,
+    build_generator,
+    build_reward,
     check_policy,
     enumerate_policies,
     format_policy,
@@ -19,11 +23,20 @@ from sleepq import (
     params_to_text,
     parse_params,
     parse_policy,
+    perturbation_factors,
     policy_space_size,
+    reanchor,
+    rg_factorize,
+    simulate,
+    solve_poisson,
     state_space,
+    stationary_closed_form,
+    stationary_numeric,
     threshold_policy,
+    threshold_scan,
     validate,
     ValidationReport,
+    verify_monotonicity,
 )
 from conftest import micro_params
 
@@ -219,3 +232,36 @@ def test_digest_changes_with_any_field(micro):
         bumped = dataclasses.replace(
             micro, **{f.name: getattr(micro, f.name) + 1})
         assert params_digest(bumped) != base
+
+
+@pytest.mark.parametrize("make, names", [
+    (stationary_closed_form, ("pi", "xi")),
+    (lambda p, d: stationary_numeric(build_generator(p, d)), ("pi", "xi")),
+    (build_generator, ("sub", "diag", "sup")),
+    (build_reward, None),
+    (affine_decomposition, ("a", "b")),
+    (lambda p, d: rg_factorize(build_generator(p, d)), ("u", "r")),
+    (solve_poisson, ("g", "phi_h")),
+    (lambda p, d: solve_poisson(p, d, normalization="fundamental"), ("g", "phi_h")),
+    (lambda p, d: reanchor(solve_poisson(p, d), 3.0), ("g", "phi_h")),
+    (perturbation_factors, ("prf", "crit_prices", "signs")),
+    (lambda p, d: threshold_scan(p), ("eta_by_theta",)),
+    (lambda p, d: verify_monotonicity(p, d, 2), ("values", "etas")),
+    (lambda p, d: simulate(p, d, SimConfig(horizon=2000, seed=1)),
+     ("pi_hat", "replication_etas", "batch_records", "batch_pi")),
+], ids=["stationary", "numeric", "generator", "reward", "affine", "rg",
+        "poisson", "fundamental", "reanchor", "factors", "threshold",
+        "monotonicity", "simulate"])
+def test_result_arrays_are_read_only(make, names):
+    # The policy memo hands one record's arrays to every caller, so no
+    # caller may write into them. build_reward returns f itself.
+    result = make(micro_params(n=2, m=3), (0, 2, 3))
+    if names is None:
+        arrays = {"f": result}
+    else:
+        arrays = {name: value for name, value in vars(result).items()
+                  if isinstance(value, np.ndarray)}
+        assert sorted(arrays) == sorted(names)
+    for array in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
