@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import _block_rates, _profit_rates, _require_finite, stationary_closed_form
-from .errors import ConfigError, ConsistencyError, NumericalError, RegimeError
+from .errors import ConfigError, ConsistencyError, RegimeError
 from .model import (
     BLOCK_SIZE,
     ModelParams,
@@ -625,48 +625,6 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
     return rows, crit
 
 
-def _extreme_closed_form(params: ModelParams, regime: str) -> tuple[Policy, float]:
-    """The displayed closed-form optimum for an extreme-price regime.
-
-    regime "high": d* = (1,...,m), death rates n*mu1 + j*mu2; regime
-    "low": d* = (0,...,0), death rates n*mu1 and all group-2 servers
-    asleep. Written out term by term, independent of the generic
-    evaluator, so the two can be cross-checked.
-    """
-    n, m = params.n, params.m
-    lam, mu1, mu2 = params.lambda_, params.mu1, params.mu2
-    r = params.price
-
-    base_energy = (n * params.p1_work + m * params.p2_sleep) * params.c_energy
-    i_arr = np.arange(n + 1)
-    f_low = r * i_arr * mu1 - (base_energy + i_arr * params.c_hold_g1)
-
-    j_arr = np.arange(1, m + 1)
-    if regime == "high":
-        d_star: Policy = tuple(range(1, m + 1))
-        nu = n * mu1 + j_arr * mu2
-        energy = (n * params.p1_work + j_arr * params.p2_work
-                  + (m - j_arr) * params.p2_sleep) * params.c_energy
-    else:
-        d_star = (0,) * m
-        nu = np.full(m, n * mu1, dtype=np.float64)
-        energy = np.full(m, base_energy)
-    cost = (energy + n * params.c_hold_g1 + j_arr * params.c_hold_g2
-            + n * mu1 * params.c_transfer)
-    cost[m - 1] += lam * params.c_loss
-    f_top = r * nu - cost
-
-    # Normalized first: weights times f can overflow where pi does not.
-    with np.errstate(over="ignore"):
-        xi_low = np.cumprod(np.concatenate(
-            [[1.0], lam / (np.arange(1, n + 1) * mu1)]))
-        xi_top = xi_low[n] * np.cumprod(lam / nu)
-        total = xi_low.sum() + xi_top.sum()
-    _require_finite(total, "stationary weights")
-    eta = (xi_low / total) @ f_low + (xi_top / total) @ f_top
-    return d_star, float(eta)
-
-
 def optimal_extreme_prices(params: ModelParams, regime: str,
                            crit=None, allow_large: bool = False,
                            ) -> tuple[Policy, float]:
@@ -676,7 +634,8 @@ def optimal_extreme_prices(params: ModelParams, regime: str,
     (1,...,m); regime "low" requires price <= R_L and yields all-asleep.
     crit may carry precomputed critical prices; otherwise they are
     computed over the full space (gated at m <= 8, as optimize is). The
-    closed-form eta is cross-checked against generic evaluation to 1e-10.
+    closed form is the policy; its eta is that policy's policy_profit, so
+    weights that overflow raise NumericalError there.
     """
     require_valid(params)
     if regime not in ("high", "low"):
@@ -696,13 +655,8 @@ def optimal_extreme_prices(params: ModelParams, regime: str,
                 "the all-asleep closed form is not established"
             )
 
-    d_star, eta = _extreme_closed_form(params, regime)
-    generic = policy_profit(params, d_star)
-    if abs(eta - generic) > 1e-10 * max(1.0, abs(generic)):
-        raise NumericalError(
-            f"closed-form eta {eta!r} disagrees with generic {generic!r}"
-        )
-    return d_star, eta
+    d_star = threshold_policy(params.m, 1 if regime == "high" else params.m + 1)
+    return d_star, policy_profit(params, d_star)
 
 
 def threshold_scan(params: ModelParams) -> ThresholdResult:
@@ -751,7 +705,7 @@ def verify_monotonicity(params: ModelParams, d: Policy, j: int,
     integer in 1..m raises ValueError.
     """
     require_valid(params)
-    check_policy(d, params.m)
+    d = check_policy(d, params.m)
     _check_count(j, f"j must be an integer in 1..{params.m}", params.m)
     m = params.m
 

@@ -332,10 +332,11 @@ def performance_difference(params: ModelParams, d: Policy,
 
 
 def _single_change_level(params: ModelParams, d: Policy, d_prime: Policy,
-                         j: int | None = None) -> int:
-    """The 1-based level where d and d_prime differ (and nowhere else)."""
-    check_policy(d, params.m)
-    check_policy(d_prime, params.m)
+                         j: int | None = None) -> tuple[int, Policy, Policy]:
+    """(j, d, d_prime): the 1-based level where the checked int tuples of
+    d and d_prime differ (and nowhere else), and those tuples."""
+    d = check_policy(d, params.m)
+    d_prime = check_policy(d_prime, params.m)
     diffs = [i + 1 for i in range(params.m) if d[i] != d_prime[i]]
     if len(diffs) > 1:
         raise ValueError(f"policies differ at levels {diffs}, expected one")
@@ -350,7 +351,7 @@ def _single_change_level(params: ModelParams, d: Policy, d_prime: Policy,
             f"closed form needs both coordinate values in 0..{j}; "
             f"got {d[j - 1]} and {d_prime[j - 1]} at level {j}"
         )
-    return j
+    return j, d, d_prime
 
 
 def single_coordinate_difference(params: ModelParams, d: Policy,
@@ -360,7 +361,7 @@ def single_coordinate_difference(params: ModelParams, d: Policy,
     Closed form mu2 * pi'(n,j) * (d'_j - d_j) * [G^d(n,j) + c]. Both
     coordinate values must lie in {0..j}.
     """
-    j = _single_change_level(params, d, d_prime)
+    j, d, d_prime = _single_change_level(params, d, d_prime)
     value = _factor_plus_c(params, d, j)
     pi_prime = stationary_closed_form(params, d_prime).pi
     return float(params.mu2 * pi_prime[params.n + j]
@@ -377,7 +378,7 @@ def sign_conservation_check(params: ModelParams, d: Policy, d_prime: Policy,
     1..m raises ValueError.
     """
     _check_count(j, f"j must be an integer in 1..{params.m}", params.m)
-    _single_change_level(params, d, d_prime, j)
+    _, d, d_prime = _single_change_level(params, d, d_prime, j)
     value_d = float(_factor_plus_c(params, d, j))
     value_dp = float(_factor_plus_c(params, d_prime, j))
     idx = params.n + j

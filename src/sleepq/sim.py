@@ -333,7 +333,7 @@ def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
     state_after) tuples across the whole run including warmup.
     """
     require_valid(params)
-    check_policy(d, params.m)
+    d = check_policy(d, params.m)
     _validate_config(cfg)
 
     kernel = _simkernel.kernel_jit

@@ -50,6 +50,7 @@ from conftest import (
     sleepy_params,
     well_conditioned,
 )
+from exact import exact
 
 SEED = 20260814
 
@@ -318,7 +319,7 @@ def test_c09_extreme_regime_closed_form_optima():
     rng = np.random.default_rng(SEED + 9)
     counts = {"high": 0, "low": 0}
     policy_matches = 0
-    worst = 0.0
+    worst = worst_exact = 0.0
     for params, crit in _extreme_price_corpus(rng, random_count=8,
                                               low_count=4):
         priced = {"high": dataclasses.replace(
@@ -333,11 +334,18 @@ def test_c09_extreme_regime_closed_form_optima():
             gap = abs(eta_closed - generic.best_eta)
             worst = max(worst, gap)
             assert gap <= 1e-10
+            # The independent check of the displayed optimum: the exact
+            # rational profit of the closed-form policy.
+            scale = max(1.0, abs(eta_closed))
+            exact_gap = abs(eta_closed - float(exact(inst, policy).eta)) / scale
+            worst_exact = max(worst_exact, exact_gap)
+            assert exact_gap <= 1e-12
             policy_matches += policy == generic.best_policy
             counts[regime] += 1
     assert counts["high"] >= 10 and counts["low"] >= 3
     return (f"{counts['high']} high / {counts['low']} low regimes, "
             f"worst closed-form gap {worst:.2e}, "
+            f"worst relative gap to exact {worst_exact:.2e}, "
             f"{policy_matches} argmax matches")
 
 

@@ -55,3 +55,22 @@ def test_imports_point_down_and_sit_at_module_level():
             elif not at_top:
                 bad.append(f"{where} inside a function")
     assert not bad, "\n".join(bad)
+
+
+# The fields that enter the rates only, not validate's rules or the model's
+# file format. chain forms the rates; sim keeps its own copy on purpose, so
+# acceptance criterion 12 checks the analytic law against an independent one.
+RATE_FIELDS = {"p1_work", "c_hold_g1", "c_hold_g2", "c_transfer", "c_loss"}
+RATE_MODULES = {"model", "chain", "sim"}
+
+
+def test_only_chain_and_sim_form_the_rates():
+    bad = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in RATE_MODULES:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bad += [f"{path.name}:{node.lineno} reads .{node.attr}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in RATE_FIELDS]
+    assert not bad, "\n".join(bad)

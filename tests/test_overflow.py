@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sleepq import (
+    CriticalPrices,
     SleepqError,
     build_generator,
     critical_prices_global,
@@ -26,7 +27,7 @@ from sleepq import (
     threshold_scan,
     verify_monotonicity,
 )
-from sleepq.optimize import _extreme_closed_form, price_sweep
+from sleepq.optimize import price_sweep
 from sleepq.potential import SOLVE_METHODS
 from conftest import draw_params, overflowed_corpus, random_policy
 
@@ -80,22 +81,23 @@ def test_entry_points_answer_or_refuse_without_a_warning(name, corpus):
 
 
 @pytest.mark.filterwarnings("error")
-def test_extreme_closed_form_answers_where_policy_profit_does(corpus):
-    # Weights near 1e300 times the profit rates overflowed the closed
-    # form's dot products, while pi, and so policy_profit, stayed finite.
+def test_extreme_prices_answer_where_policy_profit_does(corpus):
+    # Weights near 1e300 times the profit rates overflow where pi, and so
+    # policy_profit, stays finite. Critical prices at the price itself
+    # force each regime.
     answered = 0
     for params, _ in corpus:
+        crit = CriticalPrices(params.price, params.price, "full", True)
         for regime, d_star in (("high", _awake(params)), ("low", (0,) * params.m)):
             try:
                 generic = policy_profit(params, d_star)
             except SleepqError:
                 with pytest.raises(SleepqError, match="not finite"):
-                    _extreme_closed_form(params, regime)
+                    optimal_extreme_prices(params, regime, crit=crit)
                 continue
             answered += 1
-            got, eta = _extreme_closed_form(params, regime)
-            assert got == d_star
-            assert abs(eta - generic) <= 1e-10 * max(1.0, abs(generic)), params
+            got = optimal_extreme_prices(params, regime, crit=crit)
+            assert got == (d_star, generic)
     assert answered == 31
 
 

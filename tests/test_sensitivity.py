@@ -137,6 +137,18 @@ def test_difference_formula_random_pairs():
         assert abs(closed - direct) < 1e-9 * scale
 
 
+def test_unsigned_policies_are_read_as_their_values():
+    # uint8 entries must not wrap: 0 - 1 is -1 here, not 255.
+    params = micro_params(m=2)
+    d, d_prime = np.array([1, 2], np.uint8), np.array([0, 2], np.uint8)
+    closed = single_coordinate_difference(params, d, d_prime)
+    assert closed == single_coordinate_difference(params, (1, 2), (0, 2))
+    direct = policy_profit(params, (0, 2)) - policy_profit(params, (1, 2))
+    assert closed == pytest.approx(direct, abs=1e-12)
+    assert (sign_conservation_check(params, d, d_prime, 1)
+            == sign_conservation_check(params, (1, 2), (0, 2), 1))
+
+
 def test_single_coordinate_domain_is_enforced(micro):
     params = micro_params(m=3)
     # differs in two coordinates

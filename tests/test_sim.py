@@ -330,6 +330,16 @@ def test_policy_changes_the_law(micro):
     assert asleep.pi_hat[-1] > awake.pi_hat[-1]
 
 
+def test_unsigned_policy_simulates_as_its_values():
+    # m - d_j must not be formed in uint8, where m = 300 is out of bounds.
+    params = micro_params(m=300)
+    cfg = SimConfig(horizon=100, warmup=0, batch_count=2)
+    unsigned = simulate(params, np.zeros(300, np.uint8), cfg)
+    plain = simulate(params, (0,) * 300, cfg)
+    assert unsigned.eta_hat == plain.eta_hat
+    assert np.array_equal(unsigned.batch_records, plain.batch_records)
+
+
 def test_runtime_path_needs_no_scipy(tmp_path):
     # scipy is a test-only dependency: with every scipy import refused, the
     # package imports, simulates in both units and runs the simulate command.
