@@ -331,12 +331,12 @@ def _cmd_simulate(params: ModelParams, args) -> CommandOutput:
 def _cmd_price_sweep(params: ModelParams, args) -> CommandOutput:
     if args.steps < 1:
         raise ValueError("--steps must be >= 1")
-    if args.steps == 1:
-        grid = [args.r_from]
-    else:
-        # linspace would turn an infinite end into NaN prices, with a warning.
-        _price_grid((args.r_from, args.r_to))
-        grid = list(np.linspace(args.r_from, args.r_to, args.steps))
+    if args.steps > 1 and args.r_to is None:
+        raise ValueError("--to is required when --steps > 1")
+    ends = (args.r_from, args.r_to if args.steps > 1 else args.r_from)
+    # linspace would turn an infinite end into NaN prices, with a warning.
+    _price_grid(ends)
+    grid = list(np.linspace(*ends, args.steps))
     rows, crit = price_sweep(params, grid, args.space,
                              allow_large=args.allow_large)
     m = params.m
@@ -360,20 +360,6 @@ def _cmd_price_sweep(params: ModelParams, args) -> CommandOutput:
     )
 
 
-_HANDLERS = {
-    "stationary": _cmd_stationary,
-    "reward": _cmd_reward,
-    "potentials": _cmd_potentials,
-    "sensitivity": _cmd_sensitivity,
-    "critical-prices": _cmd_critical_prices,
-    "optimize": _cmd_optimize,
-    "threshold": _cmd_threshold,
-    "monotonicity": _cmd_monotonicity,
-    "simulate": _cmd_simulate,
-    "price-sweep": _cmd_price_sweep,
-}
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.
@@ -394,48 +380,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
 
-    def add(name: str, help_text: str):
+    def add(name: str, help_text: str, handler=None, policy=False, space=False):
+        """One command: its handler, --model, --output and, when asked,
+        --policy or the --space and --allow-large of a search."""
         p = sub.add_parser(name, help=help_text, description=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--model", required=True, metavar="PATH",
                        help="model config file (key=value lines)")
         p.add_argument("--output", metavar="PATH",
                        help="also write the table as CSV to this path")
+        if policy:
+            p.add_argument("--policy", metavar="D", help="comma-separated policy")
+        if space:
+            p.add_argument("--space", choices=POLICY_SPACES, default="full")
+            p.add_argument("--allow-large", action="store_true",
+                           help="override the search-space size gate")
         return p
 
     add("validate", "Check the config and report errors and warnings.")
+    add("stationary", "Stationary distribution of a policy.", _cmd_stationary,
+        policy=True)
+    add("reward", "Reward vector and average profit of a policy.", _cmd_reward,
+        policy=True)
 
-    p = add("stationary", "Stationary distribution of a policy.")
-    p.add_argument("--policy", metavar="D", help="comma-separated policy")
-
-    p = add("reward", "Reward vector and average profit of a policy.")
-    p.add_argument("--policy", metavar="D")
-
-    p = add("potentials", "Performance potentials of a policy.")
-    p.add_argument("--policy", metavar="D")
+    p = add("potentials", "Performance potentials of a policy.", _cmd_potentials,
+            policy=True)
     p.add_argument("--normalization", choices=("anchored", "fundamental"),
                    default="anchored")
     p.add_argument("--anchor", type=float, default=1.0,
                    help="value pinned at the empty state (anchored mode)")
     p.add_argument("--method", choices=SOLVE_METHODS, default="rg")
 
-    p = add("sensitivity", "Perturbation factors and critical prices.")
-    p.add_argument("--policy", metavar="D")
+    add("sensitivity", "Perturbation factors and critical prices.",
+        _cmd_sensitivity, policy=True)
+    add("critical-prices", "Global price thresholds R_H and R_L.",
+        _cmd_critical_prices, space=True)
 
-    p = add("critical-prices", "Global price thresholds R_H and R_L.")
-    p.add_argument("--space", choices=POLICY_SPACES, default="full")
-    p.add_argument("--allow-large", action="store_true",
-                   help="override the search-space size gate")
-
-    p = add("optimize", "Best policy of a policy space, by exact search.")
-    p.add_argument("--space", choices=POLICY_SPACES, default="full")
+    p = add("optimize", "Best policy of a policy space, by exact search.",
+            _cmd_optimize, space=True)
     p.add_argument("--top-k", type=int, default=None, metavar="K",
                    help="also report the K best policies")
-    p.add_argument("--allow-large", action="store_true")
 
-    add("threshold", "Profit across all threshold policies.")
+    add("threshold", "Profit across all threshold policies.", _cmd_threshold)
 
-    p = add("monotonicity", "Profit shape along one policy coordinate.")
-    p.add_argument("--policy", metavar="D")
+    p = add("monotonicity", "Profit shape along one policy coordinate.",
+            _cmd_monotonicity, policy=True)
     p.add_argument("--j", type=int, metavar="J",
                    help="backlog level whose coordinate is swept")
     p.add_argument("--r-high", type=float, default=None,
@@ -443,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-low", type=float, default=None,
                    help="price threshold below which profit must decrease")
 
-    p = add("simulate", "Estimate eta and the state law by simulation.")
-    p.add_argument("--policy", metavar="D")
+    p = add("simulate", "Estimate eta and the state law by simulation.",
+            _cmd_simulate, policy=True)
     p.add_argument("--horizon", type=float, default=None,
                    help="run length per replication")
     p.add_argument("--warmup", type=float, default=0.1,
@@ -456,14 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", metavar="PATH", default=None,
                    help="write the event log as CSV to this path")
 
-    p = add("price-sweep", "Re-optimize along a price grid.")
+    p = add("price-sweep", "Re-optimize along a price grid.", _cmd_price_sweep,
+            space=True)
     p.add_argument("--from", dest="r_from", type=float, required=True,
                    metavar="R0")
     p.add_argument("--to", dest="r_to", type=float, default=None,
                    metavar="R1")
     p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--space", choices=POLICY_SPACES, default="full")
-    p.add_argument("--allow-large", action="store_true")
 
     return parser
 
@@ -483,9 +471,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print("ok")
             return EXIT_OK
         require_valid(params)
-        if args.command == "price-sweep" and args.steps > 1 and args.r_to is None:
-            raise ValueError("--to is required when --steps > 1")
-        out = _HANDLERS[args.command](params, args)
+        out = args.handler(params, args)
         if args.output is not None:
             _write_csv(args.output, params, args.command, out.header, out.rows,
                        out.meta)

@@ -246,8 +246,7 @@ def threshold_policy(m: int, theta: int) -> Policy:
     For theta = 1..m+1: entries 1..theta-1 are 0 and entry j >= theta is j.
     theta = m + 1 keeps every Group-2 server asleep.
     """
-    if not 1 <= theta <= m + 1:
-        raise ValueError(f"theta must be in 1..{m + 1}, got {theta}")
+    _check_count(theta, f"theta must be an integer in 1..{m + 1}", m + 1)
     return tuple(0 for _ in range(1, theta)) + tuple(range(theta, m + 1))
 
 
@@ -382,8 +381,9 @@ def parse_params(text: str, source: str = "<config>") -> ModelParams:
         try:
             kwargs[field] = int(value) if field in _INT_FIELDS else float(value)
         except ValueError as exc:
+            rule = "must be an integer" if field in _INT_FIELDS else "is not a number"
             raise ConfigError(
-                f"{source}: value for {key!r} is not a number: {value!r}"
+                f"{source}: value for {key!r} {rule}: {value!r}"
             ) from exc
     return ModelParams(**kwargs)
 

@@ -274,7 +274,8 @@ def _product_candidates(params: ModelParams, space: str, k: int,
                   profit.reshape([q] + shape)
                   .transpose(0, *range(split, 0, -1)).reshape(q, -1),
                   weight.reshape(shape).transpose().ravel())
-        per = max(1, BLOCK_SIZE // q) // leaves
+        # A chunk of split-level prefixes, never more than there are.
+        per = min(max(1, BLOCK_SIZE // q) // leaves, prefix[0].size)
         rows = per * leaves
         small = rows // levels[m - 1].size
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, table output, and CSV files."""
 
+import argparse
 import warnings
 from pathlib import Path
 
@@ -93,6 +94,32 @@ def test_missing_required_flag_is_usage_error(capsys):
 def test_missing_policy_is_usage_error(model_file, capsys):
     assert main(["stationary", "--model", model_file]) == 1
     assert "--policy is required" in capsys.readouterr().err
+
+
+def test_every_command_documents_its_options():
+    sub, = (action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+
+    def helps(option):
+        return {name: action.help for name, p in sub.choices.items()
+                for action in p._actions if option in action.option_strings}
+
+    policy = {"stationary", "reward", "potentials", "sensitivity",
+              "monotonicity", "simulate"}
+    search = {"critical-prices", "optimize", "price-sweep"}
+    assert helps("--policy") == dict.fromkeys(policy, "comma-separated policy")
+    assert helps("--space").keys() == search
+    assert helps("--allow-large") == dict.fromkeys(
+        search, "override the search-space size gate")
+    assert {name for name, p in sub.choices.items()
+            if p.get_default("handler") is None} == {"validate"}
+
+
+def test_fractional_count_in_model_is_config_error(tmp_path, capsys):
+    path = tmp_path / "frac.cfg"
+    path.write_text(params_to_text(micro_params()).replace("m=1\n", "m=2.5\n"))
+    assert main(["validate", "--model", str(path)]) == 2
+    assert "value for 'm' must be an integer: '2.5'" in capsys.readouterr().err
 
 
 def test_bad_policy_string(model_file, capsys):

@@ -79,6 +79,14 @@ def test_parse_params_rejects_non_numeric(micro):
         parse_params(text)
 
 
+@pytest.mark.parametrize("key, value", [("n", "1.0"), ("m", "2.5"), ("n", "one")])
+def test_parse_params_states_the_integer_rule(micro, key, value):
+    text = params_to_text(micro).replace(f"{key}=1\n", f"{key}={value}\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_params(text)
+    assert str(exc.value) == f"<config>: value for {key!r} must be an integer: {value!r}"
+
+
 def test_params_from_file_missing(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         params_from_file(tmp_path / "absent.cfg")
@@ -162,6 +170,12 @@ def test_threshold_policy_shape():
     assert threshold_policy(4, 5) == (0, 0, 0, 0)
     with pytest.raises(ValueError):
         threshold_policy(4, 0)
+
+
+@pytest.mark.parametrize("theta", [True, 1.5, 0, 6])
+def test_threshold_policy_takes_only_an_integer_in_range(theta):
+    with pytest.raises(ValueError, match=r"theta must be an integer in 1\.\.5"):
+        threshold_policy(4, theta)
 
 
 def test_enumerate_full_space_is_lexicographic():

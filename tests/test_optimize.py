@@ -167,6 +167,16 @@ def test_walk_holds_one_leaf_sized_buffer_set():
     assert dp_peak < 2**17
 
 
+def test_walk_buffers_fit_a_space_smaller_than_a_chunk():
+    # Buffers for a whole chunk of split-level prefixes peak at 1.5 MB on
+    # the 6**5 policies of full m=5; sized to the prefixes there are, the
+    # walk stays near 0.3 MB.
+    params = micro_params(lambda_=3.0, mu2=0.8, n=3, m=5)
+    res, peak = _traced_peak(lambda: optimize(params, "full", top_k=5))
+    assert res.ranking[0] == (res.best_policy, res.best_eta)
+    assert peak < 0.6 * 2**20
+
+
 @pytest.mark.parametrize("space", ["full", "reduced", "bang_bang", "threshold"])
 def test_policy_block_unranks_in_enumeration_order(space):
     for m in range(1, 5):
