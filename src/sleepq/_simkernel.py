@@ -19,11 +19,13 @@ numpy float64, so both forms produce identical results.
 Per event the body does only what the event needs. The caller passes
 per-state tables of the total event rate and of the selection boundary
 between the two completion kinds (sim._rates), so no rate is summed in
-the loop. The energy and holding integrals and the branch counters are
-held in locals and written back to the accumulators on the kernel's one
-exit, whether it ends on the budget, the time limit, a clipped dwell or
-a refill. The loop runs to a cursor fixed on entry, and the event count
-is read off the cursor at that exit instead of being counted per event.
+the loop. The branch counters are held in locals and written back to the
+accumulators on the kernel's one exit, whether it ends on the budget, the
+time limit, a clipped dwell or a refill. The loop adds only each dwell to
+its state's total: the energy and holding integrals are the cost rates
+weighted by those totals, summed once at that exit. The loop runs to a
+cursor fixed on entry, and the event count is read off the cursor at that
+exit instead of being counted per event.
 
 Uniform consumption contract: exactly two uniforms per completed event
 (one for the dwell, one for the event selection), and one uniform for a
@@ -60,24 +62,28 @@ def _kernel(k, t, buf, cursor, remaining, time_limit, lam, n, top,
     mode). Rates are per-state sequences; top == n + m is the loss state.
     total_rate[k] = (lam + g1) + g2 is the state's total event rate and
     split_rate[k] = lam + g1 the selection boundary between a group-1 and
-    a group-2 completion. Accumulates dwell times, acc[0] energy and acc[1]
-    holding integrals, and the counter slots. Returns (k, t, cursor,
-    status): REFILL when fewer than two uniforms are left before the budget
-    or the time limit is reached, DONE otherwise.
+    a group-2 completion. Accumulates dwell times and the counter slots,
+    and on exit sets acc[0] and acc[1] to the energy and holding integrals
+    of the time held in dwell: sum over states s of energy_rate[s] *
+    dwell[s] and of hold_rate[s] * dwell[s], in state order. acc is set,
+    not added to, so dwell must start each segment at zero for acc to be
+    that segment's integrals. Returns (k, t, cursor, status): REFILL when
+    fewer than two uniforms are left before the budget or the time limit
+    is reached, DONE otherwise.
 
-    The integrals and counters take the same additions in the same order
-    in locals as they would in place, so the bits match. The loop stops at
-    the end of the last whole pair that both the buffer and the budget
-    allow; remaining itself is never doubled, because in time mode it is
-    near half the int64 range and the compiled product would overflow.
+    The counters take the same additions in the same order in locals as
+    they would in place, and the integrals are a plain loop in state
+    order, which numba compiles without reordering, so the bits match. The
+    loop stops at the end of the last whole pair that both the buffer and
+    the budget allow; remaining itself is never doubled, because in time
+    mode it is near half the int64 range and the compiled product would
+    overflow.
 
     trace, when a list, receives one (time, state_before, event,
     state_after) record per completed event, with event one of 'arrival',
     'loss', 'g1', 'transfer', 'g2'. Each append sits under a test of the
     argument itself, which numba prunes at compile time when trace is None.
     """
-    energy = acc[0]
-    hold = acc[1]
     n_g1 = counts[COUNT_G1]
     n_g2 = counts[COUNT_G2]
     n_transfer = counts[COUNT_TRANSFER]
@@ -88,16 +94,11 @@ def _kernel(k, t, buf, cursor, remaining, time_limit, lam, n, top,
         total = total_rate[k]
         dt = -math.log(1.0 - buf[cursor]) / total
         if t + dt > time_limit:
-            span = time_limit - t
-            dwell[k] += span
-            energy += energy_rate[k] * span
-            hold += hold_rate[k] * span
+            dwell[k] += time_limit - t
             t = time_limit
             cursor += 1
             break
         dwell[k] += dt
-        energy += energy_rate[k] * dt
-        hold += hold_rate[k] * dt
         t += dt
         x = buf[cursor + 1] * total
         cursor += 2
@@ -124,6 +125,11 @@ def _kernel(k, t, buf, cursor, remaining, time_limit, lam, n, top,
             if trace is not None:
                 trace.append((t, k, "g2", k - 1))
             k -= 1
+    energy = 0.0
+    hold = 0.0
+    for s in range(len(dwell)):
+        energy += energy_rate[s] * dwell[s]
+        hold += hold_rate[s] * dwell[s]
     acc[0] = energy
     acc[1] = hold
     counts[COUNT_G1] = n_g1

@@ -158,7 +158,8 @@ def _rates(params: ModelParams, d: Policy):
     g1 and g2 are the group-1 and group-2 service rates. They are the sums
     the kernel would otherwise form on every event, in the same order, so
     the kernel sees the same bits. energy and hold are the energy and
-    holding cost rates.
+    holding cost rates; the kernel weights them by each state's dwell to
+    form a segment's integrals.
 
     These are the simulator's own copy of the model's rates, formed apart
     from chain._rates on purpose: acceptance criterion 12 checks the
@@ -217,8 +218,11 @@ def _run_segment(kernel, stream, state, events, time_limit, rates, dwell,
                  acc, counts, trace=None):
     """Run one warmup segment or batch to its event or time limit.
 
-    dwell, acc and counts are numpy arrays updated in place. A list-fed
-    stream runs the kernel on list copies of them, written back at the end.
+    dwell, acc and counts are numpy arrays updated in place. dwell comes in
+    zeroed: each kernel exit sets acc to the rate-weighted sums of dwell,
+    so acc ends as this segment's energy and holding integrals however
+    many refills the segment takes. A list-fed stream runs the kernel on
+    list copies of them, written back at the end.
     """
     k, t = state
     total, split, energy, hold, lam, n, top = rates

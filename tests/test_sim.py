@@ -1,6 +1,7 @@
 """Discrete-event simulator: determinism, tallies, and config handling."""
 
 import dataclasses
+import importlib.util
 import math
 import os
 import subprocess
@@ -24,6 +25,7 @@ from sleepq import (
 )
 from sleepq.sim import _rates, _t_quantile_975
 from conftest import micro_params
+from test_cli import WIDE_TIME_MODEL, WIDE_TIME_POLICY
 
 
 CFG = SimConfig(horizon=40000, warmup=4000, replications=1, seed=7,
@@ -109,6 +111,60 @@ def test_kernel_on_lists_matches_kernel_on_arrays(remaining, time_limit,
     else:
         assert t == time_limit and cursor == 2 * events + 1
     assert all(arrays[3] > 0)  # every event branch was taken
+
+
+@pytest.mark.parametrize("time_limit, status", [
+    (math.inf, _simkernel.REFILL),   # odd buffer: one uniform left over
+    (40.0, _simkernel.DONE),         # clipped final dwell
+])
+def test_kernel_sets_integrals_from_dwell(time_limit, status):
+    # On exit acc holds the cost rates weighted by the time held in dwell,
+    # summed in state order, bit for bit, however the run ends.
+    params = WIDE_TIME_MODEL
+    top = params.n + params.m
+    policy = tuple(int(d) for d in WIDE_TIME_POLICY.split(","))
+    total, split, energy, hold = (v.tolist() for v in _rates(params, policy))
+    buf = np.random.default_rng(31).random(5001).tolist()
+    dwell = [0.0] * (top + 1)
+    acc = [0.0, 0.0]
+    counts = [0] * 5
+    _, t, cursor, got = _simkernel._kernel(
+        0, 0.0, buf, 0, 10**9, time_limit, params.lambda_, params.n, top,
+        total, split, energy, hold, dwell, acc, counts)
+    assert got == status
+    if status == _simkernel.DONE:
+        assert t == time_limit and cursor % 2 == 1
+    want = [0.0, 0.0]
+    for s in range(top + 1):
+        want[0] += energy[s] * dwell[s]
+        want[1] += hold[s] * dwell[s]
+    assert acc == want
+
+
+def test_benchmark_tracer_counts_every_kernel_event():
+    # benchmarks/tracer.py reads the kernel's counter array as positional
+    # argument 15 and its event slot: a kernel whose counters move off that
+    # slot breaks the benchmark's traced runs. Tracer.install looks up
+    # every module it wraps, sleepq.cli among them, so the CLI is imported
+    # first.
+    import sleepq.cli  # noqa: F401
+
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        result = simulate(micro_params(), (1,), SimConfig(horizon=20000, seed=3))
+    finally:
+        tracer.uninstall()
+    assert _simkernel.kernel_python is _simkernel._kernel
+    spans = [span for span in tracer.spans if span[1] == "_simkernel.kernel"]
+    # One span per segment (warmup and 20 batches) and one per refill.
+    assert len(spans) > 21
+    assert sum(span[7]["events"] for span in spans) == 20000
+    assert result.counts.events == 18000
 
 
 def test_identical_seeds_are_bit_identical(micro):
