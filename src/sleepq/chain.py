@@ -8,9 +8,13 @@ the dense oracles form the k x k matrix. The stationary vector has a product
 form that the closed-form solver builds by recursive ratios; a dense linear
 solve is kept as an oracle.
 
-One body (_rates) forms the death and cost rates: level by level in
-Python floats for one policy (_state_rates), and on every level of a whole
-block of policies at once for the searches (_block_rates).
+One body (_rates) forms the death and cost rates, in three shapes: level
+by level in Python floats for one policy (_state_rates); for every value
+of every level of a product space in Python floats, the tables of the
+searches' level DP and walk (_level_rates); and on every level of a whole
+block of policies at once (_block_rates). The states (i, 0) enter a
+search's profit through one numpy pass (_low_profit), shared by the block
+and the level tables.
 
 One policy's pass is kept in a PolicyRecord, in a memo of the MEMO_SIZE
 most recent records, so the per-policy calls of every layer share one pass
@@ -38,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import ModelParams, Policy, ReadOnlyRecord, _model_errors, check_policy
+from .model import (ModelParams, Policy, ReadOnlyRecord, _level_values, _model_errors,
+                    check_policy)
 
 
 @dataclass(frozen=True)
@@ -177,6 +182,31 @@ def _policy_record(params: ModelParams, d: Policy) -> PolicyRecord:
     return record
 
 
+def _level_rates(params: ModelParams, space: str) -> tuple[list, list, list, list]:
+    """(levels, cost_low, death, cost): the rates of every value of every
+    level of a product space.
+
+    levels are its value sets, from _level_values. cost_low holds the cost
+    rates of the states (i, 0); death[j][v] and cost[j][v] the rates of
+    level j + 1 under its v-th value, with the loss cost on the top level.
+    All are the Python floats of _rates, so each equals the rate that
+    _state_rates and _block_rates give a policy taking that value there.
+    """
+    levels = _level_values(params.m, space)
+    death, cost = _rates(params, [(j, v) for j, values in enumerate(levels, start=1)
+                                  for v in values], min)
+    start = params.n + 1
+    cost_low, deaths, costs = cost[:start], [], []
+    for values in levels:
+        stop = start + len(values)
+        deaths.append(death[start:stop])
+        costs.append(cost[start:stop])
+        start = stop
+    loss = params.lambda_ * params.c_loss
+    costs[-1] = [rate + loss for rate in costs[-1]]
+    return levels, cost_low, deaths, costs
+
+
 def _block_rates(params: ModelParams, block: np.ndarray) -> tuple[list, list]:
     """The rates of _state_rates for every policy row of block.
 
@@ -269,15 +299,23 @@ def _profit_rates(params: ModelParams, death: list, cost: list,
     one-price call bit for bit: the same elementwise operations, and one
     dot product of its own.
     """
-    nu, cost_low, cost_top = death[-1], np.array(cost[:-1]), cost[-1]
+    nu = death[-1]
+    return (*_low_profit(params, cost[:-1], prices), nu,
+            prices[:, None, None] * nu - cost[-1])
+
+
+def _low_profit(params: ModelParams, cost_low: list, prices):
+    """(low_profit, low_weight, xi_n) of the states (i, 0), cost_low their
+    cost rates: see _profit_rates. Every search's profit starts from these
+    numbers, whichever table holds its levels' rates."""
     jobs_low = np.arange(params.n + 1, dtype=np.float64)
     ratios_low = np.ones(params.n + 1)
     ratios_low[1:] = params.lambda_ / (jobs_low[1:] * params.mu1)
     xi_low = np.cumprod(ratios_low)
+    cost_low = np.array(cost_low)
     low_profit = np.array([xi_low @ (price * jobs_low * params.mu1 - cost_low)
                            for price in prices])
-    return (low_profit, xi_low.sum(), xi_low[params.n], nu,
-            prices[:, None, None] * nu - cost_top)
+    return low_profit, xi_low.sum(), xi_low[params.n]
 
 
 def stationary_numeric(gen: Generator) -> ChainSolution:

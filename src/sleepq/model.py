@@ -9,7 +9,6 @@ each state (n, j) the number of Group-2 servers kept awake there.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import numbers
@@ -83,6 +82,7 @@ class ModelParams:
 _FIELD_OF_KEY = {("lambda" if f.name == "lambda_" else f.name): f.name
                  for f in fields(ModelParams)}
 CONFIG_KEYS = tuple(_FIELD_OF_KEY)
+_FIELDS = tuple(_FIELD_OF_KEY.values())
 
 
 @dataclass(frozen=True)
@@ -134,15 +134,15 @@ def _model_errors(params: ModelParams, price_sign: bool = False) -> list[str]:
     valid one. Type errors come alone, as the other rules compare numbers.
     """
     errors = []
-    for f in fields(ModelParams):
-        value = getattr(params, f.name)
-        if f.name in _INT_FIELDS:
+    for name in _FIELDS:
+        value = getattr(params, name)
+        if name in _INT_FIELDS:
             if not isinstance(value, int) or isinstance(value, bool):
-                errors.append(f"{f.name} must be an integer")
+                errors.append(f"{name} must be an integer")
         elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            errors.append(f"{f.name} must be a number")
+            errors.append(f"{name} must be a number")
         elif value != value or value in (math.inf, -math.inf):
-            errors.append(f"{f.name} must be finite")
+            errors.append(f"{name} must be finite")
     if errors:
         return errors
 
@@ -171,9 +171,9 @@ def _model_errors(params: ModelParams, price_sign: bool = False) -> list[str]:
 
 def require_valid(params: ModelParams) -> ModelParams:
     """Raise ConfigError if the hard invariants fail; return params."""
-    report = validate(params)
-    if not report.ok:
-        raise ConfigError("; ".join(report.errors))
+    errors = _model_errors(params, price_sign=True)
+    if errors:
+        raise ConfigError("; ".join(errors))
     return params
 
 
@@ -250,29 +250,31 @@ def threshold_policy(m: int, theta: int) -> Policy:
     return tuple(0 for _ in range(1, theta)) + tuple(range(theta, m + 1))
 
 
-def _level_values(m: int, space: str) -> list[np.ndarray]:
+def _level_values(m: int, space: str) -> list:
     """The values each coordinate of a product space takes, ascending.
 
     full allows {0..m} at every level, reduced {0..j} at level j, bang_bang
-    {0, j}. A policy's rank is its digits in these radices with the last
-    coordinate least significant, so rank order is lexicographic order.
+    {0, j}, each a range or a tuple of ints. A policy's rank is its digits
+    in these radices with the last coordinate least significant, so rank
+    order is lexicographic order.
     """
     if space == "full":
-        return [np.arange(m + 1, dtype=np.int64)] * m
+        return [range(m + 1)] * m
     if space == "reduced":
-        return [np.arange(j + 1, dtype=np.int64) for j in range(1, m + 1)]
+        return [range(j + 1) for j in range(1, m + 1)]
     if space == "bang_bang":
-        return [np.array([0, j], dtype=np.int64) for j in range(1, m + 1)]
+        return [(0, j) for j in range(1, m + 1)]
     raise ValueError(f"space {space!r} is not a product space")
 
 
 def policy_space_size(m, space="full") -> int:
-    """Number of policies in a space: the product of its level sizes."""
+    """Number of policies in a space: the product of its level sizes, an
+    exact int at any m."""
     if space == "threshold":
         return m + 1
     if space not in POLICY_SPACES:
         raise ValueError(f"unknown policy space {space!r}")
-    return math.prod(values.size for values in _level_values(m, space))
+    return math.prod(map(len, _level_values(m, space)))
 
 
 def _gated_size(m: int, space: str, allow_large: bool) -> int:
@@ -309,7 +311,7 @@ def enumerate_policies(m, space="full", allow_large=False):
     _gated_size(m, space, allow_large)
     if space == "threshold":
         return (threshold_policy(m, theta) for theta in range(1, m + 2))
-    return itertools.product(*(values.tolist() for values in _level_values(m, space)))
+    return itertools.product(*_level_values(m, space))
 
 
 def _policy_block(m: int, space: str, ranks: np.ndarray) -> np.ndarray:
@@ -317,18 +319,18 @@ def _policy_block(m: int, space: str, ranks: np.ndarray) -> np.ndarray:
 
     Product spaces unrank mixed-radix digits through _level_values, in the
     order enumerate_policies yields, all ranks in one pass; thresholds
-    come by rising theta.
+    come by rising theta: rank r is threshold_policy(m, r + 1), whose
+    level j is j from level r + 1 on and 0 below it.
     """
-    if space == "threshold":
-        block = np.array([threshold_policy(m, t) for t in range(1, m + 2)],
-                         dtype=np.int64)
-        return block[ranks]
-    levels = _level_values(m, space)
     idx = np.array(ranks, dtype=np.int64)
+    if space == "threshold":
+        ladder = np.arange(1, m + 1, dtype=np.int64)
+        return np.where(ladder >= idx[:, None] + 1, ladder, 0)
+    levels = _level_values(m, space)
     block = np.empty((idx.shape[0], m), dtype=np.int64)
     for k in range(m - 1, -1, -1):
-        block[:, k] = levels[k][idx % levels[k].size]
-        idx //= levels[k].size
+        block[:, k] = np.array(levels[k], dtype=np.int64)[idx % len(levels[k])]
+        idx //= len(levels[k])
     return block
 
 
@@ -405,4 +407,7 @@ def params_to_text(params: ModelParams) -> str:
 
 def params_digest(params: ModelParams) -> str:
     """Short stable hash of the model, used to label emitted artifacts."""
+    # Imported here: hashlib loads OpenSSL, which nothing else needs.
+    import hashlib
+
     return hashlib.sha256(params_to_text(params).encode()).hexdigest()[:16]

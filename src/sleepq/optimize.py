@@ -9,7 +9,11 @@ program on the levels (_near_best), which costs a sum over the levels of
 their value counts, not the size of the space. It returns what exact
 enumeration with a lexicographic tie-break returns, bit for bit: the
 policies that may tie the float maximum are regrown from the root in the
-enumeration tree's order and operations.
+enumeration tree's order and operations. Its tables are Python floats
+(_float_tables), read straight from the one scalar rate pass over every
+value of every level (chain._level_rates); the walk below wraps the same
+rates in arrays (_level_tables), and both take the states (i, 0) from
+one numpy pass (chain._low_profit).
 
 The enumeration tree is still walked where that set of near ties is
 large, for rankings (top_k) and for price_sweep: policies that share their
@@ -38,7 +42,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import _block_rates, _profit_rates, _require_finite, stationary_closed_form
+from .chain import (
+    _block_rates,
+    _level_rates,
+    _low_profit,
+    _profit_rates,
+    _require_finite,
+    stationary_closed_form,
+)
 from .errors import ConfigError, ConsistencyError, RegimeError
 from .model import (
     BLOCK_SIZE,
@@ -47,7 +58,6 @@ from .model import (
     ReadOnlyRecord,
     _check_count,
     _gated_size,
-    _level_values,
     _policy_block,
     check_policy,
     require_valid,
@@ -171,21 +181,21 @@ def _chunk_summary(etas, ranks, k):
 def _level_tables(params: ModelParams, space: str, prices: np.ndarray):
     """(levels, low_profit, low_weight, xi_n, ratios, f_top) of a product space.
 
-    levels are the value sets of _level_values. The rates are those of a
-    block whose row v holds each level's v-th value, so level j's values
-    lead row j - 1 of the level-major f_top of _profit_rates, and ratios[j]
-    holds lambda/nu of level j's values.
+    levels and the rates are those of _level_rates, the rates held as one
+    (m, width) array each: level j's values lead row j - 1 of f_top[p] =
+    prices[p] nu - cost, and ratios[j] holds lambda/nu of level j's values.
+    The numbers are _profit_rates' for a block whose row v holds each
+    level's v-th value.
     """
-    m = params.m
-    levels = _level_values(m, space)
-    # Row v holds each level's v-th value (0 past the end).
-    table = np.zeros((max(v.size for v in levels), m), dtype=np.int64)
-    for j, values in enumerate(levels):
-        table[:values.size, j] = values
-    low_profit, low_weight, xi_n, nu, f_top = _profit_rates(
-        params, *_block_rates(params, table), prices)
-    ratios = [params.lambda_ / nu[j, :v.size] for j, v in enumerate(levels)]
-    return levels, low_profit, low_weight, xi_n, ratios, f_top
+    levels, cost_low, death, cost = _level_rates(params, space)
+    width = max(map(len, levels))
+    # A level's row is padded to width with its first value's rates, never read.
+    nu, cost_top = (np.array([row + row[:1] * (width - len(row)) for row in rates])
+                    for rates in (death, cost))
+    every_ratio = params.lambda_ / nu
+    ratios = [every_ratio[j, :len(v)] for j, v in enumerate(levels)]
+    return (levels, *_low_profit(params, cost_low, prices), ratios,
+            prices[:, None, None] * nu - cost_top)
 
 
 def _product_candidates(params: ModelParams, space: str, k: int,
@@ -224,9 +234,9 @@ def _product_candidates(params: ModelParams, space: str, k: int,
         leaves under each of its prefixes, at most BLOCK_SIZE // q."""
         cap = max(1, BLOCK_SIZE // q)
         split, leaves = m, 1
-        while split > 1 and leaves * levels[split - 1].size <= cap:
+        while split > 1 and leaves * len(levels[split - 1]) <= cap:
             split -= 1
-            leaves *= levels[split].size
+            leaves *= len(levels[split])
         return split, leaves
 
     def walk(f_top, low_profit):
@@ -266,9 +276,9 @@ def _product_candidates(params: ModelParams, space: str, k: int,
 
         prefix = (np.ones(1), np.zeros((q, 1)), np.zeros(1))
         for j in range(split):
-            size = prefix[0].size * levels[j].size
+            size = prefix[0].size * len(levels[j])
             prefix = grow(prefix, j, buffers(np.empty((q + 2) * size), size))
-        shape = [levels[j].size for j in reversed(range(split))]
+        shape = [len(levels[j]) for j in reversed(range(split))]
         prod, profit, weight = prefix
         prefix = (prod.reshape(shape).transpose().ravel(),
                   profit.reshape([q] + shape)
@@ -277,7 +287,7 @@ def _product_candidates(params: ModelParams, space: str, k: int,
         # A chunk of split-level prefixes, never more than there are.
         per = min(max(1, BLOCK_SIZE // q) // leaves, prefix[0].size)
         rows = per * leaves
-        small = rows // levels[m - 1].size
+        small = rows // len(levels[m - 1])
 
         # Fresh chunk-sized arrays cost page faults in every chunk, so the
         # chunks are grown in two reused buffer sets, one per level parity.
@@ -315,9 +325,9 @@ def _product_candidates(params: ModelParams, space: str, k: int,
                 rows = rows // width
                 place = leaves
                 for j in range(split, m):
-                    place //= levels[j].size
-                    rank += rows % levels[j].size * place
-                    rows //= levels[j].size
+                    place //= len(levels[j])
+                    rank += rows % len(levels[j]) * place
+                    rows //= len(levels[j])
                 return rank
 
             for p, best in enumerate(_chunk_summary(etas, ranks, k)):
@@ -326,7 +336,7 @@ def _product_candidates(params: ModelParams, space: str, k: int,
 
     # The largest batch of prices whose prefix sums fit in BLOCK_SIZE
     # values; a batch's split deepens, and its prefixes multiply, with it.
-    space_size = math.prod(v.size for v in levels)
+    space_size = math.prod(map(len, levels))
     batch, most = 1, prices.size
     while batch < most:
         mid = (batch + most + 1) // 2
@@ -370,6 +380,25 @@ def _rankings(params: ModelParams, space: str, k: int,
             for found in candidates]
 
 
+def _float_tables(params: ModelParams, space: str):
+    """(levels, low_profit, low_weight, xi_n, ratios, rates): _level_tables at
+    params.price, in Python floats, with rates[j] the profit rates of level
+    j's values.
+
+    ratios and rates come from the lists of _level_rates by the operations
+    _level_tables runs elementwise, and the rest from the same _low_profit
+    pass, so every number equals the walk's bit for bit.
+    """
+    lam, price = params.lambda_, params.price
+    levels, cost_low, death, cost = _level_rates(params, space)
+    with np.errstate(over="ignore", invalid="ignore"):
+        low_profit, low_weight, xi_n = _low_profit(params, cost_low, (price,))
+    ratios = [[lam / nu for nu in row] for row in death]
+    rates = [[price * nu - c for nu, c in zip(*rows)] for rows in zip(death, cost)]
+    return (levels, float(low_profit[0]), float(low_weight), float(xi_n),
+            ratios, rates)
+
+
 # The most prefixes _near_best grows at one level; a larger set of near
 # ties is ranked by the walk.
 _TIE_CAP = 256
@@ -402,9 +431,11 @@ def _near_best(params: ModelParams, space: str,
 
     Why 2 delta keeps every float maximizer. Let u = 2**-53, F = max|f|
     and K = F + |low_profit| / low_weight. Both paths start from the same
-    floats (ratios, rates, xi_n, low_profit, low_weight), so only the
-    roundings after them count; each multiplies a term by some 1 + e with
-    |e| <= u. With no overflow (the reach test) and no subnormal result:
+    floats: ratios and rates formed by the same operations on the rates of
+    chain._level_rates, and xi_n, low_profit and low_weight from
+    chain._low_profit. So only the roundings after them count; each
+    multiplies a term by some 1 + e with |e| <= u. With no overflow (the
+    reach test) and no subnormal result:
     - A leaf's eta. Level j's term (1-based) goes through j roundings of
       P, one of xi, one of xi f and at most m - j + 1 of the sums; then
       come the addition of low_profit and the division. All of D's terms
@@ -430,14 +461,10 @@ def _near_best(params: ModelParams, space: str,
     exactly the spaces it refuses, and where more than _TIE_CAP prefixes
     near the maximum share a level.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        levels, low_profit, low_weight, xi_n, ratios, f_top = _level_tables(
-            params, space, np.array([params.price]))
-        scale = float(np.abs(f_top).max())
-    low_profit, low_weight, xi_n = float(low_profit[0]), float(low_weight), float(xi_n)
-    ratios = [r.tolist() for r in ratios]
-    rates = [f_top[0, j, :len(r)].tolist() for j, r in enumerate(ratios)]
+    levels, low_profit, low_weight, xi_n, ratios, rates = _float_tables(params, space)
     m = params.m
+    # A NaN rate counts as infinite, so it fails the reach test.
+    scale = max(abs(f) if f == f else math.inf for row in rates for f in row)
 
     # Rounding is monotone, so the all-asleep prefix has the largest float
     # P at every level. Times the largest profit rate it bounds every sum,
@@ -496,7 +523,7 @@ def _near_best(params: ModelParams, space: str,
             if len(grown) > _TIE_CAP:
                 return None
         frontier = grown
-    near = [(tuple(int(levels[j][a]) for j, a in enumerate(prefix)),
+    near = [(tuple(levels[j][a] for j, a in enumerate(prefix)),
              (total + low_profit) / (weight + low_weight))
             for prefix, _, total, weight in frontier]
     # The pass's own maximizer must be among them; if rounding lost it,

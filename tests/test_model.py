@@ -1,11 +1,17 @@
 """Parameter parsing, validation, policy helpers, and the state space."""
 
 import dataclasses
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import sleepq
 from sleepq import (
     ConfigError,
     FULL_SPACE_MAX_M,
@@ -195,6 +201,17 @@ def test_enumerate_other_spaces():
     assert len(reduced) == policy_space_size(3, "reduced")
 
 
+@pytest.mark.parametrize("space", ["full", "reduced", "bang_bang", "threshold"])
+def test_space_size_is_the_enumeration_count_and_exact_at_scale(space):
+    for m in range(1, 7):
+        assert policy_space_size(m, space) == sum(1 for _ in enumerate_policies(m, space))
+    m = 1000
+    exact = {"full": (m + 1) ** m, "reduced": math.factorial(m + 1),
+             "bang_bang": 2 ** m, "threshold": m + 1}[space]
+    size = policy_space_size(m, space)
+    assert type(size) is int and size == exact
+
+
 def test_unknown_space_and_empty_level_set_are_refused():
     with pytest.raises(ValueError, match="unknown policy space 'bogus'"):
         policy_space_size(3, "bogus")
@@ -279,3 +296,16 @@ def test_result_arrays_are_read_only(make, names):
     for array in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
+
+
+def test_import_leaves_hashlib_unloaded_and_the_digest_pinned(micro):
+    # hashlib loads OpenSSL; only params_digest needs it, and imports it.
+    code = ("import sys, sleepq\n"
+            "print('hashlib' in sys.modules)\n"
+            "print(sleepq.params_digest(sleepq.parse_params(sys.stdin.read())))\n")
+    src = str(Path(sleepq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], input=params_to_text(micro),
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "babe50cc03dd8a95"]

@@ -186,6 +186,43 @@ def test_policy_block_unranks_in_enumeration_order(space):
             list(enumerate_policies(m, space))
 
 
+def test_threshold_block_stacks_the_threshold_policies():
+    for m in range(1, 13):
+        # Unsorted, with repeats.
+        ranks = np.array([m, 0, m // 2, m, 0, *range(m + 1)])
+        want = np.array([threshold_policy(m, int(r) + 1) for r in ranks], dtype=np.int64)
+        block = _policy_block(m, "threshold", ranks)
+        assert block.dtype == np.int64 and np.array_equal(block, want)
+
+
+@pytest.mark.parametrize("space", ["full", "reduced", "bang_bang"])
+def test_level_dp_and_walk_start_from_the_block_paths_floats(space):
+    # _near_best's rounding bound assumes the DP and the walk start from the
+    # same floats; the walk's equal what _profit_rates gives a block whose
+    # row v holds each level's v-th value.
+    rng = np.random.default_rng(3537)
+    for _ in range(30):
+        params = draw_params(rng, n_max=6, m_max=8)
+        price = np.array([params.price])
+        levels, low_profit, low_weight, xi_n, ratios, rates = OPT._float_tables(params, space)
+        walk = OPT._level_tables(params, space, price)
+        table = np.zeros((max(map(len, levels)), params.m), dtype=np.int64)
+        for j, values in enumerate(levels):
+            table[:len(values), j] = values
+        block = OPT._profit_rates(params, *OPT._block_rates(params, table), price)
+        assert walk[0] == levels
+        for dp, walked, blocked in ((low_profit, walk[1][0], block[0][0]),
+                                    (low_weight, walk[2], block[1]),
+                                    (xi_n, walk[3], block[2])):
+            assert type(dp) is float and dp.hex() == float(walked).hex() == float(blocked).hex()
+        for j, values in enumerate(levels):
+            size = len(values)
+            assert np.array(ratios[j]).tobytes() == walk[4][j].tobytes() == \
+                (params.lambda_ / block[3][j, :size]).tobytes()
+            assert np.array(rates[j]).tobytes() == walk[5][0, j, :size].tobytes() == \
+                block[4][0, j, :size].tobytes()
+
+
 def _block_etas(params, space):
     """_block_profits over a whole space, unranked in BLOCK_SIZE pieces."""
     total = policy_space_size(params.m, space)
