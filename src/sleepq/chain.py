@@ -9,12 +9,11 @@ form that the closed-form solver builds by recursive ratios; a dense linear
 solve is kept as an oracle.
 
 One body (_rates) forms the death and cost rates, in three shapes: level
-by level in Python floats for one policy (_state_rates); for every value
-of every level of a product space in Python floats, the tables of the
-searches' level DP and walk (_level_rates); and on every level of a whole
-block of policies at once (_block_rates). The states (i, 0) enter a
-search's profit through one numpy pass (_low_profit), shared by the block
-and the level tables.
+by level in Python floats for one policy (_state_rates); once for every
+value of every level of a product space, the tables of the searches'
+level DP and walk (_level_tables); and on every level of a whole block of
+policies at once (_block_rates). The tables and the block take the states
+(i, 0) from one helper (_low_profit).
 
 One policy's pass is kept in a PolicyRecord, in a memo of the MEMO_SIZE
 most recent records, so the per-policy calls of every layer share one pass
@@ -182,29 +181,31 @@ def _policy_record(params: ModelParams, d: Policy) -> PolicyRecord:
     return record
 
 
-def _level_rates(params: ModelParams, space: str) -> tuple[list, list, list, list]:
-    """(levels, cost_low, death, cost): the rates of every value of every
-    level of a product space.
+def _level_tables(params: ModelParams, space: str, prices: list[float]):
+    """(levels, start, low_profit, low_weight, xi_n, ratios, f_top) of a
+    product space at each of the float prices: the tables of optimize's
+    level DP and walk.
 
-    levels are its value sets, from _level_values. cost_low holds the cost
-    rates of the states (i, 0); death[j][v] and cost[j][v] the rates of
-    level j + 1 under its v-th value, with the loss cost on the top level.
-    All are the Python floats of _rates, so each equals the rate that
-    _state_rates and _block_rates give a policy taking that value there.
+    levels are the value sets of _level_values; level j + 1's values are
+    the columns start[j]:start[j + 1] of ratios, lambda/nu, and of f_top[p],
+    the profit rates prices[p] nu - cost. The rates come from one pass of
+    _rates over every value of every level, with the loss cost on the top
+    level, and the rest from _low_profit. So every number is what
+    _profit_rates gives a block whose row v holds each level's v-th value.
     """
+    lam, low = params.lambda_, params.n + 1
     levels = _level_values(params.m, space)
     death, cost = _rates(params, [(j, v) for j, values in enumerate(levels, start=1)
                                   for v in values], min)
-    start = params.n + 1
-    cost_low, deaths, costs = cost[:start], [], []
+    top = len(cost) - len(levels[-1])
+    cost[top:] = [rate + lam * params.c_loss for rate in cost[top:]]
+    start = [0]
     for values in levels:
-        stop = start + len(values)
-        deaths.append(death[start:stop])
-        costs.append(cost[start:stop])
-        start = stop
-    loss = params.lambda_ * params.c_loss
-    costs[-1] = [rate + loss for rate in costs[-1]]
-    return levels, cost_low, deaths, costs
+        start.append(start[-1] + len(values))
+    nu = np.array(death[low:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (levels, start, *_low_profit(params, cost[:low], prices), lam / nu,
+                np.multiply.outer(prices, nu) - cost[low:])
 
 
 def _block_rates(params: ModelParams, block: np.ndarray) -> tuple[list, list]:
@@ -300,22 +301,27 @@ def _profit_rates(params: ModelParams, death: list, cost: list,
     dot product of its own.
     """
     nu = death[-1]
-    return (*_low_profit(params, cost[:-1], prices), nu,
+    return (*_low_profit(params, cost[:-1], prices.tolist()), nu,
             prices[:, None, None] * nu - cost[-1])
 
 
 def _low_profit(params: ModelParams, cost_low: list, prices):
     """(low_profit, low_weight, xi_n) of the states (i, 0), cost_low their
-    cost rates: see _profit_rates. Every search's profit starts from these
-    numbers, whichever table holds its levels' rates."""
-    jobs_low = np.arange(params.n + 1, dtype=np.float64)
-    ratios_low = np.ones(params.n + 1)
-    ratios_low[1:] = params.lambda_ / (jobs_low[1:] * params.mu1)
-    xi_low = np.cumprod(ratios_low)
-    cost_low = np.array(cost_low)
-    low_profit = np.array([xi_low @ (price * jobs_low * params.mu1 - cost_low)
-                           for price in prices])
-    return low_profit, xi_low.sum(), xi_low[params.n]
+    cost rates, at each of the float prices: see _profit_rates.
+
+    The weights and f_low are formed in Python floats by numpy's operations
+    (np.cumprod, the elementwise products); the sum and the dot products
+    are numpy's, as Python would add in another order.
+    """
+    mu1 = params.mu1
+    xi = [1.0]
+    for i in range(1, params.n + 1):
+        xi.append(xi[-1] * (params.lambda_ / (i * mu1)))
+    xi_low = np.array(xi)
+    f_low = np.array([[price * i * mu1 - c for i, c in enumerate(cost_low)]
+                      for price in prices])
+    low_profit = np.array([xi_low @ row for row in f_low])
+    return low_profit, float(xi_low.sum()), xi[-1]
 
 
 def stationary_numeric(gen: Generator) -> ChainSolution:

@@ -9,11 +9,9 @@ program on the levels (_near_best), which costs a sum over the levels of
 their value counts, not the size of the space. It returns what exact
 enumeration with a lexicographic tie-break returns, bit for bit: the
 policies that may tie the float maximum are regrown from the root in the
-enumeration tree's order and operations. Its tables are Python floats
-(_float_tables), read straight from the one scalar rate pass over every
-value of every level (chain._level_rates); the walk below wraps the same
-rates in arrays (_level_tables), and both take the states (i, 0) from
-one numpy pass (chain._low_profit).
+enumeration tree's order and operations. It reads the tables of
+chain._level_tables, formed from one scalar rate pass over every value of
+every level, as Python floats; the walk below reads the same tables.
 
 The enumeration tree is still walked where that set of near ties is
 large, for rankings (top_k) and for price_sweep: policies that share their
@@ -42,14 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import (
-    _block_rates,
-    _level_rates,
-    _low_profit,
-    _profit_rates,
-    _require_finite,
-    stationary_closed_form,
-)
+from .chain import (_block_rates, _level_tables, _profit_rates, _require_finite,
+                    stationary_closed_form)
 from .errors import ConfigError, ConsistencyError, RegimeError
 from .model import (
     BLOCK_SIZE,
@@ -178,26 +170,6 @@ def _chunk_summary(etas, ranks, k):
             for start in starts]
 
 
-def _level_tables(params: ModelParams, space: str, prices: np.ndarray):
-    """(levels, low_profit, low_weight, xi_n, ratios, f_top) of a product space.
-
-    levels and the rates are those of _level_rates, the rates held as one
-    (m, width) array each: level j's values lead row j - 1 of f_top[p] =
-    prices[p] nu - cost, and ratios[j] holds lambda/nu of level j's values.
-    The numbers are _profit_rates' for a block whose row v holds each
-    level's v-th value.
-    """
-    levels, cost_low, death, cost = _level_rates(params, space)
-    width = max(map(len, levels))
-    # A level's row is padded to width with its first value's rates, never read.
-    nu, cost_top = (np.array([row + row[:1] * (width - len(row)) for row in rates])
-                    for rates in (death, cost))
-    every_ratio = params.lambda_ / nu
-    ratios = [every_ratio[j, :len(v)] for j, v in enumerate(levels)]
-    return (levels, *_low_profit(params, cost_low, prices), ratios,
-            prices[:, None, None] * nu - cost_top)
-
-
 def _product_candidates(params: ModelParams, space: str, k: int,
                         prices: np.ndarray) -> list[list[tuple[float, int]]]:
     """The best (-eta, rank) pairs of a product space, one list per price.
@@ -212,7 +184,7 @@ def _product_candidates(params: ModelParams, space: str, k: int,
     tree is grown one level at a time: each level multiplies every prefix's
     P by its values' lambda/nu and adds their terms. Only S depends on the
     price, through f = R nu - cost, so one walk grows P and W once and S as
-    a (prices, rows) array, on the rates of _level_tables. _block_profits
+    a (prices, rows) array, on the tables of _level_tables. _block_profits
     and _near_best run these operations in this order, so a policy gets
     the same profit from all three at every m. A level's values form the
     leading axis of its rows, so every operation runs along the contiguous
@@ -226,8 +198,9 @@ def _product_candidates(params: ModelParams, space: str, k: int,
     depends on the chunks, the batches or the other prices.
     """
     m = params.m
-    levels, low_profit, low_weight, xi_n, ratios, f_top = _level_tables(
-        params, space, prices)
+    levels, start, low_profit, low_weight, xi_n, every_ratio, f_top = _level_tables(
+        params, space, prices.tolist())
+    ratios = [every_ratio[a:b] for a, b in zip(start, start[1:])]
 
     def split_for(q):
         """(split, leaves) for q prices: the first chunk level, and the
@@ -251,7 +224,7 @@ def _product_candidates(params: ModelParams, space: str, k: int,
             xi is formed in W's slot by the same two roundings.
             """
             prod, profit, weight = state
-            ratio, f = ratios[j], f_top[:, j, :ratios[j].size]
+            ratio, f = ratios[j], f_top[:, start[j]:start[j + 1]]
             shape = (ratio.size, prod.size)
             size = ratio.size * prod.size
             xi = out[1][:size].reshape(shape)
@@ -380,25 +353,6 @@ def _rankings(params: ModelParams, space: str, k: int,
             for found in candidates]
 
 
-def _float_tables(params: ModelParams, space: str):
-    """(levels, low_profit, low_weight, xi_n, ratios, rates): _level_tables at
-    params.price, in Python floats, with rates[j] the profit rates of level
-    j's values.
-
-    ratios and rates come from the lists of _level_rates by the operations
-    _level_tables runs elementwise, and the rest from the same _low_profit
-    pass, so every number equals the walk's bit for bit.
-    """
-    lam, price = params.lambda_, params.price
-    levels, cost_low, death, cost = _level_rates(params, space)
-    with np.errstate(over="ignore", invalid="ignore"):
-        low_profit, low_weight, xi_n = _low_profit(params, cost_low, (price,))
-    ratios = [[lam / nu for nu in row] for row in death]
-    rates = [[price * nu - c for nu, c in zip(*rows)] for rows in zip(death, cost)]
-    return (levels, float(low_profit[0]), float(low_weight), float(xi_n),
-            ratios, rates)
-
-
 # The most prefixes _near_best grows at one level; a larger set of near
 # ties is ranked by the walk.
 _TIE_CAP = 256
@@ -431,9 +385,8 @@ def _near_best(params: ModelParams, space: str,
 
     Why 2 delta keeps every float maximizer. Let u = 2**-53, F = max|f|
     and K = F + |low_profit| / low_weight. Both paths start from the same
-    floats: ratios and rates formed by the same operations on the rates of
-    chain._level_rates, and xi_n, low_profit and low_weight from
-    chain._low_profit. So only the roundings after them count; each
+    floats, the tables of chain._level_tables (ratios, rates, xi_n,
+    low_profit, low_weight). So only the roundings after them count; each
     multiplies a term by some 1 + e with |e| <= u. With no overflow (the
     reach test) and no subnormal result:
     - A leaf's eta. Level j's term (1-based) goes through j roundings of
@@ -461,10 +414,13 @@ def _near_best(params: ModelParams, space: str,
     exactly the spaces it refuses, and where more than _TIE_CAP prefixes
     near the maximum share a level.
     """
-    levels, low_profit, low_weight, xi_n, ratios, rates = _float_tables(params, space)
-    m = params.m
-    # A NaN rate counts as infinite, so it fails the reach test.
-    scale = max(abs(f) if f == f else math.inf for row in rates for f in row)
+    levels, start, low_profit, low_weight, xi_n, ratios, rates = _level_tables(
+        params, space, [params.price])
+    scale = float(np.abs(rates).max())
+    # The tables as Python floats, one list per level.
+    ratios, rates = ([flat[a:b] for a, b in zip(start, start[1:])]
+                     for flat in (ratios.tolist(), rates[0].tolist()))
+    low_profit, m = float(low_profit[0]), params.m
 
     # Rounding is monotone, so the all-asleep prefix has the largest float
     # P at every level. Times the largest profit rate it bounds every sum,

@@ -299,8 +299,14 @@ def test_result_arrays_are_read_only(make, names):
 
 
 def test_import_leaves_hashlib_unloaded_and_the_digest_pinned(micro):
-    # hashlib loads OpenSSL; only params_digest needs it, and imports it.
-    code = ("import sys, sleepq\n"
+    # hashlib loads OpenSSL; of sleepq's modules only params_digest needs it,
+    # and imports it there. numba (the optional simulator kernel) may load
+    # it, and so may numpy on some versions: where either does, only the
+    # digest is checked.
+    code = ("import importlib.util, sys\n"
+            "import numpy\n"
+            "print(importlib.util.find_spec('numba') is not None or 'hashlib' in sys.modules)\n"
+            "import sleepq\n"
             "print('hashlib' in sys.modules)\n"
             "print(sleepq.params_digest(sleepq.parse_params(sys.stdin.read())))\n")
     src = str(Path(sleepq.__file__).resolve().parent.parent)
@@ -308,4 +314,6 @@ def test_import_leaves_hashlib_unloaded_and_the_digest_pinned(micro):
     run = subprocess.run([sys.executable, "-c", code], input=params_to_text(micro),
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "babe50cc03dd8a95"]
+    unchecked, loaded, digest = run.stdout.split()
+    assert unchecked == "True" or loaded == "False"
+    assert digest == "babe50cc03dd8a95"

@@ -196,31 +196,29 @@ def test_threshold_block_stacks_the_threshold_policies():
 
 
 @pytest.mark.parametrize("space", ["full", "reduced", "bang_bang"])
-def test_level_dp_and_walk_start_from_the_block_paths_floats(space):
-    # _near_best's rounding bound assumes the DP and the walk start from the
-    # same floats; the walk's equal what _profit_rates gives a block whose
-    # row v holds each level's v-th value.
+def test_level_tables_hold_the_block_paths_floats(space):
+    # The level DP and the walk both read chain._level_tables; their profits
+    # equal _block_profits' only if its floats are what _profit_rates gives
+    # a block whose row v holds each level's v-th value, at every price.
+    chain = importlib.import_module("sleepq.chain")
     rng = np.random.default_rng(3537)
     for _ in range(30):
         params = draw_params(rng, n_max=6, m_max=8)
-        price = np.array([params.price])
-        levels, low_profit, low_weight, xi_n, ratios, rates = OPT._float_tables(params, space)
-        walk = OPT._level_tables(params, space, price)
+        prices = [params.price, 0.0, 3.5 * params.price + 1.0]
+        levels, start, low_profit, low_weight, xi_n, ratios, f_top = chain._level_tables(
+            params, space, prices)
         table = np.zeros((max(map(len, levels)), params.m), dtype=np.int64)
         for j, values in enumerate(levels):
             table[:len(values), j] = values
-        block = OPT._profit_rates(params, *OPT._block_rates(params, table), price)
-        assert walk[0] == levels
-        for dp, walked, blocked in ((low_profit, walk[1][0], block[0][0]),
-                                    (low_weight, walk[2], block[1]),
-                                    (xi_n, walk[3], block[2])):
-            assert type(dp) is float and dp.hex() == float(walked).hex() == float(blocked).hex()
+        block = chain._profit_rates(params, *chain._block_rates(params, table),
+                                    np.array(prices))
+        assert low_profit.tobytes() == block[0].tobytes()
+        for ours, blocked in ((low_weight, block[1]), (xi_n, block[2])):
+            assert type(ours) is float and ours.hex() == float(blocked).hex()
         for j, values in enumerate(levels):
-            size = len(values)
-            assert np.array(ratios[j]).tobytes() == walk[4][j].tobytes() == \
-                (params.lambda_ / block[3][j, :size]).tobytes()
-            assert np.array(rates[j]).tobytes() == walk[5][0, j, :size].tobytes() == \
-                block[4][0, j, :size].tobytes()
+            at, size = slice(start[j], start[j + 1]), len(values)
+            assert ratios[at].tobytes() == (params.lambda_ / block[3][j, :size]).tobytes()
+            assert f_top[:, at].tobytes() == block[4][:, j, :size].tobytes()
 
 
 def _block_etas(params, space):
