@@ -11,7 +11,8 @@ enumeration with a lexicographic tie-break returns, bit for bit: the
 policies that may tie the float maximum are regrown from the root in the
 enumeration tree's order and operations. It reads the tables of
 chain._level_tables, formed from one scalar rate pass over every value of
-every level, as Python floats; the walk below reads the same tables.
+every level, as Python floats, with the states (i, 0) from
+chain._low_profit; the walk below reads the same tables.
 
 The enumeration tree is still walked where that set of near ties is
 large, for rankings (top_k) and for price_sweep: policies that share their
@@ -385,10 +386,11 @@ def _near_best(params: ModelParams, space: str,
 
     Why 2 delta keeps every float maximizer. Let u = 2**-53, F = max|f|
     and K = F + |low_profit| / low_weight. Both paths start from the same
-    floats, the tables of chain._level_tables (ratios, rates, xi_n,
-    low_profit, low_weight). So only the roundings after them count; each
-    multiplies a term by some 1 + e with |e| <= u. With no overflow (the
-    reach test) and no subnormal result:
+    floats, the tables of chain._level_tables: ratios and rates, and xi_n,
+    low_profit and low_weight from chain._low_profit, which the block path
+    shares. So only the roundings after them count; each multiplies a term
+    by some 1 + e with |e| <= u. With no overflow (the reach test) and no
+    subnormal result:
     - A leaf's eta. Level j's term (1-based) goes through j roundings of
       P, one of xi, one of xi f and at most m - j + 1 of the sums; then
       come the addition of low_profit and the division. All of D's terms
