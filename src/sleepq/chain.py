@@ -8,12 +8,12 @@ the dense oracles form the k x k matrix. The stationary vector has a product
 form that the closed-form solver builds by recursive ratios; a dense linear
 solve is kept as an oracle.
 
-One body (_rates) forms the death and cost rates, in three shapes: level
-by level in Python floats for one policy (_state_rates); once for every
-value of every level of a product space, the tables of the searches'
-level DP and walk (_level_tables); and on every level of a whole block of
-policies at once (_block_rates). The tables and the block take the states
-(i, 0) from one helper (_low_profit).
+One body (_rates) forms the death and cost rates, in two shapes, both in
+Python floats: level by level for one policy (_state_rates), and once for
+every value of some value sets, one set per level (_value_rates). Every
+search reads the second: the flat tables of _level_tables, and a block of
+policies, which is value sets with a digit array (row r takes value
+levels[j][digits[r, j]] at level j + 1) and gathers its rates from them.
 
 One policy's pass is kept in a PolicyRecord, in a memo of the MEMO_SIZE
 most recent records, so the per-policy calls of every layer share one pass
@@ -41,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import (ModelParams, Policy, ReadOnlyRecord, _level_values, _model_errors,
-                    check_policy)
+from .model import ModelParams, Policy, ReadOnlyRecord, _model_errors, check_policy
 
 
 @dataclass(frozen=True)
@@ -84,19 +83,17 @@ class ChainSolution(ReadOnlyRecord):
     b: float
 
 
-def _rates(params: ModelParams, levels, minimum) -> tuple[list, list]:
-    """Death and cost rates of the states (i, 0), then of each item of levels.
+def _rates(params: ModelParams, pairs) -> tuple[list, list]:
+    """Death and cost rates of the states (i, 0), then of each pair of pairs.
 
     The death rate of a state is also its completion rate: i*mu1 at (i, 0),
     and nu(d_{n,j}) at (n, j), where Group 1 contributes n*mu1 and Group 2
     min(d_{n,j}, j)*mu2 because only as many awake servers as jobs can
     serve. The energy part of the cost uses the raw entry d_{n,j}: a server
-    awake beyond the number of jobs burns power without serving. levels
-    yields pairs (j, d_{n,j}) and minimum clamps them: one pair of Python
-    ints per level of one policy with min, or one pair of arrays holding
-    every level of a block with np.minimum, so a block's rates are bit for
-    bit those of each of its policies. Arrivals are lost only at the top
-    state: the caller adds their cost there.
+    awake beyond the number of jobs burns power without serving. pairs
+    yields Python ints (j, d_{n,j}): the levels of one policy, or every
+    value of some value sets. Arrivals are lost only at the top state: the
+    caller adds their cost there.
     """
     n, m = params.n, params.m
     mu1, mu2 = params.mu1, params.mu2
@@ -109,8 +106,8 @@ def _rates(params: ModelParams, levels, minimum) -> tuple[list, list]:
     base_energy = (group1_power + m * p2_sleep) * c_energy
     death = [i * mu1 for i in range(n + 1)]
     cost = [base_energy + i * params.c_hold_g1 for i in range(n + 1)]
-    for j, dj in levels:
-        death.append(group1_rate + minimum(dj, j) * mu2)
+    for j, dj in pairs:
+        death.append(group1_rate + min(dj, j) * mu2)
         cost.append((group1_power + dj * p2_work + (m - dj) * p2_sleep) * c_energy
                     + group1_hold + j * c_hold_g2 + transfer)
     return death, cost
@@ -123,7 +120,7 @@ def _state_rates(params: ModelParams, d: tuple) -> tuple[list[float], list[float
     _policy_record has checked; the record keeps it, and the generator, the
     stationary law and the reward read their rates from the record.
     """
-    death, cost = _rates(params, enumerate(d, start=1), min)
+    death, cost = _rates(params, enumerate(d, start=1))
     cost[-1] += params.lambda_ * params.c_loss
     return death, cost
 
@@ -181,48 +178,68 @@ def _policy_record(params: ModelParams, d: Policy) -> PolicyRecord:
     return record
 
 
-def _level_tables(params: ModelParams, space: str, prices: list[float]):
-    """(levels, start, low_profit, low_weight, xi_n, ratios, f_top) of a
-    product space at each of the float prices: the tables of optimize's
-    level DP and walk.
-
-    levels are the value sets of _level_values; level j + 1's values are
-    the columns start[j]:start[j + 1] of ratios, lambda/nu, and of f_top[p],
-    the profit rates prices[p] nu - cost. The rates come from one pass of
-    _rates over every value of every level, with the loss cost on the top
-    level, and the rest from _low_profit. So every number is what
-    _profit_rates gives a block whose row v holds each level's v-th value.
+def _value_rates(params: ModelParams, levels) -> tuple[list, list, list]:
+    """(death, cost, start): _rates of the states (i, 0), then of every
+    value of levels, one set of ints in 0..m per level, with the loss cost
+    on the top level's: bit for bit those _state_rates gives a policy that
+    takes the value. Level j + 1's values' rates begin at n + 1 + start[j].
     """
-    lam, low = params.lambda_, params.n + 1
-    levels = _level_values(params.m, space)
     death, cost = _rates(params, [(j, v) for j, values in enumerate(levels, start=1)
-                                  for v in values], min)
-    top = len(cost) - len(levels[-1])
-    cost[top:] = [rate + lam * params.c_loss for rate in cost[top:]]
+                                  for v in values])
+    top, loss = len(cost) - len(levels[-1]), params.lambda_ * params.c_loss
+    cost[top:] = [rate + loss for rate in cost[top:]]
     start = [0]
     for values in levels:
         start.append(start[-1] + len(values))
+    return death, cost, start
+
+
+def _value_index(start: list, digits: np.ndarray) -> np.ndarray:
+    """The (m, rows) index of the rows of digits into tables laid out by
+    start, C-contiguous: a transposed one made _lines about 2x slower."""
+    return np.ascontiguousarray(digits.T) + np.array(start[:-1])[:, None]
+
+
+def _level_tables(params: ModelParams, levels, prices: list[float]):
+    """(start, low_profit, low_weight, xi_n, ratios, f_top) of the value
+    sets levels at each of the float prices: the tables every search reads.
+
+    Level j + 1's values are the columns start[j]:start[j + 1] of ratios,
+    lambda/nu, and of f_top[p], the profit rates prices[p] nu - cost, from
+    one pass of _value_rates. The states (i, 0) have weights xi_low, the
+    cumulative products of lambda/(i mu1), formed in Python floats by
+    numpy's operations, as is f_low: low_profit[p] = xi_low . f_low at
+    prices[p], low_weight = sum(xi_low) and xi_n = xi_low[n], summed by
+    numpy. A policy's average profit at prices[p] is (low_profit[p] + sum
+    xi f_top[p]) / (low_weight + sum xi), xi = xi_n cumprod(lambda/nu).
+    """
+    lam, mu1, low = params.lambda_, params.mu1, params.n + 1
+    death, cost, start = _value_rates(params, levels)
+    xi = [1.0]
+    for i in range(1, low):
+        xi.append(xi[-1] * (lam / (i * mu1)))
+    xi_low = np.array(xi)
+    f_low = np.array([[price * i * mu1 - c for i, c in enumerate(cost[:low])]
+                      for price in prices])
     nu = np.array(death[low:])
     with np.errstate(over="ignore", invalid="ignore"):
-        return (levels, start, *_low_profit(params, cost[:low], prices), lam / nu,
+        return (start, np.array([xi_low @ row for row in f_low]),
+                float(xi_low.sum()), xi[-1], lam / nu,
                 np.multiply.outer(prices, nu) - cost[low:])
 
 
-def _block_rates(params: ModelParams, block: np.ndarray) -> tuple[list, list]:
-    """The rates of _state_rates for every policy row of block.
-
-    Each list holds the Python floats of the states (i, 0), shared by every
-    row, then one level-major (m, rows) array: row j - 1 holds the rate of
-    level j under each policy row. block is a (rows, m) integer array of
-    policies in range, under params that passed require_valid: every
-    caller validates first and builds its block from checked policies.
+def _block_rates(params: ModelParams, levels, digits: np.ndarray,
+                 ) -> tuple[list, list]:
+    """The rates of _state_rates for every policy row of a block, value
+    sets levels with a (rows, m) integer array digits: row r takes value
+    levels[j][digits[r, j]] at level j + 1. Each list holds the floats of
+    the states (i, 0), then one array per level gathered from _value_rates,
+    with an entry per row. Every caller validates params first.
     """
-    # Whole numbers as floats: each product rounds once, as with ints.
-    levels = np.arange(1.0, params.m + 1)[:, None]
-    entries = block.T.astype(np.float64, order="C")
-    death, cost = _rates(params, [(levels, entries)], np.minimum)
-    cost[-1][-1] += params.lambda_ * params.c_loss
-    return death, cost
+    death, cost, start = _value_rates(params, levels)
+    low, index = params.n + 1, _value_index(start, digits)
+    return (death[:low] + list(np.array(death[low:])[index]),
+            cost[:low] + list(np.array(cost[low:])[index]))
 
 
 def build_generator(params: ModelParams, d: Policy) -> Generator:
@@ -283,45 +300,6 @@ def _require_finite(values, what: str) -> None:
     if not np.isfinite(values).all():
         raise NumericalError(f"{what} are not finite; the stationary weights "
                              "overflow at this load")
-
-
-def _profit_rates(params: ModelParams, death: list, cost: list,
-                  prices: np.ndarray):
-    """(low_profit, low_weight, xi_n, nu, f_top) of block rates at each price.
-
-    death and cost are the rates of _block_rates. The weights of the states
-    (i, 0) are cumulative products of lambda/(i mu1), shared by every row:
-    low_profit[p] = xi_low . f_low at prices[p], low_weight = sum(xi_low)
-    and xi_n = xi_low[n]. nu is the level-major (m, rows) array of service
-    rates and f_top[p] the (m, rows) profit rates at prices[p]. A row's
-    level weights are xi_top = xi_n * cumprod(lambda/nu) down the levels,
-    and its average profit at prices[p] is (low_profit[p] + sum xi_top
-    f_top[p]) / (low_weight + sum xi_top). Each price gets the numbers of a
-    one-price call bit for bit: the same elementwise operations, and one
-    dot product of its own.
-    """
-    nu = death[-1]
-    return (*_low_profit(params, cost[:-1], prices.tolist()), nu,
-            prices[:, None, None] * nu - cost[-1])
-
-
-def _low_profit(params: ModelParams, cost_low: list, prices):
-    """(low_profit, low_weight, xi_n) of the states (i, 0), cost_low their
-    cost rates, at each of the float prices: see _profit_rates.
-
-    The weights and f_low are formed in Python floats by numpy's operations
-    (np.cumprod, the elementwise products); the sum and the dot products
-    are numpy's, as Python would add in another order.
-    """
-    mu1 = params.mu1
-    xi = [1.0]
-    for i in range(1, params.n + 1):
-        xi.append(xi[-1] * (params.lambda_ / (i * mu1)))
-    xi_low = np.array(xi)
-    f_low = np.array([[price * i * mu1 - c for i, c in enumerate(cost_low)]
-                      for price in prices])
-    low_profit = np.array([xi_low @ row for row in f_low])
-    return low_profit, float(xi_low.sum()), xi[-1]
 
 
 def stationary_numeric(gen: Generator) -> ChainSolution:

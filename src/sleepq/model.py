@@ -281,15 +281,24 @@ def _gated_size(m: int, space: str, allow_large: bool) -> int:
     """Size of a policy space, refusing the ones too large to enumerate.
 
     The full space refuses m > 8 and the reduced space m > 10 unless
-    allow_large is set; bang_bang and threshold are never refused.
+    allow_large is set; bang_bang and threshold are never refused. Past
+    the 4300 digits Python writes of an int, a refusal gives no size but
+    its formula and digit count.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     size = policy_space_size(m, space)
-    limit = {"full": FULL_SPACE_MAX_M, "reduced": REDUCED_SPACE_MAX_M}.get(space)
-    if limit is not None and m > limit and not allow_large:
+    limit, formula = {"full": (FULL_SPACE_MAX_M, "(m+1)^m"),
+                      "reduced": (REDUCED_SPACE_MAX_M, "(m+1)!"),
+                      }.get(space, (math.inf, ""))
+    if m > limit and not allow_large:
+        # log10 of a large int can round across a power of ten.
+        digits = int(math.log10(size))
+        while size >= 10 ** digits:
+            digits += 1
+        count = size if digits <= 4300 else f"{formula} ({digits} digits)"
         raise GateError(
-            f"{space} policy space has {size} members for m={m}; "
+            f"{space} policy space has {count} members for m={m}; "
             "pass allow_large to enumerate anyway"
         )
     return size

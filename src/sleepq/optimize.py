@@ -11,8 +11,8 @@ enumeration with a lexicographic tie-break returns, bit for bit: the
 policies that may tie the float maximum are regrown from the root in the
 enumeration tree's order and operations. It reads the tables of
 chain._level_tables, formed from one scalar rate pass over every value of
-every level, as Python floats, with the states (i, 0) from
-chain._low_profit; the walk below reads the same tables.
+every level; the walk below and every block of policies read the same
+tables.
 
 The enumeration tree is still walked where that set of near ties is
 large, for rankings (top_k) and for price_sweep: policies that share their
@@ -22,7 +22,7 @@ The price is an axis of that walk. Only the profit sums depend on it, so
 price_sweep searches a whole grid of prices in one walk; each price's eta
 is bit for bit what optimize returns at that price alone. The walk grows
 its chunks one after another on the calling thread. The threshold family
-is evaluated as one block.
+is evaluated as one block of bang-bang rows.
 
 The module also houses the structural results: closed-form optima at
 extreme prices, the threshold-policy scan with its optimality sign
@@ -41,8 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import (_block_rates, _level_tables, _profit_rates, _require_finite,
-                    stationary_closed_form)
+from .chain import _level_tables, _require_finite, _value_index, stationary_closed_form
 from .errors import ConfigError, ConsistencyError, RegimeError
 from .model import (
     BLOCK_SIZE,
@@ -51,6 +50,7 @@ from .model import (
     ReadOnlyRecord,
     _check_count,
     _gated_size,
+    _level_values,
     _policy_block,
     check_policy,
     require_valid,
@@ -126,21 +126,23 @@ class MonotonicityReport(ReadOnlyRecord):
     ok: bool
 
 
-def _block_profits(params: ModelParams, block: np.ndarray,
+def _block_profits(params: ModelParams, levels, digits: np.ndarray,
                    prices: np.ndarray) -> np.ndarray:
-    """Average profit of each policy row of block: one row per price.
+    """Average profit of each policy row of the block (levels, digits) of
+    chain._block_rates: one row per price.
 
-    Same closed form as policy_profit on the level-major rates of
-    _profit_rates, with the weights and terms cumulated down the level
-    axis in the order of the enumeration tree of _product_candidates, so a
-    row's profit is bit for bit what the tree gives its policy. A profit
-    that is not finite raises NumericalError, as in _chunk_summary.
+    Same closed form as policy_profit on the tables of _level_tables,
+    gathered level-major, with the weights and terms cumulated down the
+    level axis in the order of the enumeration tree of _product_candidates,
+    so a row's profit is bit for bit what the tree gives its policy. A
+    profit that is not finite raises NumericalError, as in _chunk_summary.
     """
+    start, low_profit, low_weight, xi_n, ratios, f_top = _level_tables(
+        params, levels, prices.tolist())
+    index = _value_index(start, digits)
     with np.errstate(over="ignore", invalid="ignore"):
-        low_profit, low_weight, xi_n, nu, f_top = _profit_rates(
-            params, *_block_rates(params, block), prices)
-        xi_top = xi_n * np.cumprod(params.lambda_ / nu, axis=0)
-        etas = ((low_profit[:, None] + np.cumsum(xi_top * f_top, axis=1)[:, -1])
+        xi_top = xi_n * np.cumprod(ratios[index], axis=0)
+        etas = ((low_profit[:, None] + np.cumsum(xi_top * f_top[:, index], axis=1)[:, -1])
                 / (low_weight + np.cumsum(xi_top, axis=0)[-1]))
     _require_finite(etas, "profits")
     return etas
@@ -185,22 +187,22 @@ def _product_candidates(params: ModelParams, space: str, k: int,
     tree is grown one level at a time: each level multiplies every prefix's
     P by its values' lambda/nu and adds their terms. Only S depends on the
     price, through f = R nu - cost, so one walk grows P and W once and S as
-    a (prices, rows) array, on the tables of _level_tables. _block_profits
-    and _near_best run these operations in this order, so a policy gets
-    the same profit from all three at every m. A level's values form the
-    leading axis of its rows, so every operation runs along the contiguous
-    prefix axis. The levels above a split are built once and put in rank
-    order; each chunk grows a run of split-level prefixes into leaves,
-    which are consecutive ranks. No array holds more than BLOCK_SIZE rows
+    a (prices, rows) array, on _level_tables of the space's value sets.
+    _block_profits and _near_best run these operations in this order on the
+    same tables, so a policy gets the same profit from all three at every
+    m. A level's values form the leading axis of its rows, so every
+    operation runs along the contiguous prefix axis. The levels above a
+    split are built once and put in rank order; each chunk grows a run of
+    split-level prefixes into leaves, which are consecutive ranks. No array holds more than BLOCK_SIZE rows
     x prices unless one price's prefixes alone do: the split deepens as
     prices are added, and the prices are walked in batches small enough
     for their prefixes to fit. Every leaf's numbers come from the same
     elementwise operations wherever the tree is split, so no result
     depends on the chunks, the batches or the other prices.
     """
-    m = params.m
-    levels, start, low_profit, low_weight, xi_n, every_ratio, f_top = _level_tables(
-        params, space, prices.tolist())
+    m, levels = params.m, _level_values(params.m, space)
+    start, low_profit, low_weight, xi_n, every_ratio, f_top = _level_tables(
+        params, levels, prices.tolist())
     ratios = [every_ratio[a:b] for a, b in zip(start, start[1:])]
 
     def split_for(q):
@@ -329,18 +331,19 @@ def _rankings(params: ModelParams, space: str, k: int,
               prices) -> list[list[tuple[float, Policy]]]:
     """The k best (-eta, policy) pairs of a space at each price, best first.
 
-    The threshold family is one block at every price; the product spaces
-    are one walk of _product_candidates over all the prices. Overflow and
-    NaN are refused by _block_profits and _chunk_summary.
+    The threshold family is one block of bang-bang digits at every price;
+    the product spaces are one walk of _product_candidates over all the
+    prices. Overflow and NaN are refused by _block_profits and
+    _chunk_summary.
     """
     m = params.m
     prices = np.asarray(prices, dtype=np.float64)
     if space == "threshold":
-        # Falling theta is lexicographic order.
-        block = _policy_block(m, space, np.arange(m, -1, -1))
-        candidates = _chunk_summary(_block_profits(params, block, prices),
-                                    lambda rows: rows, k)
-        policy_of = block.__getitem__
+        # d_theta wakes level j >= theta; falling theta is policy order.
+        digits = np.arange(1, m + 1) >= np.arange(m + 1, 0, -1)[:, None]
+        etas = _block_profits(params, _level_values(m, "bang_bang"), digits, prices)
+        candidates = _chunk_summary(etas, lambda rows: rows, k)
+        policy_of = lambda rows: digits[rows] * np.arange(1, m + 1)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             candidates = _product_candidates(params, space, k, prices)
@@ -385,12 +388,11 @@ def _near_best(params: ModelParams, space: str,
     operations of the walk's grow, in its order, on the same floats.
 
     Why 2 delta keeps every float maximizer. Let u = 2**-53, F = max|f|
-    and K = F + |low_profit| / low_weight. Both paths start from the same
-    floats, the tables of chain._level_tables: ratios and rates, and xi_n,
-    low_profit and low_weight from chain._low_profit, which the block path
-    shares. So only the roundings after them count; each multiplies a term
-    by some 1 + e with |e| <= u. With no overflow (the reach test) and no
-    subnormal result:
+    and K = F + |low_profit| / low_weight. The DP, the walk and every block
+    start from the same floats, the tables of chain._level_tables: ratios
+    and rates, xi_n, low_profit and low_weight. So only the roundings after
+    them count; each multiplies a term by some 1 + e with |e| <= u. With
+    no overflow (the reach test) and no subnormal result:
     - A leaf's eta. Level j's term (1-based) goes through j roundings of
       P, one of xi, one of xi f and at most m - j + 1 of the sums; then
       come the addition of low_profit and the division. All of D's terms
@@ -416,8 +418,9 @@ def _near_best(params: ModelParams, space: str,
     exactly the spaces it refuses, and where more than _TIE_CAP prefixes
     near the maximum share a level.
     """
-    levels, start, low_profit, low_weight, xi_n, ratios, rates = _level_tables(
-        params, space, [params.price])
+    levels = _level_values(params.m, space)
+    start, low_profit, low_weight, xi_n, ratios, rates = _level_tables(
+        params, levels, [params.price])
     scale = float(np.abs(rates).max())
     # The tables as Python floats, one list per level.
     ratios, rates = ([flat[a:b] for a, b in zip(start, start[1:])]
@@ -657,8 +660,9 @@ def threshold_scan(params: ModelParams) -> ThresholdResult:
     """
     require_valid(params)
     m = params.m
-    block = _policy_block(m, "threshold", np.arange(m + 1))
-    etas = _block_profits(params, block, np.array([params.price]))[0]
+    digits = np.arange(1, m + 1) >= np.arange(1, m + 2)[:, None]
+    etas = _block_profits(params, _level_values(m, "bang_bang"), digits,
+                          np.array([params.price]))[0]
     theta_star = 1 + int(np.argmax(etas))
 
     def value(theta: int, level: int) -> float:
@@ -695,11 +699,12 @@ def verify_monotonicity(params: ModelParams, d: Policy, j: int,
     _check_count(j, f"j must be an integer in 1..{params.m}", params.m)
     m = params.m
 
-    block = np.tile(np.asarray(d, dtype=np.int64), (m + 1, 1))
-    block[:, j - 1] = np.arange(m + 1)
-    etas = _block_profits(params, block, np.array([params.price]))[0]
+    # Singleton levels but level j, where row v takes value v.
+    levels = [range(m + 1) if i == j else (v,) for i, v in enumerate(d, start=1)]
+    digits = np.outer(np.arange(m + 1), np.arange(1, m + 1) == j)
+    etas = _block_profits(params, levels, digits, np.array([params.price]))[0]
 
-    pi = stationary_closed_form(params, tuple(int(v) for v in block[j]))
+    pi = stationary_closed_form(params, d[:j - 1] + (j,) + d[j:])
     slope = -(pi.pi[params.n + j] * (params.p2_work - params.p2_sleep)
               * params.c_energy)
     span = np.arange(j, m + 1)

@@ -68,6 +68,7 @@ from .model import (
     ReadOnlyRecord,
     _check_count,
     _gated_size,
+    _level_values,
     _policy_block,
     check_policy,
     require_valid,
@@ -214,17 +215,17 @@ def _lines(params: ModelParams, death: list, cost: list,
     return lines[0], lines[1]
 
 
-def _factor_lines(params: ModelParams, block: np.ndarray,
+def _factor_lines(params: ModelParams, levels, digits: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(intercept, slope) of G(n,j) for each policy row of block.
+    """(intercept, slope) of G(n,j) for each policy row of a block.
 
-    Each of shape (rows, m): _lines on the rates of _block_rates, whose
-    level-major arrays give it one row per level with an entry per policy.
+    Each of shape (rows, m): _lines on chain._block_rates of the block
+    (levels, digits), one array per level with an entry per row.
     """
-    (*death, nu), (*cost, cost_top) = _block_rates(params, block)
+    death, cost = _block_rates(params, levels, digits)
     # Overflow and NaN in the rows are caught by _lines' finiteness checks.
     with np.errstate(over="ignore", invalid="ignore"):
-        intercept, slope = _lines(params, [*death, *nu], [*cost, *cost_top])
+        intercept, slope = _lines(params, death, cost)
     return intercept.T, slope.T
 
 
@@ -291,18 +292,22 @@ def critical_prices_global(params: ModelParams, space: str = "full",
 
     R_H = max{0, roots of G+c over all policies and levels}; R_L is the
     minimum root. Degenerate (no-crossing) levels are skipped. Policies are
-    unranked in blocks of BLOCK_SIZE. params are validated, and each space
-    gated, as optimize validates and gates them.
+    unranked in blocks of BLOCK_SIZE and gathered from the value sets of
+    the space, or of bang_bang for threshold. params are validated, and
+    each space gated, as optimize validates and gates them.
     """
     require_valid(params)
     total = _gated_size(params.m, space, allow_large)
+    binary = space in ("bang_bang", "threshold")
+    levels = _level_values(params.m, "bang_bang" if binary else space)
 
     r_high = 0.0
     r_low = np.inf
     for start in range(0, total, BLOCK_SIZE):
         block = _policy_block(params.m, space,
                               np.arange(start, min(start + BLOCK_SIZE, total)))
-        roots, _ = _price_roots(params, *_factor_lines(params, block))
+        digits = block != 0 if binary else block
+        roots, _ = _price_roots(params, *_factor_lines(params, levels, digits))
         roots = roots[~np.isnan(roots)]
         if roots.size:
             r_high = max(r_high, float(roots.max()))

@@ -58,6 +58,15 @@ def random_policy(rng, m: int) -> tuple:
     return tuple(int(v) for v in rng.integers(0, m + 1, size=m))
 
 
+def level_block(rows) -> tuple[list, np.ndarray]:
+    """The block (levels, digits) of policy rows: each level's value set is
+    the values its rows take there, ascending, and a row's digit the index
+    of its value in that set."""
+    sets = [np.unique(column, return_inverse=True) for column in np.array(rows).T]
+    return ([values.tolist() for values, _ in sets],
+            np.array([digits for _, digits in sets]).T)
+
+
 def well_conditioned(params: ModelParams, d: tuple) -> bool:
     sol = stationary_closed_form(params, d)
     if sol.b > MASS_LIMIT:

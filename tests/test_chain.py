@@ -31,6 +31,7 @@ from sleepq.chain import MEMO_SIZE, _block_rates, _state_rates
 from conftest import (
     draw_instance,
     draw_params,
+    level_block,
     micro_params,
     random_policy,
     wide_light_instance,
@@ -138,14 +139,16 @@ def test_closed_form_operation_order():
             assert sol.xi[k] == sol.xi[k - 1] * params.lambda_ / aff.a[k]
         deaths = np.diagonal(build_generator(params, d).matrix, -1)
         assert deaths.tobytes() == aff.a[1:].tobytes()
-        # A block's level rates are level-major, one column per policy row;
-        # each row's rates and costs are its policy's, bit for bit.
+        # A block's level rates are gathered from its levels' value sets,
+        # one array per level with an entry per policy row; each row's rates
+        # and costs are its policy's, bit for bit.
         rows = list(dict.fromkeys(
             [d] + [random_policy(block_rng, params.m) for _ in range(5)]))
-        block = _block_rates(params, np.array(rows))
+        block = _block_rates(params, *level_block(rows))
+        low = params.n + 1
         for k, row in enumerate(rows):
-            for (*low, levels), want in zip(block, _state_rates(params, row)):
-                got = np.array(low + list(levels[:, k]))
+            for rates, want in zip(block, _state_rates(params, row)):
+                got = np.array(rates[:low] + [level[k] for level in rates[low:]])
                 assert got.tobytes() == np.array(want).tobytes()
 
 

@@ -256,6 +256,17 @@ def test_critical_price_gate_exits_3(tmp_path, capsys):
     assert main(["critical-prices", "--model", path]) == 3
 
 
+@pytest.mark.parametrize("m", [1371, 1558, 2000])
+def test_gate_exits_3_past_the_digits_python_writes(tmp_path, capsys, m):
+    # A size of more than 4300 digits still gives the gate's refusal.
+    path = write_model(tmp_path, lambda_=2.0, n=2, m=m)
+    for command in (["critical-prices"], ["optimize"], ["optimize", "--space", "reduced"],
+                    ["price-sweep", "--space", "full", "--from", "0", "--to", "1",
+                     "--steps", "2"]):
+        assert main([*command, "--model", path]) == 3
+        assert "allow_large" in capsys.readouterr().err
+
+
 def test_gate_override_runs(model_file, capsys, monkeypatch):
     import sleepq.model as model_mod
 

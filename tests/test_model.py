@@ -1,6 +1,7 @@
 """Parameter parsing, validation, policy helpers, and the state space."""
 
 import dataclasses
+import decimal
 import math
 import os
 import subprocess
@@ -224,6 +225,40 @@ def test_space_size_gate():
         list(enumerate_policies(FULL_SPACE_MAX_M + 1, "full"))
     # threshold spaces stay linear and are never gated
     assert len(list(enumerate_policies(40, "threshold"))) == 41
+
+
+@pytest.mark.parametrize("space, m, want", [
+    ("full", 9, "full policy space has 1000000000 members for m=9; "
+                "pass allow_large to enumerate anyway"),
+    ("reduced", 11, "reduced policy space has 479001600 members for m=11; "
+                    "pass allow_large to enumerate anyway")])
+def test_gate_message_names_the_exact_size(space, m, want):
+    with pytest.raises(GateError) as refused:
+        enumerate_policies(m, space)
+    assert str(refused.value) == want
+
+
+@pytest.mark.parametrize("space, m", [
+    ("full", 1370), ("full", 1371), ("full", 2000),
+    ("reduced", 1557), ("reduced", 1558), ("reduced", 2000)])
+def test_gate_refuses_a_size_past_the_digits_python_writes(space, m):
+    # Python writes no int of more than 4300 digits: past that, the
+    # refusal gives the size's formula and digit count instead.
+    size = policy_space_size(m, space)
+    digits = decimal.Decimal(size).adjusted() + 1
+    params = micro_params(lambda_=2.0, n=2, m=m)
+    calls = [lambda: enumerate_policies(m, space),
+             lambda: sleepq.optimize(params, space),
+             lambda: sleepq.critical_prices_global(params, space)]
+    for call in calls:
+        with pytest.raises(GateError, match="allow_large") as refused:
+            call()
+        if digits <= 4300:
+            assert f"has {size} members" in str(refused.value)
+        else:
+            formula = {"full": "(m+1)^m", "reduced": "(m+1)!"}[space]
+            assert f"has {formula} ({digits} digits) members for m={m}" in str(
+                refused.value)
 
 
 def test_policy_parse_format_round_trip():

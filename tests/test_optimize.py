@@ -31,7 +31,9 @@ from conftest import (
     draw_instance,
     draw_params,
     heavy_instance,
+    level_block,
     micro_params,
+    random_policy,
     sleepy_params,
 )
 
@@ -96,7 +98,7 @@ def test_zero_price_sleepy_instance_sleeps(sleepy):
 
 def _profits(params, block):
     """The block evaluator's profit of each policy of block."""
-    return OPT._block_profits(params, np.array(block), np.array([params.price]))[0]
+    return OPT._block_profits(params, *level_block(block), np.array([params.price]))[0]
 
 
 def _walk_best(params, space):
@@ -193,32 +195,6 @@ def test_threshold_block_stacks_the_threshold_policies():
         want = np.array([threshold_policy(m, int(r) + 1) for r in ranks], dtype=np.int64)
         block = _policy_block(m, "threshold", ranks)
         assert block.dtype == np.int64 and np.array_equal(block, want)
-
-
-@pytest.mark.parametrize("space", ["full", "reduced", "bang_bang"])
-def test_level_tables_hold_the_block_paths_floats(space):
-    # The level DP and the walk both read chain._level_tables; their profits
-    # equal _block_profits' only if its floats are what _profit_rates gives
-    # a block whose row v holds each level's v-th value, at every price.
-    chain = importlib.import_module("sleepq.chain")
-    rng = np.random.default_rng(3537)
-    for _ in range(30):
-        params = draw_params(rng, n_max=6, m_max=8)
-        prices = [params.price, 0.0, 3.5 * params.price + 1.0]
-        levels, start, low_profit, low_weight, xi_n, ratios, f_top = chain._level_tables(
-            params, space, prices)
-        table = np.zeros((max(map(len, levels)), params.m), dtype=np.int64)
-        for j, values in enumerate(levels):
-            table[:len(values), j] = values
-        block = chain._profit_rates(params, *chain._block_rates(params, table),
-                                    np.array(prices))
-        assert low_profit.tobytes() == block[0].tobytes()
-        for ours, blocked in ((low_weight, block[1]), (xi_n, block[2])):
-            assert type(ours) is float and ours.hex() == float(blocked).hex()
-        for j, values in enumerate(levels):
-            at, size = slice(start[j], start[j + 1]), len(values)
-            assert ratios[at].tobytes() == (params.lambda_ / block[3][j, :size]).tobytes()
-            assert f_top[:, at].tobytes() == block[4][:, j, :size].tobytes()
 
 
 def _block_etas(params, space):
@@ -627,6 +603,23 @@ def test_monotonicity_decreasing_in_sleep_regime(sleepy):
         assert rep.ok and rep.strictly_decreasing
         assert rep.expected_direction == "decreasing"
         assert rep.argmax_value == 0
+
+
+def test_monotonicity_sweep_is_the_trees_eta():
+    # The sweep gathers from singleton levels and one level of every value;
+    # each of its etas is the one the walk ranks for that policy, bit for
+    # bit.
+    rng = np.random.default_rng(3638)
+    for _ in range(40):
+        params = draw_params(rng, n_max=6, m_max=4)
+        m = params.m
+        ranked = dict(optimize(params, "full", top_k=(m + 1) ** m).ranking)
+        d = random_policy(rng, m)
+        for j in range(1, m + 1):
+            etas = verify_monotonicity(params, d, j).etas
+            for v in range(m + 1):
+                want = ranked[d[:j - 1] + (v,) + d[j:]]
+                assert float(etas[v]).hex() == want.hex(), (params, d, j, v)
 
 
 def test_affine_tail_slope_matches_direct_sweep():

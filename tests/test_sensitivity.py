@@ -31,6 +31,7 @@ from conftest import (
     draw_instance,
     draw_params,
     heavy_instance,
+    level_block,
     micro_params,
     random_policy,
     sleepy_params,
@@ -312,7 +313,7 @@ def test_policy_lines_match_block_lines():
     corpus += [wide_light_instance(rng) for _ in range(10)]
     for params, d in corpus + _heavy_corpus():
         rows = [d, (0,) * params.m, tuple(range(1, params.m + 1))]
-        block = _factor_lines(params, np.array(rows))
+        block = _factor_lines(params, *level_block(rows))
         for k, row in enumerate(rows):
             for got, want in zip(_policy_lines(params, row), block):
                 assert got.tobytes() == want[k].tobytes(), (params, row)
@@ -343,7 +344,7 @@ def test_policy_and_block_lines_refuse_the_same_draws():
     ]
     refused = []
     for params, d in corpus + overflowing:
-        block = _refuses(lambda p, x: _factor_lines(p, np.array([x])), params, d)
+        block = _refuses(lambda p, x: _factor_lines(p, *level_block([x])), params, d)
         assert _refuses(_policy_lines, params, d) == block, (params, d)
         refused.append(block)
     assert refused[-len(overflowing):] == [True] * len(overflowing)
@@ -359,7 +360,7 @@ def test_both_shapes_refuse_the_same_draws_at_the_overflow_edge():
         m = int(rng.integers(100, 200))
         params = micro_params(lambda_=10.0, mu1=0.1, mu2=mu2, n=1, m=m)
         d = random_policy(rng, m)
-        block = _refuses(lambda p, x: _factor_lines(p, np.array([x])), params, d)
+        block = _refuses(lambda p, x: _factor_lines(p, *level_block([x])), params, d)
         assert _refuses(_policy_lines, params, d) == block, (params, d)
         refused += block
     assert 0 < refused < 2000
