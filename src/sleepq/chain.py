@@ -12,8 +12,8 @@ One body (_rates) forms the death and cost rates, in two shapes, both in
 Python floats: level by level for one policy (_state_rates), and once for
 every value of some value sets, one set per level (_value_rates). Every
 search reads the second: the flat tables of _level_tables, and a block of
-policies, which is value sets with a digit array (row r takes value
-levels[j][digits[r, j]] at level j + 1) and gathers its rates from them.
+policies: value sets with a digit array from model._space_block (row r
+takes levels[j][digits[r, j]] at level j + 1), gathering its rates there.
 
 One policy's pass is kept in a PolicyRecord, in a memo of the MEMO_SIZE
 most recent records, so the per-policy calls of every layer share one pass

@@ -251,29 +251,26 @@ def threshold_policy(m: int, theta: int) -> Policy:
 
 
 def _level_values(m: int, space: str) -> list:
-    """The values each coordinate of a product space takes, ascending.
+    """The values each coordinate of a space takes, ascending.
 
-    full allows {0..m} at every level, reduced {0..j} at level j, bang_bang
-    {0, j}, each a range or a tuple of ints. A policy's rank is its digits
-    in these radices with the last coordinate least significant, so rank
-    order is lexicographic order.
+    full allows {0..m} at every level, reduced {0..j} at level j, and
+    bang_bang and threshold {0, j}, each a range or a tuple of ints. An
+    unknown space raises ValueError.
     """
     if space == "full":
         return [range(m + 1)] * m
     if space == "reduced":
         return [range(j + 1) for j in range(1, m + 1)]
-    if space == "bang_bang":
+    if space in ("bang_bang", "threshold"):
         return [(0, j) for j in range(1, m + 1)]
-    raise ValueError(f"space {space!r} is not a product space")
+    raise ValueError(f"unknown policy space {space!r}")
 
 
 def policy_space_size(m, space="full") -> int:
     """Number of policies in a space: the product of its level sizes, an
-    exact int at any m."""
+    exact int at any m, or m + 1 for threshold."""
     if space == "threshold":
         return m + 1
-    if space not in POLICY_SPACES:
-        raise ValueError(f"unknown policy space {space!r}")
     return math.prod(map(len, _level_values(m, space)))
 
 
@@ -323,24 +320,32 @@ def enumerate_policies(m, space="full", allow_large=False):
     return itertools.product(*_level_values(m, space))
 
 
-def _policy_block(m: int, space: str, ranks: np.ndarray) -> np.ndarray:
-    """The policies of an array of ranks, one integer row each.
-
-    Product spaces unrank mixed-radix digits through _level_values, in the
-    order enumerate_policies yields, all ranks in one pass; thresholds
-    come by rising theta: rank r is threshold_policy(m, r + 1), whose
-    level j is j from level r + 1 on and 0 below it.
+def _space_block(m: int, space: str, ranks) -> tuple[list, np.ndarray]:
+    """The block (levels, digits) of an array of ranks in enumerate_policies'
+    order: the space's value sets and a row of digits per rank, stored
+    level-major (chain._value_index's layout). Product ranks are mixed-radix
+    digits, the last level least significant, split off by one divmod per
+    level; threshold rank r (theta = r + 1) is the boolean row that wakes
+    the levels from r + 1 on.
     """
-    idx = np.array(ranks, dtype=np.int64)
-    if space == "threshold":
-        ladder = np.arange(1, m + 1, dtype=np.int64)
-        return np.where(ladder >= idx[:, None] + 1, ladder, 0)
     levels = _level_values(m, space)
-    block = np.empty((idx.shape[0], m), dtype=np.int64)
+    rank = np.asarray(ranks, dtype=np.int64)
+    if space == "threshold":
+        return levels, (np.arange(m)[:, None] >= rank).T
+    digits = np.empty((m, rank.shape[0]), dtype=np.int64).T
     for k in range(m - 1, -1, -1):
-        block[:, k] = np.array(levels[k], dtype=np.int64)[idx % len(levels[k])]
-        idx //= len(levels[k])
-    return block
+        rank, digits[:, k] = np.divmod(rank, len(levels[k]))
+    return levels, digits
+
+
+def _policy_block(m: int, space: str, ranks) -> np.ndarray:
+    """The policies of an array of ranks, one int64 row each: the digits of
+    _space_block, which are the values in full and reduced and pick 0 or j
+    at level j in bang_bang and threshold."""
+    _, digits = _space_block(m, space, ranks)
+    if space in ("bang_bang", "threshold"):
+        return digits * np.arange(1, m + 1)
+    return digits
 
 
 def parse_policy(text: str, m: int) -> Policy:

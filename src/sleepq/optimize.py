@@ -22,7 +22,7 @@ The price is an axis of that walk. Only the profit sums depend on it, so
 price_sweep searches a whole grid of prices in one walk; each price's eta
 is bit for bit what optimize returns at that price alone. The walk grows
 its chunks one after another on the calling thread. The threshold family
-is evaluated as one block of bang-bang rows.
+is one block of model._space_block, the one unranker of every space.
 
 The module also houses the structural results: closed-form optima at
 extreme prices, the threshold-policy scan with its optimality sign
@@ -52,6 +52,7 @@ from .model import (
     _gated_size,
     _level_values,
     _policy_block,
+    _space_block,
     check_policy,
     require_valid,
     threshold_policy,
@@ -331,19 +332,18 @@ def _rankings(params: ModelParams, space: str, k: int,
               prices) -> list[list[tuple[float, Policy]]]:
     """The k best (-eta, policy) pairs of a space at each price, best first.
 
-    The threshold family is one block of bang-bang digits at every price;
-    the product spaces are one walk of _product_candidates over all the
-    prices. Overflow and NaN are refused by _block_profits and
-    _chunk_summary.
+    The threshold family is one block of model._space_block in policy
+    order (falling theta: row i is rank m - i) at every price; the product
+    spaces are one walk of _product_candidates over all the prices.
+    Overflow and NaN are refused by _block_profits and _chunk_summary.
     """
     m = params.m
     prices = np.asarray(prices, dtype=np.float64)
     if space == "threshold":
-        # d_theta wakes level j >= theta; falling theta is policy order.
-        digits = np.arange(1, m + 1) >= np.arange(m + 1, 0, -1)[:, None]
-        etas = _block_profits(params, _level_values(m, "bang_bang"), digits, prices)
-        candidates = _chunk_summary(etas, lambda rows: rows, k)
-        policy_of = lambda rows: digits[rows] * np.arange(1, m + 1)
+        block = _space_block(m, space, np.arange(m, -1, -1))
+        candidates = _chunk_summary(_block_profits(params, *block, prices),
+                                    lambda rows: rows, k)
+        policy_of = lambda ranks: _policy_block(m, space, [m - r for r in ranks])
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             candidates = _product_candidates(params, space, k, prices)
@@ -352,7 +352,7 @@ def _rankings(params: ModelParams, space: str, k: int,
     # Neighbouring prices mostly share their winners: unrank each once,
     # all of them in one pass.
     ranks = sorted({rank for found in candidates for _, rank in found})
-    policies = dict(zip(ranks, map(tuple, policy_of(np.array(ranks)).tolist())))
+    policies = dict(zip(ranks, map(tuple, policy_of(ranks).tolist())))
     return [[(neg, policies[rank]) for neg, rank in found]
             for found in candidates]
 
@@ -653,16 +653,15 @@ def threshold_scan(params: ModelParams) -> ThresholdResult:
 
     theta* is the minimal maximizer (optimize over the threshold space
     returns the maximal one, its lexicographically smallest policy). Each
-    eta is bit for bit the eta optimize gives that policy in any space that
-    contains it. The sign triple is evaluated with boundary terms skipped
-    (NaN): the theta*-1 term needs theta* > 1, the theta* and theta*+1
-    terms need their level to exist (<= m).
+    eta, a row of one model._space_block block, is bit for bit the eta
+    optimize gives that policy in any space that contains it. The sign
+    triple skips boundary terms (NaN): the theta*-1 term needs theta* > 1,
+    the theta* and theta*+1 terms need their level to exist (<= m).
     """
     require_valid(params)
     m = params.m
-    digits = np.arange(1, m + 1) >= np.arange(1, m + 2)[:, None]
-    etas = _block_profits(params, _level_values(m, "bang_bang"), digits,
-                          np.array([params.price]))[0]
+    block = _space_block(m, "threshold", np.arange(m + 1))
+    etas = _block_profits(params, *block, np.array([params.price]))[0]
     theta_star = 1 + int(np.argmax(etas))
 
     def value(theta: int, level: int) -> float:

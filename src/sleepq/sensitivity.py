@@ -68,8 +68,7 @@ from .model import (
     ReadOnlyRecord,
     _check_count,
     _gated_size,
-    _level_values,
-    _policy_block,
+    _space_block,
     check_policy,
     require_valid,
 )
@@ -292,22 +291,19 @@ def critical_prices_global(params: ModelParams, space: str = "full",
 
     R_H = max{0, roots of G+c over all policies and levels}; R_L is the
     minimum root. Degenerate (no-crossing) levels are skipped. Policies are
-    unranked in blocks of BLOCK_SIZE and gathered from the value sets of
-    the space, or of bang_bang for threshold. params are validated, and
-    each space gated, as optimize validates and gates them.
+    unranked by model._space_block in blocks of BLOCK_SIZE, each a block
+    (levels, digits) of the space. params are validated, and each space
+    gated, as optimize validates and gates them.
     """
     require_valid(params)
     total = _gated_size(params.m, space, allow_large)
-    binary = space in ("bang_bang", "threshold")
-    levels = _level_values(params.m, "bang_bang" if binary else space)
 
     r_high = 0.0
     r_low = np.inf
     for start in range(0, total, BLOCK_SIZE):
-        block = _policy_block(params.m, space,
-                              np.arange(start, min(start + BLOCK_SIZE, total)))
-        digits = block != 0 if binary else block
-        roots, _ = _price_roots(params, *_factor_lines(params, levels, digits))
+        chunk = np.arange(start, min(start + BLOCK_SIZE, total))
+        lines = _factor_lines(params, *_space_block(params.m, space, chunk))
+        roots, _ = _price_roots(params, *lines)
         roots = roots[~np.isnan(roots)]
         if roots.size:
             r_high = max(r_high, float(roots.max()))

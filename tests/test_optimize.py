@@ -26,7 +26,7 @@ from sleepq import (
     threshold_scan,
     verify_monotonicity,
 )
-from sleepq.model import _policy_block
+from sleepq.model import _level_values, _policy_block, _space_block
 from conftest import (
     draw_instance,
     draw_params,
@@ -195,6 +195,41 @@ def test_threshold_block_stacks_the_threshold_policies():
         want = np.array([threshold_policy(m, int(r) + 1) for r in ranks], dtype=np.int64)
         block = _policy_block(m, "threshold", ranks)
         assert block.dtype == np.int64 and np.array_equal(block, want)
+
+
+@pytest.mark.parametrize("space", ["full", "reduced", "bang_bang", "threshold"])
+def test_space_block_is_the_one_unranker(space):
+    for m in range(1, 5):
+        size = policy_space_size(m, space)
+        levels, digits = _space_block(m, space, range(size))
+        values = [tuple(levels[j][v] for j, v in enumerate(row))
+                  for row in digits.tolist()]
+        assert values == list(enumerate_policies(m, space))
+        block = _policy_block(m, space, range(size))
+        assert block.dtype == np.int64 and block.tolist() == [list(d) for d in values]
+    for m in range(1, 13):
+        # Unsorted, with repeats.
+        ranks = np.array([m, 0, m // 2, m, 0, *range(m + 1)])
+        want = [np.array(threshold_policy(m, int(r) + 1)) != 0 for r in ranks]
+        assert np.array_equal(_space_block(m, "threshold", ranks)[1], want)
+
+
+@pytest.mark.parametrize("space", ["full", "bang_bang"])
+@pytest.mark.parametrize("m", [9, 16, 30])
+def test_a_rows_eta_does_not_depend_on_its_block(space, m):
+    # The levels are summed in sequence whatever the block's width; numpy
+    # sums a 1-row block's level axis pairwise, in another order.
+    rng = np.random.default_rng(m)
+    levels = _level_values(m, space)
+    for count in (1, 3):
+        params = draw_params(rng, m_min=m, m_max=m)
+        prices = rng.uniform(0.0, 20.0, count)
+        digits = rng.integers(0, len(levels[0]), (40, m))
+        whole = OPT._block_profits(params, levels, digits, prices)
+        for row in range(40):
+            for rows in (1, 2):
+                part = OPT._block_profits(params, levels, digits[row:row + rows], prices)
+                assert np.array_equal(part, whole[:, row:row + rows])
 
 
 def _block_etas(params, space):
