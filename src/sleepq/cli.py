@@ -30,6 +30,7 @@ from .errors import ConfigError, GateError, NumericalError
 from .model import (
     POLICY_SPACES,
     ModelParams,
+    _size_text,
     format_policy,
     params_digest,
     params_from_file,
@@ -215,13 +216,14 @@ def _cmd_optimize(params: ModelParams, args) -> CommandOutput:
         (rank, format_policy(policy), eta)
         for rank, (policy, eta) in enumerate(ranking, start=1)
     )
+    evaluations = _size_text(params.m, res.space)
     return CommandOutput(
         header=("rank", "policy", "eta"),
         rows=rows,
-        meta=(f"space={res.space}", f"evaluations={res.evaluations}"),
+        meta=(f"space={res.space}", f"evaluations={evaluations}"),
         summary=(f"best policy: {format_policy(res.best_policy)}",
                  f"eta: {_fmt(res.best_eta)}",
-                 f"policies evaluated: {res.evaluations}"),
+                 f"policies evaluated: {evaluations}"),
     )
 
 

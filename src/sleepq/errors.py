@@ -15,7 +15,8 @@ class ConfigError(SleepqError):
 
 
 class GateError(SleepqError):
-    """A computation was refused because its cost gate was not overridden."""
+    """A computation was refused by a cost gate: a size gate that was not
+    overridden, or the enumeration walk's memory budget, which cannot be."""
 
 
 class RegimeError(GateError):

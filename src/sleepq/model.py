@@ -274,31 +274,35 @@ def policy_space_size(m, space="full") -> int:
     return math.prod(map(len, _level_values(m, space)))
 
 
+def _size_text(m: int, space: str) -> str:
+    """policy_space_size(m, space) as printed text: the exact int up to the
+    4300 digits Python writes of one, past that its formula and digit
+    count, such as "2^m (4301 digits)"."""
+    size = policy_space_size(m, space)
+    # log10 of a large int can round across a power of ten.
+    digits = int(math.log10(size))
+    while size >= 10 ** digits:
+        digits += 1
+    formula = {"full": "(m+1)^m", "reduced": "(m+1)!", "bang_bang": "2^m"}.get(space)
+    return str(size) if digits <= 4300 else f"{formula} ({digits} digits)"
+
+
 def _gated_size(m: int, space: str, allow_large: bool) -> int:
     """Size of a policy space, refusing the ones too large to enumerate.
 
     The full space refuses m > 8 and the reduced space m > 10 unless
-    allow_large is set; bang_bang and threshold are never refused. Past
-    the 4300 digits Python writes of an int, a refusal gives no size but
-    its formula and digit count.
+    allow_large is set; bang_bang and threshold are never refused. A
+    refusal prints the size by _size_text.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    size = policy_space_size(m, space)
-    limit, formula = {"full": (FULL_SPACE_MAX_M, "(m+1)^m"),
-                      "reduced": (REDUCED_SPACE_MAX_M, "(m+1)!"),
-                      }.get(space, (math.inf, ""))
+    limit = {"full": FULL_SPACE_MAX_M, "reduced": REDUCED_SPACE_MAX_M}.get(space, math.inf)
     if m > limit and not allow_large:
-        # log10 of a large int can round across a power of ten.
-        digits = int(math.log10(size))
-        while size >= 10 ** digits:
-            digits += 1
-        count = size if digits <= 4300 else f"{formula} ({digits} digits)"
         raise GateError(
-            f"{space} policy space has {count} members for m={m}; "
+            f"{space} policy space has {_size_text(m, space)} members for m={m}; "
             "pass allow_large to enumerate anyway"
         )
-    return size
+    return policy_space_size(m, space)
 
 
 def enumerate_policies(m, space="full", allow_large=False):

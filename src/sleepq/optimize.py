@@ -17,7 +17,9 @@ tables.
 The enumeration tree is still walked where that set of near ties is
 large, for rankings (top_k) and for price_sweep: policies that share their
 first j coordinates share the partial weight product and profit sums of
-those levels, and only the winning ranks are unranked back into policies.
+those levels. The prefixes stay in the order the tree grows them; only
+each chunk's candidates are ranked, and only the winning ranks are
+unranked back into policies.
 The price is an axis of that walk. Only the profit sums depend on it, so
 price_sweep searches a whole grid of prices in one walk; each price's eta
 is bit for bit what optimize returns at that price alone. The walk grows
@@ -42,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import _level_tables, _require_finite, _value_index, stationary_closed_form
-from .errors import ConfigError, ConsistencyError, RegimeError
+from .errors import ConfigError, ConsistencyError, GateError, RegimeError
 from .model import (
     BLOCK_SIZE,
     ModelParams,
@@ -52,6 +54,7 @@ from .model import (
     _gated_size,
     _level_values,
     _policy_block,
+    _size_text,
     _space_block,
     check_policy,
     require_valid,
@@ -174,6 +177,11 @@ def _chunk_summary(etas, ranks, k):
             for start in starts]
 
 
+# The most bytes the walk's split-level prefixes may take; a space that
+# needs more is refused, whatever allow_large says.
+_WALK_BYTES = 2**30
+
+
 def _product_candidates(params: ModelParams, space: str, k: int,
                         prices: np.ndarray) -> list[list[tuple[float, int]]]:
     """The best (-eta, rank) pairs of a product space, one list per price.
@@ -193,15 +201,20 @@ def _product_candidates(params: ModelParams, space: str, k: int,
     same tables, so a policy gets the same profit from all three at every
     m. A level's values form the leading axis of its rows, so every
     operation runs along the contiguous prefix axis. The levels above a
-    split are built once and put in rank order; each chunk grows a run of
-    split-level prefixes into leaves, which are consecutive ranks. No array holds more than BLOCK_SIZE rows
-    x prices unless one price's prefixes alone do: the split deepens as
-    prices are added, and the prices are walked in batches small enough
-    for their prefixes to fit. Every leaf's numbers come from the same
-    elementwise operations wherever the tree is split, so no result
-    depends on the chunks, the batches or the other prices.
+    split are built once and stay in the tree's order; each chunk grows
+    the next run of split-level prefixes into leaves. Only a chunk's
+    candidates are ranked, by two index tables: the rank of each split-level
+    prefix, and of each path from one to a leaf. No array holds more than
+    BLOCK_SIZE rows x prices unless one price's prefixes alone do: the split
+    deepens as prices are added, and the prices are walked in batches small
+    enough for their prefixes to fit. A space whose split-level prefixes
+    and rank table would pass _WALK_BYTES is refused with GateError before
+    any is grown. Every leaf's numbers come from the same elementwise
+    operations wherever the tree is split, so no result depends on the
+    chunks, the batches or the other prices.
     """
     m, levels = params.m, _level_values(params.m, space)
+    sizes = [len(values) for values in levels]
     start, low_profit, low_weight, xi_n, every_ratio, f_top = _level_tables(
         params, levels, prices.tolist())
     ratios = [every_ratio[a:b] for a, b in zip(start, start[1:])]
@@ -211,15 +224,20 @@ def _product_candidates(params: ModelParams, space: str, k: int,
         leaves under each of its prefixes, at most BLOCK_SIZE // q."""
         cap = max(1, BLOCK_SIZE // q)
         split, leaves = m, 1
-        while split > 1 and leaves * len(levels[split - 1]) <= cap:
+        while split > 1 and leaves * sizes[split - 1] <= cap:
             split -= 1
-            leaves *= len(levels[split])
+            leaves *= sizes[split]
         return split, leaves
 
     def walk(f_top, low_profit):
         """Each price's candidates from one walk over the prices of f_top."""
         q = low_profit.size
         split, leaves = split_for(q)
+        # The split level holds q + 2 floats and one int64 rank per prefix.
+        if (q + 3) * 8 * (space_size // leaves) > _WALK_BYTES:
+            raise GateError(f"{space} policy space has {_size_text(m, space)} members for "
+                            f"m={m}; its walk needs over {_WALK_BYTES >> 30} GiB of "
+                            "prefix sums, a budget allow_large does not lift")
 
         def grow(state, j, out):
             """Level j's (P, S, W) from level j-1's, written into out.
@@ -253,18 +271,16 @@ def _product_candidates(params: ModelParams, space: str, k: int,
 
         prefix = (np.ones(1), np.zeros((q, 1)), np.zeros(1))
         for j in range(split):
-            size = prefix[0].size * len(levels[j])
+            size = prefix[0].size * sizes[j]
             prefix = grow(prefix, j, buffers(np.empty((q + 2) * size), size))
-        shape = [len(levels[j]) for j in reversed(range(split))]
-        prod, profit, weight = prefix
-        prefix = (prod.reshape(shape).transpose().ravel(),
-                  profit.reshape([q] + shape)
-                  .transpose(0, *range(split, 0, -1)).reshape(q, -1),
-                  weight.reshape(shape).transpose().ravel())
+        # The rank of each tree-order prefix, and of each tree-order leaf
+        # path below one, in rank units of their levels.
+        top, deep = (np.arange(math.prod(part)).reshape(part).transpose().ravel()
+                     for part in (sizes[:split], sizes[split:]))
         # A chunk of split-level prefixes, never more than there are.
         per = min(max(1, BLOCK_SIZE // q) // leaves, prefix[0].size)
         rows = per * leaves
-        small = rows // len(levels[m - 1])
+        small = rows // sizes[m - 1]
 
         # Fresh chunk-sized arrays cost page faults in every chunk, so the
         # chunks are grown in two reused buffer sets, one per level parity.
@@ -296,16 +312,7 @@ def _product_candidates(params: ModelParams, space: str, k: int,
             etas /= total
 
             def ranks(rows):
-                # Row digits, least significant first: the prefix, then
-                # levels split..m-1 with falling place values.
-                rank = (lo + rows % width) * leaves
-                rows = rows // width
-                place = leaves
-                for j in range(split, m):
-                    place //= len(levels[j])
-                    rank += rows % len(levels[j]) * place
-                    rows //= len(levels[j])
-                return rank
+                return top[lo + rows % width] * leaves + deep[rows // width]
 
             for p, best in enumerate(_chunk_summary(etas, ranks, k)):
                 found[p] = heapq.nsmallest(k, found[p] + best)
@@ -313,7 +320,7 @@ def _product_candidates(params: ModelParams, space: str, k: int,
 
     # The largest batch of prices whose prefix sums fit in BLOCK_SIZE
     # values; a batch's split deepens, and its prefixes multiply, with it.
-    space_size = math.prod(map(len, levels))
+    space_size = math.prod(sizes)
     batch, most = 1, prices.size
     while batch < most:
         mid = (batch + most + 1) // 2
@@ -509,9 +516,10 @@ def optimize(params: ModelParams, space: str = "full",
     more than a few policies tie the maximum in float, their enumeration
     tree is walked on the calling thread in chunks of at most BLOCK_SIZE
     policies. No result depends on the path or the chunking, and
-    evaluations is the size of the space. A non-finite profit of any
-    policy (the stationary weights overflow under heavy load) raises
-    NumericalError.
+    evaluations is the size of the space. A walk whose split-level prefix
+    sums would pass _WALK_BYTES raises GateError, allow_large or not. A
+    non-finite profit of any policy (the stationary weights overflow under
+    heavy load) raises NumericalError.
 
     threads selects nothing: every search runs on the calling thread. It
     is kept, and still refused with ValueError unless it is None or a

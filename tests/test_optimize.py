@@ -486,18 +486,39 @@ def test_many_chunks_refuse_an_overflow_without_a_warning(space, m, monkeypatch)
             OPT._rankings(params, space, 1, grid)
 
 
-def test_whole_space_ranking_unranks_every_policy_once():
+def test_whole_space_ranking_unranks_every_policy_once(monkeypatch):
+    # A BLOCK_SIZE of 1 puts every level above the chunks (split = m); 7
+    # and 50 put several split-level prefixes in one chunk, whose rows are
+    # then no range of ranks.
     rng = np.random.default_rng(48)
-    params, _ = draw_instance(rng, n_max=6, m_min=8, m_max=8)
-    ranking = optimize(params, "bang_bang", top_k=2 ** 8).ranking
-    policies = [d for d, _ in ranking]
-    assert sorted(policies) == list(enumerate_policies(8, "bang_bang"))
-    keys = [(-eta, d) for d, eta in ranking]
-    assert keys == sorted(keys)
-    etas = [eta for _, eta in ranking]
-    assert etas == _profits(params, policies).tolist()
-    for k in (1, 2, 17, 255):
-        assert optimize(params, "bang_bang", top_k=k).ranking == ranking[:k]
+    sizes = (OPT.BLOCK_SIZE, 1, 7, 50)
+    for space, m in (("bang_bang", 8), ("full", 4), ("reduced", 5)):
+        params, _ = draw_instance(rng, n_max=6, m_min=m, m_max=m)
+        total = policy_space_size(m, space)
+        policies = map(tuple, _policy_block(m, space, np.arange(total)).tolist())
+        expected = sorted(zip(policies, _block_etas(params, space).tolist()),
+                          key=lambda pair: (-pair[1], pair[0]))
+        for size in sizes:
+            monkeypatch.setattr(OPT, "BLOCK_SIZE", size)
+            assert optimize(params, space, top_k=total).ranking == expected
+            for k in (1, 2, 17, total - 1):
+                assert optimize(params, space, top_k=k).ranking == expected[:k]
+        monkeypatch.undo()
+
+
+def test_walk_refuses_a_space_past_its_byte_budget():
+    # The tie cap hands the reduced search to the walk, whose 12! prefixes
+    # at one level would take 10.7 GiB. A walk whose split level would pass
+    # 1 GiB is refused before it grows any, allow_large or not; bang_bang
+    # passes it from m = 42.
+    reduced = micro_params(lambda_=1.0, mu2=0.8, n=3, m=18)
+    bang = dataclasses.replace(reduced, m=42)
+    for search, size in (
+            (lambda: optimize(reduced, "reduced", allow_large=True), 121645100408832000),
+            (lambda: OPT._rankings(bang, "bang_bang", 1, [bang.price]), 2 ** 42)):
+        refused, peak = _traced_peak(lambda: pytest.raises(GateError, search))
+        assert "a budget allow_large does not lift" in str(refused.value)
+        assert f"has {size} members" in str(refused.value) and peak < 2**20
 
 
 def test_space_gate_and_override():
