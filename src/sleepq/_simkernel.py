@@ -23,9 +23,14 @@ the loop. The branch counters are held in locals and written back to the
 accumulators on the kernel's one exit, whether it ends on the budget, the
 time limit, a clipped dwell or a refill. The loop adds only each dwell to
 its state's total: the energy and holding integrals are the cost rates
-weighted by those totals, summed once at that exit. The loop runs to a
-cursor fixed on entry, and the event count is read off the cursor at that
-exit instead of being counted per event.
+weighted by those totals, summed once at that exit. The loop is a fixed
+range over the buffer's pairs, to an end set on entry by the buffer and
+the event budget, with one time test per event: only a dwell that
+reaches the time limit branches, to stop without consuming its pair when
+the clock is already at the limit, or to clip the dwell and end one
+uniform later when it would pass the limit. The cursor is set to that end
+on exit, and the event count is read off it instead of being counted per
+event.
 
 Uniform consumption contract: exactly two uniforms per completed event
 (one for the dwell, one for the event selection), and one uniform for a
@@ -89,19 +94,26 @@ def _kernel(k, t, buf, cursor, remaining, time_limit, lam, n, top,
     n_transfer = counts[COUNT_TRANSFER]
     n_loss = counts[COUNT_LOSS]
     start = cursor
-    stop = cursor + 2 * min(remaining, (len(buf) - cursor) // 2)
-    while cursor < stop and t < time_limit:
+    end = cursor + 2 * min(remaining, (len(buf) - cursor) // 2)
+    for cursor in range(start, end, 2):
         total = total_rate[k]
         dt = -math.log(1.0 - buf[cursor]) / total
-        if t + dt > time_limit:
-            dwell[k] += time_limit - t
-            t = time_limit
-            cursor += 1
-            break
+        t_next = t + dt
+        if t_next >= time_limit:
+            if not t < time_limit:
+                # At or past the limit: this pair is not consumed.
+                end = cursor
+                break
+            if t_next > time_limit:
+                dwell[k] += time_limit - t
+                t = time_limit
+                end = cursor + 1
+                break
+            # An event landing exactly on the limit is processed; the next
+            # pass stops at the test above.
         dwell[k] += dt
-        t += dt
+        t = t_next
         x = buf[cursor + 1] * total
-        cursor += 2
         if x < lam:
             if k < top:
                 k += 1
@@ -125,6 +137,7 @@ def _kernel(k, t, buf, cursor, remaining, time_limit, lam, n, top,
             if trace is not None:
                 trace.append((t, k, "g2", k - 1))
             k -= 1
+    cursor = end
     energy = 0.0
     hold = 0.0
     for s in range(len(dwell)):

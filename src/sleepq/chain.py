@@ -19,19 +19,23 @@ One policy's pass is kept in a PolicyRecord, in a memo of the MEMO_SIZE
 most recent records, so the per-policy calls of every layer share one pass
 per policy: the record holds the checked policy and its rates, and builds
 the generator and the stationary law on first use (_generator,
-_stationary); reward adds f and eta to it, and sensitivity the lines of
-the realization factors. The key is the identity of the params object
-with the policy as check_policy returns it, never params ==: params
-whose prices are 0.0 and -0.0 compare equal but give f entries of
-different sign. The record holds params, so the identity is not reused
-while it lives. The policy is checked on every call, and params, by
-validate's rules bar the price's sign, whenever no record holds it: so
-each params object is validated once while it has a record, and an
-invalid one, which never gets a record, is refused on every call. A
-build that raises keeps nothing, so a refusal is raised again on every
-call. The memo is one tuple, replaced whole on each insert, so a reader
-never sees a half-made one and no lock is taken: threads that miss the
-same policy at once each make a record, with equal values.
+_stationary); reward adds f and eta to it, potential the operands of the
+Poisson solve's tail, and sensitivity the lines of the realization
+factors. The key is the identity of the params object with the policy as
+check_policy returns it, never params ==: params whose prices are 0.0 and
+-0.0 compare equal but give f entries of different sign. The record holds
+params, so the identity is not reused while it lives. check_policy returns
+a tuple of plain ints as itself, so a record's policy is then the caller's
+own tuple, and a call that passes that same tuple again finds its record
+by identity without a re-check: a tuple cannot change. Any other policy is
+checked on every call, and params, by validate's rules bar the price's
+sign, whenever no record holds it: so each params object is validated once
+while it has a record, and an invalid one, which never gets a record, is
+refused on every call. A build that raises keeps nothing, so a refusal is
+raised again on every call. The memo is one tuple, replaced whole on each
+insert, so a reader never sees a half-made one and no lock is taken:
+threads that miss the same policy at once each make a record, with equal
+values.
 """
 
 from __future__ import annotations
@@ -136,7 +140,8 @@ class PolicyRecord:
     """One policy's rates, and the values built from them on first use.
 
     params is the params object itself, policy the tuple check_policy
-    returns, and death and cost the rates of _state_rates as tuples.
+    returns (the caller's own, if it was a tuple of plain ints), and death
+    and cost the rates of _state_rates as tuples.
     """
 
     __slots__ = ("params", "policy", "death", "cost", "_values")
@@ -160,10 +165,16 @@ def _policy_record(params: ModelParams, d: Policy) -> PolicyRecord:
     """The record of policy d under params: the memo's, or one new pass.
 
     params is validated when no record holds it: a record is made only for
-    a valid model, so an invalid one is refused on every call.
+    a valid model, so an invalid one is refused on every call. d is
+    checked unless it is the record's own tuple.
     """
     global _memo
     memo = _memo
+    # check_policy returns a tuple of plain ints as itself, so the caller's
+    # own tuple finds its record unchecked: it passed the check that made it.
+    for record in memo:
+        if record.policy is d and record.params is params:
+            return record
     if not any(record.params is params for record in memo):
         errors = _model_errors(params)
         if errors:
@@ -320,7 +331,7 @@ def stationary_numeric(gen: Generator) -> ChainSolution:
         pi = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"stationary solve failed: {exc}") from exc
-    if np.min(pi) < -1e-12 * np.max(pi):
+    if pi.min() < -1e-12 * pi.max():
         raise NumericalError("stationary solve produced negative entries")
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()

@@ -212,13 +212,18 @@ def state_space(params: ModelParams) -> StateSpace:
 
 
 def check_policy(d: Policy, m: int) -> Policy:
-    """Validate length and entry range of a policy; return it as an int tuple."""
+    """Validate length and entry range of a policy; return it as an int tuple.
+
+    A tuple of plain ints is returned itself, not a copy.
+    """
+    plain = type(d) is tuple
     entries = []
     for j, value in enumerate(d, start=1):
         if type(value) is not int:
             if not _is_integer(value):
                 raise ValueError(f"policy entry for level {j} must be an integer")
             value = int(value)
+            plain = False
         if not 0 <= value <= m:
             raise ValueError(
                 f"policy entry {value} for level {j} is outside 0..{m}"
@@ -226,7 +231,7 @@ def check_policy(d: Policy, m: int) -> Policy:
         entries.append(value)
     if len(entries) != m:
         raise ValueError(f"policy must have {m} entries, got {len(entries)}")
-    return tuple(entries)
+    return d if plain else tuple(entries)
 
 
 def _is_integer(value) -> bool:

@@ -656,20 +656,29 @@ def optimal_extreme_prices(params: ModelParams, regime: str,
     return d_star, policy_profit(params, d_star)
 
 
+#: Rows times levels of one threshold_scan chunk.
+_SCAN_CELLS = 2**18
+
+
 def threshold_scan(params: ModelParams) -> ThresholdResult:
     """Profit of every threshold policy and the sign conditions at theta*.
 
     theta* is the minimal maximizer (optimize over the threshold space
     returns the maximal one, its lexicographically smallest policy). Each
-    eta, a row of one model._space_block block, is bit for bit the eta
-    optimize gives that policy in any space that contains it. The sign
-    triple skips boundary terms (NaN): the theta*-1 term needs theta* > 1,
-    the theta* and theta*+1 terms need their level to exist (<= m).
+    eta, a row of a model._space_block block, is bit for bit the eta
+    optimize gives that policy in any space that contains it. The m + 1
+    rows are built in rank chunks of at most _SCAN_CELLS // m rows, so the
+    memory stays O(m) as m grows. The sign triple skips boundary terms
+    (NaN): the theta*-1 term needs theta* > 1, the theta* and theta*+1
+    terms need their level to exist (<= m).
     """
     require_valid(params)
     m = params.m
-    block = _space_block(m, "threshold", np.arange(m + 1))
-    etas = _block_profits(params, *block, np.array([params.price]))[0]
+    rows, price = max(1, _SCAN_CELLS // m), np.array([params.price])
+    etas = np.concatenate([
+        _block_profits(params, *_space_block(
+            m, "threshold", np.arange(first, min(first + rows, m + 1))), price)[0]
+        for first in range(0, m + 1, rows)])
     theta_star = 1 + int(np.argmax(etas))
 
     def value(theta: int, level: int) -> float:

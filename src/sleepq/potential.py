@@ -21,13 +21,16 @@ birth-death chain the factorization is closed form: by induction from the
 top state U_k = -nu_k (the death rate of reduced state k),
 R_k = lambda / nu_{k+1} and G_k = 1 (see rg_factorize). With G = 1 the
 unit lower factor (I - G_L)^{-1} is a cumulative sum, so no route forms
-it as a matrix. A route only
-factorizes: it returns its inverse application. solve_poisson owns the
-rest, once for every route: the generator's bands, pi, f and eta of the
-policy record (one scalar pass of the closed form, shared through the
-chain module's memo with the other per-policy calls), and, on every call,
-the starting solve, its extended-precision refinement and the residual
-gate. The refinement and the gate multiply by
+it as a matrix. A route only factorizes: it returns its inverse
+application. solve_poisson owns the rest, once for every route: the
+generator's bands, pi, f and eta of the policy record (one scalar pass of
+the closed form, shared through the chain module's memo with the other
+per-policy calls); the tail's operands, kept on the record too
+(_poisson_tail: h, h in extended precision, the negated reduced bands in
+extended precision and the gate's scale, built by the policy's first
+solve and shared by every route and every later call); and, on every
+call, the starting solve, its extended-precision refinement and the
+residual gate. The refinement and the gate multiply by
 the generator through the one tridiagonal product, _band_product, so the
 rg route is O(n+m) in time and memory; only the dense and explicit routes
 form k x k arrays, the inverse and the one triangle. All three routes must
@@ -38,12 +41,13 @@ picks the anchor that makes pi . g = eta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .chain import (ChainSolution, Generator, _generator, _policy_record,
-                    _require_finite, _stationary)
+from .chain import (ChainSolution, Generator, PolicyRecord, _generator,
+                    _policy_record, _require_finite, _stationary)
 from .errors import ConsistencyError, NumericalError
 from .model import ModelParams, Policy, ReadOnlyRecord
 from .reward import _eta, _reward
@@ -91,8 +95,8 @@ def reduced_matrix(gen: Generator) -> np.ndarray:
 def poisson_residual(gen: Generator, g: np.ndarray, eta: float,
                      f: np.ndarray) -> float:
     """Max-norm of B g - (eta*e - f)."""
-    return float(np.max(np.abs(_band_product(gen.sub, gen.diag, gen.sup, g)
-                               - (eta - f))))
+    return float(np.abs(_band_product(gen.sub, gen.diag, gen.sup, g)
+                        - (eta - f)).max())
 
 
 def rg_factorize(gen: Generator) -> RGFactors:
@@ -162,15 +166,15 @@ def _band_product(sub, diag, sup, x):
     return y
 
 
-def _refine(bands, apply_inverse, x, rhs):
-    """Iterative refinement of neg_b @ x = rhs, neg_b given by its bands.
+def _refine(bands, apply_inverse, x, rhs_ld):
+    """Iterative refinement of neg_b @ x = rhs, given neg_b by its bands
+    and rhs as rhs_ld, both in extended precision.
 
     The residual is evaluated in extended precision so corrections are not
     limited by cancellation in the residual itself; the correction reuses
     whatever inverse application produced x. At most two corrections are
     made, and one that does not lower the residual ends the refinement.
     """
-    rhs_ld = rhs.astype(np.longdouble)
 
     def residual(v):
         return rhs_ld - _band_product(*bands, v.astype(np.longdouble))
@@ -242,6 +246,24 @@ def _solve_explicit(gen):
     return apply_inverse
 
 
+def _poisson_tail(record: PolicyRecord) -> tuple:
+    """(h, h_ld, bands, scale): what every solve of a policy record shares
+    after its route, read-only, as the record shares it. h = f[1:] - eta;
+    h_ld is h in extended precision, the refinement's right-hand side;
+    bands are the negated reduced bands in extended precision, the
+    refinement's product; scale = max(1, |eta|, max|f|) is the gate's."""
+    gen = record.value(_generator)
+    f = record.value(_reward)
+    eta = record.value(_eta)
+    h = f[1:] - eta
+    h_ld = h.astype(np.longdouble)
+    bands = tuple(-band[1:].astype(np.longdouble)
+                  for band in (gen.sub, gen.diag, gen.sup))
+    for array in (h, h_ld, *bands):
+        array.setflags(write=False)
+    return h, h_ld, bands, max(1.0, abs(eta), float(np.abs(f).max()))
+
+
 _SOLVERS = {"rg": _solve_rg, "dense": _solve_dense, "explicit": _solve_explicit}
 SOLVE_METHODS = tuple(_SOLVERS)
 
@@ -285,17 +307,14 @@ def solve_poisson(
             )
     eta = eta_computed
 
-    h = f[1:] - eta
     apply_inverse = _SOLVERS[method](gen)
-    bands = tuple(-band[1:].astype(np.longdouble)
-                  for band in (gen.sub, gen.diag, gen.sup))
+    h, h_ld, bands, scale = record.value(_poisson_tail)
     # The routes' running products of lambda/nu can overflow where pi does not.
     with np.errstate(over="ignore", invalid="ignore"):
-        phi_h = _refine(bands, apply_inverse, apply_inverse(h), h)
+        phi_h = _refine(bands, apply_inverse, apply_inverse(h), h_ld)
         _require_finite(phi_h, "potentials")
         g = _anchored(phi_h, anchor)
         residual = poisson_residual(gen, g, eta, f)
-    scale = max(1.0, abs(eta), float(np.max(np.abs(f))))
     # Written so that a NaN residual fails it too. The death rates are the
     # factorization's U measures: their span says how far products of them
     # can lose precision.
@@ -318,7 +337,7 @@ def _anchored(phi_h: np.ndarray, anchor: float) -> np.ndarray:
 
     A NaN or infinite anchor raises ValueError: it would reach every entry.
     """
-    if not np.isfinite(anchor):
+    if not math.isfinite(anchor):
         raise ValueError(f"anchor must be finite, got {anchor!r}")
     g = np.empty(phi_h.shape[0] + 1)
     g[0] = anchor

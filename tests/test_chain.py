@@ -268,6 +268,31 @@ def test_each_params_object_is_validated_once(monkeypatch):
     assert chain._memo is memo
 
 
+def test_a_hit_on_the_records_own_tuple_is_not_rechecked(monkeypatch):
+    calls = []
+
+    def counted(d, m):
+        calls.append(d)
+        return check_policy(d, m)
+
+    check_policy = chain.check_policy
+    monkeypatch.setattr(chain, "check_policy", counted)
+    params = micro_params(n=2, m=3)
+    d = (0, 2, 3)
+    stationary_closed_form(params, d)
+    assert calls == [d] and chain._memo[0].policy is d
+    for call in (policy_profit, solve_poisson, build_reward, build_generator,
+                 perturbation_factors):
+        call(params, d)
+    assert len(calls) == 1
+    # An equal tuple that is not the record's own, and a list, are checked
+    # and still find the record.
+    for other in (tuple([0, 2, 3]), [0, 2, 3]):
+        stationary_closed_form(params, other)
+        assert calls[-1] is other and chain._memo[0].policy is d
+    assert len(calls) == 3
+
+
 def test_detailed_balance_on_birth_death_cuts():
     rng = np.random.default_rng(9)
     for _ in range(10):

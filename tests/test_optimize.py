@@ -566,6 +566,24 @@ def test_threshold_scan_factors_each_policy_once(monkeypatch):
     assert sorted(seen) == [threshold_policy(5, 2), threshold_policy(5, 1)]
 
 
+def test_threshold_scan_memory_stays_bounded_as_m_grows():
+    # The m + 1 threshold rows are built in rank chunks: one block of all
+    # of them held a 31.7 MiB traced peak at m = 1 000, growing as m^2.
+    params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=1000)
+    scan, peak = _traced_peak(lambda: threshold_scan(params))
+    assert scan.eta_by_theta.shape == (1001,)
+    assert peak < 12 * 2**20
+
+
+def test_threshold_scan_does_not_depend_on_its_chunks(monkeypatch):
+    params = micro_params(n=3, lambda_=3.0, mu2=0.8, m=8)
+    whole = threshold_scan(params)
+    monkeypatch.setattr(OPT, "_SCAN_CELLS", 3 * params.m)  # 3 rows a chunk
+    chunked = threshold_scan(params)
+    assert chunked.eta_by_theta.tobytes() == whole.eta_by_theta.tobytes()
+    assert chunked.theta_star == whole.theta_star
+
+
 def test_threshold_scan_equals_threshold_optimize():
     rng = np.random.default_rng(44)
     for _ in range(8):

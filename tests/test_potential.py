@@ -216,6 +216,33 @@ def test_memo_hit_equals_miss():
             assert warm == cold, (name, params)
 
 
+def test_poisson_tail_is_built_once_per_record(monkeypatch):
+    # Every route and normalization of one policy shares its record's tail
+    # operands: the benchmark's per-policy sequence builds them once.
+    potential = importlib.import_module("sleepq.potential")
+    built = []
+    poisson_tail = potential._poisson_tail
+
+    def counted(record):
+        built.append(record.policy)
+        return poisson_tail(record)
+
+    monkeypatch.setattr(potential, "_poisson_tail", counted)
+    params = micro_params(n=2, m=3)
+    d, d_prime = (0, 2, 3), (1, 2, 3)
+    for _ in range(2):
+        stationary_closed_form(params, d)
+        sleepq.stationary_numeric(build_generator(params, d))
+        policy_profit(params, d)
+        for method in SOLVE_METHODS:
+            solve_poisson(params, d, method=method)
+            solve_poisson(params, d, method=method, normalization="fundamental")
+        perturbation_factors(params, d)
+        single_coordinate_difference(params, d, d_prime)
+        policy_profit(params, d_prime)
+    assert built == [d]
+
+
 def test_ill_conditioned_draw_all_routes_agree():
     # Heavy load at level 0 (lambda / mu1 near 19): unrefined explicit sums
     # land 2.1e-7 off the dense route.

@@ -23,7 +23,7 @@ from sleepq import (
     simulate,
     stationary_closed_form,
 )
-from sleepq.sim import _rates, _t_quantile_975
+from sleepq.sim import _Stream, _rates, _t_quantile_975
 from conftest import micro_params
 from test_cli import WIDE_TIME_MODEL, WIDE_TIME_POLICY
 
@@ -43,6 +43,10 @@ def test_python_and_jit_paths_agree_bitwise(monkeypatch):
          tuple(j // 2 for j in range(1, 41)),
          SimConfig(horizon=1500.0, warmup=150.0, replications=3, seed=9,
                    batch_count=5, unit="time")),
+        # Time mode with no warm-up: the first segment starts at t = 0.
+        (micro_params(), (1,),
+         SimConfig(horizon=400.0, warmup=0.0, replications=2, seed=11,
+                   batch_count=4, unit="time")),
     ]
     for params, d, cfg in cases:
         jit = simulate(params, d, cfg)
@@ -111,6 +115,39 @@ def test_kernel_on_lists_matches_kernel_on_arrays(remaining, time_limit,
     else:
         assert t == time_limit and cursor == 2 * events + 1
     assert all(arrays[3] > 0)  # every event branch was taken
+
+
+@pytest.mark.parametrize("as_list", [True, False])
+def test_kernel_at_and_exactly_on_the_time_limit(as_list):
+    # Entered at the time limit, the kernel consumes no uniform and counts
+    # nothing; an event landing exactly on the limit mid-buffer is
+    # processed, and the kernel stops on the next pair, as after a run of
+    # that many events with no time limit.
+    params = micro_params(lambda_=4.0, n=2, m=3)
+    top = params.n + params.m
+    rates = _rates(params, (0, 1, 3))
+    buf = np.random.default_rng(7).random(4000)
+    form = (lambda a: a.tolist()) if as_list else (lambda a: a.copy())
+
+    def run(remaining, time_limit, t=0.0):
+        dwell, acc = form(np.zeros(top + 1)), form(np.zeros(2))
+        counts = form(np.zeros(5, dtype=np.int64))
+        state = _simkernel._kernel(
+            0, t, form(buf), 0, remaining, time_limit, params.lambda_,
+            params.n, top, *(form(v) for v in rates), dwell, acc, counts)
+        return state, np.asarray(dwell), np.asarray(counts)
+
+    (k, t, cursor, status), dwell, counts = run(10**9, 5.0, t=5.0)
+    assert (k, t, cursor, status) == (0, 5.0, 0, _simkernel.DONE)
+    assert not dwell.any() and not counts.any()
+
+    events = 700
+    (k, limit, cursor, status), want_dwell, want_counts = run(events, math.inf)
+    assert status == _simkernel.DONE and cursor == 2 * events
+    state, dwell, counts = run(10**9, limit)
+    assert state == (k, limit, 2 * events, _simkernel.DONE)
+    assert dwell.tobytes() == want_dwell.tobytes()
+    assert counts.tobytes() == want_counts.tobytes()
 
 
 @pytest.mark.parametrize("time_limit, status", [
@@ -366,6 +403,21 @@ def test_warmup_fraction_equals_absolute(micro):
                                                seed=5))
     assert frac.eta_hat == absolute.eta_hat
     assert np.array_equal(frac.batch_records, absolute.batch_records)
+
+
+def test_array_and_list_streams_refill_to_the_same_uniforms():
+    # The compiled kernel's stream is a numpy buffer and the interpreted
+    # one's a list: after a refill at a nonzero cursor both hold the unused
+    # tail and the next block, bit for bit.
+    arrays = _Stream(seed=3, replication=2, as_list=False)
+    lists = _Stream(seed=3, replication=2, as_list=True)
+    for cursor in (1001, 2):
+        arrays.cursor = lists.cursor = cursor
+        arrays.refill()
+        lists.refill()
+        assert isinstance(arrays.buf, np.ndarray) and isinstance(lists.buf, list)
+        assert arrays.cursor == lists.cursor == 0
+        assert arrays.buf.tobytes() == np.array(lists.buf).tobytes()
 
 
 def test_buffer_size_does_not_change_the_stream(micro, monkeypatch):
