@@ -11,8 +11,8 @@ enumeration with a lexicographic tie-break returns, bit for bit: the
 policies that may tie the float maximum are regrown from the root in the
 enumeration tree's order and operations. It reads the tables of
 chain._level_tables, formed from one scalar rate pass over every value of
-every level; the walk below and every block of policies read the same
-tables.
+every level; the walk below, the threshold family and the monotonicity
+sweep read the same tables.
 
 The enumeration tree is still walked where that set of near ties is
 large, for rankings (top_k) and for price_sweep: policies that share their
@@ -24,7 +24,9 @@ The price is an axis of that walk. Only the profit sums depend on it, so
 price_sweep searches a whole grid of prices in one walk; each price's eta
 is bit for bit what optimize returns at that price alone. The walk grows
 its chunks one after another on the calling thread. The threshold family
-is one block of model._space_block, the one unranker of every space.
+and the monotonicity sweep extend shared prefixes one policy at a time
+in Python floats (_extend, the arithmetic of the DP's profit), so they
+hold O(m) floats at any m.
 
 The module also houses the structural results: closed-form optima at
 extreme prices, the threshold-policy scan with its optimality sign
@@ -43,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import _level_tables, _require_finite, _value_index, stationary_closed_form
+from .chain import _level_tables, _require_finite, stationary_closed_form
 from .errors import ConfigError, ConsistencyError, GateError, RegimeError
 from .model import (
     BLOCK_SIZE,
@@ -55,7 +57,6 @@ from .model import (
     _level_values,
     _policy_block,
     _size_text,
-    _space_block,
     check_policy,
     require_valid,
     threshold_policy,
@@ -130,24 +131,77 @@ class MonotonicityReport(ReadOnlyRecord):
     ok: bool
 
 
-def _block_profits(params: ModelParams, levels, digits: np.ndarray,
-                   prices: np.ndarray) -> np.ndarray:
-    """Average profit of each policy row of the block (levels, digits) of
-    chain._block_rates: one row per price.
+def _extend(state, xi_n, tables, span=slice(None)):
+    """The (P, S, W) state of a prefix, extended by the levels span of
+    tables, one list of (lambda/nu, f) pairs per lane: S holds one sum per
+    lane. A lane is a price, or a value that shares lambda/nu with others.
 
-    Same closed form as policy_profit on the tables of _level_tables,
-    gathered level-major, with the weights and terms cumulated down the
-    level axis in the order of the enumeration tree of _product_candidates,
-    so a row's profit is bit for bit what the tree gives its policy. A
-    profit that is not finite raises NumericalError, as in _chunk_summary.
+    The closed form eta = (S + low_profit) / (W + low_weight) in Python
+    floats, on the floats of chain._level_tables, for the DP's profit, the
+    threshold family and the monotonicity sweep. Each level runs
+    P <- r P, xi <- P xi_n, S <- xi f + S and W <- xi + W, the operations
+    of the walk's grow in its order, so a policy's eta is bit for bit the
+    walk's (see _near_best, whose pruned regrowth tests every such step
+    inline). P, xi and W are the same in every lane: they are formed once,
+    and only S in each lane.
     """
-    start, low_profit, low_weight, xi_n, ratios, f_top = _level_tables(
-        params, levels, prices.tolist())
-    index = _value_index(start, digits)
-    with np.errstate(over="ignore", invalid="ignore"):
-        xi_top = xi_n * np.cumprod(ratios[index], axis=0)
-        etas = ((low_profit[:, None] + np.cumsum(xi_top * f_top[:, index], axis=1)[:, -1])
-                / (low_weight + np.cumsum(xi_top, axis=0)[-1]))
+    prod, sums, weight = state
+    if len(sums) == 1:
+        (total,), (table,) = sums, tables
+        for ratio, f in table[span]:
+            prod = ratio * prod
+            xi = prod * xi_n
+            total = xi * f + total
+            weight = xi + weight
+        return prod, [total], weight
+    xis = []
+    for ratio, _ in tables[0][span]:
+        prod = ratio * prod
+        xi = prod * xi_n
+        weight = xi + weight
+        xis.append(xi)
+    grown = []
+    for total, table in zip(sums, tables):
+        for xi, (_, f) in zip(xis, table[span]):
+            total = xi * f + total
+        grown.append(total)
+    return prod, grown, weight
+
+
+def _pairs(ratios: np.ndarray, rates: np.ndarray) -> list:
+    """The (lambda/nu, f) pairs of _level_tables' flat tables, one list per
+    price, as _extend reads them."""
+    ratios = ratios.tolist()
+    return [list(zip(ratios, row)) for row in rates.tolist()]
+
+
+def _threshold_family(params: ModelParams, prices: list[float]) -> np.ndarray:
+    """Profit of every threshold policy at each price, one row per price:
+    column r is rank r of model._space_block, theta = r + 1.
+
+    A descent of _extend: rank r continues the all-asleep state of the
+    first r levels with the awake values of the levels above, so the
+    family holds O(m) floats per price at any m.
+    """
+    m = params.m
+    _, low_profit, low_weight, xi_n, ratios, rates = _level_tables(
+        params, _level_values(m, "threshold"), prices)
+    tables = _pairs(ratios, rates)
+    state, grown = (1.0, [0.0] * len(prices), 0.0), []
+    # Level k + 1's values are (0, k + 1): pairs 2k (asleep) and 2k + 1.
+    for r in range(m + 1):
+        grown.append(_extend(state, xi_n, tables, slice(2 * r + 1, 2 * m, 2)))
+        if r < m:
+            state = _extend(state, xi_n, tables, slice(2 * r, 2 * r + 1))
+    return _profits(grown, low_profit, low_weight)
+
+
+def _profits(states, low_profit: np.ndarray, low_weight: float) -> np.ndarray:
+    """eta = (S + low_profit) / (W + low_weight) of each (P, S, W) state
+    of _extend, one row per price. A profit that is not finite raises
+    NumericalError, as in _chunk_summary."""
+    etas = np.array([[(sums[p] + low) / (weight + low_weight) for _, sums, weight in states]
+                     for p, low in enumerate(low_profit.tolist())])
     _require_finite(etas, "profits")
     return etas
 
@@ -197,21 +251,21 @@ def _product_candidates(params: ModelParams, space: str, k: int,
     P by its values' lambda/nu and adds their terms. Only S depends on the
     price, through f = R nu - cost, so one walk grows P and W once and S as
     a (prices, rows) array, on _level_tables of the space's value sets.
-    _block_profits and _near_best run these operations in this order on the
-    same tables, so a policy gets the same profit from all three at every
-    m. A level's values form the leading axis of its rows, so every
-    operation runs along the contiguous prefix axis. The levels above a
-    split are built once and stay in the tree's order; each chunk grows
-    the next run of split-level prefixes into leaves. Only a chunk's
-    candidates are ranked, by two index tables: the rank of each split-level
-    prefix, and of each path from one to a leaf. No array holds more than
-    BLOCK_SIZE rows x prices unless one price's prefixes alone do: the split
-    deepens as prices are added, and the prices are walked in batches small
-    enough for their prefixes to fit. A space whose split-level prefixes
-    and rank table would pass _WALK_BYTES is refused with GateError before
-    any is grown. Every leaf's numbers come from the same elementwise
-    operations wherever the tree is split, so no result depends on the
-    chunks, the batches or the other prices.
+    _extend runs these operations in this order on the same tables, so a
+    policy gets the same profit from the walk, the level DP, the threshold
+    family and the monotonicity sweep at every m. A level's values form the
+    leading axis of its rows, so every operation runs along the contiguous
+    prefix axis. The levels above a split are built once and stay in the
+    tree's order; each chunk grows the next run of split-level prefixes into
+    leaves. Only a chunk's candidates are ranked, by two index tables: the
+    rank of each split-level prefix, and of each path from one to a leaf. No
+    array holds more than BLOCK_SIZE rows x prices unless one price's
+    prefixes alone do: the split deepens as prices are added, and the prices
+    are walked in batches small enough for their prefixes to fit. A space
+    whose split-level prefixes and rank table would pass _WALK_BYTES is
+    refused with GateError before any is grown. Every leaf's numbers come
+    from the same elementwise operations wherever the tree is split, so no
+    result depends on the chunks, the batches or the other prices.
     """
     m, levels = params.m, _level_values(params.m, space)
     sizes = [len(values) for values in levels]
@@ -339,17 +393,17 @@ def _rankings(params: ModelParams, space: str, k: int,
               prices) -> list[list[tuple[float, Policy]]]:
     """The k best (-eta, policy) pairs of a space at each price, best first.
 
-    The threshold family is one block of model._space_block in policy
-    order (falling theta: row i is rank m - i) at every price; the product
-    spaces are one walk of _product_candidates over all the prices.
-    Overflow and NaN are refused by _block_profits and _chunk_summary.
+    The threshold family is _threshold_family's, ranked whole at every
+    price by heapq.nsmallest on (-eta, policy order); the product spaces
+    are one walk of _product_candidates over all the prices. Overflow and
+    NaN are refused by _threshold_family and _chunk_summary.
     """
     m = params.m
     prices = np.asarray(prices, dtype=np.float64)
     if space == "threshold":
-        block = _space_block(m, space, np.arange(m, -1, -1))
-        candidates = _chunk_summary(_block_profits(params, *block, prices),
-                                    lambda rows: rows, k)
+        # Policy order is falling theta: column i is rank m - i.
+        candidates = [heapq.nsmallest(k, zip((-etas).tolist(), range(m + 1)))
+                      for etas in _threshold_family(params, prices.tolist())[:, ::-1]]
         policy_of = lambda ranks: _policy_block(m, space, [m - r for r in ranks])
     else:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -395,7 +449,7 @@ def _near_best(params: ModelParams, space: str,
     operations of the walk's grow, in its order, on the same floats.
 
     Why 2 delta keeps every float maximizer. Let u = 2**-53, F = max|f|
-    and K = F + |low_profit| / low_weight. The DP, the walk and every block
+    and K = F + |low_profit| / low_weight. The DP, the walk and _extend
     start from the same floats, the tables of chain._level_tables: ratios
     and rates, xi_n, low_profit and low_weight. So only the roundings after
     them count; each multiplies a term by some 1 + e with |e| <= u. With
@@ -429,9 +483,11 @@ def _near_best(params: ModelParams, space: str,
     start, low_profit, low_weight, xi_n, ratios, rates = _level_tables(
         params, levels, [params.price])
     scale = float(np.abs(rates).max())
-    # The tables as Python floats, one list per level.
-    ratios, rates = ([flat[a:b] for a, b in zip(start, start[1:])]
-                     for flat in (ratios.tolist(), rates[0].tolist()))
+    # The tables as Python floats, one list per level: lambda/nu and
+    # (lambda/nu, f) pairs.
+    pairs, ratios = (
+        [table[a:b] for a, b in zip(start, start[1:])]
+        for table in (_pairs(ratios, rates)[0], ratios.tolist()))
     low_profit, m = float(low_profit[0]), params.m
 
     # Rounding is monotone, so the all-asleep prefix has the largest float
@@ -447,26 +503,21 @@ def _near_best(params: ModelParams, space: str,
         return None
 
     def backward(eta):
-        """V_0..V_m at eta, and each level's first maximizing value index."""
-        values, choice = [0.0] * (m + 1), [0] * m
+        """V_0..V_m at eta, and each level's first maximizing pair."""
+        values, choice = [0.0] * (m + 1), [None] * m
         for j in range(m - 1, -1, -1):
             shift = values[j + 1] - eta
-            gains = [r * (f + shift) for r, f in zip(ratios[j], rates[j])]
+            gains = [r * (f + shift) for r, f in pairs[j]]
             values[j] = max(gains)
-            choice[j] = gains.index(values[j])
+            choice[j] = pairs[j][gains.index(values[j])]
         return values, choice
 
     def profit(choice):
-        """eta of the policy of value indices choice, in the walk's order."""
-        prod, total, weight = 1.0, 0.0, 0.0
-        for j, a in enumerate(choice):
-            prod = ratios[j][a] * prod
-            xi = prod * xi_n
-            total = xi * rates[j][a] + total
-            weight = xi + weight
+        """eta of the policy of the level pairs choice."""
+        _, [total], weight = _extend((1.0, [0.0], 0.0), xi_n, [choice])
         return (total + low_profit) / (weight + low_weight)
 
-    eta = profit([len(ratio) - 1 for ratio in ratios])
+    eta = profit([level[-1] for level in pairs])
     while True:
         rising = profit(backward(eta)[1])
         if not rising > eta:
@@ -479,14 +530,14 @@ def _near_best(params: ModelParams, space: str,
     base = low_profit - lo * low_weight
     frontier = [((), 1.0, 0.0, 0.0)]
     for j in range(m):
-        grown = []
+        grown, ahead = [], values[j + 1]
         for prefix, prod, total, weight in frontier:
-            for a, (r, f) in enumerate(zip(ratios[j], rates[j])):
+            for a, (r, f) in enumerate(pairs[j]):
                 new_prod = r * prod
                 xi = new_prod * xi_n
                 new_total = xi * f + total
                 new_weight = xi + weight
-                if base + (new_total - lo * new_weight) + xi * values[j + 1] >= 0:
+                if base + (new_total - lo * new_weight) + xi * ahead >= 0:
                     grown.append((prefix + (a,), new_prod, new_total, new_weight))
             if len(grown) > _TIE_CAP:
                 return None
@@ -656,29 +707,20 @@ def optimal_extreme_prices(params: ModelParams, regime: str,
     return d_star, policy_profit(params, d_star)
 
 
-#: Rows times levels of one threshold_scan chunk.
-_SCAN_CELLS = 2**18
-
-
 def threshold_scan(params: ModelParams) -> ThresholdResult:
     """Profit of every threshold policy and the sign conditions at theta*.
 
     theta* is the minimal maximizer (optimize over the threshold space
     returns the maximal one, its lexicographically smallest policy). Each
-    eta, a row of a model._space_block block, is bit for bit the eta
-    optimize gives that policy in any space that contains it. The m + 1
-    rows are built in rank chunks of at most _SCAN_CELLS // m rows, so the
-    memory stays O(m) as m grows. The sign triple skips boundary terms
+    eta, from the descent of _threshold_family, is bit for bit the eta
+    optimize gives that policy in any space that contains it, and the scan
+    holds O(m) floats as m grows. The sign triple skips boundary terms
     (NaN): the theta*-1 term needs theta* > 1, the theta* and theta*+1
     terms need their level to exist (<= m).
     """
     require_valid(params)
     m = params.m
-    rows, price = max(1, _SCAN_CELLS // m), np.array([params.price])
-    etas = np.concatenate([
-        _block_profits(params, *_space_block(
-            m, "threshold", np.arange(first, min(first + rows, m + 1))), price)[0]
-        for first in range(0, m + 1, rows)])
+    etas = _threshold_family(params, [params.price])[0]
     theta_star = 1 + int(np.argmax(etas))
 
     def value(theta: int, level: int) -> float:
@@ -715,10 +757,23 @@ def verify_monotonicity(params: ModelParams, d: Policy, j: int,
     _check_count(j, f"j must be an integer in 1..{params.m}", params.m)
     m = params.m
 
-    # Singleton levels but level j, where row v takes value v.
+    # Singleton levels but level j, whose value v is pair j - 1 + v of the
+    # tables: one prefix below level j, then a continuation per value. From
+    # v = j on, min(v, j) = j servers serve, so those values share
+    # lambda/nu at j, and with it P, xi and W above j: they continue as one
+    # state with an S per value, as prices do.
     levels = [range(m + 1) if i == j else (v,) for i, v in enumerate(d, start=1)]
-    digits = np.outer(np.arange(m + 1), np.arange(1, m + 1) == j)
-    etas = _block_profits(params, levels, digits, np.array([params.price]))[0]
+    _, low_profit, low_weight, xi_n, ratios, rates = _level_tables(
+        params, levels, [params.price])
+    tables, above = _pairs(ratios, rates), slice(j + m, None)
+    below = _extend((1.0, [0.0], 0.0), xi_n, tables, slice(j - 1))
+    at_j = [_extend(below, xi_n, tables, slice(v, v + 1)) for v in range(j - 1, j + m)]
+    ends = [_extend(state, xi_n, tables, above) for state in at_j[:j]]
+    prod, _, weight = at_j[j]
+    shared = (prod, [total for _, [total], _ in at_j[j:]], weight)
+    prod, sums, weight = _extend(shared, xi_n, tables * (m + 1 - j), above)
+    etas = _profits(ends + [(prod, [total], weight) for total in sums],
+                    low_profit, low_weight)[0]
 
     pi = stationary_closed_form(params, d[:j - 1] + (j,) + d[j:])
     slope = -(pi.pi[params.n + j] * (params.p2_work - params.p2_sleep)

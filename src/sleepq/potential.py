@@ -21,18 +21,20 @@ birth-death chain the factorization is closed form: by induction from the
 top state U_k = -nu_k (the death rate of reduced state k),
 R_k = lambda / nu_{k+1} and G_k = 1 (see rg_factorize). With G = 1 the
 unit lower factor (I - G_L)^{-1} is a cumulative sum, so no route forms
-it as a matrix. A route only factorizes: it returns its inverse
-application. solve_poisson owns the rest, once for every route: the
-generator's bands, pi, f and eta of the policy record (one scalar pass of
-the closed form, shared through the chain module's memo with the other
-per-policy calls); the tail's operands, kept on the record too
-(_poisson_tail: h, h in extended precision, the negated reduced bands in
-extended precision and the gate's scale, built by the policy's first
-solve and shared by every route and every later call); and, on every
-call, the starting solve, its extended-precision refinement and the
-residual gate. The refinement and the gate multiply by
-the generator through the one tridiagonal product, _band_product, so the
-rg route is O(n+m) in time and memory; only the dense and explicit routes
+it as a matrix. A route only factorizes a policy record: it returns its
+inverse application. The rg and explicit routes read the record's RG
+factors (_rg_factors), made by its first solve; the dense inverse and the
+explicit triangle are formed on every call. solve_poisson owns the rest,
+once for every route: the generator's bands, pi, f and eta of the policy
+record (one scalar pass of the closed form, shared through the chain
+module's memo with the other per-policy calls); the tail's operands, kept
+on the record too (_poisson_tail: h, h in extended precision, the negated
+reduced bands in extended precision and the gate's scale, built by the
+policy's first solve and shared by every route and every later call);
+and, on every call, the starting solve, its extended-precision refinement
+and the residual gate. The refinement and the gate multiply by the
+generator through the one tridiagonal product, _band_product, so the rg
+route is O(n+m) in time and memory; only the dense and explicit routes
 form k x k arrays, the inverse and the one triangle. All three routes must
 agree to solver tolerance.
 Potential differences are anchor-free; the "fundamental" normalization
@@ -192,10 +194,16 @@ def _refine(bands, apply_inverse, x, rhs_ld):
     return best
 
 
-def _solve_dense(gen):
+def _rg_factors(record: PolicyRecord) -> RGFactors:
+    """rg_factorize of a policy record's generator, shared by the rg and
+    explicit routes and by every later solve of the record."""
+    return rg_factorize(record.value(_generator))
+
+
+def _solve_dense(record):
     """The inverse of the reduced matrix, formed once, applied by matmul."""
     try:
-        inverse = np.linalg.inv(-gen.matrix[1:, 1:])
+        inverse = np.linalg.inv(-record.value(_generator).matrix[1:, 1:])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"reduced system is singular: {exc}") from exc
 
@@ -205,7 +213,7 @@ def _solve_dense(gen):
     return apply_inverse
 
 
-def _solve_rg(gen):
+def _solve_rg(record):
     """Apply the factors by a scalar sweep and a running sum; no inverse is
     formed.
 
@@ -214,7 +222,7 @@ def _solve_rg(gen):
     because G = 1, a cumulative sum x_i = x_{i-1} + y_i / nu_i apply it in
     O(k).
     """
-    factors = rg_factorize(gen)
+    factors = record.value(_rg_factors)
     nu, r = -factors.u, factors.r.tolist()
     k = nu.shape[0]
 
@@ -227,7 +235,7 @@ def _solve_rg(gen):
     return apply_inverse
 
 
-def _solve_explicit(gen):
+def _solve_explicit(record):
     """The factorized inverse with its running products spelled out.
 
     The dense upper triangle holds the running R products toward higher
@@ -236,7 +244,7 @@ def _solve_explicit(gen):
     is the matrix form of the sums the factorization yields state by
     state, kept as an independent route.
     """
-    factors = rg_factorize(gen)
+    factors = record.value(_rg_factors)
     upper = _triangles(factors)
     nu = -factors.u
 
@@ -307,7 +315,7 @@ def solve_poisson(
             )
     eta = eta_computed
 
-    apply_inverse = _SOLVERS[method](gen)
+    apply_inverse = _SOLVERS[method](record)
     h, h_ld, bands, scale = record.value(_poisson_tail)
     # The routes' running products of lambda/nu can overflow where pi does not.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -69,7 +69,6 @@ from .model import (
     _check_count,
     _gated_size,
     _space_block,
-    check_policy,
     require_valid,
 )
 from .potential import _band_product, solve_poisson
@@ -335,9 +334,10 @@ def performance_difference(params: ModelParams, d: Policy,
 def _single_change_level(params: ModelParams, d: Policy, d_prime: Policy,
                          j: int | None = None) -> tuple[int, Policy, Policy]:
     """(j, d, d_prime): the 1-based level where the checked int tuples of
-    d and d_prime differ (and nowhere else), and those tuples."""
-    d = check_policy(d, params.m)
-    d_prime = check_policy(d_prime, params.m)
+    d and d_prime differ (and nowhere else), and those tuples: each policy
+    record's own, so the calls that follow find the records unchecked."""
+    d = _policy_record(params, d).policy
+    d_prime = _policy_record(params, d_prime).policy
     diffs = [i + 1 for i in range(params.m) if d[i] != d_prime[i]]
     if len(diffs) > 1:
         raise ValueError(f"policies differ at levels {diffs}, expected one")

@@ -27,6 +27,7 @@ from sleepq import (
     verify_monotonicity,
 )
 from sleepq.model import _level_values, _policy_block, _space_block
+from block import block_profits
 from conftest import (
     draw_instance,
     draw_params,
@@ -98,7 +99,7 @@ def test_zero_price_sleepy_instance_sleeps(sleepy):
 
 def _profits(params, block):
     """The block evaluator's profit of each policy of block."""
-    return OPT._block_profits(params, *level_block(block), np.array([params.price]))[0]
+    return block_profits(params, *level_block(block), np.array([params.price]))[0]
 
 
 def _walk_best(params, space):
@@ -225,15 +226,15 @@ def test_a_rows_eta_does_not_depend_on_its_block(space, m):
         params = draw_params(rng, m_min=m, m_max=m)
         prices = rng.uniform(0.0, 20.0, count)
         digits = rng.integers(0, len(levels[0]), (40, m))
-        whole = OPT._block_profits(params, levels, digits, prices)
+        whole = block_profits(params, levels, digits, prices)
         for row in range(40):
             for rows in (1, 2):
-                part = OPT._block_profits(params, levels, digits[row:row + rows], prices)
+                part = block_profits(params, levels, digits[row:row + rows], prices)
                 assert np.array_equal(part, whole[:, row:row + rows])
 
 
 def _block_etas(params, space):
-    """_block_profits over a whole space, unranked in BLOCK_SIZE pieces."""
+    """block_profits over a whole space, unranked in BLOCK_SIZE pieces."""
     total = policy_space_size(params.m, space)
     return np.concatenate([
         _profits(params, _policy_block(
@@ -314,6 +315,97 @@ def test_overflowing_profits_raise_numerical_error(space):
         policy_profit(params, (0, 0, 0))
     with pytest.raises(NumericalError, match="not finite"):
         optimize(params, space)
+
+
+def _block_oracle(params, prices, d=None, j=None):
+    """block_profits of the threshold family in rank order, or with d and
+    j of verify_monotonicity's sweep of coordinate j of d."""
+    m = params.m
+    if d is None:
+        block = _space_block(m, "threshold", np.arange(m + 1))
+    else:
+        block = ([range(m + 1) if i == j else (v,) for i, v in enumerate(d, start=1)],
+                 np.outer(np.arange(m + 1), np.arange(1, m + 1) == j))
+    return block_profits(params, *block, np.array(prices, dtype=float))
+
+
+def _outcome(call):
+    """The result of call, or its refusal as (type, message)."""
+    try:
+        return call()
+    except NumericalError as exc:
+        return type(exc), str(exc)
+
+
+def test_threshold_family_and_monotonicity_sweep_match_the_block_oracle():
+    # Same bits as the block evaluator, the sign of zero included, at one
+    # and three prices; every fifth draw overflows, and both refuse it.
+    rng = np.random.default_rng(4040)
+    draws = [micro_params(m=3, price=0.0, c_energy=0.0, c_hold_g1=0.0,
+                          c_hold_g2=0.0, c_transfer=0.0, c_loss=0.0),
+             micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=1000)]
+    for k in range(60):
+        params = draw_params(rng, n_max=12, m_max=60)
+        if k % 5 == 0:
+            params = dataclasses.replace(params, n=int(rng.integers(50, 400)),
+                                         lambda_=params.mu1 * 10.0 ** rng.uniform(1, 3.5))
+        draws.append(params)
+    refused = 0
+    for params in draws:
+        m = params.m
+        d, j = random_policy(rng, m), int(rng.integers(1, m + 1))
+        for prices in ([params.price], rng.uniform(0.0, 20.0, 3).tolist()):
+            got = _outcome(lambda: OPT._threshold_family(params, prices))
+            want = _outcome(lambda: _block_oracle(params, prices))
+            if isinstance(want, tuple):
+                refused += 1
+                assert got == want, params
+            else:
+                assert got.tobytes() == want.tobytes(), params
+        sweep = _outcome(lambda: verify_monotonicity(params, d, j).etas)
+        want = _outcome(lambda: _block_oracle(params, [params.price], d, j)[0])
+        if isinstance(want, tuple):
+            assert sweep == want, params
+        else:
+            assert sweep.tobytes() == want.tobytes(), params
+    assert 0 < refused < len(draws)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_sleep_branch_refuses_every_threshold_search():
+    # Awake, every level has lambda/nu at most 0.1; asleep, 1e60, so the
+    # policies that sleep at enough levels overflow and the rest do not.
+    params = micro_params(lambda_=1e60, mu2=1e61, m=8)
+    awake = tuple(range(1, 9))
+    assert np.isfinite(_block_oracle(params, [params.price], awake, 1)).all()
+    for search in (lambda: threshold_scan(params),
+                   lambda: optimize(params, "threshold"),
+                   lambda: optimize(params, "threshold", top_k=3),
+                   lambda: OPT._rankings(params, "threshold", 1, [0.0, 5.0, 10.0]),
+                   lambda: verify_monotonicity(params, (0,) * 7 + (8,), 8)):
+        with pytest.raises(NumericalError, match="^profits are not finite"):
+            search()
+
+
+@pytest.mark.parametrize("search, bound", [
+    (lambda p: optimize(p, "threshold", top_k=3), 2**20),
+    (lambda p: verify_monotonicity(p, tuple(range(1, p.m + 1)), 1), 2**20),
+], ids=["optimize", "monotonicity"])
+def test_threshold_and_monotonicity_memory_is_linear_in_m(search, bound):
+    # A block of the m + 1 policies held an 8 MiB traced peak at m = 500
+    # in each; one policy at a time from a shared prefix holds O(m).
+    params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=500)
+    _, peak = _traced_peak(lambda: search(params))
+    assert peak < bound
+
+
+def test_threshold_price_sweep_memory_does_not_grow_with_the_grid():
+    # 25 prices of a block of the m + 1 policies held a 16 MiB traced peak
+    # at m = 200; the peak left is critical_prices_global's own block.
+    params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=200)
+    (rows, _), peak = _traced_peak(
+        lambda: OPT.price_sweep(params, np.linspace(0.0, 20.0, 25), "threshold"))
+    assert len(rows) == 25 and peak < 3 * 2**20
 
 
 @pytest.mark.filterwarnings("error")
@@ -567,21 +659,13 @@ def test_threshold_scan_factors_each_policy_once(monkeypatch):
 
 
 def test_threshold_scan_memory_stays_bounded_as_m_grows():
-    # The m + 1 threshold rows are built in rank chunks: one block of all
-    # of them held a 31.7 MiB traced peak at m = 1 000, growing as m^2.
+    # The m + 1 threshold policies are evaluated one at a time from a
+    # shared prefix: one block of all of them held a 31.7 MiB traced peak
+    # at m = 1 000, growing as m^2.
     params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=1000)
     scan, peak = _traced_peak(lambda: threshold_scan(params))
     assert scan.eta_by_theta.shape == (1001,)
     assert peak < 12 * 2**20
-
-
-def test_threshold_scan_does_not_depend_on_its_chunks(monkeypatch):
-    params = micro_params(n=3, lambda_=3.0, mu2=0.8, m=8)
-    whole = threshold_scan(params)
-    monkeypatch.setattr(OPT, "_SCAN_CELLS", 3 * params.m)  # 3 rows a chunk
-    chunked = threshold_scan(params)
-    assert chunked.eta_by_theta.tobytes() == whole.eta_by_theta.tobytes()
-    assert chunked.theta_star == whole.theta_star
 
 
 def test_threshold_scan_equals_threshold_optimize():

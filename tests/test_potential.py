@@ -216,20 +216,8 @@ def test_memo_hit_equals_miss():
             assert warm == cold, (name, params)
 
 
-def test_poisson_tail_is_built_once_per_record(monkeypatch):
-    # Every route and normalization of one policy shares its record's tail
-    # operands: the benchmark's per-policy sequence builds them once.
-    potential = importlib.import_module("sleepq.potential")
-    built = []
-    poisson_tail = potential._poisson_tail
-
-    def counted(record):
-        built.append(record.policy)
-        return poisson_tail(record)
-
-    monkeypatch.setattr(potential, "_poisson_tail", counted)
-    params = micro_params(n=2, m=3)
-    d, d_prime = (0, 2, 3), (1, 2, 3)
+def _per_policy_sequence(params, d, d_prime):
+    """The benchmark's per-policy calls, twice over."""
     for _ in range(2):
         stationary_closed_form(params, d)
         sleepq.stationary_numeric(build_generator(params, d))
@@ -240,7 +228,34 @@ def test_poisson_tail_is_built_once_per_record(monkeypatch):
         perturbation_factors(params, d)
         single_coordinate_difference(params, d, d_prime)
         policy_profit(params, d_prime)
-    assert built == [d]
+
+
+def _count_builds(monkeypatch, name):
+    """The arguments of every call to potential.<name> while the
+    benchmark's per-policy sequence runs on one fresh model."""
+    potential = importlib.import_module("sleepq.potential")
+    built = []
+    build = getattr(potential, name)
+
+    def counted(arg):
+        built.append(arg)
+        return build(arg)
+
+    monkeypatch.setattr(potential, name, counted)
+    _per_policy_sequence(micro_params(n=2, m=3), (0, 2, 3), (1, 2, 3))
+    return built
+
+
+def test_poisson_tail_is_built_once_per_record(monkeypatch):
+    # Every route and normalization of one policy shares its record's tail
+    # operands: the benchmark's per-policy sequence builds them once.
+    built = _count_builds(monkeypatch, "_poisson_tail")
+    assert [record.policy for record in built] == [(0, 2, 3)]
+
+
+def test_rg_factors_are_built_once_per_record(monkeypatch):
+    # The rg and explicit routes share the record's RG factors.
+    assert len(_count_builds(monkeypatch, "rg_factorize")) == 1
 
 
 def test_ill_conditioned_draw_all_routes_agree():

@@ -1,6 +1,7 @@
 """Perturbation factors, critical prices, and the difference formulas."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -38,6 +39,10 @@ from conftest import (
     wide_light_instance,
 )
 from exact import exact
+
+# The package exports functions under some of its modules' names.
+chain, model, sensitivity = (importlib.import_module(f"sleepq.{name}")
+                             for name in ("chain", "model", "sensitivity"))
 
 # The 634th draw_params(n_max=30, m_max=30) + random_policy pair of
 # default_rng(101): lambda / mu1 near 29.8, so pi rises over nearly every
@@ -161,6 +166,29 @@ def test_single_coordinate_domain_is_enforced(micro):
     # identical policies change nothing
     with pytest.raises(ValueError, match="identical"):
         single_coordinate_difference(params, (0, 1, 0), (0, 1, 0))
+
+
+def test_single_change_checks_each_policy_once(monkeypatch):
+    # The calls that follow the level check find the records by their own
+    # tuples, so each policy is checked once, wherever check_policy is bound.
+    calls = []
+
+    def counted(d, m):
+        calls.append(d)
+        return model.check_policy(d, m)
+
+    for module in (chain, sensitivity):
+        if hasattr(module, "check_policy"):
+            monkeypatch.setattr(module, "check_policy", counted)
+    params = micro_params(n=2, m=3)
+    single_coordinate_difference(params, [0, 2, 3], [1, 2, 3])
+    sign_conservation_check(params, [0, 2, 3], [1, 2, 3], 1)
+    assert calls == [[0, 2, 3], [1, 2, 3]] * 2
+    with pytest.raises(ValueError, match="^policy must have 3 entries, got 2$"):
+        single_coordinate_difference(params, (0, 2), (1, 2))
+    with pytest.raises(ConfigError, match="^c_loss must be finite$"):
+        single_coordinate_difference(dataclasses.replace(params, c_loss=np.nan),
+                                     (0, 2, 3), (1, 2, 3))
 
 
 def test_sign_conservation_micro(micro):
