@@ -205,6 +205,17 @@ def _value_rates(params: ModelParams, levels) -> tuple[list, list, list]:
     return death, cost, start
 
 
+def _cost_scale(params: ModelParams) -> np.ndarray:
+    """Per level, a bound on the sum of the magnitudes of the terms _rates
+    adds into the cost of any value there: value m's cost, the largest,
+    with the group-1 power, the one term that can be negative, counted
+    positive. The cost of any value is that far from its exact affine form
+    by at most 8 roundings of it."""
+    _, cost, _ = _value_rates(params, [(params.m,)] * params.m)
+    return (np.abs(cost[params.n + 1:])
+            + 2 * abs(params.n * params.p1_work) * params.c_energy)
+
+
 def _value_index(start: list, digits: np.ndarray) -> np.ndarray:
     """The (m, rows) index of the rows of digits into tables laid out by
     start, C-contiguous: a transposed one made _lines about 2x slower."""

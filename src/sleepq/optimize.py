@@ -1,32 +1,31 @@
 """Policy search over the policy spaces, plus structural checks.
 
-Every policy's average profit has a closed form (stationary weights are
-products of birth/death ratios), eta = N/D with N and D sums over the
-levels of the same running products of lambda/nu. The full, reduced and
-bang-bang spaces are products of per-level value sets, so their best
-policy is found by Dinkelbach's ratio iteration over a backward dynamic
-program on the levels (_near_best), which costs a sum over the levels of
-their value counts, not the size of the space. It returns what exact
-enumeration with a lexicographic tie-break returns, bit for bit: the
-policies that may tie the float maximum are regrown from the root in the
-enumeration tree's order and operations. It reads the tables of
-chain._level_tables, formed from one scalar rate pass over every value of
-every level; the walk below, the threshold family and the monotonicity
-sweep read the same tables.
+The full, reduced and bang-bang spaces are searched by the paper's policy
+iteration on the signs of G + c (Cao, Stochastic Learning and
+Optimization, 2007, ch. 4; Howard, Dynamic Programming and Markov
+Processes, 1960). The performance difference formula
 
-The enumeration tree is still walked where that set of near ties is
-large, for rankings (top_k) and for price_sweep: policies that share their
-first j coordinates share the partial weight product and profit sums of
-those levels. The prefixes stay in the order the tree grows them; only
-each chunk's candidates are ranked, and only the winning ranks are
-unranked back into policies.
-The price is an axis of that walk. Only the profit sums depend on it, so
-price_sweep searches a whole grid of prices in one walk; each price's eta
-is bit for bit what optimize returns at that price alone. The walk grows
-its chunks one after another on the calling thread. The threshold family
-and the monotonicity sweep extend shared prefixes one policy at a time
-in Python floats (_extend, the arithmetic of the DP's profit), so they
-hold O(m) floats at any m.
+    eta' - eta = sum_j mu2 pi'(n,j) (d'_j - d_j) [G^d(n,j) + c],
+
+with every value in 0..j, makes a policy optimal in all three spaces if
+each level takes j where its G(n,j) + c > 0 and 0 where it is < 0, so
+their optimum is bang-bang. From the all-awake policy each step reads the policy's lines
+and a bound e_j on the float error of G + c (sensitivity._margins), one
+O(m) pass, and moves only the levels whose sign is certain, so the exact
+eta rises at every step (_iterate). No step depends on the size of the
+space. The answer's eta is its closed form eta = N/D, N and D sums over
+the levels of the running products of lambda/nu, extended level by level
+in Python floats (_extend) on the tables of chain._level_tables.
+
+The enumeration tree is walked for rankings (top_k) at one price:
+policies that share their first j coordinates share the partial weight
+product and profit sums of those levels. The prefixes stay in the order
+the tree grows them; only each chunk's candidates are ranked, and only the
+winning ranks are unranked back into policies. The walk grows its chunks
+one after another on the calling thread. _extend runs the walk's
+operations in its order, so a policy's eta is the walk's bit for bit; it
+also gives the threshold family and the monotonicity sweep, which extend
+shared prefixes one policy at a time and so hold O(m) floats at any m.
 
 The module also houses the structural results: closed-form optima at
 extreme prices, the threshold-policy scan with its optimality sign
@@ -37,7 +36,6 @@ critical values).
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -46,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import _level_tables, _require_finite, stationary_closed_form
-from .errors import ConfigError, ConsistencyError, GateError, RegimeError
+from .errors import ConfigError, ConsistencyError, GateError, NumericalError, RegimeError
 from .model import (
     BLOCK_SIZE,
     ModelParams,
@@ -62,17 +60,25 @@ from .model import (
     threshold_policy,
 )
 from .reward import affine_decomposition, policy_profit, profit_components
-from .sensitivity import _factor_plus_c, critical_prices_global, perturbation_factors
+from .sensitivity import _factor_plus_c, _margins, critical_prices_global, perturbation_factors
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
     """Outcome of a policy search.
 
-    best_policy is the lexicographically smallest maximizer; evaluations
-    is the size of the space searched, however many policies the search
-    formed; ranking (optional) lists the top policies as (policy, eta)
-    pairs, best first.
+    best_policy is the optimum. Without top_k in the full, reduced and
+    bang-bang spaces it is the policy iteration's answer: it meets the
+    paper's optimality condition (d_j = j where G(n,j) + c > 0, 0 where
+    it is < 0) at every level whose margin |G + c| clears its error bound
+    e_j, and the levels inside their band take 0 (or keep j, where 0
+    would leave a margin there that clears its bound on the waking side);
+    so it is the same bang-bang policy in all three, and their exact
+    optimum wherever no level lies in a band. Otherwise it is the
+    lexicographically smallest float maximizer. best_eta is its float eta.
+    evaluations is the size of the space searched, however many policies
+    the search formed; ranking (optional) lists the top policies by float
+    eta as (policy, eta) pairs, best first.
     """
 
     best_policy: Policy
@@ -137,13 +143,12 @@ def _extend(state, xi_n, tables, span=slice(None)):
     lane. A lane is a price, or a value that shares lambda/nu with others.
 
     The closed form eta = (S + low_profit) / (W + low_weight) in Python
-    floats, on the floats of chain._level_tables, for the DP's profit, the
-    threshold family and the monotonicity sweep. Each level runs
-    P <- r P, xi <- P xi_n, S <- xi f + S and W <- xi + W, the operations
-    of the walk's grow in its order, so a policy's eta is bit for bit the
-    walk's (see _near_best, whose pruned regrowth tests every such step
-    inline). P, xi and W are the same in every lane: they are formed once,
-    and only S in each lane.
+    floats, on the floats of chain._level_tables, for the eta of
+    optimize's answer, the threshold family and the monotonicity sweep.
+    Each level runs P <- r P, xi <- P xi_n, S <- xi f + S and W <- xi + W,
+    the operations of the walk's grow in its order, so a policy's eta is
+    bit for bit the walk's. P, xi and W are the same in every lane: they
+    are formed once, and only S in each lane.
     """
     prod, sums, weight = state
     if len(sums) == 1:
@@ -207,28 +212,22 @@ def _profits(states, low_profit: np.ndarray, low_weight: float) -> np.ndarray:
 
 
 def _chunk_summary(etas, ranks, k):
-    """The k best (-eta, rank) pairs of a chunk of rows, at each price.
+    """The k best (-eta, rank) pairs of a chunk of profits.
 
-    etas holds one row of profits per price, and ranks(rows) gives the
-    lexicographic rank of each column index. Rank order is policy order,
-    so ordering by eta descending, then rank ascending, and merging
-    summaries with heapq.nsmallest ranks by eta descending, then policy
-    ascending, however the rows were split into chunks; only the winners
-    need unranking.
+    ranks(rows) gives the lexicographic rank of each index of etas. Rank
+    order is policy order, so ordering by eta descending, then rank
+    ascending, and merging summaries with heapq.nsmallest ranks by eta
+    descending, then policy ascending, however the rows were split into
+    chunks; only the winners need unranking.
     """
-    cut = etas.max(axis=1, keepdims=True)
-    _require_finite((etas.min(), cut.max()), "profits")  # NaN reaches both
-    size = etas.shape[1]
-    count = min(k, size)
+    cut = etas.max()
+    _require_finite((etas.min(), cut), "profits")  # NaN reaches both
+    count = min(k, etas.size)
     if count > 1:
-        cut = np.partition(etas, size - count, axis=1)[:, size - count, None]
-    price, top = np.divmod(np.flatnonzero(etas >= cut), size)
-    rank, eta = ranks(top), etas[price, top]
-    order = np.lexsort((rank, -eta, price))
-    # Each price has at least count rows at or above its cut.
-    starts = np.searchsorted(price[order], np.arange(etas.shape[0]))
-    return [[(-float(eta[t]), int(rank[t])) for t in order[start:start + count]]
-            for start in starts]
+        cut = np.partition(etas, etas.size - count)[etas.size - count]
+    top = np.flatnonzero(etas >= cut)
+    rank, eta = ranks(top), etas[top]
+    return [(-float(eta[t]), int(rank[t])) for t in np.lexsort((rank, -eta))[:count]]
 
 
 # The most bytes the walk's split-level prefixes may take; a space that
@@ -236,341 +235,219 @@ def _chunk_summary(etas, ranks, k):
 _WALK_BYTES = 2**30
 
 
-def _product_candidates(params: ModelParams, space: str, k: int,
-                        prices: np.ndarray) -> list[list[tuple[float, int]]]:
-    """The best (-eta, rank) pairs of a product space, one list per price.
+def _product_candidates(params: ModelParams, space: str, k: int) -> list[tuple[float, int]]:
+    """The k best (-eta, rank) pairs of a product space, best first.
 
-    Each list holds the space's k best at that price, best first: the
-    _chunk_summary of every chunk, merged by heapq.nsmallest as the chunks
-    are grown, one after another on the calling thread.
+    The _chunk_summary of every chunk, merged by heapq.nsmallest as the
+    chunks are grown, one after another on the calling thread.
 
     Policies that share their first j coordinates share the first j factors
     of the weight product P (cumulative lambda/nu) and the first j terms of
     S = sum xi f and W = sum xi, with xi = xi_low[n] P. So the enumeration
     tree is grown one level at a time: each level multiplies every prefix's
-    P by its values' lambda/nu and adds their terms. Only S depends on the
-    price, through f = R nu - cost, so one walk grows P and W once and S as
-    a (prices, rows) array, on _level_tables of the space's value sets.
-    _extend runs these operations in this order on the same tables, so a
-    policy gets the same profit from the walk, the level DP, the threshold
-    family and the monotonicity sweep at every m. A level's values form the
-    leading axis of its rows, so every operation runs along the contiguous
-    prefix axis. The levels above a split are built once and stay in the
-    tree's order; each chunk grows the next run of split-level prefixes into
-    leaves. Only a chunk's candidates are ranked, by two index tables: the
-    rank of each split-level prefix, and of each path from one to a leaf. No
-    array holds more than BLOCK_SIZE rows x prices unless one price's
-    prefixes alone do: the split deepens as prices are added, and the prices
-    are walked in batches small enough for their prefixes to fit. A space
-    whose split-level prefixes and rank table would pass _WALK_BYTES is
-    refused with GateError before any is grown. Every leaf's numbers come
-    from the same elementwise operations wherever the tree is split, so no
-    result depends on the chunks, the batches or the other prices.
+    P by its values' lambda/nu and adds their terms, on _level_tables of
+    the space's value sets at the price. _extend runs these operations in
+    this order on the same tables, so a policy gets the same profit from
+    the walk, optimize without top_k, the threshold family and the
+    monotonicity sweep at every m. A level's values form the leading axis
+    of its rows, so every operation runs along the contiguous prefix axis.
+    The levels above a split are built once and stay in the tree's order;
+    each chunk grows the next run of split-level prefixes into leaves. Only
+    a chunk's candidates are ranked, by two index tables: the rank of each
+    split-level prefix, and of each path from one to a leaf. No array holds
+    more than BLOCK_SIZE rows unless the split-level prefixes alone do. A
+    space whose split-level prefixes and rank table would pass _WALK_BYTES
+    is refused with GateError before any is grown. Every leaf's numbers
+    come from the same elementwise operations wherever the tree is split,
+    so no result depends on the chunks.
     """
     m, levels = params.m, _level_values(params.m, space)
     sizes = [len(values) for values in levels]
     start, low_profit, low_weight, xi_n, every_ratio, f_top = _level_tables(
-        params, levels, prices.tolist())
+        params, levels, [params.price])
     ratios = [every_ratio[a:b] for a, b in zip(start, start[1:])]
+    # The first chunk level, and the leaves under each of its prefixes, at
+    # most BLOCK_SIZE.
+    split, leaves = m, 1
+    while split > 1 and leaves * sizes[split - 1] <= BLOCK_SIZE:
+        split -= 1
+        leaves *= sizes[split]
+    # The split level holds 3 floats and one int64 rank per prefix.
+    if 32 * (math.prod(sizes) // leaves) > _WALK_BYTES:
+        raise GateError(f"{space} policy space has {_size_text(m, space)} members for "
+                        f"m={m}; its walk needs over {_WALK_BYTES >> 30} GiB of "
+                        "prefix sums, a budget allow_large does not lift")
 
-    def split_for(q):
-        """(split, leaves) for q prices: the first chunk level, and the
-        leaves under each of its prefixes, at most BLOCK_SIZE // q."""
-        cap = max(1, BLOCK_SIZE // q)
-        split, leaves = m, 1
-        while split > 1 and leaves * sizes[split - 1] <= cap:
-            split -= 1
-            leaves *= sizes[split]
-        return split, leaves
+    def grow(state, j, out):
+        """Level j's (P, S, W) from level j-1's, written into out.
 
-    def walk(f_top, low_profit):
-        """Each price's candidates from one walk over the prices of f_top."""
-        q = low_profit.size
-        split, leaves = split_for(q)
-        # The split level holds q + 2 floats and one int64 rank per prefix.
-        if (q + 3) * 8 * (space_size // leaves) > _WALK_BYTES:
-            raise GateError(f"{space} policy space has {_size_text(m, space)} members for "
-                            f"m={m}; its walk needs over {_WALK_BYTES >> 30} GiB of "
-                            "prefix sums, a budget allow_large does not lift")
-
-        def grow(state, j, out):
-            """Level j's (P, S, W) from level j-1's, written into out.
-
-            The leaf level m-1 gets no P: its out has no P slot, and its
-            xi is formed in W's slot by the same two roundings.
-            """
-            prod, profit, weight = state
-            ratio, f = ratios[j], f_top[:, start[j]:start[j + 1]]
-            shape = (ratio.size, prod.size)
-            size = ratio.size * prod.size
-            xi = out[1][:size].reshape(shape)
-            term = out[2][:q * size].reshape((q,) + shape)
-            if out[0] is None:
-                new_prod = None
-                np.multiply.outer(ratio, prod, out=xi)
-                xi *= xi_n
-            else:
-                new_prod = out[0][:size].reshape(shape)
-                np.multiply.outer(ratio, prod, out=new_prod)
-                np.multiply(new_prod, xi_n, out=xi)
-                new_prod = new_prod.ravel()
-            np.multiply(xi, f[:, :, None], out=term)
-            term += profit[:, None, :]
-            xi += weight
-            return new_prod, term.reshape(q, size), xi.ravel()
-
-        def buffers(flat, rows):
-            """Out arrays for rows rows of (P, W, S), carved from flat."""
-            return flat[:rows], flat[rows:2 * rows], flat[2 * rows:]
-
-        prefix = (np.ones(1), np.zeros((q, 1)), np.zeros(1))
-        for j in range(split):
-            size = prefix[0].size * sizes[j]
-            prefix = grow(prefix, j, buffers(np.empty((q + 2) * size), size))
-        # The rank of each tree-order prefix, and of each tree-order leaf
-        # path below one, in rank units of their levels.
-        top, deep = (np.arange(math.prod(part)).reshape(part).transpose().ravel()
-                     for part in (sizes[:split], sizes[split:]))
-        # A chunk of split-level prefixes, never more than there are.
-        per = min(max(1, BLOCK_SIZE // q) // leaves, prefix[0].size)
-        rows = per * leaves
-        small = rows // sizes[m - 1]
-
-        # Fresh chunk-sized arrays cost page faults in every chunk, so the
-        # chunks are grown in two reused buffer sets, one per level parity.
-        # The leaf set holds level m-1, which needs no P, and forms eta in
-        # place; the levels below m-1 hold at most small rows each, so the
-        # walk holds (q + 1) rows + (q + 3) small floats. One allocation
-        # holds both sets: freeing several smaller ones let the allocator
-        # return their pages after every call.
-        flat = np.empty((q + 1) * rows + (q + 3) * small)
-        leaf = (flat[:small], flat[small:small + rows],
-                flat[small + rows:small + (q + 1) * rows])
-        work = (leaf, buffers(flat[small + (q + 1) * rows:], small))
-        found = [[] for _ in range(q)]
-        for lo in range(0, prefix[0].size, per):
-            state = (prefix[0][lo:lo + per], prefix[1][:, lo:lo + per],
-                     prefix[2][lo:lo + per])
-            width = state[0].size
-            for j in range(split, m - 1):
-                state = grow(state, j, work[(m - 1 - j) % 2])
-            if split < m:
-                state = grow(state, m - 1, (None,) + leaf[1:])
-            # Once a level is grown, the state lies in the leaf set and
-            # these write over it; when none is, it is a slice of the
-            # shared prefix, which they leave alone.
-            size = state[2].size
-            total, etas = leaf[1][:size], leaf[2][:q * size].reshape(q, size)
-            np.add(state[1], low_profit[:, None], out=etas)
-            np.add(state[2], low_weight, out=total)
-            etas /= total
-
-            def ranks(rows):
-                return top[lo + rows % width] * leaves + deep[rows // width]
-
-            for p, best in enumerate(_chunk_summary(etas, ranks, k)):
-                found[p] = heapq.nsmallest(k, found[p] + best)
-        return found
-
-    # The largest batch of prices whose prefix sums fit in BLOCK_SIZE
-    # values; a batch's split deepens, and its prefixes multiply, with it.
-    space_size = math.prod(sizes)
-    batch, most = 1, prices.size
-    while batch < most:
-        mid = (batch + most + 1) // 2
-        if mid * (space_size // split_for(mid)[1]) <= BLOCK_SIZE:
-            batch = mid
+        The leaf level m-1 gets no P: its out has no P slot, and its xi is
+        formed in W's slot by the same two roundings.
+        """
+        prod, profit, weight = state
+        ratio, f = ratios[j], f_top[0, start[j]:start[j + 1]]
+        shape = (ratio.size, prod.size)
+        size = ratio.size * prod.size
+        xi = out[1][:size].reshape(shape)
+        term = out[2][:size].reshape(shape)
+        if out[0] is None:
+            new_prod = None
+            np.multiply.outer(ratio, prod, out=xi)
+            xi *= xi_n
         else:
-            most = mid - 1
-    candidates = []
-    for first in range(0, prices.size, batch):
-        at = slice(first, first + batch)
-        candidates += walk(f_top[at], low_profit[at])
-    return candidates
+            new_prod = out[0][:size].reshape(shape)
+            np.multiply.outer(ratio, prod, out=new_prod)
+            np.multiply(new_prod, xi_n, out=xi)
+            new_prod = new_prod.ravel()
+        np.multiply(xi, f[:, None], out=term)
+        term += profit
+        xi += weight
+        return new_prod, term.ravel(), xi.ravel()
+
+    def buffers(flat, rows):
+        """Out arrays for rows rows of (P, W, S), carved from flat."""
+        return flat[:rows], flat[rows:2 * rows], flat[2 * rows:]
+
+    prefix = (np.ones(1), np.zeros(1), np.zeros(1))
+    for j in range(split):
+        size = prefix[0].size * sizes[j]
+        prefix = grow(prefix, j, buffers(np.empty(3 * size), size))
+    # The rank of each tree-order prefix, and of each tree-order leaf path
+    # below one, in rank units of their levels.
+    top, deep = (np.arange(math.prod(part)).reshape(part).transpose().ravel()
+                 for part in (sizes[:split], sizes[split:]))
+    # A chunk of split-level prefixes, never more than there are.
+    per = min(BLOCK_SIZE // leaves, prefix[0].size)
+    rows = per * leaves
+    small = rows // sizes[m - 1]
+
+    # Fresh chunk-sized arrays cost page faults in every chunk, so the
+    # chunks are grown in two reused buffer sets, one per level parity. The
+    # leaf set holds level m-1, which needs no P, and forms eta in place;
+    # the levels below m-1 hold at most small rows each, so the walk holds
+    # 2 rows + 4 small floats. One allocation holds both sets: freeing
+    # several smaller ones let the allocator return their pages after every
+    # call.
+    flat = np.empty(2 * rows + 4 * small)
+    leaf = (flat[:small], flat[small:small + rows], flat[small + rows:small + 2 * rows])
+    work = (leaf, buffers(flat[small + 2 * rows:], small))
+    found = []
+    for lo in range(0, prefix[0].size, per):
+        state = tuple(part[lo:lo + per] for part in prefix)
+        width = state[0].size
+        for j in range(split, m - 1):
+            state = grow(state, j, work[(m - 1 - j) % 2])
+        if split < m:
+            state = grow(state, m - 1, (None,) + leaf[1:])
+        # Once a level is grown, the state lies in the leaf set and these
+        # write over it; when none is, it is a slice of the shared prefix,
+        # which they leave alone.
+        size = state[2].size
+        total, etas = leaf[1][:size], leaf[2][:size]
+        np.add(state[1], low_profit[0], out=etas)
+        np.add(state[2], low_weight, out=total)
+        etas /= total
+
+        def ranks(rows):
+            return top[lo + rows % width] * leaves + deep[rows // width]
+
+        found = heapq.nsmallest(k, found + _chunk_summary(etas, ranks, k))
+    return found
 
 
-def _rankings(params: ModelParams, space: str, k: int,
-              prices) -> list[list[tuple[float, Policy]]]:
-    """The k best (-eta, policy) pairs of a space at each price, best first.
+def _rankings(params: ModelParams, space: str, k: int) -> list[tuple[float, Policy]]:
+    """The k best (-eta, policy) pairs of a space at its price, best first.
 
-    The threshold family is _threshold_family's, ranked whole at every
-    price by heapq.nsmallest on (-eta, policy order); the product spaces
-    are one walk of _product_candidates over all the prices. Overflow and
-    NaN are refused by _threshold_family and _chunk_summary.
+    The threshold family is _threshold_family's, ranked whole by
+    heapq.nsmallest on (-eta, policy order); the product spaces are one
+    walk of _product_candidates. Overflow and NaN are refused by
+    _threshold_family and _chunk_summary.
     """
     m = params.m
-    prices = np.asarray(prices, dtype=np.float64)
     if space == "threshold":
         # Policy order is falling theta: column i is rank m - i.
-        candidates = [heapq.nsmallest(k, zip((-etas).tolist(), range(m + 1)))
-                      for etas in _threshold_family(params, prices.tolist())[:, ::-1]]
-        policy_of = lambda ranks: _policy_block(m, space, [m - r for r in ranks])
+        etas = _threshold_family(params, [params.price])[0, ::-1]
+        found = [(neg, m - i)
+                 for neg, i in heapq.nsmallest(k, zip((-etas).tolist(), range(m + 1)))]
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            candidates = _product_candidates(params, space, k, prices)
-        policy_of = functools.partial(_policy_block, m, space)
-
-    # Neighbouring prices mostly share their winners: unrank each once,
-    # all of them in one pass.
-    ranks = sorted({rank for found in candidates for _, rank in found})
-    policies = dict(zip(ranks, map(tuple, policy_of(ranks).tolist())))
-    return [[(neg, policies[rank]) for neg, rank in found]
-            for found in candidates]
+            found = _product_candidates(params, space, k)
+    policies = _policy_block(m, space, [rank for _, rank in found]).tolist()
+    return [(neg, tuple(d)) for (neg, _), d in zip(found, policies)]
 
 
-# The most prefixes _near_best grows at one level; a larger set of near
-# ties is ranked by the walk.
-_TIE_CAP = 256
+def _iterate(params: ModelParams, price: float, d: Policy) -> Policy:
+    """Policy iteration from d at price.
 
-
-def _near_best(params: ModelParams, space: str,
-               ) -> list[tuple[Policy, float]] | None:
-    """The policies of a product space that may tie its float maximum.
-
-    Returns (policy, eta) pairs in policy order, each eta bit for bit the
-    walk's, among them every policy whose eta is the walk's maximum; or
-    None where the walk must rank the space itself.
-
-    eta = N/D, where N = low_profit + sum xi f and D = low_weight + sum xi
-    over the levels, and xi = xi_n P with P the running product of the
-    levels' lambda/nu. For a fixed eta the largest N - eta D over a
-    product space is a backward pass over the levels: V_m = 0 and V_j =
-    max_a r_j(a) (f_j(a) - eta + V_{j+1}), with r = lambda/nu. Dinkelbach's
-    ratio iteration (Management Science 13(7), 1967) starts from the most
-    awake policy, whose weights are the smallest, sets eta to the profit of
-    the pass's argmax and stops once eta no longer rises; it finds the
-    maximum to within rounding. The walk's answer is the lexicographically
-    smallest policy among those whose float eta is largest, so the tree is
-    grown again from the root, in policy order, keeping the prefixes whose
-    best completion can still reach lo = eta - 2 delta: those whose
-    base + (S - lo W) + xi V_{j+1}(lo) is at least 0, with base =
-    low_profit - lo low_weight. Each policy's P, xi, S = sum xi f, W =
-    sum xi and eta = (S + low_profit) / (W + low_weight) are formed by the
-    operations of the walk's grow, in its order, on the same floats.
-
-    Why 2 delta keeps every float maximizer. Let u = 2**-53, F = max|f|
-    and K = F + |low_profit| / low_weight. The DP, the walk and _extend
-    start from the same floats, the tables of chain._level_tables: ratios
-    and rates, xi_n, low_profit and low_weight. So only the roundings after
-    them count; each multiplies a term by some 1 + e with |e| <= u. With
-    no overflow (the reach test) and no subnormal result:
-    - A leaf's eta. Level j's term (1-based) goes through j roundings of
-      P, one of xi, one of xi f and at most m - j + 1 of the sums; then
-      come the addition of low_profit and the division. All of D's terms
-      are positive, so its error is relative. A leaf's float eta is thus
-      within about (m + 5) u (F + |eta|) of its exact value.
-    - The prefix test. Rounding is monotone and every ratio and xi is
-      positive, so the float V_{j+1} is at least the float Horner sum
-      along any one completion, in particular a policy L's own. Each term
-      of that sum and of the prefix part goes through at most 3m + 6
-      roundings, so for a prefix of L the float test is at least
-      D_L (eta_L - lo - (3m + 6) u (K + |lo|)), with D_L and eta_L L's
-      exact denominator and profit.
-    If L's float eta is the float maximum, it is at least eta (the profit
-    of one policy, formed the same way), so eta_L - lo >= 2 delta -
-    (m + 5) u (F + |eta|). delta = 4 (m + 4) u (K + |eta|) leaves about
-    twice the (4m + 11) u (K + |eta|) that the two bounds need together,
-    so no prefix of L is dropped. The states (i, 0) enter only through
-    K: low_profit and low_weight are the same floats on both paths, so n
-    does not enter delta.
-
-    None is returned where the weights and profit rates are too large to
-    rule out an overflow anywhere in the space, so that the walk refuses
-    exactly the spaces it refuses, and where more than _TIE_CAP prefixes
-    near the maximum share a level.
+    Each step reads G(n,j) + c and its error bound e_j from the policy's
+    record (sensitivity._margins) and sets d_j = j where G + c > e_j and 0
+    where G + c < -e_j; in the band between, where the sign is not known,
+    d_j stays. So every step raises the exact eta, and no policy comes
+    back; the iteration stops when the policy repeats, and a step cap of
+    m + 2 raises NumericalError. At the fixed point the band levels go to
+    0, the lexicographically smaller value, where the policy with 0 there
+    is a fixed point too; otherwise they stay. Where no level lies in a
+    band the answer meets the optimality condition exactly, so it is the
+    exact optimum of every product space, the same from every start.
     """
-    levels = _level_values(params.m, space)
-    start, low_profit, low_weight, xi_n, ratios, rates = _level_tables(
-        params, levels, [params.price])
-    scale = float(np.abs(rates).max())
-    # The tables as Python floats, one list per level: lambda/nu and
-    # (lambda/nu, f) pairs.
-    pairs, ratios = (
-        [table[a:b] for a, b in zip(start, start[1:])]
-        for table in (_pairs(ratios, rates)[0], ratios.tolist()))
-    low_profit, m = float(low_profit[0]), params.m
+    levels = np.arange(1, params.m + 1)
 
-    # Rounding is monotone, so the all-asleep prefix has the largest float
-    # P at every level. Times the largest profit rate it bounds every sum,
-    # P and V below; NaN fails the test.
-    prod = peak = 1.0
-    for ratio in ratios:
-        prod = max(ratio) * prod
-        peak = max(peak, prod)
-    scale += abs(low_profit) / low_weight
-    reach = low_weight + max(1.0, xi_n) * m * (1.0 + peak)
-    if not reach * scale < 2.0 ** 1000:
-        return None
+    def step(d):
+        value, bound = _margins(params, d, price)
+        band = ~(np.abs(value) > bound)
+        return tuple(np.where(band, d, np.where(value > 0, levels, 0)).tolist()), band
 
-    def backward(eta):
-        """V_0..V_m at eta, and each level's first maximizing pair."""
-        values, choice = [0.0] * (m + 1), [None] * m
-        for j in range(m - 1, -1, -1):
-            shift = values[j + 1] - eta
-            gains = [r * (f + shift) for r, f in pairs[j]]
-            values[j] = max(gains)
-            choice[j] = pairs[j][gains.index(values[j])]
-        return values, choice
-
-    def profit(choice):
-        """eta of the policy of the level pairs choice."""
-        _, [total], weight = _extend((1.0, [0.0], 0.0), xi_n, [choice])
-        return (total + low_profit) / (weight + low_weight)
-
-    eta = profit([level[-1] for level in pairs])
-    while True:
-        rising = profit(backward(eta)[1])
-        if not rising > eta:
+    for _ in range(params.m + 2):
+        moved, band = step(d)
+        if moved == d:
             break
-        eta = rising
+        d = moved
+    else:
+        raise NumericalError(f"policy iteration did not settle in {params.m + 2} steps")
+    low = tuple(np.where(band, 0, d).tolist())
+    return low if low != d and step(low)[0] == low else d
 
-    delta = 4 * (m + 4) * 2.0 ** -53 * (scale + abs(eta))
-    lo = eta - 2 * delta
-    values, _ = backward(lo)
-    base = low_profit - lo * low_weight
-    frontier = [((), 1.0, 0.0, 0.0)]
-    for j in range(m):
-        grown, ahead = [], values[j + 1]
-        for prefix, prod, total, weight in frontier:
-            for a, (r, f) in enumerate(pairs[j]):
-                new_prod = r * prod
-                xi = new_prod * xi_n
-                new_total = xi * f + total
-                new_weight = xi + weight
-                if base + (new_total - lo * new_weight) + xi * ahead >= 0:
-                    grown.append((prefix + (a,), new_prod, new_total, new_weight))
-            if len(grown) > _TIE_CAP:
-                return None
-        frontier = grown
-    near = [(tuple(levels[j][a] for j, a in enumerate(prefix)),
-             (total + low_profit) / (weight + low_weight))
-            for prefix, _, total, weight in frontier]
-    # The pass's own maximizer must be among them; if rounding lost it,
-    # the walk answers.
-    if not near or max(e for _, e in near) < eta:
-        return None
-    return near
+
+def _profit(params: ModelParams, d: Policy, prices: list[float]) -> list[float]:
+    """eta of policy d at each price: _extend on chain._level_tables of its
+    values, bit for bit the walk's eta of d at that price alone."""
+    _, low_profit, low_weight, xi_n, ratios, rates = _level_tables(
+        params, [(v,) for v in d], prices)
+    state = _extend((1.0, [0.0] * len(prices), 0.0), xi_n, _pairs(ratios, rates))
+    return _profits([state], low_profit, low_weight)[:, 0].tolist()
 
 
 def optimize(params: ModelParams, space: str = "full",
              allow_large: bool = False, top_k: int | None = None,
              threads: int | None = None) -> OptimizationResult:
-    """Exact argmax of the average profit over a policy space.
+    """The optimal policy of a space, and its average profit.
 
-    Ties in eta resolve to the lexicographically smallest policy; in the
-    threshold space that is the maximal theta, while threshold_scan
-    reports the minimal one. top_k (an integer, at least 1) requests a
-    ranking of the best policies by eta descending, ties by policy
-    ascending, so ranking[0] is always best_policy; any other top_k but
-    None raises ValueError. Without top_k the full, reduced and bang-bang
-    spaces are searched by the level DP of _near_best; with it, or where
-    more than a few policies tie the maximum in float, their enumeration
-    tree is walked on the calling thread in chunks of at most BLOCK_SIZE
-    policies. No result depends on the path or the chunking, and
-    evaluations is the size of the space. A walk whose split-level prefix
-    sums would pass _WALK_BYTES raises GateError, allow_large or not. A
-    non-finite profit of any policy (the stationary weights overflow under
-    heavy load) raises NumericalError.
+    Without top_k, the full, reduced and bang-bang spaces are searched by
+    the policy iteration of _iterate from the all-awake policy, in one
+    O(m) pass per step, whatever the size of the space. The answer meets
+    the paper's optimality condition at every level whose margin |G + c|
+    clears its error bound e_j (d_j = j where G + c > 0, 0 where G + c <
+    0), and takes 0 at the levels inside their band, unless 0 there would
+    leave a margin that clears its bound on the waking side. So it is the
+    same bang-bang policy in all three spaces, and where no level lies in
+    a band it is their exact optimum. best_eta is that policy's float eta.
+
+    The threshold space, and every space with top_k (an integer, at least
+    1), rank float eta: the threshold family whole, the other spaces by
+    walking their enumeration tree at the price, on the calling thread, in
+    chunks of at most BLOCK_SIZE policies. Ties resolve to the
+    lexicographically smallest policy; in the threshold space that is the
+    maximal theta, while threshold_scan reports the minimal one. A ranking
+    lists the best policies by eta descending, ties by policy ascending, so
+    with top_k ranking[0] is best_policy. Until the ranking reads the
+    policy iteration too, ranking[0] can differ from the best_policy of a
+    call without top_k, where float ties hide an exact winner. Any other
+    top_k but None raises ValueError. A walk whose split-level prefix sums
+    would pass _WALK_BYTES raises GateError, allow_large or not.
+
+    evaluations is the size of the space, which the size gate reads. A
+    non-finite profit or realization factor (the stationary weights
+    overflow under heavy load) raises NumericalError.
 
     threads selects nothing: every search runs on the calling thread. It
     is kept, and still refused with ValueError unless it is None or a
@@ -584,12 +461,10 @@ def optimize(params: ModelParams, space: str = "full",
         _check_count(threads, "threads must be None or a positive integer")
     total = _gated_size(params.m, space, allow_large)
     if top_k is None and space != "threshold":
-        near = _near_best(params, space)
-        if near is not None:
-            best_eta = max(eta for _, eta in near)
-            best_policy = next(d for d, eta in near if eta == best_eta)
-            return OptimizationResult(best_policy, best_eta, space, total)
-    merged, = _rankings(params, space, top_k or 1, [params.price])
+        d = _iterate(params, params.price, tuple(range(1, params.m + 1)))
+        [eta] = _profit(params, d, [params.price])
+        return OptimizationResult(d, eta, space, total)
+    merged = _rankings(params, space, top_k or 1)
 
     ranking = None
     if top_k:
@@ -623,28 +498,56 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
     Returns (rows, crit) where each row is (R, best policy, eta,
     per-level critical prices of that policy, regime label, crossing
     note) and crit carries the R_H / R_L thresholds of the space. The grid
-    is checked once, before anything is computed, and the whole grid is
-    searched in one walk down the enumeration tree (a few walks where a
-    large space and a long grid would not fit in memory at once): each
-    row's policy and eta equal those of optimize at its price, bit for bit.
-    As a sanity check, eta is reconciled against the affine form
-    R * completion_rate - cost_rate of the winning policy on every grid
-    point; a mismatch raises ConsistencyError.
+    is checked once, before anything is computed. The threshold family is
+    formed once for the whole grid. In the product spaces each price first
+    tests the previous row's policy: where every level of it clears its
+    band at that price and takes the value its sign asks for, it is the
+    exact optimum there, and the fixed point of optimize's policy
+    iteration. Elsewhere the row runs that iteration from all awake, as
+    optimize does. So each row's policy and eta equal those of optimize at
+    its price, bit for bit, wherever optimize's answer has no level in its
+    band. As a sanity check, eta is reconciled against the
+    affine form R * completion_rate - cost_rate of the winning policy on
+    every grid point; a mismatch raises ConsistencyError.
     """
     grid = _price_grid(r_grid)
     # One validate covers every grid price; critical_prices_global makes it
     # and gates the space as optimize does. Its roots do not depend on R.
     crit = critical_prices_global(replace(params, price=grid[0]), space,
                                   allow_large=allow_large)
-    bests = _rankings(params, space, 1, grid)
+    m, bests = params.m, []
+    if space == "threshold":
+        for r, etas in zip(grid, _threshold_family(params, grid)):
+            # The last maximizer: the lexicographically smallest policy.
+            rank = m - int(np.argmax(etas[::-1]))
+            bests.append((threshold_policy(m, rank + 1), float(etas[rank])))
+    else:
+        # The lines and bounds of a policy do not depend on R, so every
+        # price reads the same policy records.
+        awake, column = tuple(range(1, m + 1)), np.array(grid)[:, None]
+        policies, prices = [], {}
+        for i, r in enumerate(grid):
+            # One test over the whole grid finds the prices where every
+            # level of a row's policy clears its band and takes the value
+            # its sign asks for: there that policy is the exact optimum.
+            if not policies or not settled[i]:
+                d = _iterate(params, r, awake)
+                value, bound = _margins(params, d, column)
+                settled = ((np.abs(value) > bound)
+                           & ((value > 0) == (np.array(d) > 0))).all(axis=1)
+            policies.append(d)
+            prices.setdefault(d, []).append(r)
+        # Each policy's eta at all of its prices, in grid order, from one
+        # pass of _extend.
+        etas = {d: iter(_profit(params, d, at)) for d, at in prices.items()}
+        bests = [(d, next(etas[d])) for d in policies]
 
     # affine pieces and per-level critical prices per winning policy,
     # computed once each: none of them depends on the price
     pieces: dict[tuple, tuple[float, float, tuple[float, ...]]] = {}
     rows = []
     prev_regime = None
-    for r, [(neg_eta, d)] in zip(grid, bests):
-        eta = -neg_eta
+    for r, (d, eta) in zip(grid, bests):
         if d not in pieces:
             sol = stationary_closed_form(params, d)
             crits = perturbation_factors(params, d).crit_prices

@@ -53,6 +53,7 @@ import numpy as np
 from .chain import (
     PolicyRecord,
     _block_rates,
+    _cost_scale,
     _generator,
     _policy_record,
     _require_finite,
@@ -168,21 +169,8 @@ def _lines(params: ModelParams, death: list, cost: list,
     The lines have shape (m,) for one policy and (m, rows) for a block.
     """
     lam = params.lambda_
-    weights = _weights(lam, death)
-    heads = list(itertools.accumulate(weights))
-    total = heads[-1]
-    _require_finite(total, "realization factors")
-    completion_rate = cost_rate = 0.0
-    for weight, rate, state_cost in zip(weights, death, cost):
-        share = weight / total
-        completion_rate = completion_rate + share * rate
-        cost_rate = cost_rate + share * state_cost
+    completion_rate, cost_rate, head_cuts = _means(params, death, cost)
     n, top = params.n, len(death) - 1
-    # The number of cuts K that take the head side, per row; the head mass
-    # only grows with K, so they are the first ones. Below cut n no line
-    # is kept, so the count starts there.
-    half = 0.5 * total
-    head_cuts = n + sum(mass <= half for mass in heads[n:-1])
     # One policy's count is a Python int: its path makes no numpy call.
     if isinstance(head_cuts, int):
         first = last = head_cuts
@@ -211,6 +199,27 @@ def _lines(params: ModelParams, death: list, cost: list,
     lines = np.array([intercept, slope])
     _require_finite(lines, "realization factors")
     return lines[0], lines[1]
+
+
+def _means(params: ModelParams, death: list, cost: list) -> tuple:
+    """(completion_rate, cost_rate, head_cuts) of _lines: A = pi . death and
+    B = pi . cost, summed state by state from _weights, and the number of
+    cuts K that take the head side. The head mass only grows with K, so
+    they are the first ones; below cut n no line is kept, so the count
+    starts there. Elementwise, like _lines. A normalizer that is not finite
+    raises NumericalError.
+    """
+    weights = _weights(params.lambda_, death)
+    heads = list(itertools.accumulate(weights))
+    total = heads[-1]
+    _require_finite(total, "realization factors")
+    completion_rate = cost_rate = 0.0
+    for weight, rate, state_cost in zip(weights, death, cost):
+        share = weight / total
+        completion_rate = completion_rate + share * rate
+        cost_rate = cost_rate + share * state_cost
+    half = 0.5 * total
+    return completion_rate, cost_rate, params.n + sum(mass <= half for mass in heads[params.n:-1])
 
 
 def _factor_lines(params: ModelParams, levels, digits: np.ndarray,
@@ -242,6 +251,94 @@ def _record_lines(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
     for line in lines:
         line.setflags(write=False)
     return lines
+
+
+def _margins(params: ModelParams, d: Policy, price: float) -> tuple[np.ndarray, np.ndarray]:
+    """(value, bound) of policy d at a price R >= 0, one entry per level j;
+    a column of prices gives one row per price.
+
+    value[j-1] = R (1 + slope_j) + intercept_j - k is G(n,j) + c from the
+    policy's lines, and bound[j-1] = e_j bounds its distance from the exact
+    G(n,j) + c, and from the exact price of waking level j on the model's
+    float rates (_record_bounds). Both are read from the policy record.
+    """
+    record = _policy_record(params, d)
+    intercept, slope = record.value(_record_lines)
+    base, per_price = record.value(_record_bounds)
+    return (price * (1.0 + slope) + intercept - _wake_cost(params),
+            base + price * per_price)
+
+
+def _side_sums(lam: float, death: list, terms: list, n: int, head_cuts: int) -> np.ndarray:
+    """The recursions of _lines on nonnegative per-state terms, each cut on
+    the side _lines takes there: the magnitudes of its lines."""
+    top = len(death) - 1
+    sums, total = [0.0] * (top - n), 0.0
+    for j in range(top, head_cuts, -1):
+        total = (lam * total + terms[j]) / death[j]
+        sums[j - 1 - n] = total
+    total = 0.0
+    for j in range(head_cuts):
+        total = (death[j] * total + terms[j]) / lam
+        if j >= n:
+            sums[j - n] = total
+    return np.array(sums)
+
+
+def _record_bounds(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
+    """(base, per_price): e_j = base_j + R per_price_j for prices R >= 0.
+
+    The exact values are those of the float rates of the record taken as
+    rationals (tests/exact.py). With u = 2**-53, N = n + m + 1 states and
+    gamma_k = k u / (1 - k u) <= 2 k u, the float G + c of _margins is off
+    by at most the sum of:
+    - The recursions. On the side _lines takes, each line is a sum of the
+      terms t_K (cost - B for the intercept, A - nu for the slope) times
+      positive products of lambda/nu or nu/lambda, and each term passes at
+      most 3N + 3 roundings on its way. So the error is at most
+      gamma_{3N+3} times the same recursion on |t_K| (Higham, Accuracy and
+      Stability of Numerical Algorithms, 2nd ed., 2002, sections 3.1 and
+      5.1, the bound for Horner's rule).
+    - The means. The weights (2 roundings a state), their sum, the shares
+      and the sums of A and B pass at most 6N + 2 roundings, so |dA| <=
+      gamma_{6N+2} A and |dB| <= gamma_{6N+2} pi.|cost| <= gamma_{6N+2}
+      max|cost|. The lines are affine in B and A, with the recursion on
+      t_K = 1 as coefficient.
+    - The last four roundings of R (1 + slope) + intercept - k, and the
+      three of k = (P2W - P2S) C1 / mu2: gamma_4 (R (1 + |slope|) +
+      |intercept| + k) + gamma_3 k.
+    - Rates that are not affine in d_j. chain._rates forms nu = n mu1 +
+      min(d_j, j) mu2 in 2 roundings and the cost in at most 8, so between
+      two values 0 <= v < w <= j of level j the float rates give a waking
+      price (cost_w - cost_v) / (nu_w - nu_v) within gamma_8 (2 C + 2 k
+      nu_j) / (mu2 - gamma_8 2 nu_j) of k, with C = chain._cost_scale.
+      The performance difference formula with that price in place of k is
+      exact on the float rates, so a level whose margin clears e_j has the
+      same optimal value in every subset of 0..j.
+    16 N u covers the first two gammas and 16 u the last two. Twice the sum
+    covers the bound's own roundings, so e_j is that: a bound that is not
+    finite leaves its level undecided.
+    """
+    params, death, cost = record.params, record.death, record.cost
+    lam, n, mu2 = params.lambda_, params.n, params.mu2
+    completion_rate, cost_rate, head_cuts = _means(params, death, cost)
+    spend = max(map(abs, cost))
+    deep, shallow = 16 * len(death) * 2.0**-53, 16 * 2.0**-53
+    intercept, slope = record.value(_record_lines)
+    wake = _wake_cost(params)
+    nu = n * params.mu1 + np.arange(1, params.m + 1) * mu2
+    base = _side_sums(lam, death, [deep * (abs(rate - cost_rate) + spend) for rate in cost],
+                      n, head_cuts)
+    per_price = _side_sums(lam, death, [deep * (abs(completion_rate - rate) + completion_rate)
+                                        for rate in death], n, head_cuts)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        skew = (2 * shallow * (_cost_scale(params) + wake * nu)
+                / np.maximum(mu2 - 2 * shallow * nu, 0.0))
+        bounds = (2 * (base + shallow * (abs(intercept) + 2 * wake) + skew),
+                  2 * (per_price + shallow * (1.0 + abs(slope))))
+    for bound in bounds:
+        bound.setflags(write=False)
+    return bounds
 
 
 def realization_factors(params: ModelParams, d: Policy) -> np.ndarray:
@@ -290,17 +387,20 @@ def critical_prices_global(params: ModelParams, space: str = "full",
 
     R_H = max{0, roots of G+c over all policies and levels}; R_L is the
     minimum root. Degenerate (no-crossing) levels are skipped. Policies are
-    unranked by model._space_block in blocks of BLOCK_SIZE, each a block
-    (levels, digits) of the space. params are validated, and each space
-    gated, as optimize validates and gates them.
+    unranked by model._space_block in blocks of BLOCK_SIZE cells (policies
+    times levels, at least one policy), each a block (levels, digits) of
+    the space. Every row's roots are its policy's alone, so no block size
+    moves a bit. params are validated, and each space gated, as optimize
+    validates and gates them.
     """
     require_valid(params)
     total = _gated_size(params.m, space, allow_large)
 
     r_high = 0.0
     r_low = np.inf
-    for start in range(0, total, BLOCK_SIZE):
-        chunk = np.arange(start, min(start + BLOCK_SIZE, total))
+    rows = max(1, BLOCK_SIZE // params.m)
+    for start in range(0, total, rows):
+        chunk = np.arange(start, min(start + rows, total))
         lines = _factor_lines(params, *_space_block(params.m, space, chunk))
         roots, _ = _price_roots(params, *lines)
         roots = roots[~np.isnan(roots)]

@@ -2,9 +2,10 @@
 
 The walk's independent oracle: it gathers the tables of
 chain._level_tables for every policy row of a block at once and cumulates
-the weights and terms down the level axis with numpy, where the level DP,
-the threshold family and the monotonicity sweep extend one prefix state
-at a time in Python floats and the walk grows the enumeration tree.
+the weights and terms down the level axis with numpy, where the eta of
+optimize's answer, the threshold family and the monotonicity sweep extend
+one prefix state at a time in Python floats and the walk grows the
+enumeration tree.
 """
 
 import numpy as np

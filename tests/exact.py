@@ -56,3 +56,14 @@ def exact(params, d) -> Exact:
         g.append(g[-1] + step)
     return Exact(pi=pi, eta=eta, delta=delta, g=g,
                  prf=[-x for x in delta[params.n:]], a=a, b=b, c=price - wake_cost)
+
+
+def exact_eta(params, d) -> Fraction:
+    """eta alone, equal to exact(params, d).eta, for enumerating a space."""
+    death, cost = (list(map(Fraction, rates)) for rates in _state_rates(params, d))
+    lam, price = Fraction(params.lambda_), Fraction(params.price)
+    weights = [Fraction(1)]
+    for rate in death[1:]:
+        weights.append(weights[-1] * lam / rate)
+    return (sum(w * (price * rate - c) for w, rate, c in zip(weights, death, cost))
+            / sum(weights))

@@ -310,8 +310,9 @@ def test_overflowing_optimize_exits_4(tmp_path, capsys):
 def test_overflowing_price_sweep_walk_exits_4(tmp_path, capsys, space):
     # Every policy's weights sum to about e^700, so the realization factors,
     # which normalize them first, and the critical prices are finite. The
-    # sweep's own ranking (the walk, or the threshold block) multiplies the
-    # weights by profit rates near 1e7 at R = 1e4 and must refuse, not warn.
+    # sweep's own profits (the policy iteration's answer's, or the threshold
+    # family's) multiply the weights by profit rates near 1e7 at R = 1e4 and
+    # must refuse, not warn.
     path = write_model(tmp_path, n=1000, lambda_=700.0, m=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -324,8 +325,9 @@ def test_overflowing_price_sweep_walk_exits_4(tmp_path, capsys, space):
 
 @pytest.mark.parametrize("m", [14284, 14285])
 def test_optimize_prints_a_size_past_the_digits_python_writes(tmp_path, capsys, m):
-    # The level DP answers at any m. 2^14284 has the 4300 digits Python
-    # writes of an int; 2^14285 has one more, so its formula is printed.
+    # The policy iteration answers at any m. 2^14284 has the 4300 digits
+    # Python writes of an int; 2^14285 has one more, so its formula is
+    # printed.
     evaluations = str(2 ** m) if m == 14284 else "2^m (4301 digits)"
     path = write_model(tmp_path, mu2=1e-12, m=m)
     out = tmp_path / "out.csv"

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from sleepq import (
     threshold_scan,
     verify_monotonicity,
 )
+from sleepq.chain import _state_rates
 from sleepq.model import _level_values, _policy_block, _space_block
+from sleepq.sensitivity import CriticalPrices, _margins
 from block import block_profits
 from conftest import (
     draw_instance,
@@ -36,7 +39,9 @@ from conftest import (
     micro_params,
     random_policy,
     sleepy_params,
+    wide_light_instance,
 )
+from exact import exact, exact_eta
 
 # The package exports the optimize function under the module's name.
 OPT = importlib.import_module("sleepq.optimize")
@@ -104,7 +109,7 @@ def _profits(params, block):
 
 def _walk_best(params, space):
     """(best_policy, best_eta) of the enumeration walk alone."""
-    [(neg, policy)], = OPT._rankings(params, space, 1, [params.price])
+    [(neg, policy)] = OPT._rankings(params, space, 1)
     return policy, -neg
 
 
@@ -158,13 +163,13 @@ def test_threads_must_be_none_or_a_positive_integer(micro, threads):
 
 
 def test_walk_holds_one_leaf_sized_buffer_set():
-    # Two full parity sets of (q + 2) * BLOCK_SIZE floats peak at 3.1 MB
+    # Two full parity sets of 3 * BLOCK_SIZE floats peak at 3.1 MB
     # here; a leaf set without P and a set for the levels below the leaves
     # stay under 2 MB.
     params = micro_params(n=2, m=7)
     walk, peak = _traced_peak(lambda: _walk_best(params, "full"))
     assert peak < 2 * 2**20
-    # The level DP holds a few lists of m value counts.
+    # The policy iteration holds a few arrays of m floats.
     res, dp_peak = _traced_peak(lambda: optimize(params, "full"))
     assert (res.best_policy, res.best_eta) == walk
     assert dp_peak < 2**17
@@ -245,7 +250,9 @@ def _block_etas(params, space):
 @pytest.mark.parametrize("space, m_min, m_max", [
     ("full", 1, 5), ("reduced", 5, 8), ("bang_bang", 4, 12)])
 def test_tree_search_matches_block_evaluation(space, m_min, m_max):
-    # The block evaluator repeats the tree's operations in its order.
+    # The block evaluator repeats the tree's operations in its order, and
+    # optimize's eta is its policy's block eta; where a float tie hides
+    # the exact winner, that policy is not the float argmax.
     rng = np.random.default_rng(47)
     for _ in range(6):
         params, _ = draw_instance(rng, n_max=6, m_min=m_min, m_max=m_max)
@@ -254,8 +261,8 @@ def test_tree_search_matches_block_evaluation(space, m_min, m_max):
         res = optimize(params, space)
         want = tuple(int(v) for v in _policy_block(params.m, space, [best])[0])
         assert _walk_best(params, space) == (want, etas[best])
-        assert res.best_policy == want
-        assert res.best_eta == etas[best]
+        assert res.best_eta == _profits(params, [res.best_policy])[0]
+        assert exact_eta(params, res.best_policy) >= exact_eta(params, want)
         assert res.evaluations == etas.size == policy_space_size(params.m, space)
 
 
@@ -269,9 +276,9 @@ def test_chunking_changes_nothing(space, m, monkeypatch):
     for size in (1, 7, 50):
         monkeypatch.setattr(OPT, "BLOCK_SIZE", size)
         assert optimize(params, space, top_k=12) == whole
+        # optimize without top_k iterates on G + c; no float tie hides an
+        # exact winner here, so it gives the walk's answer.
         assert optimize(params, space) == dataclasses.replace(whole, ranking=None)
-        # optimize without top_k takes the level DP; the k=1 walk is the
-        # one it falls back to.
         assert _walk_best(params, space) == best
 
 
@@ -381,7 +388,7 @@ def test_an_overflowing_sleep_branch_refuses_every_threshold_search():
     for search in (lambda: threshold_scan(params),
                    lambda: optimize(params, "threshold"),
                    lambda: optimize(params, "threshold", top_k=3),
-                   lambda: OPT._rankings(params, "threshold", 1, [0.0, 5.0, 10.0]),
+                   lambda: OPT._threshold_family(params, [0.0, 5.0, 10.0]),
                    lambda: verify_monotonicity(params, (0,) * 7 + (8,), 8)):
         with pytest.raises(NumericalError, match="^profits are not finite"):
             search()
@@ -430,52 +437,136 @@ WHOLE_SPACE_TIE = ModelParams(
     c_loss=2.3204713460404514, price=4.311429783033443)
 
 
+def _exact_argmax(params, space):
+    """The space's optimum in exact arithmetic on the float rates, ties to
+    the lexicographically smallest policy."""
+    policies = list(enumerate_policies(params.m, space))
+    etas = [exact_eta(params, d) for d in policies]
+    return policies[etas.index(max(etas))]
+
+
+def _meets_the_sign_condition(params, d):
+    """d_j = j where the exact G(n,j) + c > 0 and 0 where it is < 0, and
+    no exact margin is zero."""
+    ex = exact(params, d)
+    return all(g + ex.c != 0 and d[j - 1] == (j if g + ex.c > 0 else 0)
+               for j, g in enumerate(ex.prf, start=1))
+
+
 @pytest.mark.parametrize("space, m_max", [
     ("full", 6), ("reduced", 8), ("bang_bang", 12)])
 def test_level_search_returns_the_walks_answer(space, m_max):
-    # The level DP must give the walk's (policy, eta) bit for bit, ties
-    # included, and leave few draws to the walk.
+    # The policy iteration returns the walk's (policy, eta) bit for bit,
+    # except where a float tie hides an exact winner: there its policy has
+    # the larger exact eta, and its float eta is within an ulp or two of
+    # the walk's.
     rng = np.random.default_rng(2027)
     corpus = [draw_params(rng, n_max=8, m_max=m_max) for _ in range(40)]
     corpus.append(micro_params(n=2, m=4, c_energy=0.0, lambda_=1.7))
-    searched = 0
+    moved = 0
     for params in corpus:
         res = optimize(params, space)
-        assert (res.best_policy, res.best_eta) == _walk_best(params, space), params
         assert res.evaluations == policy_space_size(params.m, space)
-        searched += OPT._near_best(params, space) is not None
-    assert searched >= 0.8 * len(corpus)
+        walk, walk_eta = _walk_best(params, space)
+        if res.best_policy != walk:
+            moved += 1
+            assert exact_eta(params, res.best_policy) > exact_eta(params, walk), params
+            assert abs(res.best_eta - walk_eta) <= 4 * np.spacing(abs(walk_eta)), params
+        else:
+            assert res.best_eta == walk_eta, params
+    # Most answers are the walk's.
+    assert moved <= 0.2 * len(corpus)
+
+
+@pytest.mark.parametrize("space, m_max", [
+    ("full", 4), ("reduced", 5), ("bang_bang", 8)])
+def test_policy_iteration_returns_the_exact_argmax(space, m_max):
+    # Exact enumeration of the space on the float rates; the c_energy = 0
+    # micro model ties every value above a level with the level itself.
+    rng = np.random.default_rng(4142)
+    corpus = [draw_params(rng, n_max=8, m_max=m_max) for _ in range(10)]
+    corpus.append(micro_params(n=2, m=4, c_energy=0.0, lambda_=1.7))
+    for params in corpus:
+        res = optimize(params, space)
+        assert res.best_policy == _exact_argmax(params, space), params
+        assert res.best_eta == _profits(params, [res.best_policy])[0]
 
 
 def test_a_whole_space_tie_is_ranked_by_the_walk():
-    assert OPT._near_best(WHOLE_SPACE_TIE, "reduced") is None
+    # The walk ranks the float tie and returns its smallest policy. The
+    # signs of G + c pick the exact optimum, holding O(m) floats: the
+    # exact argmax of the 2^9 bang-bang policies, which meets the sign
+    # condition, so it is the optimum of the 10! reduced policies too. All
+    # asleep is both here.
+    walk, walk_eta = _walk_best(WHOLE_SPACE_TIE, "reduced")
     res, peak = _traced_peak(lambda: optimize(WHOLE_SPACE_TIE, "reduced"))
-    walk, walk_peak = _traced_peak(lambda: _walk_best(WHOLE_SPACE_TIE, "reduced"))
-    assert (res.best_policy, res.best_eta) == walk
-    # The level DP given up adds no array of the size of the walk's.
-    assert peak < walk_peak + 2**17
+    assert (res.best_policy, res.best_eta) == (walk, walk_eta) == ((0,) * 9, walk_eta)
+    assert res.best_policy == _exact_argmax(WHOLE_SPACE_TIE, "bang_bang")
+    assert _meets_the_sign_condition(WHOLE_SPACE_TIE, res.best_policy)
+    assert optimize(WHOLE_SPACE_TIE, "bang_bang") == dataclasses.replace(
+        res, space="bang_bang", evaluations=2**9)
+    assert peak < 2**17
 
 
 @pytest.mark.parametrize("space", ["full", "reduced", "bang_bang"])
-def test_near_ties_hold_every_float_maximizer(space, monkeypatch):
-    # Without the cap, the kept subtree must hold every policy whose eta
-    # is the space's float maximum, each with its block eta bit for bit:
-    # this checks the rounding bound of the recovery directly.
-    monkeypatch.setattr(OPT, "_TIE_CAP", 10**6)
+def test_near_ties_hold_every_float_maximizer(space):
+    # Every policy whose float eta is the space's float maximum has an
+    # exact eta no larger than the answer's, and the answer's float eta is
+    # within an ulp or two of that maximum.
     rng = np.random.default_rng(2028)
     corpus = [draw_params(rng, n_max=8, m_max=6) for _ in range(15)]
     corpus.append(micro_params(n=2, m=4, c_energy=0.0, lambda_=1.7))
     for params in corpus:
         etas = _block_etas(params, space)
-        policies = [tuple(row) for row in _policy_block(
-            params.m, space, np.arange(etas.size)).tolist()]
-        near = OPT._near_best(params, space)
-        assert [d for d, _ in near] == sorted(d for d, _ in near)
-        kept = dict(near)
-        for rank in np.flatnonzero(etas == etas.max()):
-            assert kept[policies[rank]] == etas[rank], (params, policies[rank])
-        for d, eta in near:
-            assert eta == etas[policies.index(d)]
+        res = optimize(params, space)
+        best = exact_eta(params, res.best_policy)
+        top = etas.max()
+        assert abs(res.best_eta - top) <= 4 * np.spacing(abs(top)), params
+        for rank in np.flatnonzero(etas == top):
+            d = tuple(_policy_block(params.m, space, [rank])[0].tolist())
+            assert exact_eta(params, d) <= best, (params, d)
+
+
+def test_error_bounds_hold_on_exact_margins():
+    # e_j bounds the distance of the float G(n,j) + c from the exact one,
+    # and from the exact price of waking level j on the float rates, for
+    # any policy: light, heavy and wide draws, at their prices and at 0.
+    rng = np.random.default_rng(4143)
+    draws = [(draw_params(rng, n_max=8, m_max=12), None) for _ in range(30)]
+    draws += [heavy_instance(rng) for _ in range(8)]
+    draws += [wide_light_instance(rng) for _ in range(2)]
+    for params, d in draws:
+        d = d or random_policy(rng, params.m)
+        n, scale = params.n, 0.0
+        for price in (params.price, 0.0):
+            at = dataclasses.replace(params, price=price)
+            value, bound = _margins(at, d, price)
+            ex = exact(at, d)
+            for j in range(1, params.m + 1):
+                waking = [_state_rates(at, d[:j - 1] + (v,) + d[j:]) for v in (0, j)]
+                (nu_0, cost_0), (nu_j, cost_j) = (
+                    (Fraction(death[n + j]), Fraction(cost[n + j])) for death, cost in waking)
+                star = ex.prf[j - 1] + price - (cost_j - cost_0) / (nu_j - nu_0)
+                for target in (ex.prf[j - 1] + ex.c, star):
+                    assert abs(Fraction(value[j - 1]) - target) <= bound[j - 1], (params, d, j)
+            scale = max(scale, float(np.max(np.abs(value))))
+        # A bound that is met trivially shows nothing.
+        assert bound.max() < 1e-8 * max(1.0, scale), (params, d)
+
+
+def test_every_answer_on_a_desk_corpus_meets_the_sign_condition():
+    # On these 300 draws the walk's float argmax broke the condition on 63
+    # bang-bang answers. Each space that its gate lets through answers
+    # with the one bang-bang policy.
+    rng = np.random.default_rng(4041)
+    for _ in range(300):
+        params = draw_params(rng, n_max=8, m_max=16)
+        res = optimize(params, "bang_bang")
+        assert _meets_the_sign_condition(params, res.best_policy), params
+        for space, gate in (("full", 8), ("reduced", 10)):
+            if params.m <= gate:
+                assert optimize(params, space) == dataclasses.replace(
+                    res, space=space, evaluations=policy_space_size(params.m, space))
 
 
 def test_sensitivity_policy_iteration_reaches_the_bang_bang_optimum():
@@ -510,10 +601,12 @@ def _search_outcome(search):
 @pytest.mark.filterwarnings("error")
 def test_level_search_refuses_where_the_walk_refuses():
     # Heavy desk draws, m cut so the walk stays cheap, and sweeps of
-    # lambda across the overflow of the stationary weights, on both sides
-    # of the bound past which the walk answers. The profit sums overflow
-    # to -inf at a price of 0, to +inf at 10, and before the weights do
-    # at 1e12.
+    # lambda across the overflow of the stationary weights. The profit
+    # sums overflow to -inf at a price of 0, to +inf at 10, and before the
+    # weights do at 1e12. The policy iteration refuses only where the walk
+    # refuses; it answers where only some policies of the space overflow
+    # and its optimum does not, and where both answer its policy has the
+    # larger exact eta, or is the walk's.
     rng = np.random.default_rng(2026)
     cases = []
     for _ in range(100):
@@ -525,15 +618,18 @@ def test_level_search_refuses_where_the_walk_refuses():
                 (0.0, 10.0, 1e12), np.linspace(290 / (m + 1), 312 / (m + 1), 23)):
             cases.append((micro_params(m=m, lambda_=float(10.0 ** e),
                                        c_loss=0.0, price=price), space))
-    refused = 0
+    refused = answered = 0
     for params, space in cases:
         res = _search_outcome(lambda: optimize(params, space))
         walk = _search_outcome(lambda: _walk_best(params, space))
-        if res != "refused":
-            res = (res.best_policy, res.best_eta)
-        assert res == walk, (params, space)
-        refused += walk == "refused"
-    assert 0 < refused < len(cases)
+        if res == "refused":
+            assert walk == "refused", (params, space)
+            refused += 1
+        elif walk == "refused":
+            answered += 1
+        elif res.best_policy != walk[0]:
+            assert exact_eta(params, res.best_policy) > exact_eta(params, walk[0])
+    assert 0 < refused and 0 < answered and refused + answered < len(cases)
 
 
 @pytest.mark.filterwarnings("error")
@@ -542,17 +638,25 @@ def test_an_overflowing_sleep_branch_is_refused(space, m):
     # Group 2 serves 1e61 jobs per unit time awake, so every awake level
     # has lambda/nu at most 0.1 and the awake policies' profits are
     # finite; asleep, lambda/nu = 1e60, and the weights of the policies
-    # that sleep at all of levels 1 to 5 overflow. The level DP would prune those
-    # prefixes and answer; the overflow test hands the space to the walk,
-    # which refuses it.
+    # that sleep at all of levels 1 to 5 overflow. The walk forms them and
+    # refuses the space; the policy iteration answers with the all-awake
+    # policy. No margin of it lies below its band. At m = 10 the three
+    # lowest, near 1e-15, lie inside it; asleep there, the policy's own
+    # margins there clear their bound, so those levels stay awake.
     params = micro_params(lambda_=1e60, mu2=1e61, m=m)
     awake = tuple(range(1, m + 1))
     assert np.isfinite(_profits(params, [awake])).all()
-    for search in (lambda: optimize(params, space),
-                   lambda: _walk_best(params, space)):
-        with pytest.raises(NumericalError, match="not finite"):
-            search()
-    assert OPT._near_best(params, space) is None
+    with pytest.raises(NumericalError, match="not finite"):
+        _walk_best(params, space)
+    res = optimize(params, space)
+    assert res.best_policy == awake
+    assert res.best_eta == _profits(params, [awake])[0]
+    value, bound = _margins(params, awake, params.price)
+    assert (value > bound).sum() == (m if m < 10 else m - 3)
+    assert (value > -bound).all()
+    low = (0, 0, 0) + awake[3:]
+    value, bound = _margins(params, low, params.price)
+    assert m < 10 or (value[:3] > bound[:3]).all()
 
 
 @pytest.mark.filterwarnings("error")
@@ -570,12 +674,13 @@ def test_many_chunks_refuse_an_overflow_without_a_warning(space, m, monkeypatch)
             params, m=m, lambda_=params.mu1 * 10.0 ** (320 / (params.n + m)))
         with pytest.raises(NumericalError, match="profits are not finite"):
             optimize(params, space, top_k=3)
-        # price_sweep refuses in its critical prices, before its walk, so
-        # the walk over the grid is run on its own too.
+        # price_sweep refuses in its critical prices, before its search, so
+        # the walk is run on its own at every grid price too.
         with pytest.raises(NumericalError, match="not finite"):
             OPT.price_sweep(params, grid, space)
-        with pytest.raises(NumericalError, match="profits are not finite"):
-            OPT._rankings(params, space, 1, grid)
+        for r in grid:
+            with pytest.raises(NumericalError, match="profits are not finite"):
+                OPT._rankings(dataclasses.replace(params, price=r), space, 1)
 
 
 def test_whole_space_ranking_unranks_every_policy_once(monkeypatch):
@@ -599,18 +704,47 @@ def test_whole_space_ranking_unranks_every_policy_once(monkeypatch):
 
 
 def test_walk_refuses_a_space_past_its_byte_budget():
-    # The tie cap hands the reduced search to the walk, whose 12! prefixes
-    # at one level would take 10.7 GiB. A walk whose split level would pass
-    # 1 GiB is refused before it grows any, allow_large or not; bang_bang
-    # passes it from m = 42.
+    # A ranking of the reduced space walks it, and its 12! prefixes at one
+    # level would take 10.7 GiB. A walk whose split level would pass 1 GiB
+    # is refused before it grows any, allow_large or not; bang_bang passes
+    # it from m = 42.
     reduced = micro_params(lambda_=1.0, mu2=0.8, n=3, m=18)
     bang = dataclasses.replace(reduced, m=42)
     for search, size in (
-            (lambda: optimize(reduced, "reduced", allow_large=True), 121645100408832000),
-            (lambda: OPT._rankings(bang, "bang_bang", 1, [bang.price]), 2 ** 42)):
+            (lambda: optimize(reduced, "reduced", allow_large=True, top_k=1),
+             121645100408832000),
+            (lambda: optimize(bang, "bang_bang", top_k=1), 2 ** 42)):
         refused, peak = _traced_peak(lambda: pytest.raises(GateError, search))
         assert "a budget allow_large does not lift" in str(refused.value)
         assert f"has {size} members" in str(refused.value) and peak < 2**20
+
+
+def test_the_wide_model_answers_at_scale(monkeypatch):
+    # The walk took 9.8 s at m = 30 and refused from m = 42. Without top_k
+    # no product space is walked: each step of the policy iteration is one
+    # O(m) pass, and every margin of the answer clears its bound.
+    def walk(*args):
+        raise AssertionError("the enumeration walk was entered")
+
+    monkeypatch.setattr(OPT, "_product_candidates", walk)
+    wide = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0)
+    for m in (30, 100, 1000):
+        params = dataclasses.replace(wide, m=m)
+        res = optimize(params, "bang_bang")
+        value, bound = _margins(params, res.best_policy, params.price)
+        assert (np.abs(value) > bound).all() and res.evaluations == 2**m
+    # The sweep's R_H and R_L enumerate the 2^100 policies, which no call
+    # finishes (ROADMAP item 6), so they are stubbed: the search at each
+    # grid price is what is checked here.
+    monkeypatch.setattr(OPT, "critical_prices_global",
+                        lambda *args, **kwargs: CriticalPrices(np.nan, np.nan, "bang_bang", False))
+    params = dataclasses.replace(wide, m=100)
+    rows, _ = OPT.price_sweep(params, np.linspace(0.0, 20.0, 25), "bang_bang")
+    assert len(rows) == 25
+    for r, d, eta, *_ in rows:
+        assert optimize(dataclasses.replace(params, price=r), "bang_bang").best_policy == d
+        value, bound = _margins(params, d, r)
+        assert (np.abs(value) > bound).all(), r
 
 
 def test_space_gate_and_override():
@@ -796,8 +930,9 @@ def test_affine_tail_slope_matches_direct_sweep():
 @pytest.mark.parametrize("space, m_max", [
     ("full", 4), ("reduced", 5), ("bang_bang", 7), ("threshold", 9)])
 def test_price_sweep_equals_per_point_optimize(space, m_max, monkeypatch):
-    # One walk over the grid must give each price the optimize answer bit
-    # for bit, whatever the chunks and the price batches.
+    # The sweep's search from the previous row's policy must give each
+    # price the optimize answer bit for bit, whatever the critical prices'
+    # chunks.
     rng = np.random.default_rng(53)
     corpus = [draw_params(rng, n_max=6, m_max=m_max) for _ in range(4)]
     corpus.append(micro_params(n=2, m=m_max, c_energy=0.0, lambda_=1.7))  # ties
@@ -806,14 +941,13 @@ def test_price_sweep_equals_per_point_optimize(space, m_max, monkeypatch):
         want = [optimize(dataclasses.replace(params, price=r), space)
                 for r in grid]
         with monkeypatch.context() as patch:
-            # At most 50 values an array: chunks of 2 to 50 policies, and
-            # the 25 prices in batches of 1 to 25.
-            patch.setattr(OPT, "BLOCK_SIZE", 50)
+            # Critical prices in chunks of 50 cells.
+            patch.setattr(importlib.import_module("sleepq.sensitivity"), "BLOCK_SIZE", 50)
             rows, _ = OPT.price_sweep(params, grid, space)
             for (r, d, eta, *_), res in zip(rows, want):
                 assert (d, eta) == (res.best_policy, res.best_eta), (params, r)
         if params.m <= 4:
-            # An oracle that shares no code with the walk.
+            # An oracle that shares no code with the search.
             policies = list(enumerate_policies(params.m, space))
             for (r, d, eta, *_) in rows[::4]:
                 at_r = dataclasses.replace(params, price=r)

@@ -454,3 +454,26 @@ def test_critical_prices_do_not_depend_on_block_size(space, m, monkeypatch):
     whole = critical_prices_global(params, space)
     monkeypatch.setattr(sens_mod, "BLOCK_SIZE", 3)
     assert critical_prices_global(params, space) == whole
+
+
+def test_critical_prices_chunk_the_threshold_space_by_cells(monkeypatch):
+    # The m + 1 threshold policies of the wide model are unranked in
+    # chunks of BLOCK_SIZE cells: three at m = 400, with the bits of one
+    # block of all of them. At m = 600 one block held a 23.6 MiB traced
+    # peak, growing as m^2.
+    import tracemalloc
+
+    import sleepq.sensitivity as sens_mod
+
+    params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=400)
+    chunked = critical_prices_global(params, "threshold")
+    with monkeypatch.context() as patch:
+        patch.setattr(sens_mod, "BLOCK_SIZE", 2**30)
+        assert critical_prices_global(params, "threshold") == chunked
+    tracemalloc.start()
+    try:
+        critical_prices_global(dataclasses.replace(params, m=600), "threshold")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
