@@ -205,15 +205,13 @@ def _value_rates(params: ModelParams, levels) -> tuple[list, list, list]:
     return death, cost, start
 
 
-def _cost_scale(params: ModelParams) -> np.ndarray:
-    """Per level, a bound on the sum of the magnitudes of the terms _rates
-    adds into the cost of any value there: value m's cost, the largest,
-    with the group-1 power, the one term that can be negative, counted
-    positive. The cost of any value is that far from its exact affine form
-    by at most 8 roundings of it."""
-    _, cost, _ = _value_rates(params, [(params.m,)] * params.m)
-    return (np.abs(cost[params.n + 1:])
-            + 2 * abs(params.n * params.p1_work) * params.c_energy)
+def _cost_scale(params: ModelParams) -> float:
+    """A bound on the sum of the magnitudes of the terms _rates adds into
+    any cost: (|n P1W| + m P2W) C1 + n H1 + m H2 + n mu1 T + lambda L, the
+    group-1 power, the one term that can be negative, counted positive."""
+    p = params
+    return ((abs(p.n * p.p1_work) + p.m * p.p2_work) * p.c_energy + p.n * p.c_hold_g1
+            + p.m * p.c_hold_g2 + p.n * p.mu1 * p.c_transfer + p.lambda_ * p.c_loss)
 
 
 def _value_index(start: list, digits: np.ndarray) -> np.ndarray:

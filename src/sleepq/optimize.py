@@ -9,13 +9,16 @@ Processes, 1960). The performance difference formula
 
 with every value in 0..j, makes a policy optimal in all three spaces if
 each level takes j where its G(n,j) + c > 0 and 0 where it is < 0, so
-their optimum is bang-bang. From the all-awake policy each step reads the policy's lines
-and a bound e_j on the float error of G + c (sensitivity._margins), one
-O(m) pass, and moves only the levels whose sign is certain, so the exact
-eta rises at every step (_iterate). No step depends on the size of the
-space. The answer's eta is its closed form eta = N/D, N and D sums over
-the levels of the running products of lambda/nu, extended level by level
-in Python floats (_extend) on the tables of chain._level_tables.
+their optimum is bang-bang. (A value above j serves as j does and costs
+more; where the rounding of the rates undercuts j's cost, the full space
+wakes a level to its cheapest value, _awake.) From the awake policy each
+step reads the policy's lines and a bound e_j on the float error of G + c
+(sensitivity._margins), one O(m) pass, and moves only the levels whose
+sign is certain, so the exact eta rises at every step (_iterate). No step
+depends on the size of the space. The answer's eta is its closed form
+eta = N/D, N and D sums over the levels of the running products of
+lambda/nu, extended level by level in Python floats (_extend) on the
+tables of chain._level_tables.
 
 The enumeration tree is walked for rankings (top_k) at one price:
 policies that share their first j coordinates share the partial weight
@@ -43,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import _level_tables, _require_finite, stationary_closed_form
+from .chain import _level_tables, _rates, _require_finite, stationary_closed_form
 from .errors import ConfigError, ConsistencyError, GateError, NumericalError, RegimeError
 from .model import (
     BLOCK_SIZE,
@@ -60,7 +63,8 @@ from .model import (
     threshold_policy,
 )
 from .reward import affine_decomposition, policy_profit, profit_components
-from .sensitivity import _factor_plus_c, _margins, critical_prices_global, perturbation_factors
+from .sensitivity import (_factor_plus_c, _margins, _skew, critical_prices_global,
+                          perturbation_factors)
 
 
 @dataclass(frozen=True)
@@ -72,10 +76,13 @@ class OptimizationResult:
     paper's optimality condition (d_j = j where G(n,j) + c > 0, 0 where
     it is < 0) at every level whose margin |G + c| clears its error bound
     e_j, and the levels inside their band take 0 (or keep j, where 0
-    would leave a margin there that clears its bound on the waking side);
-    so it is the same bang-bang policy in all three, and their exact
-    optimum wherever no level lies in a band. Otherwise it is the
-    lexicographically smallest float maximizer. best_eta is its float eta.
+    would leave a margin there that clears its bound on the waking side).
+    In the full space an awake level takes, in place of j, the value of
+    least float cost among j..m, which is j unless the rounding of the
+    rates undercuts it. So it is the space's exact optimum on its float
+    rates wherever no level lies in a band. Otherwise (the threshold space,
+    top_k) it is the lexicographically smallest float maximizer. best_eta
+    is its float eta.
     evaluations is the size of the space searched, however many policies
     the search formed; ranking (optional) lists the top policies by float
     eta as (policy, eta) pairs, best first.
@@ -376,36 +383,61 @@ def _rankings(params: ModelParams, space: str, k: int) -> list[tuple[float, Poli
     return [(neg, tuple(d)) for (neg, _), d in zip(found, policies)]
 
 
-def _iterate(params: ModelParams, price: float, d: Policy) -> Policy:
-    """Policy iteration from d at price.
+def _awake(params: ModelParams, space: str) -> Policy:
+    """The value the policy iteration wakes each level to: j, or in the
+    full space the value of least float cost among j..m, the smallest on a
+    tie. Those values share level j's death rate, so it is at least as good
+    as any of them on the float rates; it is j unless the rounding of the
+    rates undercuts j's cost, and sensitivity._record_bounds covers it in
+    j's place."""
+    m, low = params.m, params.n + 1
+    if space != "full":
+        return tuple(range(1, m + 1))
+    _, cost = _rates(params, [(j, v) for j in range(1, m + 1) for v in range(j, m + 1)])
+    awake = []
+    for j in range(1, m + 1):
+        values, low = cost[low:low + m + 1 - j], low + m + 1 - j
+        awake.append(j + values.index(min(values)))
+    return tuple(awake)
 
-    Each step reads G(n,j) + c and its error bound e_j from the policy's
-    record (sensitivity._margins) and sets d_j = j where G + c > e_j and 0
-    where G + c < -e_j; in the band between, where the sign is not known,
-    d_j stays. So every step raises the exact eta, and no policy comes
-    back; the iteration stops when the policy repeats, and a step cap of
-    m + 2 raises NumericalError. At the fixed point the band levels go to
-    0, the lexicographically smaller value, where the policy with 0 there
-    is a fixed point too; otherwise they stay. Where no level lies in a
-    band the answer meets the optimality condition exactly, so it is the
-    exact optimum of every product space, the same from every start.
+
+def _iterate(params: ModelParams, space: str, prices: list[float]) -> list[Policy]:
+    """The policy iteration's answer in a product space at each price.
+
+    From the awake policy of _awake, each step reads G(n,j) + c and its
+    error bound e_j from the policy's record (sensitivity._margins) and
+    sets level j awake where G + c > e_j and to 0 where G + c < -e_j; in
+    the band between, where the sign is not known, it stays. So every step
+    raises the exact eta and no policy comes back: one that does means a
+    bound failed, and raises NumericalError. The iteration stops when the
+    policy repeats. At the fixed point the band levels go to 0, the
+    lexicographically smaller value, where the policy with 0 there is a
+    fixed point too; otherwise they stay. Where no level lies in a band the
+    answer meets the optimality condition exactly, so it is the exact
+    optimum of the space, the same from every start.
     """
-    levels = np.arange(1, params.m + 1)
+    awake, skew = _awake(params, space), _skew(params)
 
-    def step(d):
-        value, bound = _margins(params, d, price)
-        band = ~(np.abs(value) > bound)
-        return tuple(np.where(band, d, np.where(value > 0, levels, 0)).tolist()), band
+    def step(d, price):
+        """The next policy, and the sign of each level's margin, 0 in its band."""
+        value, bound = _margins(params, d, price, skew)
+        signs = [1 if v > e else -1 if v < -e else 0
+                 for v, e in zip(value.tolist(), bound.tolist())]
+        return tuple(w if s > 0 else 0 if s < 0 else x
+                     for x, w, s in zip(d, awake, signs)), signs
 
-    for _ in range(params.m + 2):
-        moved, band = step(d)
-        if moved == d:
-            break
-        d = moved
-    else:
-        raise NumericalError(f"policy iteration did not settle in {params.m + 2} steps")
-    low = tuple(np.where(band, 0, d).tolist())
-    return low if low != d and step(low)[0] == low else d
+    answers = []
+    for price in prices:
+        d, seen = awake, []
+        while d not in seen:
+            seen.append(d)
+            d, signs = step(d, price)
+        if d != seen[-1]:
+            raise NumericalError("policy iteration came back to a policy: "
+                                 "an error bound of G + c failed")
+        low = tuple(x if s else 0 for x, s in zip(d, signs))
+        answers.append(low if low != d and step(low, price)[0] == low else d)
+    return answers
 
 
 def _profit(params: ModelParams, d: Policy, prices: list[float]) -> list[float]:
@@ -428,9 +460,12 @@ def optimize(params: ModelParams, space: str = "full",
     the paper's optimality condition at every level whose margin |G + c|
     clears its error bound e_j (d_j = j where G + c > 0, 0 where G + c <
     0), and takes 0 at the levels inside their band, unless 0 there would
-    leave a margin that clears its bound on the waking side. So it is the
-    same bang-bang policy in all three spaces, and where no level lies in
-    a band it is their exact optimum. best_eta is that policy's float eta.
+    leave a margin that clears its bound on the waking side. In the full
+    space a level wakes to its value of least float cost among j..m, j
+    unless the rounding of the rates undercuts it. So the answer is the
+    same bang-bang policy in the reduced and bang-bang spaces, and where no
+    level lies in a band it is each space's exact optimum on its float
+    rates. best_eta is that policy's float eta.
 
     The threshold space, and every space with top_k (an integer, at least
     1), rank float eta: the threshold family whole, the other spaces by
@@ -461,18 +496,11 @@ def optimize(params: ModelParams, space: str = "full",
         _check_count(threads, "threads must be None or a positive integer")
     total = _gated_size(params.m, space, allow_large)
     if top_k is None and space != "threshold":
-        d = _iterate(params, params.price, tuple(range(1, params.m + 1)))
+        [d] = _iterate(params, space, [params.price])
         [eta] = _profit(params, d, [params.price])
         return OptimizationResult(d, eta, space, total)
-    merged = _rankings(params, space, top_k or 1)
-
-    ranking = None
-    if top_k:
-        ranking = [(policy, -neg) for neg, policy in merged]
-    return OptimizationResult(
-        best_policy=merged[0][1], best_eta=-merged[0][0], space=space,
-        evaluations=total, ranking=ranking,
-    )
+    ranking = [(policy, -neg) for neg, policy in _rankings(params, space, top_k or 1)]
+    return OptimizationResult(*ranking[0], space, total, ranking if top_k else None)
 
 
 def _price_grid(r_grid) -> list[float]:
@@ -499,16 +527,12 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
     per-level critical prices of that policy, regime label, crossing
     note) and crit carries the R_H / R_L thresholds of the space. The grid
     is checked once, before anything is computed. The threshold family is
-    formed once for the whole grid. In the product spaces each price first
-    tests the previous row's policy: where every level of it clears its
-    band at that price and takes the value its sign asks for, it is the
-    exact optimum there, and the fixed point of optimize's policy
-    iteration. Elsewhere the row runs that iteration from all awake, as
-    optimize does. So each row's policy and eta equal those of optimize at
-    its price, bit for bit, wherever optimize's answer has no level in its
-    band. As a sanity check, eta is reconciled against the
-    affine form R * completion_rate - cost_rate of the winning policy on
-    every grid point; a mismatch raises ConsistencyError.
+    formed once for the whole grid. In the product spaces each price runs
+    optimize's policy iteration, so each row's policy and eta are those of
+    optimize at its price, bit for bit. As a sanity check, eta is
+    reconciled against the affine form R * completion_rate - cost_rate of
+    the winning policy on every grid point; a mismatch raises
+    ConsistencyError.
     """
     grid = _price_grid(r_grid)
     # One validate covers every grid price; critical_prices_global makes it
@@ -522,23 +546,11 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
             rank = m - int(np.argmax(etas[::-1]))
             bests.append((threshold_policy(m, rank + 1), float(etas[rank])))
     else:
-        # The lines and bounds of a policy do not depend on R, so every
-        # price reads the same policy records.
-        awake, column = tuple(range(1, m + 1)), np.array(grid)[:, None]
-        policies, prices = [], {}
-        for i, r in enumerate(grid):
-            # One test over the whole grid finds the prices where every
-            # level of a row's policy clears its band and takes the value
-            # its sign asks for: there that policy is the exact optimum.
-            if not policies or not settled[i]:
-                d = _iterate(params, r, awake)
-                value, bound = _margins(params, d, column)
-                settled = ((np.abs(value) > bound)
-                           & ((value > 0) == (np.array(d) > 0))).all(axis=1)
-            policies.append(d)
-            prices.setdefault(d, []).append(r)
         # Each policy's eta at all of its prices, in grid order, from one
         # pass of _extend.
+        policies, prices = _iterate(params, space, grid), {}
+        for r, d in zip(grid, policies):
+            prices.setdefault(d, []).append(r)
         etas = {d: iter(_profit(params, d, at)) for d, at in prices.items()}
         bests = [(d, next(etas[d])) for d in policies]
 

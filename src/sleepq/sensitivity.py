@@ -46,6 +46,7 @@ optimal regimes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,20 +149,20 @@ def _price_roots(params: ModelParams, intercept: np.ndarray,
     return np.where(degenerate, np.nan, roots), r_slope
 
 
-def _lines(params: ModelParams, death: list, cost: list,
+def _lines(params: ModelParams, death: list, cost: list, means: tuple,
            ) -> tuple[np.ndarray, np.ndarray]:
     """(intercept, slope) of G(n,j) = price * slope + intercept, j = 1..m.
 
-    death and cost are the per-state rates of _state_rates. Each level
-    entry is a float for one policy, or a level's array for a block with
-    one entry per policy row; every operation is elementwise, so a row gets
-    the bits of its policy alone. The weights come from _weights, as
-    _stationary's do, and are normalized before they weight the
-    rates, and every sum runs state by state. The recursions of the module
-    docstring then run on the two affine parts of eta - f = R (A - a) +
-    (b - B), where A = pi . a and B = pi . b: the head recursion at the
-    cuts whose head mass (the running sum of the weights) is at most half
-    the total, the tail recursion at the others. Each runs only over its
+    death and cost are the per-state rates of _state_rates, and means
+    their _means. Each level entry is a float for one policy, or a level's
+    array for a block with one entry per policy row; every operation is
+    elementwise, so a row gets the bits of its policy alone. The weights of
+    _means come from _weights, as _stationary's do, and are normalized
+    before they weight the rates, and every sum runs state by state. The
+    recursions of the module docstring then run on the two affine parts of
+    eta - f = R (A - a) + (b - B), where A = pi . a and B = pi . b: the
+    head recursion at the cuts whose head mass (the running sum of the
+    weights) is at most half the total, the tail recursion at the others. Each runs only over its
     own cuts, the head from state 0 up and the tail from the top state
     down; a block runs each over the cuts where any row takes it and
     selects per row where both run. A normalizer or a line that is not
@@ -169,7 +170,7 @@ def _lines(params: ModelParams, death: list, cost: list,
     The lines have shape (m,) for one policy and (m, rows) for a block.
     """
     lam = params.lambda_
-    completion_rate, cost_rate, head_cuts = _means(params, death, cost)
+    completion_rate, cost_rate, head_cuts = means
     n, top = params.n, len(death) - 1
     # One policy's count is a Python int: its path makes no numpy call.
     if isinstance(head_cuts, int):
@@ -222,6 +223,11 @@ def _means(params: ModelParams, death: list, cost: list) -> tuple:
     return completion_rate, cost_rate, params.n + sum(mass <= half for mass in heads[params.n:-1])
 
 
+def _record_means(record: PolicyRecord) -> tuple:
+    """_means of a policy record, which its lines and bounds share."""
+    return _means(record.params, record.death, record.cost)
+
+
 def _factor_lines(params: ModelParams, levels, digits: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(intercept, slope) of G(n,j) for each policy row of a block.
@@ -232,7 +238,7 @@ def _factor_lines(params: ModelParams, levels, digits: np.ndarray,
     death, cost = _block_rates(params, levels, digits)
     # Overflow and NaN in the rows are caught by _lines' finiteness checks.
     with np.errstate(over="ignore", invalid="ignore"):
-        intercept, slope = _lines(params, death, cost)
+        intercept, slope = _lines(params, death, cost, _means(params, death, cost))
     return intercept.T, slope.T
 
 
@@ -247,29 +253,30 @@ def _policy_lines(params: ModelParams, d: Policy) -> tuple[np.ndarray, np.ndarra
 
 def _record_lines(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
     """_lines of a policy record, read-only, as the record shares them."""
-    lines = _lines(record.params, record.death, record.cost)
+    lines = _lines(record.params, record.death, record.cost, record.value(_record_means))
     for line in lines:
         line.setflags(write=False)
     return lines
 
 
-def _margins(params: ModelParams, d: Policy, price: float) -> tuple[np.ndarray, np.ndarray]:
-    """(value, bound) of policy d at a price R >= 0, one entry per level j;
-    a column of prices gives one row per price.
+def _margins(params: ModelParams, d: Policy, price: float,
+             skew: float) -> tuple[np.ndarray, np.ndarray]:
+    """(value, bound) of policy d at a price R >= 0, one entry per level j.
 
     value[j-1] = R (1 + slope_j) + intercept_j - k is G(n,j) + c from the
     policy's lines, and bound[j-1] = e_j bounds its distance from the exact
     G(n,j) + c, and from the exact price of waking level j on the model's
-    float rates (_record_bounds). Both are read from the policy record.
+    float rates: the policy record's part (_record_bounds) plus skew, the
+    model's part (_skew), which a search forms once.
     """
     record = _policy_record(params, d)
     intercept, slope = record.value(_record_lines)
     base, per_price = record.value(_record_bounds)
     return (price * (1.0 + slope) + intercept - _wake_cost(params),
-            base + price * per_price)
+            base + skew + price * per_price)
 
 
-def _side_sums(lam: float, death: list, terms: list, n: int, head_cuts: int) -> np.ndarray:
+def _side_sums(lam: float, death: list, terms: list, n: int, head_cuts: int) -> list:
     """The recursions of _lines on nonnegative per-state terms, each cut on
     the side _lines takes there: the magnitudes of its lines."""
     top = len(death) - 1
@@ -282,11 +289,12 @@ def _side_sums(lam: float, death: list, terms: list, n: int, head_cuts: int) -> 
         total = (death[j] * total + terms[j]) / lam
         if j >= n:
             sums[j - n] = total
-    return np.array(sums)
+    return sums
 
 
 def _record_bounds(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
-    """(base, per_price): e_j = base_j + R per_price_j for prices R >= 0.
+    """(base, per_price): e_j = base_j + _skew(params) + R per_price_j for
+    prices R >= 0.
 
     The exact values are those of the float rates of the record taken as
     rationals (tests/exact.py). With u = 2**-53, N = n + m + 1 states and
@@ -308,37 +316,53 @@ def _record_bounds(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
       three of k = (P2W - P2S) C1 / mu2: gamma_4 (R (1 + |slope|) +
       |intercept| + k) + gamma_3 k.
     - Rates that are not affine in d_j. chain._rates forms nu = n mu1 +
-      min(d_j, j) mu2 in 2 roundings and the cost in at most 8, so between
-      two values 0 <= v < w <= j of level j the float rates give a waking
-      price (cost_w - cost_v) / (nu_w - nu_v) within gamma_8 (2 C + 2 k
-      nu_j) / (mu2 - gamma_8 2 nu_j) of k, with C = chain._cost_scale.
+      min(d_j, j) mu2 in 2 roundings and the cost in at most 10, each of
+      a partial sum of terms whose magnitudes sum to at most C
+      (chain._cost_scale). So the float cost of a value v <= j is within
+      gamma_10 C of its exact affine form, and that of a value above j
+      whose float cost is at most j's is within gamma_10 C of j's: its
+      exact cost is at least j's. Between two values of level j of either
+      kind with nu_v < nu_w the float rates then give a waking price
+      (cost_w - cost_v) / (nu_w - nu_v) within gamma_10 (2 C + 2 k nu_j) /
+      (mu2 - gamma_10 2 nu_j) of k, at most its value at the largest nu_j.
       The performance difference formula with that price in place of k is
       exact on the float rates, so a level whose margin clears e_j has the
-      same optimal value in every subset of 0..j.
+      same optimal value among 0..j and any one value above j of float
+      cost at most j's.
     16 N u covers the first two gammas and 16 u the last two. Twice the sum
     covers the bound's own roundings, so e_j is that: a bound that is not
-    finite leaves its level undecided.
+    finite leaves its level undecided. The last term depends on the model
+    alone: _skew gives it, and this the rest.
     """
     params, death, cost = record.params, record.death, record.cost
-    lam, n, mu2 = params.lambda_, params.n, params.mu2
-    completion_rate, cost_rate, head_cuts = _means(params, death, cost)
+    lam, n = params.lambda_, params.n
+    completion_rate, cost_rate, head_cuts = record.value(_record_means)
     spend = max(map(abs, cost))
     deep, shallow = 16 * len(death) * 2.0**-53, 16 * 2.0**-53
     intercept, slope = record.value(_record_lines)
-    wake = _wake_cost(params)
-    nu = n * params.mu1 + np.arange(1, params.m + 1) * mu2
     base = _side_sums(lam, death, [deep * (abs(rate - cost_rate) + spend) for rate in cost],
                       n, head_cuts)
     per_price = _side_sums(lam, death, [deep * (abs(completion_rate - rate) + completion_rate)
                                         for rate in death], n, head_cuts)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        skew = (2 * shallow * (_cost_scale(params) + wake * nu)
-                / np.maximum(mu2 - 2 * shallow * nu, 0.0))
-        bounds = (2 * (base + shallow * (abs(intercept) + 2 * wake) + skew),
-                  2 * (per_price + shallow * (1.0 + abs(slope))))
+    wake = 2 * _wake_cost(params)
+    bounds = (np.array([2 * (b + shallow * (abs(i) + wake))
+                        for b, i in zip(base, intercept.tolist())]),
+              np.array([2 * (b + shallow * (1.0 + abs(s)))
+                        for b, s in zip(per_price, slope.tolist())]))
     for bound in bounds:
         bound.setflags(write=False)
     return bounds
+
+
+def _skew(params: ModelParams) -> float:
+    """The part of e_j that depends on the model alone: twice the bound of
+    _record_bounds on the distance of the float waking price from k, at
+    the largest nu_j, with 16 u for gamma_10 and C = chain._cost_scale."""
+    shallow = 16 * 2.0**-53
+    nu = params.n * params.mu1 + params.m * params.mu2
+    room = params.mu2 - 2 * shallow * nu
+    return (4 * shallow * (_cost_scale(params) + _wake_cost(params) * nu) / room
+            if room > 0 else math.inf)
 
 
 def realization_factors(params: ModelParams, d: Policy) -> np.ndarray:
@@ -387,18 +411,19 @@ def critical_prices_global(params: ModelParams, space: str = "full",
 
     R_H = max{0, roots of G+c over all policies and levels}; R_L is the
     minimum root. Degenerate (no-crossing) levels are skipped. Policies are
-    unranked by model._space_block in blocks of BLOCK_SIZE cells (policies
-    times levels, at least one policy), each a block (levels, digits) of
-    the space. Every row's roots are its policy's alone, so no block size
-    moves a bit. params are validated, and each space gated, as optimize
-    validates and gates them.
+    unranked by model._space_block in blocks (levels, digits) of the space,
+    each of BLOCK_SIZE cells (policies times levels), or of sqrt(BLOCK_SIZE)
+    policies where m passes that: _lines makes a few numpy calls per level
+    and block, which rows that few would not amortize. Every row's roots
+    are its policy's alone, so no block size moves a bit. params are
+    validated, and each space gated, as optimize validates and gates them.
     """
     require_valid(params)
     total = _gated_size(params.m, space, allow_large)
 
     r_high = 0.0
     r_low = np.inf
-    rows = max(1, BLOCK_SIZE // params.m)
+    rows = max(BLOCK_SIZE // params.m, math.isqrt(BLOCK_SIZE))
     for start in range(0, total, rows):
         chunk = np.arange(start, min(start + rows, total))
         lines = _factor_lines(params, *_space_block(params.m, space, chunk))

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -27,9 +28,9 @@ from sleepq import (
     threshold_scan,
     verify_monotonicity,
 )
-from sleepq.chain import _state_rates
+from sleepq.chain import _rates, _state_rates
 from sleepq.model import _level_values, _policy_block, _space_block
-from sleepq.sensitivity import CriticalPrices, _margins
+from sleepq.sensitivity import CriticalPrices, _margins, _skew
 from block import block_profits
 from conftest import (
     draw_instance,
@@ -436,6 +437,10 @@ WHOLE_SPACE_TIE = ModelParams(
     c_hold_g2=4.684488981090898, c_transfer=0.37240070973975636,
     c_loss=2.3204713460404514, price=4.311429783033443)
 
+# P2W one ulp above P2S: the rounding of the rates undercuts the cost of a
+# level's own value by a value above it.
+UNDERCUT = micro_params(m=3, p2_sleep=0.1, p2_work=math.nextafter(0.1, math.inf))
+
 
 def _exact_argmax(params, space):
     """The space's optimum in exact arithmetic on the float rates, ties to
@@ -485,11 +490,35 @@ def test_policy_iteration_returns_the_exact_argmax(space, m_max):
     # micro model ties every value above a level with the level itself.
     rng = np.random.default_rng(4142)
     corpus = [draw_params(rng, n_max=8, m_max=m_max) for _ in range(10)]
-    corpus.append(micro_params(n=2, m=4, c_energy=0.0, lambda_=1.7))
+    corpus += [micro_params(n=2, m=4, c_energy=0.0, lambda_=1.7), UNDERCUT]
     for params in corpus:
         res = optimize(params, space)
         assert res.best_policy == _exact_argmax(params, space), params
         assert res.best_eta == _profits(params, [res.best_policy])[0]
+
+
+def test_the_full_space_wakes_to_the_cheapest_value_above_a_level():
+    # P2W is one ulp above P2S, so at level 2 the float cost of value 3 is
+    # below that of value 2, whose death rate it shares: the exact optimum
+    # of the full space on the float rates takes 3 there.
+    (death, cost), low = _rates(UNDERCUT, [(2, 2), (2, 3)]), UNDERCUT.n + 1
+    assert death[low] == death[low + 1] and cost[low + 1] < cost[low]
+    res = optimize(UNDERCUT, "full")
+    assert res.best_policy == _exact_argmax(UNDERCUT, "full") == (1, 3, 3)
+    assert res.best_eta == _profits(UNDERCUT, [res.best_policy])[0]
+    assert optimize(UNDERCUT, "reduced").best_policy == (1, 2, 3)
+
+
+def test_a_policy_that_comes_back_is_refused(monkeypatch):
+    # Every step raises the exact eta, so a policy that comes back means a
+    # bound failed: margins that flip with the policy never settle.
+    def flipping(params, d, price, skew):
+        value = np.where(np.array(d) > 0, -1.0, 1.0)
+        return value, np.zeros_like(value)
+
+    monkeypatch.setattr(OPT, "_margins", flipping)
+    with pytest.raises(NumericalError, match="came back to a policy"):
+        optimize(micro_params(m=3), "bang_bang")
 
 
 def test_a_whole_space_tie_is_ranked_by_the_walk():
@@ -540,7 +569,7 @@ def test_error_bounds_hold_on_exact_margins():
         n, scale = params.n, 0.0
         for price in (params.price, 0.0):
             at = dataclasses.replace(params, price=price)
-            value, bound = _margins(at, d, price)
+            value, bound = _margins(at, d, price, _skew(at))
             ex = exact(at, d)
             for j in range(1, params.m + 1):
                 waking = [_state_rates(at, d[:j - 1] + (v,) + d[j:]) for v in (0, j)]
@@ -651,11 +680,11 @@ def test_an_overflowing_sleep_branch_is_refused(space, m):
     res = optimize(params, space)
     assert res.best_policy == awake
     assert res.best_eta == _profits(params, [awake])[0]
-    value, bound = _margins(params, awake, params.price)
+    value, bound = _margins(params, awake, params.price, _skew(params))
     assert (value > bound).sum() == (m if m < 10 else m - 3)
     assert (value > -bound).all()
     low = (0, 0, 0) + awake[3:]
-    value, bound = _margins(params, low, params.price)
+    value, bound = _margins(params, low, params.price, _skew(params))
     assert m < 10 or (value[:3] > bound[:3]).all()
 
 
@@ -731,7 +760,7 @@ def test_the_wide_model_answers_at_scale(monkeypatch):
     for m in (30, 100, 1000):
         params = dataclasses.replace(wide, m=m)
         res = optimize(params, "bang_bang")
-        value, bound = _margins(params, res.best_policy, params.price)
+        value, bound = _margins(params, res.best_policy, params.price, _skew(params))
         assert (np.abs(value) > bound).all() and res.evaluations == 2**m
     # The sweep's R_H and R_L enumerate the 2^100 policies, which no call
     # finishes (ROADMAP item 6), so they are stubbed: the search at each
@@ -743,7 +772,7 @@ def test_the_wide_model_answers_at_scale(monkeypatch):
     assert len(rows) == 25
     for r, d, eta, *_ in rows:
         assert optimize(dataclasses.replace(params, price=r), "bang_bang").best_policy == d
-        value, bound = _margins(params, d, r)
+        value, bound = _margins(params, d, r, _skew(params))
         assert (np.abs(value) > bound).all(), r
 
 
