@@ -8,8 +8,9 @@ the dense oracles form the k x k matrix. The stationary vector has a product
 form that the closed-form solver builds by recursive ratios; a dense linear
 solve is kept as an oracle.
 
-One body (_rates) forms the death and cost rates, in two shapes, both in
-Python floats: level by level for one policy (_state_rates), and once for
+One body (_rates) forms the death and cost rates, the cost on one list of
+the energy cost of each Group-2 value (_energy_costs), in two shapes, both
+in Python floats: level by level for one policy (_state_rates), and once for
 every value of some value sets, one set per level (_value_rates). Every
 search reads the second: the flat tables of _level_tables, and a block of
 policies: value sets with a digit array from model._space_block (row r
@@ -99,22 +100,34 @@ def _rates(params: ModelParams, pairs) -> tuple[list, list]:
     value of some value sets. Arrivals are lost only at the top state: the
     caller adds their cost there.
     """
-    n, m = params.n, params.m
-    mu1, mu2 = params.mu1, params.mu2
-    p2_work, p2_sleep = params.p2_work, params.p2_sleep
-    c_energy, c_hold_g2 = params.c_energy, params.c_hold_g2
+    n, mu1, mu2, c_hold_g1 = params.n, params.mu1, params.mu2, params.c_hold_g1
+    energy, c_hold_g2 = _energy_costs(params), params.c_hold_g2
     # Products that stand alone in the level cost: hoisting them out of the
     # loop keeps every rounding.
-    group1_rate, group1_power = n * mu1, n * params.p1_work
-    group1_hold, transfer = n * params.c_hold_g1, n * mu1 * params.c_transfer
-    base_energy = (group1_power + m * p2_sleep) * c_energy
+    group1_rate, group1_hold = n * mu1, n * c_hold_g1
+    transfer = group1_rate * params.c_transfer
     death = [i * mu1 for i in range(n + 1)]
-    cost = [base_energy + i * params.c_hold_g1 for i in range(n + 1)]
+    # Every Group-2 server sleeps at (i, 0), as at value 0.
+    cost = [energy[0] + i * c_hold_g1 for i in range(n + 1)]
+    # Bound appends and min(dj, j) inline: the loop runs once per value.
+    add_death, add_cost = death.append, cost.append
     for j, dj in pairs:
-        death.append(group1_rate + min(dj, j) * mu2)
-        cost.append((group1_power + dj * p2_work + (m - dj) * p2_sleep) * c_energy
-                    + group1_hold + j * c_hold_g2 + transfer)
+        add_death(group1_rate + (dj if dj < j else j) * mu2)
+        add_cost(energy[dj] + group1_hold + j * c_hold_g2 + transfer)
     return death, cost
+
+
+def _energy_costs(params: ModelParams) -> list:
+    """The energy cost (n P1W + v P2W + (m - v) P2S) C1 of each Group-2
+    value v = 0..m: the first term of a level's cost rate in _rates, the
+    one that does not depend on the level. The terms _rates adds to it
+    are the same for every value at a level, and IEEE addition is
+    monotone, so a value's cost rate at a level never falls below that of
+    a value with a smaller energy cost."""
+    group1_power, m = params.n * params.p1_work, params.m
+    p2_work, p2_sleep, c_energy = params.p2_work, params.p2_sleep, params.c_energy
+    return [(group1_power + v * p2_work + (m - v) * p2_sleep) * c_energy
+            for v in range(m + 1)]
 
 
 def _state_rates(params: ModelParams, d: tuple) -> tuple[list[float], list[float]]:

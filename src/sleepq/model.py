@@ -23,10 +23,10 @@ Policy = tuple[int, ...]
 
 POLICY_SPACES = ("full", "reduced", "bang_bang", "threshold")
 
-# Above this, (m+1)^m enumeration stops being a desk-scale computation.
-FULL_SPACE_MAX_M = 8
-# (m+1)! passes 40 million just above this.
-REDUCED_SPACE_MAX_M = 10
+#: The most policies a search enumerates unless allow_large is set: the
+#: full space at m = 8. As 11! < 9^8 < 12! < 2^26, the reduced space is
+#: enumerated to m = 10 and the bang-bang space to m = 25.
+SPACE_SIZE_LIMIT = 9 ** 8
 
 #: Policies evaluated per vectorized block.
 BLOCK_SIZE = 65536
@@ -293,21 +293,20 @@ def _size_text(m: int, space: str) -> str:
 
 
 def _gated_size(m: int, space: str, allow_large: bool) -> int:
-    """Size of a policy space, refusing the ones too large to enumerate.
-
-    The full space refuses m > 8 and the reduced space m > 10 unless
-    allow_large is set; bang_bang and threshold are never refused. A
-    refusal prints the size by _size_text.
+    """Size of a policy space, refusing one of more than SPACE_SIZE_LIMIT
+    policies unless allow_large is set. Only the searches that enumerate a
+    space call it: enumerate_policies, the critical prices and optimize's
+    rankings. A refusal prints the size by _size_text.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    limit = {"full": FULL_SPACE_MAX_M, "reduced": REDUCED_SPACE_MAX_M}.get(space, math.inf)
-    if m > limit and not allow_large:
+    size = policy_space_size(m, space)
+    if size > SPACE_SIZE_LIMIT and not allow_large:
         raise GateError(
             f"{space} policy space has {_size_text(m, space)} members for m={m}; "
             "pass allow_large to enumerate anyway"
         )
-    return policy_space_size(m, space)
+    return size
 
 
 def enumerate_policies(m, space="full", allow_large=False):
@@ -320,8 +319,9 @@ def enumerate_policies(m, space="full", allow_large=False):
       threshold - the m+1 threshold policies
 
     Enumeration is lexicographic (thresholds by rising theta), which callers
-    rely on for deterministic tie-breaking. The full space refuses m > 8 and
-    the reduced space m > 10 unless allow_large is set.
+    rely on for deterministic tie-breaking. A space of more than
+    SPACE_SIZE_LIMIT policies (full past m = 8, reduced past m = 10,
+    bang_bang past m = 25) is refused unless allow_large is set.
     """
     _gated_size(m, space, allow_large)
     if space == "threshold":

@@ -40,13 +40,15 @@ critical values).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .chain import _level_tables, _rates, _require_finite, stationary_closed_form
+from .chain import (_energy_costs, _level_tables, _rates, _require_finite,
+                    stationary_closed_form)
 from .errors import ConfigError, ConsistencyError, GateError, NumericalError, RegimeError
 from .model import (
     BLOCK_SIZE,
@@ -59,6 +61,7 @@ from .model import (
     _policy_block,
     _size_text,
     check_policy,
+    policy_space_size,
     require_valid,
     threshold_policy,
 )
@@ -389,15 +392,25 @@ def _awake(params: ModelParams, space: str) -> Policy:
     tie. Those values share level j's death rate, so it is at least as good
     as any of them on the float rates; it is j unless the rounding of the
     rates undercuts j's cost, and sensitivity._record_bounds covers it in
-    j's place."""
-    m, low = params.m, params.n + 1
+    j's place.
+
+    A value's cost at a level never falls below that of a value with a
+    smaller energy cost (chain._energy_costs), so j wins where its energy
+    cost is the least of j..m, a suffix minimum; only the other levels form
+    their values' costs, so the choice holds O(m) floats.
+    """
+    m = params.m
     if space != "full":
         return tuple(range(1, m + 1))
-    _, cost = _rates(params, [(j, v) for j in range(1, m + 1) for v in range(j, m + 1)])
+    energy = _energy_costs(params)
+    least = list(itertools.accumulate(reversed(energy), min))[::-1]
     awake = []
     for j in range(1, m + 1):
-        values, low = cost[low:low + m + 1 - j], low + m + 1 - j
-        awake.append(j + values.index(min(values)))
+        if energy[j] > least[j]:
+            _, cost = _rates(params, [(j, v) for v in range(j, m + 1)])
+            values = cost[params.n + 1:]
+            j += values.index(min(values))
+        awake.append(j)
     return tuple(awake)
 
 
@@ -477,12 +490,15 @@ def optimize(params: ModelParams, space: str = "full",
     with top_k ranking[0] is best_policy. Until the ranking reads the
     policy iteration too, ranking[0] can differ from the best_policy of a
     call without top_k, where float ties hide an exact winner. Any other
-    top_k but None raises ValueError. A walk whose split-level prefix sums
-    would pass _WALK_BYTES raises GateError, allow_large or not.
+    top_k but None raises ValueError. Only these rankings enumerate a
+    space, so only they refuse one of more than model.SPACE_SIZE_LIMIT
+    policies with GateError, unless allow_large is set; a walk whose
+    split-level prefix sums would pass _WALK_BYTES raises GateError,
+    allow_large or not.
 
-    evaluations is the size of the space, which the size gate reads. A
-    non-finite profit or realization factor (the stationary weights
-    overflow under heavy load) raises NumericalError.
+    evaluations is the size of the space, however many policies the search
+    formed. A non-finite profit or realization factor (the stationary
+    weights overflow under heavy load) raises NumericalError.
 
     threads selects nothing: every search runs on the calling thread. It
     is kept, and still refused with ValueError unless it is None or a
@@ -494,11 +510,12 @@ def optimize(params: ModelParams, space: str = "full",
         _check_count(top_k, "top_k must be >= 1 and an integer")
     if threads is not None:
         _check_count(threads, "threads must be None or a positive integer")
-    total = _gated_size(params.m, space, allow_large)
     if top_k is None and space != "threshold":
+        total = policy_space_size(params.m, space)
         [d] = _iterate(params, space, [params.price])
         [eta] = _profit(params, d, [params.price])
         return OptimizationResult(d, eta, space, total)
+    total = _gated_size(params.m, space, allow_large)
     ranking = [(policy, -neg) for neg, policy in _rankings(params, space, top_k or 1)]
     return OptimizationResult(*ranking[0], space, total, ranking if top_k else None)
 
@@ -526,17 +543,20 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
     Returns (rows, crit) where each row is (R, best policy, eta,
     per-level critical prices of that policy, regime label, crossing
     note) and crit carries the R_H / R_L thresholds of the space. The grid
-    is checked once, before anything is computed. The threshold family is
-    formed once for the whole grid. In the product spaces each price runs
-    optimize's policy iteration, so each row's policy and eta are those of
-    optimize at its price, bit for bit. As a sanity check, eta is
+    is checked once, before anything is computed. crit enumerates the
+    space (critical_prices_global), so a space of more than
+    model.SPACE_SIZE_LIMIT policies raises GateError first, unless
+    allow_large is set. The threshold family is formed once for the whole
+    grid. In the product spaces each price runs optimize's policy
+    iteration, so each row's policy and eta are those of optimize at its
+    price, bit for bit. As a sanity check, eta is
     reconciled against the affine form R * completion_rate - cost_rate of
     the winning policy on every grid point; a mismatch raises
     ConsistencyError.
     """
     grid = _price_grid(r_grid)
     # One validate covers every grid price; critical_prices_global makes it
-    # and gates the space as optimize does. Its roots do not depend on R.
+    # and gates the space it enumerates. Its roots do not depend on R.
     crit = critical_prices_global(replace(params, price=grid[0]), space,
                                   allow_large=allow_large)
     m, bests = params.m, []
@@ -596,9 +616,10 @@ def optimal_extreme_prices(params: ModelParams, regime: str,
     regime "high" requires price >= R_H and yields the all-awake ladder
     (1,...,m); regime "low" requires price <= R_L and yields all-asleep.
     crit may carry precomputed critical prices; otherwise they are
-    computed over the full space (gated at m <= 8, as optimize is). The
-    closed form is the policy; its eta is that policy's policy_profit, so
-    weights that overflow raise NumericalError there.
+    computed over the full space, whose enumeration critical_prices_global
+    refuses past m = 8 unless allow_large is set. The closed form is the
+    policy; its eta is that policy's policy_profit, so weights that
+    overflow raise NumericalError there.
     """
     require_valid(params)
     if regime not in ("high", "low"):

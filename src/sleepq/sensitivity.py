@@ -416,7 +416,10 @@ def critical_prices_global(params: ModelParams, space: str = "full",
     policies where m passes that: _lines makes a few numpy calls per level
     and block, which rows that few would not amortize. Every row's roots
     are its policy's alone, so no block size moves a bit. params are
-    validated, and each space gated, as optimize validates and gates them.
+    validated as optimize validates them. A space of more than
+    model.SPACE_SIZE_LIMIT policies (full past m = 8, reduced past m = 10,
+    bang_bang past m = 25) raises GateError before any block, unless
+    allow_large is set.
     """
     require_valid(params)
     total = _gated_size(params.m, space, allow_large)

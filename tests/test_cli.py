@@ -8,6 +8,7 @@ import pytest
 
 from sleepq import params_digest, params_to_text, stationary_closed_form
 from sleepq.cli import build_parser, main
+from sleepq.model import _size_text
 from conftest import micro_params, sleepy_params
 
 
@@ -246,8 +247,12 @@ def test_policy_from_an_args_file(tmp_path, capsys):
 
 
 def test_full_space_gate_exits_3(tmp_path, capsys):
+    # The policy iteration enumerates nothing and answers; a ranking walks
+    # the 10^9 policies, which the gate refuses.
     path = write_model(tmp_path, m=9)
-    assert main(["optimize", "--model", path, "--space", "full"]) == 3
+    assert main(["optimize", "--model", path, "--space", "full"]) == 0
+    assert "policies evaluated: 1000000000\n" in capsys.readouterr().out
+    assert main(["optimize", "--model", path, "--space", "full", "--top-k", "1"]) == 3
     assert "allow_large" in capsys.readouterr().err
 
 
@@ -258,24 +263,38 @@ def test_critical_price_gate_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("m", [1371, 1558, 2000])
 def test_gate_exits_3_past_the_digits_python_writes(tmp_path, capsys, m):
-    # A size of more than 4300 digits still gives the gate's refusal.
+    # A size of more than 4300 digits still gives the gate's refusal, and
+    # optimize, which enumerates nothing, prints it as its evaluations.
     path = write_model(tmp_path, lambda_=2.0, n=2, m=m)
-    for command in (["critical-prices"], ["optimize"], ["optimize", "--space", "reduced"],
+    for command in (["critical-prices"],
                     ["price-sweep", "--space", "full", "--from", "0", "--to", "1",
                      "--steps", "2"]):
         assert main([*command, "--model", path]) == 3
         assert "allow_large" in capsys.readouterr().err
+    for space in ("full", "reduced"):
+        assert main(["optimize", "--space", space, "--model", path]) == 0
+        assert f"policies evaluated: {_size_text(m, space)}\n" in capsys.readouterr().out
 
 
 def test_gate_override_runs(model_file, capsys, monkeypatch):
     import sleepq.model as model_mod
 
-    monkeypatch.setattr(model_mod, "FULL_SPACE_MAX_M", 0)
-    assert main(["optimize", "--model", model_file, "--space", "full"]) == 3
+    monkeypatch.setattr(model_mod, "SPACE_SIZE_LIMIT", 0)
+    assert main(["critical-prices", "--model", model_file, "--space", "full"]) == 3
     capsys.readouterr()
-    assert main(["optimize", "--model", model_file, "--space", "full",
+    assert main(["critical-prices", "--model", model_file, "--space", "full",
                  "--allow-large"]) == 0
-    assert "best policy: 1" in capsys.readouterr().out
+    assert "R_H: " in capsys.readouterr().out
+
+
+def test_bang_bang_critical_prices_exit_3_at_scale(tmp_path, capsys):
+    # The critical prices of the 2^100 bang-bang policies, in price-sweep
+    # too, were enumerated by a call that never returned.
+    path = write_model(tmp_path, lambda_=2.0, n=2, m=100)
+    for command in (["critical-prices"],
+                    ["price-sweep", "--from", "0", "--to", "20", "--steps", "25"]):
+        assert main([*command, "--space", "bang_bang", "--model", path]) == 3
+        assert "allow_large" in capsys.readouterr().err
 
 
 def test_threshold_table(model_file, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import decimal
+import importlib
 import math
 import os
 import subprocess
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sleepq
+import sleepq.sensitivity as SENS
 from sleepq import (
     ConfigError,
-    FULL_SPACE_MAX_M,
     GateError,
     ModelParams,
     SimConfig,
@@ -45,7 +46,11 @@ from sleepq import (
     ValidationReport,
     verify_monotonicity,
 )
+from sleepq.model import _size_text
 from conftest import micro_params
+
+# The package exports the optimize function under the module's name.
+OPT = importlib.import_module("sleepq.optimize")
 
 
 def test_config_round_trip(micro):
@@ -222,7 +227,7 @@ def test_unknown_space_and_empty_level_set_are_refused():
 
 def test_space_size_gate():
     with pytest.raises(GateError, match="allow_large"):
-        list(enumerate_policies(FULL_SPACE_MAX_M + 1, "full"))
+        list(enumerate_policies(9, "full"))
     # threshold spaces stay linear and are never gated
     assert len(list(enumerate_policies(40, "threshold"))) == 41
 
@@ -231,11 +236,47 @@ def test_space_size_gate():
     ("full", 9, "full policy space has 1000000000 members for m=9; "
                 "pass allow_large to enumerate anyway"),
     ("reduced", 11, "reduced policy space has 479001600 members for m=11; "
-                    "pass allow_large to enumerate anyway")])
+                    "pass allow_large to enumerate anyway"),
+    ("bang_bang", 26, "bang_bang policy space has 67108864 members for m=26; "
+                      "pass allow_large to enumerate anyway")])
 def test_gate_message_names_the_exact_size(space, m, want):
     with pytest.raises(GateError) as refused:
         enumerate_policies(m, space)
     assert str(refused.value) == want
+
+
+class _PastTheGate(Exception):
+    """Raised where a search starts to enumerate, after the size gate."""
+
+
+@pytest.mark.parametrize("space, m", [("full", 8), ("reduced", 10), ("bang_bang", 25)])
+def test_one_size_gate_for_every_enumerating_search(monkeypatch, space, m):
+    # One count, the full space's 9^8 policies at m = 8, sets every space's
+    # last m: 11! < 9^8 < 12! and 2^25 < 9^8 < 2^26.
+    assert policy_space_size(m, space) <= sleepq.SPACE_SIZE_LIMIT
+    assert policy_space_size(m + 1, space) > sleepq.SPACE_SIZE_LIMIT
+
+    def enumerate_past_the_gate(*args):
+        raise _PastTheGate
+
+    monkeypatch.setattr(SENS, "_space_block", enumerate_past_the_gate)
+    monkeypatch.setattr(OPT, "_product_candidates", enumerate_past_the_gate)
+    searches = [
+        lambda size, allow: next(iter(enumerate_policies(size, space, allow))),
+        lambda size, allow: sleepq.critical_prices_global(
+            micro_params(m=size), space, allow_large=allow),
+        lambda size, allow: sleepq.optimize(
+            micro_params(m=size), space, allow_large=allow, top_k=2)]
+    for search in searches:
+        for size, allow in ((m, False), (m + 1, True)):
+            try:
+                search(size, allow)
+            except _PastTheGate:
+                pass
+        with pytest.raises(GateError, match=f"{space} policy space has "
+                           f"{policy_space_size(m + 1, space)} members for m={m + 1}; "
+                           "pass allow_large to enumerate anyway"):
+            search(m + 1, False)
 
 
 @pytest.mark.parametrize("space, m", [
@@ -243,22 +284,21 @@ def test_gate_message_names_the_exact_size(space, m, want):
     ("reduced", 1557), ("reduced", 1558), ("reduced", 2000)])
 def test_gate_refuses_a_size_past_the_digits_python_writes(space, m):
     # Python writes no int of more than 4300 digits: past that, the
-    # refusal gives the size's formula and digit count instead.
+    # refusal gives the size's formula and digit count instead, and so
+    # does the evaluations of optimize, which answers without enumerating.
     size = policy_space_size(m, space)
     digits = decimal.Decimal(size).adjusted() + 1
+    formula = {"full": "(m+1)^m", "reduced": "(m+1)!"}[space]
+    text = str(size) if digits <= 4300 else f"{formula} ({digits} digits)"
     params = micro_params(lambda_=2.0, n=2, m=m)
-    calls = [lambda: enumerate_policies(m, space),
-             lambda: sleepq.optimize(params, space),
-             lambda: sleepq.critical_prices_global(params, space)]
-    for call in calls:
+    for call in (lambda: enumerate_policies(m, space),
+                 lambda: sleepq.critical_prices_global(params, space)):
         with pytest.raises(GateError, match="allow_large") as refused:
             call()
-        if digits <= 4300:
-            assert f"has {size} members" in str(refused.value)
-        else:
-            formula = {"full": "(m+1)^m", "reduced": "(m+1)!"}[space]
-            assert f"has {formula} ({digits} digits) members for m={m}" in str(
-                refused.value)
+        assert f"has {text} members for m={m}" in str(refused.value)
+    res = sleepq.optimize(params, space)
+    assert len(res.best_policy) == m and res.evaluations == size
+    assert _size_text(m, space) == text
 
 
 def test_policy_parse_format_round_trip():

@@ -10,6 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sleepq.model as MODEL
+import sleepq.sensitivity as SENS
 from sleepq import (
     ConfigError,
     GateError,
@@ -509,6 +511,28 @@ def test_the_full_space_wakes_to_the_cheapest_value_above_a_level():
     assert optimize(UNDERCUT, "reduced").best_policy == (1, 2, 3)
 
 
+def test_the_wake_choice_is_the_cheapest_value_of_the_rates():
+    # _awake forms a level's costs only where a value above it has a
+    # smaller energy cost; its choice is the first least cost of j..m
+    # under chain._rates at every level. P2W near P2S makes undercuts.
+    rng = np.random.default_rng(4243)
+    undercut = 0
+    for k in range(300):
+        params, _ = draw_instance(rng, n_max=5, m_max=6)
+        if k % 2:
+            params = dataclasses.replace(
+                params, p2_work=math.nextafter(params.p2_sleep, math.inf) if k % 4 == 1
+                else params.p2_sleep * (1 + 1e-15))
+        m, low = params.m, params.n + 1
+        brute = []
+        for j in range(1, m + 1):
+            cost = _rates(params, [(j, v) for v in range(j, m + 1)])[1][low:]
+            brute.append(j + cost.index(min(cost)))
+        assert OPT._awake(params, "full") == tuple(brute), params
+        undercut += tuple(brute) != tuple(range(1, m + 1))
+    assert OPT._awake(UNDERCUT, "full") == (1, 3, 3) and undercut > 0
+
+
 def test_a_policy_that_comes_back_is_refused(monkeypatch):
     # Every step raises the exact eta, so a policy that comes back means a
     # bound failed: margins that flip with the policy never settle.
@@ -736,13 +760,13 @@ def test_walk_refuses_a_space_past_its_byte_budget():
     # A ranking of the reduced space walks it, and its 12! prefixes at one
     # level would take 10.7 GiB. A walk whose split level would pass 1 GiB
     # is refused before it grows any, allow_large or not; bang_bang passes
-    # it from m = 42.
+    # it from m = 42, past the size gate, which allow_large lifts.
     reduced = micro_params(lambda_=1.0, mu2=0.8, n=3, m=18)
     bang = dataclasses.replace(reduced, m=42)
     for search, size in (
             (lambda: optimize(reduced, "reduced", allow_large=True, top_k=1),
              121645100408832000),
-            (lambda: optimize(bang, "bang_bang", top_k=1), 2 ** 42)):
+            (lambda: optimize(bang, "bang_bang", allow_large=True, top_k=1), 2 ** 42)):
         refused, peak = _traced_peak(lambda: pytest.raises(GateError, search))
         assert "a budget allow_large does not lift" in str(refused.value)
         assert f"has {size} members" in str(refused.value) and peak < 2**20
@@ -750,21 +774,29 @@ def test_walk_refuses_a_space_past_its_byte_budget():
 
 def test_the_wide_model_answers_at_scale(monkeypatch):
     # The walk took 9.8 s at m = 30 and refused from m = 42. Without top_k
-    # no product space is walked: each step of the policy iteration is one
-    # O(m) pass, and every margin of the answer clears its bound.
+    # no product space is walked or gated: each step of the policy
+    # iteration is one O(m) pass, and every margin of the answer clears
+    # its bound.
     def walk(*args):
         raise AssertionError("the enumeration walk was entered")
 
     monkeypatch.setattr(OPT, "_product_candidates", walk)
     wide = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0)
-    for m in (30, 100, 1000):
+    for m, space in [(30, "bang_bang"), (100, "bang_bang")] + [
+            (1000, space) for space in ("full", "reduced", "bang_bang")]:
         params = dataclasses.replace(wide, m=m)
-        res = optimize(params, "bang_bang")
+        res = optimize(params, space)
         value, bound = _margins(params, res.best_policy, params.price, _skew(params))
-        assert (np.abs(value) > bound).all() and res.evaluations == 2**m
-    # The sweep's R_H and R_L enumerate the 2^100 policies, which no call
-    # finishes (ROADMAP item 6), so they are stubbed: the search at each
-    # grid price is what is checked here.
+        assert (np.abs(value) > bound).all() and res.evaluations == policy_space_size(m, space)
+    # The full space's wake choice holds O(m) floats: it formed all
+    # m(m+1)/2 value costs, 307.6 MiB at m = 2 000.
+    params = dataclasses.replace(wide, m=2000)
+    res, peak = _traced_peak(lambda: optimize(params, "full"))
+    value, bound = _margins(params, res.best_policy, params.price, _skew(params))
+    assert (np.abs(value) > bound).all() and peak < 8 * 2**20
+    # The sweep's R_H and R_L enumerate the 2^100 policies, which the size
+    # gate refuses, so they are stubbed: the search at each grid price is
+    # what is checked here.
     monkeypatch.setattr(OPT, "critical_prices_global",
                         lambda *args, **kwargs: CriticalPrices(np.nan, np.nan, "bang_bang", False))
     params = dataclasses.replace(wide, m=100)
@@ -776,12 +808,40 @@ def test_the_wide_model_answers_at_scale(monkeypatch):
         assert (np.abs(value) > bound).all(), r
 
 
-def test_space_gate_and_override():
+def test_bang_bang_critical_prices_are_refused_at_scale(monkeypatch):
+    # The 2^100 bang-bang policies of the wide model were enumerated by the
+    # critical prices, which no call finished, in price_sweep too. The gate
+    # refuses them before any block is unranked.
+    def unrank(*args):
+        raise AssertionError("a block was unranked")
+
+    monkeypatch.setattr(SENS, "_space_block", unrank)
+    params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=100)
+    for search in (lambda: critical_prices_global(params, "bang_bang"),
+                   lambda: OPT.price_sweep(params, np.linspace(0.0, 20.0, 25), "bang_bang")):
+        with pytest.raises(GateError, match=f"has {2**100} members for m=100"):
+            search()
+
+
+def test_space_gate_and_override(monkeypatch):
+    # The gate refuses only the searches that enumerate: optimize without
+    # top_k answers full m = 9, where a ranking needs allow_large.
     params = micro_params(m=9)
+    res = optimize(params, "full")
+    value, bound = _margins(params, res.best_policy, params.price, _skew(params))
+    assert (np.abs(value) > bound).all() and res.evaluations == 10**9
     with pytest.raises(GateError, match="allow_large"):
-        optimize(params, "full")
-    res = optimize(params, "threshold")  # linear spaces are never gated
+        optimize(params, "full", top_k=1)
+    res = optimize(params, "threshold")  # m + 1 policies pass the gate
     assert len(res.best_policy) == 9
+    # allow_large lifts the refusal: under a limit of one policy, m = 2's
+    # nine full policies are ranked only with it.
+    monkeypatch.setattr(MODEL, "SPACE_SIZE_LIMIT", 1)
+    small = micro_params(m=2)
+    with pytest.raises(GateError, match="has 9 members for m=2"):
+        optimize(small, "full", top_k=9)
+    ranked = optimize(small, "full", allow_large=True, top_k=9).ranking
+    assert sorted(policy for policy, _ in ranked) == list(enumerate_policies(2, "full", True))
 
 
 def test_bang_bang_subset_of_full():
