@@ -11,10 +11,13 @@ solve is kept as an oracle.
 One body (_rates) forms the death and cost rates, the cost on one list of
 the energy cost of each Group-2 value (_energy_costs), in two shapes, both
 in Python floats: level by level for one policy (_state_rates), and once for
-every value of some value sets, one set per level (_value_rates). Every
-search reads the second: the flat tables of _level_tables, and a block of
-policies: value sets with a digit array from model._space_block (row r
-takes levels[j][digits[r, j]] at level j + 1), gathering its rates there.
+every value of some value sets, one set per level (_value_rates).
+_level_tables builds the flat tables of the searches from either: the
+first, from a policy record, for the eta of optimize's answer, and the
+second for the searches that extend or walk many policies. A block of
+policies is value sets with a digit array from model._space_block (row r
+takes levels[j][digits[r, j]] at level j + 1), gathering its rates from
+the second.
 
 One policy's pass is kept in a PolicyRecord, in a memo of the MEMO_SIZE
 most recent records, so the per-policy calls of every layer share one pass
@@ -233,21 +236,23 @@ def _value_index(start: list, digits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(digits.T) + np.array(start[:-1])[:, None]
 
 
-def _level_tables(params: ModelParams, levels, prices: list[float]):
-    """(start, low_profit, low_weight, xi_n, ratios, f_top) of the value
-    sets levels at each of the float prices: the tables every search reads.
+def _level_tables(params: ModelParams, death, cost, prices: list[float]):
+    """(low_profit, low_weight, xi_n, ratios, f_top) of per-state rates at
+    each of the float prices: the tables every search reads.
 
-    Level j + 1's values are the columns start[j]:start[j + 1] of ratios,
-    lambda/nu, and of f_top[p], the profit rates prices[p] nu - cost, from
-    one pass of _value_rates. The states (i, 0) have weights xi_low, the
-    cumulative products of lambda/(i mu1), formed in Python floats by
-    numpy's operations, as is f_low: low_profit[p] = xi_low . f_low at
-    prices[p], low_weight = sum(xi_low) and xi_n = xi_low[n], summed by
-    numpy. A policy's average profit at prices[p] is (low_profit[p] + sum
-    xi f_top[p]) / (low_weight + sum xi), xi = xi_n cumprod(lambda/nu).
+    death and cost hold the rates of the states (i, 0), then of the values
+    above them: one policy's, from its record, or every value of some
+    value sets, from _value_rates, which lays level j + 1's values out at
+    its start[j]:start[j + 1]. Each value is a column of ratios, lambda/nu,
+    and of f_top[p], the profit rates prices[p] nu - cost. The states
+    (i, 0) have weights xi_low, the cumulative products of lambda/(i mu1),
+    formed in Python floats by numpy's operations, as is f_low:
+    low_profit[p] = xi_low . f_low at prices[p], low_weight = sum(xi_low)
+    and xi_n = xi_low[n], summed by numpy. A policy's average profit at
+    prices[p] is (low_profit[p] + sum xi f_top[p]) / (low_weight + sum xi),
+    xi = xi_n cumprod(lambda/nu).
     """
     lam, mu1, low = params.lambda_, params.mu1, params.n + 1
-    death, cost, start = _value_rates(params, levels)
     xi = [1.0]
     for i in range(1, low):
         xi.append(xi[-1] * (lam / (i * mu1)))
@@ -256,7 +261,7 @@ def _level_tables(params: ModelParams, levels, prices: list[float]):
                       for price in prices])
     nu = np.array(death[low:])
     with np.errstate(over="ignore", invalid="ignore"):
-        return (start, np.array([xi_low @ row for row in f_low]),
+        return (np.array([xi_low @ row for row in f_low]),
                 float(xi_low.sum()), xi[-1], lam / nu,
                 np.multiply.outer(prices, nu) - cost[low:])
 

@@ -271,12 +271,22 @@ def _level_values(m: int, space: str) -> list:
     raise ValueError(f"unknown policy space {space!r}")
 
 
+#: Each space's size in closed form, the product of the sizes of its
+#: _level_values (the threshold family's m + 1 members excepted), with the
+#: formula _size_text prints for it.
+_SPACE_SIZES = {"full": ("(m+1)^m", lambda m: (m + 1) ** m),
+                "reduced": ("(m+1)!", lambda m: math.factorial(m + 1)),
+                "bang_bang": ("2^m", lambda m: 2 ** m),
+                "threshold": ("m+1", lambda m: m + 1)}
+
+
 def policy_space_size(m, space="full") -> int:
-    """Number of policies in a space: the product of its level sizes, an
-    exact int at any m, or m + 1 for threshold."""
-    if space == "threshold":
-        return m + 1
-    return math.prod(map(len, _level_values(m, space)))
+    """Number of policies in a space, an exact int at any m, in closed
+    form (_SPACE_SIZES): (m+1)^m in full, (m+1)! in reduced, 2^m in
+    bang_bang and m + 1 in threshold. An unknown space raises ValueError."""
+    if space not in _SPACE_SIZES:
+        raise ValueError(f"unknown policy space {space!r}")
+    return _SPACE_SIZES[space][1](m)
 
 
 def _size_text(m: int, space: str) -> str:
@@ -288,8 +298,7 @@ def _size_text(m: int, space: str) -> str:
     digits = int(math.log10(size))
     while size >= 10 ** digits:
         digits += 1
-    formula = {"full": "(m+1)^m", "reduced": "(m+1)!", "bang_bang": "2^m"}.get(space)
-    return str(size) if digits <= 4300 else f"{formula} ({digits} digits)"
+    return str(size) if digits <= 4300 else f"{_SPACE_SIZES[space][0]} ({digits} digits)"
 
 
 def _gated_size(m: int, space: str, allow_large: bool) -> int:

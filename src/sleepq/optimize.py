@@ -18,7 +18,8 @@ sign is certain, so the exact eta rises at every step (_iterate). No step
 depends on the size of the space. The answer's eta is its closed form
 eta = N/D, N and D sums over the levels of the running products of
 lambda/nu, extended level by level in Python floats (_extend) on the
-tables of chain._level_tables.
+tables chain._level_tables builds from the rates of the answer's policy
+record.
 
 The enumeration tree is walked for rankings (top_k) at one price:
 policies that share their first j coordinates share the partial weight
@@ -47,8 +48,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import (_energy_costs, _level_tables, _rates, _require_finite,
-                    stationary_closed_form)
+from .chain import (_energy_costs, _level_tables, _policy_record, _rates, _require_finite,
+                    _value_rates, stationary_closed_form)
 from .errors import ConfigError, ConsistencyError, GateError, NumericalError, RegimeError
 from .model import (
     BLOCK_SIZE,
@@ -199,8 +200,8 @@ def _threshold_family(params: ModelParams, prices: list[float]) -> np.ndarray:
     family holds O(m) floats per price at any m.
     """
     m = params.m
-    _, low_profit, low_weight, xi_n, ratios, rates = _level_tables(
-        params, _level_values(m, "threshold"), prices)
+    death, cost, _ = _value_rates(params, _level_values(m, "threshold"))
+    low_profit, low_weight, xi_n, ratios, rates = _level_tables(params, death, cost, prices)
     tables = _pairs(ratios, rates)
     state, grown = (1.0, [0.0] * len(prices), 0.0), []
     # Level k + 1's values are (0, k + 1): pairs 2k (asleep) and 2k + 1.
@@ -256,11 +257,12 @@ def _product_candidates(params: ModelParams, space: str, k: int) -> list[tuple[f
     S = sum xi f and W = sum xi, with xi = xi_low[n] P. So the enumeration
     tree is grown one level at a time: each level multiplies every prefix's
     P by its values' lambda/nu and adds their terms, on _level_tables of
-    the space's value sets at the price. _extend runs these operations in
-    this order on the same tables, so a policy gets the same profit from
-    the walk, optimize without top_k, the threshold family and the
-    monotonicity sweep at every m. A level's values form the leading axis
-    of its rows, so every operation runs along the contiguous prefix axis.
+    the _value_rates of the space's value sets at the price. _extend runs
+    these operations in this order on the same floats, so a policy gets the
+    same profit from the walk, optimize without top_k, the threshold family
+    and the monotonicity sweep at every m. A level's values form the
+    leading axis of its rows, so every operation runs along the contiguous
+    prefix axis.
     The levels above a split are built once and stay in the tree's order;
     each chunk grows the next run of split-level prefixes into leaves. Only
     a chunk's candidates are ranked, by two index tables: the rank of each
@@ -273,8 +275,9 @@ def _product_candidates(params: ModelParams, space: str, k: int) -> list[tuple[f
     """
     m, levels = params.m, _level_values(params.m, space)
     sizes = [len(values) for values in levels]
-    start, low_profit, low_weight, xi_n, every_ratio, f_top = _level_tables(
-        params, levels, [params.price])
+    death, cost, start = _value_rates(params, levels)
+    low_profit, low_weight, xi_n, every_ratio, f_top = _level_tables(
+        params, death, cost, [params.price])
     ratios = [every_ratio[a:b] for a, b in zip(start, start[1:])]
     # The first chunk level, and the leaves under each of its prefixes, at
     # most BLOCK_SIZE.
@@ -283,7 +286,7 @@ def _product_candidates(params: ModelParams, space: str, k: int) -> list[tuple[f
         split -= 1
         leaves *= sizes[split]
     # The split level holds 3 floats and one int64 rank per prefix.
-    if 32 * (math.prod(sizes) // leaves) > _WALK_BYTES:
+    if 32 * (policy_space_size(m, space) // leaves) > _WALK_BYTES:
         raise GateError(f"{space} policy space has {_size_text(m, space)} members for "
                         f"m={m}; its walk needs over {_WALK_BYTES >> 30} GiB of "
                         "prefix sums, a budget allow_large does not lift")
@@ -365,20 +368,26 @@ def _product_candidates(params: ModelParams, space: str, k: int) -> list[tuple[f
     return found
 
 
+def _threshold_best(etas: np.ndarray, k: int) -> list[tuple[float, int]]:
+    """The k best (-eta, rank) pairs of a row of _threshold_family, best
+    first: by eta descending, ties by policy order, which is falling theta,
+    so an exact tie goes to the largest theta, the lexicographically
+    smallest policy. heapq.nsmallest ranks the row whole."""
+    # Column i of the reversed row is rank m - i, m + 1 = etas.size.
+    return [(neg, etas.size - 1 - i) for neg, i in
+            heapq.nsmallest(k, zip((-etas[::-1]).tolist(), range(etas.size)))]
+
+
 def _rankings(params: ModelParams, space: str, k: int) -> list[tuple[float, Policy]]:
     """The k best (-eta, policy) pairs of a space at its price, best first.
 
-    The threshold family is _threshold_family's, ranked whole by
-    heapq.nsmallest on (-eta, policy order); the product spaces are one
-    walk of _product_candidates. Overflow and NaN are refused by
-    _threshold_family and _chunk_summary.
+    The threshold family is _threshold_family's, ranked by _threshold_best;
+    the product spaces are one walk of _product_candidates. Overflow and
+    NaN are refused by _threshold_family and _chunk_summary.
     """
     m = params.m
     if space == "threshold":
-        # Policy order is falling theta: column i is rank m - i.
-        etas = _threshold_family(params, [params.price])[0, ::-1]
-        found = [(neg, m - i)
-                 for neg, i in heapq.nsmallest(k, zip((-etas).tolist(), range(m + 1)))]
+        found = _threshold_best(_threshold_family(params, [params.price])[0], k)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             found = _product_candidates(params, space, k)
@@ -449,15 +458,18 @@ def _iterate(params: ModelParams, space: str, prices: list[float]) -> list[Polic
             raise NumericalError("policy iteration came back to a policy: "
                                  "an error bound of G + c failed")
         low = tuple(x if s else 0 for x, s in zip(d, signs))
-        answers.append(low if low != d and step(low, price)[0] == low else d)
+        # seen[-1] equals d, and is the tuple its policy record holds.
+        answers.append(low if low != d and step(low, price)[0] == low else seen[-1])
     return answers
 
 
 def _profit(params: ModelParams, d: Policy, prices: list[float]) -> list[float]:
-    """eta of policy d at each price: _extend on chain._level_tables of its
-    values, bit for bit the walk's eta of d at that price alone."""
-    _, low_profit, low_weight, xi_n, ratios, rates = _level_tables(
-        params, [(v,) for v in d], prices)
+    """eta of policy d at each price: _extend on chain._level_tables of the
+    rates its policy record holds, which are _value_rates' for its values,
+    so bit for bit the walk's eta of d at that price alone."""
+    record = _policy_record(params, d)
+    low_profit, low_weight, xi_n, ratios, rates = _level_tables(
+        params, record.death, record.cost, prices)
     state = _extend((1.0, [0.0] * len(prices), 0.0), xi_n, _pairs(ratios, rates))
     return _profits([state], low_profit, low_weight)[:, 0].tolist()
 
@@ -561,10 +573,9 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
                                   allow_large=allow_large)
     m, bests = params.m, []
     if space == "threshold":
-        for r, etas in zip(grid, _threshold_family(params, grid)):
-            # The last maximizer: the lexicographically smallest policy.
-            rank = m - int(np.argmax(etas[::-1]))
-            bests.append((threshold_policy(m, rank + 1), float(etas[rank])))
+        for etas in _threshold_family(params, grid):
+            [(neg, rank)] = _threshold_best(etas, 1)
+            bests.append((threshold_policy(m, rank + 1), -neg))
     else:
         # Each policy's eta at all of its prices, in grid order, from one
         # pass of _extend.
@@ -699,8 +710,9 @@ def verify_monotonicity(params: ModelParams, d: Policy, j: int,
     # lambda/nu at j, and with it P, xi and W above j: they continue as one
     # state with an S per value, as prices do.
     levels = [range(m + 1) if i == j else (v,) for i, v in enumerate(d, start=1)]
-    _, low_profit, low_weight, xi_n, ratios, rates = _level_tables(
-        params, levels, [params.price])
+    death, cost, _ = _value_rates(params, levels)
+    low_profit, low_weight, xi_n, ratios, rates = _level_tables(
+        params, death, cost, [params.price])
     tables, above = _pairs(ratios, rates), slice(j + m, None)
     below = _extend((1.0, [0.0], 0.0), xi_n, tables, slice(j - 1))
     at_j = [_extend(below, xi_n, tables, slice(v, v + 1)) for v in range(j - 1, j + m)]

@@ -32,15 +32,18 @@ K takes the side with less mass: the head recursion while the head mass
 sum_{i<=K} pi_i is at most 1/2, the tail recursion above the median.
 Under heavy load pi rises over most levels, and the tail recursion alone
 would lose a digit per level there. No stationary probability is divided
-by, and no Poisson equation is solved. One body (_lines) runs the
-recursions for one policy and for a whole block of policies at once, so a
-policy's factors are bit for bit its row of any block.
+by, and no Poisson equation is solved. One body (_split_recursion) runs
+the recursions, for one policy or for a whole block of policies at once,
+so a policy's factors are bit for bit its row of any block. It forms G's
+lines (_lines) and the magnitudes behind their error bounds
+(_record_bounds).
 
 f = R*a - b, so G and G + c are affine in the price R: the per-state
 critical price (the root of G + c) and its R-slope come from the same
-recursion. Maximizing and minimizing the roots over a policy space gives
-the global prices R_H and R_L that delimit the all-awake and all-asleep
-optimal regimes.
+recursion, and one function (_g_plus_c) forms every G + c from a
+policy's lines at a price. Maximizing and minimizing the roots over a
+policy space gives the global prices R_H and R_L that delimit the
+all-awake and all-asleep optimal regimes.
 """
 
 from __future__ import annotations
@@ -140,8 +143,9 @@ def _price_roots(params: ModelParams, intercept: np.ndarray,
                  slope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-level roots of G + c in the price, and the R-slope of G + c.
 
-    G + c = R * (1 + slope) + (intercept - k); roots are NaN where the
-    R-slope is below DEGENERATE_EPS in magnitude.
+    G + c (_g_plus_c) is affine in R, with R-slope 1 + slope and the value
+    intercept - k at R = 0; roots are NaN where the R-slope is below
+    DEGENERATE_EPS in magnitude.
     """
     r_slope = 1.0 + slope
     degenerate = np.abs(r_slope) < DEGENERATE_EPS
@@ -149,55 +153,70 @@ def _price_roots(params: ModelParams, intercept: np.ndarray,
     return np.where(degenerate, np.nan, roots), r_slope
 
 
+def _split_recursion(params: ModelParams, death: list, first: list, second: list,
+                     head_cuts) -> tuple[list, list]:
+    """The recursions of the module docstring on two lanes of per-state
+    terms t_K, one list per lane: D_{K-1} = (lambda D_K + t_K) / nu_K from
+    the top state down, and D_K = (nu_K D_{K-1} - t_K) / lambda from state 0
+    up. The cuts K < head_cuts take the head side and the others the tail
+    side, and each side runs only over its own cuts. The lanes' values at
+    the cuts n..N-1 come back as two lists, level j's at j - 1.
+
+    For one policy the rates and terms are floats and head_cuts an int, and
+    the path makes no numpy call. For a block, a level's entries are arrays
+    with one entry per policy row, and head_cuts holds one count per row:
+    each side then runs over the cuts where any row takes it, and a row
+    takes its own side where both run. Every operation is elementwise, so
+    a row gets the bits of its policy alone.
+    """
+    lam, n, top = params.lambda_, params.n, len(death) - 1
+    if isinstance(head_cuts, int):
+        low = high = head_cuts
+    else:
+        low, high = int(head_cuts.min()), int(head_cuts.max())
+    one, two = [None] * (top - n), [None] * (top - n)
+    below_one = below_two = 0.0
+    for j in range(top, low, -1):
+        rate = death[j]
+        below_one = (lam * below_one + first[j]) / rate
+        below_two = (lam * below_two + second[j]) / rate
+        one[j - 1 - n], two[j - 1 - n] = below_one, below_two
+    above_one = above_two = 0.0
+    for j in range(high if high > n else 0):
+        rate = death[j]
+        above_one = (rate * above_one - first[j]) / lam
+        above_two = (rate * above_two - second[j]) / lam
+        if j < n:
+            continue
+        if j < low:
+            one[j - n], two[j - n] = above_one, above_two
+        else:
+            head = j < head_cuts
+            one[j - n] = np.where(head, above_one, one[j - n])
+            two[j - n] = np.where(head, above_two, two[j - n])
+    return one, two
+
+
 def _lines(params: ModelParams, death: list, cost: list, means: tuple,
            ) -> tuple[np.ndarray, np.ndarray]:
     """(intercept, slope) of G(n,j) = price * slope + intercept, j = 1..m.
 
     death and cost are the per-state rates of _state_rates, and means
-    their _means. Each level entry is a float for one policy, or a level's
-    array for a block with one entry per policy row; every operation is
-    elementwise, so a row gets the bits of its policy alone. The weights of
-    _means come from _weights, as _stationary's do, and are normalized
-    before they weight the rates, and every sum runs state by state. The
-    recursions of the module docstring then run on the two affine parts of
-    eta - f = R (A - a) + (b - B), where A = pi . a and B = pi . b: the
-    head recursion at the cuts whose head mass (the running sum of the
-    weights) is at most half the total, the tail recursion at the others. Each runs only over its
-    own cuts, the head from state 0 up and the tail from the top state
-    down; a block runs each over the cuts where any row takes it and
-    selects per row where both run. A normalizer or a line that is not
-    finite (the weights overflow under heavy load) raises NumericalError.
-    The lines have shape (m,) for one policy and (m, rows) for a block.
+    their _means: floats for one policy, or a level's array for a block
+    with one entry per policy row. The weights of _means come from
+    _weights, as _stationary's do, and are normalized before they weight
+    the rates, and every sum runs state by state. _split_recursion then
+    runs on the two affine parts of eta - f = R (A - a) + (b - B), where
+    A = pi . a and B = pi . b, taking the head side at the cuts whose head
+    mass (the running sum of the weights) is at most half the total. A
+    normalizer or a line that is not finite (the weights overflow under
+    heavy load) raises NumericalError. The lines have shape (m,) for one
+    policy and (m, rows) for a block.
     """
-    lam = params.lambda_
     completion_rate, cost_rate, head_cuts = means
-    n, top = params.n, len(death) - 1
-    # One policy's count is a Python int: its path makes no numpy call.
-    if isinstance(head_cuts, int):
-        first = last = head_cuts
-    else:
-        first, last = int(head_cuts.min()), int(head_cuts.max())
-    intercept, slope = [None] * (top - n), [None] * (top - n)
-    below_i = below_s = 0.0
-    for j in range(top, first, -1):
-        rate = death[j]
-        below_i = (lam * below_i + (cost[j] - cost_rate)) / rate
-        below_s = (lam * below_s + (completion_rate - rate)) / rate
-        intercept[j - 1 - n], slope[j - 1 - n] = below_i, below_s
-    above_i = above_s = 0.0
-    for j in range(last if last > n else 0):
-        rate = death[j]
-        above_i = (rate * above_i - (cost[j] - cost_rate)) / lam
-        above_s = (rate * above_s - (completion_rate - rate)) / lam
-        if j < n:
-            continue
-        if j < first:
-            intercept[j - n], slope[j - n] = above_i, above_s
-        else:
-            head = j < head_cuts
-            intercept[j - n] = np.where(head, above_i, intercept[j - n])
-            slope[j - n] = np.where(head, above_s, slope[j - n])
-    lines = np.array([intercept, slope])
+    lines = np.array(_split_recursion(
+        params, death, [rate - cost_rate for rate in cost],
+        [completion_rate - rate for rate in death], head_cuts))
     _require_finite(lines, "realization factors")
     return lines[0], lines[1]
 
@@ -259,37 +278,28 @@ def _record_lines(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
     return lines
 
 
+def _g_plus_c(params: ModelParams, lines, price: float) -> np.ndarray:
+    """G(n,j) + c at a price R from a policy's lines (intercept, slope), one
+    entry per level: (R slope + intercept) + (R - k), G at R plus c. Every
+    G + c of the package is this value."""
+    intercept, slope = lines
+    return (price * slope + intercept) + (price - _wake_cost(params))
+
+
 def _margins(params: ModelParams, d: Policy, price: float,
              skew: float) -> tuple[np.ndarray, np.ndarray]:
     """(value, bound) of policy d at a price R >= 0, one entry per level j.
 
-    value[j-1] = R (1 + slope_j) + intercept_j - k is G(n,j) + c from the
-    policy's lines, and bound[j-1] = e_j bounds its distance from the exact
-    G(n,j) + c, and from the exact price of waking level j on the model's
-    float rates: the policy record's part (_record_bounds) plus skew, the
-    model's part (_skew), which a search forms once.
+    value is _g_plus_c of the policy's lines, the G(n,j) + c that
+    perturbation_factors signs, and bound[j-1] = e_j bounds its distance
+    from the exact G(n,j) + c, and from the exact price of waking level j
+    on the model's float rates: the policy record's part (_record_bounds)
+    plus skew, the model's part (_skew), which a search forms once.
     """
     record = _policy_record(params, d)
-    intercept, slope = record.value(_record_lines)
     base, per_price = record.value(_record_bounds)
-    return (price * (1.0 + slope) + intercept - _wake_cost(params),
+    return (_g_plus_c(params, record.value(_record_lines), price),
             base + skew + price * per_price)
-
-
-def _side_sums(lam: float, death: list, terms: list, n: int, head_cuts: int) -> list:
-    """The recursions of _lines on nonnegative per-state terms, each cut on
-    the side _lines takes there: the magnitudes of its lines."""
-    top = len(death) - 1
-    sums, total = [0.0] * (top - n), 0.0
-    for j in range(top, head_cuts, -1):
-        total = (lam * total + terms[j]) / death[j]
-        sums[j - 1 - n] = total
-    total = 0.0
-    for j in range(head_cuts):
-        total = (death[j] * total + terms[j]) / lam
-        if j >= n:
-            sums[j - n] = total
-    return sums
 
 
 def _record_bounds(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -312,9 +322,10 @@ def _record_bounds(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
       gamma_{6N+2} A and |dB| <= gamma_{6N+2} pi.|cost| <= gamma_{6N+2}
       max|cost|. The lines are affine in B and A, with the recursion on
       t_K = 1 as coefficient.
-    - The last four roundings of R (1 + slope) + intercept - k, and the
-      three of k = (P2W - P2S) C1 / mu2: gamma_4 (R (1 + |slope|) +
-      |intercept| + k) + gamma_3 k.
+    - The last four roundings of _g_plus_c, (R slope + intercept) +
+      (R - k), and the three of k = (P2W - P2S) C1 / mu2: gamma_4 (R
+      |slope| + |intercept| + R + k) + gamma_3 k, where R |slope| +
+      |intercept| + R + k = R (1 + |slope|) + |intercept| + k.
     - Rates that are not affine in d_j. chain._rates forms nu = n mu1 +
       min(d_j, j) mu2 in 2 roundings and the cost in at most 10, each of
       a partial sum of terms whose magnitudes sum to at most C
@@ -332,22 +343,24 @@ def _record_bounds(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
     16 N u covers the first two gammas and 16 u the last two. Twice the sum
     covers the bound's own roundings, so e_j is that: a bound that is not
     finite leaves its level undecided. The last term depends on the model
-    alone: _skew gives it, and this the rest.
+    alone: _skew gives it, and this the rest. The recursion on the |t_K|
+    runs in _split_recursion, on the sides the lines take. Its head side
+    subtracts the terms, so there it returns the sums negated, bit for bit,
+    as every rounding is symmetric.
     """
     params, death, cost = record.params, record.death, record.cost
-    lam, n = params.lambda_, params.n
     completion_rate, cost_rate, head_cuts = record.value(_record_means)
     spend = max(map(abs, cost))
     deep, shallow = 16 * len(death) * 2.0**-53, 16 * 2.0**-53
     intercept, slope = record.value(_record_lines)
-    base = _side_sums(lam, death, [deep * (abs(rate - cost_rate) + spend) for rate in cost],
-                      n, head_cuts)
-    per_price = _side_sums(lam, death, [deep * (abs(completion_rate - rate) + completion_rate)
-                                        for rate in death], n, head_cuts)
+    base, per_price = _split_recursion(
+        params, death, [deep * (abs(rate - cost_rate) + spend) for rate in cost],
+        [deep * (abs(completion_rate - rate) + completion_rate) for rate in death],
+        head_cuts)
     wake = 2 * _wake_cost(params)
-    bounds = (np.array([2 * (b + shallow * (abs(i) + wake))
+    bounds = (np.array([2 * (abs(b) + shallow * (abs(i) + wake))
                         for b, i in zip(base, intercept.tolist())]),
-              np.array([2 * (b + shallow * (1.0 + abs(s)))
+              np.array([2 * (abs(b) + shallow * (1.0 + abs(s)))
                         for b, s in zip(per_price, slope.tolist())]))
     for bound in bounds:
         bound.setflags(write=False)
@@ -372,32 +385,33 @@ def realization_factors(params: ModelParams, d: Policy) -> np.ndarray:
 
 
 def _factor_plus_c(params: ModelParams, d: Policy, j: int) -> np.float64:
-    """G(n,j) + c of policy d at the instance's price."""
-    return realization_factors(params, d)[j - 1] + price_constant(params)
+    """G(n,j) + c of policy d at the instance's price (_g_plus_c)."""
+    return _g_plus_c(params, _policy_lines(params, d), params.price)[j - 1]
 
 
 def perturbation_factors(params: ModelParams, d: Policy) -> SensitivityReport:
     """Realization factors, critical prices, and signs for one policy."""
-    intercept, slope = _policy_lines(params, d)
-    prf = params.price * slope + intercept
-    c = price_constant(params)
+    lines = _policy_lines(params, d)
+    intercept, slope = lines
     crit, _ = _price_roots(params, intercept, slope)
-    return SensitivityReport(prf=prf, c=c, crit_prices=crit,
-                             signs=np.sign(prf + c))
+    return SensitivityReport(prf=params.price * slope + intercept,
+                             c=price_constant(params), crit_prices=crit,
+                             signs=np.sign(_g_plus_c(params, lines, params.price)))
 
 
 def critical_price_state(params: ModelParams, d: Policy, j: int) -> float:
     """The price at which G(n,j) + c crosses zero under policy d.
 
     G + c is affine in R, so the root is (k - G|_{R=0}) / (1 + dG/dR) with
-    k = (P2W - P2S) C1 / mu2. A j that is not an integer in 1..m raises
-    ValueError.
+    k = (P2W - P2S) C1 / mu2. Where that R-slope is degenerate,
+    DegeneratePriceError names the sign of G + c at R = 0. A j that is not
+    an integer in 1..m raises ValueError.
     """
     _check_count(j, f"j must be an integer in 1..{params.m}", params.m)
-    intercept, slope = _policy_lines(params, d)
-    roots, r_slope = _price_roots(params, intercept, slope)
+    lines = _policy_lines(params, d)
+    roots, r_slope = _price_roots(params, *lines)
     if np.isnan(roots[j - 1]):
-        sign = np.sign(intercept[j - 1] - _wake_cost(params))
+        sign = np.sign(_g_plus_c(params, lines, 0.0)[j - 1])
         raise DegeneratePriceError(
             f"G(n,{j})+c has no price crossing (R-slope {r_slope[j - 1]:.3e}); "
             f"its sign is {sign:+.0f} at every price"

@@ -10,21 +10,22 @@ enumeration tree.
 
 import numpy as np
 
-from sleepq.chain import _level_tables, _require_finite, _value_index
+from sleepq.chain import _level_tables, _require_finite, _value_index, _value_rates
 
 
 def block_profits(params, levels, digits: np.ndarray, prices: np.ndarray) -> np.ndarray:
     """Average profit of each policy row of the block (levels, digits) of
     chain._block_rates: one row per price.
 
-    Same closed form as policy_profit on the tables of _level_tables,
-    gathered level-major, with the weights and terms cumulated down the
-    level axis in the order of the enumeration tree, so a row's profit is
-    bit for bit what the tree gives its policy. A profit that is not finite
-    raises NumericalError, as the searches do.
+    Same closed form as policy_profit on the tables of _level_tables of
+    the _value_rates of levels, gathered level-major, with the weights and
+    terms cumulated down the level axis in the order of the enumeration
+    tree, so a row's profit is bit for bit what the tree gives its policy.
+    A profit that is not finite raises NumericalError, as the searches do.
     """
-    start, low_profit, low_weight, xi_n, ratios, f_top = _level_tables(
-        params, levels, prices.tolist())
+    death, cost, start = _value_rates(params, levels)
+    low_profit, low_weight, xi_n, ratios, f_top = _level_tables(
+        params, death, cost, prices.tolist())
     index = _value_index(start, digits)
     with np.errstate(over="ignore", invalid="ignore"):
         xi_top = xi_n * np.cumprod(ratios[index], axis=0)

@@ -46,7 +46,7 @@ from sleepq import (
     ValidationReport,
     verify_monotonicity,
 )
-from sleepq.model import _size_text
+from sleepq.model import _level_values, _size_text
 from conftest import micro_params
 
 # The package exports the optimize function under the module's name.
@@ -208,14 +208,27 @@ def test_enumerate_other_spaces():
 
 
 @pytest.mark.parametrize("space", ["full", "reduced", "bang_bang", "threshold"])
-def test_space_size_is_the_enumeration_count_and_exact_at_scale(space):
+def test_space_size_is_the_enumeration_count_and_exact_at_scale(space, monkeypatch):
     for m in range(1, 7):
         assert policy_space_size(m, space) == sum(1 for _ in enumerate_policies(m, space))
+    if space != "threshold":
+        for m in range(1, 31):
+            assert policy_space_size(m, space) == math.prod(map(len, _level_values(m, space)))
     m = 1000
     exact = {"full": (m + 1) ** m, "reduced": math.factorial(m + 1),
              "bang_bang": 2 ** m, "threshold": m + 1}[space]
     size = policy_space_size(m, space)
     assert type(size) is int and size == exact
+
+    # The sizes come in closed form: math.prod over the level sizes is
+    # quadratic in m.
+    def forbidden(*args):
+        raise AssertionError("math.prod was called")
+
+    monkeypatch.setattr(math, "prod", forbidden)
+    assert _size_text(20000, space) == {
+        "full": "(m+1)^m (86022 digits)", "reduced": "(m+1)! (77342 digits)",
+        "bang_bang": "2^m (6021 digits)", "threshold": "20001"}[space]
 
 
 def test_unknown_space_and_empty_level_set_are_refused():
