@@ -1,20 +1,12 @@
-"""Inner event loop of the simulator, written to be numba-compilable.
+"""Inner event loop of the simulator.
 
-One function body, _kernel, runs pure-Python (fallback and trace capture)
-and JIT-compiled; it uses only scalars, math.log, indexing and len() so
-both paths execute the identical IEEE operation sequence. Trace capture is
-a hook in that body: a list passed as trace receives one record per event.
-Every append is guarded by `trace is not None` on the argument itself, a
-branch numba prunes at compile time when trace is None, so the compiled
-kernel carries no trace code; trace capture runs interpreted only.
-
-The compiled path receives numpy arrays. The interpreted path receives
-Python lists for the uniform buffer, the rate vectors and the dwell,
-integral and counter accumulators: indexing a numpy array from Python
-boxes a numpy scalar on every read and write, which costs more than the
-arithmetic, while a list hands back the stored float or int. Float64
-addition and multiplication give the same bits on Python floats as on
-numpy float64, so both forms produce identical results.
+One function body, _kernel, runs interpreted on Python lists: the uniform
+buffer, the rate tables and the dwell, integral and counter accumulators.
+It uses only scalars, math.log, indexing and len(), and a list hands back
+the stored float or int where a numpy array would box a new scalar on
+every read. Trace capture is a hook in that body: a list passed as trace
+receives one record per event, and each append is guarded by
+`trace is not None`.
 
 Per event the body does only what the event needs. The caller passes
 per-state tables of the total event rate and of the selection boundary
@@ -48,7 +40,7 @@ import math
 DONE = 0
 REFILL = 1
 
-#: Slots of the int64 counter array.
+#: Slots of the counter list.
 COUNT_G1 = 0
 COUNT_G2 = 1
 COUNT_TRANSFER = 2
@@ -62,9 +54,9 @@ def _kernel(k, t, buf, cursor, remaining, time_limit, lam, n, top,
     """Advance the chain until the event budget or time limit is hit.
 
     k: current state index; t: current absolute time; buf/cursor: uniform
-    buffer and read position; remaining: events still allowed (int64, may
-    be huge in time mode); time_limit: absolute stop time (inf in event
-    mode). Rates are per-state sequences; top == n + m is the loss state.
+    buffer and read position; remaining: events still allowed (an int, huge
+    in time mode); time_limit: absolute stop time (inf in event
+    mode). Rates are per-state lists; top == n + m is the loss state.
     total_rate[k] = (lam + g1) + g2 is the state's total event rate and
     split_rate[k] = lam + g1 the selection boundary between a group-1 and
     a group-2 completion. Accumulates dwell times and the counter slots,
@@ -78,16 +70,12 @@ def _kernel(k, t, buf, cursor, remaining, time_limit, lam, n, top,
 
     The counters take the same additions in the same order in locals as
     they would in place, and the integrals are a plain loop in state
-    order, which numba compiles without reordering, so the bits match. The
-    loop stops at the end of the last whole pair that both the buffer and
-    the budget allow; remaining itself is never doubled, because in time
-    mode it is near half the int64 range and the compiled product would
-    overflow.
+    order. The loop stops at the end of the last whole pair that both the
+    buffer and the budget allow.
 
     trace, when a list, receives one (time, state_before, event,
     state_after) record per completed event, with event one of 'arrival',
-    'loss', 'g1', 'transfer', 'g2'. Each append sits under a test of the
-    argument itself, which numba prunes at compile time when trace is None.
+    'loss', 'g1', 'transfer', 'g2'.
     """
     n_g1 = counts[COUNT_G1]
     n_g2 = counts[COUNT_G2]
@@ -156,12 +144,7 @@ def _kernel(k, t, buf, cursor, remaining, time_limit, lam, n, top,
     return k, t, cursor, DONE
 
 
-try:
-    import numba
-
-    # No fastmath: the jitted path must be IEEE-identical to the fallback.
-    kernel_jit = numba.njit(cache=True)(_kernel)
-except ImportError:  # pragma: no cover - exercised only without numba
-    kernel_jit = None
-
 kernel_python = _kernel
+
+#: No compiled kernel exists; the benchmark harness still reads this name.
+kernel_jit = None

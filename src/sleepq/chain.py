@@ -170,11 +170,23 @@ class PolicyRecord:
 
     def value(self, build):
         """build(self), built on the first call and kept; one that raises
-        keeps nothing."""
+        keeps nothing. Every numpy array in the value kept, itself or inside
+        tuples, is set read-only: the memo hands it to every layer."""
         value = self._values.get(build)
         if value is None:
-            value = self._values[build] = build(self)
+            value = self._values[build] = _frozen(build(self))
         return value
+
+
+def _frozen(value):
+    """value, with every numpy array in it, itself or inside tuples, set
+    read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _frozen(item)
+    return value
 
 
 def _policy_record(params: ModelParams, d: Policy) -> PolicyRecord:

@@ -289,15 +289,26 @@ def policy_space_size(m, space="full") -> int:
     return _SPACE_SIZES[space][1](m)
 
 
+def _decimal_digits(n: int) -> int:
+    """Number of decimal digits of an int n >= 1, from math.log10(n).
+
+    log10 of an int is within a few ulps of the true value, so it can round
+    across a power of ten only when it lies that close to an integer: only
+    then is the power formed, to compare n with it.
+    """
+    log = math.log10(n)
+    nearest = round(log)
+    if abs(log - nearest) > 2.0 ** -30 * max(log, 1.0):
+        return int(log) + 1
+    return nearest + (n >= 10 ** nearest)
+
+
 def _size_text(m: int, space: str) -> str:
     """policy_space_size(m, space) as printed text: the exact int up to the
     4300 digits Python writes of one, past that its formula and digit
     count, such as "2^m (4301 digits)"."""
     size = policy_space_size(m, space)
-    # log10 of a large int can round across a power of ten.
-    digits = int(math.log10(size))
-    while size >= 10 ** digits:
-        digits += 1
+    digits = _decimal_digits(size)
     return str(size) if digits <= 4300 else f"{_SPACE_SIZES[space][0]} ({digits} digits)"
 
 

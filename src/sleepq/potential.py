@@ -256,7 +256,7 @@ def _solve_explicit(record):
 
 def _poisson_tail(record: PolicyRecord) -> tuple:
     """(h, h_ld, bands, scale): what every solve of a policy record shares
-    after its route, read-only, as the record shares it. h = f[1:] - eta;
+    after its route. h = f[1:] - eta;
     h_ld is h in extended precision, the refinement's right-hand side;
     bands are the negated reduced bands in extended precision, the
     refinement's product; scale = max(1, |eta|, max|f|) is the gate's."""
@@ -267,8 +267,6 @@ def _poisson_tail(record: PolicyRecord) -> tuple:
     h_ld = h.astype(np.longdouble)
     bands = tuple(-band[1:].astype(np.longdouble)
                   for band in (gen.sub, gen.diag, gen.sup))
-    for array in (h, h_ld, *bands):
-        array.setflags(write=False)
     return h, h_ld, bands, max(1.0, abs(eta), float(np.abs(f).max()))
 
 

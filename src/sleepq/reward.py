@@ -48,9 +48,7 @@ def build_reward(params: ModelParams, d: Policy) -> np.ndarray:
 
 def _reward(record: PolicyRecord) -> np.ndarray:
     """f = price * a - b from the rates of a policy record."""
-    f = record.params.price * np.array(record.death) - np.array(record.cost)
-    f.setflags(write=False)
-    return f
+    return record.params.price * np.array(record.death) - np.array(record.cost)
 
 
 def _eta(record: PolicyRecord) -> float:

@@ -271,11 +271,8 @@ def _policy_lines(params: ModelParams, d: Policy) -> tuple[np.ndarray, np.ndarra
 
 
 def _record_lines(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
-    """_lines of a policy record, read-only, as the record shares them."""
-    lines = _lines(record.params, record.death, record.cost, record.value(_record_means))
-    for line in lines:
-        line.setflags(write=False)
-    return lines
+    """_lines of a policy record."""
+    return _lines(record.params, record.death, record.cost, record.value(_record_means))
 
 
 def _g_plus_c(params: ModelParams, lines, price: float) -> np.ndarray:
@@ -358,13 +355,10 @@ def _record_bounds(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
         [deep * (abs(completion_rate - rate) + completion_rate) for rate in death],
         head_cuts)
     wake = 2 * _wake_cost(params)
-    bounds = (np.array([2 * (abs(b) + shallow * (abs(i) + wake))
-                        for b, i in zip(base, intercept.tolist())]),
-              np.array([2 * (abs(b) + shallow * (1.0 + abs(s)))
-                        for b, s in zip(per_price, slope.tolist())]))
-    for bound in bounds:
-        bound.setflags(write=False)
-    return bounds
+    return (np.array([2 * (abs(b) + shallow * (abs(i) + wake))
+                      for b, i in zip(base, intercept.tolist())]),
+            np.array([2 * (abs(b) + shallow * (1.0 + abs(s)))
+                      for b, s in zip(per_price, slope.tolist())]))
 
 
 def _skew(params: ModelParams) -> float:

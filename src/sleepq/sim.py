@@ -29,7 +29,7 @@ from .model import (ModelParams, Policy, ReadOnlyRecord, _is_integer, check_poli
                     require_valid, state_space)
 
 #: Uniforms drawn per refill; results do not depend on this value. Kept
-#: small because the interpreted kernel holds them as Python floats.
+#: small because the kernel holds them as Python floats.
 BUFFER_SIZE = 1 << 14
 
 #: Stand-in event budget when a segment is limited by time only.
@@ -191,68 +191,55 @@ def _rates(params: ModelParams, d: Policy):
 class _Stream:
     """Sequential uniforms from one Philox stream, buffer-size agnostic.
 
-    buf is a numpy array for the compiled kernel and a list for the
-    interpreted one (see _simkernel); either way the same uniforms are
-    consumed in the same order.
+    buf is a list of Python floats, the form the kernel reads (see
+    _simkernel).
     """
 
-    def __init__(self, seed: int, replication: int, as_list: bool):
+    def __init__(self, seed: int, replication: int):
         bits = np.random.Philox(np.random.SeedSequence((seed, replication)))
         self._rng = np.random.Generator(bits)
-        block = self._rng.random(BUFFER_SIZE)
-        self.buf = block.tolist() if as_list else block
+        self.buf = self._rng.random(BUFFER_SIZE).tolist()
         self.cursor = 0
 
     def refill(self) -> None:
-        block = self._rng.random(BUFFER_SIZE)
-        if isinstance(self.buf, list):
-            # In place, so the spent floats are freed before new ones exist.
-            del self.buf[:self.cursor]
-            self.buf.extend(block.tolist())
-        else:
-            self.buf = np.concatenate([self.buf[self.cursor:], block])
+        # In place, so the spent floats are freed before new ones exist.
+        del self.buf[:self.cursor]
+        self.buf.extend(self._rng.random(BUFFER_SIZE).tolist())
         self.cursor = 0
 
 
-def _run_segment(kernel, stream, state, events, time_limit, rates, dwell,
-                 acc, counts, trace=None):
+def _run_segment(stream, state, events, time_limit, rates, trace=None):
     """Run one warmup segment or batch to its event or time limit.
 
-    dwell, acc and counts are numpy arrays updated in place. dwell comes in
-    zeroed: each kernel exit sets acc to the rate-weighted sums of dwell,
-    so acc ends as this segment's energy and holding integrals however
-    many refills the segment takes. A list-fed stream runs the kernel on
-    list copies of them, written back at the end.
+    Returns the end state and the segment's dwell, (energy, holding)
+    integrals and counters as lists. dwell starts zeroed: each kernel exit
+    sets the integrals to the rate-weighted sums of dwell, so they end as
+    this segment's however many refills the segment takes. The kernel is
+    looked up on _simkernel at each call.
     """
     k, t = state
     total, split, energy, hold, lam, n, top = rates
     remaining = int(events)
-    targets = None
-    if isinstance(stream.buf, list):
-        targets = (dwell, acc, counts)
-        dwell, acc, counts = dwell.tolist(), acc.tolist(), counts.tolist()
+    dwell, acc, counts = [0.0] * len(total), [0.0, 0.0], [0] * 5
     while True:
         done_before = counts[_simkernel.COUNT_EVENTS]
-        k, t, stream.cursor, status = kernel(
+        k, t, stream.cursor, status = _simkernel.kernel_python(
             k, t, stream.buf, stream.cursor, remaining, time_limit,
             lam, n, top, total, split, energy, hold, dwell, acc, counts, trace)
-        remaining -= int(counts[_simkernel.COUNT_EVENTS] - done_before)
+        remaining -= counts[_simkernel.COUNT_EVENTS] - done_before
         if status == DONE:
             break
         assert status == REFILL
         stream.refill()
-    if targets is not None:
-        for target, values in zip(targets, (dwell, acc, counts)):
-            target[:] = values
-    return k, t
+    return (k, t), dwell, acc, counts
 
 
-def _net_revenue(params: ModelParams, counts: np.ndarray, acc: np.ndarray):
+def _net_revenue(params: ModelParams, counts, acc):
     """R*completions - energy - holding - C3*transfers - C4*losses.
 
-    counts are the kernel's int64 event tallies and acc its (energy,
-    holding) integrals. A count is exact as a double below 2**53, so the
-    products round as they would from Python ints.
+    counts are the kernel's event tallies and acc its (energy, holding)
+    integrals, as lists or numpy arrays. A count is exact as a double below
+    2**53, so the products round alike from Python ints and from int64.
     """
     completions = counts[_simkernel.COUNT_G1] + counts[_simkernel.COUNT_G2]
     return (params.price * completions - acc[0] - acc[1]
@@ -331,26 +318,19 @@ def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
              trace: bool = False) -> SimResult:
     """Simulate the cluster under policy d and estimate eta and pi.
 
-    The JIT kernel runs when numba is installed and no trace is requested;
-    otherwise the interpreted kernel runs. Both produce bit-identical
-    results. The trace, when requested, lists (time, state_before, event,
-    state_after) tuples across the whole run including warmup.
+    The trace, when requested, lists (time, state_before, event,
+    state_after) tuples across the whole run including warmup; it changes
+    no estimate.
     """
     require_valid(params)
     d = check_policy(d, params.m)
     _validate_config(cfg)
 
-    kernel = _simkernel.kernel_jit
-    interpreted = trace or kernel is None
-    if interpreted:
-        kernel = _simkernel.kernel_python
     trace_log: list | None = [] if trace else None
 
     size = state_space(params).size
-    rate_vectors = _rates(params, d)
-    if interpreted:
-        rate_vectors = tuple(v.tolist() for v in rate_vectors)
-    rates = (*rate_vectors, params.lambda_, params.n, size - 1)
+    rates = (*(v.tolist() for v in _rates(params, d)), params.lambda_,
+             params.n, size - 1)
 
     event_mode = cfg.unit == "events"
     warmup = cfg.resolved_warmup()
@@ -390,20 +370,17 @@ def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
     total_time = 0.0
 
     for rep in range(reps):
-        stream = _Stream(cfg.seed, rep, as_list=interpreted)
-        state = _run_segment(kernel, stream, (0, 0.0), *warmup_limit, rates,
-                             np.zeros(size), np.zeros(2),
-                             np.zeros(5, dtype=np.int64), trace_log)
+        stream = _Stream(cfg.seed, rep)
+        state = _run_segment(stream, (0, 0.0), *warmup_limit, rates,
+                             trace_log)[0]
 
         rep_num = 0.0
         rep_time = 0.0
         for b, (events, stop) in enumerate(batch_limits):
-            dwell = np.zeros(size)
-            acc = np.zeros(2)
-            counts = np.zeros(5, dtype=np.int64)
             t_start = state[1]
-            state = _run_segment(kernel, stream, state, events, stop, rates,
-                                 dwell, acc, counts, trace_log)
+            state, dwell, acc, counts = _run_segment(
+                stream, state, events, stop, rates, trace_log)
+            dwell = np.array(dwell)
             batch_time = state[1] - t_start
             numerator = _net_revenue(params, counts, acc)
             row = rep * nbatch + b

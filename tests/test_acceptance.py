@@ -35,7 +35,6 @@ from sleepq import (
     threshold_scan,
     verify_monotonicity,
 )
-from sleepq import _simkernel
 from sleepq.potential import (
     invert_reduced,
     poisson_residual,
@@ -405,7 +404,7 @@ def test_c12_simulator_matches_analytic_law():
     rng = np.random.default_rng(SEED + 12)
     instances = [draw_instance(rng, n_max=10, m_max=10) for _ in range(20)]
     warm = SimConfig(horizon=2000, warmup=200, seed=0, batch_count=4)
-    simulate(micro_params(), (1,), warm)  # compile the kernel off the clock
+    simulate(micro_params(), (1,), warm)  # warm up off the clock
 
     results = []
     started = time.perf_counter()
@@ -431,9 +430,8 @@ def test_c12_simulator_matches_analytic_law():
         assert np.array_equal(again.batch_records, results[k][1].batch_records)
     # Warmup events run the same kernel, so they count toward the rate.
     simulated = sum(cfg.horizon for cfg, _ in results)
-    kernel = "python" if _simkernel.kernel_jit is None else "jit"
     return (f"20 runs of 1e6 kept events in {elapsed:.1f}s "
-            f"({simulated / elapsed:.1e} events/s) on the {kernel} kernel, "
+            f"({simulated / elapsed:.1e} events/s) on the python kernel, "
             f"reruns bit-equal")
 
 

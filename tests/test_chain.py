@@ -344,6 +344,23 @@ def test_memo_keys_params_by_identity():
         assert [np.signbit(v) for v in got] == [first is neg, second is neg]
 
 
+def test_record_freezes_every_array_it_keeps():
+    # The memo hands a kept value to every layer, so the record sets each
+    # array in it read-only, at the top or inside tuples, whatever the
+    # builder returned.
+    record = chain._policy_record(micro_params(n=2, m=3), (0, 2, 3))
+
+    def build(_):
+        return np.zeros(3), (np.ones(2), (np.arange(4), 1.5))
+
+    top, (inner, (deep, scalar)) = record.value(build)
+    assert record.value(build)[0] is top
+    for array in (top, inner, deep):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7
+    assert scalar == 1.5
+
+
 def test_memo_holds_at_most_its_bound():
     rng = np.random.default_rng(30)
     params = micro_params(n=2, m=3)

@@ -23,47 +23,13 @@ from sleepq import (
     simulate,
     stationary_closed_form,
 )
-from sleepq.sim import _Stream, _rates, _t_quantile_975
+from sleepq.sim import _rates, _t_quantile_975
 from conftest import micro_params
 from test_cli import WIDE_TIME_MODEL, WIDE_TIME_POLICY
 
 
 CFG = SimConfig(horizon=40000, warmup=4000, replications=1, seed=7,
                 batch_count=8)
-
-
-def test_python_and_jit_paths_agree_bitwise(monkeypatch):
-    pytest.importorskip("numba")
-    cases = [
-        (micro_params(), (1,), CFG),
-        # 45 states in time mode: each batch ends on a clipped dwell and
-        # each replication outruns the uniform buffer, so every kernel exit
-        # runs compiled.
-        (micro_params(lambda_=8.0, n=4, m=40),
-         tuple(j // 2 for j in range(1, 41)),
-         SimConfig(horizon=1500.0, warmup=150.0, replications=3, seed=9,
-                   batch_count=5, unit="time")),
-        # Time mode with no warm-up: the first segment starts at t = 0.
-        (micro_params(), (1,),
-         SimConfig(horizon=400.0, warmup=0.0, replications=2, seed=11,
-                   batch_count=4, unit="time")),
-    ]
-    for params, d, cfg in cases:
-        jit = simulate(params, d, cfg)
-        # Without the compiled kernel, simulate falls back to the
-        # interpreted one.
-        with monkeypatch.context() as patch:
-            patch.setattr(_simkernel, "kernel_jit", None)
-            py = simulate(params, d, cfg)
-        assert py.eta_hat == jit.eta_hat
-        assert np.array_equal(py.pi_hat, jit.pi_hat)
-        assert np.array_equal(py.batch_records, jit.batch_records)
-        assert np.array_equal(py.batch_pi, jit.batch_pi)
-        assert np.array_equal(py.replication_etas, jit.replication_etas)
-        assert py.counts == jit.counts
-        assert py.total_time == jit.total_time
-        assert py.energy_integral == jit.energy_integral
-        assert py.holding_integral == jit.holding_integral
 
 
 @pytest.mark.parametrize("remaining, time_limit, size, status", [
@@ -76,8 +42,8 @@ def test_python_and_jit_paths_agree_bitwise(monkeypatch):
 ])
 def test_kernel_on_lists_matches_kernel_on_arrays(remaining, time_limit,
                                                   size, status):
-    # The compiled kernel takes numpy arrays and the interpreted path takes
-    # lists; the one body must give the same bits on both, numba or not.
+    # simulate feeds the kernel lists; the body is plain indexing and
+    # float64 arithmetic, so it gives the same bits on numpy arrays.
     params = micro_params(lambda_=4.0, n=2, m=3)
     top = params.n + params.m
     rates = _rates(params, (0, 1, 3))
@@ -403,21 +369,6 @@ def test_warmup_fraction_equals_absolute(micro):
                                                seed=5))
     assert frac.eta_hat == absolute.eta_hat
     assert np.array_equal(frac.batch_records, absolute.batch_records)
-
-
-def test_array_and_list_streams_refill_to_the_same_uniforms():
-    # The compiled kernel's stream is a numpy buffer and the interpreted
-    # one's a list: after a refill at a nonzero cursor both hold the unused
-    # tail and the next block, bit for bit.
-    arrays = _Stream(seed=3, replication=2, as_list=False)
-    lists = _Stream(seed=3, replication=2, as_list=True)
-    for cursor in (1001, 2):
-        arrays.cursor = lists.cursor = cursor
-        arrays.refill()
-        lists.refill()
-        assert isinstance(arrays.buf, np.ndarray) and isinstance(lists.buf, list)
-        assert arrays.cursor == lists.cursor == 0
-        assert arrays.buf.tobytes() == np.array(lists.buf).tobytes()
 
 
 def test_buffer_size_does_not_change_the_stream(micro, monkeypatch):
