@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import re
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -68,6 +69,14 @@ class CommandOutput:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern (3.10 to 3.13.0) takes "-1e5" for an
+        # option, not a negative number: a price that %.12g prints as
+        # -1.2e-05 must parse back.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with 2 on bad usage; the documented contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -216,7 +225,7 @@ def _cmd_optimize(params: ModelParams, args) -> CommandOutput:
         (rank, format_policy(policy), eta)
         for rank, (policy, eta) in enumerate(ranking, start=1)
     )
-    evaluations = _size_text(params.m, res.space)
+    evaluations = _size_text(res.evaluations, res.space)
     return CommandOutput(
         header=("rank", "policy", "eta"),
         rows=rows,

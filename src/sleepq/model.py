@@ -303,11 +303,10 @@ def _decimal_digits(n: int) -> int:
     return nearest + (n >= 10 ** nearest)
 
 
-def _size_text(m: int, space: str) -> str:
-    """policy_space_size(m, space) as printed text: the exact int up to the
-    4300 digits Python writes of one, past that its formula and digit
-    count, such as "2^m (4301 digits)"."""
-    size = policy_space_size(m, space)
+def _size_text(size: int, space: str) -> str:
+    """A space's size, as its caller already holds it, as printed text: the
+    exact int up to the 4300 digits Python writes of one, past that the
+    space's formula and the digit count, such as "2^m (4301 digits)"."""
     digits = _decimal_digits(size)
     return str(size) if digits <= 4300 else f"{_SPACE_SIZES[space][0]} ({digits} digits)"
 
@@ -323,7 +322,7 @@ def _gated_size(m: int, space: str, allow_large: bool) -> int:
     size = policy_space_size(m, space)
     if size > SPACE_SIZE_LIMIT and not allow_large:
         raise GateError(
-            f"{space} policy space has {_size_text(m, space)} members for m={m}; "
+            f"{space} policy space has {_size_text(size, space)} members for m={m}; "
             "pass allow_large to enumerate anyway"
         )
     return size

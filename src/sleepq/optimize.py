@@ -286,8 +286,9 @@ def _product_candidates(params: ModelParams, space: str, k: int) -> list[tuple[f
         split -= 1
         leaves *= sizes[split]
     # The split level holds 3 floats and one int64 rank per prefix.
-    if 32 * (policy_space_size(m, space) // leaves) > _WALK_BYTES:
-        raise GateError(f"{space} policy space has {_size_text(m, space)} members for "
+    size = policy_space_size(m, space)
+    if 32 * (size // leaves) > _WALK_BYTES:
+        raise GateError(f"{space} policy space has {_size_text(size, space)} members for "
                         f"m={m}; its walk needs over {_WALK_BYTES >> 30} GiB of "
                         "prefix sums, a budget allow_large does not lift")
 

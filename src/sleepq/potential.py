@@ -22,9 +22,9 @@ top state U_k = -nu_k (the death rate of reduced state k),
 R_k = lambda / nu_{k+1} and G_k = 1 (see rg_factorize). With G = 1 the
 unit lower factor (I - G_L)^{-1} is a cumulative sum, so no route forms
 it as a matrix. A route only factorizes a policy record: it returns its
-inverse application. The rg and explicit routes read the record's RG
-factors (_rg_factors), made by its first solve; the dense inverse and the
-explicit triangle are formed on every call. solve_poisson owns the rest,
+inverse application, which the record keeps, so a route factorizes each
+record once. The rg and explicit routes share the record's RG factors
+(_rg_factors). solve_poisson owns the rest,
 once for every route: the generator's bands, pi, f and eta of the policy
 record (one scalar pass of the closed form, shared through the chain
 module's memo with the other per-policy calls); the tail's operands, kept
@@ -35,7 +35,8 @@ and, on every call, the starting solve, its extended-precision refinement
 and the residual gate. The refinement and the gate multiply by the
 generator through the one tridiagonal product, _band_product, so the rg
 route is O(n+m) in time and memory; only the dense and explicit routes
-form k x k arrays, the inverse and the one triangle. All three routes must
+form k x k arrays, the inverse and the one triangle, each kept on its
+record. All three routes must
 agree to solver tolerance.
 Potential differences are anchor-free; the "fundamental" normalization
 picks the anchor that makes pi . g = eta.
@@ -78,7 +79,9 @@ class PotentialSolution(ReadOnlyRecord):
     g covers the full state space (entry 0 is the anchor state), and
     g[1:] = phi_h + anchor. phi_h, the refined (-scriptB)^{-1} h, is kept so
     the anchor can be moved without re-solving. residual is the max-norm
-    defect of B g = eta*e - f.
+    defect of B g = eta*e - f at g(0,0) = 0, that is of g = (0, phi_h): the
+    anchor term is in the null space of B, so every anchor has this one
+    residual, and reanchor keeps it.
     """
 
     g: np.ndarray
@@ -313,14 +316,17 @@ def solve_poisson(
             )
     eta = eta_computed
 
-    apply_inverse = _SOLVERS[method](record)
+    apply_inverse = record.value(_SOLVERS[method])
     h, h_ld, bands, scale = record.value(_poisson_tail)
     # The routes' running products of lambda/nu can overflow where pi does not.
     with np.errstate(over="ignore", invalid="ignore"):
         phi_h = _refine(bands, apply_inverse, apply_inverse(h), h_ld)
         _require_finite(phi_h, "potentials")
         g = _anchored(phi_h, anchor)
-        residual = poisson_residual(gen, g, eta, f)
+        # B e = 0 holds only in exact arithmetic: the gate reads the
+        # potentials with g(0,0) = 0, so an anchor's rounding is not taken
+        # for solver error and every anchor gets one residual.
+        residual = poisson_residual(gen, _anchored(phi_h, 0.0), eta, f)
     # Written so that a NaN residual fails it too. The death rates are the
     # factorization's U measures: their span says how far products of them
     # can lose precision.

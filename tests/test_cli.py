@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, table output, and CSV files."""
 
 import argparse
+import importlib
 import warnings
 from pathlib import Path
 
 import pytest
 
-from sleepq import params_digest, params_to_text, stationary_closed_form
+from sleepq import (params_digest, params_to_text, policy_space_size,
+                    stationary_closed_form)
 from sleepq.cli import build_parser, main
 from sleepq.model import _size_text
 from conftest import micro_params, sleepy_params
@@ -229,6 +231,22 @@ def test_non_finite_anchor_is_usage_error(model_file, capsys, anchor):
     assert streams.out == ""
 
 
+@pytest.mark.parametrize("argv, status, text", [
+    (["potentials", "--policy", "1", "--anchor", "-1e5"], 0, "\n0  0  -100000\n"),
+    (["potentials", "--policy", "1", "--anchor", "-1.2e-05"], 0, "\n0  0  -1.2e-05\n"),
+    (["monotonicity", "--policy", "1", "--j", "1", "--r-high", "-5.7e0"], 0,
+     "ok: true"),
+    (["price-sweep", "--from", "-1e308"], 1, "prices must be >= 0"),
+], ids=["anchor", "anchor-as-printed", "r-high", "from"])
+def test_negative_numbers_in_exponent_form_parse(model_file, capsys, argv, status,
+                                                 text):
+    # %.12g writes a small negative critical price as -1.2e-05; pasted back
+    # into a flag it is a number, not an unknown option.
+    assert main([argv[0], "--model", model_file, *argv[1:]]) == status
+    streams = capsys.readouterr()
+    assert text in (streams.out if status == 0 else streams.err)
+
+
 def test_policy_from_an_args_file(tmp_path, capsys):
     # A 30 000-level ladder is longer than the 128 KiB that Linux lets one
     # argument take, so it can only reach the parser through @FILE.
@@ -261,10 +279,12 @@ def test_critical_price_gate_exits_3(tmp_path, capsys):
     assert main(["critical-prices", "--model", path]) == 3
 
 
-@pytest.mark.parametrize("m", [1371, 1558, 2000])
+@pytest.mark.parametrize("m", [1371, 1558, 2000, 20000])
 def test_gate_exits_3_past_the_digits_python_writes(tmp_path, capsys, m):
     # A size of more than 4300 digits still gives the gate's refusal, and
-    # optimize, which enumerates nothing, prints it as its evaluations.
+    # optimize, which enumerates nothing, prints it as its evaluations: at
+    # m = 20 000, "(m+1)^m (86022 digits)" and "(m+1)! (77342 digits)"
+    # (test_model.py pins those texts).
     path = write_model(tmp_path, lambda_=2.0, n=2, m=m)
     for command in (["critical-prices"],
                     ["price-sweep", "--space", "full", "--from", "0", "--to", "1",
@@ -273,7 +293,27 @@ def test_gate_exits_3_past_the_digits_python_writes(tmp_path, capsys, m):
         assert "allow_large" in capsys.readouterr().err
     for space in ("full", "reduced"):
         assert main(["optimize", "--space", space, "--model", path]) == 0
-        assert f"policies evaluated: {_size_text(m, space)}\n" in capsys.readouterr().out
+        size = _size_text(policy_space_size(m, space), space)
+        assert f"policies evaluated: {size}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("space", ["full", "reduced", "bang_bang", "threshold"])
+def test_optimize_command_forms_the_space_size_once(tmp_path, capsys, monkeypatch,
+                                                     space):
+    # The size optimize returns as its evaluations is the one printed.
+    sizes = []
+
+    def counted(m, space):
+        sizes.append((m, space))
+        return policy_space_size(m, space)
+
+    for name in ("sleepq.model", "sleepq.optimize"):
+        monkeypatch.setattr(importlib.import_module(name), "policy_space_size", counted)
+    path = write_model(tmp_path, lambda_=2.0, n=2, m=20)
+    assert main(["optimize", "--space", space, "--model", path]) == 0
+    want = _size_text(policy_space_size(20, space), space)
+    assert f"policies evaluated: {want}\n" in capsys.readouterr().out
+    assert sizes == [(20, space)]
 
 
 def test_gate_override_runs(model_file, capsys, monkeypatch):
@@ -318,11 +358,25 @@ def test_monotonicity_violation_exits_4(model_file, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_overflowing_optimize_exits_4(tmp_path, capsys):
-    # The stationary weights overflow, so every profit is NaN.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", [
+    "threshold", "critical-prices", "critical-prices --space bang_bang",
+    "critical-prices --space reduced", "critical-prices --space threshold",
+    "optimize --space bang_bang", "optimize --space full",
+    "optimize --space reduced", "optimize --space threshold",
+    "optimize --space threshold --top-k 3", "optimize --space full --top-k 3",
+    "price-sweep --from 0 --to 5 --steps 3 --space bang_bang",
+    "price-sweep --from 0 --to 5 --steps 3 --space threshold",
+    "monotonicity --policy 1,2,3 --j 2"])
+def test_heavy_load_commands_exit_4(tmp_path, capsys, command):
+    # The stationary weights overflow, so every profit is NaN: every command
+    # that reads the level tables refuses the load, as every space unranks
+    # its blocks through model._space_block.
     path = write_model(tmp_path, n=1000, lambda_=1000.0, mu1=1.0, m=3)
-    assert main(["optimize", "--model", path]) == 4
-    assert "numerical failure" in capsys.readouterr().err
+    name, *rest = command.split()
+    assert main([name, "--model", path, *rest]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "not finite" in err
 
 
 @pytest.mark.parametrize("space", ["bang_bang", "threshold"])

@@ -226,7 +226,7 @@ def test_space_size_is_the_enumeration_count_and_exact_at_scale(space, monkeypat
         raise AssertionError("math.prod was called")
 
     monkeypatch.setattr(math, "prod", forbidden)
-    assert _size_text(20000, space) == {
+    assert _size_text(policy_space_size(20000, space), space) == {
         "full": "(m+1)^m (86022 digits)", "reduced": "(m+1)! (77342 digits)",
         "bang_bang": "2^m (6021 digits)", "threshold": "20001"}[space]
 
@@ -326,7 +326,7 @@ def test_gate_refuses_a_size_past_the_digits_python_writes(space, m):
         assert f"has {text} members for m={m}" in str(refused.value)
     res = sleepq.optimize(params, space)
     assert len(res.best_policy) == m and res.evaluations == size
-    assert _size_text(m, space) == text
+    assert _size_text(size, space) == text
 
 
 def test_policy_parse_format_round_trip():

@@ -40,6 +40,7 @@ from conftest import (
     draw_instance,
     heavy_instance,
     micro_params,
+    sleepy_params,
     wide_light_instance,
 )
 
@@ -258,6 +259,16 @@ def test_rg_factors_are_built_once_per_record(monkeypatch):
     assert len(_count_builds(monkeypatch, "rg_factorize")) == 1
 
 
+def test_dense_and_explicit_routes_factorize_a_record_once(monkeypatch):
+    # Each route's inverse application is kept on the record: the dense
+    # inverse and the explicit triangle are formed by d's first solves only.
+    inverses = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a) or inv(a))
+    triangles = _count_builds(monkeypatch, "_triangles")
+    assert len(inverses) == 1 and len(triangles) == 1
+
+
 def test_ill_conditioned_draw_all_routes_agree():
     # Heavy load at level 0 (lambda / mu1 near 19): unrefined explicit sums
     # land 2.1e-7 off the dense route.
@@ -440,15 +451,23 @@ def test_unit_inverse_identity():
 
 
 def test_reanchor_equals_solving_with_the_anchor():
-    """The anchor term is the all-ones vector, so moving it re-solves nothing."""
+    """The anchor term is the all-ones vector, so moving it re-solves nothing.
+
+    B e = 0 only in exact arithmetic: the gate reads the potentials with
+    g(0,0) = 0, so a large anchor's rounding is not solver error, and every
+    anchor that reanchor accepts solves too, with the one residual.
+    """
     rng = np.random.default_rng(28)
-    for _ in range(200):
-        params, d = draw_instance(rng)
+    corpus = [draw_instance(rng) for _ in range(200)]
+    corpus += [(sleepy_params(), (1, 2)), (micro_params(), (1,))]
+    for params, d in corpus:
         pi = stationary_closed_form(params, d).pi
         for method in SOLVE_METHODS:
             base = solve_poisson(params, d, anchor=0.0, method=method)
-            direct = solve_poisson(params, d, anchor=2.5, method=method)
-            assert reanchor(base, 2.5).g.tobytes() == direct.g.tobytes()
+            for anchor in (2.5, 1e8, 1e300):
+                direct = solve_poisson(params, d, anchor=anchor, method=method)
+                assert reanchor(base, anchor).g.tobytes() == direct.g.tobytes()
+                assert direct.residual == base.residual
             g = solve_poisson(params, d, normalization="fundamental",
                               method=method).g
             scale = max(1.0, float(np.max(np.abs(g))))

@@ -9,8 +9,8 @@ import pytest
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _example_values() -> dict[str, object]:
-    """Run the one ```python block; map each expression line to its value."""
+def example_source() -> str:
+    """The README's one ```python block."""
     blocks, block = [], None
     for line in README.read_text(encoding="utf-8").splitlines():
         if line.startswith("```python"):
@@ -21,6 +21,12 @@ def _example_values() -> dict[str, object]:
         elif block is not None:
             block.append(line)
     [source] = blocks
+    return source
+
+
+def _example_values() -> dict[str, object]:
+    """Run the example; map each expression line to its value."""
+    source = example_source()
     namespace, values = {}, {}
     for node in ast.parse(source).body:
         code = ast.get_source_segment(source, node)

@@ -9,8 +9,15 @@ Python writes of an int, and 1 558 the first for the reduced space.
 Left out, to keep the file within tier-1's time: the O(k^2) routes (the
 dense and explicit solves, stationary_numeric, invert_reduced) and the
 O(m^2) sweeps (the threshold family, the threshold space's critical
-prices, the monotonicity sweep).
+prices, the monotonicity sweep). Two of those sweeps and the bang-bang
+optimum are held, at m = 1 000, to their memory instead: run as sleepq
+child processes, they answer within a 400 MB address space.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,7 +109,7 @@ ENTRY_POINTS = {
 }
 
 #: sleepq commands and their exit status; POLICY stands for the awake
-#: ladder 1,...,m. CI's bare-venv step runs the same cases.
+#: ladder 1,...,m.
 CLI_CASES = {
     "validate": 0,
     "stationary --policy POLICY": 0,
@@ -155,3 +162,33 @@ def test_commands_answer_or_refuse_at_large_m(m, tmp_path, capsys):
         statuses[case] = main([command, "--model", str(model), *rest])
         capsys.readouterr()
     assert statuses == CLI_CASES
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the address-space limit is read as Linux counts it")
+def test_one_policy_at_a_time_commands_fit_400_mb_of_address_space(tmp_path):
+    # The threshold family and the monotonicity sweep evaluate one policy at
+    # a time, so at m = 1 000 a 25-price threshold sweep fits; evaluated in
+    # blocks, it took 399 MiB. The bang-bang optimum of the 2^1 000 policies
+    # comes from the policy iteration on G + c, which walks none of them.
+    # Only the child's address space is limited.
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400_000 * 1024,) * 2)
+
+    model = tmp_path / "wide.cfg"
+    model.write_text(sq.params_to_text(_wide(1000)))
+    src = str(Path(sq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    for command in (["price-sweep", "--from", "0", "--to", "20", "--steps", "25",
+                     "--space", "threshold"],
+                    ["monotonicity", "--policy", ",".join(map(str, range(1, 1001))),
+                     "--j", "1"],
+                    ["optimize", "--space", "bang_bang"]):
+        run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                              "sleepq.cli", command[0], "--model", str(model),
+                              *command[1:]],
+                             env=env, preexec_fn=limit, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, (command[0], run.stderr)

@@ -26,6 +26,7 @@ from sleepq import (
 from sleepq.sim import _rates, _t_quantile_975
 from conftest import micro_params
 from test_cli import WIDE_TIME_MODEL, WIDE_TIME_POLICY
+from test_readme import example_source
 
 
 CFG = SimConfig(horizon=40000, warmup=4000, replications=1, seed=7,
@@ -399,30 +400,55 @@ def test_unsigned_policy_simulates_as_its_values():
     assert np.array_equal(unsigned.batch_records, plain.batch_records)
 
 
+# Every sleepq command once, on the micro model, as (command, *flags).
+EVERY_COMMAND = [
+    ["validate"], ["stationary", "--policy", "1"], ["reward", "--policy", "1"],
+    *(["potentials", "--policy", "1", "--method", method]
+      for method in ("rg", "dense", "explicit")),
+    ["sensitivity", "--policy", "1"], ["critical-prices"], ["optimize"],
+    ["optimize", "--top-k", "2"], ["threshold"],
+    ["monotonicity", "--policy", "1", "--j", "1"],
+    ["simulate", "--policy", "1", "--horizon", "20000", "--seed", "7"],
+    ["price-sweep", "--from", "0", "--to", "20", "--steps", "3"],
+]
+
+
 def test_runtime_path_needs_no_scipy(tmp_path):
     # scipy is a test-only dependency: with every scipy import refused, the
-    # package imports, simulates in both units and runs the simulate command.
+    # package imports, simulates in both units, runs the README example and
+    # every command with exit 0, under warnings as errors, and never tries to
+    # import scipy.
     model = tmp_path / "model.cfg"
     model.write_text(params_to_text(micro_params()))
     out = tmp_path / "sim.csv"
+    commands = [[command, "--model", str(model), *flags]
+                for command, *flags in EVERY_COMMAND]
+    commands.append(["simulate", "--model", str(model), "--policy", "1",
+                     "--horizon", "3000", "--output", str(out)])
     code = textwrap.dedent(f"""
         import sys
         sys.modules["scipy"] = None
+        # The import audit event fires even for an import that None refuses,
+        # so a guarded attempt is seen too.
+        tried = []
+        sys.addaudithook(lambda event, args: event == "import"
+                         and args[0].split(".")[0] == "scipy"
+                         and tried.append(args[0]))
         import sleepq, sleepq.cli
         from sleepq import SimConfig, params_from_file, simulate
         params = params_from_file({str(model)!r})
         for cfg in (SimConfig(horizon=5000, seed=3),
                     SimConfig(horizon=500.0, unit="time", replications=3)):
             assert simulate(params, (1,), cfg).ci_half_width > 0
-        status = sleepq.cli.main(["simulate", "--model", {str(model)!r},
-                                  "--policy", "1", "--horizon", "3000",
-                                  "--output", {str(out)!r}])
-        assert status == 0, status
+        exec({example_source()!r}, {{}})
+        statuses = [sleepq.cli.main(argv) for argv in {commands!r}]
+        assert statuses == [0] * len(statuses), statuses
+        assert not tried, tried
     """)
     src = str(Path(sleepq.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                         env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert "# command=simulate" in out.read_text()
 
