@@ -14,10 +14,8 @@ in Python floats: level by level for one policy (_state_rates), and once for
 every value of some value sets, one set per level (_value_rates).
 _level_tables builds the flat tables of the searches from either: the
 first, from a policy record, for the eta of optimize's answer, and the
-second for the searches that extend or walk many policies. A block of
-policies is value sets with a digit array from model._space_block (row r
-takes levels[j][digits[r, j]] at level j + 1), gathering its rates from
-the second.
+second for the searches that extend or walk many policies. The critical
+prices of a product space read the second directly.
 
 One policy's pass is kept in a PolicyRecord, in a memo of the MEMO_SIZE
 most recent records, so the per-policy calls of every layer share one pass
@@ -242,12 +240,6 @@ def _cost_scale(params: ModelParams) -> float:
             + p.m * p.c_hold_g2 + p.n * p.mu1 * p.c_transfer + p.lambda_ * p.c_loss)
 
 
-def _value_index(start: list, digits: np.ndarray) -> np.ndarray:
-    """The (m, rows) index of the rows of digits into tables laid out by
-    start, C-contiguous: a transposed one made _lines about 2x slower."""
-    return np.ascontiguousarray(digits.T) + np.array(start[:-1])[:, None]
-
-
 def _level_tables(params: ModelParams, death, cost, prices: list[float]):
     """(low_profit, low_weight, xi_n, ratios, f_top) of per-state rates at
     each of the float prices: the tables every search reads.
@@ -278,20 +270,6 @@ def _level_tables(params: ModelParams, death, cost, prices: list[float]):
                 np.multiply.outer(prices, nu) - cost[low:])
 
 
-def _block_rates(params: ModelParams, levels, digits: np.ndarray,
-                 ) -> tuple[list, list]:
-    """The rates of _state_rates for every policy row of a block, value
-    sets levels with a (rows, m) integer array digits: row r takes value
-    levels[j][digits[r, j]] at level j + 1. Each list holds the floats of
-    the states (i, 0), then one array per level gathered from _value_rates,
-    with an entry per row. Every caller validates params first.
-    """
-    death, cost, start = _value_rates(params, levels)
-    low, index = params.n + 1, _value_index(start, digits)
-    return (death[:low] + list(np.array(death[low:])[index]),
-            cost[:low] + list(np.array(cost[low:])[index]))
-
-
 def build_generator(params: ModelParams, d: Policy) -> Generator:
     """The (n+m+1) x (n+m+1) transition-rate matrix, as its bands."""
     return _policy_record(params, d).value(_generator)
@@ -319,11 +297,8 @@ def stationary_closed_form(params: ModelParams, d: Policy) -> ChainSolution:
 
 
 def _weights(lam: float, death: list) -> list:
-    """Unnormalized stationary weights: xi_0 = 1, xi_k = xi_{k-1} * lam / nu_k.
-
-    nu_k = death[k] is a float for one policy, or an array with one entry
-    per policy row for a block; every step is elementwise.
-    """
+    """Unnormalized stationary weights: xi_0 = 1, xi_k = xi_{k-1} * lam / nu_k,
+    with nu_k = death[k]."""
     weight = 1.0
     weights = [weight]
     for rate in death[1:]:

@@ -204,8 +204,7 @@ def _cmd_sensitivity(params: ModelParams, args) -> CommandOutput:
 
 
 def _cmd_critical_prices(params: ModelParams, args) -> CommandOutput:
-    crit = critical_prices_global(params, args.space,
-                                  allow_large=args.allow_large)
+    crit = critical_prices_global(params, args.space)
     rows = ((crit.r_high, crit.r_low, crit.search_space, crit.exact),)
     return CommandOutput(
         header=("r_high", "r_low", "search_space", "exact"),
@@ -348,8 +347,7 @@ def _cmd_price_sweep(params: ModelParams, args) -> CommandOutput:
     # linspace would turn an infinite end into NaN prices, with a warning.
     _price_grid(ends)
     grid = list(np.linspace(*ends, args.steps))
-    rows, crit = price_sweep(params, grid, args.space,
-                             allow_large=args.allow_large)
+    rows, crit = price_sweep(params, grid, args.space)
     m = params.m
     header = ("R", "policy", "eta") + tuple(
         f"critical_price_{j}" for j in range(1, m + 1)
@@ -393,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_text: str, handler=None, policy=False, space=False):
         """One command: its handler, --model, --output and, when asked,
-        --policy or the --space and --allow-large of a search."""
+        --policy or the --space of a search."""
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--model", required=True, metavar="PATH",
@@ -404,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--policy", metavar="D", help="comma-separated policy")
         if space:
             p.add_argument("--space", choices=POLICY_SPACES, default="full")
-            p.add_argument("--allow-large", action="store_true",
-                           help="override the search-space size gate")
         return p
 
     add("validate", "Check the config and report errors and warnings.")
@@ -431,6 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
             _cmd_optimize, space=True)
     p.add_argument("--top-k", type=int, default=None, metavar="K",
                    help="also report the K best policies")
+    p.add_argument("--allow-large", action="store_true",
+                   help="override the search-space size gate of --top-k")
 
     add("threshold", "Profit across all threshold policies.", _cmd_threshold)
 

@@ -23,9 +23,9 @@ Policy = tuple[int, ...]
 
 POLICY_SPACES = ("full", "reduced", "bang_bang", "threshold")
 
-#: The most policies a search enumerates unless allow_large is set: the
-#: full space at m = 8. As 11! < 9^8 < 12! < 2^26, the reduced space is
-#: enumerated to m = 10 and the bang-bang space to m = 25.
+#: The most policies enumerate_policies and optimize's rankings enumerate
+#: unless allow_large is set: the full space at m = 8. As 11! < 9^8 < 12! <
+#: 2^26, the reduced space is enumerated to m = 10 and bang_bang to m = 25.
 SPACE_SIZE_LIMIT = 9 ** 8
 
 #: Policies evaluated per vectorized block.
@@ -314,8 +314,8 @@ def _size_text(size: int, space: str) -> str:
 def _gated_size(m: int, space: str, allow_large: bool) -> int:
     """Size of a policy space, refusing one of more than SPACE_SIZE_LIMIT
     policies unless allow_large is set. Only the searches that enumerate a
-    space call it: enumerate_policies, the critical prices and optimize's
-    rankings. A refusal prints the size by _size_text.
+    space call it: enumerate_policies and optimize's rankings. A refusal
+    prints the size by _size_text.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -351,10 +351,9 @@ def enumerate_policies(m, space="full", allow_large=False):
 def _space_block(m: int, space: str, ranks) -> tuple[list, np.ndarray]:
     """The block (levels, digits) of an array of ranks in enumerate_policies'
     order: the space's value sets and a row of digits per rank, stored
-    level-major (chain._value_index's layout). Product ranks are mixed-radix
-    digits, the last level least significant, split off by one divmod per
-    level; threshold rank r (theta = r + 1) is the boolean row that wakes
-    the levels from r + 1 on.
+    level-major. Product ranks are mixed-radix digits, the last level
+    least significant, split off by one divmod per level; threshold rank r
+    (theta = r + 1) is the boolean row that wakes the levels from r + 1 on.
     """
     levels = _level_values(m, space)
     rank = np.asarray(ranks, dtype=np.int64)

@@ -246,8 +246,10 @@ def _chunk_summary(etas, ranks, k):
 _WALK_BYTES = 2**30
 
 
-def _product_candidates(params: ModelParams, space: str, k: int) -> list[tuple[float, int]]:
-    """The k best (-eta, rank) pairs of a product space, best first.
+def _product_candidates(params: ModelParams, space: str, k: int,
+                        size: int) -> list[tuple[float, int]]:
+    """The k best (-eta, rank) pairs of a product space of size policies,
+    best first.
 
     The _chunk_summary of every chunk, merged by heapq.nsmallest as the
     chunks are grown, one after another on the calling thread.
@@ -286,7 +288,6 @@ def _product_candidates(params: ModelParams, space: str, k: int) -> list[tuple[f
         split -= 1
         leaves *= sizes[split]
     # The split level holds 3 floats and one int64 rank per prefix.
-    size = policy_space_size(m, space)
     if 32 * (size // leaves) > _WALK_BYTES:
         raise GateError(f"{space} policy space has {_size_text(size, space)} members for "
                         f"m={m}; its walk needs over {_WALK_BYTES >> 30} GiB of "
@@ -379,8 +380,10 @@ def _threshold_best(etas: np.ndarray, k: int) -> list[tuple[float, int]]:
             heapq.nsmallest(k, zip((-etas[::-1]).tolist(), range(etas.size)))]
 
 
-def _rankings(params: ModelParams, space: str, k: int) -> list[tuple[float, Policy]]:
-    """The k best (-eta, policy) pairs of a space at its price, best first.
+def _rankings(params: ModelParams, space: str, k: int,
+              size: int) -> list[tuple[float, Policy]]:
+    """The k best (-eta, policy) pairs of a space of size policies at its
+    price, best first.
 
     The threshold family is _threshold_family's, ranked by _threshold_best;
     the product spaces are one walk of _product_candidates. Overflow and
@@ -391,7 +394,7 @@ def _rankings(params: ModelParams, space: str, k: int) -> list[tuple[float, Poli
         found = _threshold_best(_threshold_family(params, [params.price])[0], k)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            found = _product_candidates(params, space, k)
+            found = _product_candidates(params, space, k, size)
     policies = _policy_block(m, space, [rank for _, rank in found]).tolist()
     return [(neg, tuple(d)) for (neg, _), d in zip(found, policies)]
 
@@ -529,7 +532,7 @@ def optimize(params: ModelParams, space: str = "full",
         [eta] = _profit(params, d, [params.price])
         return OptimizationResult(d, eta, space, total)
     total = _gated_size(params.m, space, allow_large)
-    ranking = [(policy, -neg) for neg, policy in _rankings(params, space, top_k or 1)]
+    ranking = [(policy, -neg) for neg, policy in _rankings(params, space, top_k or 1, total)]
     return OptimizationResult(*ranking[0], space, total, ranking if top_k else None)
 
 
@@ -549,29 +552,24 @@ def _price_grid(r_grid) -> list[float]:
     return grid
 
 
-def price_sweep(params: ModelParams, r_grid: Sequence[float],
-                space: str = "full", allow_large: bool = False):
+def price_sweep(params: ModelParams, r_grid: Sequence[float], space: str = "full"):
     """The optimal policy at every price of a grid, with regime labels.
 
     Returns (rows, crit) where each row is (R, best policy, eta,
     per-level critical prices of that policy, regime label, crossing
-    note) and crit carries the R_H / R_L thresholds of the space. The grid
-    is checked once, before anything is computed. crit enumerates the
-    space (critical_prices_global), so a space of more than
-    model.SPACE_SIZE_LIMIT policies raises GateError first, unless
-    allow_large is set. The threshold family is formed once for the whole
-    grid. In the product spaces each price runs optimize's policy
-    iteration, so each row's policy and eta are those of optimize at its
-    price, bit for bit. As a sanity check, eta is
-    reconciled against the affine form R * completion_rate - cost_rate of
-    the winning policy on every grid point; a mismatch raises
-    ConsistencyError.
+    note) and crit carries the R_H / R_L thresholds of the space from
+    critical_prices_global. The grid is checked once, before anything is
+    computed. The threshold family is formed once for the whole grid. In
+    the product spaces each price runs optimize's policy iteration, so
+    each row's policy and eta are those of optimize at its price, bit for
+    bit. As a sanity check, eta is reconciled against the affine form
+    R * completion_rate - cost_rate of the winning policy on every grid
+    point; a mismatch raises ConsistencyError.
     """
     grid = _price_grid(r_grid)
-    # One validate covers every grid price; critical_prices_global makes it
-    # and gates the space it enumerates. Its roots do not depend on R.
-    crit = critical_prices_global(replace(params, price=grid[0]), space,
-                                  allow_large=allow_large)
+    # One validate covers every grid price; critical_prices_global makes it.
+    # Its roots do not depend on R.
+    crit = critical_prices_global(replace(params, price=grid[0]), space)
     m, bests = params.m, []
     if space == "threshold":
         for etas in _threshold_family(params, grid):
@@ -621,23 +619,22 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float],
 
 
 def optimal_extreme_prices(params: ModelParams, regime: str,
-                           crit=None, allow_large: bool = False,
-                           ) -> tuple[Policy, float]:
+                           crit=None) -> tuple[Policy, float]:
     """Closed-form optimal policy when the price clears a critical value.
 
     regime "high" requires price >= R_H and yields the all-awake ladder
     (1,...,m); regime "low" requires price <= R_L and yields all-asleep.
     crit may carry precomputed critical prices; otherwise they are
-    computed over the full space, whose enumeration critical_prices_global
-    refuses past m = 8 unless allow_large is set. The closed form is the
-    policy; its eta is that policy's policy_profit, so weights that
+    computed over the full space by critical_prices_global, which raises
+    NumericalError where a root is not a finite double. The closed form is
+    the policy; its eta is that policy's policy_profit, so weights that
     overflow raise NumericalError there.
     """
     require_valid(params)
     if regime not in ("high", "low"):
         raise ValueError(f"regime must be 'high' or 'low', got {regime!r}")
     if crit is None:
-        crit = critical_prices_global(params, "full", allow_large=allow_large)
+        crit = critical_prices_global(params, "full")
     if regime == "high":
         if not params.price >= crit.r_high:
             raise RegimeError(

@@ -33,17 +33,28 @@ sum_{i<=K} pi_i is at most 1/2, the tail recursion above the median.
 Under heavy load pi rises over most levels, and the tail recursion alone
 would lose a digit per level there. No stationary probability is divided
 by, and no Poisson equation is solved. One body (_split_recursion) runs
-the recursions, for one policy or for a whole block of policies at once,
-so a policy's factors are bit for bit its row of any block. It forms G's
+the recursions on one policy's rates, in Python floats. It forms G's
 lines (_lines) and the magnitudes behind their error bounds
 (_record_bounds).
 
 f = R*a - b, so G and G + c are affine in the price R: the per-state
 critical price (the root of G + c) and its R-slope come from the same
 recursion, and one function (_g_plus_c) forms every G + c from a
-policy's lines at a price. Maximizing and minimizing the roots over a
-policy space gives the global prices R_H and R_L that delimit the
-all-awake and all-asleep optimal regimes.
+policy's lines at a price.
+
+The largest and smallest roots over a policy space are the global prices
+R_H and R_L that delimit the all-awake and all-asleep optimal regimes.
+With xi the weights, W and B the sums of xi and of xi*b on either side of
+the cut K = n + j - 1 and k = (P2W - P2S) C1 / mu2, the cut identity puts
+level j's root at
+
+    lambda R = alpha W_> / xi_N + (k lambda xi_K - B_>) / xi_N,
+    alpha = (B_<= + k lambda xi_K) / W_<=,
+
+where alpha depends only on the levels below j, and the rest only on
+levels j..m, with a positive coefficient of alpha. So in a product space
+two per-level DPs give R_H and R_L (_largest_roots), and no policy is
+enumerated (critical_prices_global).
 """
 
 from __future__ import annotations
@@ -56,25 +67,24 @@ import numpy as np
 
 from .chain import (
     PolicyRecord,
-    _block_rates,
     _cost_scale,
     _generator,
     _policy_record,
     _require_finite,
     _stationary,
+    _value_rates,
     _weights,
     stationary_closed_form,
 )
-from .errors import ConsistencyError, DegeneratePriceError
+from .errors import ConsistencyError, DegeneratePriceError, NumericalError
 from .model import (
-    BLOCK_SIZE,
     ModelParams,
     Policy,
     ReadOnlyRecord,
     _check_count,
-    _gated_size,
-    _space_block,
+    _level_values,
     require_valid,
+    threshold_policy,
 )
 from .potential import _band_product, solve_poisson
 from .reward import _reward
@@ -102,8 +112,10 @@ class SensitivityReport(ReadOnlyRecord):
 class CriticalPrices:
     """Global critical prices over a policy space.
 
-    r_high = max{0, roots}; r_low = min{roots}. exact is True only when the
-    full space was enumerated.
+    r_high = max{0, roots}; r_low = min{roots}. exact is True for the full
+    space, whose prices bound every policy's roots, and False for the
+    others; the critical-prices command prints it and the benchmark's
+    oracle reads it.
     """
 
     r_high: float
@@ -154,46 +166,29 @@ def _price_roots(params: ModelParams, intercept: np.ndarray,
 
 
 def _split_recursion(params: ModelParams, death: list, first: list, second: list,
-                     head_cuts) -> tuple[list, list]:
+                     head_cuts: int) -> tuple[list, list]:
     """The recursions of the module docstring on two lanes of per-state
     terms t_K, one list per lane: D_{K-1} = (lambda D_K + t_K) / nu_K from
     the top state down, and D_K = (nu_K D_{K-1} - t_K) / lambda from state 0
     up. The cuts K < head_cuts take the head side and the others the tail
     side, and each side runs only over its own cuts. The lanes' values at
     the cuts n..N-1 come back as two lists, level j's at j - 1.
-
-    For one policy the rates and terms are floats and head_cuts an int, and
-    the path makes no numpy call. For a block, a level's entries are arrays
-    with one entry per policy row, and head_cuts holds one count per row:
-    each side then runs over the cuts where any row takes it, and a row
-    takes its own side where both run. Every operation is elementwise, so
-    a row gets the bits of its policy alone.
     """
     lam, n, top = params.lambda_, params.n, len(death) - 1
-    if isinstance(head_cuts, int):
-        low = high = head_cuts
-    else:
-        low, high = int(head_cuts.min()), int(head_cuts.max())
     one, two = [None] * (top - n), [None] * (top - n)
     below_one = below_two = 0.0
-    for j in range(top, low, -1):
+    for j in range(top, head_cuts, -1):
         rate = death[j]
         below_one = (lam * below_one + first[j]) / rate
         below_two = (lam * below_two + second[j]) / rate
         one[j - 1 - n], two[j - 1 - n] = below_one, below_two
     above_one = above_two = 0.0
-    for j in range(high if high > n else 0):
+    for j in range(head_cuts if head_cuts > n else 0):
         rate = death[j]
         above_one = (rate * above_one - first[j]) / lam
         above_two = (rate * above_two - second[j]) / lam
-        if j < n:
-            continue
-        if j < low:
+        if j >= n:
             one[j - n], two[j - n] = above_one, above_two
-        else:
-            head = j < head_cuts
-            one[j - n] = np.where(head, above_one, one[j - n])
-            two[j - n] = np.where(head, above_two, two[j - n])
     return one, two
 
 
@@ -202,16 +197,14 @@ def _lines(params: ModelParams, death: list, cost: list, means: tuple,
     """(intercept, slope) of G(n,j) = price * slope + intercept, j = 1..m.
 
     death and cost are the per-state rates of _state_rates, and means
-    their _means: floats for one policy, or a level's array for a block
-    with one entry per policy row. The weights of _means come from
-    _weights, as _stationary's do, and are normalized before they weight
-    the rates, and every sum runs state by state. _split_recursion then
+    their _means. The weights of _means come from _weights, as
+    _stationary's do, and are normalized before they weight the rates,
+    and every sum runs state by state. _split_recursion then
     runs on the two affine parts of eta - f = R (A - a) + (b - B), where
     A = pi . a and B = pi . b, taking the head side at the cuts whose head
     mass (the running sum of the weights) is at most half the total. A
     normalizer or a line that is not finite (the weights overflow under
-    heavy load) raises NumericalError. The lines have shape (m,) for one
-    policy and (m, rows) for a block.
+    heavy load) raises NumericalError. Each line has shape (m,).
     """
     completion_rate, cost_rate, head_cuts = means
     lines = np.array(_split_recursion(
@@ -226,8 +219,7 @@ def _means(params: ModelParams, death: list, cost: list) -> tuple:
     B = pi . cost, summed state by state from _weights, and the number of
     cuts K that take the head side. The head mass only grows with K, so
     they are the first ones; below cut n no line is kept, so the count
-    starts there. Elementwise, like _lines. A normalizer that is not finite
-    raises NumericalError.
+    starts there. A normalizer that is not finite raises NumericalError.
     """
     weights = _weights(params.lambda_, death)
     heads = list(itertools.accumulate(weights))
@@ -247,26 +239,9 @@ def _record_means(record: PolicyRecord) -> tuple:
     return _means(record.params, record.death, record.cost)
 
 
-def _factor_lines(params: ModelParams, levels, digits: np.ndarray,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(intercept, slope) of G(n,j) for each policy row of a block.
-
-    Each of shape (rows, m): _lines on chain._block_rates of the block
-    (levels, digits), one array per level with an entry per row.
-    """
-    death, cost = _block_rates(params, levels, digits)
-    # Overflow and NaN in the rows are caught by _lines' finiteness checks.
-    with np.errstate(over="ignore", invalid="ignore"):
-        intercept, slope = _lines(params, death, cost, _means(params, death, cost))
-    return intercept.T, slope.T
-
-
 def _policy_lines(params: ModelParams, d: Policy) -> tuple[np.ndarray, np.ndarray]:
-    """(intercept, slope) of G(n,j) for one policy, each of shape (m,).
-
-    _lines on the Python floats of the policy record: a 1-row block is
-    slower.
-    """
+    """(intercept, slope) of G(n,j) for one policy, each of shape (m,):
+    _lines on the Python floats of the policy record."""
     return _policy_record(params, d).value(_record_lines)
 
 
@@ -413,40 +388,94 @@ def critical_price_state(params: ModelParams, d: Policy, j: int) -> float:
     return float(roots[j - 1])
 
 
-def critical_prices_global(params: ModelParams, space: str = "full",
-                           allow_large: bool = False) -> CriticalPrices:
+def _largest_roots(lam: float, wake: float, base: tuple, pairs: list):
+    """The largest root of G(n,j) + c over a product space, yielded for
+    j = 1..m in turn, by the module docstring's form; wake = k lambda.
+
+    pairs[j-1] holds level j's values as (r, b) = (nu / lambda, cost), and
+    base the (P, Q) of the states (i, 0). As every r > 0:
+    - Prefix. P = W_<= / xi_K and Q = B_<= / xi_K run P <- 1 + r P and
+      Q <- b + r Q, and alpha = (Q + wake) / P. Its maximum over the levels
+      below j comes by Dinkelbach's method (Management Science 13(7),
+      1967): at a trial t, V <- max over a level's values of (b - t) + r V
+      is exact level by level, and its path's alpha is the next t, until t
+      no longer rises. Level j starts from level j - 1's best prefix,
+      extended by its best value there.
+    - Suffix. lambda root = X at the top state, with X = alpha + wake r - b
+      at level j and X <- r X + (alpha - b) above, so the largest X at a
+      level extends the largest X below.
+    """
+    p, q = base
+    for j in range(len(pairs)):
+        if j:
+            _, p, q = max(((b + r * q + wake) / (1.0 + r * p), 1.0 + r * p, b + r * q)
+                          for r, b in pairs[j - 1])
+            t = (q + wake) / p
+            while True:
+                new_p, new_q = base
+                v = new_q - t * new_p
+                for level in pairs[:j]:
+                    v, r, b = max(((b - t) + r * v, r, b) for r, b in level)
+                    new_p, new_q = 1.0 + r * new_p, b + r * new_q
+                alpha = (new_q + wake) / new_p
+                if not alpha > t:
+                    break
+                t, p, q = alpha, new_p, new_q
+        alpha = (q + wake) / p
+        x = max(alpha + (wake * r - b) for r, b in pairs[j])
+        for level in pairs[j + 1:]:
+            x = max(r * x + (alpha - b) for r, b in level)
+        yield x / lam
+
+
+def critical_prices_global(params: ModelParams, space: str = "full") -> CriticalPrices:
     """R_H and R_L over a policy space.
 
     R_H = max{0, roots of G+c over all policies and levels}; R_L is the
-    minimum root. Degenerate (no-crossing) levels are skipped. Policies are
-    unranked by model._space_block in blocks (levels, digits) of the space,
-    each of BLOCK_SIZE cells (policies times levels), or of sqrt(BLOCK_SIZE)
-    policies where m passes that: _lines makes a few numpy calls per level
-    and block, which rows that few would not amortize. Every row's roots
-    are its policy's alone, so no block size moves a bit. params are
-    validated as optimize validates them. A space of more than
-    model.SPACE_SIZE_LIMIT policies (full past m = 8, reduced past m = 10,
-    bang_bang past m = 25) raises GateError before any block, unless
-    allow_large is set.
+    minimum root. params are validated as optimize validates them. The
+    threshold space's m + 1 policies are taken one at a time, their roots
+    by _price_roots on _policy_lines, as perturbation_factors forms them,
+    skipping the degenerate (NaN) levels.
+
+    The product spaces take O(m^2) at any size: R_H from _largest_roots,
+    and R_L as minus _largest_roots with every cost and k negated, bit for
+    bit, as IEEE rounding is symmetric. A level's values enter only through
+    nu and b: over 0..j both are affine in the value, and above j nu is
+    constant and the cost rises, so every extreme lies at the level's least
+    value, j or its largest, up to the rounding of the rates; only those
+    are read. The extremes are formed level by level, so a root that is
+    not a finite double (the running products of nu / lambda overflow at
+    light load) raises NumericalError at the first level that has one.
     """
     require_valid(params)
-    total = _gated_size(params.m, space, allow_large)
-
-    r_high = 0.0
-    r_low = np.inf
-    rows = max(BLOCK_SIZE // params.m, math.isqrt(BLOCK_SIZE))
-    for start in range(0, total, rows):
-        chunk = np.arange(start, min(start + rows, total))
-        lines = _factor_lines(params, *_space_block(params.m, space, chunk))
-        roots, _ = _price_roots(params, *lines)
-        roots = roots[~np.isnan(roots)]
-        if roots.size:
-            r_high = max(r_high, float(roots.max()))
-            r_low = min(r_low, float(roots.min()))
-    if r_low == np.inf:  # every level degenerate
-        r_low = np.nan
-    return CriticalPrices(r_high=float(r_high), r_low=float(r_low),
-                          search_space=space, exact=(space == "full"))
+    if space == "threshold":
+        extremes = [(np.fmax.reduce(roots), np.fmin.reduce(roots)) for roots, _ in (
+            _price_roots(params, *_policy_lines(params, threshold_policy(params.m, theta)))
+            for theta in range(1, params.m + 2))]
+        highs, lows = zip(*extremes)
+        return CriticalPrices(r_high=float(np.fmax.reduce([0.0, *highs])),
+                              r_low=float(np.fmin.reduce(lows)),
+                              search_space=space, exact=False)
+    n, lam, wake = params.n, params.lambda_, _wake_cost(params) * params.lambda_
+    levels = [sorted({values[0], j, values[-1]})
+              for j, values in enumerate(_level_values(params.m, space), start=1)]
+    death, cost, start = _value_rates(params, levels)
+    pairs = [(rate / lam, c) for rate, c in zip(death, cost)]
+    p, q = 1.0, cost[0]
+    for r, c in pairs[1:n + 1]:
+        p, q = 1.0 + r * p, c + r * q
+    pairs = [pairs[n + 1 + a:n + 1 + z] for a, z in zip(start, start[1:])]
+    r_high, r_low = 0.0, math.inf
+    for j, (top, bottom) in enumerate(zip(
+            _largest_roots(lam, wake, (p, q), pairs),
+            _largest_roots(lam, -wake, (p, -q),
+                           [[(r, -c) for r, c in level] for level in pairs])), start=1):
+        if not (math.isfinite(top) and math.isfinite(bottom)):
+            raise NumericalError(f"a critical price of level {j} is not a finite double; "
+                                 "the running products of nu/lambda overflow")
+        r_high, r_low = max(r_high, top), min(r_low, -bottom)
+    return CriticalPrices(r_high=r_high, r_low=r_low, search_space=space,
+                          exact=(space == "full"))
 
 
 def performance_difference(params: ModelParams, d: Policy,

@@ -10,12 +10,19 @@ enumeration tree.
 
 import numpy as np
 
-from sleepq.chain import _level_tables, _require_finite, _value_index, _value_rates
+from sleepq.chain import _level_tables, _require_finite, _value_rates
+
+
+def _value_index(start: list, digits: np.ndarray) -> np.ndarray:
+    """The (m, rows) index of the rows of digits into tables laid out by
+    start, C-contiguous: the cumulations run down its level axis."""
+    return np.ascontiguousarray(digits.T) + np.array(start[:-1])[:, None]
 
 
 def block_profits(params, levels, digits: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    """Average profit of each policy row of the block (levels, digits) of
-    chain._block_rates: one row per price.
+    """Average profit of each policy row of a block: value sets levels
+    with a (rows, m) integer array digits, row r taking value
+    levels[j][digits[r, j]] at level j + 1. One row per price.
 
     Same closed form as policy_profit on the tables of _level_tables of
     the _value_rates of levels, gathered level-major, with the weights and

@@ -8,10 +8,13 @@ form and the cut identity
     lambda * pi_K * Delta_K = sum_{i<=K} pi_i (eta - f_i),
 
 with Delta_K = g_{K+1} - g_K and f = R*a - b, a the completion rates and b
-the cost rates of the states. The potentials are anchored as solve_poisson
+the cost rates of the states. f, and with it each G(n,j) + c, is affine in
+the price R, so each level's root, the price where G(n,j) + c = 0, follows
+from the cut identity at two prices. The potentials are anchored as solve_poisson
 anchors them by default: g_0 = 1 and g_{K+1} = g_K + Delta_K.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,3 +70,47 @@ def exact_eta(params, d) -> Fraction:
         weights.append(weights[-1] * lam / rate)
     return (sum(w * (price * rate - c) for w, rate, c in zip(weights, death, cost))
             / sum(weights))
+
+
+def exact_roots(params, d) -> list:
+    """The root of G(n,j) + c in the price R for j = 1..m, as Fractions.
+
+    With the weights xi, T = sum xi and F(R) = sum xi f(R), the cut
+    identity at K = n + j - 1 gives G(n,j) + c = -H(R) / Z + R - k, where
+    H(R) = sum_{i<=K} xi_i (F(R) - T f_i(R)), Z = lambda xi_K T and
+    k = (P2W - P2S) C1 / mu2. H is affine in R, so the root is
+    (H(0) + k Z) / (H(0) - H(1) + Z). The float rates are dyadic, so with
+    every rate and lambda times one power of two, and the weights times
+    the product of the death rates, all but k are integers, and the
+    common scales cancel from the root.
+    """
+    death, cost = _state_rates(params, d)
+    # Floats are dyadic: scale, the largest denominator, clears them all.
+    ratios = [x.as_integer_ratio() for x in (params.lambda_, *death, *cost)]
+    scale = max(den for _, den in ratios)
+    lam, *rates = (num * (scale // den) for num, den in ratios)
+    nu, b = rates[:len(death)], rates[len(death):]
+    # weights[i] = lam^i prod_{l>i} nu_l, xi_i times prod_{l>=1} nu_l, each
+    # from the last by an exact division.
+    weights = [math.prod(nu[1:])]
+    for rate in nu[1:]:
+        weights.append(weights[-1] * lam // rate)
+    total = sum(weights)
+    wake_cost = ((Fraction(params.p2_work) - Fraction(params.p2_sleep))
+                 * Fraction(params.c_energy) / Fraction(params.mu2))
+    k, k_den = wake_cost.as_integer_ratio()
+    # H(R) = F(R) W_K - T Phi_K(R), with W_K and Phi_K(R) the sums of xi and
+    # of xi f(R) over the states i <= K.
+    heads = []
+    for price in (0, 1):
+        terms = [w * (price * rate - c) for w, rate, c in zip(weights, nu, b)]
+        profit = sum(terms)
+        mass, head_profit, at_cuts = 0, 0, []
+        for cut, (w, term) in enumerate(zip(weights[:-1], terms)):
+            mass += w
+            head_profit += term
+            if cut >= params.n:
+                at_cuts.append(profit * mass - total * head_profit)
+        heads.append(at_cuts)
+    return [Fraction(at0 * k_den + k * z, (at0 - at1 + z) * k_den)
+            for z, at0, at1 in zip((lam * w * total for w in weights[params.n:]), *heads)]

@@ -27,7 +27,7 @@ from sleepq import (
     stationary_numeric,
 )
 from sleepq import build_reward, chain
-from sleepq.chain import MEMO_SIZE, _block_rates, _state_rates
+from sleepq.chain import MEMO_SIZE, _state_rates, _value_rates
 from conftest import (
     draw_instance,
     draw_params,
@@ -139,17 +139,18 @@ def test_closed_form_operation_order():
             assert sol.xi[k] == sol.xi[k - 1] * params.lambda_ / aff.a[k]
         deaths = np.diagonal(build_generator(params, d).matrix, -1)
         assert deaths.tobytes() == aff.a[1:].tobytes()
-        # A block's level rates are gathered from its levels' value sets,
-        # one array per level with an entry per policy row; each row's rates
-        # and costs are its policy's, bit for bit.
+        # The rates of every value of some value sets, one set per level,
+        # are those of each policy that takes the value, bit for bit.
         rows = list(dict.fromkeys(
             [d] + [random_policy(block_rng, params.m) for _ in range(5)]))
-        block = _block_rates(params, *level_block(rows))
+        levels, digits = level_block(rows)
+        death, cost, start = _value_rates(params, levels)
         low = params.n + 1
-        for k, row in enumerate(rows):
-            for rates, want in zip(block, _state_rates(params, row)):
-                got = np.array(rates[:low] + [level[k] for level in rates[low:]])
-                assert got.tobytes() == np.array(want).tobytes()
+        for row, picks in zip(rows, digits.tolist()):
+            for rates, want in zip((death, cost), _state_rates(params, row)):
+                got = rates[:low] + [rates[low + start[j] + pick]
+                                     for j, pick in enumerate(picks)]
+                assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_a_numpy_policy_is_one_policy():

@@ -112,8 +112,8 @@ def test_every_command_documents_its_options():
     search = {"critical-prices", "optimize", "price-sweep"}
     assert helps("--policy") == dict.fromkeys(policy, "comma-separated policy")
     assert helps("--space").keys() == search
-    assert helps("--allow-large") == dict.fromkeys(
-        search, "override the search-space size gate")
+    assert helps("--allow-large") == {
+        "optimize": "override the search-space size gate of --top-k"}
     assert {name for name, p in sub.choices.items()
             if p.get_default("handler") is None} == {"validate"}
 
@@ -265,32 +265,34 @@ def test_policy_from_an_args_file(tmp_path, capsys):
 
 
 def test_full_space_gate_exits_3(tmp_path, capsys):
-    # The policy iteration enumerates nothing and answers; a ranking walks
-    # the 10^9 policies, which the gate refuses.
+    # The policy iteration and the critical prices' per-level DPs enumerate
+    # nothing and answer; a ranking walks the 10^9 policies, which the gate
+    # refuses.
     path = write_model(tmp_path, m=9)
     assert main(["optimize", "--model", path, "--space", "full"]) == 0
     assert "policies evaluated: 1000000000\n" in capsys.readouterr().out
+    assert main(["critical-prices", "--model", path]) == 0
+    assert "R_H: " in capsys.readouterr().out
     assert main(["optimize", "--model", path, "--space", "full", "--top-k", "1"]) == 3
     assert "allow_large" in capsys.readouterr().err
 
 
-def test_critical_price_gate_exits_3(tmp_path, capsys):
-    path = write_model(tmp_path, m=9)
-    assert main(["critical-prices", "--model", path]) == 3
-
-
 @pytest.mark.parametrize("m", [1371, 1558, 2000, 20000])
 def test_gate_exits_3_past_the_digits_python_writes(tmp_path, capsys, m):
-    # A size of more than 4300 digits still gives the gate's refusal, and
-    # optimize, which enumerates nothing, prints it as its evaluations: at
-    # m = 20 000, "(m+1)^m (86022 digits)" and "(m+1)! (77342 digits)"
-    # (test_model.py pins those texts).
+    # A size of more than 4300 digits still gives the gate's refusal of a
+    # ranking, and optimize, which enumerates nothing, prints it as its
+    # evaluations: at m = 20 000, "(m+1)^m (86022 digits)" and "(m+1)!
+    # (77342 digits)" (test_model.py pins those texts). The critical
+    # prices enumerate nothing either, and refuse level 1's smallest root,
+    # which is not a double from m = 200.
     path = write_model(tmp_path, lambda_=2.0, n=2, m=m)
+    assert main(["optimize", "--model", path, "--top-k", "1"]) == 3
+    assert "allow_large" in capsys.readouterr().err
     for command in (["critical-prices"],
                     ["price-sweep", "--space", "full", "--from", "0", "--to", "1",
                      "--steps", "2"]):
-        assert main([*command, "--model", path]) == 3
-        assert "allow_large" in capsys.readouterr().err
+        assert main([*command, "--model", path]) == 4
+        assert "level 1 is not a finite double" in capsys.readouterr().err
     for space in ("full", "reduced"):
         assert main(["optimize", "--space", space, "--model", path]) == 0
         size = _size_text(policy_space_size(m, space), space)
@@ -314,27 +316,37 @@ def test_optimize_command_forms_the_space_size_once(tmp_path, capsys, monkeypatc
     want = _size_text(policy_space_size(20, space), space)
     assert f"policies evaluated: {want}\n" in capsys.readouterr().out
     assert sizes == [(20, space)]
+    # A ranking forms it once too, in the size gate, which the walk reads.
+    sizes.clear()
+    path = write_model(tmp_path, lambda_=2.0, n=2, m=4)
+    assert main(["optimize", "--space", space, "--top-k", "2", "--model", path]) == 0
+    capsys.readouterr()
+    assert sizes == [(4, space)]
 
 
 def test_gate_override_runs(model_file, capsys, monkeypatch):
     import sleepq.model as model_mod
 
     monkeypatch.setattr(model_mod, "SPACE_SIZE_LIMIT", 0)
-    assert main(["critical-prices", "--model", model_file, "--space", "full"]) == 3
+    assert main(["optimize", "--model", model_file, "--top-k", "1"]) == 3
     capsys.readouterr()
-    assert main(["critical-prices", "--model", model_file, "--space", "full",
+    assert main(["optimize", "--model", model_file, "--top-k", "1",
                  "--allow-large"]) == 0
+    assert "best policy: " in capsys.readouterr().out
+    # The critical prices take no gate.
+    assert main(["critical-prices", "--model", model_file]) == 0
     assert "R_H: " in capsys.readouterr().out
 
 
-def test_bang_bang_critical_prices_exit_3_at_scale(tmp_path, capsys):
+def test_bang_bang_critical_prices_answer_at_scale(tmp_path, capsys):
     # The critical prices of the 2^100 bang-bang policies, in price-sweep
-    # too, were enumerated by a call that never returned.
+    # too, were enumerated by a call that never returned, and then refused
+    # by the size gate; the per-level DPs answer.
     path = write_model(tmp_path, lambda_=2.0, n=2, m=100)
     for command in (["critical-prices"],
                     ["price-sweep", "--from", "0", "--to", "20", "--steps", "25"]):
-        assert main([*command, "--space", "bang_bang", "--model", path]) == 3
-        assert "allow_large" in capsys.readouterr().err
+        assert main([*command, "--space", "bang_bang", "--model", path]) == 0
+        assert "R_L: -4.69822549969e+131" in capsys.readouterr().out
 
 
 def test_threshold_table(model_file, capsys):
@@ -370,10 +382,16 @@ def test_monotonicity_violation_exits_4(model_file, capsys):
     "monotonicity --policy 1,2,3 --j 2"])
 def test_heavy_load_commands_exit_4(tmp_path, capsys, command):
     # The stationary weights overflow, so every profit is NaN: every command
-    # that reads the level tables refuses the load, as every space unranks
-    # its blocks through model._space_block.
+    # that reads the level tables or a policy's realization factors refuses
+    # the load. The critical prices of a product space read neither: their
+    # per-level DPs sum ratios of weights, which stay bounded, and answer
+    # (test_sensitivity.py checks their values against exact ones).
     path = write_model(tmp_path, n=1000, lambda_=1000.0, mu1=1.0, m=3)
     name, *rest = command.split()
+    if name == "critical-prices" and "threshold" not in rest:
+        assert main([name, "--model", path, *rest]) == 0
+        assert "R_L: -5.10" in capsys.readouterr().out
+        return
     assert main([name, "--model", path, *rest]) == 4
     err = capsys.readouterr().err
     assert "numerical failure" in err and "not finite" in err

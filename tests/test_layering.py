@@ -74,3 +74,26 @@ def test_only_chain_and_sim_form_the_rates():
                 for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr in RATE_FIELDS]
     assert not bad, "\n".join(bad)
+
+
+# The names of enumeration: the unrankers, the block size and the size gate.
+# model defines them, and only optimize's rankings enumerate a space; the
+# package facade re-exports the gate's public limit.
+ENUMERATION_NAMES = {"_space_block", "_policy_block", "BLOCK_SIZE", "_gated_size",
+                     "SPACE_SIZE_LIMIT"}
+ENUMERATING = {"model": ENUMERATION_NAMES, "optimize": ENUMERATION_NAMES,
+               "__init__": {"SPACE_SIZE_LIMIT"}}
+
+
+def test_only_optimize_enumerates():
+    bad = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        barred = ENUMERATION_NAMES - ENUMERATING.get(path.stem, set())
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in barred:
+                bad.append(f"{path.name}:{node.lineno} refers to {name}")
+    assert not bad, "\n".join(bad)

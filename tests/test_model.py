@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sleepq
-import sleepq.sensitivity as SENS
 from sleepq import (
     ConfigError,
     GateError,
@@ -287,12 +286,11 @@ def test_one_size_gate_for_every_enumerating_search(monkeypatch, space, m):
     def enumerate_past_the_gate(*args):
         raise _PastTheGate
 
-    monkeypatch.setattr(SENS, "_space_block", enumerate_past_the_gate)
+    # The critical prices enumerate nothing since their per-level DPs, and
+    # take no gate.
     monkeypatch.setattr(OPT, "_product_candidates", enumerate_past_the_gate)
     searches = [
         lambda size, allow: next(iter(enumerate_policies(size, space, allow))),
-        lambda size, allow: sleepq.critical_prices_global(
-            micro_params(m=size), space, allow_large=allow),
         lambda size, allow: sleepq.optimize(
             micro_params(m=size), space, allow_large=allow, top_k=2)]
     for search in searches:
@@ -313,14 +311,15 @@ def test_one_size_gate_for_every_enumerating_search(monkeypatch, space, m):
 def test_gate_refuses_a_size_past_the_digits_python_writes(space, m):
     # Python writes no int of more than 4300 digits: past that, the
     # refusal gives the size's formula and digit count instead, and so
-    # does the evaluations of optimize, which answers without enumerating.
+    # does the evaluations of optimize, which answers without enumerating
+    # unless it ranks.
     size = policy_space_size(m, space)
     digits = decimal.Decimal(size).adjusted() + 1
     formula = {"full": "(m+1)^m", "reduced": "(m+1)!"}[space]
     text = str(size) if digits <= 4300 else f"{formula} ({digits} digits)"
     params = micro_params(lambda_=2.0, n=2, m=m)
     for call in (lambda: enumerate_policies(m, space),
-                 lambda: sleepq.critical_prices_global(params, space)):
+                 lambda: sleepq.optimize(params, space, top_k=1)):
         with pytest.raises(GateError, match="allow_large") as refused:
             call()
         assert f"has {text} members for m={m}" in str(refused.value)

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import sleepq.model as MODEL
 import sleepq.sensitivity as SENS
 from sleepq import (
     ConfigError,
+    ConsistencyError,
     GateError,
     ModelParams,
     NumericalError,
@@ -23,6 +25,7 @@ from sleepq import (
     enumerate_policies,
     optimal_extreme_prices,
     optimize,
+    params_to_text,
     policy_profit,
     policy_space_size,
     price_constant,
@@ -32,6 +35,7 @@ from sleepq import (
     verify_monotonicity,
 )
 from sleepq.chain import _rates, _state_rates
+from sleepq.cli import main
 from sleepq.model import _level_values, _policy_block, _space_block
 from sleepq.sensitivity import CriticalPrices, _margins, _skew
 from block import block_profits
@@ -113,7 +117,7 @@ def _profits(params, block):
 
 def _walk_best(params, space):
     """(best_policy, best_eta) of the enumeration walk alone."""
-    [(neg, policy)] = OPT._rankings(params, space, 1)
+    [(neg, policy)] = OPT._rankings(params, space, 1, policy_space_size(params.m, space))
     return policy, -neg
 
 
@@ -412,7 +416,7 @@ def test_threshold_and_monotonicity_memory_is_linear_in_m(search, bound):
 
 def test_threshold_price_sweep_memory_does_not_grow_with_the_grid():
     # 25 prices of a block of the m + 1 policies held a 16 MiB traced peak
-    # at m = 200; the peak left is critical_prices_global's own block.
+    # at m = 200; the critical prices take one policy at a time.
     params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=200)
     (rows, _), peak = _traced_peak(
         lambda: OPT.price_sweep(params, np.linspace(0.0, 20.0, 25), "threshold"))
@@ -769,13 +773,16 @@ def test_many_chunks_refuse_an_overflow_without_a_warning(space, m, monkeypatch)
             params, m=m, lambda_=params.mu1 * 10.0 ** (320 / (params.n + m)))
         with pytest.raises(NumericalError, match="profits are not finite"):
             optimize(params, space, top_k=3)
-        # price_sweep refuses in its critical prices, before its search, so
-        # the walk is run on its own at every grid price too.
+        # price_sweep's critical prices answer, as their prefix and suffix
+        # sums are ratios of weights, and its policy iteration refuses the
+        # realization factors; the walk is run on its own at every grid
+        # price too.
         with pytest.raises(NumericalError, match="not finite"):
             OPT.price_sweep(params, grid, space)
         for r in grid:
             with pytest.raises(NumericalError, match="profits are not finite"):
-                OPT._rankings(dataclasses.replace(params, price=r), space, 1)
+                OPT._rankings(dataclasses.replace(params, price=r), space, 1,
+                              policy_space_size(m, space))
 
 
 def test_whole_space_ranking_unranks_every_policy_once(monkeypatch):
@@ -836,11 +843,8 @@ def test_the_wide_model_answers_at_scale(monkeypatch):
     res, peak = _traced_peak(lambda: optimize(params, "full"))
     value, bound = _margins(params, res.best_policy, params.price, _skew(params))
     assert (np.abs(value) > bound).all() and peak < 8 * 2**20
-    # The sweep's R_H and R_L enumerate the 2^100 policies, which the size
-    # gate refuses, so they are stubbed: the search at each grid price is
-    # what is checked here.
-    monkeypatch.setattr(OPT, "critical_prices_global",
-                        lambda *args, **kwargs: CriticalPrices(np.nan, np.nan, "bang_bang", False))
+    # The sweep's R_H and R_L come from the per-level DPs, which enumerate
+    # none of the 2^100 policies.
     params = dataclasses.replace(wide, m=100)
     rows, _ = OPT.price_sweep(params, np.linspace(0.0, 20.0, 25), "bang_bang")
     assert len(rows) == 25
@@ -852,17 +856,23 @@ def test_the_wide_model_answers_at_scale(monkeypatch):
 
 def test_bang_bang_critical_prices_are_refused_at_scale(monkeypatch):
     # The 2^100 bang-bang policies of the wide model were enumerated by the
-    # critical prices, which no call finished, in price_sweep too. The gate
-    # refuses them before any block is unranked.
+    # critical prices, which no call finished, in price_sweep too. The
+    # per-level DPs unrank no policy; from m = 200 the smallest root of
+    # level 1 is not a double, and every product space refuses it there,
+    # in O(m).
     def unrank(*args):
         raise AssertionError("a block was unranked")
 
-    monkeypatch.setattr(SENS, "_space_block", unrank)
-    params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=100)
-    for search in (lambda: critical_prices_global(params, "bang_bang"),
-                   lambda: OPT.price_sweep(params, np.linspace(0.0, 20.0, 25), "bang_bang")):
-        with pytest.raises(GateError, match=f"has {2**100} members for m=100"):
-            search()
+    monkeypatch.setattr(MODEL, "_space_block", unrank)
+    for m in (1000, 2000):
+        params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=m)
+        for space in ("full", "reduced", "bang_bang"):
+            for search in (lambda: critical_prices_global(params, space),
+                           lambda: OPT.price_sweep(params, [0.0, 20.0], space)):
+                start = time.perf_counter()
+                with pytest.raises(NumericalError, match="level 1 is not a finite double"):
+                    search()
+                assert time.perf_counter() - start < 0.25, (m, space)
 
 
 def test_space_gate_and_override(monkeypatch):
@@ -1062,8 +1072,7 @@ def test_affine_tail_slope_matches_direct_sweep():
     ("full", 4), ("reduced", 5), ("bang_bang", 7), ("threshold", 9)])
 def test_price_sweep_equals_per_point_optimize(space, m_max, monkeypatch):
     # The sweep's search from the previous row's policy must give each
-    # price the optimize answer bit for bit, whatever the critical prices'
-    # chunks.
+    # price the optimize answer bit for bit.
     rng = np.random.default_rng(53)
     corpus = [draw_params(rng, n_max=6, m_max=m_max) for _ in range(4)]
     corpus.append(micro_params(n=2, m=m_max, c_energy=0.0, lambda_=1.7))  # ties
@@ -1071,12 +1080,9 @@ def test_price_sweep_equals_per_point_optimize(space, m_max, monkeypatch):
         grid = [float(r) for r in np.linspace(0.0, rng.uniform(5.0, 60.0), 25)]
         want = [optimize(dataclasses.replace(params, price=r), space)
                 for r in grid]
-        with monkeypatch.context() as patch:
-            # Critical prices in chunks of 50 cells.
-            patch.setattr(importlib.import_module("sleepq.sensitivity"), "BLOCK_SIZE", 50)
-            rows, _ = OPT.price_sweep(params, grid, space)
-            for (r, d, eta, *_), res in zip(rows, want):
-                assert (d, eta) == (res.best_policy, res.best_eta), (params, r)
+        rows, _ = OPT.price_sweep(params, grid, space)
+        for (r, d, eta, *_), res in zip(rows, want):
+            assert (d, eta) == (res.best_policy, res.best_eta), (params, r)
         if params.m <= 4:
             # An oracle that shares no code with the search.
             policies = list(enumerate_policies(params.m, space))
@@ -1093,6 +1099,28 @@ def test_price_sweep_equals_per_point_optimize(space, m_max, monkeypatch):
 def test_price_sweep_refuses_an_empty_grid_and_negative_prices(grid, message):
     with pytest.raises(ValueError, match=message):
         OPT.price_sweep(micro_params(m=2), grid)
+
+
+@pytest.mark.parametrize("space", ["full", "threshold"])
+def test_price_sweep_reconciles_eta_with_the_affine_form(space, monkeypatch, tmp_path,
+                                                         capsys):
+    # Every row's eta must equal R * completion_rate - cost_rate of its
+    # policy; a completion rate off by 1e-6 leaves that form at R > 0.
+    components = OPT.profit_components
+
+    def shifted(*args):
+        completions, cost = components(*args)
+        return completions + 1e-6, cost
+
+    monkeypatch.setattr(OPT, "profit_components", shifted)
+    params = micro_params(n=2, m=3)
+    with pytest.raises(ConsistencyError, match="deviates from the affine form"):
+        OPT.price_sweep(params, [0.0, 5.0, 10.0], space)
+    model = tmp_path / "model.cfg"
+    model.write_text(params_to_text(params))
+    assert main(["price-sweep", "--model", str(model), "--from", "0", "--to", "10",
+                 "--steps", "3", "--space", space]) == 4
+    assert "deviates from the affine form" in capsys.readouterr().err
 
 
 def test_price_sweep_refuses_non_finite_prices_before_searching(monkeypatch):

@@ -32,7 +32,7 @@ from sleepq import (
     solve_poisson,
     stationary_closed_form,
 )
-from sleepq.chain import _block_rates, _state_rates
+from sleepq.chain import _state_rates
 from sleepq.potential import SOLVE_METHODS, _band_product, _triangles, reduced_matrix
 from exact import exact
 from conftest import (
@@ -129,13 +129,11 @@ def _count_calls(monkeypatch, func):
         "perturbation_factors"])
 def test_one_scalar_pass_per_call(call, monkeypatch):
     # The generator, pi and f (or the factor recursion) of one call all come
-    # from one pass, never from a 1-row block.
+    # from one pass.
     calls = _count_calls(monkeypatch, _state_rates)
-    block_calls = _count_calls(monkeypatch, _block_rates)
     params = micro_params(n=2, m=3)
     call(params, (0, 2, 3))
     assert len(calls) == 1
-    assert not block_calls
 
 
 def test_performance_difference_one_pass_per_policy(monkeypatch):

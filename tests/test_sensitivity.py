@@ -2,6 +2,8 @@
 
 import dataclasses
 import importlib
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from sleepq import (
     ConfigError,
     ConsistencyError,
     DegeneratePriceError,
-    GateError,
     ModelParams,
     NumericalError,
     critical_price_state,
@@ -26,19 +27,18 @@ from sleepq import (
 )
 from sleepq.model import enumerate_policies
 from sleepq.potential import SOLVE_METHODS
-from sleepq.sensitivity import _factor_lines, _policy_lines
+from sleepq.sensitivity import _policy_lines
 from conftest import (
     draw_change_pair,
     draw_instance,
     draw_params,
     heavy_instance,
-    level_block,
     micro_params,
     random_policy,
     sleepy_params,
     wide_light_instance,
 )
-from exact import exact
+from exact import exact, exact_roots
 
 # The package exports functions under some of its modules' names.
 chain, model, sensitivity = (importlib.import_module(f"sleepq.{name}")
@@ -243,9 +243,10 @@ def test_critical_prices_sleepy_regime(sleepy):
 
 
 def test_critical_prices_gate():
+    # The size gate covers only the searches that enumerate: the 10^9
+    # policies of the full space at m = 9 are searched by the per-level DPs.
     params = micro_params(m=9)
-    with pytest.raises(GateError, match="allow_large"):
-        critical_prices_global(params)
+    assert critical_prices_global(params).exact
     crit = critical_prices_global(params, "threshold")
     assert not crit.exact
 
@@ -331,22 +332,6 @@ def test_level_must_be_an_integer_in_range(j):
         sign_conservation_check(params, (0, 2, 3), (0, 2, 3), j)
 
 
-def test_policy_lines_match_block_lines():
-    # One policy's lines come from the scalar pass, a search's from a block
-    # of policies; one body runs both, so they agree bit for bit. The rows
-    # of one block pass the median of pi at different levels, so the block
-    # runs both recursions there and selects per row.
-    rng = np.random.default_rng(38)
-    corpus = [draw_instance(rng, n_max=12, m_max=12) for _ in range(200)]
-    corpus += [wide_light_instance(rng) for _ in range(10)]
-    for params, d in corpus + _heavy_corpus():
-        rows = [d, (0,) * params.m, tuple(range(1, params.m + 1))]
-        block = _factor_lines(params, *level_block(rows))
-        for k, row in enumerate(rows):
-            for got, want in zip(_policy_lines(params, row), block):
-                assert got.tobytes() == want[k].tobytes(), (params, row)
-
-
 def _refuses(lines, params, d):
     try:
         lines(params, d)
@@ -370,42 +355,84 @@ def test_policy_and_block_lines_refuse_the_same_draws():
         # Weights 1, 1e308, 1e308: each finite, their sum not.
         (micro_params(lambda_=1.0, mu1=1e-308, mu2=1.0, n=1, m=1), (1,)),
     ]
-    refused = []
-    for params, d in corpus + overflowing:
-        block = _refuses(lambda p, x: _factor_lines(p, *level_block([x])), params, d)
-        assert _refuses(_policy_lines, params, d) == block, (params, d)
-        refused.append(block)
-    assert refused[-len(overflowing):] == [True] * len(overflowing)
+    refused = [_refuses(_policy_lines, params, d) for params, d in corpus + overflowing]
+    assert refused == [False] * len(corpus) + [True] * len(overflowing)
 
 
-def test_both_shapes_refuse_the_same_draws_at_the_overflow_edge():
-    # Weights near the float maximum: xi * nu overflows where pi * nu does
-    # not, so the block shape must normalize before weighting the rates.
-    rng = np.random.default_rng(102)
-    refused = 0
-    for _ in range(2000):
-        mu2 = float(10.0 ** rng.uniform(-3.0, -1.0))
-        m = int(rng.integers(100, 200))
-        params = micro_params(lambda_=10.0, mu1=0.1, mu2=mu2, n=1, m=m)
-        d = random_policy(rng, m)
-        block = _refuses(lambda p, x: _factor_lines(p, *level_block([x])), params, d)
-        assert _refuses(_policy_lines, params, d) == block, (params, d)
-        refused += block
-    assert 0 < refused < 2000
+def _close(got, want) -> bool:
+    """got within 1e-12 max(1, |want|) of the Fraction want."""
+    return abs(got - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
 
 
 def test_per_policy_roots_lie_within_global_prices():
-    # R_H and R_L are taken over blocks of policies, each policy's roots
-    # from its own scalar pass; both run one body, so no tolerance is due.
+    # R_H and R_L come from the per-level DPs, each policy's roots here from
+    # tests/exact.py, so the bound carries the DPs' rounding.
     rng = np.random.default_rng(7)
     for _ in range(60):
         params = draw_params(rng, n_max=6, m_max=4)
         crit = critical_prices_global(params, "full")
         low, high = crit.r_low, max(crit.r_high, 0.0)
         for d in enumerate_policies(params.m, "full"):
-            roots = perturbation_factors(params, d).crit_prices
-            roots = roots[~np.isnan(roots)]
-            assert np.all((roots >= low) & (roots <= high)), (params, d)
+            roots = exact_roots(params, d)
+            assert _close(low, min(low, min(roots))), (params, d)
+            assert _close(high, max(high, max(roots))), (params, d)
+
+
+def _exact_extremes(params, space):
+    """(max{0, roots}, min{roots}) over every policy of a space, exactly."""
+    roots = [root for d in enumerate_policies(params.m, space)
+             for root in exact_roots(params, d)]
+    return max(0, *roots), min(roots)
+
+
+def test_critical_prices_equal_the_exact_extremes_of_enumerated_roots():
+    # The enumeration over float roots dropped the extreme root where its
+    # R-slope fell below DEGENERATE_EPS, and was off by up to 0.996 on
+    # light-load bang-bang draws (n=4, m=7, lambda=0.172: -3.0e12 for the
+    # exact -8.04e14).
+    rng = np.random.default_rng(5)
+    corpus = [draw_params(rng, n_max=5, m_max=8) for _ in range(60)]
+    rng = np.random.default_rng(2026)
+    corpus += [dataclasses.replace(params, m=min(params.m, 6))
+               for params, _ in (heavy_instance(rng) for _ in range(20))]
+    for params in corpus:
+        for space, m_max in (("bang_bang", 8), ("reduced", 5), ("full", 4)):
+            if params.m <= m_max:
+                crit = critical_prices_global(params, space)
+                high, low = _exact_extremes(params, space)
+                assert _close(crit.r_high, high) and _close(crit.r_low, low), (params, space)
+
+
+def test_heavy_load_critical_prices_equal_their_exact_values():
+    # The weights of n = 1000 servers at lambda = 1000 overflow, and the
+    # enumeration refused them; the DPs' prefix and suffix sums are ratios
+    # of weights and stay bounded.
+    params = micro_params(n=1000, lambda_=1000.0, mu1=1.0, m=3)
+    for space in ("full", "reduced", "bang_bang"):
+        crit = critical_prices_global(params, space)
+        high, low = _exact_extremes(params, space)
+        assert _close(crit.r_high, high) and _close(crit.r_low, low), space
+
+
+def test_wide_model_bang_bang_r_low_at_m_20():
+    # The exact minimum of the roots of tests/exact.py over the 2^20
+    # bang-bang policies of the wide model, found by enumerating them all:
+    # level 1 of (0, 2, 3, ..., 20). The enumeration over float roots gave
+    # -5.60e12, 0.99 off.
+    params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=20)
+    want = Fraction(-747609284432150699588849821379, 2**50)
+    assert exact_roots(params, (0, *range(2, 21)))[0] == want
+    got = critical_prices_global(params, "bang_bang").r_low
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_bang_bang_critical_prices_take_o_m2_on_the_wide_model():
+    # The 2^100 bang-bang policies of the wide model: the enumeration never
+    # finished them.
+    params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=100)
+    start = time.perf_counter()
+    critical_prices_global(params, "bang_bang")
+    assert time.perf_counter() - start < 0.1
 
 
 def _per_policy_critical_prices(params, space):
@@ -445,36 +472,19 @@ def test_critical_prices_global_matches_per_policy_poisson(space, m_max):
             assert gap <= 1e-10 * max(1.0, abs(want)), (params, got, want)
 
 
-@pytest.mark.parametrize("space, m", [("full", 4), ("reduced", 5),
-                                      ("bang_bang", 6), ("threshold", 6)])
-def test_critical_prices_do_not_depend_on_block_size(space, m, monkeypatch):
-    import sleepq.sensitivity as sens_mod
-
-    params = sleepy_params(m=m)
-    whole = critical_prices_global(params, space)
-    monkeypatch.setattr(sens_mod, "BLOCK_SIZE", 3)
-    assert critical_prices_global(params, space) == whole
-
-
-def test_critical_prices_chunk_the_threshold_space_by_cells(monkeypatch):
-    # The m + 1 threshold policies of the wide model are unranked in
-    # chunks of sqrt(BLOCK_SIZE) = 256 policies from m = 256 on: two at
-    # m = 400, with the bits of one block of all of them. At m = 1000 one
-    # block held a 64.9 MiB traced peak, growing as m^2; four chunks hold
-    # 19.1 MiB.
+def test_critical_prices_chunk_the_threshold_space_by_cells():
+    # One block of the m + 1 threshold policies of the wide model held a
+    # traced peak growing as m^2: 2.1 MiB at m = 200, 64.9 MiB at m = 1000.
+    # One policy at a time holds O(m), 0.1 MiB at m = 200. Traced, the
+    # per-policy path runs 20 times slower, so m = 1000 is held to its
+    # address space instead (test_scale.py).
     import tracemalloc
 
-    import sleepq.sensitivity as sens_mod
-
-    params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=400)
-    chunked = critical_prices_global(params, "threshold")
-    with monkeypatch.context() as patch:
-        patch.setattr(sens_mod, "BLOCK_SIZE", 2**30)
-        assert critical_prices_global(params, "threshold") == chunked
+    params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=200)
     tracemalloc.start()
     try:
-        critical_prices_global(dataclasses.replace(params, m=1000), "threshold")
+        critical_prices_global(params, "threshold")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 2**20
