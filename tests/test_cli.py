@@ -265,16 +265,22 @@ def test_policy_from_an_args_file(tmp_path, capsys):
 
 
 def test_full_space_gate_exits_3(tmp_path, capsys):
-    # The policy iteration and the critical prices' per-level DPs enumerate
-    # nothing and answer; a ranking walks the 10^9 policies, which the gate
-    # refuses.
+    # The policy iteration enumerates nothing and answers; a ranking walks
+    # the 10^9 policies, which the gate refuses.
     path = write_model(tmp_path, m=9)
     assert main(["optimize", "--model", path, "--space", "full"]) == 0
     assert "policies evaluated: 1000000000\n" in capsys.readouterr().out
-    assert main(["critical-prices", "--model", path]) == 0
-    assert "R_H: " in capsys.readouterr().out
     assert main(["optimize", "--model", path, "--space", "full", "--top-k", "1"]) == 3
     assert "allow_large" in capsys.readouterr().err
+
+
+def test_critical_prices_answer_at_a_billion_policies(tmp_path, capsys):
+    # The critical prices' per-level DPs enumerate nothing, so the 10^9
+    # policies of the full space at m = 9 meet no size gate.
+    path = write_model(tmp_path, m=9)
+    assert main(["critical-prices", "--model", path]) == 0
+    out = capsys.readouterr().out
+    assert "R_H: " in out and "R_L: " in out
 
 
 @pytest.mark.parametrize("m", [1371, 1558, 2000, 20000])
