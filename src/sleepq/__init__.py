@@ -20,7 +20,6 @@ from .chain import (
 from .errors import (
     ConfigError,
     ConsistencyError,
-    DegeneratePriceError,
     GateError,
     NumericalError,
     RegimeError,
@@ -96,7 +95,6 @@ __all__ = [
     "ConfigError",
     "ConsistencyError",
     "CriticalPrices",
-    "DegeneratePriceError",
     "EventCounts",
     "GateError",
     "Generator",

@@ -30,6 +30,3 @@ class NumericalError(SleepqError):
 class ConsistencyError(NumericalError):
     """Caller-supplied quantities disagree with recomputed ones."""
 
-
-class DegeneratePriceError(NumericalError):
-    """The realization factor does not cross zero in the service price."""

@@ -592,9 +592,8 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float], space: str = "full
     for r, (d, eta) in zip(grid, bests):
         if d not in pieces:
             sol = stationary_closed_form(params, d)
-            crits = perturbation_factors(params, d).crit_prices
             pieces[d] = (*profit_components(sol, affine_decomposition(params, d)),
-                         tuple(float(x) for x in crits))
+                         tuple(perturbation_factors(params, d).crit_prices.tolist()))
         completions, cost, crits = pieces[d]
         affine = r * completions - cost
         tol = 1e-9 * max(1.0, abs(eta))
@@ -603,12 +602,7 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float], space: str = "full
                 f"price sweep: eta at R={r:.6g} deviates from the affine "
                 f"form ({eta!r} vs {affine!r})"
             )
-        if not math.isnan(crit.r_high) and r >= crit.r_high:
-            regime = "high"
-        elif not math.isnan(crit.r_low) and r <= crit.r_low:
-            regime = "low"
-        else:
-            regime = "mid"
+        regime = "high" if r >= crit.r_high else "low" if r <= crit.r_low else "mid"
         crossing = ""
         if prev_regime is not None and regime != prev_regime:
             boundary = "R_H" if "high" in (regime, prev_regime) else "R_L"

@@ -37,10 +37,12 @@ the recursions on one policy's rates, in Python floats. It forms G's
 lines (_lines) and the magnitudes behind their error bounds
 (_record_bounds).
 
-f = R*a - b, so G and G + c are affine in the price R: the per-state
-critical price (the root of G + c) and its R-slope come from the same
-recursion, and one function (_g_plus_c) forms every G + c from a
-policy's lines at a price.
+f = R*a - b, so G and G + c are affine in the price R, and one function
+(_g_plus_c) forms every G + c from a policy's lines at a price. By balance
+the cut identity's R-slope of G + c at K = n + j - 1 is the product of
+positive terms s_j = pi_N H_K / pi_K, H_K = sum_{i<=K} pi_i, so level j's
+root in R, its critical price, is (k - I_j) / s_j with I_j the intercept
+of G(n,j)'s line (_record_roots), infinite where the float s_j is 0.
 
 The largest and smallest roots over a policy space are the global prices
 R_H and R_L that delimit the all-awake and all-asleep optimal regimes.
@@ -76,7 +78,7 @@ from .chain import (
     _weights,
     stationary_closed_form,
 )
-from .errors import ConsistencyError, DegeneratePriceError, NumericalError
+from .errors import ConsistencyError, NumericalError
 from .model import (
     ModelParams,
     Policy,
@@ -89,7 +91,7 @@ from .model import (
 from .potential import _band_product, solve_poisson
 from .reward import _reward
 
-#: Below this magnitude a G+c value or an R-slope is treated as degenerate.
+#: Below this magnitude sign_conservation_check treats a G+c value as degenerate.
 DEGENERATE_EPS = 1e-12
 
 
@@ -97,9 +99,9 @@ DEGENERATE_EPS = 1e-12
 class SensitivityReport(ReadOnlyRecord):
     """Realization factors and critical prices of one policy.
 
-    prf[j-1] = G(n,j); crit_prices[j-1] is the root of G(n,j)+c in R (NaN
-    where the R-slope is degenerate); signs[j-1] = sign(G(n,j)+c) at the
-    instance's own price.
+    prf[j-1] = G(n,j); crit_prices[j-1] is the root of G(n,j)+c in R, never
+    NaN, and -inf or inf past the double range (_record_roots);
+    signs[j-1] = sign(G(n,j)+c) at the instance's own price.
     """
 
     prf: np.ndarray
@@ -151,20 +153,6 @@ def price_constant(params: ModelParams) -> float:
     return params.price - _wake_cost(params)
 
 
-def _price_roots(params: ModelParams, intercept: np.ndarray,
-                 slope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-level roots of G + c in the price, and the R-slope of G + c.
-
-    G + c (_g_plus_c) is affine in R, with R-slope 1 + slope and the value
-    intercept - k at R = 0; roots are NaN where the R-slope is below
-    DEGENERATE_EPS in magnitude.
-    """
-    r_slope = 1.0 + slope
-    degenerate = np.abs(r_slope) < DEGENERATE_EPS
-    roots = (_wake_cost(params) - intercept) / np.where(degenerate, 1.0, r_slope)
-    return np.where(degenerate, np.nan, roots), r_slope
-
-
 def _split_recursion(params: ModelParams, death: list, first: list, second: list,
                      head_cuts: int) -> tuple[list, list]:
     """The recursions of the module docstring on two lanes of per-state
@@ -206,7 +194,7 @@ def _lines(params: ModelParams, death: list, cost: list, means: tuple,
     normalizer or a line that is not finite (the weights overflow under
     heavy load) raises NumericalError. Each line has shape (m,).
     """
-    completion_rate, cost_rate, head_cuts = means
+    completion_rate, cost_rate, head_cuts, _ = means
     lines = np.array(_split_recursion(
         params, death, [rate - cost_rate for rate in cost],
         [completion_rate - rate for rate in death], head_cuts))
@@ -215,11 +203,12 @@ def _lines(params: ModelParams, death: list, cost: list, means: tuple,
 
 
 def _means(params: ModelParams, death: list, cost: list) -> tuple:
-    """(completion_rate, cost_rate, head_cuts) of _lines: A = pi . death and
-    B = pi . cost, summed state by state from _weights, and the number of
-    cuts K that take the head side. The head mass only grows with K, so
-    they are the first ones; below cut n no line is kept, so the count
-    starts there. A normalizer that is not finite raises NumericalError.
+    """(completion_rate, cost_rate, head_cuts, heads) of _lines: A = pi .
+    death and B = pi . cost, summed state by state from _weights, the
+    number of cuts K that take the head side, and the running sums of the
+    weights. The head mass only grows with K, so they are the first ones;
+    below cut n no line is kept, so the count starts there. A normalizer
+    that is not finite raises NumericalError.
     """
     weights = _weights(params.lambda_, death)
     heads = list(itertools.accumulate(weights))
@@ -231,11 +220,12 @@ def _means(params: ModelParams, death: list, cost: list) -> tuple:
         completion_rate = completion_rate + share * rate
         cost_rate = cost_rate + share * state_cost
     half = 0.5 * total
-    return completion_rate, cost_rate, params.n + sum(mass <= half for mass in heads[params.n:-1])
+    return (completion_rate, cost_rate,
+            params.n + sum(mass <= half for mass in heads[params.n:-1]), heads)
 
 
 def _record_means(record: PolicyRecord) -> tuple:
-    """_means of a policy record, which its lines and bounds share."""
+    """_means of a policy record, which its lines, bounds and roots share."""
     return _means(record.params, record.death, record.cost)
 
 
@@ -248,6 +238,28 @@ def _policy_lines(params: ModelParams, d: Policy) -> tuple[np.ndarray, np.ndarra
 def _record_lines(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
     """_lines of a policy record."""
     return _lines(record.params, record.death, record.cost, record.value(_record_means))
+
+
+def _record_roots(record: PolicyRecord) -> np.ndarray:
+    """The root of G(n,j) + c in R for j = 1..m: (k - I_j) / s_j of the
+    module docstring, s_j = (xi_N / xi_K) H_K with xi_N / xi_K a product of
+    lambda / nu from the top state down and H_K from the heads of _means,
+    and the infinity of the sign of k - I_j where the float s_j is 0: below
+    the double range, or below a cut where the product underflowed. The
+    exact root there can still be a double, with costs far below 1
+    (ROADMAP item 29).
+    """
+    params = record.params
+    lam, n, wake = params.lambda_, params.n, _wake_cost(params)
+    heads = record.value(_record_means)[3]
+    total, tail, roots = heads[-1], 1.0, []
+    # From the top cut K = N - 1 down to K = n, with nu_{K+1} and H_K.
+    for rate, head, intercept in zip(reversed(record.death[n + 1:]), reversed(heads[n:-1]),
+                                     reversed(record.value(_record_lines)[0].tolist())):
+        tail = tail * lam / rate
+        slope, rise = tail * (head / total), wake - intercept
+        roots.append(rise / slope if slope else math.copysign(math.inf, rise))
+    return np.array(roots[::-1])
 
 
 def _g_plus_c(params: ModelParams, lines, price: float) -> np.ndarray:
@@ -321,7 +333,7 @@ def _record_bounds(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
     as every rounding is symmetric.
     """
     params, death, cost = record.params, record.death, record.cost
-    completion_rate, cost_rate, head_cuts = record.value(_record_means)
+    completion_rate, cost_rate, head_cuts, _ = record.value(_record_means)
     spend = max(map(abs, cost))
     deep, shallow = 16 * len(death) * 2.0**-53, 16 * 2.0**-53
     intercept, slope = record.value(_record_lines)
@@ -360,32 +372,33 @@ def _factor_plus_c(params: ModelParams, d: Policy, j: int) -> np.float64:
 
 def perturbation_factors(params: ModelParams, d: Policy) -> SensitivityReport:
     """Realization factors, critical prices, and signs for one policy."""
-    lines = _policy_lines(params, d)
+    record = _policy_record(params, d)
+    lines = record.value(_record_lines)
     intercept, slope = lines
-    crit, _ = _price_roots(params, intercept, slope)
     return SensitivityReport(prf=params.price * slope + intercept,
-                             c=price_constant(params), crit_prices=crit,
+                             c=price_constant(params), crit_prices=record.value(_record_roots),
                              signs=np.sign(_g_plus_c(params, lines, params.price)))
+
+
+def _require_finite_root(root: float, j: int) -> float:
+    """root, refused with NumericalError unless it is a finite double."""
+    if not math.isfinite(root):
+        raise NumericalError(f"a critical price of level {j} is not a finite double; "
+                             "the running products of nu/lambda overflow")
+    return root
 
 
 def critical_price_state(params: ModelParams, d: Policy, j: int) -> float:
     """The price at which G(n,j) + c crosses zero under policy d.
 
-    G + c is affine in R, so the root is (k - G|_{R=0}) / (1 + dG/dR) with
-    k = (P2W - P2S) C1 / mu2. Where that R-slope is degenerate,
-    DegeneratePriceError names the sign of G + c at R = 0. A j that is not
-    an integer in 1..m raises ValueError.
+    G + c is affine in R with a positive R-slope, so the root is
+    (k - G|_{R=0}) / s_j with k = (P2W - P2S) C1 / mu2 and s_j the exact
+    slope of _record_roots. A root past the double range raises
+    NumericalError. A j that is not an integer in 1..m raises ValueError.
     """
     _check_count(j, f"j must be an integer in 1..{params.m}", params.m)
-    lines = _policy_lines(params, d)
-    roots, r_slope = _price_roots(params, *lines)
-    if np.isnan(roots[j - 1]):
-        sign = np.sign(_g_plus_c(params, lines, 0.0)[j - 1])
-        raise DegeneratePriceError(
-            f"G(n,{j})+c has no price crossing (R-slope {r_slope[j - 1]:.3e}); "
-            f"its sign is {sign:+.0f} at every price"
-        )
-    return float(roots[j - 1])
+    roots = _policy_record(params, d).value(_record_roots)
+    return _require_finite_root(float(roots[j - 1]), j)
 
 
 def _largest_roots(lam: float, wake: float, base: tuple, pairs: list):
@@ -433,9 +446,8 @@ def critical_prices_global(params: ModelParams, space: str = "full") -> Critical
 
     R_H = max{0, roots of G+c over all policies and levels}; R_L is the
     minimum root. params are validated as optimize validates them. The
-    threshold space's m + 1 policies are taken one at a time, their roots
-    by _price_roots on _policy_lines, as perturbation_factors forms them,
-    skipping the degenerate (NaN) levels.
+    threshold space's m + 1 policies are taken one at a time, with the
+    roots perturbation_factors reports (_record_roots).
 
     The product spaces take O(m^2) at any size: R_H from _largest_roots,
     and R_L as minus _largest_roots with every cost and k negated, bit for
@@ -443,19 +455,18 @@ def critical_prices_global(params: ModelParams, space: str = "full") -> Critical
     nu and b: over 0..j both are affine in the value, and above j nu is
     constant and the cost rises, so every extreme lies at the level's least
     value, j or its largest, up to the rounding of the rates; only those
-    are read. The extremes are formed level by level, so a root that is
-    not a finite double (the running products of nu / lambda overflow at
-    light load) raises NumericalError at the first level that has one.
+    are read. In every space the extremes are formed level by level, so a
+    root that is not a finite double (the running products of nu / lambda
+    overflow at light load) raises NumericalError at the first one.
     """
     require_valid(params)
     if space == "threshold":
-        extremes = [(np.fmax.reduce(roots), np.fmin.reduce(roots)) for roots, _ in (
-            _price_roots(params, *_policy_lines(params, threshold_policy(params.m, theta)))
-            for theta in range(1, params.m + 2))]
-        highs, lows = zip(*extremes)
-        return CriticalPrices(r_high=float(np.fmax.reduce([0.0, *highs])),
-                              r_low=float(np.fmin.reduce(lows)),
-                              search_space=space, exact=False)
+        r_high, r_low = 0.0, math.inf
+        for theta in range(1, params.m + 2):
+            record = _policy_record(params, threshold_policy(params.m, theta))
+            for j, root in enumerate(record.value(_record_roots).tolist(), start=1):
+                r_high, r_low = max(r_high, root), min(r_low, _require_finite_root(root, j))
+        return CriticalPrices(r_high=r_high, r_low=r_low, search_space=space, exact=False)
     n, lam, wake = params.n, params.lambda_, _wake_cost(params) * params.lambda_
     levels = [sorted({values[0], j, values[-1]})
               for j, values in enumerate(_level_values(params.m, space), start=1)]
@@ -470,10 +481,8 @@ def critical_prices_global(params: ModelParams, space: str = "full") -> Critical
             _largest_roots(lam, wake, (p, q), pairs),
             _largest_roots(lam, -wake, (p, -q),
                            [[(r, -c) for r, c in level] for level in pairs])), start=1):
-        if not (math.isfinite(top) and math.isfinite(bottom)):
-            raise NumericalError(f"a critical price of level {j} is not a finite double; "
-                                 "the running products of nu/lambda overflow")
-        r_high, r_low = max(r_high, top), min(r_low, -bottom)
+        _require_finite_root(top, j)
+        r_high, r_low = max(r_high, top), min(r_low, -_require_finite_root(bottom, j))
     return CriticalPrices(r_high=r_high, r_low=r_low, search_space=space,
                           exact=(space == "full"))
 

@@ -14,6 +14,7 @@ from the cut identity at two prices. The potentials are anchored as solve_poisso
 anchors them by default: g_0 = 1 and g_{K+1} = g_K + Delta_K.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,8 +73,24 @@ def exact_eta(params, d) -> Fraction:
             / sum(weights))
 
 
+@functools.lru_cache(maxsize=64)
+def _wake_cost(p2_work, p2_sleep, c_energy, mu2) -> tuple:
+    """(P2W - P2S) C1 / mu2 as an integer ratio, formed once per model for
+    the many policies a test enumerates."""
+    return ((Fraction(p2_work) - Fraction(p2_sleep))
+            * Fraction(c_energy) / Fraction(mu2)).as_integer_ratio()
+
+
 def exact_roots(params, d) -> list:
-    """The root of G(n,j) + c in the price R for j = 1..m, as Fractions.
+    """The root of G(n,j) + c in the price R for j = 1..m, as Fractions:
+    those of exact_root_pairs."""
+    return [Fraction(num, den) for num, den in exact_root_pairs(params, d)]
+
+
+def exact_root_pairs(params, d) -> list:
+    """The root of G(n,j) + c in the price R for j = 1..m, as an integer
+    pair (numerator, denominator) each, not reduced, the denominator
+    positive: the R-slope of G + c is positive.
 
     With the weights xi, T = sum xi and F(R) = sum xi f(R), the cut
     identity at K = n + j - 1 gives G(n,j) + c = -H(R) / Z + R - k, where
@@ -96,9 +113,7 @@ def exact_roots(params, d) -> list:
     for rate in nu[1:]:
         weights.append(weights[-1] * lam // rate)
     total = sum(weights)
-    wake_cost = ((Fraction(params.p2_work) - Fraction(params.p2_sleep))
-                 * Fraction(params.c_energy) / Fraction(params.mu2))
-    k, k_den = wake_cost.as_integer_ratio()
+    k, k_den = _wake_cost(params.p2_work, params.p2_sleep, params.c_energy, params.mu2)
     # H(R) = F(R) W_K - T Phi_K(R), with W_K and Phi_K(R) the sums of xi and
     # of xi f(R) over the states i <= K.
     heads = []
@@ -112,5 +127,5 @@ def exact_roots(params, d) -> list:
             if cut >= params.n:
                 at_cuts.append(profit * mass - total * head_profit)
         heads.append(at_cuts)
-    return [Fraction(at0 * k_den + k * z, (at0 - at1 + z) * k_den)
+    return [(at0 * k_den + k * z, (at0 - at1 + z) * k_den)
             for z, at0, at1 in zip((lam * w * total for w in weights[params.n:]), *heads)]

@@ -355,6 +355,19 @@ def test_bang_bang_critical_prices_answer_at_scale(tmp_path, capsys):
         assert "R_L: -4.69822549969e+131" in capsys.readouterr().out
 
 
+def test_threshold_critical_prices_print_the_bang_bang_r_low(tmp_path, capsys):
+    # The threshold space skipped the levels whose R-slope cancelled and
+    # printed R_L -4.57e14 here. Its witness, level 1 of the all-awake
+    # policy, is a threshold policy, so its R_L is bang-bang's.
+    path = write_model(tmp_path, lambda_=2.0, n=2, m=100)
+    r_low = {}
+    for space in ("threshold", "bang_bang"):
+        assert main(["critical-prices", "--space", space, "--model", path]) == 0
+        [r_low[space]] = [line for line in capsys.readouterr().out.splitlines()
+                          if line.startswith("R_L: ")]
+    assert r_low["threshold"] == r_low["bang_bang"] == "R_L: -4.69822549969e+131"
+
+
 def test_threshold_table(model_file, capsys):
     assert main(["threshold", "--model", model_file]) == 0
     out = capsys.readouterr().out

@@ -416,8 +416,10 @@ def test_threshold_and_monotonicity_memory_is_linear_in_m(search, bound):
 
 def test_threshold_price_sweep_memory_does_not_grow_with_the_grid():
     # 25 prices of a block of the m + 1 policies held a 16 MiB traced peak
-    # at m = 200; the critical prices take one policy at a time.
-    params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=200)
+    # at m = 200; the critical prices take one policy at a time. From
+    # m = 200 the wide model's R_L is past the double range and refused, so
+    # the sweep runs at m = 190.
+    params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=190)
     (rows, _), peak = _traced_peak(
         lambda: OPT.price_sweep(params, np.linspace(0.0, 20.0, 25), "threshold"))
     assert len(rows) == 25 and peak < 3 * 2**20

@@ -9,7 +9,7 @@ Python writes of an int, and 1 558 the first for the reduced space.
 Left out, to keep the file within tier-1's time: the O(k^2) routes (the
 dense and explicit solves, stationary_numeric, invert_reduced) and the
 O(m^2) sweeps (the threshold family, the threshold space's critical
-prices, the monotonicity sweep). Three of those sweeps and the bang-bang
+prices, the monotonicity sweep). Two of those sweeps and the bang-bang
 optimum are held, at m = 1 000, to their memory instead: run as sleepq
 child processes, they answer within a 200 MiB address space.
 """
@@ -78,7 +78,7 @@ ENTRY_POINTS = {
     "perturbation_factors": (lambda p: sq.perturbation_factors(p, _awake(p)), None),
     "price_constant": (lambda p: sq.price_constant(p), None),
     "critical_price_state-1": (lambda p: sq.critical_price_state(p, _awake(p), 1),
-                               sq.DegeneratePriceError),
+                               sq.NumericalError),
     "critical_price_state-m": (lambda p: sq.critical_price_state(p, _awake(p), p.m),
                                None),
     **{f"critical_prices_global-{space}":
@@ -167,9 +167,10 @@ def test_commands_answer_or_refuse_at_large_m(m, tmp_path, capsys):
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="the address-space limit is read as Linux counts it")
 def test_one_policy_at_a_time_commands_fit_200_mib_of_address_space(tmp_path):
-    # The threshold family, the threshold space's critical prices and the
-    # monotonicity sweep evaluate one policy at a time, so at m = 1 000 a
-    # 25-price threshold sweep fits; evaluated in blocks, it took 399 MiB.
+    # The threshold family and the monotonicity sweep evaluate one policy
+    # at a time, so at m = 1 000 the threshold scan fits; evaluated in
+    # blocks, a 25-price threshold sweep took 399 MiB. (The sweep now
+    # refuses there: its exact R_L is about -10^2272.)
     # The bang-bang optimum of the 2^1 000 policies comes from the policy
     # iteration on G + c, which walks none of them. Only the child's
     # address space is limited.
@@ -182,8 +183,7 @@ def test_one_policy_at_a_time_commands_fit_200_mib_of_address_space(tmp_path):
     model.write_text(sq.params_to_text(_wide(1000)))
     src = str(Path(sq.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    for command in (["price-sweep", "--from", "0", "--to", "20", "--steps", "25",
-                     "--space", "threshold"],
+    for command in (["threshold"],
                     ["monotonicity", "--policy", ",".join(map(str, range(1, 1001))),
                      "--j", "1"],
                     ["optimize", "--space", "bang_bang"]):

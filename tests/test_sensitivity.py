@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import math
 import time
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ import pytest
 from sleepq import (
     ConfigError,
     ConsistencyError,
-    DegeneratePriceError,
     ModelParams,
     NumericalError,
     critical_price_state,
@@ -38,7 +38,7 @@ from conftest import (
     sleepy_params,
     wide_light_instance,
 )
-from exact import exact, exact_roots
+from exact import exact, exact_root_pairs, exact_roots
 
 # The package exports functions under some of its modules' names.
 chain, model, sensitivity = (importlib.import_module(f"sleepq.{name}")
@@ -101,14 +101,90 @@ def test_critical_price_solves_root():
     for _ in range(8):
         params, d = draw_instance(rng, n_max=6, m_max=6)
         j = 1 + int(rng.integers(params.m))
-        try:
-            root = critical_price_state(params, d, j)
-        except DegeneratePriceError:
-            continue
+        root = critical_price_state(params, d, j)
         at_root = dataclasses.replace(params, price=root)
         value = float(realization_factors(at_root, d)[j - 1]
                       + price_constant(at_root))
         assert abs(value) < 1e-7 * max(1.0, abs(root))
+
+
+def _desk_corpus():
+    rng = np.random.default_rng(77)
+    corpus = []
+    for _ in range(300):
+        params = draw_params(rng, n_max=6, m_max=12)
+        corpus.append((params, random_policy(rng, params.m)))
+    return corpus
+
+
+def _wide_light_corpus():
+    rng = np.random.default_rng(47)
+    return [wide_light_instance(rng) for _ in range(8)]
+
+
+def _valley_corpus():
+    # Awake at the lowest and highest levels and asleep between: the weights
+    # fall by 1e-3 a level, rise by 15 and fall again. The running product
+    # of lambda / nu from the top underflows to 0 at the middle peak and is
+    # a normal double again in the valley below it, where s_j is about
+    # 1e-270; the exact roots there are past the double range.
+    params = micro_params(n=2, m=210, lambda_=30.0, mu2=30000.0)
+    return [(params, (1,) * 20 + (0,) * 80 + (1,) * 110)]
+
+
+def _assert_exact_roots(corpus, bound):
+    for params, d in corpus:
+        got = perturbation_factors(params, d).crit_prices.tolist()
+        pairs = exact_root_pairs(params, d)
+        assert len(got) == len(pairs) == params.m
+        for j, (root, (num, den)) in enumerate(zip(got, pairs), start=1):
+            try:
+                want = num / den
+            except OverflowError:
+                want = math.inf if num > 0 else -math.inf
+                assert root == want, (params, d, j)
+            else:
+                assert abs(root - want) <= bound * max(1.0, abs(want)), (params, d, j)
+
+
+@pytest.mark.parametrize("corpus, bound", [
+    (_desk_corpus, 1e-12), (_heavy_corpus, 2e-12), (_wide_light_corpus, 1e-12),
+    (_valley_corpus, 1e-12),
+], ids=["desk", "heavy", "wide_light", "valley"])
+def test_every_level_has_its_exact_root(corpus, bound):
+    # Roots over 1 + (the R-slope of G), which cancels where the slope of
+    # G + c is small, were NaN on 165 of the 2 051 desk levels, 1 177 of
+    # the 3 565 heavy-load levels and 1 057 of the 1 091 wide light-load
+    # levels, and up to 6.0e-4 off elsewhere. About 190 of the wide roots
+    # are past the double range, and read as the infinity of their sign.
+    _assert_exact_roots(corpus(), bound)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 29: a running "
+                   "product of lambda / nu that underflows reads the roots below it as -inf")
+def test_small_costs_keep_the_valleys_roots_doubles():
+    # s_j depends on the rates alone and k - I_j scales with the costs, so
+    # with every cost and the price times 2^-400 the valley's lower roots
+    # are doubles near -1.4e210. The product that underflowed above them
+    # reads them as -inf, and the four roots over a subnormal s_j are up
+    # to 1.8e-4 off.
+    (params, d), = _valley_corpus()
+    small = dataclasses.replace(params, **{
+        name: getattr(params, name) * 2.0 ** -400 for name in (
+            "c_energy", "c_hold_g1", "c_hold_g2", "c_transfer", "c_loss", "price")})
+    _assert_exact_roots([(small, d)], 1e-12)
+
+
+def test_a_level_wakes_above_its_root_wherever_its_margin_clears():
+    # G + c = s_j (R - root_j) with s_j > 0, so wherever the float G + c
+    # clears its error bound e_j, R lies on the side of root_j that the
+    # sign of G + c names.
+    for params, d in _desk_corpus() + _heavy_corpus():
+        value, bound = sensitivity._margins(params, d, params.price,
+                                            sensitivity._skew(params))
+        roots = perturbation_factors(params, d).crit_prices
+        clear = np.abs(value) > bound
+        assert (np.sign(params.price - roots[clear]) == np.sign(value[clear])).all(), (params, d)
 
 
 def test_g_plus_c_is_affine_in_price():
@@ -364,6 +440,23 @@ def _close(got, want) -> bool:
     return abs(got - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
 
 
+def _extreme_roots(pairs):
+    """(largest, smallest) of exact_root_pairs' (numerator, denominator)
+    pairs, as Fractions. Rounding is monotone, so a pair's correctly
+    rounded float orders it unless the floats tie; tied pairs are compared
+    by cross-multiplication, their denominators positive. Only the two
+    extremes are reduced."""
+    (high, high_den), (low, low_den) = pairs[0], pairs[0]
+    top = bottom = high / high_den
+    for num, den in pairs:
+        value = num / den
+        if value > top or value == top and num * high_den > high * den:
+            high, high_den, top = num, den, value
+        if value < bottom or value == bottom and num * low_den < low * den:
+            low, low_den, bottom = num, den, value
+    return Fraction(high, high_den), Fraction(low, low_den)
+
+
 def test_per_policy_roots_lie_within_global_prices():
     # R_H and R_L come from the per-level DPs, each policy's roots here from
     # tests/exact.py, so the bound carries the DPs' rounding.
@@ -373,16 +466,16 @@ def test_per_policy_roots_lie_within_global_prices():
         crit = critical_prices_global(params, "full")
         low, high = crit.r_low, max(crit.r_high, 0.0)
         for d in enumerate_policies(params.m, "full"):
-            roots = exact_roots(params, d)
-            assert _close(low, min(low, min(roots))), (params, d)
-            assert _close(high, max(high, max(roots))), (params, d)
+            most, least = _extreme_roots(exact_root_pairs(params, d))
+            assert _close(low, min(low, least)), (params, d)
+            assert _close(high, max(high, most)), (params, d)
 
 
 def _exact_extremes(params, space):
     """(max{0, roots}, min{roots}) over every policy of a space, exactly."""
-    roots = [root for d in enumerate_policies(params.m, space)
-             for root in exact_roots(params, d)]
-    return max(0, *roots), min(roots)
+    high, low = _extreme_roots([pair for d in enumerate_policies(params.m, space)
+                                for pair in exact_root_pairs(params, d)])
+    return max(0, high), low
 
 
 def test_critical_prices_equal_the_exact_extremes_of_enumerated_roots():
@@ -396,7 +489,8 @@ def test_critical_prices_equal_the_exact_extremes_of_enumerated_roots():
     corpus += [dataclasses.replace(params, m=min(params.m, 6))
                for params, _ in (heavy_instance(rng) for _ in range(20))]
     for params in corpus:
-        for space, m_max in (("bang_bang", 8), ("reduced", 5), ("full", 4)):
+        for space, m_max in (("bang_bang", 8), ("reduced", 5), ("full", 4),
+                             ("threshold", 8)):
             if params.m <= m_max:
                 crit = critical_prices_global(params, space)
                 high, low = _exact_extremes(params, space)
@@ -477,10 +571,11 @@ def test_critical_prices_chunk_the_threshold_space_by_cells():
     # traced peak growing as m^2: 2.1 MiB at m = 200, 64.9 MiB at m = 1000.
     # One policy at a time holds O(m), 0.1 MiB at m = 200. Traced, the
     # per-policy path runs 20 times slower, so m = 1000 is held to its
-    # address space instead (test_scale.py).
+    # address space instead (test_scale.py). From m = 200 the wide model's
+    # R_L is past the double range and refused, so this runs at m = 190.
     import tracemalloc
 
-    params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=200)
+    params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=190)
     tracemalloc.start()
     try:
         critical_prices_global(params, "threshold")
