@@ -20,24 +20,24 @@ prices of a product space read the second directly.
 One policy's pass is kept in a PolicyRecord, in a memo of the MEMO_SIZE
 most recent records, so the per-policy calls of every layer share one pass
 per policy: the record holds the checked policy and its rates, and builds
-the generator and the stationary law on first use (_generator,
-_stationary); reward adds f and eta to it, potential the RG factors and
-the operands of the Poisson solve's tail, and sensitivity the lines of the
-realization factors. The key is the identity of the params object with the
-policy as check_policy returns it, never params ==: params whose prices
-are 0.0 and -0.0 compare equal but give f entries of different sign. The
-record holds params, so the identity is not reused while it lives.
-check_policy returns a tuple of plain ints as itself, so a record's policy
-is then the caller's own tuple, and a call that passes that same tuple
-again finds its record by identity without a re-check: a tuple cannot
-change. Any other policy is checked on every call, and params, by
-validate's rules bar the price's sign, whenever no record holds it: so
-each params object is validated once while it has a record, and an invalid
-one, which never gets a record, is refused on every call. A build that
-raises keeps nothing, so a refusal is raised again on every call. The memo
-is one tuple, replaced whole on each insert, so a reader never sees a
-half-made one and no lock is taken: threads that miss the same policy at
-once each make a record, with equal values.
+the generator, the stationary weights and law on first use (_generator,
+_weights, _stationary); reward adds f and eta to it, potential the RG
+factors and the operands of the Poisson solve's tail, and sensitivity the
+lines of the realization factors, so a record holds O(n + m) floats. The
+key is the identity of the params object with the policy as check_policy
+returns it, never params ==: params whose prices are 0.0 and -0.0 compare
+equal but give f entries of different sign. The record holds params, so
+the identity is not reused while it lives. check_policy returns a tuple of
+plain ints as itself, so a record's policy is then the caller's own tuple,
+and a call that passes that same tuple again finds its record by identity
+without a re-check: a tuple cannot change. Any other policy is checked on
+every call, and params, by validate's rules bar the price's sign, whenever
+no record holds it: so each params object is validated once while it has a
+record, and an invalid one, which never gets a record, is refused on every
+call. A build that raises keeps nothing, so a refusal is raised again on
+every call. The memo is one tuple, replaced whole on each insert, so a
+reader never sees a half-made one and no lock is taken: threads that miss
+the same policy at once each make a record, with equal values.
 """
 
 from __future__ import annotations
@@ -296,22 +296,23 @@ def stationary_closed_form(params: ModelParams, d: Policy) -> ChainSolution:
     return _policy_record(params, d).value(_stationary)
 
 
-def _weights(lam: float, death: list) -> list:
-    """Unnormalized stationary weights: xi_0 = 1, xi_k = xi_{k-1} * lam / nu_k,
-    with nu_k = death[k]."""
-    weight = 1.0
+def _weights(record: PolicyRecord) -> np.ndarray:
+    """Unnormalized stationary weights of a policy record, formed in Python
+    floats: xi_0 = 1, xi_k = xi_{k-1} * lambda / nu_k. One pass per record,
+    which the stationary law and sensitivity's means both read."""
+    lam, weight = record.params.lambda_, 1.0
     weights = [weight]
-    for rate in death[1:]:
+    for rate in record.death[1:]:
         # In this order, not weight * (lam / rate): the Poisson solvers'
         # residual gate refuses draws by the last bit of pi.
         weight = weight * lam / rate
         weights.append(weight)
-    return weights
+    return np.array(weights)
 
 
 def _stationary(record: PolicyRecord) -> ChainSolution:
     """The product-form law with the death rates of a policy record."""
-    xi = np.array(_weights(record.params.lambda_, record.death))
+    xi = record.value(_weights)
     # Finite weights can still sum past the largest double: refused below.
     with np.errstate(over="ignore"):
         b = float(xi.sum())

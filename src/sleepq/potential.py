@@ -12,32 +12,27 @@ an additive constant, and phi = phi_h + anchor with phi_h = (-scriptB)^{-1} h.
 One right-hand side is solved per call.
 
 Three independent routes produce that inverse application: the dense
-inverse of the reduced matrix, formed once and applied by matmul (oracle);
-a UL-type factorization of the reduced matrix into scalar U/R/G measures,
-applied in O(n+m) by one backward R sweep, a division by -U and a running
-sum; and the explicit form, which builds the running R products as one
-dense triangle, applies it by a matvec and sums the result down. On this
-birth-death chain the factorization is closed form: by induction from the
-top state U_k = -nu_k (the death rate of reduced state k),
-R_k = lambda / nu_{k+1} and G_k = 1 (see rg_factorize). With G = 1 the
-unit lower factor (I - G_L)^{-1} is a cumulative sum, so no route forms
-it as a matrix. A route only factorizes a policy record: it returns its
-inverse application, which the record keeps, so a route factorizes each
-record once. The rg and explicit routes share the record's RG factors
-(_rg_factors). solve_poisson owns the rest,
-once for every route: the generator's bands, pi, f and eta of the policy
-record (one scalar pass of the closed form, shared through the chain
-module's memo with the other per-policy calls); the tail's operands, kept
-on the record too (_poisson_tail: h, h in extended precision, the negated
-reduced bands in extended precision and the gate's scale, built by the
-policy's first solve and shared by every route and every later call);
-and, on every call, the starting solve, its extended-precision refinement
-and the residual gate. The refinement and the gate multiply by the
-generator through the one tridiagonal product, _band_product, so the rg
-route is O(n+m) in time and memory; only the dense and explicit routes
-form k x k arrays, the inverse and the one triangle, each kept on its
-record. All three routes must
-agree to solver tolerance.
+inverse of the reduced matrix, applied by matmul (oracle); a UL-type
+factorization of the reduced matrix into scalar U/R/G measures, applied in
+O(n+m) by one backward R sweep, a division by -U and a running sum; and the
+explicit form, which builds the running R products as one dense triangle,
+applies it by a matvec and sums the result down. On this birth-death chain
+the factorization is closed form: by induction from the top state
+U_k = -nu_k (the death rate of reduced state k), R_k = lambda / nu_{k+1}
+and G_k = 1 (see rg_factorize). With G = 1 the unit lower factor
+(I - G_L)^{-1} is a cumulative sum, so no route forms it as a matrix. A
+route forms its inverse application on every call and keeps none of it;
+the rg and explicit routes read the record's RG factors (_rg_factors), so
+a policy record holds O(n+m) floats. solve_poisson owns the rest, once for
+every route: the generator's bands, pi, f and eta of the policy record
+(one scalar pass of the closed form, shared through the chain module's
+memo with the other per-policy calls); the tail's operands, kept on the
+record too (_poisson_tail); and, on every call, the starting solve, its
+extended-precision refinement and the residual gate. The refinement and
+the gate multiply by the generator through the one tridiagonal product,
+_band_product, so the rg route is O(n+m) in time and memory; only the
+dense and explicit routes form k x k arrays, the inverse and the one
+triangle, for the call. All three routes must agree to solver tolerance.
 Potential differences are anchor-free; the "fundamental" normalization
 picks the anchor that makes pi . g = eta.
 """
@@ -204,7 +199,8 @@ def _rg_factors(record: PolicyRecord) -> RGFactors:
 
 
 def _solve_dense(record):
-    """The inverse of the reduced matrix, formed once, applied by matmul."""
+    """The inverse of the reduced matrix, applied by matmul, formed anew on
+    each call from the record's generator."""
     try:
         inverse = np.linalg.inv(-record.value(_generator).matrix[1:, 1:])
     except np.linalg.LinAlgError as exc:
@@ -217,8 +213,8 @@ def _solve_dense(record):
 
 
 def _solve_rg(record):
-    """Apply the factors by a scalar sweep and a running sum; no inverse is
-    formed.
+    """Apply the record's factors by a scalar sweep and a running sum; no
+    inverse is formed.
 
     (-scriptB)^{-1} = (I - G_L)^{-1} (-U_D)^{-1} (I - R_U)^{-1}, so one
     backward sweep y_i = h_i + r_i y_{i+1}, a division by -u_i = nu_i and,
@@ -245,7 +241,8 @@ def _solve_explicit(record):
     states and weights h into one bracket per state by a matvec; the
     brackets, divided by nu, are summed down by a running sum (G = 1). This
     is the matrix form of the sums the factorization yields state by
-    state, kept as an independent route.
+    state, kept as an independent route. The triangle is formed on each
+    call from the record's factors.
     """
     factors = record.value(_rg_factors)
     upper = _triangles(factors)
@@ -258,8 +255,8 @@ def _solve_explicit(record):
 
 
 def _poisson_tail(record: PolicyRecord) -> tuple:
-    """(h, h_ld, bands, scale): what every solve of a policy record shares
-    after its route. h = f[1:] - eta;
+    """(h, h_ld, bands, scale): what every route's solve of a policy record
+    shares, kept on the record, O(n+m) floats. h = f[1:] - eta;
     h_ld is h in extended precision, the refinement's right-hand side;
     bands are the negated reduced bands in extended precision, the
     refinement's product; scale = max(1, |eta|, max|f|) is the gate's."""
@@ -316,7 +313,7 @@ def solve_poisson(
             )
     eta = eta_computed
 
-    apply_inverse = record.value(_SOLVERS[method])
+    apply_inverse = _SOLVERS[method](record)
     h, h_ld, bands, scale = record.value(_poisson_tail)
     # The routes' running products of lambda/nu can overflow where pi does not.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -202,15 +202,15 @@ def _lines(params: ModelParams, death: list, cost: list, means: tuple,
     return lines[0], lines[1]
 
 
-def _means(params: ModelParams, death: list, cost: list) -> tuple:
+def _means(params: ModelParams, death: list, cost: list, weights: list) -> tuple:
     """(completion_rate, cost_rate, head_cuts, heads) of _lines: A = pi .
-    death and B = pi . cost, summed state by state from _weights, the
-    number of cuts K that take the head side, and the running sums of the
-    weights. The head mass only grows with K, so they are the first ones;
-    below cut n no line is kept, so the count starts there. A normalizer
-    that is not finite raises NumericalError.
+    death and B = pi . cost, summed state by state from the weights of
+    chain._weights as Python floats, the number of cuts K that take the
+    head side, and the running sums of the weights. The head mass only
+    grows with K, so they are the first ones; below cut n no line is kept,
+    so the count starts there. A normalizer that is not finite raises
+    NumericalError.
     """
-    weights = _weights(params.lambda_, death)
     heads = list(itertools.accumulate(weights))
     total = heads[-1]
     _require_finite(total, "realization factors")
@@ -226,7 +226,7 @@ def _means(params: ModelParams, death: list, cost: list) -> tuple:
 
 def _record_means(record: PolicyRecord) -> tuple:
     """_means of a policy record, which its lines, bounds and roots share."""
-    return _means(record.params, record.death, record.cost)
+    return _means(record.params, record.death, record.cost, record.value(_weights).tolist())
 
 
 def _policy_lines(params: ModelParams, d: Policy) -> tuple[np.ndarray, np.ndarray]:

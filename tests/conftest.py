@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sleepq import ModelParams, stationary_closed_form
-from sleepq.chain import _state_rates, _weights, build_generator
+from sleepq.chain import PolicyRecord, _state_rates, _weights, build_generator
 from sleepq.potential import reduced_matrix
 
 MASS_LIMIT = 1e4       # sum of unnormalized stationary weights
@@ -160,7 +160,7 @@ def draw_change_pair(rng, m: int):
 
 def overflowed(params: ModelParams, d: tuple) -> ModelParams:
     """params with lambda doubled until a stationary weight of d passes 1e300."""
-    while max(_weights(params.lambda_, _state_rates(params, d)[0])) <= 1e300:
+    while max(_weights(PolicyRecord(params, d, *_state_rates(params, d)))) <= 1e300:
         params = dataclasses.replace(params, lambda_=2 * params.lambda_)
     return params
 

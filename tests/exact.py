@@ -99,7 +99,10 @@ def exact_root_pairs(params, d) -> list:
     (H(0) + k Z) / (H(0) - H(1) + Z). The float rates are dyadic, so with
     every rate and lambda times one power of two, and the weights times
     the product of the death rates, all but k are integers, and the
-    common scales cancel from the root.
+    common scales cancel from the root. The states below (n, 0) have the
+    same rates under every policy, so their part of each sum is formed
+    once per model and scale (_low_sums), and a policy costs O(m) big-int
+    operations.
     """
     death, cost = _state_rates(params, d)
     # Floats are dyadic: scale, the largest denominator, clears them all.
@@ -107,25 +110,45 @@ def exact_root_pairs(params, d) -> list:
     scale = max(den for _, den in ratios)
     lam, *rates = (num * (scale // den) for num, den in ratios)
     nu, b = rates[:len(death)], rates[len(death):]
-    # weights[i] = lam^i prod_{l>i} nu_l, xi_i times prod_{l>=1} nu_l, each
-    # from the last by an exact division.
-    weights = [math.prod(nu[1:])]
-    for rate in nu[1:]:
-        weights.append(weights[-1] * lam // rate)
-    total = sum(weights)
+    n = params.n
+    # The weight of state i is low_i * above below state n, with low_i of
+    # _low_sums, and lam^n u_i from state n on, u_i = lam^(i-n) prod_{l>i}
+    # nu_l, each u from the last by an exact division.
+    low_mass, *low_profit, lam_n = _low_sums(lam, tuple(nu[:n + 1]), tuple(b[:n + 1]))
+    above = math.prod(nu[n + 1:])
+    tail = [above]
+    for rate in nu[n + 1:]:
+        tail.append(tail[-1] * lam // rate)
+    weights = [lam_n * u for u in tail]
+    total = above * low_mass + sum(weights)
     k, k_den = _wake_cost(params.p2_work, params.p2_sleep, params.c_energy, params.mu2)
     # H(R) = F(R) W_K - T Phi_K(R), with W_K and Phi_K(R) the sums of xi and
     # of xi f(R) over the states i <= K.
     heads = []
-    for price in (0, 1):
-        terms = [w * (price * rate - c) for w, rate, c in zip(weights, nu, b)]
-        profit = sum(terms)
-        mass, head_profit, at_cuts = 0, 0, []
-        for cut, (w, term) in enumerate(zip(weights[:-1], terms)):
+    for price, low in zip((0, 1), low_profit):
+        terms = [w * (price * rate - c) for w, rate, c in zip(weights, nu[n:], b[n:])]
+        profit = above * low + sum(terms)
+        mass, head_profit, at_cuts = above * low_mass, above * low, []
+        for w, term in zip(weights[:-1], terms):
             mass += w
             head_profit += term
-            if cut >= params.n:
-                at_cuts.append(profit * mass - total * head_profit)
+            at_cuts.append(profit * mass - total * head_profit)
         heads.append(at_cuts)
     return [(at0 * k_den + k * z, (at0 - at1 + z) * k_den)
-            for z, at0, at1 in zip((lam * w * total for w in weights[params.n:]), *heads)]
+            for z, at0, at1 in zip((lam * w * total for w in weights), *heads)]
+
+
+@functools.lru_cache(maxsize=64)
+def _low_sums(lam, nu, b) -> tuple:
+    """(S, Q(0), Q(1), lam^n) of exact_root_pairs' scaled lam and rates nu
+    and b of the states 0..n, for the many policies a test enumerates:
+    S = sum low_i and Q(R) = sum low_i (R nu_i - b_i) over the states
+    i < n, with low_i = lam^i prod_{i<l<=n} nu_l, each from the last by an
+    exact division, and low_n = lam^n."""
+    low = [math.prod(nu[1:])]
+    for rate in nu[1:]:
+        low.append(low[-1] * lam // rate)
+    return (sum(low[:-1]),
+            *(sum(w * (price * rate - c) for w, rate, c in zip(low[:-1], nu, b))
+              for price in (0, 1)),
+            low[-1])

@@ -26,7 +26,7 @@ from sleepq import (
     stationary_closed_form,
     stationary_numeric,
 )
-from sleepq import build_reward, chain
+from sleepq import build_reward, chain, sensitivity
 from sleepq.chain import MEMO_SIZE, _state_rates, _value_rates
 from conftest import (
     draw_instance,
@@ -360,6 +360,24 @@ def test_record_freezes_every_array_it_keeps():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 7
     assert scalar == 1.5
+
+
+def test_one_weight_pass_per_record(monkeypatch):
+    # The stationary law and the means of the realization factors read one
+    # pass of the weights over a record's death rates.
+    passes = []
+    weights = chain._weights
+
+    def counted(*args):
+        passes.append(args)
+        return weights(*args)
+
+    monkeypatch.setattr(chain, "_weights", counted)
+    monkeypatch.setattr(sensitivity, "_weights", counted)
+    params = micro_params(n=2, m=3)
+    stationary_closed_form(params, (0, 2, 3))
+    perturbation_factors(params, (0, 2, 3))
+    assert len(passes) == 1
 
 
 def test_memo_holds_at_most_its_bound():
