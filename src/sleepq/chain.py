@@ -14,7 +14,7 @@ in Python floats: level by level for one policy (_state_rates), and once for
 every value of some value sets, one set per level (_value_rates).
 _level_tables builds the flat tables of the searches from either: the
 first, from a policy record, for the eta of optimize's answer, and the
-second for the searches that extend or walk many policies. The critical
+second for the sweeps that extend many policies. The critical
 prices of a product space read the second directly.
 
 One policy's pass is kept in a PolicyRecord, in a memo of the MEMO_SIZE

@@ -217,8 +217,7 @@ def _cmd_critical_prices(params: ModelParams, args) -> CommandOutput:
 
 
 def _cmd_optimize(params: ModelParams, args) -> CommandOutput:
-    res = optimize(params, args.space, allow_large=args.allow_large,
-                   top_k=args.top_k)
+    res = optimize(params, args.space, top_k=args.top_k)
     ranking = res.ranking or ((res.best_policy, res.best_eta),)
     rows = tuple(
         (rank, format_policy(policy), eta)
@@ -427,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
             _cmd_optimize, space=True)
     p.add_argument("--top-k", type=int, default=None, metavar="K",
                    help="also report the K best policies")
-    p.add_argument("--allow-large", action="store_true",
-                   help="override the search-space size gate of --top-k")
 
     add("threshold", "Profit across all threshold policies.", _cmd_threshold)
 

@@ -15,8 +15,8 @@ class ConfigError(SleepqError):
 
 
 class GateError(SleepqError):
-    """A computation was refused by a cost gate: a size gate that was not
-    overridden, or the enumeration walk's memory budget, which cannot be."""
+    """A computation was refused by a cost gate: enumerate_policies' size
+    gate, where allow_large was not set."""
 
 
 class RegimeError(GateError):

@@ -23,13 +23,10 @@ Policy = tuple[int, ...]
 
 POLICY_SPACES = ("full", "reduced", "bang_bang", "threshold")
 
-#: The most policies enumerate_policies and optimize's rankings enumerate
-#: unless allow_large is set: the full space at m = 8. As 11! < 9^8 < 12! <
-#: 2^26, the reduced space is enumerated to m = 10 and bang_bang to m = 25.
+#: The most policies enumerate_policies yields unless allow_large is set:
+#: the full space at m = 8. As 11! < 9^8 < 12! < 2^26, the reduced space is
+#: enumerated to m = 10 and bang_bang to m = 25.
 SPACE_SIZE_LIMIT = 9 ** 8
-
-#: Policies evaluated per vectorized block.
-BLOCK_SIZE = 65536
 
 _INT_FIELDS = ("n", "m")
 
@@ -281,12 +278,14 @@ _SPACE_SIZES = {"full": ("(m+1)^m", lambda m: (m + 1) ** m),
 
 
 def policy_space_size(m, space="full") -> int:
-    """Number of policies in a space, an exact int at any m, in closed
+    """Number of policies in a space, an exact int at any m >= 1, in closed
     form (_SPACE_SIZES): (m+1)^m in full, (m+1)! in reduced, 2^m in
-    bang_bang and m + 1 in threshold. An unknown space raises ValueError."""
+    bang_bang and m + 1 in threshold. An unknown space, or an m that is not
+    an integer of at least 1, raises ValueError."""
     if space not in _SPACE_SIZES:
         raise ValueError(f"unknown policy space {space!r}")
-    return _SPACE_SIZES[space][1](m)
+    _check_count(m, "m must be >= 1 and an integer")
+    return _SPACE_SIZES[space][1](int(m))
 
 
 def _decimal_digits(n: int) -> int:
@@ -311,23 +310,6 @@ def _size_text(size: int, space: str) -> str:
     return str(size) if digits <= 4300 else f"{_SPACE_SIZES[space][0]} ({digits} digits)"
 
 
-def _gated_size(m: int, space: str, allow_large: bool) -> int:
-    """Size of a policy space, refusing one of more than SPACE_SIZE_LIMIT
-    policies unless allow_large is set. Only the searches that enumerate a
-    space call it: enumerate_policies and optimize's rankings. A refusal
-    prints the size by _size_text.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    size = policy_space_size(m, space)
-    if size > SPACE_SIZE_LIMIT and not allow_large:
-        raise GateError(
-            f"{space} policy space has {_size_text(size, space)} members for m={m}; "
-            "pass allow_large to enumerate anyway"
-        )
-    return size
-
-
 def enumerate_policies(m, space="full", allow_large=False):
     """Yield each policy of the requested space exactly once.
 
@@ -340,39 +322,18 @@ def enumerate_policies(m, space="full", allow_large=False):
     Enumeration is lexicographic (thresholds by rising theta), which callers
     rely on for deterministic tie-breaking. A space of more than
     SPACE_SIZE_LIMIT policies (full past m = 8, reduced past m = 10,
-    bang_bang past m = 25) is refused unless allow_large is set.
+    bang_bang past m = 25) is refused with GateError unless allow_large is
+    set; the refusal prints the size by _size_text.
     """
-    _gated_size(m, space, allow_large)
+    size = policy_space_size(m, space)
+    if size > SPACE_SIZE_LIMIT and not allow_large:
+        raise GateError(
+            f"{space} policy space has {_size_text(size, space)} members for m={m}; "
+            "pass allow_large to enumerate anyway"
+        )
     if space == "threshold":
         return (threshold_policy(m, theta) for theta in range(1, m + 2))
     return itertools.product(*_level_values(m, space))
-
-
-def _space_block(m: int, space: str, ranks) -> tuple[list, np.ndarray]:
-    """The block (levels, digits) of an array of ranks in enumerate_policies'
-    order: the space's value sets and a row of digits per rank, stored
-    level-major. Product ranks are mixed-radix digits, the last level
-    least significant, split off by one divmod per level; threshold rank r
-    (theta = r + 1) is the boolean row that wakes the levels from r + 1 on.
-    """
-    levels = _level_values(m, space)
-    rank = np.asarray(ranks, dtype=np.int64)
-    if space == "threshold":
-        return levels, (np.arange(m)[:, None] >= rank).T
-    digits = np.empty((m, rank.shape[0]), dtype=np.int64).T
-    for k in range(m - 1, -1, -1):
-        rank, digits[:, k] = np.divmod(rank, len(levels[k]))
-    return levels, digits
-
-
-def _policy_block(m: int, space: str, ranks) -> np.ndarray:
-    """The policies of an array of ranks, one int64 row each: the digits of
-    _space_block, which are the values in full and reduced and pick 0 or j
-    at level j in bang_bang and threshold."""
-    _, digits = _space_block(m, space, ranks)
-    if space in ("bang_bang", "threshold"):
-        return digits * np.arange(1, m + 1)
-    return digits
 
 
 def parse_policy(text: str, m: int) -> Policy:

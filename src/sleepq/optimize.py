@@ -21,15 +21,15 @@ lambda/nu, extended level by level in Python floats (_extend) on the
 tables chain._level_tables builds from the rates of the answer's policy
 record.
 
-The enumeration tree is walked for rankings (top_k) at one price:
-policies that share their first j coordinates share the partial weight
-product and profit sums of those levels. The prefixes stay in the order
-the tree grows them; only each chunk's candidates are ranked, and only the
-winning ranks are unranked back into policies. The walk grows its chunks
-one after another on the calling thread. _extend runs the walk's
-operations in its order, so a policy's eta is the walk's bit for bit; it
-also gives the threshold family and the monotonicity sweep, which extend
-shared prefixes one policy at a time and so hold O(m) floats at any m.
+Rankings (top_k) of a product space at one price are Lawler's partition
+over the same iteration (Lawler, "A procedure for computing the K best
+solutions to discrete optimization problems", Management Science 18(7),
+1972): each subspace keeps one value set per level, and its best policy is
+the iteration restricted to one candidate pair per level (_rankings), so
+k policies cost about k m iterations at any m. _extend gives each policy's
+eta, and also the threshold family and the monotonicity sweep, which
+extend shared prefixes one policy at a time and so hold O(m) floats at any
+m.
 
 The module also houses the structural results: closed-form optima at
 extreme prices, the threshold-policy scan with its optimality sign
@@ -40,6 +40,7 @@ critical values).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -50,17 +51,13 @@ import numpy as np
 
 from .chain import (_energy_costs, _level_tables, _policy_record, _rates, _require_finite,
                     _value_rates, stationary_closed_form)
-from .errors import ConfigError, ConsistencyError, GateError, NumericalError, RegimeError
+from .errors import ConfigError, ConsistencyError, NumericalError, RegimeError
 from .model import (
-    BLOCK_SIZE,
     ModelParams,
     Policy,
     ReadOnlyRecord,
     _check_count,
-    _gated_size,
     _level_values,
-    _policy_block,
-    _size_text,
     check_policy,
     policy_space_size,
     require_valid,
@@ -75,21 +72,22 @@ from .sensitivity import (_factor_plus_c, _margins, _skew, critical_prices_globa
 class OptimizationResult:
     """Outcome of a policy search.
 
-    best_policy is the optimum. Without top_k in the full, reduced and
-    bang-bang spaces it is the policy iteration's answer: it meets the
-    paper's optimality condition (d_j = j where G(n,j) + c > 0, 0 where
-    it is < 0) at every level whose margin |G + c| clears its error bound
-    e_j, and the levels inside their band take 0 (or keep j, where 0
-    would leave a margin there that clears its bound on the waking side).
-    In the full space an awake level takes, in place of j, the value of
-    least float cost among j..m, which is j unless the rounding of the
-    rates undercuts it. So it is the space's exact optimum on its float
-    rates wherever no level lies in a band. Otherwise (the threshold space,
-    top_k) it is the lexicographically smallest float maximizer. best_eta
-    is its float eta.
+    best_policy is the optimum. In the full, reduced and bang-bang spaces
+    it is the policy iteration's answer: it meets the paper's optimality
+    condition (d_j = j where G(n,j) + c > 0, 0 where it is < 0) at every
+    level whose margin |G + c| clears its error bound e_j, and the levels
+    inside their band take 0 (or keep j, where 0 would leave a margin
+    there that clears its bound on the waking side). In the full space an
+    awake level takes, in place of j, the value of least float cost among
+    j..m, which is j unless the rounding of the rates undercuts it. So it
+    is the space's exact optimum on its float rates wherever no level lies
+    in a band. In the threshold space it is the lexicographically smallest
+    float maximizer. best_eta is its float eta.
     evaluations is the size of the space searched, however many policies
-    the search formed; ranking (optional) lists the top policies by float
-    eta as (policy, eta) pairs, best first.
+    the search formed; ranking (optional) lists the top policies as
+    (policy, eta) pairs, best first, each the iteration's answer on a
+    subspace of Lawler's partition in the product spaces, so ranking[0] is
+    best_policy.
     """
 
     best_policy: Policy
@@ -155,11 +153,11 @@ def _extend(state, xi_n, tables, span=slice(None)):
 
     The closed form eta = (S + low_profit) / (W + low_weight) in Python
     floats, on the floats of chain._level_tables, for the eta of
-    optimize's answer, the threshold family and the monotonicity sweep.
+    optimize's answers, the threshold family and the monotonicity sweep.
     Each level runs P <- r P, xi <- P xi_n, S <- xi f + S and W <- xi + W,
-    the operations of the walk's grow in its order, so a policy's eta is
-    bit for bit the walk's. P, xi and W are the same in every lane: they
-    are formed once, and only S in each lane.
+    so a policy's eta is the same bit for bit wherever it is formed. P, xi
+    and W are the same in every lane: they are formed once, and only S in
+    each lane.
     """
     prod, sums, weight = state
     if len(sums) == 1:
@@ -193,7 +191,7 @@ def _pairs(ratios: np.ndarray, rates: np.ndarray) -> list:
 
 def _threshold_family(params: ModelParams, prices: list[float]) -> np.ndarray:
     """Profit of every threshold policy at each price, one row per price:
-    column r is rank r of model._space_block, theta = r + 1.
+    column r is the policy of theta = r + 1.
 
     A descent of _extend: rank r continues the all-asleep state of the
     first r levels with the awake values of the levels above, so the
@@ -215,159 +213,11 @@ def _threshold_family(params: ModelParams, prices: list[float]) -> np.ndarray:
 def _profits(states, low_profit: np.ndarray, low_weight: float) -> np.ndarray:
     """eta = (S + low_profit) / (W + low_weight) of each (P, S, W) state
     of _extend, one row per price. A profit that is not finite raises
-    NumericalError, as in _chunk_summary."""
+    NumericalError."""
     etas = np.array([[(sums[p] + low) / (weight + low_weight) for _, sums, weight in states]
                      for p, low in enumerate(low_profit.tolist())])
     _require_finite(etas, "profits")
     return etas
-
-
-def _chunk_summary(etas, ranks, k):
-    """The k best (-eta, rank) pairs of a chunk of profits.
-
-    ranks(rows) gives the lexicographic rank of each index of etas. Rank
-    order is policy order, so ordering by eta descending, then rank
-    ascending, and merging summaries with heapq.nsmallest ranks by eta
-    descending, then policy ascending, however the rows were split into
-    chunks; only the winners need unranking.
-    """
-    cut = etas.max()
-    _require_finite((etas.min(), cut), "profits")  # NaN reaches both
-    count = min(k, etas.size)
-    if count > 1:
-        cut = np.partition(etas, etas.size - count)[etas.size - count]
-    top = np.flatnonzero(etas >= cut)
-    rank, eta = ranks(top), etas[top]
-    return [(-float(eta[t]), int(rank[t])) for t in np.lexsort((rank, -eta))[:count]]
-
-
-# The most bytes the walk's split-level prefixes may take; a space that
-# needs more is refused, whatever allow_large says.
-_WALK_BYTES = 2**30
-
-
-def _product_candidates(params: ModelParams, space: str, k: int,
-                        size: int) -> list[tuple[float, int]]:
-    """The k best (-eta, rank) pairs of a product space of size policies,
-    best first.
-
-    The _chunk_summary of every chunk, merged by heapq.nsmallest as the
-    chunks are grown, one after another on the calling thread.
-
-    Policies that share their first j coordinates share the first j factors
-    of the weight product P (cumulative lambda/nu) and the first j terms of
-    S = sum xi f and W = sum xi, with xi = xi_low[n] P. So the enumeration
-    tree is grown one level at a time: each level multiplies every prefix's
-    P by its values' lambda/nu and adds their terms, on _level_tables of
-    the _value_rates of the space's value sets at the price. _extend runs
-    these operations in this order on the same floats, so a policy gets the
-    same profit from the walk, optimize without top_k, the threshold family
-    and the monotonicity sweep at every m. A level's values form the
-    leading axis of its rows, so every operation runs along the contiguous
-    prefix axis.
-    The levels above a split are built once and stay in the tree's order;
-    each chunk grows the next run of split-level prefixes into leaves. Only
-    a chunk's candidates are ranked, by two index tables: the rank of each
-    split-level prefix, and of each path from one to a leaf. No array holds
-    more than BLOCK_SIZE rows unless the split-level prefixes alone do. A
-    space whose split-level prefixes and rank table would pass _WALK_BYTES
-    is refused with GateError before any is grown. Every leaf's numbers
-    come from the same elementwise operations wherever the tree is split,
-    so no result depends on the chunks.
-    """
-    m, levels = params.m, _level_values(params.m, space)
-    sizes = [len(values) for values in levels]
-    death, cost, start = _value_rates(params, levels)
-    low_profit, low_weight, xi_n, every_ratio, f_top = _level_tables(
-        params, death, cost, [params.price])
-    ratios = [every_ratio[a:b] for a, b in zip(start, start[1:])]
-    # The first chunk level, and the leaves under each of its prefixes, at
-    # most BLOCK_SIZE.
-    split, leaves = m, 1
-    while split > 1 and leaves * sizes[split - 1] <= BLOCK_SIZE:
-        split -= 1
-        leaves *= sizes[split]
-    # The split level holds 3 floats and one int64 rank per prefix.
-    if 32 * (size // leaves) > _WALK_BYTES:
-        raise GateError(f"{space} policy space has {_size_text(size, space)} members for "
-                        f"m={m}; its walk needs over {_WALK_BYTES >> 30} GiB of "
-                        "prefix sums, a budget allow_large does not lift")
-
-    def grow(state, j, out):
-        """Level j's (P, S, W) from level j-1's, written into out.
-
-        The leaf level m-1 gets no P: its out has no P slot, and its xi is
-        formed in W's slot by the same two roundings.
-        """
-        prod, profit, weight = state
-        ratio, f = ratios[j], f_top[0, start[j]:start[j + 1]]
-        shape = (ratio.size, prod.size)
-        size = ratio.size * prod.size
-        xi = out[1][:size].reshape(shape)
-        term = out[2][:size].reshape(shape)
-        if out[0] is None:
-            new_prod = None
-            np.multiply.outer(ratio, prod, out=xi)
-            xi *= xi_n
-        else:
-            new_prod = out[0][:size].reshape(shape)
-            np.multiply.outer(ratio, prod, out=new_prod)
-            np.multiply(new_prod, xi_n, out=xi)
-            new_prod = new_prod.ravel()
-        np.multiply(xi, f[:, None], out=term)
-        term += profit
-        xi += weight
-        return new_prod, term.ravel(), xi.ravel()
-
-    def buffers(flat, rows):
-        """Out arrays for rows rows of (P, W, S), carved from flat."""
-        return flat[:rows], flat[rows:2 * rows], flat[2 * rows:]
-
-    prefix = (np.ones(1), np.zeros(1), np.zeros(1))
-    for j in range(split):
-        size = prefix[0].size * sizes[j]
-        prefix = grow(prefix, j, buffers(np.empty(3 * size), size))
-    # The rank of each tree-order prefix, and of each tree-order leaf path
-    # below one, in rank units of their levels.
-    top, deep = (np.arange(math.prod(part)).reshape(part).transpose().ravel()
-                 for part in (sizes[:split], sizes[split:]))
-    # A chunk of split-level prefixes, never more than there are.
-    per = min(BLOCK_SIZE // leaves, prefix[0].size)
-    rows = per * leaves
-    small = rows // sizes[m - 1]
-
-    # Fresh chunk-sized arrays cost page faults in every chunk, so the
-    # chunks are grown in two reused buffer sets, one per level parity. The
-    # leaf set holds level m-1, which needs no P, and forms eta in place;
-    # the levels below m-1 hold at most small rows each, so the walk holds
-    # 2 rows + 4 small floats. One allocation holds both sets: freeing
-    # several smaller ones let the allocator return their pages after every
-    # call.
-    flat = np.empty(2 * rows + 4 * small)
-    leaf = (flat[:small], flat[small:small + rows], flat[small + rows:small + 2 * rows])
-    work = (leaf, buffers(flat[small + 2 * rows:], small))
-    found = []
-    for lo in range(0, prefix[0].size, per):
-        state = tuple(part[lo:lo + per] for part in prefix)
-        width = state[0].size
-        for j in range(split, m - 1):
-            state = grow(state, j, work[(m - 1 - j) % 2])
-        if split < m:
-            state = grow(state, m - 1, (None,) + leaf[1:])
-        # Once a level is grown, the state lies in the leaf set and these
-        # write over it; when none is, it is a slice of the shared prefix,
-        # which they leave alone.
-        size = state[2].size
-        total, etas = leaf[1][:size], leaf[2][:size]
-        np.add(state[1], low_profit[0], out=etas)
-        np.add(state[2], low_weight, out=total)
-        etas /= total
-
-        def ranks(rows):
-            return top[lo + rows % width] * leaves + deep[rows // width]
-
-        found = heapq.nsmallest(k, found + _chunk_summary(etas, ranks, k))
-    return found
 
 
 def _threshold_best(etas: np.ndarray, k: int) -> list[tuple[float, int]]:
@@ -378,25 +228,6 @@ def _threshold_best(etas: np.ndarray, k: int) -> list[tuple[float, int]]:
     # Column i of the reversed row is rank m - i, m + 1 = etas.size.
     return [(neg, etas.size - 1 - i) for neg, i in
             heapq.nsmallest(k, zip((-etas[::-1]).tolist(), range(etas.size)))]
-
-
-def _rankings(params: ModelParams, space: str, k: int,
-              size: int) -> list[tuple[float, Policy]]:
-    """The k best (-eta, policy) pairs of a space of size policies at its
-    price, best first.
-
-    The threshold family is _threshold_family's, ranked by _threshold_best;
-    the product spaces are one walk of _product_candidates. Overflow and
-    NaN are refused by _threshold_family and _chunk_summary.
-    """
-    m = params.m
-    if space == "threshold":
-        found = _threshold_best(_threshold_family(params, [params.price])[0], k)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            found = _product_candidates(params, space, k, size)
-    policies = _policy_block(m, space, [rank for _, rank in found]).tolist()
-    return [(neg, tuple(d)) for (neg, _), d in zip(found, policies)]
 
 
 def _awake(params: ModelParams, space: str) -> Policy:
@@ -427,41 +258,44 @@ def _awake(params: ModelParams, space: str) -> Policy:
     return tuple(awake)
 
 
-def _iterate(params: ModelParams, space: str, prices: list[float]) -> list[Policy]:
-    """The policy iteration's answer in a product space at each price.
+def _iterate(params: ModelParams, pairs: list, prices: list[float]) -> list[Policy]:
+    """The policy iteration's answer at each price on one candidate pair
+    (lo, hi) per level: both in 0..j, 0 and _awake's value, or one value
+    twice, the comparisons sensitivity._record_bounds certifies.
 
-    From the awake policy of _awake, each step reads G(n,j) + c and its
+    From the policy of the hi values, each step reads G(n,j) + c and its
     error bound e_j from the policy's record (sensitivity._margins) and
-    sets level j awake where G + c > e_j and to 0 where G + c < -e_j; in
+    sets level j to hi where G + c > e_j and to lo where G + c < -e_j; in
     the band between, where the sign is not known, it stays. So every step
     raises the exact eta and no policy comes back: one that does means a
     bound failed, and raises NumericalError. The iteration stops when the
-    policy repeats. At the fixed point the band levels go to 0, the
-    lexicographically smaller value, where the policy with 0 there is a
+    policy repeats. At the fixed point the band levels go to lo, the
+    lexicographically smaller value, where the policy with lo there is a
     fixed point too; otherwise they stay. Where no level lies in a band the
     answer meets the optimality condition exactly, so it is the exact
-    optimum of the space, the same from every start.
+    optimum over the pairs, the same from every start.
     """
-    awake, skew = _awake(params, space), _skew(params)
+    lows, highs = (tuple(side) for side in zip(*pairs))
+    skew = _skew(params)
 
     def step(d, price):
         """The next policy, and the sign of each level's margin, 0 in its band."""
         value, bound = _margins(params, d, price, skew)
         signs = [1 if v > e else -1 if v < -e else 0
                  for v, e in zip(value.tolist(), bound.tolist())]
-        return tuple(w if s > 0 else 0 if s < 0 else x
-                     for x, w, s in zip(d, awake, signs)), signs
+        return tuple(hi if s > 0 else lo if s < 0 else x
+                     for x, lo, hi, s in zip(d, lows, highs, signs)), signs
 
     answers = []
     for price in prices:
-        d, seen = awake, []
+        d, seen = highs, []
         while d not in seen:
             seen.append(d)
             d, signs = step(d, price)
         if d != seen[-1]:
             raise NumericalError("policy iteration came back to a policy: "
                                  "an error bound of G + c failed")
-        low = tuple(x if s else 0 for x, s in zip(d, signs))
+        low = tuple(x if s else lo for x, lo, s in zip(d, lows, signs))
         # seen[-1] equals d, and is the tuple its policy record holds.
         answers.append(low if low != d and step(low, price)[0] == low else seen[-1])
     return answers
@@ -470,7 +304,7 @@ def _iterate(params: ModelParams, space: str, prices: list[float]) -> list[Polic
 def _profit(params: ModelParams, d: Policy, prices: list[float]) -> list[float]:
     """eta of policy d at each price: _extend on chain._level_tables of the
     rates its policy record holds, which are _value_rates' for its values,
-    so bit for bit the walk's eta of d at that price alone."""
+    so bit for bit its eta at that price alone."""
     record = _policy_record(params, d)
     low_profit, low_weight, xi_n, ratios, rates = _level_tables(
         params, record.death, record.cost, prices)
@@ -478,39 +312,115 @@ def _profit(params: ModelParams, d: Policy, prices: list[float]) -> list[float]:
     return _profits([state], low_profit, low_weight)[:, 0].tolist()
 
 
-def optimize(params: ModelParams, space: str = "full",
-             allow_large: bool = False, top_k: int | None = None,
+def _space_pairs(params: ModelParams, space: str) -> list:
+    """The iteration's pair (0, _awake's value) of each level of a product
+    space: its optimum is one of them at every level."""
+    return [(0, w) for w in _awake(params, space)]
+
+
+def _rankings(params: ModelParams, space: str, k: int) -> list[tuple[float, Policy]]:
+    """The k best (-eta, policy) pairs of a space at its price, best first.
+
+    The threshold family is _threshold_family's, ranked by _threshold_best.
+    A product space is ranked by Lawler's partition. A subspace holds one
+    value set per level, and its candidate is _iterate's answer on one pair
+    per set, with its float eta by _profit. Candidates are ordered by
+    (-eta, policy), so ties go to the smaller policy. The best is popped,
+    and for each level i its child fixes the levels below i to the popped
+    policy and takes its value out of level i's set: the children part the
+    rest of the subspace. At most k candidates are kept, so the ranking
+    holds O(k m) values.
+
+    Each set holds values of one kind, so its pair is one _iterate
+    compares: values in 0..j, kept as (lo, hi), the level's own values
+    from lo to hi (0 and j alone in bang_bang), or one value as (v, v),
+    paired (lo, hi); or, in the full space, values above j, which share
+    level j's death rate, so the cheapest is best: kept as ((cost, v),),
+    the values from v on in (float cost, value) order, paired (v, v). A
+    full-space level that no child has touched below m holds every value,
+    None, paired (0, _awake's value), as the rest is dominated; a value
+    taken out of it parts the rest into 0..j and the values above j.
+    """
+    m, price = params.m, params.price
+    if space == "threshold":
+        return [(neg, threshold_policy(m, rank + 1)) for neg, rank in
+                _threshold_best(_threshold_family(params, [price])[0], k)]
+    untouched = _space_pairs(params, space)
+
+    def cheapest(j, after=(-math.inf, 0)):
+        """The least (float cost, value) past after of level j's values
+        above j, or None: one O(m) pass, so a set holds O(1) values."""
+        _, cost = _rates(params, [(j, v) for v in range(j + 1, m + 1)])
+        return min((key for key in zip(cost[params.n + 1:], range(j + 1, m + 1))
+                    if key > after), default=None)
+
+    def pair(j, part):
+        if part is None:
+            return untouched[j - 1]
+        return (part[0][1],) * 2 if len(part) == 1 else part
+
+    def rest(j, part, v):
+        """The sets left at level j once value v leaves part."""
+        if part is None:
+            return (rest(j, (0, j), v) + [(cheapest(j),)] if v <= j
+                    else [(0, j)] + rest(j, (cheapest(j),), v))
+        if len(part) == 1:
+            key = cheapest(j, part[0])
+            return [] if key is None else [(key,)]
+        lo, hi = part
+        gap = hi - lo if space == "bang_bang" else 1
+        return [] if lo == hi else [(lo + gap, hi) if v == lo else (lo, hi - gap)]
+
+    def candidate(parts):
+        [d] = _iterate(params, [pair(j, part) for j, part in enumerate(parts, start=1)],
+                       [price])
+        [eta] = _profit(params, d, [price])
+        return -eta, d, parts
+
+    found, best = [], [candidate(tuple(None if space == "full" and j < m else (0, j)
+                                       for j in range(1, m + 1)))]
+    while best:
+        neg, d, parts = best.pop(0)
+        found.append((neg, d))
+        if len(found) == k:
+            break
+        for i in range(m):
+            fixed = tuple((v, v) for v in d[:i])
+            for part in rest(i + 1, parts[i], d[i]):
+                bisect.insort(best, candidate(fixed + (part,) + parts[i + 1:]))
+                del best[k - len(found):]
+    return found
+
+
+def optimize(params: ModelParams, space: str = "full", top_k: int | None = None,
              threads: int | None = None) -> OptimizationResult:
     """The optimal policy of a space, and its average profit.
 
-    Without top_k, the full, reduced and bang-bang spaces are searched by
-    the policy iteration of _iterate from the all-awake policy, in one
-    O(m) pass per step, whatever the size of the space. The answer meets
-    the paper's optimality condition at every level whose margin |G + c|
-    clears its error bound e_j (d_j = j where G + c > 0, 0 where G + c <
-    0), and takes 0 at the levels inside their band, unless 0 there would
-    leave a margin that clears its bound on the waking side. In the full
-    space a level wakes to its value of least float cost among j..m, j
-    unless the rounding of the rates undercuts it. So the answer is the
-    same bang-bang policy in the reduced and bang-bang spaces, and where no
-    level lies in a band it is each space's exact optimum on its float
-    rates. best_eta is that policy's float eta.
+    The full, reduced and bang-bang spaces are searched by the policy
+    iteration of _iterate from the all-awake policy, in one O(m) pass per
+    step, whatever the size of the space. The answer meets the paper's
+    optimality condition at every level whose margin |G + c| clears its
+    error bound e_j (d_j = j where G + c > 0, 0 where G + c < 0), and takes
+    0 at the levels inside their band, unless 0 there would leave a margin
+    that clears its bound on the waking side. In the full space a level
+    wakes to its value of least float cost among j..m, j unless the
+    rounding of the rates undercuts it. So the answer is the same bang-bang
+    policy in the reduced and bang-bang spaces, and where no level lies in
+    a band it is each space's exact optimum on its float rates. best_eta is
+    that policy's float eta. The threshold space ranks the float eta of its
+    m + 1 policies, ties to the lexicographically smallest policy, the
+    maximal theta, while threshold_scan reports the minimal one.
 
-    The threshold space, and every space with top_k (an integer, at least
-    1), rank float eta: the threshold family whole, the other spaces by
-    walking their enumeration tree at the price, on the calling thread, in
-    chunks of at most BLOCK_SIZE policies. Ties resolve to the
-    lexicographically smallest policy; in the threshold space that is the
-    maximal theta, while threshold_scan reports the minimal one. A ranking
-    lists the best policies by eta descending, ties by policy ascending, so
-    with top_k ranking[0] is best_policy. Until the ranking reads the
-    policy iteration too, ranking[0] can differ from the best_policy of a
-    call without top_k, where float ties hide an exact winner. Any other
-    top_k but None raises ValueError. Only these rankings enumerate a
-    space, so only they refuse one of more than model.SPACE_SIZE_LIMIT
-    policies with GateError, unless allow_large is set; a walk whose
-    split-level prefix sums would pass _WALK_BYTES raises GateError,
-    allow_large or not.
+    top_k (an integer, at least 1; any other top_k but None raises
+    ValueError) adds a ranking of the top_k best policies as (policy, eta)
+    pairs, best first, or of the whole space where it is smaller. The
+    threshold space is ranked by eta descending, ties by policy ascending.
+    A product space is ranked by Lawler's partition over the iteration
+    (_rankings), about top_k m iterations at any m: each entry is the
+    iteration's answer on a subspace, taken by float eta, ties by policy,
+    so ranking[0] is the best_policy of the call without top_k, and the
+    order is that of the exact eta but between policies whose float etas
+    lie within a few ulps.
 
     evaluations is the size of the space, however many policies the search
     formed. A non-finite profit or realization factor (the stationary
@@ -526,13 +436,12 @@ def optimize(params: ModelParams, space: str = "full",
         _check_count(top_k, "top_k must be >= 1 and an integer")
     if threads is not None:
         _check_count(threads, "threads must be None or a positive integer")
+    total = policy_space_size(params.m, space)
     if top_k is None and space != "threshold":
-        total = policy_space_size(params.m, space)
-        [d] = _iterate(params, space, [params.price])
+        [d] = _iterate(params, _space_pairs(params, space), [params.price])
         [eta] = _profit(params, d, [params.price])
         return OptimizationResult(d, eta, space, total)
-    total = _gated_size(params.m, space, allow_large)
-    ranking = [(policy, -neg) for neg, policy in _rankings(params, space, top_k or 1, total)]
+    ranking = [(policy, -neg) for neg, policy in _rankings(params, space, top_k or 1)]
     return OptimizationResult(*ranking[0], space, total, ranking if top_k else None)
 
 
@@ -578,7 +487,7 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float], space: str = "full
     else:
         # Each policy's eta at all of its prices, in grid order, from one
         # pass of _extend.
-        policies, prices = _iterate(params, space, grid), {}
+        policies, prices = _iterate(params, _space_pairs(params, space), grid), {}
         for r, d in zip(grid, policies):
             prices.setdefault(d, []).append(r)
         etas = {d: iter(_profit(params, d, at)) for d, at in prices.items()}

@@ -63,14 +63,23 @@ def exact(params, d) -> Exact:
 
 
 def exact_eta(params, d) -> Fraction:
-    """eta alone, equal to exact(params, d).eta, for enumerating a space."""
-    death, cost = (list(map(Fraction, rates)) for rates in _state_rates(params, d))
-    lam, price = Fraction(params.lambda_), Fraction(params.price)
-    weights = [Fraction(1)]
-    for rate in death[1:]:
-        weights.append(weights[-1] * lam / rate)
-    return (sum(w * (price * rate - c) for w, rate, c in zip(weights, death, cost))
-            / sum(weights))
+    """eta alone, equal to exact(params, d).eta, for enumerating a space.
+
+    The float rates are dyadic, so with lambda, the price and every rate
+    times one power of two they are integers, and so are the weights times
+    the product of the death rates: lam^i prod_{l>i} nu_l at state i, each
+    from the last by an exact division, as in exact_root_pairs.
+    """
+    death, cost = _state_rates(params, d)
+    ratios = [x.as_integer_ratio() for x in (params.lambda_, params.price, *death, *cost)]
+    scale = max(den for _, den in ratios)
+    lam, price, *rates = (num * (scale // den) for num, den in ratios)
+    nu, b = rates[:len(death)], rates[len(death):]
+    weights = [math.prod(nu[1:])]
+    for rate in nu[1:]:
+        weights.append(weights[-1] * lam // rate)
+    profit = sum(w * (price * rate - c * scale) for w, rate, c in zip(weights, nu, b))
+    return Fraction(profit, sum(weights) * scale * scale)
 
 
 @functools.lru_cache(maxsize=64)

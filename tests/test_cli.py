@@ -2,6 +2,7 @@
 
 import argparse
 import importlib
+import itertools
 import warnings
 from pathlib import Path
 
@@ -112,8 +113,7 @@ def test_every_command_documents_its_options():
     search = {"critical-prices", "optimize", "price-sweep"}
     assert helps("--policy") == dict.fromkeys(policy, "comma-separated policy")
     assert helps("--space").keys() == search
-    assert helps("--allow-large") == {
-        "optimize": "override the search-space size gate of --top-k"}
+    assert helps("--allow-large") == {}
     assert {name for name, p in sub.choices.items()
             if p.get_default("handler") is None} == {"validate"}
 
@@ -264,14 +264,16 @@ def test_policy_from_an_args_file(tmp_path, capsys):
     assert len(rows) == 30_003
 
 
-def test_full_space_gate_exits_3(tmp_path, capsys):
-    # The policy iteration enumerates nothing and answers; a ranking walks
-    # the 10^9 policies, which the gate refuses.
+def test_full_space_ranking_answers_at_a_billion_policies(tmp_path, capsys):
+    # The enumeration walk refused the 10^9 policies of full m = 9 with
+    # exit 3; the policy iteration and Lawler's partition enumerate none.
     path = write_model(tmp_path, m=9)
     assert main(["optimize", "--model", path, "--space", "full"]) == 0
-    assert "policies evaluated: 1000000000\n" in capsys.readouterr().out
-    assert main(["optimize", "--model", path, "--space", "full", "--top-k", "1"]) == 3
-    assert "allow_large" in capsys.readouterr().err
+    best = capsys.readouterr().out
+    assert "policies evaluated: 1000000000\n" in best
+    assert main(["optimize", "--model", path, "--space", "full", "--top-k", "3"]) == 0
+    ranked = capsys.readouterr().out
+    assert best.splitlines()[:3] == ranked.splitlines()[:3]
 
 
 def test_critical_prices_answer_at_a_billion_policies(tmp_path, capsys):
@@ -284,23 +286,21 @@ def test_critical_prices_answer_at_a_billion_policies(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("m", [1371, 1558, 2000, 20000])
-def test_gate_exits_3_past_the_digits_python_writes(tmp_path, capsys, m):
-    # A size of more than 4300 digits still gives the gate's refusal of a
-    # ranking, and optimize, which enumerates nothing, prints it as its
-    # evaluations: at m = 20 000, "(m+1)^m (86022 digits)" and "(m+1)!
-    # (77342 digits)" (test_model.py pins those texts). The critical
-    # prices enumerate nothing either, and refuse level 1's smallest root,
-    # which is not a double from m = 200.
+def test_optimize_answers_past_the_digits_python_writes(tmp_path, capsys, m):
+    # A size of more than 4300 digits is printed as the evaluations of
+    # optimize, which enumerates nothing, with or without a ranking: at
+    # m = 20 000, "(m+1)^m (86022 digits)" and "(m+1)! (77342 digits)"
+    # (test_model.py pins those texts). The critical prices enumerate
+    # nothing either, and refuse level 1's smallest root, which is not a
+    # double from m = 200.
     path = write_model(tmp_path, lambda_=2.0, n=2, m=m)
-    assert main(["optimize", "--model", path, "--top-k", "1"]) == 3
-    assert "allow_large" in capsys.readouterr().err
     for command in (["critical-prices"],
                     ["price-sweep", "--space", "full", "--from", "0", "--to", "1",
                      "--steps", "2"]):
         assert main([*command, "--model", path]) == 4
         assert "level 1 is not a finite double" in capsys.readouterr().err
-    for space in ("full", "reduced"):
-        assert main(["optimize", "--space", space, "--model", path]) == 0
+    for space, rank in itertools.product(("full", "reduced"), ([], ["--top-k", "1"])):
+        assert main(["optimize", "--space", space, "--model", path, *rank]) == 0
         size = _size_text(policy_space_size(m, space), space)
         assert f"policies evaluated: {size}\n" in capsys.readouterr().out
 
@@ -322,26 +322,12 @@ def test_optimize_command_forms_the_space_size_once(tmp_path, capsys, monkeypatc
     want = _size_text(policy_space_size(20, space), space)
     assert f"policies evaluated: {want}\n" in capsys.readouterr().out
     assert sizes == [(20, space)]
-    # A ranking forms it once too, in the size gate, which the walk reads.
+    # A ranking forms it once too.
     sizes.clear()
     path = write_model(tmp_path, lambda_=2.0, n=2, m=4)
     assert main(["optimize", "--space", space, "--top-k", "2", "--model", path]) == 0
     capsys.readouterr()
     assert sizes == [(4, space)]
-
-
-def test_gate_override_runs(model_file, capsys, monkeypatch):
-    import sleepq.model as model_mod
-
-    monkeypatch.setattr(model_mod, "SPACE_SIZE_LIMIT", 0)
-    assert main(["optimize", "--model", model_file, "--top-k", "1"]) == 3
-    capsys.readouterr()
-    assert main(["optimize", "--model", model_file, "--top-k", "1",
-                 "--allow-large"]) == 0
-    assert "best policy: " in capsys.readouterr().out
-    # The critical prices take no gate.
-    assert main(["critical-prices", "--model", model_file]) == 0
-    assert "R_H: " in capsys.readouterr().out
 
 
 def test_bang_bang_critical_prices_answer_at_scale(tmp_path, capsys):

@@ -76,16 +76,14 @@ def test_only_chain_and_sim_form_the_rates():
     assert not bad, "\n".join(bad)
 
 
-# The names of enumeration: the unrankers, the block size and the size gate.
-# model defines them, and only optimize's rankings enumerate a space; the
-# package facade re-exports the gate's public limit.
-ENUMERATION_NAMES = {"_space_block", "_policy_block", "BLOCK_SIZE", "_gated_size",
-                     "SPACE_SIZE_LIMIT"}
-ENUMERATING = {"model": ENUMERATION_NAMES, "optimize": ENUMERATION_NAMES,
-               "__init__": {"SPACE_SIZE_LIMIT"}}
+# The names of enumeration: enumerate_policies and its size gate. model
+# defines them and only its own search enumerates a space; the package
+# facade re-exports them.
+ENUMERATION_NAMES = {"enumerate_policies", "SPACE_SIZE_LIMIT"}
+ENUMERATING = {"model": ENUMERATION_NAMES, "__init__": ENUMERATION_NAMES}
 
 
-def test_only_optimize_enumerates():
+def test_only_model_enumerates():
     bad = []
     for path in sorted(PACKAGE.glob("*.py")):
         barred = ENUMERATION_NAMES - ENUMERATING.get(path.stem, set())

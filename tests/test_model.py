@@ -2,7 +2,6 @@
 
 import dataclasses
 import decimal
-import importlib
 import math
 import os
 import subprocess
@@ -47,9 +46,6 @@ from sleepq import (
 )
 from sleepq.model import _decimal_digits, _level_values, _size_text
 from conftest import micro_params
-
-# The package exports the optimize function under the module's name.
-OPT = importlib.import_module("sleepq.optimize")
 
 
 def test_config_round_trip(micro):
@@ -272,37 +268,22 @@ def test_gate_message_names_the_exact_size(space, m, want):
     assert str(refused.value) == want
 
 
-class _PastTheGate(Exception):
-    """Raised where a search starts to enumerate, after the size gate."""
-
-
 @pytest.mark.parametrize("space, m", [("full", 8), ("reduced", 10), ("bang_bang", 25)])
-def test_one_size_gate_for_every_enumerating_search(monkeypatch, space, m):
+def test_one_size_gate_for_every_enumerating_search(space, m):
     # One count, the full space's 9^8 policies at m = 8, sets every space's
-    # last m: 11! < 9^8 < 12! and 2^25 < 9^8 < 2^26.
+    # last m: 11! < 9^8 < 12! and 2^25 < 9^8 < 2^26. Only enumerate_policies
+    # enumerates: optimize ranks the next space by Lawler's partition, and
+    # the critical prices by their per-level DPs, with no gate.
     assert policy_space_size(m, space) <= sleepq.SPACE_SIZE_LIMIT
     assert policy_space_size(m + 1, space) > sleepq.SPACE_SIZE_LIMIT
-
-    def enumerate_past_the_gate(*args):
-        raise _PastTheGate
-
-    # The critical prices enumerate nothing since their per-level DPs, and
-    # take no gate.
-    monkeypatch.setattr(OPT, "_product_candidates", enumerate_past_the_gate)
-    searches = [
-        lambda size, allow: next(iter(enumerate_policies(size, space, allow))),
-        lambda size, allow: sleepq.optimize(
-            micro_params(m=size), space, allow_large=allow, top_k=2)]
-    for search in searches:
-        for size, allow in ((m, False), (m + 1, True)):
-            try:
-                search(size, allow)
-            except _PastTheGate:
-                pass
-        with pytest.raises(GateError, match=f"{space} policy space has "
-                           f"{policy_space_size(m + 1, space)} members for m={m + 1}; "
-                           "pass allow_large to enumerate anyway"):
-            search(m + 1, False)
+    assert next(iter(enumerate_policies(m, space))) == (0,) * m
+    assert next(iter(enumerate_policies(m + 1, space, True))) == (0,) * (m + 1)
+    with pytest.raises(GateError, match=f"{space} policy space has "
+                       f"{policy_space_size(m + 1, space)} members for m={m + 1}; "
+                       "pass allow_large to enumerate anyway"):
+        enumerate_policies(m + 1, space)
+    ranked = sleepq.optimize(micro_params(m=m + 1), space, top_k=2)
+    assert ranked.evaluations == policy_space_size(m + 1, space)
 
 
 @pytest.mark.parametrize("space, m", [
@@ -311,21 +292,39 @@ def test_one_size_gate_for_every_enumerating_search(monkeypatch, space, m):
 def test_gate_refuses_a_size_past_the_digits_python_writes(space, m):
     # Python writes no int of more than 4300 digits: past that, the
     # refusal gives the size's formula and digit count instead, and so
-    # does the evaluations of optimize, which answers without enumerating
-    # unless it ranks.
+    # does the evaluations of optimize, which enumerates nothing.
     size = policy_space_size(m, space)
     digits = decimal.Decimal(size).adjusted() + 1
     formula = {"full": "(m+1)^m", "reduced": "(m+1)!"}[space]
     text = str(size) if digits <= 4300 else f"{formula} ({digits} digits)"
     params = micro_params(lambda_=2.0, n=2, m=m)
-    for call in (lambda: enumerate_policies(m, space),
-                 lambda: sleepq.optimize(params, space, top_k=1)):
-        with pytest.raises(GateError, match="allow_large") as refused:
-            call()
-        assert f"has {text} members for m={m}" in str(refused.value)
+    with pytest.raises(GateError, match="allow_large") as refused:
+        enumerate_policies(m, space)
+    assert f"has {text} members for m={m}" in str(refused.value)
     res = sleepq.optimize(params, space)
     assert len(res.best_policy) == m and res.evaluations == size
+    assert sleepq.optimize(params, space, top_k=1).ranking == [(res.best_policy,
+                                                                res.best_eta)]
     assert _size_text(size, space) == text
+
+
+@pytest.mark.parametrize("space", sleepq.POLICY_SPACES)
+@pytest.mark.parametrize("m", [0, -1, -2, 2.0, 2.5, True, "2", None])
+def test_space_size_refuses_an_m_that_is_not_a_count(space, m):
+    # Before the check, m = 0 gave 1 in every space, m = -1 0.5 in
+    # bang_bang and ZeroDivisionError in full, m = 2.0 9.0 in full and
+    # m = True 2.
+    with pytest.raises(ValueError, match="m must be >= 1 and an integer"):
+        policy_space_size(m, space)
+    with pytest.raises(ValueError, match="m must be >= 1 and an integer"):
+        enumerate_policies(m, space)
+
+
+def test_space_size_is_an_exact_int_of_a_numpy_count():
+    for space, want in (("full", 21 ** 20), ("reduced", math.factorial(21)),
+                        ("bang_bang", 2 ** 20), ("threshold", 21)):
+        size = policy_space_size(np.int64(20), space)
+        assert type(size) is int and size == want
 
 
 def test_policy_parse_format_round_trip():

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import sleepq.chain as CHAIN
-import sleepq.model as MODEL
 import sleepq.sensitivity as SENS
 from sleepq import (
     ConfigError,
@@ -36,9 +35,10 @@ from sleepq import (
 )
 from sleepq.chain import _rates, _state_rates
 from sleepq.cli import main
-from sleepq.model import _level_values, _policy_block, _space_block
+from sleepq.model import _level_values
 from sleepq.sensitivity import CriticalPrices, _margins, _skew
-from block import block_profits
+import block as BLOCK
+from block import block_profits, block_ranking, policy_of_rank, space_etas
 from conftest import (
     draw_instance,
     draw_params,
@@ -116,9 +116,11 @@ def _profits(params, block):
 
 
 def _walk_best(params, space):
-    """(best_policy, best_eta) of the enumeration walk alone."""
-    [(neg, policy)] = OPT._rankings(params, space, 1, policy_space_size(params.m, space))
-    return policy, -neg
+    """(best_policy, best_eta) of the enumeration of the space: its float
+    argmax, ties to the smallest policy, as the enumeration walk ranked it
+    before the rankings read the policy iteration."""
+    [best] = block_ranking(params, space, 1)
+    return best
 
 
 def _traced_peak(search):
@@ -170,64 +172,6 @@ def test_threads_must_be_none_or_a_positive_integer(micro, threads):
         optimize(micro, "full", threads=threads)
 
 
-def test_walk_holds_one_leaf_sized_buffer_set():
-    # Two full parity sets of 3 * BLOCK_SIZE floats peak at 3.1 MB
-    # here; a leaf set without P and a set for the levels below the leaves
-    # stay under 2 MB.
-    params = micro_params(n=2, m=7)
-    walk, peak = _traced_peak(lambda: _walk_best(params, "full"))
-    assert peak < 2 * 2**20
-    # The policy iteration holds a few arrays of m floats.
-    res, dp_peak = _traced_peak(lambda: optimize(params, "full"))
-    assert (res.best_policy, res.best_eta) == walk
-    assert dp_peak < 2**17
-
-
-def test_walk_buffers_fit_a_space_smaller_than_a_chunk():
-    # Buffers for a whole chunk of split-level prefixes peak at 1.5 MB on
-    # the 6**5 policies of full m=5; sized to the prefixes there are, the
-    # walk stays near 0.3 MB.
-    params = micro_params(lambda_=3.0, mu2=0.8, n=3, m=5)
-    res, peak = _traced_peak(lambda: optimize(params, "full", top_k=5))
-    assert res.ranking[0] == (res.best_policy, res.best_eta)
-    assert peak < 0.6 * 2**20
-
-
-@pytest.mark.parametrize("space", ["full", "reduced", "bang_bang", "threshold"])
-def test_policy_block_unranks_in_enumeration_order(space):
-    for m in range(1, 5):
-        total = policy_space_size(m, space)
-        block = _policy_block(m, space, np.arange(total))
-        assert [tuple(int(v) for v in row) for row in block] == \
-            list(enumerate_policies(m, space))
-
-
-def test_threshold_block_stacks_the_threshold_policies():
-    for m in range(1, 13):
-        # Unsorted, with repeats.
-        ranks = np.array([m, 0, m // 2, m, 0, *range(m + 1)])
-        want = np.array([threshold_policy(m, int(r) + 1) for r in ranks], dtype=np.int64)
-        block = _policy_block(m, "threshold", ranks)
-        assert block.dtype == np.int64 and np.array_equal(block, want)
-
-
-@pytest.mark.parametrize("space", ["full", "reduced", "bang_bang", "threshold"])
-def test_space_block_is_the_one_unranker(space):
-    for m in range(1, 5):
-        size = policy_space_size(m, space)
-        levels, digits = _space_block(m, space, range(size))
-        values = [tuple(levels[j][v] for j, v in enumerate(row))
-                  for row in digits.tolist()]
-        assert values == list(enumerate_policies(m, space))
-        block = _policy_block(m, space, range(size))
-        assert block.dtype == np.int64 and block.tolist() == [list(d) for d in values]
-    for m in range(1, 13):
-        # Unsorted, with repeats.
-        ranks = np.array([m, 0, m // 2, m, 0, *range(m + 1)])
-        want = [np.array(threshold_policy(m, int(r) + 1)) != 0 for r in ranks]
-        assert np.array_equal(_space_block(m, "threshold", ranks)[1], want)
-
-
 @pytest.mark.parametrize("space", ["full", "bang_bang"])
 @pytest.mark.parametrize("m", [9, 16, 30])
 def test_a_rows_eta_does_not_depend_on_its_block(space, m):
@@ -246,51 +190,27 @@ def test_a_rows_eta_does_not_depend_on_its_block(space, m):
                 assert np.array_equal(part, whole[:, row:row + rows])
 
 
-def _block_etas(params, space):
-    """block_profits over a whole space, unranked in BLOCK_SIZE pieces."""
-    total = policy_space_size(params.m, space)
-    return np.concatenate([
-        _profits(params, _policy_block(
-            params.m, space, np.arange(start, min(start + OPT.BLOCK_SIZE, total))))
-        for start in range(0, total, OPT.BLOCK_SIZE)])
-
-
 @pytest.mark.parametrize("space, m_min, m_max", [
     ("full", 1, 5), ("reduced", 5, 8), ("bang_bang", 4, 12)])
 def test_tree_search_matches_block_evaluation(space, m_min, m_max):
-    # The block evaluator repeats the tree's operations in its order, and
+    # The enumeration tree of tests/block.py repeats the block evaluator's
+    # operations in its order, so every eta is the same bit for bit.
     # optimize's eta is its policy's block eta; where a float tie hides
     # the exact winner, that policy is not the float argmax.
     rng = np.random.default_rng(47)
     for _ in range(6):
         params, _ = draw_instance(rng, n_max=6, m_min=m_min, m_max=m_max)
-        etas = _block_etas(params, space)
-        best = int(np.argmax(etas))
+        etas = space_etas(params, space)
+        policies = list(enumerate_policies(params.m, space))
+        assert etas.tobytes() == _profits(params, policies).tobytes()
+        want, _ = _walk_best(params, space)
         res = optimize(params, space)
-        want = tuple(int(v) for v in _policy_block(params.m, space, [best])[0])
-        assert _walk_best(params, space) == (want, etas[best])
         assert res.best_eta == _profits(params, [res.best_policy])[0]
         assert exact_eta(params, res.best_policy) >= exact_eta(params, want)
         assert res.evaluations == etas.size == policy_space_size(params.m, space)
 
 
-@pytest.mark.parametrize("space, m", [
-    ("full", 4), ("reduced", 5), ("bang_bang", 7), ("threshold", 6)])
-def test_chunking_changes_nothing(space, m, monkeypatch):
-    # c_energy=0 makes every value above its level tie with the level.
-    params = micro_params(n=2, m=m, c_energy=0.0, lambda_=1.7)
-    whole = optimize(params, space, top_k=12)
-    best = (whole.best_policy, whole.best_eta)
-    for size in (1, 7, 50):
-        monkeypatch.setattr(OPT, "BLOCK_SIZE", size)
-        assert optimize(params, space, top_k=12) == whole
-        # optimize without top_k iterates on G + c; no float tie hides an
-        # exact winner here, so it gives the walk's answer.
-        assert optimize(params, space) == dataclasses.replace(whole, ranking=None)
-        assert _walk_best(params, space) == best
-
-
-def test_ranking_breaks_ties_by_policy(monkeypatch):
+def test_ranking_breaks_ties_by_policy():
     # Without an energy price a value above its level changes nothing, so
     # tie groups span the ranking; each top_k below cuts through one.
     params = micro_params(n=2, m=4, c_energy=0.0, lambda_=1.7)
@@ -300,26 +220,22 @@ def test_ranking_breaks_ties_by_policy(monkeypatch):
     cuts = [i for i in range(1, len(expected))
             if expected[i - 1][1] == expected[i][1]][:3]
     assert len(cuts) == 3
-    for size in (OPT.BLOCK_SIZE, 1, 7, 50):
-        monkeypatch.setattr(OPT, "BLOCK_SIZE", size)
-        for top_k in cuts:
-            res = optimize(params, "full", top_k=top_k)
-            assert res.ranking == expected[:top_k]
-            assert res.ranking[0] == (res.best_policy, res.best_eta)
+    for top_k in cuts:
+        res = optimize(params, "full", top_k=top_k)
+        assert res.ranking == expected[:top_k]
+        assert res.ranking[0] == (res.best_policy, res.best_eta)
 
 
 @pytest.mark.parametrize("space", ["full", "reduced", "bang_bang", "threshold"])
-def test_all_tied_ranking_is_lexicographic(space, monkeypatch):
+def test_all_tied_ranking_is_lexicographic(space):
     # Zero prices and costs: every policy earns exactly zero.
     params = micro_params(m=4, p1_work=1.0, p2_work=2.0, p2_sleep=1.0,
                           price=0.0, c_energy=0.0, c_hold_g1=0.0,
                           c_hold_g2=0.0, c_transfer=0.0, c_loss=0.0)
     expected = [(d, 0.0) for d in sorted(enumerate_policies(4, space))[:3]]
-    for size in (OPT.BLOCK_SIZE, 1, 7):
-        monkeypatch.setattr(OPT, "BLOCK_SIZE", size)
-        res = optimize(params, space, top_k=3)
-        assert res.ranking == expected
-        assert res.best_policy == expected[0][0]
+    res = optimize(params, space, top_k=3)
+    assert res.ranking == expected
+    assert res.best_policy == expected[0][0]
 
 
 @pytest.mark.parametrize("space", ["full", "reduced", "bang_bang", "threshold"])
@@ -337,7 +253,9 @@ def _block_oracle(params, prices, d=None, j=None):
     j of verify_monotonicity's sweep of coordinate j of d."""
     m = params.m
     if d is None:
-        block = _space_block(m, "threshold", np.arange(m + 1))
+        # Rank r, theta = r + 1, wakes the levels from r + 1 on.
+        block = ([(0, j) for j in range(1, m + 1)],
+                 np.arange(m)[None, :] >= np.arange(m + 1)[:, None])
     else:
         block = ([range(m + 1) if i == j else (v,) for i, v in enumerate(d, start=1)],
                  np.outer(np.arange(m + 1), np.arange(1, m + 1) == j))
@@ -577,13 +495,13 @@ def test_near_ties_hold_every_float_maximizer(space):
     corpus = [draw_params(rng, n_max=8, m_max=6) for _ in range(15)]
     corpus.append(micro_params(n=2, m=4, c_energy=0.0, lambda_=1.7))
     for params in corpus:
-        etas = _block_etas(params, space)
+        etas = space_etas(params, space)
         res = optimize(params, space)
         best = exact_eta(params, res.best_policy)
         top = etas.max()
         assert abs(res.best_eta - top) <= 4 * np.spacing(abs(top)), params
         for rank in np.flatnonzero(etas == top):
-            d = tuple(_policy_block(params.m, space, [rank])[0].tolist())
+            d = policy_of_rank(params.m, space, int(rank))
             assert exact_eta(params, d) <= best, (params, d)
 
 
@@ -763,75 +681,155 @@ def test_an_overflowing_sleep_branch_is_refused(space, m):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("space, m", [("full", 4), ("reduced", 5), ("bang_bang", 7)])
 def test_many_chunks_refuse_an_overflow_without_a_warning(space, m, monkeypatch):
-    # Chunks of at most 7 rows: every chunk of the walk must run under the
-    # np.errstate of _rankings. lambda is raised until the weights of the
-    # first n + m levels pass 1e320.
-    monkeypatch.setattr(OPT, "BLOCK_SIZE", 7)
+    # lambda is raised until the weights of the first n + m levels pass
+    # 1e320. A ranking refuses the realization factors of its first
+    # candidate as optimize without top_k does, and the enumeration of
+    # tests/block.py, in chunks of at most 7 leaves, refuses the profits
+    # at every grid price.
+    monkeypatch.setattr(BLOCK, "CHUNK", 7)
     rng = np.random.default_rng(2026)
     grid = [float(r) for r in np.linspace(0.0, 10.0, 5)]
     for _ in range(4):
         params, _ = heavy_instance(rng)
         params = dataclasses.replace(
             params, m=m, lambda_=params.mu1 * 10.0 ** (320 / (params.n + m)))
-        with pytest.raises(NumericalError, match="profits are not finite"):
-            optimize(params, space, top_k=3)
+        for top_k in (None, 3):
+            with pytest.raises(NumericalError, match="not finite"):
+                optimize(params, space, top_k=top_k)
         # price_sweep's critical prices answer, as their prefix and suffix
         # sums are ratios of weights, and its policy iteration refuses the
-        # realization factors; the walk is run on its own at every grid
-        # price too.
+        # realization factors.
         with pytest.raises(NumericalError, match="not finite"):
             OPT.price_sweep(params, grid, space)
         for r in grid:
             with pytest.raises(NumericalError, match="profits are not finite"):
-                OPT._rankings(dataclasses.replace(params, price=r), space, 1,
-                              policy_space_size(m, space))
+                space_etas(dataclasses.replace(params, price=r), space)
 
 
-def test_whole_space_ranking_unranks_every_policy_once(monkeypatch):
-    # A BLOCK_SIZE of 1 puts every level above the chunks (split = m); 7
-    # and 50 put several split-level prefixes in one chunk, whose rows are
-    # then no range of ranks.
+def _near_tie(params, space) -> bool:
+    """Whether two policies of a space have float etas within 4 ulps."""
+    etas = np.sort(space_etas(params, space))
+    return bool((np.diff(etas) <= 4 * np.spacing(np.abs(etas[1:]))).any())
+
+
+def test_whole_space_ranking_unranks_every_policy_once():
+    # A top_k past the size of the space ranks the whole space, each
+    # policy once, and every top_k is a prefix of it. Where no two float
+    # etas lie within 4 ulps it is the float order of the enumeration.
     rng = np.random.default_rng(48)
-    sizes = (OPT.BLOCK_SIZE, 1, 7, 50)
-    for space, m in (("bang_bang", 8), ("full", 4), ("reduced", 5)):
-        params, _ = draw_instance(rng, n_max=6, m_min=m, m_max=m)
+    cases = [(draw_instance(rng, n_max=6, m_min=m, m_max=m)[0], space)
+             for space, m in (("bang_bang", 8), ("full", 4), ("reduced", 5))]
+    # UNDERCUT wakes level 2 to 3, a value above the level, so taking a
+    # value out of that untouched level parts it both ways.
+    for params, space in cases + [(UNDERCUT, "full")]:
+        m = params.m
         total = policy_space_size(m, space)
-        policies = map(tuple, _policy_block(m, space, np.arange(total)).tolist())
-        expected = sorted(zip(policies, _block_etas(params, space).tolist()),
-                          key=lambda pair: (-pair[1], pair[0]))
-        for size in sizes:
-            monkeypatch.setattr(OPT, "BLOCK_SIZE", size)
-            assert optimize(params, space, top_k=total).ranking == expected
-            for k in (1, 2, 17, total - 1):
-                assert optimize(params, space, top_k=k).ranking == expected[:k]
-        monkeypatch.undo()
+        whole = optimize(params, space, top_k=total + 5).ranking
+        assert sorted(d for d, _ in whole) == list(enumerate_policies(m, space))
+        if not _near_tie(params, space):
+            assert whole == block_ranking(params, space), (params, space)
+        for k in (1, 2, 17, total - 1):
+            assert optimize(params, space, top_k=k).ranking == whole[:k]
 
 
-def test_walk_refuses_a_space_past_its_byte_budget():
-    # A ranking of the reduced space walks it, and its 12! prefixes at one
-    # level would take 10.7 GiB. A walk whose split level would pass 1 GiB
-    # is refused before it grows any, allow_large or not; bang_bang passes
-    # it from m = 42, past the size gate, which allow_large lifts.
-    reduced = micro_params(lambda_=1.0, mu2=0.8, n=3, m=18)
-    bang = dataclasses.replace(reduced, m=42)
-    for search, size in (
-            (lambda: optimize(reduced, "reduced", allow_large=True, top_k=1),
-             121645100408832000),
-            (lambda: optimize(bang, "bang_bang", allow_large=True, top_k=1), 2 ** 42)):
-        refused, peak = _traced_peak(lambda: pytest.raises(GateError, search))
-        assert "a budget allow_large does not lift" in str(refused.value)
-        assert f"has {size} members" in str(refused.value) and peak < 2**20
+def _search_sets(seed):
+    """The four parameter sets of the search benchmark workload at a seed:
+    n = 2, rates log-uniform in 0.5..2, costs and price as draw_params."""
+    rng = np.random.default_rng([seed, 2])
+    sets = []
+    for _ in range(4):
+        lam, mu1, mu2 = (float(10.0 ** rng.uniform(math.log10(0.5), math.log10(2.0)))
+                         for _ in range(3))
+        p2_work = float(rng.uniform(0.2, 4.0))
+        sets.append(ModelParams(
+            lambda_=lam, mu1=mu1, mu2=mu2, n=2, m=1,
+            p1_work=float(rng.uniform(0.2, 4.0)), p2_work=p2_work,
+            p2_sleep=p2_work * float(rng.uniform(0.05, 0.95)),
+            c_energy=float(rng.uniform(0.0, 5.0)), c_hold_g1=float(rng.uniform(0.0, 5.0)),
+            c_hold_g2=float(rng.uniform(0.0, 5.0)), c_transfer=float(rng.uniform(0.0, 5.0)),
+            c_loss=float(rng.uniform(0.0, 5.0)), price=float(rng.uniform(0.0, 20.0))))
+    return sets
 
 
-def test_the_wide_model_answers_at_scale(monkeypatch):
-    # The walk took 9.8 s at m = 30 and refused from m = 42. Without top_k
-    # no product space is walked or gated: each step of the policy
-    # iteration is one O(m) pass, and every margin of the answer clears
-    # its bound.
-    def walk(*args):
-        raise AssertionError("the enumeration walk was entered")
+def test_a_ranking_starts_with_the_answer():
+    # The enumeration walk's first entry differed from best_policy on 7 of
+    # the search workload's bang-bang m = 12 sets over seeds 1-100, where a
+    # float tie hid the exact winner. A ranking's first candidate is the
+    # whole space's iteration, so it is the answer in every product space,
+    # on desk, heavy and search-workload parameters.
+    rng = np.random.default_rng(5150)
+    cases = [(draw_params(rng, n_max=8, m_max=8), space)
+             for _ in range(20) for space in ("full", "reduced", "bang_bang")]
+    for _ in range(10):
+        params, _ = heavy_instance(rng)
+        cases += [(dataclasses.replace(params, m=cut), space)
+                  for space, cut in (("full", 6), ("reduced", 8), ("bang_bang", 12))]
+    cases += [(dataclasses.replace(base, m=m), space) for seed in range(1, 101)
+              for base in _search_sets(seed)
+              for space, m in (("full", 6), ("reduced", 7), ("bang_bang", 12))]
+    for params, space in cases:
+        res = optimize(params, space)
+        ranked = optimize(params, space, top_k=2)
+        assert ranked.ranking[0] == (res.best_policy, res.best_eta), (params, space)
+        assert ranked == dataclasses.replace(res, ranking=ranked.ranking)
 
-    monkeypatch.setattr(OPT, "_product_candidates", walk)
+
+@pytest.mark.parametrize("space, m_max", [("full", 5), ("reduced", 5), ("bang_bang", 8)])
+def test_rankings_follow_the_exact_order(space, m_max):
+    # The 40 best of desk draws against the exact brute-force order of the
+    # space (ties by policy). The candidates compare float etas, so an
+    # entry can stand where the exact order has another only if the two
+    # float etas lie within 4 ulps; where no two etas of the space do, the
+    # ranking is also the float order of the enumeration. The two tie draws
+    # have almost no float mass at their deep levels: their policies share
+    # a few float etas, 1 and 14 of the 2^5 bang-bang ones, and the exact
+    # order splits those ties, as it does UNDERCUT's values above a level.
+    rng = np.random.default_rng(5151)
+    corpus = [draw_params(rng, n_max=8, m_max=m_max) for _ in range(30)]
+    rng = np.random.default_rng(7)
+    ties = [draw_params(rng, n_max=8, m_max=5) for _ in range(17)]
+    matched = 0
+    for params in corpus + [ties[11], ties[16], UNDERCUT]:
+        policies = list(enumerate_policies(params.m, space))
+        floats = dict(zip(policies, space_etas(params, space).tolist()))
+        # Only policies whose float eta lies within 1e-6 of the 40th best
+        # can enter the exact 40 best: the floats are off by far less.
+        cut = sorted(floats.values(), reverse=True)[:40][-1] - 1e-6 * max(1.0, abs(
+            max(floats.values())))
+        exact_order = sorted((d for d in policies if floats[d] >= cut),
+                             key=lambda d: (-exact_eta(params, d), d))[:40]
+        ranking = optimize(params, space, top_k=40).ranking
+        assert len(ranking) == len(exact_order)
+        for (d, eta), want in zip(ranking, exact_order):
+            assert eta == floats[d], (params, d)
+            assert abs(eta - floats[want]) <= 4 * np.spacing(abs(eta)), (params, d, want)
+        matched += [d for d, _ in ranking] == exact_order
+        if not _near_tie(params, space):
+            assert ranking == block_ranking(params, space, 40), params
+    assert matched >= len(corpus)
+
+
+def test_rankings_answer_past_the_enumeration():
+    # The walk refused full m = 9 and reduced m = 12 at its size gate, and
+    # bang-bang m = 200 at its byte budget. Lawler's partition takes about
+    # k m restricted iterations: 0.4-0.6 s for bang-bang m = 200 on a
+    # shared 2-core host.
+    for space, m in (("full", 9), ("reduced", 12), ("bang_bang", 200)):
+        params = micro_params(lambda_=3.0, mu2=0.8, n=3, m=m)
+        start = time.perf_counter()
+        res = optimize(params, space, top_k=5)
+        assert time.perf_counter() - start < 5.0, (space, m)
+        best = optimize(params, space)
+        assert res.ranking[0] == (best.best_policy, best.best_eta)
+        assert len({d for d, _ in res.ranking}) == 5
+        for d, eta in res.ranking:
+            assert OPT._profit(params, d, [params.price]) == [eta]
+
+
+def test_the_wide_model_answers_at_scale():
+    # The enumeration walk took 9.8 s at m = 30 and refused from m = 42.
+    # Without top_k each step of the policy iteration is one O(m) pass,
+    # and every margin of the answer clears its bound.
     wide = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0)
     for m, space in [(30, "bang_bang"), (100, "bang_bang")] + [
             (1000, space) for space in ("full", "reduced", "bang_bang")]:
@@ -856,16 +854,12 @@ def test_the_wide_model_answers_at_scale(monkeypatch):
         assert (np.abs(value) > bound).all(), r
 
 
-def test_bang_bang_critical_prices_are_refused_at_scale(monkeypatch):
+def test_bang_bang_critical_prices_are_refused_at_scale():
     # The 2^100 bang-bang policies of the wide model were enumerated by the
     # critical prices, which no call finished, in price_sweep too. The
-    # per-level DPs unrank no policy; from m = 200 the smallest root of
+    # per-level DPs enumerate no policy; from m = 200 the smallest root of
     # level 1 is not a double, and every product space refuses it there,
     # in O(m).
-    def unrank(*args):
-        raise AssertionError("a block was unranked")
-
-    monkeypatch.setattr(MODEL, "_space_block", unrank)
     for m in (1000, 2000):
         params = micro_params(n=2, lambda_=2.0, mu1=1.0, mu2=1.0, m=m)
         for space in ("full", "reduced", "bang_bang"):
@@ -877,25 +871,22 @@ def test_bang_bang_critical_prices_are_refused_at_scale(monkeypatch):
                 assert time.perf_counter() - start < 0.25, (m, space)
 
 
-def test_space_gate_and_override(monkeypatch):
-    # The gate refuses only the searches that enumerate: optimize without
-    # top_k answers full m = 9, where a ranking needs allow_large.
+def test_space_gate_and_override():
+    # Only enumerate_policies enumerates, so only it takes the size gate:
+    # optimize answers full m = 9, with and without top_k, where the
+    # enumeration needs allow_large.
     params = micro_params(m=9)
     res = optimize(params, "full")
     value, bound = _margins(params, res.best_policy, params.price, _skew(params))
     assert (np.abs(value) > bound).all() and res.evaluations == 10**9
+    ranked = optimize(params, "full", top_k=2)
+    assert ranked.ranking[0] == (res.best_policy, res.best_eta)
+    assert ranked.evaluations == 10**9
     with pytest.raises(GateError, match="allow_large"):
-        optimize(params, "full", top_k=1)
-    res = optimize(params, "threshold")  # m + 1 policies pass the gate
+        enumerate_policies(9, "full")
+    assert next(iter(enumerate_policies(9, "full", True))) == (0,) * 9
+    res = optimize(params, "threshold")  # m + 1 policies
     assert len(res.best_policy) == 9
-    # allow_large lifts the refusal: under a limit of one policy, m = 2's
-    # nine full policies are ranked only with it.
-    monkeypatch.setattr(MODEL, "SPACE_SIZE_LIMIT", 1)
-    small = micro_params(m=2)
-    with pytest.raises(GateError, match="has 9 members for m=2"):
-        optimize(small, "full", top_k=9)
-    ranked = optimize(small, "full", allow_large=True, top_k=9).ranking
-    assert sorted(policy for policy, _ in ranked) == list(enumerate_policies(2, "full", True))
 
 
 def test_bang_bang_subset_of_full():
@@ -971,7 +962,7 @@ def test_threshold_ties_break_both_ways():
 def test_threshold_family_lies_inside_bang_bang_exactly():
     # Every threshold policy is bang-bang, and both spaces give it the
     # enumeration tree's eta, so containment holds without a tolerance.
-    # Only the first three draws with m <= 12 rank their whole space.
+    # Only the first three draws with m <= 12 enumerate their whole space.
     rng = np.random.default_rng(13)
     ranked = 0
     for _ in range(200):
@@ -981,7 +972,8 @@ def test_threshold_family_lies_inside_bang_bang_exactly():
         assert bang.best_eta >= optimize(params, "threshold").best_eta, params
         if m <= 12 and ranked < 3:
             ranked += 1
-            etas = dict(optimize(params, "bang_bang", top_k=2 ** m).ranking)
+            etas = dict(zip(enumerate_policies(m, "bang_bang"),
+                            space_etas(params, "bang_bang").tolist()))
             scan = threshold_scan(params)
             for theta in range(1, m + 2):
                 assert (etas[threshold_policy(m, theta)]
@@ -1042,13 +1034,12 @@ def test_monotonicity_decreasing_in_sleep_regime(sleepy):
 
 def test_monotonicity_sweep_is_the_trees_eta():
     # The sweep gathers from singleton levels and one level of every value;
-    # each of its etas is the one the walk ranks for that policy, bit for
-    # bit.
+    # each of its etas is the enumeration's for that policy, bit for bit.
     rng = np.random.default_rng(3638)
     for _ in range(40):
         params = draw_params(rng, n_max=6, m_max=4)
         m = params.m
-        ranked = dict(optimize(params, "full", top_k=(m + 1) ** m).ranking)
+        ranked = dict(zip(enumerate_policies(m, "full"), space_etas(params, "full").tolist()))
         d = random_policy(rng, m)
         for j in range(1, m + 1):
             etas = verify_monotonicity(params, d, j).etas

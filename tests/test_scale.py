@@ -7,9 +7,10 @@ at these sizes; a ValueError, a MemoryError, a warning or exit 1 fails.
 Python writes of an int, and 1 558 the first for the reduced space.
 
 Left out, to keep the file within tier-1's time: the O(k^2) routes (the
-dense and explicit solves, stationary_numeric, invert_reduced) and the
+dense and explicit solves, stationary_numeric, invert_reduced), the
 O(m^2) sweeps (the threshold family, the threshold space's critical
-prices, the monotonicity sweep). Two of those sweeps and the bang-bang
+prices, the monotonicity sweep) and optimize's rankings (top_k), about
+top_k m policy iterations of O(m) each: 5-11 s at m = 1 000. Two of those sweeps and the bang-bang
 optimum are held, at m = 1 000, to their memory instead: run as sleepq
 child processes, they answer within a 200 MiB address space.
 """
@@ -92,9 +93,6 @@ ENTRY_POINTS = {
         p, _awake(p), _woken_late(p), 1), None),
     **{f"optimize-{space}": (lambda p, space=space: sq.optimize(p, space), None)
        for space in ("full", "reduced", "bang_bang")},
-    **{f"optimize-{space}-top_k": (lambda p, space=space: sq.optimize(p, space, top_k=3),
-                                   sq.GateError)
-       for space in ("full", "reduced", "bang_bang")},
     **{f"price_sweep-{space}": (lambda p, space=space: price_sweep(p, [0.0, 10.0], space),
                                 sq.NumericalError)
        for space in ("full", "reduced", "bang_bang")},
@@ -125,8 +123,6 @@ CLI_CASES = {
     "critical-prices --space full": 4,
     "critical-prices --space reduced": 4,
     "critical-prices --space bang_bang": 4,
-    "optimize --space full --top-k 3": 3,
-    "optimize --space bang_bang --top-k 3": 3,
     "price-sweep --from 0 --to 10 --steps 2 --space full": 4,
     "price-sweep --from 0 --to 10 --steps 2 --space bang_bang": 4,
 }
