@@ -6,8 +6,8 @@ many group-2 servers wake at each backlog level. This package computes the
 stationary law, long-run average profit, performance potentials, critical
 service prices, and optimal policies: in closed form at extreme prices, by
 policy iteration on the signs of the realization factors plus the price
-constant, and by enumeration for rankings. A discrete-event simulator
-cross-checks them.
+constant, and for rankings by Lawler's partition over that iteration. A
+discrete-event simulator cross-checks them.
 """
 
 from .chain import (
@@ -20,20 +20,17 @@ from .chain import (
 from .errors import (
     ConfigError,
     ConsistencyError,
-    GateError,
     NumericalError,
     RegimeError,
     SleepqError,
 )
 from .model import (
     POLICY_SPACES,
-    SPACE_SIZE_LIMIT,
     ModelParams,
     Policy,
     StateSpace,
     ValidationReport,
     check_policy,
-    enumerate_policies,
     format_policy,
     params_digest,
     params_from_file,
@@ -96,7 +93,6 @@ __all__ = [
     "ConsistencyError",
     "CriticalPrices",
     "EventCounts",
-    "GateError",
     "Generator",
     "ModelParams",
     "MonotonicityReport",
@@ -107,7 +103,6 @@ __all__ = [
     "PotentialSolution",
     "RGFactors",
     "RegimeError",
-    "SPACE_SIZE_LIMIT",
     "SensitivityReport",
     "SignConservationReport",
     "SimConfig",
@@ -124,7 +119,6 @@ __all__ = [
     "critical_price_state",
     "critical_prices_global",
     "empirical_distribution",
-    "enumerate_policies",
     "format_policy",
     "invert_reduced",
     "normalize_fundamental",

@@ -9,8 +9,8 @@ the same rows as CSV with a `#`-prefixed metadata header. CSV output is
 bit-stable: no timestamps, numbers at 12 significant digits, RFC-4180
 quoting.
 
-Exit codes: 0 success, 1 usage, 2 config or validation, 3 gate or
-regime violation, 4 numerical failure.
+Exit codes: 0 success, 1 usage, 2 config or validation, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .chain import stationary_closed_form
-from .errors import ConfigError, GateError, NumericalError
+from .errors import ConfigError, NumericalError
 from .model import (
     POLICY_SPACES,
     ModelParams,
@@ -55,7 +55,6 @@ from .sim import SimConfig, simulate
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
-EXIT_GATE = 3
 EXIT_NUMERICAL = 4
 
 @dataclass(frozen=True)
@@ -484,9 +483,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"sleepq: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except GateError as exc:
-        print(f"sleepq: {exc}", file=sys.stderr)
-        return EXIT_GATE
     except NumericalError as exc:
         print(f"sleepq: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -1,8 +1,8 @@
 """Exception taxonomy shared by the library and the command line front end.
 
 The CLI maps these onto its documented exit codes: usage problems exit 1,
-configuration problems exit 2, refused computations (enumeration gates,
-unestablished price regimes) exit 3, and numerical failures exit 4.
+configuration problems exit 2, and numerical failures exit 4. RegimeError
+has no exit code: its one raiser, optimal_extreme_prices, backs no command.
 """
 
 
@@ -14,12 +14,7 @@ class ConfigError(SleepqError):
     """Invalid configuration: unreadable file, bad key, failed validation."""
 
 
-class GateError(SleepqError):
-    """A computation was refused by a cost gate: enumerate_policies' size
-    gate, where allow_large was not set."""
-
-
-class RegimeError(GateError):
+class RegimeError(SleepqError):
     """A price-regime-conditional result was requested outside its regime."""
 
 

@@ -9,24 +9,18 @@ each state (n, j) the number of Group-2 servers kept awake there.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, GateError
+from .errors import ConfigError
 
 # Policies are plain tuples of ints, one entry per state (n, 1)..(n, m).
 Policy = tuple[int, ...]
 
 POLICY_SPACES = ("full", "reduced", "bang_bang", "threshold")
-
-#: The most policies enumerate_policies yields unless allow_large is set:
-#: the full space at m = 8. As 11! < 9^8 < 12! < 2^26, the reduced space is
-#: enumerated to m = 10 and bang_bang to m = 25.
-SPACE_SIZE_LIMIT = 9 ** 8
 
 _INT_FIELDS = ("n", "m")
 
@@ -246,8 +240,10 @@ def threshold_policy(m: int, theta: int) -> Policy:
     """Sleep everything below level theta, match jobs at and above it.
 
     For theta = 1..m+1: entries 1..theta-1 are 0 and entry j >= theta is j.
-    theta = m + 1 keeps every Group-2 server asleep.
+    theta = m + 1 keeps every Group-2 server asleep. An m that is not an
+    integer of at least 1 raises ValueError.
     """
+    _check_count(m, "m must be >= 1 and an integer")
     _check_count(theta, f"theta must be an integer in 1..{m + 1}", m + 1)
     return tuple(0 for _ in range(1, theta)) + tuple(range(theta, m + 1))
 
@@ -308,32 +304,6 @@ def _size_text(size: int, space: str) -> str:
     space's formula and the digit count, such as "2^m (4301 digits)"."""
     digits = _decimal_digits(size)
     return str(size) if digits <= 4300 else f"{_SPACE_SIZES[space][0]} ({digits} digits)"
-
-
-def enumerate_policies(m, space="full", allow_large=False):
-    """Yield each policy of the requested space exactly once.
-
-    Spaces and their sizes:
-      full      - every entry in {0..m}; (m+1)^m policies
-      reduced   - entry j limited to {0..j}; (m+1)! policies
-      bang_bang - entry j limited to {0, j}; 2^m policies
-      threshold - the m+1 threshold policies
-
-    Enumeration is lexicographic (thresholds by rising theta), which callers
-    rely on for deterministic tie-breaking. A space of more than
-    SPACE_SIZE_LIMIT policies (full past m = 8, reduced past m = 10,
-    bang_bang past m = 25) is refused with GateError unless allow_large is
-    set; the refusal prints the size by _size_text.
-    """
-    size = policy_space_size(m, space)
-    if size > SPACE_SIZE_LIMIT and not allow_large:
-        raise GateError(
-            f"{space} policy space has {_size_text(size, space)} members for m={m}; "
-            "pass allow_large to enumerate anyway"
-        )
-    if space == "threshold":
-        return (threshold_policy(m, theta) for theta in range(1, m + 2))
-    return itertools.product(*_level_values(m, space))
 
 
 def parse_policy(text: str, m: int) -> Policy:

@@ -396,9 +396,9 @@ def critical_price_state(params: ModelParams, d: Policy, j: int) -> float:
     slope of _record_roots. A root past the double range raises
     NumericalError. A j that is not an integer in 1..m raises ValueError.
     """
+    record = _policy_record(params, d)
     _check_count(j, f"j must be an integer in 1..{params.m}", params.m)
-    roots = _policy_record(params, d).value(_record_roots)
-    return _require_finite_root(float(roots[j - 1]), j)
+    return _require_finite_root(float(record.value(_record_roots)[j - 1]), j)
 
 
 def _largest_roots(lam: float, wake: float, base: tuple, pairs: list):
@@ -509,9 +509,13 @@ def _single_change_level(params: ModelParams, d: Policy, d_prime: Policy,
                          j: int | None = None) -> tuple[int, Policy, Policy]:
     """(j, d, d_prime): the 1-based level where the checked int tuples of
     d and d_prime differ (and nowhere else), and those tuples: each policy
-    record's own, so the calls that follow find the records unchecked."""
+    record's own, so the calls that follow find the records unchecked. A
+    given j that is not an integer in 1..m raises ValueError, once the
+    records have refused an invalid model."""
     d = _policy_record(params, d).policy
     d_prime = _policy_record(params, d_prime).policy
+    if j is not None:
+        _check_count(j, f"j must be an integer in 1..{params.m}", params.m)
     diffs = [i + 1 for i in range(params.m) if d[i] != d_prime[i]]
     if len(diffs) > 1:
         raise ValueError(f"policies differ at levels {diffs}, expected one")
@@ -552,7 +556,6 @@ def sign_conservation_check(params: ModelParams, d: Policy, d_prime: Policy,
     and are reported as degenerate instead. A j that is not an integer in
     1..m raises ValueError.
     """
-    _check_count(j, f"j must be an integer in 1..{params.m}", params.m)
     _, d, d_prime = _single_change_level(params, d, d_prime, j)
     value_d = float(_factor_plus_c(params, d, j))
     value_dp = float(_factor_plus_c(params, d_prime, j))

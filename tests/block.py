@@ -5,18 +5,29 @@ chain._level_tables for every policy row of a block at once and cumulates
 the weights and terms down the level axis with numpy, where optimize, the
 threshold family and the monotonicity sweep extend one prefix state at a
 time in Python floats. The enumeration tree of a product space
-(space_etas) ranks the whole space by float eta (block_ranking).
+(space_etas) ranks the whole space by float eta (block_ranking), and
+enumerate_policies lists a space's policies in the tree's order.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from sleepq.chain import _level_tables, _require_finite, _value_rates
-from sleepq.model import _level_values
+from sleepq.model import _level_values, threshold_policy
 
 #: The most leaves space_etas grows at once.
 CHUNK = 65536
+
+
+def enumerate_policies(m, space):
+    """Each policy of a space once, in lexicographic order (thresholds by
+    rising theta), the order the tests break ties by. Nothing gates the
+    size: a test enumerates only a space it has sized."""
+    if space == "threshold":
+        return (threshold_policy(m, theta) for theta in range(1, m + 2))
+    return itertools.product(*_level_values(m, space))
 
 
 def _value_index(start: list, digits: np.ndarray) -> np.ndarray:

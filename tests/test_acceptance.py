@@ -21,7 +21,6 @@ from sleepq import (
     build_generator,
     build_reward,
     critical_prices_global,
-    enumerate_policies,
     optimal_extreme_prices,
     optimize,
     perturbation_factors,
@@ -42,6 +41,7 @@ from sleepq.potential import (
     rg_factorize,
 )
 import conftest
+from block import enumerate_policies
 from conftest import (
     draw_change_pair,
     draw_instance,

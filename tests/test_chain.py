@@ -16,11 +16,15 @@ from sleepq import (
     NumericalError,
     affine_decomposition,
     build_generator,
+    critical_price_state,
     critical_prices_global,
     optimize,
+    performance_difference,
     perturbation_factors,
     policy_profit,
     realization_factors,
+    sign_conservation_check,
+    single_coordinate_difference,
     solve_poisson,
     state_space,
     stationary_closed_form,
@@ -206,8 +210,14 @@ def test_overflowing_normalizer_raises_without_a_warning():
     lambda p: solve_poisson(p, (1,)),
     lambda p: perturbation_factors(p, (1,)),
     lambda p: critical_prices_global(p),
+    lambda p: critical_price_state(p, (1,), 1),
+    lambda p: sign_conservation_check(p, (1,), (0,), 1),
+    lambda p: single_coordinate_difference(p, (1,), (0,)),
+    lambda p: performance_difference(p, (1,), (0,)),
+    lambda p: realization_factors(p, (1,)),
 ], ids=["stationary", "generator", "reward", "affine", "profit", "poisson",
-        "factors", "critical_prices"])
+        "factors", "critical_prices", "critical_price_state", "sign_conservation",
+        "single_coordinate", "performance_difference", "realization_factors"])
 @pytest.mark.parametrize("overrides, message", [
     (dict(mu1=0.0), "mu1 must be > 0"),
     (dict(lambda_=-1.0), "lambda must be > 0"),
@@ -221,7 +231,8 @@ def test_overflowing_normalizer_raises_without_a_warning():
 def test_rates_validate_rejects_raise_config_error(entry, overrides, message):
     # Every entry point holds the model to validate's rules: a zero death
     # rate divides by zero, m = 0 drops the full state's loss cost, and a
-    # NaN cost is no overflow. Each is refused, as optimize and simulate do.
+    # NaN cost is no overflow. Each is refused, as optimize and simulate do,
+    # before a level j is checked against m.
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         entry(micro_params(**overrides))
 

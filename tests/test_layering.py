@@ -76,22 +76,17 @@ def test_only_chain_and_sim_form_the_rates():
     assert not bad, "\n".join(bad)
 
 
-# The names of enumeration: enumerate_policies and its size gate. model
-# defines them and only its own search enumerates a space; the package
-# facade re-exports them.
-ENUMERATION_NAMES = {"enumerate_policies", "SPACE_SIZE_LIMIT"}
-ENUMERATING = {"model": ENUMERATION_NAMES, "__init__": ENUMERATION_NAMES}
+# The names of enumeration, its size gate and the gate's exit code. No
+# search in the package enumerates a space: tests/block.py holds the
+# enumeration. Comments and docstrings count, so none speaks of them.
+ENUMERATION_NAMES = ("enumerate_policies", "SPACE_SIZE_LIMIT", "allow_large",
+                     "GateError", "EXIT_GATE")
 
 
-def test_only_model_enumerates():
-    bad = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        barred = ENUMERATION_NAMES - ENUMERATING.get(path.stem, set())
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, ast.alias) else None)
-            if name in barred:
-                bad.append(f"{path.name}:{node.lineno} refers to {name}")
+def test_no_module_enumerates():
+    bad = [f"{path.name}:{line} refers to {name}"
+           for path in sorted(PACKAGE.glob("*.py"))
+           for line, text in enumerate(path.read_text(encoding="utf-8").splitlines(),
+                                       start=1)
+           for name in ENUMERATION_NAMES if name in text]
     assert not bad, "\n".join(bad)

@@ -15,14 +15,12 @@ from hypothesis import given, strategies as st
 import sleepq
 from sleepq import (
     ConfigError,
-    GateError,
     ModelParams,
     SimConfig,
     affine_decomposition,
     build_generator,
     build_reward,
     check_policy,
-    enumerate_policies,
     format_policy,
     params_digest,
     params_from_file,
@@ -45,6 +43,7 @@ from sleepq import (
     verify_monotonicity,
 )
 from sleepq.model import _decimal_digits, _level_values, _size_text
+from block import enumerate_policies
 from conftest import micro_params
 
 
@@ -245,62 +244,29 @@ def test_unknown_space_and_empty_level_set_are_refused():
     with pytest.raises(ValueError, match="unknown policy space 'bogus'"):
         policy_space_size(3, "bogus")
     with pytest.raises(ValueError, match="m must be >= 1"):
-        enumerate_policies(0)
+        threshold_policy(0, 1)
 
 
-def test_space_size_gate():
-    with pytest.raises(GateError, match="allow_large"):
-        list(enumerate_policies(9, "full"))
-    # threshold spaces stay linear and are never gated
-    assert len(list(enumerate_policies(40, "threshold"))) == 41
-
-
-@pytest.mark.parametrize("space, m, want", [
-    ("full", 9, "full policy space has 1000000000 members for m=9; "
-                "pass allow_large to enumerate anyway"),
-    ("reduced", 11, "reduced policy space has 479001600 members for m=11; "
-                    "pass allow_large to enumerate anyway"),
-    ("bang_bang", 26, "bang_bang policy space has 67108864 members for m=26; "
-                      "pass allow_large to enumerate anyway")])
-def test_gate_message_names_the_exact_size(space, m, want):
-    with pytest.raises(GateError) as refused:
-        enumerate_policies(m, space)
-    assert str(refused.value) == want
-
-
-@pytest.mark.parametrize("space, m", [("full", 8), ("reduced", 10), ("bang_bang", 25)])
-def test_one_size_gate_for_every_enumerating_search(space, m):
-    # One count, the full space's 9^8 policies at m = 8, sets every space's
-    # last m: 11! < 9^8 < 12! and 2^25 < 9^8 < 2^26. Only enumerate_policies
-    # enumerates: optimize ranks the next space by Lawler's partition, and
-    # the critical prices by their per-level DPs, with no gate.
-    assert policy_space_size(m, space) <= sleepq.SPACE_SIZE_LIMIT
-    assert policy_space_size(m + 1, space) > sleepq.SPACE_SIZE_LIMIT
-    assert next(iter(enumerate_policies(m, space))) == (0,) * m
-    assert next(iter(enumerate_policies(m + 1, space, True))) == (0,) * (m + 1)
-    with pytest.raises(GateError, match=f"{space} policy space has "
-                       f"{policy_space_size(m + 1, space)} members for m={m + 1}; "
-                       "pass allow_large to enumerate anyway"):
-        enumerate_policies(m + 1, space)
-    ranked = sleepq.optimize(micro_params(m=m + 1), space, top_k=2)
-    assert ranked.evaluations == policy_space_size(m + 1, space)
+@pytest.mark.parametrize("space, m", [("full", 9), ("reduced", 11), ("bang_bang", 26)])
+def test_ranking_evaluations_are_the_space_size(space, m):
+    # Spaces of 6.7e7 to 1e9 policies: optimize ranks each by Lawler's
+    # partition, and counts the whole space as its evaluations.
+    ranked = sleepq.optimize(micro_params(m=m), space, top_k=2)
+    assert ranked.evaluations == policy_space_size(m, space)
 
 
 @pytest.mark.parametrize("space, m", [
     ("full", 1370), ("full", 1371), ("full", 2000),
     ("reduced", 1557), ("reduced", 1558), ("reduced", 2000)])
-def test_gate_refuses_a_size_past_the_digits_python_writes(space, m):
-    # Python writes no int of more than 4300 digits: past that, the
-    # refusal gives the size's formula and digit count instead, and so
-    # does the evaluations of optimize, which enumerates nothing.
+def test_size_text_and_optimize_past_the_digits_python_writes(space, m):
+    # Python writes no int of more than 4300 digits: past that, the size
+    # text gives the size's formula and digit count instead, and optimize,
+    # which enumerates nothing, answers and counts the space.
     size = policy_space_size(m, space)
     digits = decimal.Decimal(size).adjusted() + 1
     formula = {"full": "(m+1)^m", "reduced": "(m+1)!"}[space]
     text = str(size) if digits <= 4300 else f"{formula} ({digits} digits)"
     params = micro_params(lambda_=2.0, n=2, m=m)
-    with pytest.raises(GateError, match="allow_large") as refused:
-        enumerate_policies(m, space)
-    assert f"has {text} members for m={m}" in str(refused.value)
     res = sleepq.optimize(params, space)
     assert len(res.best_policy) == m and res.evaluations == size
     assert sleepq.optimize(params, space, top_k=1).ranking == [(res.best_policy,
@@ -313,11 +279,11 @@ def test_gate_refuses_a_size_past_the_digits_python_writes(space, m):
 def test_space_size_refuses_an_m_that_is_not_a_count(space, m):
     # Before the check, m = 0 gave 1 in every space, m = -1 0.5 in
     # bang_bang and ZeroDivisionError in full, m = 2.0 9.0 in full and
-    # m = True 2.
+    # m = True 2; threshold_policy gave () at m = 0 and TypeError at m = 2.0.
     with pytest.raises(ValueError, match="m must be >= 1 and an integer"):
         policy_space_size(m, space)
     with pytest.raises(ValueError, match="m must be >= 1 and an integer"):
-        enumerate_policies(m, space)
+        threshold_policy(m, 1)
 
 
 def test_space_size_is_an_exact_int_of_a_numpy_count():

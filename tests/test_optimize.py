@@ -16,12 +16,10 @@ import sleepq.sensitivity as SENS
 from sleepq import (
     ConfigError,
     ConsistencyError,
-    GateError,
     ModelParams,
     NumericalError,
     RegimeError,
     critical_prices_global,
-    enumerate_policies,
     optimal_extreme_prices,
     optimize,
     params_to_text,
@@ -38,7 +36,8 @@ from sleepq.cli import main
 from sleepq.model import _level_values
 from sleepq.sensitivity import CriticalPrices, _margins, _skew
 import block as BLOCK
-from block import block_profits, block_ranking, policy_of_rank, space_etas
+from block import (block_profits, block_ranking, enumerate_policies, policy_of_rank,
+                   space_etas)
 from conftest import (
     draw_instance,
     draw_params,
@@ -871,10 +870,9 @@ def test_bang_bang_critical_prices_are_refused_at_scale():
                 assert time.perf_counter() - start < 0.25, (m, space)
 
 
-def test_space_gate_and_override():
-    # Only enumerate_policies enumerates, so only it takes the size gate:
-    # optimize answers full m = 9, with and without top_k, where the
-    # enumeration needs allow_large.
+def test_optimize_answers_the_full_space_at_m_9():
+    # A billion policies: optimize answers, with and without top_k, by the
+    # policy iteration and Lawler's partition over it.
     params = micro_params(m=9)
     res = optimize(params, "full")
     value, bound = _margins(params, res.best_policy, params.price, _skew(params))
@@ -882,9 +880,6 @@ def test_space_gate_and_override():
     ranked = optimize(params, "full", top_k=2)
     assert ranked.ranking[0] == (res.best_policy, res.best_eta)
     assert ranked.evaluations == 10**9
-    with pytest.raises(GateError, match="allow_large"):
-        enumerate_policies(9, "full")
-    assert next(iter(enumerate_policies(9, "full", True))) == (0,) * 9
     res = optimize(params, "threshold")  # m + 1 policies
     assert len(res.best_policy) == 9
 

@@ -1,10 +1,13 @@
 """The wide model at m in the thousands: the m-axis twin of test_overflow.
 
 Every public entry point and every sleepq command that runs in O(m), or
-refuses at once, either answers or raises a SleepqError (exit 2, 3 or 4)
+refuses at once, either answers or raises a SleepqError (exit 2 or 4)
 at these sizes; a ValueError, a MemoryError, a warning or exit 1 fails.
 1 371 is the first m whose full space has more than the 4 300 digits
 Python writes of an int, and 1 558 the first for the reduced space.
+At m = 1 000 and 2 000 the profit and each product space's optimum are
+held to their exact values (tests/exact.py), and at m = 1 000 the
+bang-bang optimum to the exact sign of G + c at every level.
 
 Left out, to keep the file within tier-1's time: the O(k^2) routes (the
 dense and explicit solves, stationary_numeric, invert_reduced), the
@@ -18,6 +21,7 @@ child processes, they answer within a 200 MiB address space.
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,6 +30,7 @@ import sleepq as sq
 from sleepq.cli import main
 from sleepq.optimize import price_sweep
 from conftest import micro_params
+from exact import exact_eta, exact_root_pairs
 
 SIZES = [1000, 1371, 1558, 2000]
 
@@ -54,8 +59,6 @@ ENTRY_POINTS = {
     "threshold_policy": (lambda p: sq.threshold_policy(p.m, p.m // 2), None),
     "policy_space_size": (lambda p: [sq.policy_space_size(p.m, space)
                                      for space in sq.POLICY_SPACES], None),
-    "enumerate_policies": (lambda p: next(iter(sq.enumerate_policies(p.m))),
-                           sq.GateError),
     "build_generator": (lambda p: sq.build_generator(p, _awake(p)), None),
     "stationary_closed_form": (lambda p: sq.stationary_closed_form(p, _awake(p)), None),
     "build_reward": (lambda p: sq.build_reward(p, _awake(p)), None),
@@ -189,3 +192,32 @@ def test_one_policy_at_a_time_commands_fit_200_mib_of_address_space(tmp_path):
                              env=env, preexec_fn=limit, capture_output=True,
                              text=True, timeout=120)
         assert run.returncode == 0, (command[0], run.stderr)
+
+
+#: The relative error allowed a float eta against the exact one, fixed
+#: before the first run; the answers read at most 2.1e-16.
+ETA_REL = 1e-14
+
+
+def _rel_error(value, exact):
+    return abs(Fraction(value) - exact) / abs(exact)
+
+
+@pytest.mark.parametrize("m", [1000, 2000])
+def test_profits_at_large_m_are_the_exact_eta(m):
+    params = _wide(m)
+    awake = _awake(params)
+    assert _rel_error(sq.policy_profit(params, awake), exact_eta(params, awake)) <= ETA_REL
+    for space in ("full", "reduced", "bang_bang"):
+        res = sq.optimize(params, space)
+        assert _rel_error(res.best_eta, exact_eta(params, res.best_policy)) <= ETA_REL, space
+
+
+def test_bang_bang_optimum_wakes_exactly_where_the_price_passes_each_root():
+    # G + c rises with the price, so level j is awake in the optimum exactly
+    # where the price exceeds the exact root of G(n,j) + c under it.
+    params = _wide(1000)
+    d = sq.optimize(params, "bang_bang").best_policy
+    price, scale = params.price.as_integer_ratio()
+    assert [v == j for j, v in enumerate(d, start=1)] == [
+        price * den > num * scale for num, den in exact_root_pairs(params, d)]

@@ -25,9 +25,9 @@ from sleepq import (
     single_coordinate_difference,
     solve_poisson,
 )
-from sleepq.model import enumerate_policies
 from sleepq.potential import SOLVE_METHODS
 from sleepq.sensitivity import _policy_lines
+from block import enumerate_policies
 from conftest import (
     draw_change_pair,
     draw_instance,
