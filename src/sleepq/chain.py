@@ -12,10 +12,11 @@ One body (_rates) forms the death and cost rates, the cost on one list of
 the energy cost of each Group-2 value (_energy_costs), in two shapes, both
 in Python floats: level by level for one policy (_state_rates), and once for
 every value of some value sets, one set per level (_value_rates).
-_level_tables builds the flat tables of the searches from either: the
-first, from a policy record, for the eta of optimize's answer, and the
-second for the sweeps that extend many policies. The critical
-prices of a product space read the second directly.
+_level_tables builds the searches' per-price lists of (lambda/nu, f)
+pairs from either: the first, from a policy record, for the eta of
+optimize's answers, and the second for the sweeps that extend many
+policies. The critical prices of a product space read the second
+directly.
 
 One policy's pass is kept in a PolicyRecord, in a memo of the MEMO_SIZE
 most recent records, so the per-policy calls of every layer share one pass
@@ -241,20 +242,20 @@ def _cost_scale(params: ModelParams) -> float:
 
 
 def _level_tables(params: ModelParams, death, cost, prices: list[float]):
-    """(low_profit, low_weight, xi_n, ratios, f_top) of per-state rates at
-    each of the float prices: the tables every search reads.
+    """(low_profit, low_weight, xi_n, tables) of per-state rates at each of
+    the float prices: the tables every search reads.
 
     death and cost hold the rates of the states (i, 0), then of the values
     above them: one policy's, from its record, or every value of some
     value sets, from _value_rates, which lays level j + 1's values out at
-    its start[j]:start[j + 1]. Each value is a column of ratios, lambda/nu,
-    and of f_top[p], the profit rates prices[p] nu - cost. The states
-    (i, 0) have weights xi_low, the cumulative products of lambda/(i mu1),
-    formed in Python floats by numpy's operations, as is f_low:
-    low_profit[p] = xi_low . f_low at prices[p], low_weight = sum(xi_low)
-    and xi_n = xi_low[n], summed by numpy. A policy's average profit at
-    prices[p] is (low_profit[p] + sum xi f_top[p]) / (low_weight + sum xi),
-    xi = xi_n cumprod(lambda/nu).
+    its start[j]:start[j + 1]. tables holds one list per price of a
+    (lambda/nu, f) pair per value, f the profit rate prices[p] nu - cost,
+    as optimize._extend reads them. The states (i, 0) have weights xi_low,
+    the cumulative products of lambda/(i mu1), formed in Python floats by
+    numpy's operations, as is f_low: low_profit[p] = xi_low . f_low at
+    prices[p], low_weight = sum(xi_low) and xi_n = xi_low[n], summed by
+    numpy. A policy's average profit at prices[p] is (low_profit[p] +
+    sum xi f) / (low_weight + sum xi), xi = xi_n cumprod(lambda/nu).
     """
     lam, mu1, low = params.lambda_, params.mu1, params.n + 1
     xi = [1.0]
@@ -265,9 +266,10 @@ def _level_tables(params: ModelParams, death, cost, prices: list[float]):
                       for price in prices])
     nu = np.array(death[low:])
     with np.errstate(over="ignore", invalid="ignore"):
-        return (np.array([xi_low @ row for row in f_low]),
-                float(xi_low.sum()), xi[-1], lam / nu,
-                np.multiply.outer(prices, nu) - cost[low:])
+        ratios = (lam / nu).tolist()
+        rates = (np.multiply.outer(prices, nu) - cost[low:]).tolist()
+        return (np.array([xi_low @ row for row in f_low]), float(xi_low.sum()), xi[-1],
+                [list(zip(ratios, row)) for row in rates])
 
 
 def build_generator(params: ModelParams, d: Policy) -> Generator:

@@ -18,18 +18,19 @@ sign is certain, so the exact eta rises at every step (_iterate). No step
 depends on the size of the space. The answer's eta is its closed form
 eta = N/D, N and D sums over the levels of the running products of
 lambda/nu, extended level by level in Python floats (_extend) on the
-tables chain._level_tables builds from the rates of the answer's policy
-record.
+(lambda/nu, f) pairs chain._level_tables lists from the rates of the
+answer's policy record (_profit).
 
-Rankings (top_k) of a product space at one price are Lawler's partition
-over the same iteration (Lawler, "A procedure for computing the K best
-solutions to discrete optimization problems", Management Science 18(7),
-1972): each subspace keeps one value set per level, and its best policy is
-the iteration restricted to one candidate pair per level (_rankings), so
-k policies cost about k m iterations at any m. _extend gives each policy's
-eta, and also the threshold family and the monotonicity sweep, which
-extend shared prefixes one policy at a time and so hold O(m) floats at any
-m.
+One entry, _rankings, answers optimize, with or without top_k, and
+price_sweep. Its one step runs the iteration at every price and forms
+each answering policy's eta at all the prices it won. Rankings (top_k > 1)
+of a product space are Lawler's partition over that step (Lawler, "A
+procedure for computing the K best solutions to discrete optimization
+problems", Management Science 18(7), 1972): each subspace keeps one value
+set per level, and its best policy is the step on one candidate pair per
+level, so k policies cost about k m iterations at any m. The threshold
+family, like the monotonicity sweep, extends shared prefixes by _extend
+one policy at a time, so it holds O(m) floats at any m.
 
 The module also houses the structural results: closed-form optima at
 extreme prices, the threshold-policy scan with its optimality sign
@@ -182,13 +183,6 @@ def _extend(state, xi_n, tables, span=slice(None)):
     return prod, grown, weight
 
 
-def _pairs(ratios: np.ndarray, rates: np.ndarray) -> list:
-    """The (lambda/nu, f) pairs of _level_tables' flat tables, one list per
-    price, as _extend reads them."""
-    ratios = ratios.tolist()
-    return [list(zip(ratios, row)) for row in rates.tolist()]
-
-
 def _threshold_family(params: ModelParams, prices: list[float]) -> np.ndarray:
     """Profit of every threshold policy at each price, one row per price:
     column r is the policy of theta = r + 1.
@@ -199,8 +193,7 @@ def _threshold_family(params: ModelParams, prices: list[float]) -> np.ndarray:
     """
     m = params.m
     death, cost, _ = _value_rates(params, _level_values(m, "threshold"))
-    low_profit, low_weight, xi_n, ratios, rates = _level_tables(params, death, cost, prices)
-    tables = _pairs(ratios, rates)
+    low_profit, low_weight, xi_n, tables = _level_tables(params, death, cost, prices)
     state, grown = (1.0, [0.0] * len(prices), 0.0), []
     # Level k + 1's values are (0, k + 1): pairs 2k (asleep) and 2k + 1.
     for r in range(m + 1):
@@ -218,16 +211,6 @@ def _profits(states, low_profit: np.ndarray, low_weight: float) -> np.ndarray:
                      for p, low in enumerate(low_profit.tolist())])
     _require_finite(etas, "profits")
     return etas
-
-
-def _threshold_best(etas: np.ndarray, k: int) -> list[tuple[float, int]]:
-    """The k best (-eta, rank) pairs of a row of _threshold_family, best
-    first: by eta descending, ties by policy order, which is falling theta,
-    so an exact tie goes to the largest theta, the lexicographically
-    smallest policy. heapq.nsmallest ranks the row whole."""
-    # Column i of the reversed row is rank m - i, m + 1 = etas.size.
-    return [(neg, etas.size - 1 - i) for neg, i in
-            heapq.nsmallest(k, zip((-etas[::-1]).tolist(), range(etas.size)))]
 
 
 def _awake(params: ModelParams, space: str) -> Policy:
@@ -306,30 +289,34 @@ def _profit(params: ModelParams, d: Policy, prices: list[float]) -> list[float]:
     rates its policy record holds, which are _value_rates' for its values,
     so bit for bit its eta at that price alone."""
     record = _policy_record(params, d)
-    low_profit, low_weight, xi_n, ratios, rates = _level_tables(
+    low_profit, low_weight, xi_n, tables = _level_tables(
         params, record.death, record.cost, prices)
-    state = _extend((1.0, [0.0] * len(prices), 0.0), xi_n, _pairs(ratios, rates))
+    state = _extend((1.0, [0.0] * len(prices), 0.0), xi_n, tables)
     return _profits([state], low_profit, low_weight)[:, 0].tolist()
 
 
-def _space_pairs(params: ModelParams, space: str) -> list:
-    """The iteration's pair (0, _awake's value) of each level of a product
-    space: its optimum is one of them at every level."""
-    return [(0, w) for w in _awake(params, space)]
+def _rankings(params: ModelParams, space: str, k: int,
+              prices: list[float]) -> list[list[tuple[float, Policy]]]:
+    """The k best (-eta, policy) pairs of a space at each price, best
+    first: the one search behind optimize and price_sweep.
 
+    The threshold space ranks each row of one _threshold_family call whole,
+    by eta descending, ties by policy order, which is falling theta, so an
+    exact tie goes to the largest theta. A product space takes one step for
+    every answer (answers): _iterate's answer at each price, then _profit
+    once per answering policy, at all the prices it won. On the pairs
+    (0, _awake's value) of every level, where the space's optimum lies,
+    that step gives the whole space's answer at every price, and with
+    k = 1 it is the ranking.
 
-def _rankings(params: ModelParams, space: str, k: int) -> list[tuple[float, Policy]]:
-    """The k best (-eta, policy) pairs of a space at its price, best first.
-
-    The threshold family is _threshold_family's, ranked by _threshold_best.
-    A product space is ranked by Lawler's partition. A subspace holds one
-    value set per level, and its candidate is _iterate's answer on one pair
-    per set, with its float eta by _profit. Candidates are ordered by
-    (-eta, policy), so ties go to the smaller policy. The best is popped,
-    and for each level i its child fixes the levels below i to the popped
-    policy and takes its value out of level i's set: the children part the
-    rest of the subspace. At most k candidates are kept, so the ranking
-    holds O(k m) values.
+    For k > 1 each price is ranked by Lawler's partition, from the whole
+    space's answer. A subspace holds one value set per level, and its
+    candidate is the step on one pair per set, at that price. Candidates
+    are ordered by (-eta, policy), so ties go to the smaller policy. The
+    best is popped, and for each level i its child fixes the levels below
+    i to the popped policy and takes its value out of level i's set: the
+    children part the rest of the subspace. At most k candidates are kept,
+    so the ranking holds O(k m) values.
 
     Each set holds values of one kind, so its pair is one _iterate
     compares: values in 0..j, kept as (lo, hi), the level's own values
@@ -341,11 +328,25 @@ def _rankings(params: ModelParams, space: str, k: int) -> list[tuple[float, Poli
     None, paired (0, _awake's value), as the rest is dominated; a value
     taken out of it parts the rest into 0..j and the values above j.
     """
-    m, price = params.m, params.price
+    m = params.m
     if space == "threshold":
-        return [(neg, threshold_policy(m, rank + 1)) for neg, rank in
-                _threshold_best(_threshold_family(params, [price])[0], k)]
-    untouched = _space_pairs(params, space)
+        # Column i of a reversed row is the policy of theta = m + 1 - i.
+        return [[(neg, threshold_policy(m, m + 1 - i)) for neg, i in
+                 heapq.nsmallest(k, zip((-etas[::-1]).tolist(), range(m + 1)))]
+                for etas in _threshold_family(params, prices)]
+
+    def answers(pairs, at):
+        """(-eta, policy) of _iterate's answer on pairs at each price of at."""
+        policies, won = _iterate(params, pairs, at), {}
+        for price, d in zip(at, policies):
+            won.setdefault(d, []).append(price)
+        etas = {d: iter(_profit(params, d, prices_won)) for d, prices_won in won.items()}
+        return [(-next(etas[d]), d) for d in policies]
+
+    untouched = [(0, w) for w in _awake(params, space)]
+    firsts = answers(untouched, prices)
+    if k == 1:
+        return [[first] for first in firsts]
 
     def cheapest(j, after=(-math.inf, 0)):
         """The least (float cost, value) past after of level j's values
@@ -371,25 +372,26 @@ def _rankings(params: ModelParams, space: str, k: int) -> list[tuple[float, Poli
         gap = hi - lo if space == "bang_bang" else 1
         return [] if lo == hi else [(lo + gap, hi) if v == lo else (lo, hi - gap)]
 
-    def candidate(parts):
-        [d] = _iterate(params, [pair(j, part) for j, part in enumerate(parts, start=1)],
-                       [price])
-        [eta] = _profit(params, d, [price])
-        return -eta, d, parts
+    def candidate(parts, price):
+        [(neg, d)] = answers([pair(j, part) for j, part in enumerate(parts, start=1)], [price])
+        return neg, d, parts
 
-    found, best = [], [candidate(tuple(None if space == "full" and j < m else (0, j)
-                                       for j in range(1, m + 1)))]
-    while best:
-        neg, d, parts = best.pop(0)
-        found.append((neg, d))
-        if len(found) == k:
-            break
-        for i in range(m):
-            fixed = tuple((v, v) for v in d[:i])
-            for part in rest(i + 1, parts[i], d[i]):
-                bisect.insort(best, candidate(fixed + (part,) + parts[i + 1:]))
-                del best[k - len(found):]
-    return found
+    whole = tuple(None if space == "full" and j < m else (0, j) for j in range(1, m + 1))
+    rankings = []
+    for price, (neg, d) in zip(prices, firsts):
+        found, best = [], [(neg, d, whole)]
+        while best:
+            neg, d, parts = best.pop(0)
+            found.append((neg, d))
+            if len(found) == k:
+                break
+            for i in range(m):
+                fixed = tuple((v, v) for v in d[:i])
+                for part in rest(i + 1, parts[i], d[i]):
+                    bisect.insort(best, candidate(fixed + (part,) + parts[i + 1:], price))
+                    del best[k - len(found):]
+        rankings.append(found)
+    return rankings
 
 
 def optimize(params: ModelParams, space: str = "full", top_k: int | None = None,
@@ -415,12 +417,13 @@ def optimize(params: ModelParams, space: str = "full", top_k: int | None = None,
     ValueError) adds a ranking of the top_k best policies as (policy, eta)
     pairs, best first, or of the whole space where it is smaller. The
     threshold space is ranked by eta descending, ties by policy ascending.
-    A product space is ranked by Lawler's partition over the iteration
-    (_rankings), about top_k m iterations at any m: each entry is the
-    iteration's answer on a subspace, taken by float eta, ties by policy,
-    so ranking[0] is the best_policy of the call without top_k, and the
-    order is that of the exact eta but between policies whose float etas
-    lie within a few ulps.
+    A product space is ranked by Lawler's partition over the iteration,
+    about top_k m iterations at any m: each entry is the iteration's answer
+    on a subspace, taken by float eta, ties by policy, and the order is
+    that of the exact eta but between policies whose float etas lie within
+    a few ulps. Every call reads the one search, _rankings, whose first
+    entry is the whole space's answer, so ranking[0] is the best_policy of
+    the call without top_k.
 
     evaluations is the size of the space, however many policies the search
     formed. A non-finite profit or realization factor (the stationary
@@ -437,11 +440,8 @@ def optimize(params: ModelParams, space: str = "full", top_k: int | None = None,
     if threads is not None:
         _check_count(threads, "threads must be None or a positive integer")
     total = policy_space_size(params.m, space)
-    if top_k is None and space != "threshold":
-        [d] = _iterate(params, _space_pairs(params, space), [params.price])
-        [eta] = _profit(params, d, [params.price])
-        return OptimizationResult(d, eta, space, total)
-    ranking = [(policy, -neg) for neg, policy in _rankings(params, space, top_k or 1)]
+    [ranked] = _rankings(params, space, top_k or 1, [params.price])
+    ranking = [(policy, -neg) for neg, policy in ranked]
     return OptimizationResult(*ranking[0], space, total, ranking if top_k else None)
 
 
@@ -468,10 +468,11 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float], space: str = "full
     per-level critical prices of that policy, regime label, crossing
     note) and crit carries the R_H / R_L thresholds of the space from
     critical_prices_global. The grid is checked once, before anything is
-    computed. The threshold family is formed once for the whole grid. In
-    the product spaces each price runs optimize's policy iteration, so
-    each row's policy and eta are those of optimize at its price, bit for
-    bit. As a sanity check, eta is reconciled against the affine form
+    computed. The answers come from the search optimize reads, _rankings,
+    over the whole grid at once: one threshold family, or one policy
+    iteration per price with each answering policy's eta formed at all the
+    prices it won. So each row's policy and eta are optimize's at its
+    price. As a sanity check, eta is reconciled against the affine form
     R * completion_rate - cost_rate of the winning policy on every grid
     point; a mismatch raises ConsistencyError.
     """
@@ -479,19 +480,7 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float], space: str = "full
     # One validate covers every grid price; critical_prices_global makes it.
     # Its roots do not depend on R.
     crit = critical_prices_global(replace(params, price=grid[0]), space)
-    m, bests = params.m, []
-    if space == "threshold":
-        for etas in _threshold_family(params, grid):
-            [(neg, rank)] = _threshold_best(etas, 1)
-            bests.append((threshold_policy(m, rank + 1), -neg))
-    else:
-        # Each policy's eta at all of its prices, in grid order, from one
-        # pass of _extend.
-        policies, prices = _iterate(params, _space_pairs(params, space), grid), {}
-        for r, d in zip(grid, policies):
-            prices.setdefault(d, []).append(r)
-        etas = {d: iter(_profit(params, d, at)) for d, at in prices.items()}
-        bests = [(d, next(etas[d])) for d in policies]
+    bests = [(d, -neg) for [(neg, d)] in _rankings(params, space, 1, grid)]
 
     # affine pieces and per-level critical prices per winning policy,
     # computed once each: none of them depends on the price
@@ -612,9 +601,9 @@ def verify_monotonicity(params: ModelParams, d: Policy, j: int,
     # state with an S per value, as prices do.
     levels = [range(m + 1) if i == j else (v,) for i, v in enumerate(d, start=1)]
     death, cost, _ = _value_rates(params, levels)
-    low_profit, low_weight, xi_n, ratios, rates = _level_tables(
+    low_profit, low_weight, xi_n, tables = _level_tables(
         params, death, cost, [params.price])
-    tables, above = _pairs(ratios, rates), slice(j + m, None)
+    above = slice(j + m, None)
     below = _extend((1.0, [0.0], 0.0), xi_n, tables, slice(j - 1))
     at_j = [_extend(below, xi_n, tables, slice(v, v + 1)) for v in range(j - 1, j + m)]
     ends = [_extend(state, xi_n, tables, above) for state in at_j[:j]]

@@ -34,7 +34,7 @@ Under heavy load pi rises over most levels, and the tail recursion alone
 would lose a digit per level there. No stationary probability is divided
 by, and no Poisson equation is solved. One body (_split_recursion) runs
 the recursions on one policy's rates, in Python floats. It forms G's
-lines (_lines) and the magnitudes behind their error bounds
+lines (_record_lines) and the magnitudes behind their error bounds
 (_record_bounds).
 
 f = R*a - b, so G and G + c are affine in the price R, and one function
@@ -180,42 +180,21 @@ def _split_recursion(params: ModelParams, death: list, first: list, second: list
     return one, two
 
 
-def _lines(params: ModelParams, death: list, cost: list, means: tuple,
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """(intercept, slope) of G(n,j) = price * slope + intercept, j = 1..m.
-
-    death and cost are the per-state rates of _state_rates, and means
-    their _means. The weights of _means come from _weights, as
-    _stationary's do, and are normalized before they weight the rates,
-    and every sum runs state by state. _split_recursion then
-    runs on the two affine parts of eta - f = R (A - a) + (b - B), where
-    A = pi . a and B = pi . b, taking the head side at the cuts whose head
-    mass (the running sum of the weights) is at most half the total. A
-    normalizer or a line that is not finite (the weights overflow under
-    heavy load) raises NumericalError. Each line has shape (m,).
+def _record_means(record: PolicyRecord) -> tuple:
+    """(completion_rate, cost_rate, head_cuts, heads) of a policy record,
+    which its lines, bounds and roots share: A = pi . death and B = pi .
+    cost, summed state by state from the weights of chain._weights as
+    Python floats, the number of cuts K that take the head side, and the
+    running sums of the weights. The head mass only grows with K, so they
+    are the first ones; below cut n no line is kept, so the count starts
+    there. A normalizer that is not finite raises NumericalError.
     """
-    completion_rate, cost_rate, head_cuts, _ = means
-    lines = np.array(_split_recursion(
-        params, death, [rate - cost_rate for rate in cost],
-        [completion_rate - rate for rate in death], head_cuts))
-    _require_finite(lines, "realization factors")
-    return lines[0], lines[1]
-
-
-def _means(params: ModelParams, death: list, cost: list, weights: list) -> tuple:
-    """(completion_rate, cost_rate, head_cuts, heads) of _lines: A = pi .
-    death and B = pi . cost, summed state by state from the weights of
-    chain._weights as Python floats, the number of cuts K that take the
-    head side, and the running sums of the weights. The head mass only
-    grows with K, so they are the first ones; below cut n no line is kept,
-    so the count starts there. A normalizer that is not finite raises
-    NumericalError.
-    """
+    params, weights = record.params, record.value(_weights).tolist()
     heads = list(itertools.accumulate(weights))
     total = heads[-1]
     _require_finite(total, "realization factors")
     completion_rate = cost_rate = 0.0
-    for weight, rate, state_cost in zip(weights, death, cost):
+    for weight, rate, state_cost in zip(weights, record.death, record.cost):
         share = weight / total
         completion_rate = completion_rate + share * rate
         cost_rate = cost_rate + share * state_cost
@@ -224,30 +203,42 @@ def _means(params: ModelParams, death: list, cost: list, weights: list) -> tuple
             params.n + sum(mass <= half for mass in heads[params.n:-1]), heads)
 
 
-def _record_means(record: PolicyRecord) -> tuple:
-    """_means of a policy record, which its lines, bounds and roots share."""
-    return _means(record.params, record.death, record.cost, record.value(_weights).tolist())
-
-
 def _policy_lines(params: ModelParams, d: Policy) -> tuple[np.ndarray, np.ndarray]:
     """(intercept, slope) of G(n,j) for one policy, each of shape (m,):
-    _lines on the Python floats of the policy record."""
+    _record_lines of its policy record."""
     return _policy_record(params, d).value(_record_lines)
 
 
 def _record_lines(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
-    """_lines of a policy record."""
-    return _lines(record.params, record.death, record.cost, record.value(_record_means))
+    """(intercept, slope) of G(n,j) = price * slope + intercept, j = 1..m,
+    on the Python floats of a policy record.
+
+    A = pi . a and B = pi . b come from _record_means, which weights the
+    rates by the weights of _weights, as _stationary does, normalized, and
+    sums state by state. _split_recursion then runs on the two affine parts
+    of eta - f = R (A - a) + (b - B), taking the head side at the cuts
+    whose head mass (the running sum of the weights) is at most half the
+    total. A normalizer or a line that is not finite (the
+    weights overflow under heavy load) raises NumericalError. Each line
+    has shape (m,).
+    """
+    death, cost = record.death, record.cost
+    completion_rate, cost_rate, head_cuts, _ = record.value(_record_means)
+    lines = np.array(_split_recursion(
+        record.params, death, [rate - cost_rate for rate in cost],
+        [completion_rate - rate for rate in death], head_cuts))
+    _require_finite(lines, "realization factors")
+    return lines[0], lines[1]
 
 
 def _record_roots(record: PolicyRecord) -> np.ndarray:
     """The root of G(n,j) + c in R for j = 1..m: (k - I_j) / s_j of the
     module docstring, s_j = (xi_N / xi_K) H_K with xi_N / xi_K a product of
-    lambda / nu from the top state down and H_K from the heads of _means,
-    and the infinity of the sign of k - I_j where the float s_j is 0: below
-    the double range, or below a cut where the product underflowed. The
-    exact root there can still be a double, with costs far below 1
-    (ROADMAP item 29).
+    lambda / nu from the top state down, I_j from _record_lines and H_K
+    from the heads of _record_means, and the infinity of the sign of
+    k - I_j where the float s_j is 0: below the double range, or below a
+    cut where the product underflowed. The exact root there can still be a
+    double, with costs far below 1 (ROADMAP item 29).
     """
     params = record.params
     lam, n, wake = params.lambda_, params.n, _wake_cost(params)
@@ -294,10 +285,10 @@ def _record_bounds(record: PolicyRecord) -> tuple[np.ndarray, np.ndarray]:
     rationals (tests/exact.py). With u = 2**-53, N = n + m + 1 states and
     gamma_k = k u / (1 - k u) <= 2 k u, the float G + c of _margins is off
     by at most the sum of:
-    - The recursions. On the side _lines takes, each line is a sum of the
-      terms t_K (cost - B for the intercept, A - nu for the slope) times
-      positive products of lambda/nu or nu/lambda, and each term passes at
-      most 3N + 3 roundings on its way. So the error is at most
+    - The recursions. On the side _record_lines takes, each line is a sum
+      of the terms t_K (cost - B for the intercept, A - nu for the slope)
+      times positive products of lambda/nu or nu/lambda, and each term
+      passes at most 3N + 3 roundings on its way. So the error is at most
       gamma_{3N+3} times the same recursion on |t_K| (Higham, Accuracy and
       Stability of Numerical Algorithms, 2nd ed., 2002, sections 3.1 and
       5.1, the bound for Horner's rule).

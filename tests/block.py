@@ -30,6 +30,16 @@ def enumerate_policies(m, space):
     return itertools.product(*_level_values(m, space))
 
 
+def _arrays(params, death, cost, prices: list) -> tuple:
+    """(low_profit, low_weight, xi_n, ratios, f_top): _level_tables with its
+    per-price lists of (lambda/nu, f) pairs turned back into the arrays
+    ratios, one entry per value, and f_top, one row per price."""
+    low_profit, low_weight, xi_n, tables = _level_tables(params, death, cost, prices)
+    ratios = np.array([ratio for ratio, _ in tables[0]])
+    return (low_profit, low_weight, xi_n, ratios,
+            np.array([[f for _, f in table] for table in tables]))
+
+
 def _value_index(start: list, digits: np.ndarray) -> np.ndarray:
     """The (m, rows) index of the rows of digits into tables laid out by
     start, C-contiguous: the cumulations run down its level axis."""
@@ -48,8 +58,8 @@ def block_profits(params, levels, digits: np.ndarray, prices: np.ndarray) -> np.
     A profit that is not finite raises NumericalError, as the searches do.
     """
     death, cost, start = _value_rates(params, levels)
-    low_profit, low_weight, xi_n, ratios, f_top = _level_tables(
-        params, death, cost, prices.tolist())
+    low_profit, low_weight, xi_n, ratios, f_top = _arrays(params, death, cost,
+                                                          prices.tolist())
     index = _value_index(start, digits)
     with np.errstate(over="ignore", invalid="ignore"):
         xi_top = xi_n * np.cumprod(ratios[index], axis=0)
@@ -72,8 +82,8 @@ def space_etas(params, space) -> np.ndarray:
     """
     m, levels = params.m, _level_values(params.m, space)
     death, cost, start = _value_rates(params, levels)
-    low_profit, low_weight, xi_n, ratios, f_top = _level_tables(
-        params, death, cost, [params.price])
+    low_profit, low_weight, xi_n, ratios, f_top = _arrays(params, death, cost,
+                                                          [params.price])
     sizes = [len(values) for values in levels]
 
     def grow(state, j, values):

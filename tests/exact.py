@@ -62,13 +62,14 @@ def exact(params, d) -> Exact:
                  prf=[-x for x in delta[params.n:]], a=a, b=b, c=price - wake_cost)
 
 
-def exact_eta(params, d) -> Fraction:
-    """eta alone, equal to exact(params, d).eta, for enumerating a space.
+def _scaled(params, d) -> tuple:
+    """(price, nu, b, scale, weights) of policy d as integers.
 
     The float rates are dyadic, so with lambda, the price and every rate
-    times one power of two they are integers, and so are the weights times
-    the product of the death rates: lam^i prod_{l>i} nu_l at state i, each
-    from the last by an exact division, as in exact_root_pairs.
+    times one power of two, scale, they are integers, and so are the
+    weights times the product of the death rates: lam^i prod_{l>i} nu_l at
+    state i, each from the last by an exact division, as in
+    exact_root_pairs.
     """
     death, cost = _state_rates(params, d)
     ratios = [x.as_integer_ratio() for x in (params.lambda_, params.price, *death, *cost)]
@@ -78,6 +79,19 @@ def exact_eta(params, d) -> Fraction:
     weights = [math.prod(nu[1:])]
     for rate in nu[1:]:
         weights.append(weights[-1] * lam // rate)
+    return price, nu, b, scale, weights
+
+
+def exact_weights(params, d) -> list:
+    """The stationary weights of policy d times one common integer, as
+    integers w_i, so the exact pi_i is w_i / sum(w)."""
+    return _scaled(params, d)[-1]
+
+
+def exact_eta(params, d) -> Fraction:
+    """eta alone, equal to exact(params, d).eta, for enumerating a space,
+    from the integer rates and weights of _scaled."""
+    price, nu, b, scale, weights = _scaled(params, d)
     profit = sum(w * (price * rate - c * scale) for w, rate, c in zip(weights, nu, b))
     return Fraction(profit, sum(weights) * scale * scale)
 

@@ -90,3 +90,26 @@ def test_no_module_enumerates():
                                        start=1)
            for name in ENUMERATION_NAMES if name in text]
     assert not bad, "\n".join(bad)
+
+
+# The policy iteration and the eta of its answers have one caller: every
+# search, optimize's with or without top_k and price_sweep's, is _rankings.
+SEARCH_STEPS = {"_iterate", "_profit"}
+
+
+def test_only_rankings_runs_the_search_steps():
+    bad = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = set()
+        if path.stem == "optimize":
+            [entry] = [node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "_rankings"]
+            inside = {id(node) for node in ast.walk(entry)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in inside:
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in SEARCH_STEPS:
+                    bad.append(f"{path.name}:{node.lineno} calls {name}")
+    assert not bad, "\n".join(bad)

@@ -5,32 +5,39 @@ refuses at once, either answers or raises a SleepqError (exit 2 or 4)
 at these sizes; a ValueError, a MemoryError, a warning or exit 1 fails.
 1 371 is the first m whose full space has more than the 4 300 digits
 Python writes of an int, and 1 558 the first for the reduced space.
-At m = 1 000 and 2 000 the profit and each product space's optimum are
-held to their exact values (tests/exact.py), and at m = 1 000 the
-bang-bang optimum to the exact sign of G + c at every level.
+At m = 1 000 and 2 000 the profit, each product space's optimum and the
+awake ladder's stationary law are held to their exact values
+(tests/exact.py); at m = 1 000 the bang-bang optimum to the exact sign of
+G + c at every level, and the awake ladder's critical prices to its exact
+roots (about 2.5 s for exact_root_pairs); and a bang-bang ranking
+(top_k=3, 0.6 s) at m = 300 to the exact order of eta. The file takes
+about 7 s on a shared 2-core host.
 
 Left out, to keep the file within tier-1's time: the O(k^2) routes (the
 dense and explicit solves, stationary_numeric, invert_reduced), the
 O(m^2) sweeps (the threshold family, the threshold space's critical
-prices, the monotonicity sweep) and optimize's rankings (top_k), about
-top_k m policy iterations of O(m) each: 5-11 s at m = 1 000. Two of those sweeps and the bang-bang
-optimum are held, at m = 1 000, to their memory instead: run as sleepq
-child processes, they answer within a 200 MiB address space.
+prices, the monotonicity sweep) and optimize's rankings (top_k) past
+m = 300, about top_k m policy iterations of O(m) each: 5-11 s at
+m = 1 000. Two of those sweeps and the bang-bang optimum are held, at
+m = 1 000, to their memory instead: run as sleepq child processes, they
+answer within a 200 MiB address space.
 """
 
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sleepq as sq
 from sleepq.cli import main
 from sleepq.optimize import price_sweep
 from conftest import micro_params
-from exact import exact_eta, exact_root_pairs
+from exact import exact_eta, exact_root_pairs, exact_weights
 
 SIZES = [1000, 1371, 1558, 2000]
 
@@ -221,3 +228,73 @@ def test_bang_bang_optimum_wakes_exactly_where_the_price_passes_each_root():
     price, scale = params.price.as_integer_ratio()
     assert [v == j for j, v in enumerate(d, start=1)] == [
         price * den > num * scale for num, den in exact_root_pairs(params, d)]
+
+
+def test_a_bang_bang_ranking_at_m_300_falls_in_the_exact_order():
+    # Lawler's partition over the policy iteration, about k m restricted
+    # iterations: 0.6 s at m = 300 on a shared 2-core host. Two entries
+    # whose float etas lie within 4 ulps may stand in either order. Here
+    # the three float etas are equal, as the entries differ only at levels
+    # 21 and 24, whose mass is below an ulp of eta; the first entry is the
+    # certified optimum, so its exact eta is still the largest.
+    params = _wide(300)
+    ranking = sq.optimize(params, "bang_bang", top_k=3).ranking
+    assert len({d for d, _ in ranking}) == 3
+    exact = [exact_eta(params, d) for d, _ in ranking]
+    assert exact[0] == max(exact)
+    for i, (_, above) in enumerate(ranking):
+        for j in range(i + 1, len(ranking)):
+            if above - ranking[j][1] > 4 * np.spacing(abs(above)):
+                assert exact[i] > exact[j], (i, j)
+
+
+#: The relative error allowed an entry of pi against the exact one, fixed
+#: before the first run: each weight passes 2 roundings a state, their sum
+#: and the division at most N + 1 more, so 4 N u, N = n + m + 1 states,
+#: covers gamma_{3N+1}.
+def _pi_rel(params):
+    return 4 * (params.n + params.m + 1) * 2.0**-53
+
+
+@pytest.mark.parametrize("m", [1000, 2000])
+def test_stationary_law_at_large_m_is_the_exact_pi(m):
+    # The awake ladder's weights fall below the normal range from about
+    # level 170, so most of its entries are subnormal or 0.
+    params = _wide(m)
+    awake = _awake(params)
+    pi = sq.stationary_closed_form(params, awake).pi.tolist()
+    weights = exact_weights(params, awake)
+    total = sum(weights)
+    bound = Fraction(_pi_rel(params))
+    normal = 0
+    for i, (got, weight) in enumerate(zip(pi, weights)):
+        if weight * 2**1022 >= total:
+            normal += 1
+            assert abs(Fraction(got) * total - weight) <= bound * weight, i
+        else:
+            assert got <= 2.0**-1022, i
+    assert normal > params.n
+
+
+#: The relative error allowed a root against the exact one, fixed before
+#: the first run: the m <= 210 corpora of test_sensitivity hold 1e-12, and
+#: the chain here is five times the longest of them.
+ROOT_REL = 1e-11
+
+
+def test_critical_prices_at_m_1000_are_the_exact_roots():
+    # exact_root_pairs takes about 2.5 s here. Where the exact root is past
+    # the double range the float one is the infinity of its sign: the
+    # exact R_L of level 1 is about -10^2272.
+    params = _wide(1000)
+    awake = _awake(params)
+    got = sq.perturbation_factors(params, awake).crit_prices.tolist()
+    pairs = exact_root_pairs(params, awake)
+    assert len(got) == len(pairs) == params.m
+    for j, (root, (num, den)) in enumerate(zip(got, pairs), start=1):
+        try:
+            want = num / den
+        except OverflowError:
+            assert root == (math.inf if num > 0 else -math.inf), j
+        else:
+            assert abs(root - want) <= ROOT_REL * max(1.0, abs(want)), j
