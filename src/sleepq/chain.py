@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import ModelParams, Policy, ReadOnlyRecord, _model_errors, check_policy
+from .model import ModelParams, Policy, ReadOnlyRecord, _frozen, _model_errors, check_policy
 
 
 @dataclass(frozen=True)
@@ -169,23 +169,12 @@ class PolicyRecord:
 
     def value(self, build):
         """build(self), built on the first call and kept; one that raises
-        keeps nothing. Every numpy array in the value kept, itself or inside
-        tuples, is set read-only: the memo hands it to every layer."""
+        keeps nothing. The value kept is frozen as a result record is
+        (model._frozen): the memo hands it to every layer."""
         value = self._values.get(build)
         if value is None:
             value = self._values[build] = _frozen(build(self))
         return value
-
-
-def _frozen(value):
-    """value, with every numpy array in it, itself or inside tuples, set
-    read-only."""
-    if isinstance(value, np.ndarray):
-        value.setflags(write=False)
-    elif isinstance(value, tuple):
-        for item in value:
-            _frozen(item)
-    return value
 
 
 def _policy_record(params: ModelParams, d: Policy) -> PolicyRecord:

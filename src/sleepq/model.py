@@ -95,8 +95,18 @@ class ReadOnlyRecord:
 
     def __post_init__(self):
         for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+            _frozen(value)
+
+
+def _frozen(value):
+    """value, with every numpy array in it, itself or inside tuples, set
+    read-only: the one freeze of result records and policy records."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _frozen(item)
+    return value
 
 
 def validate(params: ModelParams) -> ValidationReport:
@@ -248,19 +258,18 @@ def threshold_policy(m: int, theta: int) -> Policy:
     return tuple(0 for _ in range(1, theta)) + tuple(range(theta, m + 1))
 
 
-def _level_values(m: int, space: str) -> list:
-    """The values each coordinate of a space takes, ascending.
-
-    full allows {0..m} at every level, reduced {0..j} at level j, and
-    bang_bang and threshold {0, j}, each a range or a tuple of ints. An
-    unknown space raises ValueError.
+def _level_values(m: int, space: str) -> list[range]:
+    """The values each coordinate of a space takes, one ascending range
+    per level: full allows {0..m} at every level, reduced {0..j} at level
+    j, and bang_bang and threshold {0, j}, range(0, j + 1, j). An unknown
+    space raises ValueError.
     """
     if space == "full":
         return [range(m + 1)] * m
     if space == "reduced":
         return [range(j + 1) for j in range(1, m + 1)]
     if space in ("bang_bang", "threshold"):
-        return [(0, j) for j in range(1, m + 1)]
+        return [range(0, j + 1, j) for j in range(1, m + 1)]
     raise ValueError(f"unknown policy space {space!r}")
 
 

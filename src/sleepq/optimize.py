@@ -64,9 +64,9 @@ from .model import (
     require_valid,
     threshold_policy,
 )
-from .reward import affine_decomposition, policy_profit, profit_components
-from .sensitivity import (_factor_plus_c, _margins, _skew, critical_prices_global,
-                          perturbation_factors)
+from .reward import policy_profit
+from .sensitivity import (_factor_plus_c, _margins, _record_means, _record_roots, _skew,
+                          critical_prices_global)
 
 
 @dataclass(frozen=True)
@@ -213,13 +213,23 @@ def _profits(states, low_profit: np.ndarray, low_weight: float) -> np.ndarray:
     return etas
 
 
+def _cheapest(params: ModelParams, j: int, low: int, after: tuple):
+    """The least (float cost, value) past after among level j's values
+    low..m, or None: one O(m) pass of chain._rates, ties to the smallest
+    value. The values from j on share level j's death rate, so the
+    cheapest of them is the best."""
+    _, cost = _rates(params, [(j, v) for v in range(low, params.m + 1)])
+    return min((key for key in zip(cost[params.n + 1:], range(low, params.m + 1))
+                if key > after), default=None)
+
+
 def _awake(params: ModelParams, space: str) -> Policy:
     """The value the policy iteration wakes each level to: j, or in the
-    full space the value of least float cost among j..m, the smallest on a
-    tie. Those values share level j's death rate, so it is at least as good
-    as any of them on the float rates; it is j unless the rounding of the
-    rates undercuts j's cost, and sensitivity._record_bounds covers it in
-    j's place.
+    full space the value of least float cost among j..m (_cheapest), the
+    smallest on a tie. Those values share level j's death rate, so it is
+    at least as good as any of them on the float rates; it is j unless the
+    rounding of the rates undercuts j's cost, and
+    sensitivity._record_bounds covers it in j's place.
 
     A value's cost at a level never falls below that of a value with a
     smaller energy cost (chain._energy_costs), so j wins where its energy
@@ -231,14 +241,8 @@ def _awake(params: ModelParams, space: str) -> Policy:
         return tuple(range(1, m + 1))
     energy = _energy_costs(params)
     least = list(itertools.accumulate(reversed(energy), min))[::-1]
-    awake = []
-    for j in range(1, m + 1):
-        if energy[j] > least[j]:
-            _, cost = _rates(params, [(j, v) for v in range(j, m + 1)])
-            values = cost[params.n + 1:]
-            j += values.index(min(values))
-        awake.append(j)
-    return tuple(awake)
+    return tuple(_cheapest(params, j, j, (-math.inf, 0))[1] if energy[j] > least[j] else j
+                 for j in range(1, m + 1))
 
 
 def _iterate(params: ModelParams, pairs: list, prices: list[float]) -> list[Policy]:
@@ -298,7 +302,8 @@ def _profit(params: ModelParams, d: Policy, prices: list[float]) -> list[float]:
 def _rankings(params: ModelParams, space: str, k: int,
               prices: list[float]) -> list[list[tuple[float, Policy]]]:
     """The k best (-eta, policy) pairs of a space at each price, best
-    first: the one search behind optimize and price_sweep.
+    first: the one search behind optimize and price_sweep. A ranking of
+    more than one policy takes one price.
 
     The threshold space ranks each row of one _threshold_family call whole,
     by eta descending, ties by policy order, which is falling theta, so an
@@ -309,24 +314,24 @@ def _rankings(params: ModelParams, space: str, k: int,
     that step gives the whole space's answer at every price, and with
     k = 1 it is the ranking.
 
-    For k > 1 each price is ranked by Lawler's partition, from the whole
+    For k > 1 the price is ranked by Lawler's partition, from the whole
     space's answer. A subspace holds one value set per level, and its
-    candidate is the step on one pair per set, at that price. Candidates
-    are ordered by (-eta, policy), so ties go to the smaller policy. The
-    best is popped, and for each level i its child fixes the levels below
-    i to the popped policy and takes its value out of level i's set: the
-    children part the rest of the subspace. At most k candidates are kept,
-    so the ranking holds O(k m) values.
+    candidate is the step on one pair per set. Candidates are ordered by
+    (-eta, policy), so ties go to the smaller policy. The best is popped,
+    and for each level i its child fixes the levels below i to the popped
+    policy and takes its value out of level i's set: the children part the
+    rest of the subspace. At most k candidates are kept, so the ranking
+    holds O(k m) values.
 
     Each set holds values of one kind, so its pair is one _iterate
-    compares: values in 0..j, kept as (lo, hi), the level's own values
-    from lo to hi (0 and j alone in bang_bang), or one value as (v, v),
-    paired (lo, hi); or, in the full space, values above j, which share
-    level j's death rate, so the cheapest is best: kept as ((cost, v),),
-    the values from v on in (float cost, value) order, paired (v, v). A
-    full-space level that no child has touched below m holds every value,
-    None, paired (0, _awake's value), as the rest is dominated; a value
-    taken out of it parts the rest into 0..j and the values above j.
+    compares. Values in 0..j are a range sliced from _level_values, paired
+    by its ends: a value taken out slices off an end, and a fixed value v
+    is range(v, v + 1). Values above j, in the full space, share level j's
+    death rate, so the cheapest is best: they are the (float cost, value)
+    key of _cheapest, the values from it on in that order, paired (v, v).
+    A full-space level that no child has touched below m holds every
+    value, None, paired (0, _awake's value), as the rest is dominated; a
+    value taken out of it parts the rest into 0..j and the values above j.
     """
     m = params.m
     if space == "threshold":
@@ -347,51 +352,42 @@ def _rankings(params: ModelParams, space: str, k: int,
     firsts = answers(untouched, prices)
     if k == 1:
         return [[first] for first in firsts]
-
-    def cheapest(j, after=(-math.inf, 0)):
-        """The least (float cost, value) past after of level j's values
-        above j, or None: one O(m) pass, so a set holds O(1) values."""
-        _, cost = _rates(params, [(j, v) for v in range(j + 1, m + 1)])
-        return min((key for key in zip(cost[params.n + 1:], range(j + 1, m + 1))
-                    if key > after), default=None)
+    [price], [(neg, d)] = prices, firsts
 
     def pair(j, part):
         if part is None:
             return untouched[j - 1]
-        return (part[0][1],) * 2 if len(part) == 1 else part
+        return (part[0], part[-1]) if isinstance(part, range) else (part[1],) * 2
 
     def rest(j, part, v):
         """The sets left at level j once value v leaves part."""
         if part is None:
-            return (rest(j, (0, j), v) + [(cheapest(j),)] if v <= j
-                    else [(0, j)] + rest(j, (cheapest(j),), v))
-        if len(part) == 1:
-            key = cheapest(j, part[0])
-            return [] if key is None else [(key,)]
-        lo, hi = part
-        gap = hi - lo if space == "bang_bang" else 1
-        return [] if lo == hi else [(lo + gap, hi) if v == lo else (lo, hi - gap)]
+            above = _cheapest(params, j, j + 1, (-math.inf, 0))
+            return (rest(j, range(j + 1), v) + [above] if v <= j
+                    else [range(j + 1)] + rest(j, above, v))
+        if not isinstance(part, range):
+            key = _cheapest(params, j, j + 1, part)
+            return [] if key is None else [key]
+        return [] if len(part) == 1 else [part[1:] if v == part[0] else part[:-1]]
 
-    def candidate(parts, price):
+    def candidate(parts):
         [(neg, d)] = answers([pair(j, part) for j, part in enumerate(parts, start=1)], [price])
         return neg, d, parts
 
-    whole = tuple(None if space == "full" and j < m else (0, j) for j in range(1, m + 1))
-    rankings = []
-    for price, (neg, d) in zip(prices, firsts):
-        found, best = [], [(neg, d, whole)]
-        while best:
-            neg, d, parts = best.pop(0)
-            found.append((neg, d))
-            if len(found) == k:
-                break
-            for i in range(m):
-                fixed = tuple((v, v) for v in d[:i])
-                for part in rest(i + 1, parts[i], d[i]):
-                    bisect.insort(best, candidate(fixed + (part,) + parts[i + 1:], price))
-                    del best[k - len(found):]
-        rankings.append(found)
-    return rankings
+    whole = tuple(None if space == "full" and j < m else values
+                  for j, values in enumerate(_level_values(m, space), start=1))
+    found, best = [], [(neg, d, whole)]
+    while best:
+        neg, d, parts = best.pop(0)
+        found.append((neg, d))
+        if len(found) == k:
+            break
+        for i in range(m):
+            fixed = tuple(range(v, v + 1) for v in d[:i])
+            for part in rest(i + 1, parts[i], d[i]):
+                bisect.insort(best, candidate(fixed + (part,) + parts[i + 1:]))
+                del best[k - len(found):]
+    return [found]
 
 
 def optimize(params: ModelParams, space: str = "full", top_k: int | None = None,
@@ -472,9 +468,11 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float], space: str = "full
     over the whole grid at once: one threshold family, or one policy
     iteration per price with each answering policy's eta formed at all the
     prices it won. So each row's policy and eta are optimize's at its
-    price. As a sanity check, eta is reconciled against the affine form
-    R * completion_rate - cost_rate of the winning policy on every grid
-    point; a mismatch raises ConsistencyError.
+    price. Each answering policy's record gives its critical prices, those
+    perturbation_factors reports (sensitivity._record_roots), and its
+    completion and cost rates A and B (sensitivity._record_means). As a
+    sanity check, eta is reconciled against the affine form R * A - B on
+    every grid point; a mismatch raises ConsistencyError.
     """
     grid = _price_grid(r_grid)
     # One validate covers every grid price; critical_prices_global makes it.
@@ -482,16 +480,16 @@ def price_sweep(params: ModelParams, r_grid: Sequence[float], space: str = "full
     crit = critical_prices_global(replace(params, price=grid[0]), space)
     bests = [(d, -neg) for [(neg, d)] in _rankings(params, space, 1, grid)]
 
-    # affine pieces and per-level critical prices per winning policy,
-    # computed once each: none of them depends on the price
+    # A, B and the critical prices of each answering policy, taken once
+    # each: none of them depends on the price
     pieces: dict[tuple, tuple[float, float, tuple[float, ...]]] = {}
     rows = []
     prev_regime = None
     for r, (d, eta) in zip(grid, bests):
         if d not in pieces:
-            sol = stationary_closed_form(params, d)
-            pieces[d] = (*profit_components(sol, affine_decomposition(params, d)),
-                         tuple(perturbation_factors(params, d).crit_prices.tolist()))
+            record = _policy_record(params, d)
+            pieces[d] = (*record.value(_record_means)[:2],
+                         tuple(record.value(_record_roots).tolist()))
         completions, cost, crits = pieces[d]
         affine = r * completions - cost
         tol = 1e-9 * max(1.0, abs(eta))

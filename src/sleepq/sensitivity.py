@@ -543,9 +543,9 @@ def sign_conservation_check(params: ModelParams, d: Policy, d_prime: Policy,
     """Check [G^d(n,j)+c] / [G^d'(n,j)+c] = pi^d(n,j) / pi^d'(n,j).
 
     Both sides are computed independently; disagreement beyond 1e-9
-    relative raises. Near-zero G+c values make the left side untestable
-    and are reported as degenerate instead. A j that is not an integer in
-    1..m raises ValueError.
+    relative raises ConsistencyError. Near-zero G+c values make the left
+    side untestable: the report then flags them degenerate, with NaN ratio
+    and rel_error. A j that is not an integer in 1..m raises ValueError.
     """
     _, d, d_prime = _single_change_level(params, d, d_prime, j)
     value_d = float(_factor_plus_c(params, d, j))
@@ -554,19 +554,17 @@ def sign_conservation_check(params: ModelParams, d: Policy, d_prime: Policy,
     pi_ratio = float(stationary_closed_form(params, d).pi[idx]
                      / stationary_closed_form(params, d_prime).pi[idx])
 
-    if min(abs(value_d), abs(value_dp)) < DEGENERATE_EPS:
-        return SignConservationReport(
-            ratio=np.nan, pi_ratio=pi_ratio, rel_error=np.nan,
-            degenerate=True, value_d=value_d, value_d_prime=value_dp,
-        )
-    ratio = value_d / value_dp
-    rel_error = abs(ratio - pi_ratio) / max(abs(pi_ratio), 1e-300)
-    if rel_error > 1e-9:
-        raise ConsistencyError(
-            f"sign-conservation ratio {ratio!r} disagrees with stationary "
-            f"ratio {pi_ratio!r} (rel error {rel_error:.3e})"
-        )
+    degenerate = min(abs(value_d), abs(value_dp)) < DEGENERATE_EPS
+    ratio = rel_error = np.nan
+    if not degenerate:
+        ratio = value_d / value_dp
+        rel_error = abs(ratio - pi_ratio) / max(abs(pi_ratio), 1e-300)
+        if rel_error > 1e-9:
+            raise ConsistencyError(
+                f"sign-conservation ratio {ratio!r} disagrees with stationary "
+                f"ratio {pi_ratio!r} (rel error {rel_error:.3e})"
+            )
     return SignConservationReport(
         ratio=ratio, pi_ratio=pi_ratio, rel_error=rel_error,
-        degenerate=False, value_d=value_d, value_d_prime=value_dp,
+        degenerate=degenerate, value_d=value_d, value_d_prime=value_dp,
     )

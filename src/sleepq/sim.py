@@ -149,8 +149,9 @@ def _validate_config(cfg: SimConfig) -> None:
         raise ConfigError("event-mode horizon must be a whole number")
 
 
-def _rates(params: ModelParams, d: Policy):
-    """Per-state rate tables of the simulator kernel.
+def _rates(params: ModelParams, d: Policy) -> tuple[list, list, list, list]:
+    """Per-state rate tables of the simulator kernel, as the lists of
+    Python floats _simkernel._kernel reads.
 
     Returns (total, split, energy, hold): total = (lambda + g1) + g2 is the
     total event rate of each state and split = lambda + g1 the boundary
@@ -166,26 +167,22 @@ def _rates(params: ModelParams, d: Policy):
     analytic law against the simulator, so the simulator must not share
     the rate code it is checking.
     """
-    n, m = params.n, params.m
-    size = n + m + 1
-    g1 = np.zeros(size)
-    g2 = np.zeros(size)
-    energy = np.zeros(size)
-    hold = np.zeros(size)
+    n, m, lam = params.n, params.m, params.lambda_
+    total, split, energy, hold = [], [], [], []
     base_energy = (n * params.p1_work + m * params.p2_sleep) * params.c_energy
     for i in range(n + 1):
-        g1[i] = i * params.mu1
-        energy[i] = base_energy
-        hold[i] = i * params.c_hold_g1
+        # No group-2 server serves at (i, 0): total is split.
+        split.append(lam + i * params.mu1)
+        total.append(split[-1])
+        energy.append(base_energy)
+        hold.append(i * params.c_hold_g1)
     for j in range(1, m + 1):
-        k = n + j
-        g1[k] = n * params.mu1
-        g2[k] = min(d[j - 1], j) * params.mu2
-        energy[k] = (n * params.p1_work + d[j - 1] * params.p2_work
-                     + (m - d[j - 1]) * params.p2_sleep) * params.c_energy
-        hold[k] = n * params.c_hold_g1 + j * params.c_hold_g2
-    split = params.lambda_ + g1
-    return split + g2, split, energy, hold
+        split.append(lam + n * params.mu1)
+        total.append(split[-1] + min(d[j - 1], j) * params.mu2)
+        energy.append((n * params.p1_work + d[j - 1] * params.p2_work
+                       + (m - d[j - 1]) * params.p2_sleep) * params.c_energy)
+        hold.append(n * params.c_hold_g1 + j * params.c_hold_g2)
+    return total, split, energy, hold
 
 
 class _Stream:
@@ -329,8 +326,7 @@ def simulate(params: ModelParams, d: Policy, cfg: SimConfig,
     trace_log: list | None = [] if trace else None
 
     size = state_space(params).size
-    rates = (*(v.tolist() for v in _rates(params, d)), params.lambda_,
-             params.n, size - 1)
+    rates = (*_rates(params, d), params.lambda_, params.n, size - 1)
 
     event_mode = cfg.unit == "events"
     warmup = cfg.resolved_warmup()

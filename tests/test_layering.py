@@ -92,6 +92,22 @@ def test_no_module_enumerates():
     assert not bad, "\n".join(bad)
 
 
+# The value sets of the product spaces are model._level_values' ranges: a
+# search compares a space name only where the space has values the ranges
+# leave out (full's values above a level) or is ranked whole (threshold).
+COMPARED_SPACES = {"full", "threshold"}
+
+
+def test_searches_take_the_product_spaces_sets_from_level_values():
+    tree = ast.parse((PACKAGE / "optimize.py").read_text(encoding="utf-8"))
+    bad = [f"optimize.py:{node.lineno} compares {name.value!r}"
+           for node in ast.walk(tree) if isinstance(node, ast.Compare)
+           for name in ast.walk(node)
+           if isinstance(name, ast.Constant) and name.value in sleepq.POLICY_SPACES
+           and name.value not in COMPARED_SPACES]
+    assert not bad, "\n".join(bad)
+
+
 # The policy iteration and the eta of its answers have one caller: every
 # search, optimize's with or without top_k and price_sweep's, is _rankings.
 SEARCH_STEPS = {"_iterate", "_profit"}

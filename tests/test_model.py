@@ -21,6 +21,7 @@ from sleepq import (
     build_generator,
     build_reward,
     check_policy,
+    critical_prices_global,
     format_policy,
     params_digest,
     params_from_file,
@@ -43,6 +44,7 @@ from sleepq import (
     verify_monotonicity,
 )
 from sleepq.model import _decimal_digits, _level_values, _size_text
+from sleepq.optimize import price_sweep
 from block import enumerate_policies
 from conftest import micro_params
 
@@ -240,9 +242,12 @@ def test_digit_count_matches_the_written_int(d):
         set_limit(limit)
 
 
-def test_unknown_space_and_empty_level_set_are_refused():
-    with pytest.raises(ValueError, match="unknown policy space 'bogus'"):
-        policy_space_size(3, "bogus")
+def test_unknown_space_and_empty_level_set_are_refused(micro):
+    for refuse in (lambda: policy_space_size(3, "bogus"),
+                   lambda: critical_prices_global(micro, "bogus"),
+                   lambda: price_sweep(micro, [0.0, 1.0], "bogus")):
+        with pytest.raises(ValueError, match="unknown policy space 'bogus'"):
+            refuse()
     with pytest.raises(ValueError, match="m must be >= 1"):
         threshold_policy(0, 1)
 

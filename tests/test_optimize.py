@@ -1094,13 +1094,13 @@ def test_price_sweep_reconciles_eta_with_the_affine_form(space, monkeypatch, tmp
                                                          capsys):
     # Every row's eta must equal R * completion_rate - cost_rate of its
     # policy; a completion rate off by 1e-6 leaves that form at R > 0.
-    components = OPT.profit_components
+    means = OPT._record_means
 
-    def shifted(*args):
-        completions, cost = components(*args)
-        return completions + 1e-6, cost
+    def shifted(record):
+        completions, *rest = means(record)
+        return completions + 1e-6, *rest
 
-    monkeypatch.setattr(OPT, "profit_components", shifted)
+    monkeypatch.setattr(OPT, "_record_means", shifted)
     params = micro_params(n=2, m=3)
     with pytest.raises(ConsistencyError, match="deviates from the affine form"):
         OPT.price_sweep(params, [0.0, 5.0, 10.0], space)

@@ -5,13 +5,15 @@ refuses at once, either answers or raises a SleepqError (exit 2 or 4)
 at these sizes; a ValueError, a MemoryError, a warning or exit 1 fails.
 1 371 is the first m whose full space has more than the 4 300 digits
 Python writes of an int, and 1 558 the first for the reduced space.
-At m = 1 000 and 2 000 the profit, each product space's optimum and the
-awake ladder's stationary law are held to their exact values
-(tests/exact.py); at m = 1 000 the bang-bang optimum to the exact sign of
-G + c at every level, and the awake ladder's critical prices to its exact
-roots (about 2.5 s for exact_root_pairs); and a bang-bang ranking
-(top_k=3, 0.6 s) at m = 300 to the exact order of eta. The file takes
-about 7 s on a shared 2-core host.
+At m = 1 000 and 2 000, and on six seeded draws with m = 679..1 490, the
+profit and each product space's optimum are held to their exact values
+(tests/exact.py), and at m = 1 000 and 2 000 the awake ladder's
+stationary law too; at m = 1 000 the bang-bang optimum to the exact sign
+of G + c at every level, the awake ladder's critical prices to its exact
+roots (about 2.5 s for exact_root_pairs), and the simulator's estimate
+to the exact eta; and a bang-bang ranking (top_k=3, 0.6 s) at m = 300
+and a full-space one (0.7 s) at m = 200 to the exact order of eta. The
+file takes about 12 s on a shared 2-core host.
 
 Left out, to keep the file within tier-1's time: the O(k^2) routes (the
 dense and explicit solves, stationary_numeric, invert_reduced), the
@@ -36,7 +38,7 @@ import pytest
 import sleepq as sq
 from sleepq.cli import main
 from sleepq.optimize import price_sweep
-from conftest import micro_params
+from conftest import draw_params, micro_params
 from exact import exact_eta, exact_root_pairs, exact_weights
 
 SIZES = [1000, 1371, 1558, 2000]
@@ -210,9 +212,16 @@ def _rel_error(value, exact):
     return abs(Fraction(value) - exact) / abs(exact)
 
 
-@pytest.mark.parametrize("m", [1000, 2000])
-def test_profits_at_large_m_are_the_exact_eta(m):
-    params = _wide(m)
+def _large_draws():
+    """Six seeded draws with m = 679..1 490 and n up to 20."""
+    rng = np.random.default_rng(2026)
+    return [pytest.param(draw_params(rng, n_max=20, m_min=500, m_max=1500), id=f"draw{i}")
+            for i in range(6)]
+
+
+@pytest.mark.parametrize("params", [pytest.param(_wide(m), id=str(m)) for m in (1000, 2000)]
+                         + _large_draws())
+def test_profits_at_large_m_are_the_exact_eta(params):
     awake = _awake(params)
     assert _rel_error(sq.policy_profit(params, awake), exact_eta(params, awake)) <= ETA_REL
     for space in ("full", "reduced", "bang_bang"):
@@ -230,6 +239,21 @@ def test_bang_bang_optimum_wakes_exactly_where_the_price_passes_each_root():
         price * den > num * scale for num, den in exact_root_pairs(params, d)]
 
 
+def _apart_in_exact_order(params, ranking):
+    """The exact etas of a ranking's entries; every two entries whose float
+    etas lie more than 4 ulps apart, either way, stand in their exact
+    order. Returns the exact etas and the number of such pairs."""
+    assert len({d for d, _ in ranking}) == len(ranking)
+    exact = [exact_eta(params, d) for d, _ in ranking]
+    apart = 0
+    for i, (_, above) in enumerate(ranking):
+        for j in range(i + 1, len(ranking)):
+            if abs(above - ranking[j][1]) > 4 * np.spacing(abs(above)):
+                apart += 1
+                assert exact[i] > exact[j], (i, j)
+    return exact, apart
+
+
 def test_a_bang_bang_ranking_at_m_300_falls_in_the_exact_order():
     # Lawler's partition over the policy iteration, about k m restricted
     # iterations: 0.6 s at m = 300 on a shared 2-core host. Two entries
@@ -239,13 +263,32 @@ def test_a_bang_bang_ranking_at_m_300_falls_in_the_exact_order():
     # certified optimum, so its exact eta is still the largest.
     params = _wide(300)
     ranking = sq.optimize(params, "bang_bang", top_k=3).ranking
-    assert len({d for d, _ in ranking}) == 3
-    exact = [exact_eta(params, d) for d, _ in ranking]
+    assert len(ranking) == 3
+    exact, _ = _apart_in_exact_order(params, ranking)
     assert exact[0] == max(exact)
-    for i, (_, above) in enumerate(ranking):
-        for j in range(i + 1, len(ranking)):
-            if above - ranking[j][1] > 4 * np.spacing(abs(above)):
-                assert exact[i] > exact[j], (i, j)
+
+
+def test_a_full_space_ranking_at_m_200_falls_in_the_exact_order():
+    # A heavier load (lambda = 60), about 0.7 s on a shared 2-core host. The
+    # second and third entries' float etas lie 9 ulps above the first's,
+    # while their exact etas lie below it, so the 4-ulp clause fires. The
+    # ranking passes through every kind of value set of the full space:
+    # untouched levels, ranges in 0..j and the cheapest value above j.
+    params = micro_params(n=2, m=200, lambda_=60.0, mu1=1.0, mu2=1.0)
+    ranking = sq.optimize(params, "full", top_k=3).ranking
+    assert len(ranking) == 3
+    exact, apart = _apart_in_exact_order(params, ranking)
+    assert apart > 0
+    assert exact[0] > exact[1] > exact[2]
+
+
+def test_the_simulator_at_m_1000_agrees_with_the_exact_eta():
+    # One million events on the wide model's 1 003 states, about 0.5 s.
+    params = _wide(1000)
+    awake = _awake(params)
+    res = sq.simulate(params, awake, sq.SimConfig(horizon=1_000_000, seed=53))
+    assert abs(Fraction(res.eta_hat) - exact_eta(params, awake)) <= 4 * Fraction(
+        res.ci_half_width)
 
 
 #: The relative error allowed an entry of pi against the exact one, fixed

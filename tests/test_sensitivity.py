@@ -286,6 +286,20 @@ def test_sign_conservation_at_the_critical_price_is_degenerate(sleepy):
     assert rep.pi_ratio == pytest.approx(1.7339449541284404, rel=1e-12)
 
 
+def test_sign_conservation_refuses_sides_that_disagree(micro, monkeypatch):
+    # G^d'(n,j) + c shifted by 1e-6 relative puts the ratio about 1e-6 off
+    # the stationary one, past the 1e-9 the check allows.
+    factor_plus_c = sensitivity._factor_plus_c
+
+    def shifted(params, d, j):
+        value = factor_plus_c(params, d, j)
+        return value * (1 + 1e-6) if d == (1,) else value
+
+    monkeypatch.setattr(sensitivity, "_factor_plus_c", shifted)
+    with pytest.raises(ConsistencyError, match="disagrees with stationary ratio"):
+        sign_conservation_check(micro, (0,), (1,), 1)
+
+
 def test_sign_conservation_refuses_a_change_at_another_level():
     with pytest.raises(ValueError, match="differ at level 2, not 1"):
         sign_conservation_check(micro_params(m=2), (0, 1), (0, 2), 1)

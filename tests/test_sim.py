@@ -47,7 +47,7 @@ def test_kernel_on_lists_matches_kernel_on_arrays(remaining, time_limit,
     # float64 arithmetic, so it gives the same bits on numpy arrays.
     params = micro_params(lambda_=4.0, n=2, m=3)
     top = params.n + params.m
-    rates = _rates(params, (0, 1, 3))
+    rates = [np.array(v) for v in _rates(params, (0, 1, 3))]
     buf = np.random.default_rng(5).random(size)
 
     def run(as_list, time_limit):
@@ -92,7 +92,7 @@ def test_kernel_at_and_exactly_on_the_time_limit(as_list):
     # that many events with no time limit.
     params = micro_params(lambda_=4.0, n=2, m=3)
     top = params.n + params.m
-    rates = _rates(params, (0, 1, 3))
+    rates = [np.array(v) for v in _rates(params, (0, 1, 3))]
     buf = np.random.default_rng(7).random(4000)
     form = (lambda a: a.tolist()) if as_list else (lambda a: a.copy())
 
@@ -127,7 +127,7 @@ def test_kernel_sets_integrals_from_dwell(time_limit, status):
     params = WIDE_TIME_MODEL
     top = params.n + params.m
     policy = tuple(int(d) for d in WIDE_TIME_POLICY.split(","))
-    total, split, energy, hold = (v.tolist() for v in _rates(params, policy))
+    total, split, energy, hold = _rates(params, policy)
     buf = np.random.default_rng(31).random(5001).tolist()
     dwell = [0.0] * (top + 1)
     acc = [0.0, 0.0]
